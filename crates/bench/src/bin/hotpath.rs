@@ -1,12 +1,13 @@
 //! Hot-path wall-clock bench (perf trajectory, PR 5) — writes `BENCH_5.json`.
 //!
-//! Three sections, matching the three layers the `jaws-par` runtime was
-//! deployed on:
+//! Three sections, matching the three hot paths the `jaws-par` runtime was
+//! first deployed on:
 //!
 //! 1. **materialize** — fills every timestep-0 atom from the synthetic field
-//!    at 1/2/4 workers. The fill is sharded by z-slice inside
-//!    [`AtomData::materialize`]; a bit-exact checksum over every voxel proves
-//!    the payload is identical at every thread count.
+//!    at 1/2/4 workers. [`AtomData::materialize`] is one serial block fill,
+//!    so the worker count does not change the work; a bit-exact checksum
+//!    over every voxel pins the payload (`df62f809f6c2fccf` on the full
+//!    geometry) and proves it is identical at every thread count.
 //! 2. **end_to_end** — a full materialized-mode (`DataMode::Synthetic`)
 //!    `Executor` run at each thread count. Reports are byte-compared after
 //!    masking the two measured-wall-clock overhead fields (same masking as
@@ -16,9 +17,10 @@
 //!    order used by `Jaws::next_batch`, at dispatch-candidate counts up to
 //!    the paper's 4096-atoms-per-timestep scale and beyond.
 //!
-//! Speedups for sections 1–2 depend on the host: on a single-core container
-//! they are ~1×, which is why `threads_reported` is recorded alongside every
-//! row. Section 3 is algorithmic and shows its win on any host.
+//! Section 1 is serial and reads ~1× at every worker count. Section 2's
+//! speedup depends on the host: on a single-core container it is ~1×, which
+//! is why `threads_reported` is recorded alongside every row. Section 3 is
+//! algorithmic and shows its win on any host.
 //!
 //! `--smoke` shrinks geometry and rep counts for CI; `--out=PATH` overrides
 //! the output path.

@@ -8,6 +8,12 @@
 //! at any thread count. This crate encodes those contracts as lint rules and
 //! enforces them in CI.
 //!
+//! The scan covers every `.rs` file under the root except the `target`,
+//! `vendor`, `.git`, `fixtures` and `node_modules` directories and any
+//! subdirectory whose `Cargo.toml` declares a `[workspace]` of its own (such
+//! as `perfbench/`): a nested workspace is a separate tree, not part of the
+//! one being guarded.
+//!
 //! # Architecture
 //!
 //! The analysis is built on a real (dependency-free) Rust lexer
@@ -417,7 +423,8 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
             if matches!(
                 name.as_ref(),
                 "target" | "vendor" | ".git" | "fixtures" | "node_modules"
-            ) {
+            ) || is_workspace_root(&path)
+            {
                 continue;
             }
             walk(&path, out)?;
@@ -426,6 +433,18 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// True if `dir/Cargo.toml` declares a `[workspace]` of its own: the
+/// directory is a separate Cargo workspace (its own lockfile and members),
+/// not part of the tree being linted.
+fn is_workspace_root(dir: &Path) -> bool {
+    fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|toml| {
+        toml.lines().any(|l| {
+            let l = l.trim();
+            l == "[workspace]" || l.starts_with("[workspace.")
+        })
+    })
 }
 
 /// Crate roots (relative to the workspace root) that must carry
@@ -453,8 +472,9 @@ fn forbid_unsafe_roots(root: &Path) -> Vec<String> {
 }
 
 /// Scans a workspace tree rooted at `root`: reads every `.rs` file (in
-/// sorted order, skipping target/vendor/fixtures), builds the cross-file
-/// [`Context`], checks each file, and applies the U001 crate-root check.
+/// sorted order, skipping target/vendor/fixtures and nested workspaces),
+/// builds the cross-file [`Context`], checks each file, and applies the
+/// U001 crate-root check.
 /// Diagnostics come back sorted by `(file, line, rule)`.
 pub fn check_workspace(root: &Path) -> io::Result<Report> {
     let mut paths = Vec::new();

@@ -83,6 +83,27 @@ fn clean_fixture_passes() {
     assert!(out.status.success(), "clean fixture flagged:\n{stdout}");
 }
 
+/// A subdirectory with a `[workspace]` of its own is a separate tree and is
+/// not scanned; a plain member crate next to it still is.
+#[test]
+fn nested_workspaces_are_skipped() {
+    let out = run_lint(&fixture("nested_workspace"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "member violation must fail:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("crates/member/src/lib.rs:6 [D002]"),
+        "member crate not scanned:\n{stdout}"
+    );
+    assert!(
+        !stdout.contains("perf/"),
+        "nested workspace was scanned:\n{stdout}"
+    );
+}
+
 /// The report itself must be deterministic: two runs over the same tree
 /// produce byte-identical output (diagnostics are sorted, the walk is
 /// sorted, nothing depends on hash order or clocks).

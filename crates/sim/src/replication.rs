@@ -8,7 +8,7 @@
 //! (PAPERS.md):
 //!
 //! * a per-key **access histogram** (a fixed-capacity ring of recent access
-//!   times standing in for a sliding window — see [`AccessRing`]) is fed
+//!   times standing in for a sliding window — see `AccessRing`) is fed
 //!   from the engine's dispatch path without allocating per access;
 //! * keys whose windowed traffic crosses `promote_accesses` are **promoted**:
 //!   a replica is placed on the least-loaded live node that is not the owner

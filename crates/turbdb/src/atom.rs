@@ -40,69 +40,28 @@ pub struct AtomData {
     p: Vec<f32>,
 }
 
-/// Minimum z-slices a materialize worker must have before it is worth
-/// spawning: `std::thread::scope` starts fresh OS threads per call, and a
-/// thin slice of field evaluations is cheaper than a spawn. Chosen on the
-/// `hotpath` bench (see DESIGN.md "Memory layout & event queue"): the
-/// smoke-geometry atom (ext = 12) fills inline — its whole block costs less
-/// than the spawns did, which is what made the 4-thread end-to-end run
-/// *slower* than serial in BENCH_5 — while the full-geometry atom (ext = 24)
-/// still shards across up to 3 workers.
-const SLICES_PER_WORKER: usize = 8;
-
 impl AtomData {
     /// Materializes an atom from the synthetic field at the timestep's
     /// simulation time. Fills the full `(side + 2·ghost)³` block including the
     /// replicated shell; the field is periodic so the shell is well defined
     /// even at the domain boundary.
     ///
-    /// Each voxel is a pure function of `(seed, atom, voxel)`, so the fill is
-    /// sharded across `jaws-par` workers by z-slice. Slices are concatenated
-    /// in z order, making the payload *bitwise* identical to the serial fill
-    /// at any thread count (the synthesis hot path the `hotpath` bench
-    /// measures).
+    /// One serial call into [`SyntheticField::fill_block`] over the block's
+    /// wrapped global coordinates: the payload is bitwise the `f32`
+    /// rounding of a direct `velocity_pressure` evaluation at every voxel.
     pub fn materialize(cfg: &DbConfig, field: &SyntheticField, id: AtomId) -> Self {
         let side = cfg.atom_side;
         let ghost = cfg.ghost;
-        let ext = (side + 2 * ghost) as usize;
         let (ax, ay, az) = id.morton.coords();
         let base = [(ax * side) as i64, (ay * side) as i64, (az * side) as i64];
         let t = id.timestep as f64 * cfg.dt;
-        let l = cfg.grid_side as f64;
-        let slices = jaws_par::map_indexed_grained(ext, SLICES_PER_WORKER, |lz| {
-            let area = ext * ext;
-            let mut svx = Vec::with_capacity(area);
-            let mut svy = Vec::with_capacity(area);
-            let mut svz = Vec::with_capacity(area);
-            let mut sp = Vec::with_capacity(area);
-            for ly in 0..ext {
-                for lx in 0..ext {
-                    // Global voxel coordinate, wrapped periodically.
-                    let gx = (base[0] + lx as i64 - ghost as i64).rem_euclid(l as i64) as f64;
-                    let gy = (base[1] + ly as i64 - ghost as i64).rem_euclid(l as i64) as f64;
-                    let gz = (base[2] + lz as i64 - ghost as i64).rem_euclid(l as i64) as f64;
-                    // One fused mode sweep per voxel; velocity and pressure
-                    // values are bitwise those of the separate evaluations.
-                    let (u, pr) = field.velocity_pressure([gx, gy, gz], t);
-                    svx.push(u[0] as f32);
-                    svy.push(u[1] as f32);
-                    svz.push(u[2] as f32);
-                    sp.push(pr as f32);
-                }
-            }
-            (svx, svy, svz, sp)
+        // Global voxel coordinates along each axis, wrapped periodically.
+        let axes = base.map(|b| {
+            (b - ghost as i64..b + (side + ghost) as i64)
+                .map(|g| g.rem_euclid(cfg.grid_side as i64) as f64)
+                .collect::<Vec<_>>()
         });
-        let vol = ext * ext * ext;
-        let mut vx = Vec::with_capacity(vol);
-        let mut vy = Vec::with_capacity(vol);
-        let mut vz = Vec::with_capacity(vol);
-        let mut p = Vec::with_capacity(vol);
-        for (svx, svy, svz, sp) in slices {
-            vx.extend_from_slice(&svx);
-            vy.extend_from_slice(&svy);
-            vz.extend_from_slice(&svz);
-            p.extend_from_slice(&sp);
-        }
+        let ([vx, vy, vz, p], _) = field.fill_block(axes.each_ref().map(Vec::as_slice), t);
         AtomData {
             id,
             side,

@@ -28,7 +28,7 @@
 //! * [`structures`] — turbulent-structure identification and tracking
 //!   (vorticity / Q-criterion thresholding + connected components), the
 //!   third production workload class.
-//! * [`reference`] — the retained array-of-structs atom layout, pinning the
+//! * [`reference`](mod@reference) — the retained array-of-structs atom layout, pinning the
 //!   SoA conversion's bitwise-identity obligations under property tests.
 
 #![forbid(unsafe_code)]

@@ -167,11 +167,62 @@ impl SyntheticField {
     /// velocity vector, so evaluating both separately pays the trigonometric
     /// mode sum twice; this returns the exact values of [`Self::velocity`]
     /// and [`Self::pressure`] (bitwise — same operations on the same inputs)
-    /// at half the cost. Atom materialization, which fills both fields for
-    /// every voxel, runs on this.
+    /// at half the cost. It is [`Self::fill_block`]'s fallback and the
+    /// reference its tests compare against.
     pub fn velocity_pressure(&self, p: [f64; 3], t: f64) -> ([f64; 3], f64) {
         let u = self.velocity(p, t);
-        (u, -0.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]))
+        (u, kinetic_pressure(u))
+    }
+
+    /// Velocity and pressure of every voxel of the tensor grid
+    /// `xs × ys × zs` (`axes = [xs, ys, zs]`, global voxel coordinates) at
+    /// time `t`, rounded to `f32`: the four planes `[vx, vy, vz, p]` in
+    /// z→y→x order, plus the number of voxels that took the fallback.
+    ///
+    /// Every stored value is bitwise the `f32` rounding of
+    /// [`Self::velocity_pressure`] at that voxel, but the mode sum is
+    /// evaluated separably. `cos(kx·x + ky·y + kz·z + ωt + φ)` is the real
+    /// part of `e^{i·kx·x} · e^{i·ky·y} · e^{i·(kz·z + ωt + φ)}`, so the fill
+    /// takes `cos`/`sin` once per mode and axis coordinate, forms the y·z
+    /// product once per mode and x-row, and leaves only multiply-adds per
+    /// voxel — in `velocity`'s mode order with its operations
+    /// (`amp · cos`, then `u[i] += c · dir[i]`).
+    ///
+    /// The separable value differs from the direct angle sum in its last
+    /// bits, so each voxel is guarded: its four `f64` outputs carry a bound
+    /// `δ` on their distance to the direct evaluation (derived on
+    /// `BlockTables`), and a voxel whose interval `v ± δ` does not round to
+    /// a single `f32` is recomputed with [`Self::velocity_pressure`]. The
+    /// payload is therefore identical to direct evaluation by construction;
+    /// the fallback fires on a few voxels in ten thousand.
+    pub fn fill_block(&self, axes: [&[f64]; 3], t: f64) -> ([Vec<f32>; 4], usize) {
+        let tables = BlockTables::new(self, axes, t);
+        let delta = tables.delta;
+        let [xs, ys, zs] = axes;
+        let vol = xs.len() * ys.len() * zs.len();
+        let mut planes: [Vec<f32>; 4] = std::array::from_fn(|_| Vec::with_capacity(vol));
+        let mut yz = vec![(0.0, 0.0); self.modes.len()];
+        let mut row = vec![[0.0; 3]; xs.len().next_multiple_of(LANES)];
+        let mut fallbacks = 0;
+        for (iz, &z) in zs.iter().enumerate() {
+            for (iy, &y) in ys.iter().enumerate() {
+                tables.row(iy, iz, &mut yz, &mut row);
+                for (&u, &x) in row.iter().zip(xs) {
+                    let p = kinetic_pressure(u);
+                    let bounds = [delta, delta, delta, pressure_bound(u, p, delta)];
+                    let mut v = [u[0], u[1], u[2], p];
+                    if !v.iter().zip(bounds).all(|(&v, d)| rounds_stably(v, d)) {
+                        fallbacks += 1;
+                        let (u, p) = self.velocity_pressure([x, y, z], t);
+                        v = [u[0], u[1], u[2], p];
+                    }
+                    for (plane, v) in planes.iter_mut().zip(v) {
+                        plane.push(v as f32);
+                    }
+                }
+            }
+        }
+        (planes, fallbacks)
     }
 
     /// Analytic velocity gradient tensor ∂uᵢ/∂xⱼ at `p`, `t` — used to verify
@@ -201,9 +252,167 @@ impl SyntheticField {
     }
 }
 
+/// `ε = 2⁻⁵³`, the relative rounding error of one `f64` operation.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
+/// Pressure surrogate from a velocity vector: minus half its kinetic energy.
+fn kinetic_pressure(u: [f64; 3]) -> f64 {
+    -0.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+}
+
+/// True when every real within `d` of `v` rounds to the same `f32` bits.
+/// `f64 → f32` rounding is monotone, so checking the two ends suffices; the
+/// rounding of `v ± d` itself is covered by the bounds' constants.
+fn rounds_stably(v: f64, d: f64) -> bool {
+    ((v - d) as f32).to_bits() == ((v + d) as f32).to_bits()
+}
+
+/// Bound on `|p − p_direct|` for the pressure `p` derived from a separable
+/// velocity `u` whose components are each within `delta` of the direct ones.
+/// `|Σ uᵢ² − Σ u'ᵢ²| ≤ δ·(2‖u‖₁ + 3δ)`, halved by the `−½`; each evaluation
+/// of the three-square sum rounds by at most `3ε·|p|`, and the ends of
+/// `p ± δₚ` by `ε·|p|` more: `δₚ = (‖u‖₁ + 2δ)·δ + 10ε·|p|`, with margin
+/// for the second-order terms.
+fn pressure_bound(u: [f64; 3], p: f64, delta: f64) -> f64 {
+    let l1 = u[0].abs() + u[1].abs() + u[2].abs();
+    (l1 + 2.0 * delta) * delta + 10.0 * UNIT_ROUNDOFF * p.abs()
+}
+
+/// Per-mode `(cos, sin)` tables of one block's axis coordinates, and the
+/// velocity error bound of the separable sum they feed.
+///
+/// **Error bound.** Let `ε = 2⁻⁵³`, `M` the mode count and, per mode,
+/// `Aₘ = |kx|·X + |ky|·Y + |kz|·Z + |ωₘt| + |φₘ|`, where `X, Y, Z` are the
+/// largest `|coordinate|` on each axis. Both evaluations form the same
+/// rounded products `k·x`, `k·y`, `k·z`, `ωt`; measure each against the
+/// exact sum `θ` of those products. `cos` and `sin` are taken to be within
+/// one ulp (`≤ 2ε` absolute on `[−1, 1]`), and `cos` is 1-Lipschitz.
+///
+/// * Direct: four additions round the angle by `≤ 4ε·Aₘ`, then `cos`
+///   adds `2ε`.
+/// * Separable: the z angle `kz·z + ωt + φ` rounds by `≤ 2ε·Aₘ`; each of
+///   the three table entries is within `√2·2ε` of its unit phasor; the
+///   y·z product and the x-row real part each round by `≤ √5·ε` (Brent,
+///   Percival & Zimmermann's bound for complex multiplication without
+///   FMA).
+///
+/// So the two cosines differ by `≤ ε·(6Aₘ + 14.96)`. Multiplying by `ampₘ`
+/// and by `dir[i]` (`|dir[i]| ≤ 1`) rounds each side by `ε·ampₘ` twice
+/// more: `ε·ampₘ·(6Aₘ + 18.96)` per mode term. The `M` additions into the
+/// running sum round each side by `ε·|partial sum| ≤ ε·Σₘ ampₘ`, and the
+/// ends of `v ± δ` by `ε·Σₘ ampₘ` each. Altogether
+///
+/// `δ = ε · Σₘ ampₘ · (6Aₘ + 2M + 24)`,
+///
+/// where rounding `20.96` up to `24` absorbs every second-order term
+/// (each is `O(ε·Aₘ·M)` relative, far below 1 for any grid this field
+/// models). The property test `block_fill_stays_within_its_error_bound`
+/// checks the bound on geometries up to `DbConfig::paper_sample`.
+struct BlockTables<'a> {
+    modes: &'a [Mode],
+    /// `cos`/`sin` of `kx·x`, in blocks of [`LANES`] coordinates.
+    x: AxisTable<LANES>,
+    /// `cos`/`sin` of `ky·y`, one coordinate per block.
+    y: AxisTable<1>,
+    /// `cos`/`sin` of `kz·z + ωt + φ`, one coordinate per block.
+    z: AxisTable<1>,
+    /// The bound `δ` on every velocity component's distance to the direct
+    /// evaluation.
+    delta: f64,
+}
+
+/// Voxels of one x-row accumulated together: four voxels × three
+/// components stay in registers across the whole mode loop.
+const LANES: usize = 4;
+
+/// `(cos, sin)` of one angle per (mode, coordinate), laid out
+/// `[coordinate block][mode][lane]` so that one block's mode loop reads
+/// contiguous memory. The last block is padded with coordinate 0.
+struct AxisTable<const N: usize> {
+    entries: Vec<([f64; N], [f64; N])>,
+}
+
+impl<const N: usize> AxisTable<N> {
+    fn new(modes: &[Mode], coords: &[f64], angle: impl Fn(&Mode, f64) -> f64) -> Self {
+        let mut entries = Vec::with_capacity(coords.len().div_ceil(N) * modes.len());
+        for block in coords.chunks(N) {
+            for m in modes {
+                let (mut c, mut s) = ([1.0; N], [0.0; N]);
+                for (l, &x) in block.iter().enumerate() {
+                    (s[l], c[l]) = angle(m, x).sin_cos();
+                }
+                entries.push((c, s));
+            }
+        }
+        AxisTable { entries }
+    }
+
+    /// The per-mode entries of coordinate block `b`.
+    fn block(&self, b: usize, modes: usize) -> &[([f64; N], [f64; N])] {
+        &self.entries[b * modes..(b + 1) * modes]
+    }
+}
+
+impl<'a> BlockTables<'a> {
+    fn new(field: &'a SyntheticField, axes: [&[f64]; 3], t: f64) -> Self {
+        let modes = field.modes.as_slice();
+        let extent = axes.map(|a| a.iter().fold(0.0f64, |acc, c| acc.max(c.abs())));
+        let n = modes.len() as f64;
+        let delta = UNIT_ROUNDOFF
+            * modes
+                .iter()
+                .map(|m| {
+                    let a = m.k[0].abs() * extent[0]
+                        + m.k[1].abs() * extent[1]
+                        + m.k[2].abs() * extent[2]
+                        + (m.omega * t).abs()
+                        + m.phase.abs();
+                    m.amp * (6.0 * a + 2.0 * n + 24.0)
+                })
+                .sum::<f64>();
+        BlockTables {
+            modes,
+            x: AxisTable::new(modes, axes[0], |m, x| m.k[0] * x),
+            y: AxisTable::new(modes, axes[1], |m, y| m.k[1] * y),
+            z: AxisTable::new(modes, axes[2], |m, z| m.k[2] * z + m.omega * t + m.phase),
+            delta,
+        }
+    }
+
+    /// Separable velocity of the x-row `(iy, iz)` into `u`, one `[ux, uy, uz]`
+    /// per voxel, padded to a multiple of [`LANES`]. `yz` is scratch for the
+    /// row's per-mode y·z phasors. Each voxel accumulates its modes in order.
+    fn row(&self, iy: usize, iz: usize, yz: &mut [(f64, f64)], u: &mut [[f64; 3]]) {
+        let nm = self.modes.len();
+        let yz_tables = self.y.block(iy, nm).iter().zip(self.z.block(iz, nm));
+        for (p, (([cy], [sy]), ([cz], [sz]))) in yz.iter_mut().zip(yz_tables) {
+            *p = (cy * cz - sy * sz, sy * cz + cy * sz);
+        }
+        for (b, out) in u.chunks_exact_mut(LANES).enumerate() {
+            let x = self.x.block(b, nm);
+            let mut acc = [[0.0f64; LANES]; 3];
+            for ((m, &(cyz, syz)), (cx, sx)) in self.modes.iter().zip(&*yz).zip(x) {
+                for l in 0..LANES {
+                    let c = m.amp * (cx[l] * cyz - sx[l] * syz);
+                    acc[0][l] += c * m.dir[0];
+                    acc[1][l] += c * m.dir[1];
+                    acc[2][l] += c * m.dir[2];
+                }
+            }
+            for (l, v) in out.iter_mut().enumerate() {
+                *v = [acc[0][l], acc[1][l], acc[2][l]];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::AosAtom;
+    use crate::{AtomData, DbConfig};
+    use jaws_morton::AtomId;
+    use proptest::prelude::*;
 
     fn field() -> SyntheticField {
         SyntheticField::with_modes(7, 64, 24)
@@ -332,5 +541,97 @@ mod tests {
         // exceed the last (smallest-scale) one under the -5/3 law.
         let f = field();
         assert!(f.modes.first().unwrap().amp > f.modes.last().unwrap().amp);
+    }
+
+    #[test]
+    fn fallback_voxels_are_bitwise_the_direct_evaluation() {
+        // Atom (t = 1, x = 1, y = 2, z = 1) of `DbConfig::small_synthetic`
+        // takes the fallback, and at its local voxel (3, 20, 2) the
+        // unguarded separable value rounds to a different f32 than the
+        // direct evaluation: the guard is what keeps this payload exact.
+        let cfg = DbConfig::small_synthetic();
+        let field = SyntheticField::new(cfg.seed, cfg.grid_side);
+        let id = AtomId::from_coords(1, 1, 2, 1);
+        let t = cfg.dt;
+        let (side, ghost) = (cfg.atom_side as i64, cfg.ghost as i64);
+        let axes = [1i64, 2, 1].map(|a| {
+            (a * side - ghost..(a + 1) * side + ghost)
+                .map(|g| g.rem_euclid(cfg.grid_side as i64) as f64)
+                .collect::<Vec<_>>()
+        });
+        let axes = axes.each_ref().map(Vec::as_slice);
+
+        let [ix, iy, iz] = [3, 20, 2].map(|l: i64| (l + ghost) as usize);
+        let tables = BlockTables::new(&field, axes, t);
+        let mut yz = vec![(0.0, 0.0); field.mode_count()];
+        let mut row = vec![[0.0; 3]; axes[0].len().next_multiple_of(LANES)];
+        tables.row(iy, iz, &mut yz, &mut row);
+        let u = row[ix];
+        let (u_direct, p_direct) =
+            field.velocity_pressure([axes[0][ix], axes[1][iy], axes[2][iz]], t);
+        let bits = |u: [f64; 3], p: f64| [u[0], u[1], u[2], p].map(|v| (v as f32).to_bits());
+        assert_ne!(bits(u, kinetic_pressure(u)), bits(u_direct, p_direct));
+
+        let (planes, fallbacks) = field.fill_block(axes, t);
+        let atom = AtomData::materialize(&cfg, &field, id);
+        let (vx, vy, vz, p) = atom.planes();
+        assert_eq!([vx, vy, vz, p], planes.each_ref().map(Vec::as_slice));
+        let aos = AosAtom::materialize(&cfg, &field, id);
+        let mut i = 0;
+        for lz in -ghost..side + ghost {
+            for ly in -ghost..side + ghost {
+                for lx in -ghost..side + ghost {
+                    let u = aos.velocity_at(lx, ly, lz);
+                    let p = aos.pressure_at(lx, ly, lz);
+                    let want = [u[0], u[1], u[2], p].map(f32::to_bits);
+                    assert_eq!(planes.each_ref().map(|pl| pl[i].to_bits()), want);
+                    i += 1;
+                }
+            }
+        }
+        assert!(fallbacks > 0);
+    }
+
+    proptest! {
+        /// Every `f64` output of the separable sum — velocity components and
+        /// the pressure derived from them — lies within its stated bound of
+        /// the direct evaluation, on grids up to `DbConfig::paper_sample`'s
+        /// 1024³ (large `|k·x|`), with the default 48 modes and timesteps up
+        /// to the production archive's 1024 (large `|ωt|`).
+        #[test]
+        fn block_fill_stays_within_its_error_bound(
+            seed in 0u64..1_000_000,
+            log_side in 4u32..11,
+            timestep in 0u32..1024,
+            origin in (0u32..1024, 0u32..1024, 0u32..1024),
+            ext in 1usize..6,
+        ) {
+            let side = 1u32 << log_side;
+            let field = SyntheticField::new(seed, side);
+            let t = timestep as f64 * 0.002;
+            // Scattered coordinates reach every part of the box.
+            let axes = [origin.0, origin.1, origin.2].map(|o| {
+                (0..ext as u32)
+                    .map(|i| ((o + 37 * i) % side) as f64)
+                    .collect::<Vec<_>>()
+            });
+            let tables = BlockTables::new(&field, axes.each_ref().map(Vec::as_slice), t);
+            prop_assert!(tables.delta < 1e-9, "vacuous bound {}", tables.delta);
+            let mut yz = vec![(0.0, 0.0); field.mode_count()];
+            let mut row = vec![[0.0; 3]; ext.next_multiple_of(LANES)];
+            for (iz, &z) in axes[2].iter().enumerate() {
+                for (iy, &y) in axes[1].iter().enumerate() {
+                    tables.row(iy, iz, &mut yz, &mut row);
+                    for (&u, &x) in row.iter().zip(&axes[0]) {
+                        let (u_direct, p_direct) = field.velocity_pressure([x, y, z], t);
+                        for c in 0..3 {
+                            prop_assert!((u[c] - u_direct[c]).abs() <= tables.delta);
+                        }
+                        let p = kinetic_pressure(u);
+                        prop_assert!((p - p_direct).abs() <= pressure_bound(u, p, tables.delta));
+                    }
+                }
+            }
+        }
     }
 }
