@@ -1,7 +1,9 @@
 //! Needleman–Wunsch job alignment and gating admission — the paper's
 //! `(n 2) m²` dynamic-program phase and `O(n³m²)` merge phase, which must
 //! stay cheap because every arriving job triggers them ("this overhead is
-//! low in practice given that the graph is sparse").
+//! low in practice given that the graph is sparse"). The merge phase does
+//! not rebuild the whole group DAG per edge: each admission runs a DFS over
+//! the groups reachable from the merged one (see `jaws_scheduler::gating`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use jaws_morton::MortonKey;

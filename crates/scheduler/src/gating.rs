@@ -23,6 +23,16 @@
 //! An edge whose admission would create a cycle is refused. This is strictly
 //! safe: an acyclic group order can always be scheduled.
 //!
+//! The check is local. The DAG's edges run from each gated query's group to
+//! the group of the next gated query in the same job. Every admitted state is
+//! acyclic, and a refused merge is reverted to the exact prior state. Pruning
+//! (a query completing, withdrawn or force-released, a group dissolving) only
+//! removes reachability: `prev → g → next` becomes `prev → next`. A merge
+//! into a fresh group `gid` adds edges only at `gid`, so any new cycle passes
+//! through it. Admission therefore runs a DFS from `gid` and refuses iff the
+//! DFS reaches `gid` again. Its cost is the part of the DAG reachable from
+//! the merged group, not the number of jobs ever declared.
+//!
 //! ## Starvation valve
 //!
 //! A group only fires when every member is READY, and a member's job may be
@@ -43,7 +53,8 @@
 //!   ascending partner `JobId`, and pairs within one alignment in job
 //!   sequence order.
 //! * **Force release** ([`GatingGraph::release_stale`]): stale queries are
-//!   released in ascending `QueryId` order.
+//!   released in ascending `QueryId` order. Candidates come from an index of
+//!   the READY queries, so a call costs the gated READY set, not the trace.
 //! * **Group firing**: promoted queries come out in group-membership order,
 //!   which is itself the deterministic admission order above.
 //!
@@ -117,6 +128,9 @@ pub struct GatingGraph {
     /// Arrival order of ordered jobs, for alignment candidate selection.
     job_order: Vec<JobId>,
     queries: BTreeMap<QueryId, QueryEntry>,
+    /// The READY queries. An ungated query is promoted in the call that
+    /// makes it READY, so between calls this holds only gated ones.
+    ready: BTreeSet<QueryId>,
     groups: BTreeMap<GroupId, Vec<QueryId>>,
     next_group: GroupId,
     admitted_edges: u64,
@@ -132,6 +146,7 @@ impl GatingGraph {
             jobs: BTreeMap::new(),
             job_order: Vec::new(),
             queries: BTreeMap::new(),
+            ready: BTreeSet::new(),
             groups: BTreeMap::new(),
             next_group: 0,
             admitted_edges: 0,
@@ -164,13 +179,6 @@ impl GatingGraph {
     pub fn group_members(&self, q: QueryId) -> Option<&[QueryId]> {
         let g = self.queries.get(&q)?.group?;
         self.groups.get(&g).map(Vec::as_slice)
-    }
-
-    /// True if any query is READY but held back by a gate.
-    pub fn has_gated_ready(&self) -> bool {
-        self.queries
-            .values()
-            .any(|e| e.state == QueryState::Ready && e.group.is_some())
     }
 
     /// Declares a new ordered job, aligning it against existing jobs and
@@ -233,29 +241,32 @@ impl GatingGraph {
     /// Admits a gating edge between `a` (new job) and `b` (existing job) if
     /// it cannot deadlock the schedule; see the module docs.
     fn admit_edge(&mut self, a: QueryId, b: QueryId) -> bool {
-        let (ea, eb) = match (self.queries.get(&a), self.queries.get(&b)) {
-            (Some(x), Some(y)) => (x, y),
+        let (ga, gb) = match (self.queries.get(&a), self.queries.get(&b)) {
+            (Some(x), Some(y)) => {
+                // Gating an already scheduled / completed query is pointless.
+                if !matches!(x.state, QueryState::Wait | QueryState::Ready)
+                    || !matches!(y.state, QueryState::Wait | QueryState::Ready)
+                {
+                    self.refused_edges += 1;
+                    return false;
+                }
+                (x.group, y.group)
+            }
             _ => return false,
         };
-        // Gating an already scheduled / completed query is pointless.
-        if !matches!(ea.state, QueryState::Wait | QueryState::Ready)
-            || !matches!(eb.state, QueryState::Wait | QueryState::Ready)
-        {
-            self.refused_edges += 1;
-            return false;
-        }
-        if ea.group.is_some() && ea.group == eb.group {
+        if ga.is_some() && ga == gb {
             return false; // already co-grouped (transitivity)
         }
         // Determine the merged membership. Transitivity (Fig. 4 line 2):
         // joining b means joining b's whole group. Constraint: the merged
         // group may hold at most one query per job (two queries of one job in
         // a group could never be co-scheduled).
-        let old_a: Option<(GroupId, Vec<QueryId>)> = ea.group.map(|g| (g, self.groups[&g].clone()));
-        let old_b: Option<(GroupId, Vec<QueryId>)> = eb.group.map(|g| (g, self.groups[&g].clone()));
-        let side_a = old_a.as_ref().map_or_else(|| vec![a], |(_, m)| m.clone());
-        let side_b = old_b.as_ref().map_or_else(|| vec![b], |(_, m)| m.clone());
-        let merged: Vec<QueryId> = side_a.iter().chain(side_b.iter()).copied().collect();
+        let merged: Vec<QueryId> = self
+            .members_or_self(ga, &a)
+            .iter()
+            .chain(self.members_or_self(gb, &b))
+            .copied()
+            .collect();
         let mut jobs_seen = BTreeSet::new();
         for q in &merged {
             if !jobs_seen.insert(self.queries[q].job) {
@@ -263,21 +274,26 @@ impl GatingGraph {
                 return false;
             }
         }
-        // Tentatively apply, then verify the group-precedence DAG is acyclic.
+        // Tentatively apply, then verify no cycle runs through the merge.
         let gid = self.next_group;
         self.next_group += 1;
         for q in &merged {
             // lint: invariant — merged only holds ids from self.queries
             self.queries.get_mut(q).expect("tracked").group = Some(gid);
         }
-        if let Some((g, _)) = &old_a {
-            self.groups.remove(g);
-        }
-        if let Some((g, _)) = &old_b {
-            self.groups.remove(g);
-        }
+        // lint: invariant — a query's group id always names a live group
+        let old_a = ga.map(|g| (g, self.groups.remove(&g).expect("live group")));
+        // lint: invariant — a query's group id always names a live group
+        let old_b = gb.map(|g| (g, self.groups.remove(&g).expect("live group")));
         self.groups.insert(gid, merged);
-        if self.group_dag_is_acyclic() {
+        let cyclic = self.reaches_itself(gid);
+        #[cfg(test)]
+        assert_eq!(
+            cyclic,
+            !self.group_dag_is_acyclic(),
+            "local cycle check disagrees with the global oracle"
+        );
+        if !cyclic {
             self.admitted_edges += 1;
             true
         } else {
@@ -303,7 +319,41 @@ impl GatingGraph {
         }
     }
 
-    /// Cycle check over the gating-group precedence DAG.
+    /// The members of group `g`, or just `q` when it is ungated.
+    fn members_or_self<'a>(&'a self, g: Option<GroupId>, q: &'a QueryId) -> &'a [QueryId] {
+        g.map_or(std::slice::from_ref(q), |g| &self.groups[&g])
+    }
+
+    /// The precedence successor of `q`'s group along `q`'s own job: the
+    /// group of the next gated query after `q`.
+    fn next_group_after(&self, q: QueryId) -> Option<GroupId> {
+        let e = &self.queries[&q];
+        self.jobs[&e.job].queries[e.index + 1..]
+            .iter()
+            .find_map(|n| self.queries[&n.id].group)
+    }
+
+    /// True if a path of the group-precedence DAG leads from `gid` back to
+    /// itself. A depth-first search over the groups reachable from `gid`.
+    fn reaches_itself(&self, gid: GroupId) -> bool {
+        let mut stack = vec![gid];
+        let mut seen = BTreeSet::new();
+        while let Some(g) = stack.pop() {
+            for &m in &self.groups[&g] {
+                match self.next_group_after(m) {
+                    Some(next) if next == gid => return true,
+                    Some(next) if seen.insert(next) => stack.push(next),
+                    _ => {}
+                }
+            }
+        }
+        false
+    }
+
+    /// Global cycle check over the gating-group precedence DAG: rebuilds
+    /// the DAG over every job and runs Kahn's algorithm. Retained as the
+    /// test oracle for [`GatingGraph::reaches_itself`].
+    #[cfg(test)]
     fn group_dag_is_acyclic(&self) -> bool {
         // Edges: for each job, consecutive gated queries g_prev -> g_next.
         let mut edges: BTreeMap<GroupId, BTreeSet<GroupId>> = BTreeMap::new();
@@ -341,8 +391,7 @@ impl GatingGraph {
             seen += 1;
             if let Some(tos) = edges.get(&g) {
                 for &to in tos {
-                    // lint: invariant — every edge target got an indeg entry above
-                    let d = indeg.get_mut(&to).expect("counted");
+                    let d = indeg.get_mut(&to).expect("every edge target is counted");
                     *d -= 1;
                     if *d == 0 {
                         stack.push(to);
@@ -365,6 +414,7 @@ impl GatingGraph {
         debug_assert_eq!(e.state, QueryState::Wait, "double availability for {q}");
         e.state = QueryState::Ready;
         e.ready_since_ms = now_ms;
+        self.ready.insert(q);
         self.try_fire(q)
     }
 
@@ -376,6 +426,7 @@ impl GatingGraph {
             return Vec::new();
         };
         e.state = QueryState::Done;
+        self.ready.remove(&q);
         let job = e.job;
         let group = e.group.take();
         // Advance the job's pending front (prunes completed queries from
@@ -454,6 +505,7 @@ impl GatingGraph {
         let e = self.queries.get_mut(&q).expect("tracked");
         debug_assert_eq!(e.state, QueryState::Ready);
         e.state = QueryState::Queue;
+        self.ready.remove(&q);
         vec![q]
     }
 
@@ -461,18 +513,19 @@ impl GatingGraph {
     /// Returns the queries promoted to QUEUE (the released query itself plus
     /// any group mates its departure unblocked).
     ///
-    /// Releases happen in ascending `QueryId` order (see the module docs on
-    /// determinism) — `self.queries` is a `BTreeMap`.
+    /// Only READY queries are visited, in ascending `QueryId` order (see the
+    /// module docs on determinism) — `self.ready` is a `BTreeSet`.
     pub fn release_stale(&mut self, now_ms: f64) -> Vec<QueryId> {
         let stale: Vec<QueryId> = self
-            .queries
+            .ready
             .iter()
-            .filter(|(_, e)| {
+            .copied()
+            .filter(|q| {
+                let e = &self.queries[q];
                 e.state == QueryState::Ready
                     && e.group.is_some()
                     && now_ms - e.ready_since_ms > self.cfg.gate_timeout_ms
             })
-            .map(|(&q, _)| q)
             .collect();
         let mut promoted = Vec::new();
         for q in stale {
@@ -480,7 +533,7 @@ impl GatingGraph {
                 continue; // already promoted by an earlier release this round
             }
             self.forced_releases += 1;
-            // lint: invariant — `stale` ids were collected from self.queries
+            // lint: invariant — `stale` ids were collected from self.ready
             let g = self.queries.get_mut(&q).expect("tracked").group.take();
             if let Some(g) = g {
                 if let Some(members) = self.groups.get_mut(&g) {
@@ -867,6 +920,140 @@ mod tests {
                     if *c < j.queries.len() {
                         g.query_available(j.queries[*c].id, now);
                     }
+                }
+            }
+        }
+    }
+
+    /// Model-based check of the maintained structures against full scans.
+    /// Every admission inside `add_job` also asserts that the local cycle
+    /// check agrees with the global oracle (see `admit_edge`).
+    mod model_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One step of a random gating workload, decoded from a drawn
+        /// `(kind, n)` pair. An index picks among the candidates valid at
+        /// that point, modulo their count.
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            /// Declares the next scripted job.
+            Declare,
+            /// Makes a query available: the next one of an ordered job, any
+            /// waiting one of a batched job.
+            Available(usize),
+            /// Completes a QUEUE query.
+            Done(usize),
+            /// Withdraws a WAIT query, as `Jaws::query_withdrawn` does.
+            Withdraw(usize),
+            /// Advances the clock by `n` ms and opens the starvation valve.
+            Release(usize),
+        }
+
+        impl Op {
+            fn decode((kind, n): (u8, usize)) -> Op {
+                match kind {
+                    0..=1 => Op::Declare,
+                    2..=5 => Op::Available(n),
+                    6..=9 => Op::Done(n),
+                    10 => Op::Withdraw(n),
+                    _ => Op::Release(n % 300),
+                }
+            }
+        }
+
+        /// The READY index equals a full scan, holds only gated queries
+        /// between calls, and the group DAG is acyclic.
+        fn check(g: &GatingGraph) {
+            let scan: BTreeSet<QueryId> = g
+                .queries
+                .iter()
+                .filter(|(_, e)| e.state == QueryState::Ready)
+                .map(|(&q, _)| q)
+                .collect();
+            assert_eq!(g.ready, scan, "READY index diverged from a full scan");
+            assert!(g.ready.iter().all(|q| g.queries[q].group.is_some()));
+            assert!(g.group_dag_is_acyclic());
+        }
+
+        proptest! {
+            #[test]
+            fn ready_index_and_local_cycle_check_match_full_scans(
+                // (ordered unless 0, [(timestep, region)]) per job: few
+                // regions and timesteps, so alignments overlap and groups
+                // merge transitively.
+                script in proptest::collection::vec(
+                    (0u8..5, proptest::collection::vec((0u32..3, 0u64..3), 1..7)),
+                    1..13,
+                ),
+                ops in proptest::collection::vec((0u8..13, 0usize..1000), 1..120),
+            ) {
+                let mut g = GatingGraph::new(GatingConfig {
+                    gate_timeout_ms: 100.0,
+                    max_align_jobs: 64,
+                });
+                let mut declared: Vec<Job> = Vec::new();
+                let mut now = 0.0;
+                for op in ops.into_iter().map(Op::decode) {
+                    let state = |q: &Query| g.state(q.id);
+                    let waiting: Vec<QueryId> = declared
+                        .iter()
+                        .flat_map(|j| &j.queries)
+                        .filter(|q| state(q) == QueryState::Wait)
+                        .map(|q| q.id)
+                        .collect();
+                    match op {
+                        Op::Declare => {
+                            if let Some((ordered, spec)) = script.get(declared.len()) {
+                                let mut j = job(declared.len() as u64 + 1, spec);
+                                if *ordered == 0 {
+                                    j.kind = JobKind::Batched;
+                                }
+                                g.add_job(&j);
+                                declared.push(j);
+                            }
+                        }
+                        Op::Available(i) => {
+                            let candidates: Vec<QueryId> = declared
+                                .iter()
+                                .flat_map(|j| {
+                                    let front = j
+                                        .queries
+                                        .iter()
+                                        .take_while(|q| state(q) == QueryState::Done)
+                                        .count();
+                                    let take = if j.kind == JobKind::Ordered { 1 } else { usize::MAX };
+                                    j.queries[front..].iter().take(take)
+                                })
+                                .filter(|q| state(q) == QueryState::Wait)
+                                .map(|q| q.id)
+                                .collect();
+                            if !candidates.is_empty() {
+                                g.query_available(candidates[i % candidates.len()], now);
+                            }
+                        }
+                        Op::Done(i) => {
+                            let queued: Vec<QueryId> = declared
+                                .iter()
+                                .flat_map(|j| &j.queries)
+                                .filter(|q| state(q) == QueryState::Queue)
+                                .map(|q| q.id)
+                                .collect();
+                            if !queued.is_empty() {
+                                g.query_done(queued[i % queued.len()]);
+                            }
+                        }
+                        Op::Withdraw(i) => {
+                            if !waiting.is_empty() {
+                                g.query_done(waiting[i % waiting.len()]);
+                            }
+                        }
+                        Op::Release(dt) => {
+                            now += dt as f64;
+                            g.release_stale(now);
+                        }
+                    }
+                    check(&g);
                 }
             }
         }

@@ -7,6 +7,9 @@
 
 #![forbid(unsafe_code)]
 
+mod common;
+
+use common::mask_wallclock_fields;
 use jaws_obs::{JsonlRecorder, NullRecorder, ObsSink};
 use jaws_scheduler::MetricParams;
 use jaws_sim::{
@@ -168,31 +171,6 @@ fn half_makespan_failure_plan(kind: SchedulerKind, nodes: u32, seed: u64) -> Fai
     FailurePlan::new(17)
         .crash_with_survivor(0.5 * makespan, 1, 0)
         .slowdown_at(0.25 * makespan, nodes - 1, 2.0)
-}
-
-/// Replaces the numeric value of *every* `"key":<number>` occurrence of the
-/// two wall-clock telemetry fields with `0` in serialized JSON.
-fn mask_wallclock_fields(json: &str) -> String {
-    let mut out = json.to_string();
-    for key in ["policy_overhead_ns", "cache_overhead_ms_per_query"] {
-        let pat = format!("\"{key}\":");
-        assert!(out.contains(&pat), "field {key} absent from report JSON");
-        let mut masked = String::with_capacity(out.len());
-        let mut rest = out.as_str();
-        while let Some(i) = rest.find(&pat) {
-            let start = i + pat.len();
-            let end = start
-                + rest[start..]
-                    .find([',', '}'])
-                    .expect("number is followed by a delimiter");
-            masked.push_str(&rest[..start]);
-            masked.push('0');
-            rest = &rest[end..];
-        }
-        masked.push_str(rest);
-        out = masked;
-    }
-    out
 }
 
 fn assert_deterministic(kind: SchedulerKind) {
