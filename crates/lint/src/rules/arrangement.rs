@@ -86,7 +86,8 @@ fn field_mutation(code: &str, prev_code: &str, field: &str) -> Option<&'static s
 }
 
 /// `Ty { … }` in expression position (type positions — `impl Ty {`,
-/// `-> Ty {`, `struct Ty {` … — are declarations, not constructions).
+/// `-> Ty {`, `-> &mut Ty {`, `struct Ty {` … — are declarations, not
+/// constructions).
 fn literal_in_expression(code: &str, ty: &str) -> bool {
     for abs in find_all(code, ty) {
         let from = abs + ty.len();
@@ -108,13 +109,24 @@ fn literal_in_expression(code: &str, ty: &str) -> bool {
                         .next_back()
                         .is_some_and(is_ident_char)
             })
-            || before.ends_with("->")
+            || return_type_prefix(before).ends_with("->")
             || before.ends_with(':');
         if !type_position {
             return true;
         }
     }
     false
+}
+
+/// `before` with a trailing `&` / `&mut` reference prefix removed, so a
+/// borrowed return type (`-> &mut Ty {`) is recognised as a type position.
+/// Only the `->` check uses it: `= &Ty { … }` is still a construction.
+fn return_type_prefix(before: &str) -> &str {
+    let b = before
+        .strip_suffix("mut")
+        .filter(|b| b.ends_with(|c: char| c.is_whitespace() || c == '&'))
+        .map_or(before, str::trim_end);
+    b.strip_suffix('&').map_or(before, str::trim_end)
 }
 
 /// Runs A001 over the file. Applies to tests too: a test that pokes
@@ -231,6 +243,17 @@ mod tests {
         // Type positions are not constructions.
         assert!(codes_with_decl(SCHED, "impl Core { }\n").is_empty());
         assert!(codes_with_decl(SCHED, "fn f(c: &Core) -> u64 { c.read() }\n").is_empty());
+        // Borrowed return types are type positions too; a borrowed literal
+        // is still a construction.
+        assert!(codes_with_decl(SCHED, "fn f(w: &mut W) -> &mut Core {\n").is_empty());
+        assert!(codes_with_decl(SCHED, "fn f(w: &W) -> &Core {\n").is_empty());
+        assert_eq!(
+            codes_with_decl(
+                SCHED,
+                "fn f() { let c = &Core { slots: x(), epoch: 0 }; }\n"
+            ),
+            vec!["A001"]
+        );
     }
 
     #[test]

@@ -14,35 +14,50 @@
 //! style of differential dataflow: base-state changes enter as typed
 //! [`Delta`]s through a single `DeltaCore::apply` entry point, flow into
 //! *arrangements* (maintained indexes over the update stream), and leave
-//! through read-only views. Dispatch cost is proportional to what changed,
-//! not to queue size.
+//! through read-only views. A dispatch costs O(Δ log m) bookkeeping for the
+//! Δ atoms that changed, plus one contiguous O(m_ts) refold of each timestep
+//! a changed atom belongs to — never a scan of every pending atom.
 //!
 //! # Delta taxonomy
 //!
 //! | Delta                  | Source                         | Effect |
 //! |------------------------|--------------------------------|--------|
-//! | [`Delta::Arrived`]     | `WorkloadManager::enqueue`     | atom joins the per-timestep sets, marked dirty |
-//! | [`Delta::Taken`]       | `WorkloadManager::take_atom`   | atom leaves the sets, marked dirty |
+//! | [`Delta::Arrived`]     | `WorkloadManager::enqueue`     | atom gets a placeholder slot in its timestep's slab if absent, marked dirty |
+//! | [`Delta::Taken`]       | `WorkloadManager::take_atom`   | atom's slot leaves its slab, marked dirty |
 //! | [`Delta::Completed`]   | `Scheduler::on_query_complete` | bookkeeping counter (queue state already settled at take time) |
 //! | [`Delta::ResidencyChanged`] | [`Residency`] change tracking (internal) | atom marked dirty iff pending and φ actually flipped |
 //! | [`Delta::Aged`]        | every timed read               | advances the clock watermark (ages derive from `now` lazily) |
 //!
 //! # Arrangements
 //!
-//! `DeltaCore` owns: the per-atom Eq. 1 cache and the residency view it was
-//! computed under; the per-timestep pending-atom sets (Morton order — the
-//! canonical fold order); the per-timestep aggregates (ΣU, max U, Σoldest,
-//! min/max oldest); the lazily built clamped-age prefix indexes; and the
-//! `Arc`-backed [`UtilitySnapshot`] the URC cache policy consumes. All of it
-//! is private: the only mutation path is `DeltaCore::apply` plus the
-//! integration step that folds dirty atoms back in (jaws-lint rule A001
+//! `DeltaCore` owns:
+//!
+//! * one **slab** per timestep: a `Vec` of slots, one per pending atom,
+//!   sorted by Morton key (the canonical fold order) and found by binary
+//!   search. A slot carries the atom's cached Eq. 1 value, its oldest
+//!   enqueue time and the residency the value was computed under;
+//! * the per-timestep aggregates (ΣU, max U, Σoldest, min/max oldest);
+//! * the lazily built clamped-age prefix indexes;
+//! * the `Arc`-backed [`UtilitySnapshot`] the URC cache policy consumes.
+//!
+//! Integration's per-atom recompute is the only read of base state
+//! (`QueueBase::queue_info`); the refold, the fine level, `best_atom` and the
+//! age indexes read slots alone, so a refold is one linear pass over
+//! contiguous memory with no per-atom map lookup. Inserting or removing a
+//! slot is an O(m_ts) memmove, but the same delta already forces an O(m_ts)
+//! refold of that timestep at the next integration, so the slab changes
+//! constants, not asymptotics.
+//!
+//! All of it is private: the only mutation path is `DeltaCore::apply` plus
+//! the integration step that folds dirty atoms back in (jaws-lint rule A001
 //! enforces this layering textually, the module privacy enforces it
-//! structurally).
+//! structurally). Reads assume an integrated core; `WorkloadManager`
+//! integrates before every read.
 //!
 //! # Bitwise equivalence
 //!
-//! Floating-point sums are *refolded* per dirty timestep in sorted-atom
-//! order — never drifted with `+=`/`-=` across dispatches — so every
+//! Floating-point sums are *refolded* per dirty timestep in slab (ascending
+//! Morton) order — never drifted with `+=`/`-=` across dispatches — so every
 //! incremental result is bit-for-bit identical to the full-scan
 //! [`mod@reference`] oracle, which is retained **only** for tests, proptests and
 //! the `dispatch_scaling` bench. No production caller may use it. The
@@ -64,7 +79,7 @@ pub mod reference;
 use crate::policy::Residency;
 use crate::queues::{finite_or_zero, MetricParams};
 use jaws_cache::{UtilityOracle, UtilityRank};
-use jaws_morton::AtomId;
+use jaws_morton::{AtomId, MortonKey};
 use jaws_workload::QueryId;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -191,8 +206,49 @@ pub(crate) struct QueueInfo {
     pub oldest_ms: f64,
 }
 
-/// Per-timestep aggregates, refolded (in sorted-atom order) whenever any atom
-/// of the timestep changes. Everything the coarse scheduling level and the
+/// One pending atom of a timestep's slab. `u`, `oldest` and `resident` are
+/// written by integration's recompute from [`QueueBase::queue_info`] and the
+/// residency source; between an [`Delta::Arrived`] that created the slot and
+/// the next integration they are placeholders that no read ever sees.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Morton key of the atom within its timestep — the slab's sort key.
+    morton: MortonKey,
+    /// Cached Eq. 1 value.
+    u: f64,
+    /// Enqueue time of the atom's oldest pending sub-query, ms.
+    oldest: f64,
+    /// The residency `u` was computed under; `None` until the first
+    /// integration after the slot was created (unless carried over, see
+    /// [`DeltaCore::taken_residency`]).
+    resident: Option<bool>,
+}
+
+impl Slot {
+    /// A slot awaiting its first recompute. The NaN placeholders make a
+    /// missed recompute visible to any fold instead of silently reading 0.
+    fn placeholder(morton: MortonKey, resident: Option<bool>) -> Self {
+        Slot {
+            morton,
+            u: f64::NAN,
+            oldest: f64::NAN,
+            resident,
+        }
+    }
+
+    /// Eq. 2 of this slot at `now_ms` under the given normalizers.
+    fn aged(&self, now_ms: f64, max_u: f64, max_e: f64, alpha: f64) -> f64 {
+        blend(self.u, (now_ms - self.oldest).max(0.0), max_u, max_e, alpha)
+    }
+}
+
+/// Binary search for `morton` in one Morton-sorted slab.
+fn slot_index(slab: &[Slot], morton: MortonKey) -> Result<usize, usize> {
+    slab.binary_search_by(|s| s.morton.cmp(&morton))
+}
+
+/// Per-timestep aggregates, refolded (in slab order) whenever any atom of
+/// the timestep changes. Everything the coarse scheduling level and the
 /// global normalizers need is answerable from these in O(#timesteps).
 #[derive(Debug, Clone, Copy)]
 struct TsAgg {
@@ -252,12 +308,22 @@ struct NormMemo {
 // lint: arrangement
 #[derive(Debug)]
 pub(crate) struct DeltaCore {
-    /// Cached Eq. 1 value per pending atom, as of the last integration.
-    eq1_cache: HashMap<AtomId, f64>,
-    /// The residency each `eq1_cache` entry was computed with.
-    resident_view: HashMap<AtomId, bool>,
-    /// Pending atoms per timestep in Morton order — the canonical fold order.
-    ts_atoms: BTreeMap<u32, BTreeSet<AtomId>>,
+    /// Pending atoms per timestep, one Morton-sorted slot slab each — the
+    /// canonical fold order. A timestep with no pending atom has no entry.
+    slabs: BTreeMap<u32, Vec<Slot>>,
+    /// Emptied slabs kept with their capacity, so a timestep that drains
+    /// and refills does not regrow its `Vec` from nothing.
+    spare_slabs: Vec<Vec<Slot>>,
+    /// Residency of the slots [`Delta::Taken`] removed since the last
+    /// integration. An atom taken and re-enqueued inside one integration
+    /// window gets its old residency carried over to its fresh slot, so a
+    /// [`Delta::ResidencyChanged`] for it dirties (and bumps the generation)
+    /// exactly when it flips against the residency its cached Eq. 1 value
+    /// was computed under — the same rule as for an atom that never left.
+    /// That keeps [`DeltaStats`] and every memo hit/miss independent of
+    /// whether the atom's queue was drained in between. Cleared by
+    /// integration, which recomputes every such atom anyway.
+    taken_residency: Vec<(AtomId, bool)>,
     /// Per-timestep aggregates (lazily refolded).
     ts_aggs: BTreeMap<u32, TsAgg>,
     /// Clamped-age indexes, built on demand (lookup-only, never iterated).
@@ -269,7 +335,10 @@ pub(crate) struct DeltaCore {
     /// emits timesteps non-decreasing and a last-value check dedups them;
     /// reusing the vector keeps `integrate` alloc-free at steady state.
     dirty_ts_scratch: Vec<u32>,
-    /// Residency epoch the view is synced to (`None` = never/volatile).
+    /// Reusable scratch of `(upper bound, timestep)` pairs for
+    /// [`Self::best_atom`], so a LifeRaft dispatch allocates nothing.
+    best_atom_scratch: Vec<(f64, u32)>,
+    /// Residency epoch the slots are synced to (`None` = never/volatile).
     synced_epoch: Option<u64>,
     /// Refold generation counter feeding [`TsAgg::epoch`].
     refold_epoch: u64,
@@ -291,13 +360,14 @@ impl DeltaCore {
     /// An empty core: no pending atoms, generation zero.
     pub(crate) fn new() -> Self {
         DeltaCore {
-            eq1_cache: HashMap::new(),
-            resident_view: HashMap::new(),
-            ts_atoms: BTreeMap::new(),
+            slabs: BTreeMap::new(),
+            spare_slabs: Vec::new(),
+            taken_residency: Vec::new(),
             ts_aggs: BTreeMap::new(),
             age_indexes: HashMap::new(),
             dirty_atoms: BTreeSet::new(),
             dirty_ts_scratch: Vec::new(),
+            best_atom_scratch: Vec::new(),
             synced_epoch: None,
             refold_epoch: 0,
             urc_view: UtilitySnapshot::empty(),
@@ -310,22 +380,41 @@ impl DeltaCore {
     }
 
     /// The single mutation entry point: folds one delta into the
-    /// arrangements. O(log n) bookkeeping — the float work is deferred to
-    /// the next integration so a burst of deltas costs one refold, not many.
+    /// arrangements. O(log n) search plus at most one O(m_ts) slot
+    /// insert/remove — the float work is deferred to the next integration so
+    /// a burst of deltas costs one refold, not many.
     pub(crate) fn apply(&mut self, delta: Delta) {
         match delta {
             Delta::Arrived { atom } => {
                 self.delta_stats.arrived += 1;
-                self.ts_atoms.entry(atom.timestep).or_default().insert(atom);
+                let slab = self
+                    .slabs
+                    .entry(atom.timestep)
+                    .or_insert_with(|| self.spare_slabs.pop().unwrap_or_default());
+                if let Err(at) = slot_index(slab, atom.morton) {
+                    let carried = self
+                        .taken_residency
+                        .iter()
+                        .rev()
+                        .find(|&&(a, _)| a == atom)
+                        .map(|&(_, r)| r);
+                    slab.insert(at, Slot::placeholder(atom.morton, carried));
+                }
                 self.dirty_atoms.insert(atom);
                 self.generation += 1;
             }
             Delta::Taken { atom } => {
                 self.delta_stats.taken += 1;
-                if let Some(set) = self.ts_atoms.get_mut(&atom.timestep) {
-                    set.remove(&atom);
-                    if set.is_empty() {
-                        self.ts_atoms.remove(&atom.timestep);
+                if let Some(slab) = self.slabs.get_mut(&atom.timestep) {
+                    if let Ok(at) = slot_index(slab, atom.morton) {
+                        if let Some(r) = slab.remove(at).resident {
+                            self.taken_residency.push((atom, r));
+                        }
+                    }
+                    if slab.is_empty() {
+                        if let Some(empty) = self.slabs.remove(&atom.timestep) {
+                            self.spare_slabs.push(empty);
+                        }
                     }
                 }
                 self.dirty_atoms.insert(atom);
@@ -336,11 +425,10 @@ impl DeltaCore {
             }
             Delta::ResidencyChanged { atom, resident } => {
                 self.delta_stats.residency_changed += 1;
-                let pending = self
-                    .ts_atoms
-                    .get(&atom.timestep)
-                    .is_some_and(|set| set.contains(&atom));
-                if pending && self.resident_view.get(&atom) != Some(&resident) {
+                let flipped = self
+                    .slot(atom)
+                    .is_some_and(|s| s.resident != Some(resident));
+                if flipped {
                     self.dirty_atoms.insert(atom);
                     self.generation += 1;
                 }
@@ -353,6 +441,12 @@ impl DeltaCore {
                 self.clock_ms = now_ms;
             }
         }
+    }
+
+    /// The slot of one pending atom, `None` if it has no pending work.
+    fn slot(&self, atom: AtomId) -> Option<&Slot> {
+        let slab = self.slabs.get(&atom.timestep)?;
+        slot_index(slab, atom.morton).ok().map(|i| &slab[i])
     }
 
     /// Counter snapshot.
@@ -372,14 +466,19 @@ impl DeltaCore {
 
     /// Number of timesteps with pending atoms.
     pub(crate) fn timestep_count(&self) -> usize {
-        self.ts_atoms.len()
+        self.slabs.len()
     }
 
     /// Pending atoms of one timestep, Morton order.
+    #[cfg(test)]
     pub(crate) fn atoms_in_timestep(&self, timestep: u32) -> Vec<AtomId> {
-        self.ts_atoms
+        self.slabs
             .get(&timestep)
-            .map(|set| set.iter().copied().collect())
+            .map(|slab| {
+                slab.iter()
+                    .map(|s| AtomId::new(timestep, s.morton))
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
@@ -405,17 +504,19 @@ impl DeltaCore {
             None => {
                 // Untracked source or truncated log: re-probe every pending
                 // atom (cheap boolean probe; only actual flips dirty).
-                let pending: Vec<AtomId> = self
-                    .ts_atoms
-                    .values()
-                    .flat_map(|set| set.iter().copied())
-                    .collect();
-                for atom in pending {
-                    self.delta_stats.residency_probes += 1;
-                    let resident = residency.is_resident(&atom);
-                    if self.resident_view.get(&atom) != Some(&resident) {
-                        self.apply(Delta::ResidencyChanged { atom, resident });
+                let mut flips = Vec::new();
+                for (&ts, slab) in &self.slabs {
+                    for s in slab {
+                        let atom = AtomId::new(ts, s.morton);
+                        let resident = residency.is_resident(&atom);
+                        if s.resident != Some(resident) {
+                            flips.push((atom, resident));
+                        }
                     }
+                    self.delta_stats.residency_probes += slab.len() as u64;
+                }
+                for (atom, resident) in flips {
+                    self.apply(Delta::ResidencyChanged { atom, resident });
                 }
             }
         }
@@ -424,13 +525,16 @@ impl DeltaCore {
 
     /// Integration: brings every arrangement up to date with the deltas
     /// applied since the last call, recomputing only dirty atoms and
-    /// refolding only their timesteps. O(Δ) plus O(m_ts) per dirty timestep.
+    /// refolding only their timesteps. O(Δ log m) plus one contiguous
+    /// O(m_ts) pass per dirty timestep. The per-atom recompute is the only
+    /// read of base state; every read method below assumes it has run.
     pub(crate) fn integrate(&mut self, base: &dyn QueueBase, residency: &dyn Residency) {
         self.sync_residency(residency);
         if self.dirty_atoms.is_empty() {
             return;
         }
-        // 1. Recompute dirty atoms (and drop taken ones).
+        // 1. Recompute the slots of dirty atoms that are still pending (taken
+        // ones already left their slab).
         let params = *base.metric_params();
         let mut dirty_ts = std::mem::take(&mut self.dirty_ts_scratch);
         dirty_ts.clear();
@@ -443,48 +547,49 @@ impl DeltaCore {
                 let res = residency.is_resident(&atom);
                 let u = eq1(&params, info.positions, res);
                 self.delta_stats.eq1_recomputes += 1;
-                self.resident_view.insert(atom, res);
-                self.eq1_cache.insert(atom, u);
+                // lint: invariant — Arrived gave every queued atom a slot
+                let slab = self
+                    .slabs
+                    .get_mut(&atom.timestep)
+                    .expect("pending atom has a slab");
+                // lint: invariant — Arrived gave every queued atom a slot
+                let at = slot_index(slab, atom.morton).expect("pending atom has a slot");
+                let slot = &mut slab[at];
+                slot.u = u;
+                slot.oldest = info.oldest_ms;
+                slot.resident = Some(res);
                 atoms_mut.insert(atom, u);
             } else {
-                self.resident_view.remove(&atom);
-                self.eq1_cache.remove(&atom);
                 atoms_mut.remove(&atom);
             }
         }
         self.dirty_atoms.clear();
-        // 2. Refold dirty timesteps in sorted-atom order — a full refold, not
-        // a `+=`/`-=` adjustment, so the sums are bitwise identical to the
+        self.taken_residency.clear();
+        // 2. Refold dirty timesteps in slab order — a full refold, not a
+        // `+=`/`-=` adjustment, so the sums are bitwise identical to the
         // reference full-scan fold.
         let means_mut = Arc::make_mut(&mut self.urc_view.means);
         let n = params.atoms_per_timestep.max(1) as f64;
         self.refold_epoch += 1;
         for &ts in &dirty_ts {
-            match self.ts_atoms.get(&ts) {
-                Some(set) => {
+            match self.slabs.get(&ts) {
+                Some(slab) => {
                     self.delta_stats.ts_refolds += 1;
                     let mut agg = TsAgg {
                         sum_u: 0.0,
                         max_u: 0.0,
-                        count: 0,
+                        count: slab.len() as u64,
                         sum_oldest: 0.0,
                         min_oldest: f64::INFINITY,
                         max_oldest: f64::NEG_INFINITY,
                         epoch: self.refold_epoch,
                     };
-                    for a in set {
-                        let u = self.eq1_cache[a];
-                        // lint: invariant — every atom in ts_atoms has a queue
-                        let oldest = base
-                            .queue_info(a)
-                            .expect("pending atom has a queue")
-                            .oldest_ms;
-                        agg.sum_u += u;
-                        agg.max_u = agg.max_u.max(u);
-                        agg.count += 1;
-                        agg.sum_oldest += oldest;
-                        agg.min_oldest = agg.min_oldest.min(oldest);
-                        agg.max_oldest = agg.max_oldest.max(oldest);
+                    for s in slab {
+                        agg.sum_u += s.u;
+                        agg.max_u = agg.max_u.max(s.u);
+                        agg.sum_oldest += s.oldest;
+                        agg.min_oldest = agg.min_oldest.min(s.oldest);
+                        agg.max_oldest = agg.max_oldest.max(s.oldest);
                     }
                     self.ts_aggs.insert(ts, agg);
                     means_mut.insert(ts, agg.sum_u / n);
@@ -503,6 +608,7 @@ impl DeltaCore {
     /// atoms — answered from the per-timestep aggregates in O(#timesteps),
     /// memoized on `(generation, now)` so clean repeat reads are O(1).
     fn normalizers(&mut self, now_ms: f64) -> (f64, f64) {
+        debug_assert!(self.dirty_atoms.is_empty(), "read before integration");
         if let Some(m) = self.norm_memo {
             if m.generation == self.generation && m.now_bits == now_ms.to_bits() {
                 return (m.max_u, m.max_e);
@@ -532,7 +638,7 @@ impl DeltaCore {
     /// degenerate timesteps — some atom enqueued "after" the query's
     /// `now_ms` — ever pay for the O(n log n) build; the index is reused
     /// across calls until the timestep's aggregate refolds.
-    pub(crate) fn ensure_age_index(&mut self, base: &dyn QueueBase, ts: u32) {
+    pub(crate) fn ensure_age_index(&mut self, ts: u32) {
         let Some(agg) = self.ts_aggs.get(&ts) else {
             self.age_indexes.remove(&ts);
             return;
@@ -544,16 +650,8 @@ impl DeltaCore {
         {
             return;
         }
-        // A timestep with an aggregate always has pending atoms.
-        let mut oldest: Vec<f64> = self.ts_atoms[&ts]
-            .iter()
-            .map(|a| {
-                // lint: invariant — every atom in ts_atoms has a queue
-                base.queue_info(a)
-                    .expect("pending atom has a queue")
-                    .oldest_ms
-            })
-            .collect();
+        // A timestep with an aggregate always has a slab.
+        let mut oldest: Vec<f64> = self.slabs[&ts].iter().map(|s| s.oldest).collect();
         oldest.sort_by(|a, b| a.total_cmp(b));
         let mut prefix = Vec::with_capacity(oldest.len());
         let mut s = 0.0f64;
@@ -587,17 +685,11 @@ impl DeltaCore {
 
     /// Coarse level of two-level scheduling: the timestep with the highest
     /// summed aged utility (equivalently, the highest mean over its fixed
-    /// atom count). Ties prefer the smaller timestep. O(#timesteps) after an
-    /// O(Δ) integration — and O(1) on a clean generation (memoized).
-    pub(crate) fn best_timestep(
-        &mut self,
-        base: &dyn QueueBase,
-        now_ms: f64,
-        alpha: f64,
-        residency: &dyn Residency,
-    ) -> Option<u32> {
+    /// atom count). Ties prefer the smaller timestep. O(#timesteps) — and
+    /// O(1) on a clean generation (memoized).
+    pub(crate) fn best_timestep(&mut self, now_ms: f64, alpha: f64) -> Option<u32> {
         debug_assert!((0.0..=1.0).contains(&alpha));
-        self.integrate(base, residency);
+        debug_assert!(self.dirty_atoms.is_empty(), "read before integration");
         if let Some(m) = self.coarse_memo {
             if m.generation == self.generation
                 && m.now_bits == now_ms.to_bits()
@@ -617,7 +709,7 @@ impl DeltaCore {
             .map(|(&ts, _)| ts)
             .collect();
         for ts in degenerate {
-            self.ensure_age_index(base, ts);
+            self.ensure_age_index(ts);
         }
         let (max_u, max_e) = self.normalizers(now_ms);
         let mut best: Option<(u32, f64)> = None;
@@ -651,86 +743,61 @@ impl DeltaCore {
     /// [`reference::aged_utilities`] entries.
     pub(crate) fn timestep_aged_utilities_into(
         &mut self,
-        base: &dyn QueueBase,
         timestep: u32,
         now_ms: f64,
         alpha: f64,
-        residency: &dyn Residency,
         out: &mut Vec<(AtomId, f64)>,
     ) {
         debug_assert!((0.0..=1.0).contains(&alpha));
         out.clear();
-        self.integrate(base, residency);
         let (max_u, max_e) = self.normalizers(now_ms);
-        let Some(set) = self.ts_atoms.get(&timestep) else {
+        let Some(slab) = self.slabs.get(&timestep) else {
             return;
         };
-        out.reserve(set.len());
-        for a in set {
-            // lint: invariant — every atom in ts_atoms has a queue
-            let oldest = base
-                .queue_info(a)
-                .expect("pending atom has a queue")
-                .oldest_ms;
-            let e = (now_ms - oldest).max(0.0);
-            out.push((*a, blend(self.eq1_cache[a], e, max_u, max_e, alpha)));
-        }
+        out.extend(slab.iter().map(|s| {
+            (
+                AtomId::new(timestep, s.morton),
+                s.aged(now_ms, max_u, max_e, alpha),
+            )
+        }));
     }
 
-    /// Eq. 2 over every pending atom, from the arrangements — same contract
-    /// as [`reference::aged_utilities`] (modulo output order, which here is
+    /// Eq. 2 over every pending atom, from the slabs — same contract as
+    /// [`reference::aged_utilities`] (modulo output order, which here is
     /// always sorted). The output is O(n) by definition; schedulers that only
     /// need an argmax use [`Self::best_atom`] instead.
-    pub(crate) fn aged_utilities(
-        &mut self,
-        base: &dyn QueueBase,
-        now_ms: f64,
-        alpha: f64,
-        residency: &dyn Residency,
-    ) -> Vec<(AtomId, f64)> {
+    pub(crate) fn aged_utilities(&mut self, now_ms: f64, alpha: f64) -> Vec<(AtomId, f64)> {
         debug_assert!((0.0..=1.0).contains(&alpha));
-        self.integrate(base, residency);
         let (max_u, max_e) = self.normalizers(now_ms);
-        let mut out = Vec::new();
-        for set in self.ts_atoms.values() {
-            for a in set {
-                // lint: invariant — every atom in ts_atoms has a queue
-                let oldest = base
-                    .queue_info(a)
-                    .expect("pending atom has a queue")
-                    .oldest_ms;
-                let e = (now_ms - oldest).max(0.0);
-                out.push((*a, blend(self.eq1_cache[a], e, max_u, max_e, alpha)));
-            }
-        }
-        out
+        self.slabs
+            .iter()
+            .flat_map(|(&ts, slab)| {
+                slab.iter().map(move |s| {
+                    (
+                        AtomId::new(ts, s.morton),
+                        s.aged(now_ms, max_u, max_e, alpha),
+                    )
+                })
+            })
+            .collect()
     }
 
     /// The single pending atom with the highest aged utility (ties prefer
     /// the smaller atom id) — LifeRaft's contention-order pick. Timesteps are
     /// visited in descending upper-bound order and pruned once no remaining
     /// timestep can beat the incumbent, so the common case inspects only the
-    /// hottest timestep's atoms.
-    pub(crate) fn best_atom(
-        &mut self,
-        base: &dyn QueueBase,
-        now_ms: f64,
-        alpha: f64,
-        residency: &dyn Residency,
-    ) -> Option<(AtomId, f64)> {
+    /// hottest timestep's slab.
+    pub(crate) fn best_atom(&mut self, now_ms: f64, alpha: f64) -> Option<(AtomId, f64)> {
         debug_assert!((0.0..=1.0).contains(&alpha));
-        self.integrate(base, residency);
         let (max_u, max_e) = self.normalizers(now_ms);
         // blend() is monotone in both terms, so a timestep's best atom is
         // bounded by blending its per-timestep maxima.
-        let mut order: Vec<(f64, u32)> = self
-            .ts_aggs
-            .iter()
-            .map(|(&ts, agg)| {
-                let e_ub = (now_ms - agg.min_oldest).max(0.0);
-                (blend(agg.max_u, e_ub, max_u, max_e, alpha), ts)
-            })
-            .collect();
+        let mut order = std::mem::take(&mut self.best_atom_scratch);
+        order.clear();
+        order.extend(self.ts_aggs.iter().map(|(&ts, agg)| {
+            let e_ub = (now_ms - agg.min_oldest).max(0.0);
+            (blend(agg.max_u, e_ub, max_u, max_e, alpha), ts)
+        }));
         order.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         let mut best: Option<(AtomId, f64)> = None;
         for &(ub, ts) in &order {
@@ -741,50 +808,40 @@ impl DeltaCore {
                     break;
                 }
             }
-            for a in &self.ts_atoms[&ts] {
-                // lint: invariant — every atom in ts_atoms has a queue
-                let oldest = base
-                    .queue_info(a)
-                    .expect("pending atom has a queue")
-                    .oldest_ms;
-                let e = (now_ms - oldest).max(0.0);
-                let score = blend(self.eq1_cache[a], e, max_u, max_e, alpha);
+            for s in &self.slabs[&ts] {
+                let score = s.aged(now_ms, max_u, max_e, alpha);
+                let atom = AtomId::new(ts, s.morton);
                 // Total order: (score via total_cmp, then smaller AtomId).
                 let better = match best {
                     None => true,
                     Some((ba, bs)) => match score.total_cmp(&bs) {
                         std::cmp::Ordering::Greater => true,
-                        std::cmp::Ordering::Equal => *a < ba,
+                        std::cmp::Ordering::Equal => atom < ba,
                         std::cmp::Ordering::Less => false,
                     },
                 };
                 if better {
-                    best = Some((*a, score));
+                    best = Some((atom, score));
                 }
             }
         }
+        self.best_atom_scratch = order;
         best
     }
 
-    /// The URC oracle snapshot view: an O(Δ) integration followed by an O(1)
-    /// `Arc` clone. Bitwise identical to [`reference::utility_snapshot`].
-    pub(crate) fn snapshot(
-        &mut self,
-        base: &dyn QueueBase,
-        residency: &dyn Residency,
-    ) -> UtilitySnapshot {
-        self.integrate(base, residency);
+    /// The URC oracle snapshot view: an O(1) `Arc` clone of the view
+    /// integration patched in place. Bitwise identical to
+    /// [`reference::utility_snapshot`].
+    pub(crate) fn snapshot(&self) -> UtilitySnapshot {
+        debug_assert!(self.dirty_atoms.is_empty(), "read before integration");
         self.urc_view.clone()
     }
 
     /// Per-timestep means view. Bitwise identical to
     /// [`reference::timestep_means`].
-    pub(crate) fn timestep_means(
-        &mut self,
-        base: &dyn QueueBase,
-        residency: &dyn Residency,
-    ) -> BTreeMap<u32, f64> {
-        self.integrate(base, residency);
+    #[cfg(any(test, doc))]
+    pub(crate) fn timestep_means(&self) -> BTreeMap<u32, f64> {
+        debug_assert!(self.dirty_atoms.is_empty(), "read before integration");
         // The snapshot map is keyed storage (never iterated for decisions);
         // collecting into a BTreeMap re-establishes sorted order for callers.
         self.urc_view
@@ -792,6 +849,53 @@ impl DeltaCore {
             .iter() // lint: sorted — collected into a BTreeMap below
             .map(|(&t, &m)| (t, m))
             .collect::<BTreeMap<u32, f64>>()
+    }
+
+    /// Test-only structural check of the slabs against the base state:
+    /// every slab is strictly ascending in Morton order, the slabs hold
+    /// exactly the atoms with a base queue, and — once integrated — every
+    /// slot's `u`, `oldest` and `resident` equal Eq. 1, the queue's oldest
+    /// enqueue time and the residency source.
+    #[cfg(test)]
+    pub(crate) fn check_slabs(
+        &self,
+        base: &dyn QueueBase,
+        pending: &[AtomId],
+        residency: Option<&dyn Residency>,
+    ) {
+        let mut slotted = Vec::new();
+        for (&ts, slab) in &self.slabs {
+            assert!(!slab.is_empty(), "empty slab kept for ts {ts}");
+            for pair in slab.windows(2) {
+                assert!(
+                    pair[0].morton < pair[1].morton,
+                    "slab of ts {ts} not strictly ascending"
+                );
+            }
+            slotted.extend(slab.iter().map(|s| AtomId::new(ts, s.morton)));
+        }
+        assert_eq!(slotted, pending, "slab atoms differ from the base queues");
+        let Some(residency) = residency else {
+            return;
+        };
+        assert!(self.dirty_atoms.is_empty(), "core not integrated");
+        let params = base.metric_params();
+        for atom in slotted {
+            let slot = self.slot(atom).expect("slotted atom");
+            let info = base.queue_info(&atom).expect("pending atom has a queue");
+            let resident = residency.is_resident(&atom);
+            assert_eq!(slot.resident, Some(resident), "residency of {atom}");
+            assert_eq!(
+                slot.oldest.to_bits(),
+                info.oldest_ms.to_bits(),
+                "oldest of {atom}"
+            );
+            assert_eq!(
+                slot.u.to_bits(),
+                eq1(params, info.positions, resident).to_bits(),
+                "Eq. 1 of {atom}"
+            );
+        }
     }
 }
 

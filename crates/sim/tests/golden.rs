@@ -7,6 +7,10 @@
 //! edges and forced releases — so the pin covers each. Its refusals are all
 //! of partners already scheduled; `paper_like` traces produce no cycle
 //! refusals, which the gating property test covers instead.
+//!
+//! The same trace is also pinned under LifeRaft₂ and JAWS₁, the schedulers
+//! that read the delta core through `best_atom` and through the two-level
+//! coarse/fine path without gating.
 
 #![forbid(unsafe_code)]
 
@@ -18,15 +22,21 @@ use jaws_scheduler::{
     Batch, GatingConfig, Jaws, JawsConfig, MetricParams, Residency, Scheduler, SchedulerStats,
     UtilitySnapshot,
 };
-use jaws_sim::{build_db, CachePolicyKind, Executor, SimConfig};
-use jaws_turbdb::{CostModel, DataMode, DbConfig};
-use jaws_workload::{GenConfig, Job, Query, QueryId, TraceGenerator};
+use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
+use jaws_turbdb::{CostModel, DataMode, DbConfig, TurbDb};
+use jaws_workload::{GenConfig, Job, Query, QueryId, Trace, TraceGenerator};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// FNV-1a of the masked report of the run below. It changes only when
 /// behaviour changes; re-pin it only with a reason stated in the change.
 const GOLDEN_DIGEST: &str = "0dfb16a68f9fb924";
+
+/// The same pin for LifeRaft₂ (contention order, one atom per batch).
+const GOLDEN_DIGEST_LIFERAFT2: &str = "7f30d4f12ca6835c";
+
+/// The same pin for JAWS₁ (two-level scheduling without gating).
+const GOLDEN_DIGEST_JAWS1: &str = "e41ca954653fff74";
 
 /// Admitted and refused gating edges, copied out of the graph.
 type EdgeCounts = Arc<[AtomicU64; 2]>;
@@ -105,28 +115,47 @@ fn fnv1a(bytes: &[u8]) -> String {
     format!("{h:016x}")
 }
 
-#[test]
-fn small_paper_like_jaws2_run_matches_its_golden_digest() {
-    let trace = TraceGenerator::new(GenConfig {
+/// The 40-job `paper_like` trace every pin replays.
+fn small_trace() -> Trace {
+    TraceGenerator::new(GenConfig {
         jobs: 40,
         ..GenConfig::paper_like(2009_0720)
     })
-    .generate();
+    .generate()
+}
+
+/// The paper's geometry on virtual data behind a 256-atom URC cache, plus
+/// the matching Eq. 1 cost constants.
+fn small_db() -> (TurbDb, MetricParams) {
     let db_cfg = DbConfig::paper_sample();
     let cost = CostModel::paper_testbed();
-    let cache_atoms = 256;
-    let db = build_db(
-        db_cfg,
-        cost,
-        DataMode::Virtual,
-        cache_atoms,
-        CachePolicyKind::Urc,
-    );
+    let db = build_db(db_cfg, cost, DataMode::Virtual, 256, CachePolicyKind::Urc);
     let params = MetricParams {
         atom_read_ms: cost.atom_read_ms,
         position_compute_ms: cost.position_compute_ms,
         atoms_per_timestep: db_cfg.atoms_per_timestep(),
     };
+    (db, params)
+}
+
+/// Replays `trace` under `sched`, checks every query completed, and returns
+/// the report's scheduler counters with the masked-report digest.
+fn replay_digest(db: TurbDb, sched: Box<dyn Scheduler>, trace: &Trace) -> (SchedulerStats, String) {
+    let mut ex = Executor::new(db, sched, SimConfig::default());
+    let report = ex.run(trace);
+    assert_eq!(
+        ex.response_log().len(),
+        trace.query_count(),
+        "every query completes"
+    );
+    let masked = mask_wallclock_fields(&serde_json::to_string(&report).expect("report serializes"));
+    (report.scheduler_stats, fnv1a(masked.as_bytes()))
+}
+
+#[test]
+fn small_paper_like_jaws2_run_matches_its_golden_digest() {
+    let trace = small_trace();
+    let (db, params) = small_db();
     let edges = EdgeCounts::default();
     let sched = EdgeProbe {
         inner: Jaws::new(JawsConfig {
@@ -139,27 +168,33 @@ fn small_paper_like_jaws2_run_matches_its_golden_digest() {
         }),
         edges: Arc::clone(&edges),
     };
-    let mut ex = Executor::new(db, Box::new(sched), SimConfig::default());
-    let report = ex.run(&trace);
+    let (stats, digest) = replay_digest(db, Box::new(sched), &trace);
 
     let admitted = edges[0].load(Ordering::Relaxed);
     let refused = edges[1].load(Ordering::Relaxed);
-    let forced = report.scheduler_stats.forced_releases;
+    let forced = stats.forced_releases;
     assert!(
         admitted > 0 && refused > 0 && forced > 0,
         "every gating path must be exercised: {admitted} admitted, {refused} refused, \
          {forced} forced releases"
     );
-    assert_eq!(
-        ex.response_log().len(),
-        trace.query_count(),
-        "every query completes"
-    );
+    assert_eq!(digest, GOLDEN_DIGEST, "masked report moved");
+}
 
-    let masked = mask_wallclock_fields(&serde_json::to_string(&report).expect("report serializes"));
-    assert_eq!(
-        fnv1a(masked.as_bytes()),
-        GOLDEN_DIGEST,
-        "masked report moved"
-    );
+#[test]
+fn small_paper_like_liferaft2_run_matches_its_golden_digest() {
+    let trace = small_trace();
+    let (db, params) = small_db();
+    let sched = build_scheduler(SchedulerKind::LifeRaft2, params, 50, 180_000.0);
+    let (_, digest) = replay_digest(db, sched, &trace);
+    assert_eq!(digest, GOLDEN_DIGEST_LIFERAFT2, "masked report moved");
+}
+
+#[test]
+fn small_paper_like_jaws1_run_matches_its_golden_digest() {
+    let trace = small_trace();
+    let (db, params) = small_db();
+    let sched = build_scheduler(SchedulerKind::Jaws1 { batch_k: 15 }, params, 50, 180_000.0);
+    let (_, digest) = replay_digest(db, sched, &trace);
+    assert_eq!(digest, GOLDEN_DIGEST_JAWS1, "masked report moved");
 }
