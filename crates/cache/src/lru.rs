@@ -1,42 +1,109 @@
 //! Plain least-recently-used replacement (reference policy).
 
 use crate::policy::{ReplacementPolicy, UtilityOracle};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::mem::size_of;
 
-/// Classic LRU. Recency is tracked with a monotone logical clock: a
-/// `BTreeMap<stamp, key>` ordered oldest-first plus a reverse index. All
-/// operations are `O(log n)`.
-#[derive(Debug, Default)]
+/// End-of-list marker for [`Link::prev`] / [`Link::next`].
+const NIL: usize = usize::MAX;
+
+/// One tracked key in the recency list.
+#[derive(Debug)]
+struct Link<K> {
+    key: K,
+    prev: usize,
+    next: usize,
+}
+
+/// Classic LRU. Recency is a doubly-linked list threaded through a vector of
+/// slots, oldest at the head, plus a key → slot index. Inserts and hits move a
+/// key to the tail, so list order is exactly the order of a logical clock
+/// stamped on every insert and hit. All operations are O(1) and
+/// allocation-free once the slots and index have grown to the cache's
+/// capacity.
+#[derive(Debug)]
 pub struct Lru<K> {
-    clock: u64,
-    by_age: BTreeMap<u64, K>,
-    stamp_of: HashMap<K, u64>,
+    links: Vec<Link<K>>,
+    /// Slots vacated by removals, reused before `links` grows.
+    free: Vec<usize>,
+    slot_of: HashMap<K, usize>,
+    oldest: usize,
+    newest: usize,
+}
+
+impl<K> Default for Lru<K> {
+    fn default() -> Self {
+        Lru {
+            links: Vec::new(),
+            free: Vec::new(),
+            slot_of: HashMap::new(),
+            oldest: NIL,
+            newest: NIL,
+        }
+    }
 }
 
 impl<K: Eq + Hash + Ord + Copy + Debug> Lru<K> {
     /// Creates an empty policy.
     pub fn new() -> Self {
-        Lru {
-            clock: 0,
-            by_age: BTreeMap::new(),
-            stamp_of: HashMap::new(),
+        Self::default()
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Link { prev, next, .. } = self.links[slot];
+        match prev {
+            NIL => self.oldest = next,
+            p => self.links[p].next = next,
+        }
+        match next {
+            NIL => self.newest = prev,
+            n => self.links[n].prev = prev,
         }
     }
 
     fn touch(&mut self, key: K) {
-        if let Some(old) = self.stamp_of.insert(key, self.clock) {
-            self.by_age.remove(&old);
+        let slot = match self.slot_of.get(&key) {
+            Some(&slot) => {
+                self.unlink(slot);
+                slot
+            }
+            None => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.links.push(Link {
+                        key,
+                        prev: NIL,
+                        next: NIL,
+                    });
+                    self.links.len() - 1
+                });
+                self.slot_of.insert(key, slot);
+                slot
+            }
+        };
+        let prev = self.newest;
+        self.links[slot] = Link {
+            key,
+            prev,
+            next: NIL,
+        };
+        match prev {
+            NIL => self.oldest = slot,
+            p => self.links[p].next = slot,
         }
-        self.by_age.insert(self.clock, key);
-        self.clock += 1;
+        self.newest = slot;
+    }
+
+    /// Tracked keys from least to most recently used.
+    pub(crate) fn oldest_first(&self) -> impl Iterator<Item = K> + '_ {
+        std::iter::successors(self.links.get(self.oldest), |l| self.links.get(l.next))
+            .map(|l| l.key)
     }
 
     /// Number of tracked keys (test helper).
     pub fn tracked(&self) -> usize {
-        self.stamp_of.len()
+        self.slot_of.len()
     }
 }
 
@@ -46,7 +113,7 @@ impl<K: Eq + Hash + Ord + Copy + Debug + Send> ReplacementPolicy<K> for Lru<K> {
     }
 
     fn on_hit(&mut self, key: &K) {
-        debug_assert!(self.stamp_of.contains_key(key), "hit on untracked key");
+        debug_assert!(self.slot_of.contains_key(key), "hit on untracked key");
         self.touch(*key);
     }
 
@@ -55,17 +122,19 @@ impl<K: Eq + Hash + Ord + Copy + Debug + Send> ReplacementPolicy<K> for Lru<K> {
     }
 
     fn on_remove(&mut self, key: &K) {
-        if let Some(stamp) = self.stamp_of.remove(key) {
-            self.by_age.remove(&stamp);
+        if let Some(slot) = self.slot_of.remove(key) {
+            self.unlink(slot);
+            self.free.push(slot);
         }
     }
 
     fn choose_victim(&mut self, _oracle: &dyn UtilityOracle<K>) -> Option<K> {
-        self.by_age.values().next().copied()
+        self.oldest_first().next()
     }
 
     fn metadata_bytes(&self) -> usize {
-        self.stamp_of.len() * (2 * size_of::<u64>() + 2 * size_of::<K>())
+        // Index entry (key + slot) plus list link (key + two slot indices).
+        self.slot_of.len() * (2 * size_of::<K>() + 3 * size_of::<usize>())
     }
 }
 

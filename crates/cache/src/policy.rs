@@ -41,8 +41,10 @@ impl UtilityRank {
 /// Source of [`UtilityRank`]s — implemented by the scheduler's workload
 /// manager, which knows every pending request (full workload knowledge).
 pub trait UtilityOracle<K> {
-    /// Current rank of `key`. Keys with no pending workload should return
-    /// [`UtilityRank::ZERO`].
+    /// Current rank of `key`. Keys with no pending workload return
+    /// [`UtilityRank::ZERO`], and no key ranks below it under
+    /// [`UtilityRank::cmp_for_eviction`]. URC relies on that floor: its
+    /// victim walk stops at the first `ZERO`-ranked key.
     fn rank(&self, key: &K) -> UtilityRank;
 }
 

@@ -7,47 +7,45 @@
 //! increasing workload-throughput order; across timesteps, atoms of the
 //! timestep with the lower mean workload throughput go first.
 //!
-//! The ranks live in the scheduler, not the cache, so this policy *pulls* them
-//! through the [`UtilityOracle`] at victim-selection time and re-ranks every
-//! resident atom. That re-ranking is the "significant maintenance overhead"
-//! Table I measures (7 ms/query for URC vs <1 ms for SLRU); we measure it the
-//! same way, as wall-clock policy time. An LRU recency stamp breaks ties among
-//! equally ranked (e.g. workload-free) atoms so the policy degrades to LRU
-//! when the scheduler has no pending requests.
+//! The ranks live in the scheduler; this policy pulls them through the
+//! [`UtilityOracle`] and evicts the minimum `(rank, LRU stamp)`, so it
+//! degrades to LRU when nothing is pending. No rank is below
+//! [`UtilityRank::ZERO`] and workload-free atoms rank exactly `ZERO`, so the
+//! walk goes oldest first and stops at the first `ZERO` rank: that atom is the
+//! exact minimum. Only a walk that finds none re-ranks every resident atom,
+//! the overhead Table I charges URC (7 ms/query vs <1 ms for SLRU).
 
+use crate::lru::Lru;
 use crate::policy::{ReplacementPolicy, UtilityOracle, UtilityRank};
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::mem::size_of;
 
-/// URC policy.
+/// URC policy: an [`Lru`] recency order plus the rank walk.
 #[derive(Debug, Default)]
 pub struct Urc<K> {
-    clock: u64,
-    stamp_of: HashMap<K, u64>,
-    /// Number of full re-rank passes performed (overhead diagnostics).
+    recency: Lru<K>,
     rank_passes: u64,
+    keys_walked: u64,
 }
 
 impl<K: Eq + Hash + Ord + Copy + Debug> Urc<K> {
     /// Creates an empty policy.
     pub fn new() -> Self {
         Urc {
-            clock: 0,
-            stamp_of: HashMap::new(),
+            recency: Lru::new(),
             rank_passes: 0,
+            keys_walked: 0,
         }
     }
 
-    /// Number of tracked keys (test helper).
-    pub fn tracked(&self) -> usize {
-        self.stamp_of.len()
-    }
-
-    /// Number of full re-rank passes performed so far.
+    /// Number of full re-rank passes (walks without an early exit) so far.
     pub fn rank_passes(&self) -> u64 {
         self.rank_passes
+    }
+
+    /// Number of keys ranked by victim walks so far.
+    pub fn keys_walked(&self) -> u64 {
+        self.keys_walked
     }
 }
 
@@ -57,36 +55,38 @@ impl<K: Eq + Hash + Ord + Copy + Debug + Send> ReplacementPolicy<K> for Urc<K> {
     }
 
     fn on_hit(&mut self, key: &K) {
-        let stamp = self.clock;
-        self.clock += 1;
-        *self.stamp_of.get_mut(key).expect("hit on tracked key") = stamp;
+        self.recency.on_hit(key);
     }
 
     fn on_insert(&mut self, key: K) {
-        let stamp = self.clock;
-        self.clock += 1;
-        self.stamp_of.insert(key, stamp);
+        self.recency.on_insert(key);
     }
 
     fn on_remove(&mut self, key: &K) {
-        self.stamp_of.remove(key);
+        self.recency.on_remove(key);
     }
 
     fn choose_victim(&mut self, oracle: &dyn UtilityOracle<K>) -> Option<K> {
+        // Oldest first, so the first key of the lowest rank seen wins ties.
+        let mut best: Option<(K, UtilityRank)> = None;
+        for key in self.recency.oldest_first() {
+            self.keys_walked += 1;
+            let rank = oracle.rank(&key);
+            let vs_floor = rank.cmp_for_eviction(&UtilityRank::ZERO);
+            debug_assert!(vs_floor.is_ge(), "{key:?} ranks {rank:?}, below ZERO");
+            if vs_floor.is_eq() {
+                return Some(key);
+            }
+            if best.is_none_or(|(_, b)| rank.cmp_for_eviction(&b).is_lt()) {
+                best = Some((key, rank));
+            }
+        }
         self.rank_passes += 1;
-        // Full re-rank of all resident atoms against current scheduler state.
-        // Lowest (timestep_mean, atom_utility) is accessed farthest in the
-        // future under two-level scheduling; LRU stamp breaks exact ties.
-        self.stamp_of
-            .iter()
-            .map(|(&k, &stamp)| (k, oracle.rank(&k), stamp))
-            .min_by(|a, b| a.1.cmp_for_eviction(&b.1).then(a.2.cmp(&b.2)))
-            .map(|(k, _, _)| k)
+        best.map(|(key, _)| key)
     }
 
     fn metadata_bytes(&self) -> usize {
-        self.stamp_of.len() * (size_of::<u64>() + 2 * size_of::<K>())
-            + size_of::<UtilityRank>() * self.stamp_of.len()
+        self.recency.metadata_bytes()
     }
 }
 
@@ -94,6 +94,7 @@ impl<K: Eq + Hash + Ord + Copy + Debug + Send> ReplacementPolicy<K> for Urc<K> {
 mod tests {
     use super::*;
     use crate::policy::NullOracle;
+    use std::collections::HashMap;
 
     /// Oracle backed by a map, standing in for the scheduler.
     struct MapOracle {
@@ -170,7 +171,7 @@ mod tests {
         let mut p = Urc::new();
         p.on_insert(1);
         p.on_remove(&1);
-        assert_eq!(p.tracked(), 0);
+        assert_eq!(p.metadata_bytes(), 0);
         assert_eq!(p.choose_victim(&NullOracle), None);
     }
 
@@ -178,8 +179,66 @@ mod tests {
     fn rank_passes_are_counted() {
         let mut p = Urc::new();
         p.on_insert(1);
-        p.choose_victim(&NullOracle);
-        p.choose_victim(&NullOracle);
-        assert_eq!(p.rank_passes(), 2);
+        p.on_insert(2);
+        // Key 1 is workload-free: the walk stops there without a full pass.
+        let one_free = MapOracle {
+            ranks: [(2, rank(1.0, 1.0))].into_iter().collect(),
+        };
+        assert_eq!(p.choose_victim(&one_free), Some(1));
+        assert_eq!((p.rank_passes(), p.keys_walked()), (0, 1));
+        // Every key pending: the walk ranks both and counts one pass.
+        let all_pending = MapOracle {
+            ranks: [(1, rank(2.0, 1.0)), (2, rank(1.0, 1.0))]
+                .into_iter()
+                .collect(),
+        };
+        assert_eq!(p.choose_victim(&all_pending), Some(2));
+        assert_eq!((p.rank_passes(), p.keys_walked()), (1, 3));
+    }
+
+    #[test]
+    fn walk_stops_at_the_oldest_workload_free_key() {
+        let mut p = Urc::new();
+        for k in 1..=4 {
+            p.on_insert(k);
+        }
+        p.on_hit(&2); // recency, oldest first: 1, 3, 4, 2
+        let oracle = MapOracle {
+            ranks: [(1, rank(0.5, 0.5))].into_iter().collect(),
+        };
+        assert_eq!(p.choose_victim(&oracle), Some(3));
+        assert_eq!((p.rank_passes(), p.keys_walked()), (0, 2));
+    }
+
+    #[test]
+    fn full_pass_breaks_rank_ties_by_recency() {
+        let mut p = Urc::new();
+        for k in 1..=3 {
+            p.on_insert(k);
+        }
+        p.on_hit(&1); // recency, oldest first: 2, 3, 1
+        let oracle = MapOracle {
+            ranks: [
+                (1, rank(1.0, 1.0)),
+                (2, rank(3.0, 0.0)),
+                (3, rank(1.0, 1.0)),
+            ]
+            .into_iter()
+            .collect(),
+        };
+        assert_eq!(p.choose_victim(&oracle), Some(3));
+        assert_eq!(p.rank_passes(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "below ZERO")]
+    fn a_rank_below_zero_is_a_contract_violation_in_debug() {
+        let mut p = Urc::new();
+        p.on_insert(1);
+        let oracle = MapOracle {
+            ranks: [(1, rank(-1.0, 0.0))].into_iter().collect(),
+        };
+        p.choose_victim(&oracle);
     }
 }

@@ -89,8 +89,10 @@ use std::sync::Arc;
 /// two can never diverge.
 pub(crate) fn eq1(params: &MetricParams, positions: u64, resident: bool) -> f64 {
     debug_assert!(
-        params.atom_read_ms.is_finite() && params.position_compute_ms.is_finite(),
-        "non-finite cost model: T_b={} T_m={}",
+        [params.atom_read_ms, params.position_compute_ms]
+            .iter()
+            .all(|c| c.is_finite() && *c >= 0.0),
+        "non-finite cost model or negative cost: T_b={} T_m={}",
         params.atom_read_ms,
         params.position_compute_ms
     );

@@ -518,6 +518,17 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "negative cost")]
+    fn eq1_rejects_negative_cost_model_in_debug() {
+        let negative = MetricParams {
+            atom_read_ms: -80.0,
+            ..params()
+        };
+        let _ = eq1(&negative, 10, false);
+    }
+
+    #[test]
     fn eq2_fold_survives_clamped_non_finite_utility() {
         // Release-build behaviour of the Eq. 2 guard: even if a non-finite
         // utility slipped past the debug assertion, the max-normalizer clamps

@@ -4,7 +4,8 @@
 //! shape on the paper's geometry (virtual data, URC cache, the paper's gate
 //! timeout and run length), cut to a few dozen jobs so a debug build replays
 //! it quickly. It exercises all three gating paths — admitted edges, refused
-//! edges and forced releases — so the pin covers each. Its refusals are all
+//! edges and forced releases — so the pin covers each, and it overflows its
+//! URC cache, so URC victim choice is pinned too. Its refusals are all
 //! of partners already scheduled; `paper_like` traces produce no cycle
 //! refusals, which the gating property test covers instead.
 //!
@@ -22,7 +23,9 @@ use jaws_scheduler::{
     Batch, GatingConfig, Jaws, JawsConfig, MetricParams, Residency, Scheduler, SchedulerStats,
     UtilitySnapshot,
 };
-use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
+use jaws_sim::{
+    build_db, build_scheduler, CachePolicyKind, Executor, RunReport, SchedulerKind, SimConfig,
+};
 use jaws_turbdb::{CostModel, DataMode, DbConfig, TurbDb};
 use jaws_workload::{GenConfig, Job, Query, QueryId, Trace, TraceGenerator};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,8 +142,8 @@ fn small_db() -> (TurbDb, MetricParams) {
 }
 
 /// Replays `trace` under `sched`, checks every query completed, and returns
-/// the report's scheduler counters with the masked-report digest.
-fn replay_digest(db: TurbDb, sched: Box<dyn Scheduler>, trace: &Trace) -> (SchedulerStats, String) {
+/// the report with its masked digest.
+fn replay_digest(db: TurbDb, sched: Box<dyn Scheduler>, trace: &Trace) -> (RunReport, String) {
     let mut ex = Executor::new(db, sched, SimConfig::default());
     let report = ex.run(trace);
     assert_eq!(
@@ -149,7 +152,8 @@ fn replay_digest(db: TurbDb, sched: Box<dyn Scheduler>, trace: &Trace) -> (Sched
         "every query completes"
     );
     let masked = mask_wallclock_fields(&serde_json::to_string(&report).expect("report serializes"));
-    (report.scheduler_stats, fnv1a(masked.as_bytes()))
+    let digest = fnv1a(masked.as_bytes());
+    (report, digest)
 }
 
 #[test]
@@ -168,15 +172,19 @@ fn small_paper_like_jaws2_run_matches_its_golden_digest() {
         }),
         edges: Arc::clone(&edges),
     };
-    let (stats, digest) = replay_digest(db, Box::new(sched), &trace);
+    let (report, digest) = replay_digest(db, Box::new(sched), &trace);
 
     let admitted = edges[0].load(Ordering::Relaxed);
     let refused = edges[1].load(Ordering::Relaxed);
-    let forced = stats.forced_releases;
+    let forced = report.scheduler_stats.forced_releases;
     assert!(
         admitted > 0 && refused > 0 && forced > 0,
         "every gating path must be exercised: {admitted} admitted, {refused} refused, \
          {forced} forced releases"
+    );
+    assert!(
+        report.cache.evictions > 0,
+        "URC victim choice must be under the pin"
     );
     assert_eq!(digest, GOLDEN_DIGEST, "masked report moved");
 }

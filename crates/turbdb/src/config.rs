@@ -152,6 +152,27 @@ impl CostModel {
             stencil_neighbors: 0,
         }
     }
+
+    /// Asserts every time cost is finite and non-negative. A negative T_b or
+    /// T_m makes Eq. 1 negative, below the rank of a workload-free atom that
+    /// URC's victim walk treats as the floor.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first invalid cost.
+    pub fn validate(&self) {
+        for (name, ms) in [
+            ("seek_ms", self.seek_ms),
+            ("atom_read_ms", self.atom_read_ms),
+            ("position_compute_ms", self.position_compute_ms),
+            ("batch_dispatch_ms", self.batch_dispatch_ms),
+        ] {
+            assert!(
+                ms.is_finite() && ms >= 0.0,
+                "cost {name} must be finite and >= 0, got {ms}"
+            );
+        }
+    }
 }
 
 impl Default for CostModel {
@@ -163,6 +184,16 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "cost position_compute_ms must be finite and >= 0, got NaN")]
+    fn nan_cost_is_rejected() {
+        CostModel {
+            position_compute_ms: f64::NAN,
+            ..CostModel::paper_testbed()
+        }
+        .validate();
+    }
 
     #[test]
     fn paper_sample_matches_published_geometry() {

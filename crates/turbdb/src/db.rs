@@ -81,6 +81,7 @@ impl TurbDb {
         policy: Box<dyn ReplacementPolicy<AtomId>>,
     ) -> Self {
         cfg.validate();
+        cost.validate();
         let per_ts = cfg.atoms_per_timestep();
         let mut pairs = Vec::with_capacity(cfg.total_atoms() as usize);
         for t in 0..cfg.timesteps {
@@ -418,6 +419,21 @@ mod tests {
             cache_atoms,
             Box::new(Lru::new()),
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "cost atom_read_ms must be finite and >= 0, got -80")]
+    fn open_rejects_a_negative_cost() {
+        TurbDb::open(
+            DbConfig::tiny(),
+            CostModel {
+                atom_read_ms: -80.0,
+                ..CostModel::paper_testbed()
+            },
+            DataMode::Virtual,
+            4,
+            Box::new(Lru::new()),
+        );
     }
 
     #[test]
