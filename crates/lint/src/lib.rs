@@ -39,7 +39,6 @@
 //! | C002 | everywhere, tests included | acquiring a second distinct `Mutex`/`RwLock` while a guard is held in the same scope (lock-ordering hazard; lock-typed names are collected workspace-wide) |
 //! | C003 | everywhere, tests included | holding a lock guard across a `jaws_par::map*` call |
 //! | T001 | everywhere except `crates/par` | `jaws-par` closures capturing `RefCell`/`Cell`/atomics, doing atomic RMW, or calling obs sinks directly (the per-shard buffer drain in `crates/sim/src/engine.rs` is the sanctioned emission pattern) |
-//! | A001 | everywhere except `delta/` modules, tests included | constructing or field-writing a `// lint: arrangement` struct outside the delta layer — arrangement state changes only through the layer's `apply` |
 //! | M001 | bodies of `// lint: hotpath` functions, tests included | per-call allocation (`Vec::new`, `Box::new`, `.collect()`) inside a declared hot path — reuse scratch from `jaws-arena` or a caller-provided buffer |
 //! | S001 | everywhere, tests included | suppression debt: a `lint:` marker that no longer justifies anything, or that matches no known form |
 //! | U001 | crate roots except `crates/bench` | missing `#![forbid(unsafe_code)]` |
@@ -53,10 +52,6 @@
 //!   rule additionally demands visible sort evidence within a few lines.
 //! * `lint: invariant — why` — P001/C001: the `expect`/panic cannot fire, or
 //!   must abort; say why.
-//! * `lint: arrangement` — A001 declaration (not a suppression): the struct
-//!   below, in a delta-layer file, holds arrangement state; the rule guards
-//!   its type and field names workspace-wide. A marker that annotates no
-//!   struct, or sits outside `delta/`, is S001 debt.
 //! * `lint: hotpath` — M001 declaration (not a suppression): the function
 //!   below is a per-event hot path; its body must not allocate per call. A
 //!   marker that annotates no function is S001 debt.
@@ -100,8 +95,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub use source::{
-    arrangement_declarations, declared_names, hash_collection_names, parse_suppressions,
-    strip_source, test_mask, Check, Line, Marker, Suppression,
+    declared_names, hash_collection_names, parse_suppressions, strip_source, test_mask, Check,
+    Line, Marker, Suppression,
 };
 
 /// A single rule violation, keyed by workspace-relative path and 1-based line.
@@ -226,16 +221,6 @@ pub const RULES: &[RuleInfo] = &[
               and drain in shard order (see crates/sim/src/engine.rs).",
     },
     RuleInfo {
-        id: "A001",
-        title: "arrangement state mutates only through the delta layer",
-        rationale: "derived scheduler state (structs annotated `// lint: arrangement` under \
-                    `delta/`) is maintained incrementally from typed deltas; a struct literal \
-                    or field write outside the layer bypasses its `apply` entry point and \
-                    silently desynchronizes arrangements from the base queues.",
-        fix: "route the update through the owning manager so it reaches the delta layer as a \
-              typed delta; new derived state belongs inside the `delta/` module.",
-    },
-    RuleInfo {
         id: "M001",
         title: "no per-call allocation in hot-path functions",
         rationale: "functions declared `// lint: hotpath` (engine event loop, next_batch, sweep \
@@ -252,7 +237,7 @@ pub const RULES: &[RuleInfo] = &[
                     future regressions; a malformed marker suppresses nothing and misleads \
                     readers.",
         fix: "delete stale markers; fix malformed ones to `lint: sorted`, `lint: invariant`, \
-              `lint: arrangement`, `lint: hotpath`, or `lint: allow(<RULE>)`. S001 is not \
+              `lint: hotpath`, or `lint: allow(<RULE>)`. S001 is not \
               suppressible.",
     },
     RuleInfo {
@@ -275,26 +260,15 @@ pub struct Context {
     /// Identifiers declared anywhere in the workspace with a
     /// `Mutex`/`RwLock` type (fields, params, bindings) — C002 input.
     pub mutex_names: BTreeSet<String>,
-    /// Struct names annotated `// lint: arrangement` in delta-layer files —
-    /// A001 input.
-    pub arrangement_types: BTreeSet<String>,
-    /// Field names of those structs — A001 input.
-    pub arrangement_fields: BTreeSet<String>,
 }
 
 /// Builds the cross-file [`Context`] from `(relative path, source)` pairs.
 pub fn scan_context(files: &[(String, String)]) -> Context {
     let mut ctx = Context::default();
-    for (rel, src) in files {
+    for (_, src) in files {
         let lines = strip_source(src);
         ctx.mutex_names
             .extend(declared_names(&lines, &["Mutex", "RwLock"]));
-        if rules::in_delta_scope(rel) {
-            for (_, name, fields) in arrangement_declarations(&lines) {
-                ctx.arrangement_types.insert(name);
-                ctx.arrangement_fields.extend(fields);
-            }
-        }
     }
     ctx
 }
@@ -308,7 +282,6 @@ pub fn check_file_in(rel: &str, src: &str, ctx: &Context) -> Vec<Diagnostic> {
     rules::panics::run(&mut c);
     rules::concurrency::run(&mut c);
     rules::thread_det::run(&mut c);
-    rules::arrangement::run(&mut c);
     rules::hotpath::run(&mut c);
     // The suppression audit must run last: it flags whatever the families
     // above never consumed.
@@ -522,8 +495,8 @@ mod tests {
         let ids: BTreeSet<&str> = RULES.iter().map(|r| r.id).collect();
         assert_eq!(ids.len(), RULES.len(), "duplicate rule ids");
         for id in [
-            "D001", "D002", "D003", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "A001",
-            "M001", "S001", "U001",
+            "D001", "D002", "D003", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001",
+            "S001", "U001",
         ] {
             assert!(rule_info(id).is_some(), "missing registry entry for {id}");
         }
@@ -608,28 +581,5 @@ mod tests {
         let ctx = scan_context(&files);
         assert!(ctx.mutex_names.contains("bufs"));
         assert!(ctx.mutex_names.contains("door"));
-    }
-
-    #[test]
-    fn scan_context_collects_arrangement_decls_from_delta_files_only() {
-        let decl = "// lint: arrangement\nstruct Core { slots: BTreeMap<u32, u32> }\n".to_string();
-        let files = vec![
-            (
-                "crates/scheduler/src/delta/mod.rs".to_string(),
-                decl.clone(),
-            ),
-            ("crates/scheduler/src/queues.rs".to_string(), decl),
-        ];
-        let ctx = scan_context(&files);
-        assert!(ctx.arrangement_types.contains("Core"));
-        assert!(ctx.arrangement_fields.contains("slots"));
-        // The queues.rs copy is outside delta scope: it contributes nothing
-        // (and its marker is S001 debt, covered by the rule tests).
-        let only_outside = vec![(
-            "crates/scheduler/src/queues.rs".to_string(),
-            "// lint: arrangement\nstruct Core { slots: BTreeMap<u32, u32> }\n".to_string(),
-        )];
-        let ctx = scan_context(&only_outside);
-        assert!(ctx.arrangement_types.is_empty());
     }
 }

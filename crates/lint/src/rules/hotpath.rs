@@ -10,8 +10,8 @@
 //!
 //! The marker is a *declaration*, not a suppression: it opts the function
 //! below into the rule. A marker that annotates no function is S001 debt —
-//! the rule consumes each marker it resolves to a function, exactly like
-//! A001 consumes arrangement declarations. `// lint: allow(M001) — reason`
+//! the rule consumes each marker it resolves to a function.
+//! `// lint: allow(M001) — reason`
 //! escapes a single allocation site (e.g. a cold error branch inside an
 //! otherwise hot body).
 

@@ -3,7 +3,6 @@
 //! suppression audit ([`suppression`]) running last so it sees which
 //! markers the other families consumed.
 
-pub mod arrangement;
 pub mod concurrency;
 pub mod determinism;
 pub mod floats;
@@ -22,13 +21,6 @@ pub fn in_dispatch_scope(rel: &str) -> bool {
 /// float-ordering rules (F001, F002).
 pub fn in_ranking_scope(rel: &str) -> bool {
     in_dispatch_scope(rel) || rel.starts_with("crates/cache/src/")
-}
-
-/// Delta-layer scope: the sanctioned home of arrangement state (A001). Any
-/// `delta/` directory or `delta.rs` module qualifies, so fixtures and future
-/// per-crate delta layers are covered by the same rule.
-pub fn in_delta_scope(rel: &str) -> bool {
-    rel.contains("/delta/") || rel.ends_with("/delta.rs") || rel.starts_with("delta/")
 }
 
 /// Identifier-character test shared by the string-walking helpers.

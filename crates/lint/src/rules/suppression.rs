@@ -21,7 +21,6 @@ pub fn run(c: &mut Check<'_>) {
         let what = match &s.marker {
             Marker::Sorted => "`lint: sorted`".to_string(),
             Marker::Invariant => "`lint: invariant`".to_string(),
-            Marker::Arrangement => "`lint: arrangement`".to_string(),
             Marker::Hotpath => "`lint: hotpath`".to_string(),
             Marker::Allow(rule) => format!("`lint: allow({rule})`"),
             Marker::Unknown(_) => continue,
@@ -42,7 +41,7 @@ pub fn run(c: &mut Check<'_>) {
             s.line,
             format!(
                 "malformed suppression `{}`: expected `lint: sorted`, `lint: invariant`, \
-                 `lint: arrangement`, `lint: hotpath`, or `lint: allow(<RULE>)`",
+                 `lint: hotpath`, or `lint: allow(<RULE>)`",
                 text.trim()
             ),
         ));

@@ -136,10 +136,6 @@ pub enum Marker {
     Sorted,
     /// `lint: invariant — why` — P001/C001 `expect`/panic attestations.
     Invariant,
-    /// `lint: arrangement` — A001 declaration: the struct below (in a
-    /// delta-layer file) holds arrangement state, mutable only through the
-    /// delta layer.
-    Arrangement,
     /// `lint: hotpath` — M001 declaration: the function below is a per-event
     /// hot path; per-call allocations are forbidden in its body.
     Hotpath,
@@ -172,8 +168,6 @@ pub fn parse_suppressions(lines: &[Line]) -> Vec<Suppression> {
             Marker::Sorted
         } else if rest.starts_with("invariant") {
             Marker::Invariant
-        } else if rest.starts_with("arrangement") {
-            Marker::Arrangement
         } else if rest.starts_with("hotpath") {
             Marker::Hotpath
         } else if let Some(r) = rest.strip_prefix("allow(") {
@@ -433,104 +427,6 @@ pub fn hash_collection_names(lines: &[Line]) -> BTreeSet<String> {
     declared_names(lines, &["HashMap", "HashSet"])
 }
 
-/// Structs annotated with a `// lint: arrangement` marker (A001 input):
-/// returns `(struct declaration line, type name, field names)` per
-/// annotation. The marker must sit on the struct's own line or in the
-/// comment block directly above it (attributes and doc comments may
-/// intervene).
-pub fn arrangement_declarations(lines: &[Line]) -> Vec<(usize, String, BTreeSet<String>)> {
-    let mut out = Vec::new();
-    for s in parse_suppressions(lines) {
-        if !matches!(s.marker, Marker::Arrangement) {
-            continue;
-        }
-        // Scan a short window downward for the `struct Name` the marker
-        // annotates, skipping attributes and blank/doc lines.
-        for ln in s.line..(s.line + 7).min(lines.len()) {
-            let code = lines[ln].code.trim();
-            let Some(pos) = code.find("struct ") else {
-                continue;
-            };
-            if code[..pos].chars().next_back().is_some_and(is_ident_char) {
-                continue; // `reconstruct …` — not the keyword
-            }
-            let after = code[pos + "struct ".len()..].trim_start();
-            let name: String = after.chars().take_while(|&c| is_ident_char(c)).collect();
-            if name.is_empty() {
-                continue;
-            }
-            out.push((ln, name, struct_fields(lines, ln)));
-            break;
-        }
-    }
-    out
-}
-
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-/// Field names of the struct declared at `decl_ln`: the body between the
-/// outer braces is collected (whether the struct spans one line or many)
-/// and each `[pub[(…)]] name: Type` item contributes one name. Chunks
-/// produced by commas inside generics (`BTreeMap<u32, u32>`) fail the
-/// `name:` shape and are discarded.
-fn struct_fields(lines: &[Line], decl_ln: usize) -> BTreeSet<String> {
-    let mut body = String::new();
-    let mut depth = 0i64;
-    let mut started = false;
-    'outer: for l in lines.iter().skip(decl_ln) {
-        for c in l.code.chars() {
-            match c {
-                '{' => {
-                    depth += 1;
-                    started = true;
-                    if depth == 1 {
-                        continue; // the opening brace itself
-                    }
-                }
-                '}' => {
-                    depth -= 1;
-                    if started && depth == 0 {
-                        break 'outer;
-                    }
-                }
-                // `struct Name;` / tuple struct before any brace: no named
-                // fields.
-                ';' if !started => break 'outer,
-                _ => {}
-            }
-            if started && depth >= 1 {
-                body.push(c);
-            }
-        }
-        body.push('\n');
-    }
-    let mut fields = BTreeSet::new();
-    for item in body.split([',', '\n']) {
-        let mut code = item.trim();
-        if let Some(rest) = code.strip_prefix("pub") {
-            code = rest.trim_start();
-            if let Some(after) = code
-                .strip_prefix('(')
-                .and_then(|r| r.find(')').map(|p| r[p + 1..].trim_start()))
-            {
-                code = after;
-            }
-        }
-        let name: String = code.chars().take_while(|&c| is_ident_char(c)).collect();
-        let rest = code[name.len()..].trim_start();
-        if !name.is_empty()
-            && !name.chars().next().is_some_and(|c| c.is_ascii_digit())
-            && rest.starts_with(':')
-            && !rest.starts_with("::")
-        {
-            fields.insert(name);
-        }
-    }
-    fields
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -592,36 +488,15 @@ mod tests {
     #[test]
     fn suppression_grammar_parses_known_markers() {
         let lines = strip_source(
-            "a(); // lint: sorted — why\nb(); // lint: invariant — why\nc(); // lint: allow(D002) — why\nd(); // lint: frobnicate\ne(); // mentions `lint: sorted` mid-sentence? no: backticks\nf(); // lint: arrangement\ng(); // lint: hotpath\n",
+            "a(); // lint: sorted — why\nb(); // lint: invariant — why\nc(); // lint: allow(D002) — why\nd(); // lint: frobnicate\ne(); // mentions `lint: sorted` mid-sentence? no: backticks\nf(); // lint: hotpath\n",
         );
         let sup = parse_suppressions(&lines);
-        assert_eq!(sup.len(), 6);
+        assert_eq!(sup.len(), 5);
         assert_eq!(sup[0].marker, Marker::Sorted);
         assert_eq!(sup[1].marker, Marker::Invariant);
         assert_eq!(sup[2].marker, Marker::Allow("D002".to_string()));
         assert!(matches!(sup[3].marker, Marker::Unknown(_)));
-        assert_eq!(sup[4].marker, Marker::Arrangement);
-        assert_eq!(sup[5].marker, Marker::Hotpath);
-    }
-
-    #[test]
-    fn arrangement_declarations_find_annotated_structs_and_fields() {
-        let lines = strip_source(
-            "// lint: arrangement\n#[derive(Debug)]\npub(crate) struct Core {\n    /// doc\n    eq1_cache: HashMap<u32, f64>,\n    pub epoch: u64,\n    pub(crate) view: Option<Snapshot>,\n}\nstruct Unmarked { x: u32 }\n",
-        );
-        let decls = arrangement_declarations(&lines);
-        assert_eq!(decls.len(), 1);
-        let (ln, name, fields) = &decls[0];
-        assert_eq!(*ln, 2);
-        assert_eq!(name, "Core");
-        let want: Vec<&str> = fields.iter().map(|s| s.as_str()).collect();
-        assert_eq!(want, vec!["epoch", "eq1_cache", "view"]);
-    }
-
-    #[test]
-    fn arrangement_declarations_ignore_markers_with_no_struct_nearby() {
-        let lines = strip_source("// lint: arrangement\nfn not_a_struct() {}\n");
-        assert!(arrangement_declarations(&lines).is_empty());
+        assert_eq!(sup[4].marker, Marker::Hotpath);
     }
 
     #[test]

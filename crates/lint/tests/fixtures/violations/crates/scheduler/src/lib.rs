@@ -63,10 +63,6 @@ pub fn planted_s001_malformed() -> u32 {
     2 // lint: allov(D001)
 }
 
-pub fn planted_a001(t: &mut crate::delta::ArrangementTable) {
-    t.slots.insert(1, 2);
-}
-
 // lint: hotpath
 pub fn planted_m001(xs: &[u32]) -> Vec<u32> {
     xs.iter().map(|x| x + 1).collect()

@@ -118,6 +118,11 @@ impl Scheduler for CasJobs {
         }
     }
 
+    fn retire_pending(&mut self, _now_ms: f64) {
+        self.short.clear();
+        self.long.clear();
+    }
+
     fn has_pending(&self) -> bool {
         !self.short.is_empty() || !self.long.is_empty()
     }

@@ -1,58 +1,57 @@
-//! The delta-propagation core: every piece of *derived* scheduler state,
-//! maintained incrementally behind one typed update stream.
+//! The delta-propagation core: the one store of pending work, plus every
+//! piece of *derived* scheduler state, maintained incrementally.
 //!
 //! # Why a single layer
 //!
 //! Schedulers consult the Eq. 1 / Eq. 2 metrics on every dispatch, but each
 //! dispatch changes only a handful of atoms (the batch taken, the residency
-//! flips its reads caused, the sub-queries that arrived). Before this module
-//! existed, the incremental caches that exploited that observation — the
-//! per-atom Eq. 1 values, the per-timestep aggregates, the clamped-age
-//! indexes, the URC snapshot, the residency change log — were hand-maintained
-//! fields scattered through `queues.rs`, each with its own invalidation
-//! story. This module folds them into one **delta-propagation core** in the
-//! style of differential dataflow: base-state changes enter as typed
-//! [`Delta`]s through a single `DeltaCore::apply` entry point, flow into
-//! *arrangements* (maintained indexes over the update stream), and leave
-//! through read-only views. A dispatch costs O(Δ log m) bookkeeping for the
+//! flips its reads caused, the sub-queries that arrived). This module keeps
+//! the workload queues themselves — "the union of Wⱼ¹, Wⱼ², …" of §III-C —
+//! and everything derived from them in one place, in the style of
+//! differential dataflow: changes enter through `DeltaCore::arrive`,
+//! `DeltaCore::take` and the typed [`Delta`]s of `DeltaCore::apply`, mark
+//! what they touched dirty, and integration brings the derived views up to
+//! date before the next read. A dispatch costs O(Δ log m) bookkeeping for the
 //! Δ atoms that changed, plus one contiguous O(m_ts) refold of each timestep
 //! a changed atom belongs to — never a scan of every pending atom.
 //!
-//! # Delta taxonomy
+//! # Update taxonomy
 //!
-//! | Delta                  | Source                         | Effect |
-//! |------------------------|--------------------------------|--------|
-//! | [`Delta::Arrived`]     | `WorkloadManager::enqueue`     | atom gets a placeholder slot in its timestep's slab if absent, marked dirty |
-//! | [`Delta::Taken`]       | `WorkloadManager::take_atom`   | atom's slot leaves its slab, marked dirty |
-//! | [`Delta::Completed`]   | `Scheduler::on_query_complete` | bookkeeping counter (queue state already settled at take time) |
-//! | [`Delta::ResidencyChanged`] | [`Residency`] change tracking (internal) | atom marked dirty iff pending and φ actually flipped |
-//! | [`Delta::Aged`]        | every timed read               | advances the clock watermark (ages derive from `now` lazily) |
+//! | Update                      | Source                         | Effect |
+//! |-----------------------------|--------------------------------|--------|
+//! | `DeltaCore::arrive`         | `WorkloadManager::enqueue`     | sub-query joins its atom's slot (created if absent); ΣW and oldest updated eagerly; slot marked dirty |
+//! | `DeltaCore::take`           | `WorkloadManager::take_atom`   | slot leaves its slab and hands its sub-queries to the caller; atom listed as taken |
+//! | `DeltaCore::clear`          | `WorkloadManager::clear`       | every slab, aggregate, index and view dropped |
+//! | [`Delta::Completed`]        | `Scheduler::on_query_complete` | bookkeeping counter (queue state already settled at take time) |
+//! | [`Delta::ResidencyChanged`] | [`Residency`] change tracking (internal) | slot marked dirty iff pending and φ actually flipped |
+//! | [`Delta::Aged`]             | every timed read               | advances the clock watermark (ages derive from `now` lazily) |
 //!
-//! # Arrangements
+//! # State
 //!
 //! `DeltaCore` owns:
 //!
 //! * one **slab** per timestep: a `Vec` of slots, one per pending atom,
 //!   sorted by Morton key (the canonical fold order) and found by binary
-//!   search. A slot carries the atom's cached Eq. 1 value, its oldest
-//!   enqueue time and the residency the value was computed under;
+//!   search. A slot *is* the atom's workload queue — its sub-queries, ΣW and
+//!   oldest enqueue time — plus the cached Eq. 1 value, the residency that
+//!   value was computed under, and a dirty flag;
 //! * the per-timestep aggregates (ΣU, max U, Σoldest, min/max oldest);
 //! * the lazily built clamped-age prefix indexes;
 //! * the `Arc`-backed [`UtilitySnapshot`] the URC cache policy consumes.
 //!
-//! Integration's per-atom recompute is the only read of base state
-//! (`QueueBase::queue_info`); the refold, the fine level, `best_atom` and the
-//! age indexes read slots alone, so a refold is one linear pass over
-//! contiguous memory with no per-atom map lookup. Inserting or removing a
-//! slot is an O(m_ts) memmove, but the same delta already forces an O(m_ts)
-//! refold of that timestep at the next integration, so the slab changes
-//! constants, not asymptotics.
+//! Dirtiness is recorded twice, cheaply: the slot's flag, plus a list of
+//! touched timesteps that integration deduplicates. Integration recomputes
+//! Eq. 1 for dirty slots *inside* the per-timestep refold, so it is one
+//! linear pass over contiguous memory with no per-atom map lookup. Taken
+//! atoms leave the URC view before any dirty slot re-enters it, so an atom
+//! taken and re-enqueued inside one window ends up present. Inserting or
+//! removing a slot is an O(m_ts) memmove, but the same change already forces
+//! an O(m_ts) refold of that timestep at the next integration, so the slab
+//! changes constants, not asymptotics.
 //!
-//! All of it is private: the only mutation path is `DeltaCore::apply` plus
-//! the integration step that folds dirty atoms back in (jaws-lint rule A001
-//! enforces this layering textually, the module privacy enforces it
-//! structurally). Reads assume an integrated core; `WorkloadManager`
-//! integrates before every read.
+//! All of it is private to this module: the methods above and integration
+//! are the only mutation paths. Reads assume an integrated core;
+//! `WorkloadManager` integrates before every derived read.
 //!
 //! # Bitwise equivalence
 //!
@@ -61,13 +60,15 @@
 //! incremental result is bit-for-bit identical to the full-scan
 //! [`mod@reference`] oracle, which is retained **only** for tests, proptests and
 //! the `dispatch_scaling` bench. No production caller may use it. The
-//! interleaving proptests in `queues.rs` and the `delta_oracle` integration
-//! test assert the equivalence after every step of random
-//! enqueue/take/complete/residency-flip/clock-advance sequences.
+//! interleaving proptests in `queues.rs` assert the equivalence after every
+//! step of random enqueue/take/complete/residency-flip/clock-advance
+//! sequences; because the oracle reads the same slots it checks, the
+//! interleaving proptest also keeps an independent shadow model of the
+//! queues.
 //!
 //! # Generation counter and no-op reads
 //!
-//! Every state-changing delta bumps a generation counter. The coarse
+//! Every state-changing update bumps a generation counter. The coarse
 //! timestep choice and the Eq. 2 max-normalizers are memoized on
 //! `(generation, now, α)`, so a dispatch that changed nothing — gate rulings,
 //! `AlphaController` probes, repeated snapshot reads — performs **zero**
@@ -76,13 +77,14 @@
 
 pub mod reference;
 
+use crate::batch::SubQuery;
 use crate::policy::Residency;
 use crate::queues::{finite_or_zero, MetricParams};
 use jaws_cache::{UtilityOracle, UtilityRank};
 use jaws_morton::{AtomId, MortonKey};
 use jaws_workload::QueryId;
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Eq. 1 for one queue. Shared by the reference and incremental paths so the
@@ -125,20 +127,11 @@ pub(crate) fn blend(u: f64, e: f64, max_u: f64, max_e: f64, alpha: f64) -> f64 {
     un * (1.0 - alpha) + en * alpha
 }
 
-/// One typed update entering the delta-propagation core. See the module docs
-/// for the taxonomy table.
+/// One typed update entering the delta-propagation core that carries no
+/// queue contents (arrivals and takes move sub-queries, so they have methods
+/// of their own). See the module docs for the taxonomy table.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delta {
-    /// A sub-query was enqueued on `atom` (its queue totals changed).
-    Arrived {
-        /// The atom whose workload queue grew.
-        atom: AtomId,
-    },
-    /// `atom`'s whole queue was taken for execution.
-    Taken {
-        /// The atom whose workload queue was drained.
-        atom: AtomId,
-    },
     /// A query's last sub-query finished executing. Queue state settled at
     /// take time; this is lifecycle bookkeeping for [`DeltaStats`].
     Completed {
@@ -166,9 +159,9 @@ pub enum Delta {
 /// Monotone; consumers diff two snapshots to measure one window.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct DeltaStats {
-    /// [`Delta::Arrived`] applied.
+    /// Sub-queries that arrived (`DeltaCore::arrive`).
     pub arrived: u64,
-    /// [`Delta::Taken`] applied.
+    /// Atom queues taken for execution (`DeltaCore::take`).
     pub taken: u64,
     /// [`Delta::Completed`] applied.
     pub completed: u64,
@@ -188,53 +181,45 @@ pub struct DeltaStats {
     pub coarse_scans: u64,
 }
 
-/// What the integration step needs from the base state (the workload queues
-/// owned by `WorkloadManager`): the cost constants and per-atom queue totals.
-/// Read-only by construction — the delta layer can never mutate base state,
-/// and the base can never reach into the arrangements.
-pub(crate) trait QueueBase {
-    /// Eq. 1 cost constants.
-    fn metric_params(&self) -> &MetricParams;
-    /// `(ΣW, oldest enqueue ms)` of one atom's queue, `None` if queue-less.
-    fn queue_info(&self, atom: &AtomId) -> Option<QueueInfo>;
-}
-
-/// Per-atom queue totals served by [`QueueBase::queue_info`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct QueueInfo {
-    /// Cached ΣW (total positions) — the numerator of Eq. 1.
-    pub positions: u64,
-    /// Enqueue time of the oldest sub-query, ms.
-    pub oldest_ms: f64,
-}
-
-/// One pending atom of a timestep's slab. `u`, `oldest` and `resident` are
-/// written by integration's recompute from [`QueueBase::queue_info`] and the
-/// residency source; between an [`Delta::Arrived`] that created the slot and
-/// the next integration they are placeholders that no read ever sees.
-#[derive(Debug, Clone, Copy)]
+/// One pending atom of a timestep's slab: the atom's workload queue plus
+/// the values integration derives from it. `subs`, `positions` and `oldest`
+/// are kept eagerly by `DeltaCore::arrive`; `u` and `resident` are written by
+/// integration's recompute of dirty slots, so between the arrival that
+/// created a slot and the next integration they are placeholders that no
+/// read ever sees.
+#[derive(Debug)]
 struct Slot {
     /// Morton key of the atom within its timestep — the slab's sort key.
     morton: MortonKey,
-    /// Cached Eq. 1 value.
-    u: f64,
+    /// The atom's pending sub-queries, in arrival order.
+    subs: Vec<SubQuery>,
+    /// ΣW (total pending positions) — the numerator of Eq. 1.
+    positions: u64,
     /// Enqueue time of the atom's oldest pending sub-query, ms.
     oldest: f64,
+    /// Cached Eq. 1 value.
+    u: f64,
     /// The residency `u` was computed under; `None` until the first
     /// integration after the slot was created (unless carried over, see
-    /// [`DeltaCore::taken_residency`]).
+    /// [`DeltaCore::taken`]).
     resident: Option<bool>,
+    /// Set when the slot's inputs changed since the last integration.
+    dirty: bool,
 }
 
 impl Slot {
-    /// A slot awaiting its first recompute. The NaN placeholders make a
-    /// missed recompute visible to any fold instead of silently reading 0.
-    fn placeholder(morton: MortonKey, resident: Option<bool>) -> Self {
+    /// An empty queue awaiting its first sub-query and recompute. The NaN
+    /// placeholder makes a missed recompute visible to any fold instead of
+    /// silently reading 0.
+    fn new(morton: MortonKey, resident: Option<bool>) -> Self {
         Slot {
             morton,
+            subs: Vec::new(),
+            positions: 0,
+            oldest: f64::INFINITY,
             u: f64::NAN,
-            oldest: f64::NAN,
             resident,
+            dirty: false,
         }
     }
 
@@ -305,9 +290,8 @@ struct NormMemo {
     max_e: f64,
 }
 
-/// The delta-propagation core: every maintained arrangement, mutable only
-/// through [`DeltaCore::apply`] and the integration step. See module docs.
-// lint: arrangement
+/// The delta-propagation core: the pending work and every maintained
+/// arrangement over it. See module docs.
 #[derive(Debug)]
 pub(crate) struct DeltaCore {
     /// Pending atoms per timestep, one Morton-sorted slot slab each — the
@@ -316,27 +300,24 @@ pub(crate) struct DeltaCore {
     /// Emptied slabs kept with their capacity, so a timestep that drains
     /// and refills does not regrow its `Vec` from nothing.
     spare_slabs: Vec<Vec<Slot>>,
-    /// Residency of the slots [`Delta::Taken`] removed since the last
-    /// integration. An atom taken and re-enqueued inside one integration
+    /// Atoms [`Self::take`] removed since the last integration, with the
+    /// residency their slot was computed under. Integration drops them from
+    /// the URC view. An atom taken and re-enqueued inside one integration
     /// window gets its old residency carried over to its fresh slot, so a
     /// [`Delta::ResidencyChanged`] for it dirties (and bumps the generation)
     /// exactly when it flips against the residency its cached Eq. 1 value
     /// was computed under — the same rule as for an atom that never left.
     /// That keeps [`DeltaStats`] and every memo hit/miss independent of
-    /// whether the atom's queue was drained in between. Cleared by
-    /// integration, which recomputes every such atom anyway.
-    taken_residency: Vec<(AtomId, bool)>,
+    /// whether the atom's queue was drained in between.
+    taken: Vec<(AtomId, Option<bool>)>,
     /// Per-timestep aggregates (lazily refolded).
     ts_aggs: BTreeMap<u32, TsAgg>,
     /// Clamped-age indexes, built on demand (lookup-only, never iterated).
     age_indexes: HashMap<u32, AgeIndex>,
-    /// Atoms whose inputs changed since the last integration.
-    dirty_atoms: BTreeSet<AtomId>,
-    /// Reusable scratch listing the timesteps touched by one integration.
-    /// `AtomId`'s order is `(timestep, morton)`, so a pass over `dirty_atoms`
-    /// emits timesteps non-decreasing and a last-value check dedups them;
-    /// reusing the vector keeps `integrate` alloc-free at steady state.
-    dirty_ts_scratch: Vec<u32>,
+    /// Timesteps touched since the last integration (a slot marked dirty or
+    /// taken), possibly repeated; integration sorts and dedups it. Reused,
+    /// so `integrate` is alloc-free at steady state.
+    dirty_ts: Vec<u32>,
     /// Reusable scratch of `(upper bound, timestep)` pairs for
     /// [`Self::best_atom`], so a LifeRaft dispatch allocates nothing.
     best_atom_scratch: Vec<(f64, u32)>,
@@ -364,11 +345,10 @@ impl DeltaCore {
         DeltaCore {
             slabs: BTreeMap::new(),
             spare_slabs: Vec::new(),
-            taken_residency: Vec::new(),
+            taken: Vec::new(),
             ts_aggs: BTreeMap::new(),
             age_indexes: HashMap::new(),
-            dirty_atoms: BTreeSet::new(),
-            dirty_ts_scratch: Vec::new(),
+            dirty_ts: Vec::new(),
             best_atom_scratch: Vec::new(),
             synced_epoch: None,
             refold_epoch: 0,
@@ -381,57 +361,85 @@ impl DeltaCore {
         }
     }
 
-    /// The single mutation entry point: folds one delta into the
-    /// arrangements. O(log n) search plus at most one O(m_ts) slot
-    /// insert/remove — the float work is deferred to the next integration so
-    /// a burst of deltas costs one refold, not many.
+    /// Appends one sub-query to its atom's queue, creating the atom's slot
+    /// if absent. O(log m) search plus at most one O(m_ts) slot insert — the
+    /// float work is deferred to the next integration, so a burst of
+    /// arrivals costs one refold, not many.
+    pub(crate) fn arrive(&mut self, sub: SubQuery) {
+        self.delta_stats.arrived += 1;
+        let atom = sub.atom;
+        let slab = self
+            .slabs
+            .entry(atom.timestep)
+            .or_insert_with(|| self.spare_slabs.pop().unwrap_or_default());
+        let at = slot_index(slab, atom.morton).unwrap_or_else(|at| {
+            let carried = self
+                .taken
+                .iter()
+                .rev()
+                .find_map(|&(a, r)| r.filter(|_| a == atom));
+            slab.insert(at, Slot::new(atom.morton, carried));
+            at
+        });
+        let slot = &mut slab[at];
+        slot.oldest = slot.oldest.min(sub.enqueued_ms);
+        slot.positions += sub.positions as u64;
+        slot.subs.push(sub);
+        if !slot.dirty {
+            slot.dirty = true;
+            self.dirty_ts.push(atom.timestep);
+        }
+        self.generation += 1;
+    }
+
+    /// Removes one atom's whole queue and returns its sub-queries in arrival
+    /// order, `None` if the atom has no pending work.
+    pub(crate) fn take(&mut self, atom: AtomId) -> Option<Vec<SubQuery>> {
+        let slab = self.slabs.get_mut(&atom.timestep)?;
+        let slot = slab.remove(slot_index(slab, atom.morton).ok()?);
+        if slab.is_empty() {
+            if let Some(empty) = self.slabs.remove(&atom.timestep) {
+                self.spare_slabs.push(empty);
+            }
+        }
+        self.delta_stats.taken += 1;
+        self.taken.push((atom, slot.resident));
+        self.dirty_ts.push(atom.timestep);
+        self.generation += 1;
+        Some(slot.subs)
+    }
+
+    /// Drops all pending work and everything derived from it. Counters stay
+    /// monotone; the generation bump invalidates every memo.
+    pub(crate) fn clear(&mut self) {
+        for (_, mut slab) in std::mem::take(&mut self.slabs) {
+            slab.clear();
+            self.spare_slabs.push(slab);
+        }
+        self.taken.clear();
+        self.dirty_ts.clear();
+        self.ts_aggs.clear();
+        self.age_indexes.clear();
+        self.urc_view = UtilitySnapshot::empty();
+        self.generation += 1;
+    }
+
+    /// Folds one queue-free delta into the core.
     pub(crate) fn apply(&mut self, delta: Delta) {
         match delta {
-            Delta::Arrived { atom } => {
-                self.delta_stats.arrived += 1;
-                let slab = self
-                    .slabs
-                    .entry(atom.timestep)
-                    .or_insert_with(|| self.spare_slabs.pop().unwrap_or_default());
-                if let Err(at) = slot_index(slab, atom.morton) {
-                    let carried = self
-                        .taken_residency
-                        .iter()
-                        .rev()
-                        .find(|&&(a, _)| a == atom)
-                        .map(|&(_, r)| r);
-                    slab.insert(at, Slot::placeholder(atom.morton, carried));
-                }
-                self.dirty_atoms.insert(atom);
-                self.generation += 1;
-            }
-            Delta::Taken { atom } => {
-                self.delta_stats.taken += 1;
-                if let Some(slab) = self.slabs.get_mut(&atom.timestep) {
-                    if let Ok(at) = slot_index(slab, atom.morton) {
-                        if let Some(r) = slab.remove(at).resident {
-                            self.taken_residency.push((atom, r));
-                        }
-                    }
-                    if slab.is_empty() {
-                        if let Some(empty) = self.slabs.remove(&atom.timestep) {
-                            self.spare_slabs.push(empty);
-                        }
-                    }
-                }
-                self.dirty_atoms.insert(atom);
-                self.generation += 1;
-            }
             Delta::Completed { query: _ } => {
                 self.delta_stats.completed += 1;
             }
             Delta::ResidencyChanged { atom, resident } => {
                 self.delta_stats.residency_changed += 1;
-                let flipped = self
-                    .slot(atom)
-                    .is_some_and(|s| s.resident != Some(resident));
-                if flipped {
-                    self.dirty_atoms.insert(atom);
+                let Some(slot) = self.slot_mut(atom) else {
+                    return;
+                };
+                if slot.resident != Some(resident) {
+                    if !slot.dirty {
+                        slot.dirty = true;
+                        self.dirty_ts.push(atom.timestep);
+                    }
                     self.generation += 1;
                 }
             }
@@ -449,6 +457,35 @@ impl DeltaCore {
     fn slot(&self, atom: AtomId) -> Option<&Slot> {
         let slab = self.slabs.get(&atom.timestep)?;
         slot_index(slab, atom.morton).ok().map(|i| &slab[i])
+    }
+
+    /// Mutable [`Self::slot`].
+    fn slot_mut(&mut self, atom: AtomId) -> Option<&mut Slot> {
+        let slab = self.slabs.get_mut(&atom.timestep)?;
+        slot_index(slab, atom.morton).ok().map(|i| &mut slab[i])
+    }
+
+    /// `(ΣW, oldest enqueue ms)` of one atom's queue, `None` if it has no
+    /// pending work. Eager fields, so valid without integration.
+    pub(crate) fn queue(&self, atom: AtomId) -> Option<(u64, f64)> {
+        self.slot(atom).map(|s| (s.positions, s.oldest))
+    }
+
+    /// Pending atoms in sorted `(timestep, morton)` order.
+    pub(crate) fn pending_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
+        self.slabs
+            .iter()
+            .flat_map(|(&ts, slab)| slab.iter().map(move |s| AtomId::new(ts, s.morton)))
+    }
+
+    /// Number of pending atoms. O(#timesteps).
+    pub(crate) fn atom_count(&self) -> usize {
+        self.slabs.values().map(Vec::len).sum()
+    }
+
+    /// Number of pending sub-queries. O(pending atoms).
+    pub(crate) fn subquery_count(&self) -> usize {
+        self.slabs.values().flatten().map(|s| s.subs.len()).sum()
     }
 
     /// Counter snapshot.
@@ -525,92 +562,75 @@ impl DeltaCore {
         self.synced_epoch = epoch;
     }
 
-    /// Integration: brings every arrangement up to date with the deltas
-    /// applied since the last call, recomputing only dirty atoms and
-    /// refolding only their timesteps. O(Δ log m) plus one contiguous
-    /// O(m_ts) pass per dirty timestep. The per-atom recompute is the only
-    /// read of base state; every read method below assumes it has run.
-    pub(crate) fn integrate(&mut self, base: &dyn QueueBase, residency: &dyn Residency) {
+    /// Integration: brings every arrangement up to date with the updates
+    /// since the last call. Taken atoms leave the URC view first; then each
+    /// touched timestep is refolded in one pass over its slab that also
+    /// recomputes Eq. 1 for the slots marked dirty. O(Δ) plus one contiguous
+    /// O(m_ts) pass per touched timestep; every read method below assumes it
+    /// has run.
+    pub(crate) fn integrate(&mut self, params: &MetricParams, residency: &dyn Residency) {
         self.sync_residency(residency);
-        if self.dirty_atoms.is_empty() {
+        if self.dirty_ts.is_empty() {
             return;
         }
-        // 1. Recompute the slots of dirty atoms that are still pending (taken
-        // ones already left their slab).
-        let params = *base.metric_params();
-        let mut dirty_ts = std::mem::take(&mut self.dirty_ts_scratch);
-        dirty_ts.clear();
         let atoms_mut = Arc::make_mut(&mut self.urc_view.atoms);
-        for &atom in &self.dirty_atoms {
-            if dirty_ts.last() != Some(&atom.timestep) {
-                dirty_ts.push(atom.timestep);
-            }
-            if let Some(info) = base.queue_info(&atom) {
-                let res = residency.is_resident(&atom);
-                let u = eq1(&params, info.positions, res);
-                self.delta_stats.eq1_recomputes += 1;
-                // lint: invariant — Arrived gave every queued atom a slot
-                let slab = self
-                    .slabs
-                    .get_mut(&atom.timestep)
-                    .expect("pending atom has a slab");
-                // lint: invariant — Arrived gave every queued atom a slot
-                let at = slot_index(slab, atom.morton).expect("pending atom has a slot");
-                let slot = &mut slab[at];
-                slot.u = u;
-                slot.oldest = info.oldest_ms;
-                slot.resident = Some(res);
-                atoms_mut.insert(atom, u);
-            } else {
-                atoms_mut.remove(&atom);
-            }
+        // Removals before re-insertions, so an atom taken and re-enqueued in
+        // one window ends up present.
+        for (atom, _) in self.taken.drain(..) {
+            atoms_mut.remove(&atom);
         }
-        self.dirty_atoms.clear();
-        self.taken_residency.clear();
-        // 2. Refold dirty timesteps in slab order — a full refold, not a
+        self.dirty_ts.sort_unstable();
+        self.dirty_ts.dedup();
+        // Refold touched timesteps in slab order — a full refold, not a
         // `+=`/`-=` adjustment, so the sums are bitwise identical to the
         // reference full-scan fold.
         let means_mut = Arc::make_mut(&mut self.urc_view.means);
         let n = params.atoms_per_timestep.max(1) as f64;
         self.refold_epoch += 1;
-        for &ts in &dirty_ts {
-            match self.slabs.get(&ts) {
-                Some(slab) => {
-                    self.delta_stats.ts_refolds += 1;
-                    let mut agg = TsAgg {
-                        sum_u: 0.0,
-                        max_u: 0.0,
-                        count: slab.len() as u64,
-                        sum_oldest: 0.0,
-                        min_oldest: f64::INFINITY,
-                        max_oldest: f64::NEG_INFINITY,
-                        epoch: self.refold_epoch,
-                    };
-                    for s in slab {
-                        agg.sum_u += s.u;
-                        agg.max_u = agg.max_u.max(s.u);
-                        agg.sum_oldest += s.oldest;
-                        agg.min_oldest = agg.min_oldest.min(s.oldest);
-                        agg.max_oldest = agg.max_oldest.max(s.oldest);
-                    }
-                    self.ts_aggs.insert(ts, agg);
-                    means_mut.insert(ts, agg.sum_u / n);
+        for &ts in &self.dirty_ts {
+            let Some(slab) = self.slabs.get_mut(&ts) else {
+                self.ts_aggs.remove(&ts);
+                self.age_indexes.remove(&ts);
+                means_mut.remove(&ts);
+                continue;
+            };
+            self.delta_stats.ts_refolds += 1;
+            let mut agg = TsAgg {
+                sum_u: 0.0,
+                max_u: 0.0,
+                count: slab.len() as u64,
+                sum_oldest: 0.0,
+                min_oldest: f64::INFINITY,
+                max_oldest: f64::NEG_INFINITY,
+                epoch: self.refold_epoch,
+            };
+            for s in slab.iter_mut() {
+                if s.dirty {
+                    let atom = AtomId::new(ts, s.morton);
+                    let res = residency.is_resident(&atom);
+                    s.u = eq1(params, s.positions, res);
+                    s.resident = Some(res);
+                    s.dirty = false;
+                    self.delta_stats.eq1_recomputes += 1;
+                    atoms_mut.insert(atom, s.u);
                 }
-                None => {
-                    self.ts_aggs.remove(&ts);
-                    self.age_indexes.remove(&ts);
-                    means_mut.remove(&ts);
-                }
+                agg.sum_u += s.u;
+                agg.max_u = agg.max_u.max(s.u);
+                agg.sum_oldest += s.oldest;
+                agg.min_oldest = agg.min_oldest.min(s.oldest);
+                agg.max_oldest = agg.max_oldest.max(s.oldest);
             }
+            self.ts_aggs.insert(ts, agg);
+            means_mut.insert(ts, agg.sum_u / n);
         }
-        self.dirty_ts_scratch = dirty_ts;
+        self.dirty_ts.clear();
     }
 
     /// Global max-normalizers of Eq. 2 — `(max U_t, max E)` over all pending
     /// atoms — answered from the per-timestep aggregates in O(#timesteps),
     /// memoized on `(generation, now)` so clean repeat reads are O(1).
     fn normalizers(&mut self, now_ms: f64) -> (f64, f64) {
-        debug_assert!(self.dirty_atoms.is_empty(), "read before integration");
+        debug_assert!(self.dirty_ts.is_empty(), "read before integration");
         if let Some(m) = self.norm_memo {
             if m.generation == self.generation && m.now_bits == now_ms.to_bits() {
                 return (m.max_u, m.max_e);
@@ -691,7 +711,7 @@ impl DeltaCore {
     /// O(1) on a clean generation (memoized).
     pub(crate) fn best_timestep(&mut self, now_ms: f64, alpha: f64) -> Option<u32> {
         debug_assert!((0.0..=1.0).contains(&alpha));
-        debug_assert!(self.dirty_atoms.is_empty(), "read before integration");
+        debug_assert!(self.dirty_ts.is_empty(), "read before integration");
         if let Some(m) = self.coarse_memo {
             if m.generation == self.generation
                 && m.now_bits == now_ms.to_bits()
@@ -835,7 +855,7 @@ impl DeltaCore {
     /// integration patched in place. Bitwise identical to
     /// [`reference::utility_snapshot`].
     pub(crate) fn snapshot(&self) -> UtilitySnapshot {
-        debug_assert!(self.dirty_atoms.is_empty(), "read before integration");
+        debug_assert!(self.dirty_ts.is_empty(), "read before integration");
         self.urc_view.clone()
     }
 
@@ -843,7 +863,7 @@ impl DeltaCore {
     /// [`reference::timestep_means`].
     #[cfg(any(test, doc))]
     pub(crate) fn timestep_means(&self) -> BTreeMap<u32, f64> {
-        debug_assert!(self.dirty_atoms.is_empty(), "read before integration");
+        debug_assert!(self.dirty_ts.is_empty(), "read before integration");
         // The snapshot map is keyed storage (never iterated for decisions);
         // collecting into a BTreeMap re-establishes sorted order for callers.
         self.urc_view
@@ -853,19 +873,14 @@ impl DeltaCore {
             .collect::<BTreeMap<u32, f64>>()
     }
 
-    /// Test-only structural check of the slabs against the base state:
-    /// every slab is strictly ascending in Morton order, the slabs hold
-    /// exactly the atoms with a base queue, and — once integrated — every
-    /// slot's `u`, `oldest` and `resident` equal Eq. 1, the queue's oldest
-    /// enqueue time and the residency source.
+    /// Test-only structural check of the slabs: every slab is non-empty and
+    /// strictly ascending in Morton order, and every slot's queue is
+    /// consistent — non-empty, all of the slot's atom, ΣW and oldest equal to
+    /// the fold over its sub-queries. With `residency`, the core must be
+    /// integrated against that source: no slot is dirty, and every slot's
+    /// `u` and `resident` equal Eq. 1 and the source.
     #[cfg(test)]
-    pub(crate) fn check_slabs(
-        &self,
-        base: &dyn QueueBase,
-        pending: &[AtomId],
-        residency: Option<&dyn Residency>,
-    ) {
-        let mut slotted = Vec::new();
+    pub(crate) fn check_slabs(&self, params: &MetricParams, residency: Option<&dyn Residency>) {
         for (&ts, slab) in &self.slabs {
             assert!(!slab.is_empty(), "empty slab kept for ts {ts}");
             for pair in slab.windows(2) {
@@ -874,29 +889,37 @@ impl DeltaCore {
                     "slab of ts {ts} not strictly ascending"
                 );
             }
-            slotted.extend(slab.iter().map(|s| AtomId::new(ts, s.morton)));
+            for s in slab {
+                let atom = AtomId::new(ts, s.morton);
+                assert!(!s.subs.is_empty(), "empty queue kept for {atom}");
+                assert!(
+                    s.subs.iter().all(|q| q.atom == atom),
+                    "stray sub-query in {atom}"
+                );
+                let positions: u64 = s.subs.iter().map(|q| q.positions as u64).sum();
+                assert_eq!(s.positions, positions, "ΣW of {atom}");
+                let oldest = s
+                    .subs
+                    .iter()
+                    .map(|q| q.enqueued_ms)
+                    .fold(f64::INFINITY, f64::min);
+                assert_eq!(s.oldest.to_bits(), oldest.to_bits(), "oldest of {atom}");
+                let Some(residency) = residency else {
+                    continue;
+                };
+                assert!(!s.dirty, "{atom} not integrated");
+                let resident = residency.is_resident(&atom);
+                assert_eq!(s.resident, Some(resident), "residency of {atom}");
+                assert_eq!(
+                    s.u.to_bits(),
+                    eq1(params, s.positions, resident).to_bits(),
+                    "Eq. 1 of {atom}"
+                );
+            }
         }
-        assert_eq!(slotted, pending, "slab atoms differ from the base queues");
-        let Some(residency) = residency else {
-            return;
-        };
-        assert!(self.dirty_atoms.is_empty(), "core not integrated");
-        let params = base.metric_params();
-        for atom in slotted {
-            let slot = self.slot(atom).expect("slotted atom");
-            let info = base.queue_info(&atom).expect("pending atom has a queue");
-            let resident = residency.is_resident(&atom);
-            assert_eq!(slot.resident, Some(resident), "residency of {atom}");
-            assert_eq!(
-                slot.oldest.to_bits(),
-                info.oldest_ms.to_bits(),
-                "oldest of {atom}"
-            );
-            assert_eq!(
-                slot.u.to_bits(),
-                eq1(params, info.positions, resident).to_bits(),
-                "Eq. 1 of {atom}"
-            );
+        if residency.is_some() {
+            assert!(self.dirty_ts.is_empty(), "core not integrated");
+            assert!(self.taken.is_empty(), "taken atoms not integrated");
         }
     }
 }

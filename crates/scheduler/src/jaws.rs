@@ -436,6 +436,11 @@ impl Scheduler for Jaws {
         }
     }
 
+    fn retire_pending(&mut self, _now_ms: f64) {
+        self.wm.clear();
+        self.held.clear();
+    }
+
     fn has_pending(&self) -> bool {
         !self.wm.is_empty() || !self.held.is_empty()
     }

@@ -91,6 +91,10 @@ impl Scheduler for LifeRaft {
         }
     }
 
+    fn retire_pending(&mut self, _now_ms: f64) {
+        self.wm.clear();
+    }
+
     fn has_pending(&self) -> bool {
         !self.wm.is_empty()
     }

@@ -78,6 +78,10 @@ impl Scheduler for NoShare {
         }
     }
 
+    fn retire_pending(&mut self, _now_ms: f64) {
+        self.fifo.clear();
+    }
+
     fn has_pending(&self) -> bool {
         !self.fifo.is_empty()
     }

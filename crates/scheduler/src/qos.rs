@@ -147,14 +147,7 @@ impl Scheduler for QosScheduler {
     fn retire_pending(&mut self, _now_ms: f64) {
         // Truncation: queued queries will never complete, so every map must
         // empty or the daemon direction leaks one entry per abandoned query.
-        // The workload manager has no bulk clear — drain it atom by atom so
-        // its delta core sees a consistent Taken/Completed lifecycle.
-        for atom in self.wm.pending_atom_ids() {
-            let (_, completing) = self.wm.take_atom(&atom);
-            for q in completing {
-                self.wm.note_completed(q);
-            }
-        }
+        self.wm.clear();
         self.deadline.clear();
         self.atom_deadline.clear();
     }

@@ -2,8 +2,8 @@
 //!
 //! "A workload Wⱼⁱ represents the set of positions from Qᵢ that are contained
 //! within Aⱼ and the workload queue for an atom Aⱼ consists of the union of
-//! Wⱼ¹, Wⱼ², …" (§III-C). The [`WorkloadManager`] owns these queues and
-//! computes:
+//! Wⱼ¹, Wⱼ², …" (§III-C). The [`WorkloadManager`] is the scheduler-facing
+//! handle on these queues and computes:
 //!
 //! * **Eq. 1** — workload throughput
 //!   `U_t(i) = ΣW / (T_b·φ(i) + T_m·ΣW)`, where φ(i) is 0 when the atom is
@@ -20,12 +20,11 @@
 //!
 //! # Layering
 //!
-//! This module owns only the **base state**: the queues themselves and the
-//! per-query completion bookkeeping. Every *derived* view — cached Eq. 1
-//! values, per-timestep aggregates, age indexes, the URC snapshot — lives in
-//! the [`crate::delta`] arrangement layer, fed by typed
-//! [`Delta`]s from the mutating methods here. The public
-//! read API ([`WorkloadManager::aged_utilities`],
+//! The queues have exactly one store: the [`crate::delta`] core's
+//! per-timestep slot slabs, where each slot owns one atom's sub-queries next
+//! to the Eq. 1 value, aggregates and URC-view entry derived from them. This
+//! module adds only the per-query completion bookkeeping and the public API.
+//! The read API ([`WorkloadManager::aged_utilities`],
 //! [`WorkloadManager::utility_snapshot`], [`WorkloadManager::best_timestep`],
 //! [`WorkloadManager::best_atom`]) is incremental — O(Δ log m) bookkeeping
 //! plus one contiguous O(m_ts) refold per timestep a dispatch touched — and
@@ -37,19 +36,19 @@
 //! Selection is a total order (lint rules D001/F002): scores compare via
 //! `f64::total_cmp` and exact ties fall back to ascending `AtomId`
 //! (`(timestep, morton)`), so the chosen atom is a function of queue *state*
-//! only — never of enqueue order or map iteration order. Queues live in a
-//! `BTreeMap`, which also makes the canonical sorted fold order free.
-//! Non-finite metric inputs are debug-asserted and clamped to zero
-//! (`finite_or_zero`) so a poisoned cost model cannot make the
-//! normalization folds — and with them every comparison — NaN.
+//! only — never of enqueue order or map iteration order. The slabs are kept
+//! in that `(timestep, morton)` order, which also makes it the canonical
+//! fold order for free. Non-finite metric inputs are debug-asserted and
+//! clamped to zero (`finite_or_zero`) so a poisoned cost model cannot make
+//! the normalization folds — and with them every comparison — NaN.
 
 use crate::batch::{AtomBatch, SubQuery};
-use crate::delta::{eq1, Delta, DeltaCore, DeltaStats, QueueBase, QueueInfo};
+use crate::delta::{eq1, Delta, DeltaCore, DeltaStats};
 use crate::policy::Residency;
 use jaws_morton::AtomId;
 use jaws_workload::QueryId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 pub use crate::delta::UtilitySnapshot;
 
@@ -93,49 +92,14 @@ impl MetricParams {
     }
 }
 
-/// One atom's workload queue.
-#[derive(Debug, Default, Clone)]
-struct AtomQueue {
-    subs: Vec<SubQuery>,
-    /// Cached ΣW (total positions) — the numerator of Eq. 1.
-    positions: u64,
-    /// Enqueue time of the oldest sub-query, ms.
-    oldest_ms: f64,
-}
-
-/// Read-only window onto the base queue state, handed to the delta layer's
-/// integration step. Borrows only the base fields, so the arrangement core
-/// can be borrowed mutably at the same time ([`WorkloadManager::integrated`]).
-struct BaseView<'a> {
-    params: &'a MetricParams,
-    queues: &'a BTreeMap<AtomId, AtomQueue>,
-}
-
-impl QueueBase for BaseView<'_> {
-    fn metric_params(&self) -> &MetricParams {
-        self.params
-    }
-
-    fn queue_info(&self, atom: &AtomId) -> Option<QueueInfo> {
-        self.queues.get(atom).map(|q| QueueInfo {
-            positions: q.positions,
-            oldest_ms: q.oldest_ms,
-        })
-    }
-}
-
-/// The workload manager: per-atom queues plus per-query bookkeeping (base
-/// state), and the `DeltaCore` arrangement layer every derived view is
-/// answered from.
+/// The workload manager: per-query completion bookkeeping over the delta
+/// core, which holds the per-atom queues and every view derived from them.
 #[derive(Debug)]
 pub struct WorkloadManager {
     params: MetricParams,
-    /// Ordered so `keys()` *is* the canonical `(timestep, morton)` fold order.
-    queues: BTreeMap<AtomId, AtomQueue>,
     /// Remaining sub-query count per query (for completion detection).
     pending_subs: HashMap<QueryId, usize>,
-    total_subs: usize,
-    /// The delta-propagation core: all derived state, fed through `apply`.
+    /// The pending work and everything derived from it.
     core: DeltaCore,
 }
 
@@ -144,9 +108,7 @@ impl WorkloadManager {
     pub fn new(params: MetricParams) -> Self {
         WorkloadManager {
             params,
-            queues: BTreeMap::new(),
             pending_subs: HashMap::new(),
-            total_subs: 0,
             core: DeltaCore::new(),
         }
     }
@@ -156,15 +118,10 @@ impl WorkloadManager {
         self.params
     }
 
-    /// Integrates the deltas applied since the last read against the base
-    /// queues and returns the up-to-date arrangement core. Every derived read
-    /// goes through here; the core's reads themselves touch slots only.
+    /// Integrates the updates since the last read and returns the
+    /// up-to-date core. Every derived read goes through here.
     fn integrated(&mut self, residency: &dyn Residency) -> &mut DeltaCore {
-        let base = BaseView {
-            params: &self.params,
-            queues: &self.queues,
-        };
-        self.core.integrate(&base, residency);
+        self.core.integrate(&self.params, residency);
         &mut self.core
     }
 
@@ -173,33 +130,32 @@ impl WorkloadManager {
         for s in subs {
             debug_assert!(s.positions > 0, "empty sub-query");
             debug_assert!(s.enqueued_ms.is_finite(), "non-finite enqueue time");
-            let q = self.queues.entry(s.atom).or_insert_with(|| AtomQueue {
-                subs: Vec::new(),
-                positions: 0,
-                oldest_ms: s.enqueued_ms,
-            });
-            q.oldest_ms = q.oldest_ms.min(s.enqueued_ms);
-            q.positions += s.positions as u64;
-            q.subs.push(s);
             *self.pending_subs.entry(s.query).or_insert(0) += 1;
-            self.total_subs += 1;
-            self.core.apply(Delta::Arrived { atom: s.atom });
+            self.core.arrive(s);
         }
+    }
+
+    /// Discards all pending work: every queue, every derived view and the
+    /// per-query completion bookkeeping. Queries still queued will never be
+    /// reported complete.
+    pub fn clear(&mut self) {
+        self.pending_subs.clear();
+        self.core.clear();
     }
 
     /// True if no sub-queries are pending.
     pub fn is_empty(&self) -> bool {
-        self.total_subs == 0
+        self.core.timestep_count() == 0
     }
 
-    /// Number of pending sub-queries.
+    /// Number of pending sub-queries. O(pending atoms).
     pub fn pending_subqueries(&self) -> usize {
-        self.total_subs
+        self.core.subquery_count()
     }
 
-    /// Number of atoms with non-empty queues.
+    /// Number of atoms with non-empty queues. O(#timesteps).
     pub fn pending_atoms(&self) -> usize {
-        self.queues.len()
+        self.core.atom_count()
     }
 
     /// Number of timesteps with at least one pending atom.
@@ -209,7 +165,7 @@ impl WorkloadManager {
 
     /// Pending positions on one atom (ΣW of Eq. 1), zero if queue-less.
     pub fn atom_positions(&self, atom: &AtomId) -> u64 {
-        self.queues.get(atom).map_or(0, |q| q.positions)
+        self.core.queue(*atom).map_or(0, |(positions, _)| positions)
     }
 
     /// Eq. 1 for one atom. `resident` is φ(i) = 0 (cached) / 1 (on disk).
@@ -218,25 +174,24 @@ impl WorkloadManager {
     /// denominator vanish; see [`crate::delta`]'s `eq1` for the finite
     /// ranking used instead of an infinity sentinel.
     pub fn workload_throughput(&self, atom: &AtomId, resident: bool) -> f64 {
-        self.queues
-            .get(atom)
-            .map_or(0.0, |q| eq1(&self.params, q.positions, resident))
+        self.core
+            .queue(*atom)
+            .map_or(0.0, |(positions, _)| eq1(&self.params, positions, resident))
     }
 
     /// Age E(i) of the oldest sub-query on one atom, ms.
     pub fn age(&self, atom: &AtomId, now_ms: f64) -> f64 {
-        self.queues
-            .get(atom)
-            .map_or(0.0, |q| (now_ms - q.oldest_ms).max(0.0))
+        self.core
+            .queue(*atom)
+            .map_or(0.0, |(_, oldest)| (now_ms - oldest).max(0.0))
     }
 
     /// Pending atoms in sorted `(timestep, morton)` order — the canonical
-    /// iteration order of every floating-point fold. Free: `queues` is a
-    /// `BTreeMap`, so its keys already iterate in that order. Base-state
-    /// accessor for the [`crate::delta::reference`] oracle; production
-    /// schedulers never need the full list.
+    /// iteration order of every floating-point fold, which is the slabs'
+    /// own order. Accessor for the [`crate::delta::reference`] oracle;
+    /// production schedulers never need the full list.
     pub fn pending_atom_ids(&self) -> Vec<AtomId> {
-        self.queues.keys().copied().collect()
+        self.core.pending_atoms().collect()
     }
 
     /// Removes and returns the whole queue of one atom, plus the queries that
@@ -267,13 +222,11 @@ impl WorkloadManager {
     /// observed as pending.
     pub fn take_atom_into(&mut self, atom: &AtomId, completing: &mut Vec<QueryId>) -> AtomBatch {
         // lint: invariant — documented public contract (see # Panics above)
-        let q = self
-            .queues
-            .remove(atom)
+        let subs = self
+            .core
+            .take(*atom)
             .unwrap_or_else(|| panic!("take_atom on empty queue {atom}"));
-        self.total_subs -= q.subs.len();
-        self.core.apply(Delta::Taken { atom: *atom });
-        for s in &q.subs {
+        for s in &subs {
             // lint: invariant — enqueue() registered every sub-query's query id
             let left = self
                 .pending_subs
@@ -287,7 +240,7 @@ impl WorkloadManager {
         }
         AtomBatch {
             atom: *atom,
-            subqueries: q.subs,
+            subqueries: subs,
         }
     }
 
@@ -351,7 +304,10 @@ impl WorkloadManager {
     /// means through [`Self::utility_snapshot`]; this map view is compiled
     /// for tests, and for rustdoc because the reference oracle's docs name it.
     #[cfg(any(test, doc))]
-    pub fn timestep_means(&mut self, residency: &dyn Residency) -> BTreeMap<u32, f64> {
+    pub fn timestep_means(
+        &mut self,
+        residency: &dyn Residency,
+    ) -> std::collections::BTreeMap<u32, f64> {
         self.integrated(residency).timestep_means()
     }
 
@@ -431,18 +387,13 @@ impl WorkloadManager {
         self.core.ensure_age_index(ts);
     }
 
-    /// Test hook: [`DeltaCore::check_slabs`] against this manager's queues.
-    /// `residency` = `None` checks the slab structure only; `Some` also
-    /// checks every slot's cached values, so the core must be integrated
-    /// against that same source.
+    /// Test hook: [`DeltaCore::check_slabs`]. `residency` = `None` checks
+    /// the slabs and their queues only; `Some` also checks every slot's
+    /// cached values, so the core must be integrated against that same
+    /// source.
     #[cfg(test)]
     fn check_slabs(&self, residency: Option<&dyn Residency>) {
-        let base = BaseView {
-            params: &self.params,
-            queues: &self.queues,
-        };
-        self.core
-            .check_slabs(&base, &self.pending_atom_ids(), residency);
+        self.core.check_slabs(&self.params, residency);
     }
 
     /// Test hook: the indexed Σ (now − oldest)⁺ of one timestep.
@@ -861,7 +812,7 @@ mod proptests {
     use jaws_cache::UtilityOracle;
     use jaws_morton::MortonKey;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     proptest! {
         /// Conservation: every enqueued sub-query is returned by exactly one
@@ -1189,15 +1140,19 @@ mod proptests {
         /// means and URC snapshot match the full-scan [`reference`] oracle
         /// bit for bit after every step — under both the tracked
         /// (epoch + change log) and the conservative residency protocols.
+        /// The oracle reads the same slots it checks, so the queues
+        /// themselves are checked against an independent shadow model: the
+        /// pending atoms, every atom's ΣW and age, and the exact sub-queries
+        /// (and completions) each take returns.
         #[test]
         fn delta_layer_matches_reference_under_interleaving(
             tracked in 0u32..2,
             alpha in 0.0f64..=1.0,
             ops in proptest::collection::vec(
                 // (kind, ts, morton, positions): kind 0-4 enqueue (biased),
-                // 5-6 take some pending atom (+ note completions), 7-8 flip
-                // residency, 9 flip a pending atom specifically, 10-11
-                // advance the clock with no state change.
+                // 5-6 take the best atom (+ note completions; 6 re-enqueues
+                // on it), 7-8 flip residency, 9 flip a pending atom
+                // specifically, 10-11 advance the clock with no state change.
                 (0u32..12, 0u32..4, 0u64..12, 1u32..200), 1..60),
         ) {
             let mut wm = WorkloadManager::new(MetricParams {
@@ -1207,28 +1162,37 @@ mod proptests {
             });
             let mut res = FlipResidency::new(tracked == 1);
             let probes = [AtomId::new(90, MortonKey(0)), AtomId::new(0, MortonKey(999))];
+            let mut shadow: BTreeMap<AtomId, Vec<SubQuery>> = BTreeMap::new();
             let mut next_query: QueryId = 1;
             let mut clock_bump = 0.0f64;
             for (i, &(kind, ts, m, positions)) in ops.iter().enumerate() {
                 let now_ms = (i as f64 + 1.0) * 50.0 + clock_bump;
                 let atom = AtomId::new(ts, MortonKey(m));
+                // The atom a new sub-query arrives on this step, if any.
+                let mut arrival = None;
                 match kind {
-                    0..=4 => {
-                        wm.enqueue([SubQuery {
-                            query: next_query,
-                            atom,
-                            positions,
-                            enqueued_ms: now_ms - (positions as f64 % 37.0),
-                        }]);
-                        next_query += 1;
-                    }
+                    0..=4 => arrival = Some(atom),
                     5 | 6 => {
                         // Take the current best atom, like a scheduler would,
-                        // and route the completions back as deltas.
+                        // and route the completions back as deltas. Kind 6
+                        // re-enqueues on the taken atom in the same window.
                         if let Some((best, _)) = wm.best_atom(now_ms, alpha, &res) {
-                            let (_, done) = wm.take_atom(&best);
+                            let (batch, done) = wm.take_atom(&best);
+                            let expect = shadow.remove(&best).expect("best atom is pending");
+                            prop_assert_eq!(&batch.subqueries, &expect, "queue of {}", best);
+                            let mut expect_done: Vec<QueryId> = Vec::new();
+                            for s in &expect {
+                                let elsewhere = shadow.values().flatten().any(|o| o.query == s.query);
+                                if !elsewhere && !expect_done.contains(&s.query) {
+                                    expect_done.push(s.query);
+                                }
+                            }
+                            prop_assert_eq!(&done, &expect_done, "completions of {}", best);
                             for q in done {
                                 wm.note_completed(q);
+                            }
+                            if kind == 6 {
+                                arrival = Some(best);
                             }
                         }
                     }
@@ -1239,6 +1203,26 @@ mod proptests {
                         }
                     }
                     _ => clock_bump += 500.0,
+                }
+                if let Some(atom) = arrival {
+                    let sub = SubQuery {
+                        query: next_query,
+                        atom,
+                        positions,
+                        enqueued_ms: now_ms - (positions as f64 % 37.0),
+                    };
+                    wm.enqueue([sub]);
+                    shadow.entry(atom).or_default().push(sub);
+                    next_query += 1;
+                }
+                let pending: Vec<AtomId> = shadow.keys().copied().collect();
+                prop_assert_eq!(wm.pending_atom_ids(), pending);
+                for (a, subs) in &shadow {
+                    let positions: u64 = subs.iter().map(|s| s.positions as u64).sum();
+                    prop_assert_eq!(wm.atom_positions(a), positions, "ΣW of {}", a);
+                    let oldest = subs.iter().map(|s| s.enqueued_ms).fold(f64::INFINITY, f64::min);
+                    let age = (now_ms - oldest).max(0.0);
+                    prop_assert_eq!(wm.age(a, now_ms).to_bits(), age.to_bits(), "age of {}", a);
                 }
                 wm.check_slabs(None);
                 assert_equiv(&mut wm, &res, now_ms, alpha, &probes);

@@ -293,31 +293,44 @@ mod tests {
 
     #[test]
     fn time_cap_truncates_gracefully() {
-        let trace = TraceGenerator::new(GenConfig::small(11)).generate();
-        let db = build_db(
-            small_db_config(),
-            CostModel::paper_testbed(),
-            DataMode::Virtual,
-            16,
-            CachePolicyKind::LruK,
-        );
-        let sched = build_scheduler(
-            SchedulerKind::NoShare,
-            MetricParams::paper_testbed(),
-            25,
-            10_000.0,
-        );
-        let mut ex = Executor::new(
-            db,
-            sched,
-            SimConfig {
-                max_sim_ms: 10_000.0,
-                ..SimConfig::default()
+        // Truncation retires every scheduler's pending work
+        // (`Scheduler::retire_pending`), queued and gated alike. Bursts
+        // 20× denser than `small` leave every scheduler a backlog at the
+        // cap, so the check is not vacuous.
+        let trace = TraceGenerator::new(GenConfig {
+            mean_burst_gap_ms: 1_000.0,
+            intra_burst_gap_ms: 50.0,
+            ..GenConfig::small(11)
+        })
+        .generate();
+        let kinds = SchedulerKind::evaluation_set().into_iter().chain([
+            SchedulerKind::CasJobs {
+                threshold_ms: 2_000,
             },
-        );
-        let r = ex.run(&trace);
-        assert!(r.truncated);
-        assert!(r.queries_completed < trace.query_count() as u64);
+            SchedulerKind::Qos { stretch_x10: 30 },
+        ]);
+        for kind in kinds {
+            let db = build_db(
+                small_db_config(),
+                CostModel::paper_testbed(),
+                DataMode::Virtual,
+                16,
+                CachePolicyKind::LruK,
+            );
+            let sched = build_scheduler(kind, MetricParams::paper_testbed(), 25, 10_000.0);
+            let mut ex = Executor::new(
+                db,
+                sched,
+                SimConfig {
+                    max_sim_ms: 10_000.0,
+                    ..SimConfig::default()
+                },
+            );
+            let r = ex.run(&trace);
+            let name = kind.name();
+            assert!(r.truncated && !ex.scheduler().has_pending(), "{name}");
+            assert!(r.queries_completed < trace.query_count() as u64, "{name}");
+        }
     }
 
     #[test]
