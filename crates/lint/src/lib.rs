@@ -31,14 +31,13 @@
 //! |------|-------|-----------------|
 //! | D001 | scheduler, sim (non-test) | iterating `HashMap`/`HashSet` where order can reach a scheduling decision; sort and attest with `lint: sorted`, or use B-tree collections |
 //! | D002 | everywhere except `crates/bench`, `crates/cache/src/pool.rs`, `crates/obs/tests/overhead_smoke.rs` | wall-clock/entropy sources (`Instant::now`, `SystemTime`, `thread_rng`, …); `available_parallelism` is sanctioned only inside `crates/par` |
-//! | D003 | everywhere except the defining module | building `FailurePlan` without its seeded constructors (`default()`, `Default` impls, struct literals) |
 //! | F001 | scheduler, sim, cache (non-test) | bare `partial_cmp` in ranking code — NaN makes it a partial order |
 //! | F002 | scheduler, sim, cache (non-test) | `==`/`!=` against float literals |
 //! | P001 | scheduler, sim (non-test) | `unwrap()`, unattested `expect()`, panic macros, indexing by integer literal |
 //! | C001 | everywhere, tests included | `.lock().unwrap()`; `.lock().expect(…)` without a `lint: invariant` attestation |
 //! | C002 | everywhere, tests included | acquiring a second distinct `Mutex`/`RwLock` while a guard is held in the same scope (lock-ordering hazard; lock-typed names are collected workspace-wide) |
 //! | C003 | everywhere, tests included | holding a lock guard across a `jaws_par::map*` call |
-//! | T001 | everywhere except `crates/par` | `jaws-par` closures capturing `RefCell`/`Cell`/atomics, doing atomic RMW, or calling obs sinks directly (the per-shard buffer drain in `crates/sim/src/engine.rs` is the sanctioned emission pattern) |
+//! | T001 | everywhere except `crates/par` | `jaws-par` closures capturing `RefCell`/`Cell`/atomics, doing atomic RMW, or calling obs sinks |
 //! | M001 | bodies of `// lint: hotpath` functions, tests included | per-call allocation (`Vec::new`, `Box::new`, `.collect()`) inside a declared hot path — reuse scratch from `jaws-arena` or a caller-provided buffer |
 //! | S001 | everywhere, tests included | suppression debt: a `lint:` marker that no longer justifies anything, or that matches no known form |
 //! | U001 | crate roots except `crates/bench` | missing `#![forbid(unsafe_code)]` |
@@ -157,13 +156,6 @@ pub const RULES: &[RuleInfo] = &[
               into crates/bench.",
     },
     RuleInfo {
-        id: "D003",
-        title: "FailurePlan must be built seeded",
-        rationale: "FailurePlan::default()/struct literals hide the scenario seed, producing \
-                    unreplayable failure scenarios.",
-        fix: "build plans with `FailurePlan::new(seed)` / `FailurePlan::none()`.",
-    },
-    RuleInfo {
         id: "F001",
         title: "no bare partial_cmp in ranking code",
         rationale: "partial_cmp over f64 is a partial order (NaN); sort_by with it can panic or \
@@ -213,12 +205,12 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "T001",
         title: "jaws-par closures must be deterministic",
-        rationale: "a closure passed to jaws_par::map/map_mut/map_indexed that captures \
+        rationale: "a closure passed to jaws_par::map/map_indexed that captures \
                     RefCell/Cell/atomics, performs atomic RMW, or emits to an obs sink makes \
                     results or trace order depend on worker interleaving, breaking the \
                     byte-identical-at-any-thread-count contract.",
-        fix: "keep closures pure per shard; for tracing, buffer into a per-shard VecRecorder \
-              and drain in shard order (see crates/sim/src/engine.rs).",
+        fix: "keep closures pure per shard; return what should be traced and emit it after the \
+              map, in input order.",
     },
     RuleInfo {
         id: "M001",
@@ -495,8 +487,8 @@ mod tests {
         let ids: BTreeSet<&str> = RULES.iter().map(|r| r.id).collect();
         assert_eq!(ids.len(), RULES.len(), "duplicate rule ids");
         for id in [
-            "D001", "D002", "D003", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001",
-            "S001", "U001",
+            "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001", "S001",
+            "U001",
         ] {
             assert!(rule_info(id).is_some(), "missing registry entry for {id}");
         }

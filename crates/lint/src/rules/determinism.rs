@@ -3,7 +3,6 @@
 //! * **D001** — no `HashMap`/`HashSet` iteration in dispatch-path crates.
 //! * **D002** — no wall-clock or entropy sources outside the sanctioned
 //!   shims.
-//! * **D003** — `FailurePlan` must be built through its seeded constructors.
 
 use crate::source::{hash_collection_names, Check, Line};
 
@@ -88,51 +87,7 @@ fn sort_evidence_nearby(lines: &[Line], ln: usize) -> bool {
     })
 }
 
-/// Detects `FailurePlan` constructions that dodge the explicit-seed
-/// constructors: `FailurePlan::default()`, a `Default for FailurePlan` impl,
-/// or a `FailurePlan { … }` struct literal. Type positions (`-> FailurePlan
-/// {`, `impl FailurePlan {`, `struct FailurePlan {` …) are not constructions
-/// and are skipped.
-fn d003_violation(code: &str) -> Option<&'static str> {
-    if code.contains("FailurePlan::default") {
-        return Some("`FailurePlan::default()` hides the scenario seed");
-    }
-    if code.contains("Default for FailurePlan") {
-        return Some("a `Default` impl for `FailurePlan` would hide the scenario seed");
-    }
-    for abs in find_all(code, "FailurePlan") {
-        let from = abs + "FailurePlan".len();
-        let left_ok = abs == 0 || !is_ident_char(code[..abs].chars().next_back().unwrap_or(' '));
-        let rest = &code[from..];
-        if !left_ok
-            || !rest.trim_start().starts_with('{')
-            || rest.starts_with(|c: char| is_ident_char(c))
-        {
-            continue;
-        }
-        let before = code[..abs].trim_end();
-        let type_position = ["impl", "for", "struct", "enum", "trait", "dyn"]
-            .iter()
-            .any(|kw| {
-                before.ends_with(kw)
-                    && !before[..before.len() - kw.len()]
-                        .chars()
-                        .next_back()
-                        .is_some_and(is_ident_char)
-            })
-            || before.ends_with("->")
-            || before.ends_with(':');
-        if !type_position {
-            return Some(
-                "`FailurePlan { … }` struct literal bypasses the seeded constructors; build \
-                 plans with `FailurePlan::new(seed)` / `FailurePlan::none()`",
-            );
-        }
-    }
-    None
-}
-
-/// Runs D001–D003 over the file.
+/// Runs D001–D002 over the file.
 pub fn run(c: &mut Check<'_>) {
     let hash_names = hash_collection_names(&c.lines);
     for ln in 0..c.lines.len() {
@@ -158,17 +113,6 @@ pub fn run(c: &mut Check<'_>) {
                              or simulated clock instead"
                         ),
                     );
-                }
-            }
-        }
-
-        // D003 — seedless FailurePlan construction (applies to tests too: an
-        // unseeded scenario is an unreplayable scenario). The defining module
-        // is the one sanctioned home for the struct literal.
-        if c.rel != "crates/sim/src/failure.rs" {
-            if let Some(msg) = d003_violation(&code) {
-                if !c.allowed(ln, "D003") {
-                    c.push(ln, "D003", msg.to_string());
                 }
             }
         }
@@ -282,53 +226,5 @@ mod tests {
         // The carve-out is per-token: a wall clock in crates/par still fires.
         let clock = "fn f() { let t = std::time::Instant::now(); }\n";
         assert_eq!(codes("crates/par/src/lib.rs", clock), vec!["D002"]);
-    }
-
-    #[test]
-    fn d003_fires_on_seedless_failure_plan_construction() {
-        assert_eq!(
-            codes(SCHED, "fn f() { let p = FailurePlan::default(); }\n"),
-            vec!["D003"]
-        );
-        assert_eq!(
-            codes(
-                "crates/sim/src/cluster.rs",
-                "impl Default for FailurePlan { fn default() -> Self { Self::none() } }\n"
-            ),
-            vec!["D003"]
-        );
-        assert_eq!(
-            codes(
-                "tests/extensions.rs",
-                "fn f() { let p = FailurePlan { seed: 1, events: vec![] }; }\n"
-            ),
-            vec!["D003"]
-        );
-        // Fires in test code too — an unseeded scenario is unreplayable.
-        let in_test =
-            "#[cfg(test)]\nmod tests {\n    fn f() { let p = FailurePlan::default(); }\n}\n";
-        assert_eq!(codes(SCHED, in_test), vec!["D003"]);
-    }
-
-    #[test]
-    fn d003_allows_seeded_constructors_and_type_positions() {
-        assert!(codes(SCHED, "fn f() { let p = FailurePlan::new(17); }\n").is_empty());
-        assert!(codes(SCHED, "fn f() { let p = FailurePlan::none(); }\n").is_empty());
-        assert!(codes(
-            SCHED,
-            "fn f() -> FailurePlan {\n    FailurePlan::new(3)\n}\n"
-        )
-        .is_empty());
-        assert!(codes(SCHED, "impl FailurePlan { fn x() {} }\n").is_empty());
-        assert!(codes(SCHED, "struct FailurePlanLike { seed: u64 }\n").is_empty());
-        // The defining module may use the struct literal in its constructors.
-        assert!(codes(
-            "crates/sim/src/failure.rs",
-            "fn new(seed: u64) -> FailurePlan { FailurePlan { seed, events: vec![] } }\n"
-        )
-        .is_empty());
-        // Explicit escape hatch still works.
-        let allowed = "fn f() { let p = FailurePlan::default(); // lint: allow(D003) — demo\n}\n";
-        assert!(codes(SCHED, allowed).is_empty());
     }
 }

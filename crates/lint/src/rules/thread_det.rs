@@ -1,21 +1,16 @@
 //! T-family rules: thread-determinism of `jaws-par` closures.
 //!
-//! * **T001** — a closure passed to a `jaws_par::map` / `map_mut` /
-//!   `map_indexed` call must stay pure-by-shard: no `RefCell`/`Cell`
-//!   interior mutability, no `Atomic*` types or RMW calls, and no direct
-//!   obs-sink emission (`.emit(` / `.forward(` / `.record(`). Worker
-//!   interleaving would otherwise leak into results or trace order, which
-//!   breaks the byte-identical-at-any-thread-count contract.
+//! * **T001** — a closure passed to a `jaws_par::map` / `map_indexed` call
+//!   must stay pure-by-shard: no `RefCell`/`Cell` interior mutability, no
+//!   `Atomic*` types or RMW calls, and no obs-sink emission (`.emit(` /
+//!   `.record(`). Worker interleaving would otherwise leak into results or
+//!   trace order, which breaks the byte-identical-at-any-thread-count
+//!   contract.
 //!
 //! Capture detection is name-based: identifiers declared in this file with a
 //! `RefCell`/`Cell`/`Atomic*` type (or constructor) are flagged when they
 //! appear inside the call's argument span, alongside direct type mentions
 //! and atomic read-modify-write calls.
-//!
-//! The one sanctioned emission pattern is the per-shard `VecRecorder`
-//! buffering in `crates/sim/src/engine.rs` (each pipeline writes a private
-//! buffer; the engine drains them in node order), so that file is exempt
-//! from the obs-sink clause — but not from the cell/atomic clauses.
 //!
 //! Detection is token-level: the argument span of the call is extracted by
 //! balanced-paren matching over the lexed stream, so flagged tokens inside
@@ -27,7 +22,7 @@ use std::collections::BTreeSet;
 use crate::lexer::TokenKind;
 use crate::source::{declared_names, Check};
 
-const ENTRY_POINTS: &[&str] = &["map", "map_mut", "map_indexed"];
+const ENTRY_POINTS: &[&str] = &["map", "map_indexed"];
 
 /// Interior-mutable / shared-state types whose bindings must not be
 /// captured by a par closure.
@@ -58,7 +53,7 @@ const RMW_CALLS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
-const SINK_CALLS: &[&str] = &["emit", "forward", "record"];
+const SINK_CALLS: &[&str] = &["emit", "record"];
 
 /// Runs T001 over the file.
 pub fn run(c: &mut Check<'_>) {
@@ -146,13 +141,11 @@ pub fn run(c: &mut Check<'_>) {
                     "closure passed to `jaws_par::{entry_name}` performs an atomic RMW \
                      (`.{id}(`) — worker interleaving leaks into results"
                 ))
-            } else if dotted_call && SINK_CALLS.contains(&id) && c.rel != "crates/sim/src/engine.rs"
-            {
+            } else if dotted_call && SINK_CALLS.contains(&id) {
                 Some(format!(
                     "closure passed to `jaws_par::{entry_name}` calls an obs sink (`.{id}(`) \
-                     directly — emission order would depend on worker interleaving; buffer \
-                     into a per-shard `VecRecorder` and drain in shard order (the sanctioned \
-                     pattern in crates/sim/src/engine.rs)"
+                     — emission order would depend on worker interleaving; return the data \
+                     and emit after the map, in input order"
                 ))
             } else {
                 None
@@ -198,11 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn t001_flags_direct_obs_emission_except_in_engine() {
+    fn t001_flags_direct_obs_emission_in_every_file() {
         let emit = "fn f(xs: &[u32], sink: &ObsSink) -> Vec<u32> {\n    jaws_par::map(xs, |x| {\n        sink.emit(0.0, ev(*x));\n        *x\n    })\n}\n";
         assert_eq!(codes(SIM, emit), vec!["T001"]);
-        // The sanctioned per-shard VecRecorder drain lives in engine.rs.
-        assert!(codes("crates/sim/src/engine.rs", emit).is_empty());
+        // The engine dispatches serially and has no exemption.
+        assert_eq!(codes("crates/sim/src/engine.rs", emit), vec!["T001"]);
     }
 
     #[test]

@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn declared_names_sees_nested_generics_and_constructors() {
         let lines = strip_source(
-            "struct S {\n    bufs: Vec<Arc<Mutex<VecRecorder>>>,\n    inner: Option<Arc<Mutex<dyn Recorder>>>,\n}\nfn f() { let buf = Arc::new(Mutex::new(0)); }\nfn g(guard: &Mutex<u32>) {}\nfn h() -> Vec<Arc<Mutex<u8>>> { todo() }\n",
+            "struct S {\n    bufs: Vec<Arc<Mutex<JsonlRecorder>>>,\n    inner: Option<Arc<Mutex<dyn Recorder>>>,\n}\nfn f() { let buf = Arc::new(Mutex::new(0)); }\nfn g(guard: &Mutex<u32>) {}\nfn h() -> Vec<Arc<Mutex<u8>>> { todo() }\n",
         );
         let names = declared_names(&lines, &["Mutex", "RwLock"]);
         assert!(names.contains("bufs"));

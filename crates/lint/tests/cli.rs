@@ -10,8 +10,7 @@ use std::process::{Command, Output};
 /// Every rule the violations fixture plants; `U001` comes from the missing
 /// forbid-unsafe attribute rather than a planted function.
 const ALL_RULES: &[&str] = &[
-    "D001", "D002", "D003", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001", "S001",
-    "U001",
+    "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001", "S001", "U001",
 ];
 
 fn workspace_root() -> PathBuf {

@@ -29,10 +29,6 @@ pub fn planted_p001(o: Option<u32>) -> u32 {
     o.unwrap()
 }
 
-pub fn planted_d003() {
-    let _ = FailurePlan::default();
-}
-
 pub fn planted_c001(m: &std::sync::Mutex<u32>) -> u32 {
     *m.lock().unwrap()
 }

@@ -14,14 +14,13 @@
 //!    [`ObsSink::enabled`] check is an `Option` test, and every emission site
 //!    in the stack guards event *construction* behind it, so a run with no
 //!    recorder wired does no allocation and produces bit-identical reports.
-//! 3. **Deterministic event order under parallelism.** Recorders are
-//!    `Arc<Mutex<_>>`-shared (`Recorder: Send`) so sinks may cross the
-//!    `jaws-par` worker threads, but the engine never lets workers race on a
-//!    shared recorder: parallel sections write into per-node [`VecRecorder`]
-//!    buffers that are drained into the shared recorder (via
-//!    [`ObsSink::forward`]) in a fixed node order on the coordinating thread.
-//!    Event order is therefore the serial engine dispatch order at any
-//!    thread count — byte-identical JSONL, not merely equivalent.
+//! 3. **One emitting thread per replay.** Recorders are `Arc<Mutex<_>>`-shared
+//!    (`Recorder: Send`) so a sink can be built once and handed to every
+//!    component, or to replays running on other threads (`sweep`). Within a
+//!    replay the engine dispatches serially, so every record is emitted in
+//!    the engine's event order on one thread — byte-identical JSONL at any
+//!    `jaws-par` worker count, and no `jaws-par` closure may emit (lint rule
+//!    T001).
 //!
 //! The schema (serialized as one JSON object per line, events externally
 //! tagged by variant name) is documented on [`Event`]; `trace_explain` in `crates/bench`
@@ -65,9 +64,9 @@ pub struct AtomChoice {
 ///
 /// Serialized externally tagged (`{"AtomRead": {...}}`) so a JSONL trace is
 /// self-describing line by line. All identifiers are the engine's own: query
-/// ids are trace query ids, part ids are the packed `(node+1) << 48 | query`
-/// sub-query ids used by the cluster routing layer, and atoms are
-/// `(timestep, morton)` pairs.
+/// ids are trace query ids, part ids are the packed `node << 48 | query`
+/// sub-query ids of the routing layer (node 0's part ids are the query ids),
+/// and atoms are `(timestep, morton)` pairs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Event {
     /// A job (ordered/batched/single client session) arrived at the engine.
@@ -304,8 +303,7 @@ pub struct Record {
 /// Consumes [`Record`]s. Implementations must not read wall clocks or any
 /// other nondeterministic source — a recorder is part of the simulation's
 /// deterministic closure. `Send` is required so sinks can be carried across
-/// the `jaws-par` worker threads (invariant 3 of the module docs governs how
-/// they are used there).
+/// threads (invariant 3 of the module docs).
 pub trait Recorder: Send {
     /// Whether this recorder wants events at all. Emission sites skip event
     /// construction entirely when this is false, so a disabled recorder costs
@@ -410,43 +408,6 @@ impl Recorder for JsonlRecorder {
     }
 }
 
-/// Buffers records verbatim in arrival order. The engine gives each node a
-/// private `VecRecorder` while a parallel section runs, then drains the
-/// buffers into the real recorder in node order via [`ObsSink::forward`] —
-/// reproducing the serial emission order exactly (module docs, invariant 3).
-#[derive(Debug, Default)]
-pub struct VecRecorder {
-    records: Vec<Record>,
-}
-
-impl VecRecorder {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes the buffered records (oldest first), leaving the buffer empty.
-    pub fn take(&mut self) -> Vec<Record> {
-        std::mem::take(&mut self.records)
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-impl Recorder for VecRecorder {
-    fn record(&mut self, rec: &Record) {
-        self.records.push(rec.clone());
-    }
-}
-
 /// A cheap, cloneable handle to a shared [`Recorder`], tagged with an
 /// optional node index. This is what gets threaded through the stack:
 /// components store an `ObsSink` (null by default) and call
@@ -514,21 +475,6 @@ impl ObsSink {
                     node: self.node,
                     event,
                 });
-            }
-        }
-    }
-
-    /// Re-records an already-stamped [`Record`] verbatim — timestamp and node
-    /// tag untouched. This is the drain half of the buffered-parallelism
-    /// protocol: per-node [`VecRecorder`] buffers are forwarded into the
-    /// shared recorder in node order after a parallel section.
-    pub fn forward(&self, rec: &Record) {
-        if let Some(r) = &self.inner {
-            // lint: invariant — a panicked recorder poisons the lock; no
-            // recovery keeps the trace complete, so propagate the panic
-            let mut r = r.lock().expect("recorder lock poisoned");
-            if r.enabled() {
-                r.record(rec);
             }
         }
     }
@@ -655,50 +601,9 @@ mod tests {
     }
 
     #[test]
-    fn forward_replays_buffered_records_verbatim() {
-        // The buffered-parallelism protocol: emit into a per-node VecRecorder
-        // through a node-tagged sink, then forward into the real recorder
-        // through an *untagged* sink — stamps and node tags must survive.
-        let buf = Arc::new(Mutex::new(VecRecorder::new()));
-        let node_sink = ObsSink::new(buf.clone()).with_node(2);
-        node_sink.emit(5.0, sample(5.0));
-        node_sink.emit(6.0, sample(6.0));
-        // lint: invariant — single-threaded test: a poisoned lock means an
-        // earlier assertion already failed
-        let records = buf.lock().expect("buffer lock").take();
-        assert_eq!(records.len(), 2);
-        // lint: invariant — single-threaded test: a poisoned lock means an
-        // earlier assertion already failed
-        assert!(buf.lock().expect("buffer lock").is_empty());
-
-        let shared = Arc::new(Mutex::new(JsonlRecorder::new()));
-        let drain = ObsSink::new(shared.clone());
-        for r in &records {
-            drain.forward(r);
-        }
-        let direct = {
-            let shared2 = Arc::new(Mutex::new(JsonlRecorder::new()));
-            let sink2 = ObsSink::new(shared2.clone()).with_node(2);
-            sink2.emit(5.0, sample(5.0));
-            sink2.emit(6.0, sample(6.0));
-            // lint: invariant — single-threaded test: a poisoned lock means
-            // an earlier assertion already failed
-            let out = shared2.lock().expect("jsonl recorder lock").take();
-            out
-        };
-        // lint: invariant — single-threaded test: a poisoned lock means an
-        // earlier assertion already failed
-        assert_eq!(
-            shared.lock().expect("jsonl recorder lock").contents(),
-            direct
-        );
-    }
-
-    #[test]
     fn recorders_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<ObsSink>();
-        assert_send::<VecRecorder>();
         assert_send::<JsonlRecorder>();
         assert_send::<RingRecorder>();
         assert_send::<NullRecorder>();

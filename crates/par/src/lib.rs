@@ -11,8 +11,8 @@
 //!   [`std::thread::available_parallelism`]. The count only affects *wall
 //!   clock*, never results.
 //! * **Index-sharded work queue.** Workers claim input indices from a shared
-//!   atomic counter ([`map`]/[`map_indexed`]) or a static round-robin shard
-//!   ([`map_mut`]); which worker computes which index is racy and irrelevant.
+//!   atomic counter ([`map`]/[`map_indexed`]); which worker computes which
+//!   index is racy and irrelevant.
 //! * **Ordered results.** Every map returns its outputs in *input order*, so
 //!   for a pure `f` the output vector is byte-identical at any thread count —
 //!   including the inline serial path taken when one worker (or one item)
@@ -23,8 +23,7 @@
 //! not a runtime race). A panicking `f` propagates to the caller after all
 //! workers have been joined.
 //!
-//! The crate is dependency-free and `forbid(unsafe_code)`: `map_mut` hands
-//! out disjoint `&mut` borrows via `iter_mut`, not pointer arithmetic.
+//! The crate is dependency-free and `forbid(unsafe_code)`.
 
 #![forbid(unsafe_code)]
 
@@ -183,48 +182,6 @@ where
     map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Ordered parallel map with *mutable* access to each item:
-/// `map_mut(items, f)[i] == f(i, &mut items[i])`.
-///
-/// Items are dealt round-robin to workers up front (static sharding), so the
-/// borrow checker can prove the `&mut` borrows disjoint without unsafe code.
-pub fn map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = thread_count().min(n.max(1));
-    if workers <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut shards: Vec<Vec<(usize, &mut T)>> = Vec::with_capacity(workers);
-    shards.resize_with(workers, Vec::new);
-    for (i, t) in items.iter_mut().enumerate() {
-        shards[i % workers].push((i, t));
-    }
-    let f = &f;
-    let parts: Vec<Vec<(usize, R)>> = thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .map(|shard| {
-                s.spawn(move || {
-                    shard
-                        .into_iter()
-                        .map(|(i, t)| (i, f(i, t)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("jaws-par worker panicked"))
-            .collect()
-    });
-    reassemble(n, parts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,24 +230,6 @@ mod tests {
             ids.iter().all(|&id| id == main_id),
             "all work ran on the calling thread"
         );
-    }
-
-    #[test]
-    fn map_mut_mutates_every_item_exactly_once() {
-        for threads in [1usize, 2, 5] {
-            let _g = override_threads(threads);
-            let mut items: Vec<u32> = (0..100).collect();
-            let seen = map_mut(&mut items, |i, t| {
-                *t += 1;
-                (i, *t)
-            });
-            assert_eq!(items, (1..=100).collect::<Vec<u32>>(), "threads={threads}");
-            let idx: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();
-            assert_eq!(idx, (0..100).collect::<Vec<usize>>());
-            for (i, v) in seen {
-                assert_eq!(v, i as u32 + 1);
-            }
-        }
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! per-node parts and completes — and, for ordered jobs, unblocks its
 //! successor — only when every part has finished (the paper's "JAWS combines
 //! and buffers the sub-query results before delivering the final result to
-//! the user"). The only cluster-specific code left here is the Morton-slab
-//! fan-out ([`crate::engine::Routing::MortonSlabs`]) and the per-node report
-//! breakdown; arrivals, pacing, think-time chains, prefetching, `max_sim_ms`
-//! truncation and idle re-checks are the engine's, shared with
-//! [`crate::Executor`].
+//! the user"). The only cluster-specific code left here is building the
+//! per-node pipelines and the per-node report breakdown; the Morton-slab
+//! fan-out ([`crate::engine::Routing`]), arrivals, pacing, think-time chains,
+//! prefetching, `max_sim_ms` truncation, idle re-checks, failures and
+//! replication are the engine's, and [`crate::Executor`] is the same engine
+//! over one node.
 
-use crate::engine::{self, Routing};
+use crate::engine::{self, Engine, Routing};
 use crate::failure::FailurePlan;
 use crate::node::NodePipeline;
 use crate::replication::{ReplicationConfig, ReplicationSummary};
@@ -194,7 +195,7 @@ impl ClusterExecutor {
     pub fn new(cfg: ClusterConfig) -> Self {
         cfg.db.validate();
         let per_ts = cfg.db.atoms_per_timestep();
-        assert!(cfg.nodes >= 1, "need at least one node");
+        let routing = Routing::new(per_ts, cfg.nodes, cfg.replication);
         assert!(
             cfg.nodes - 1 <= engine::MAX_NODE_INDEX,
             "nodes ({}) exceed the part-id packing budget ({} max)",
@@ -209,13 +210,12 @@ impl ClusterExecutor {
         // normalization, so each node must be told the key count it
         // *actually* owns — handing everyone the ceil slab size would
         // over-normalize (dampen) the short last slab's aged-utility term.
-        let slab_size = per_ts.div_ceil(cfg.nodes as u64);
         let pipelines = (0..cfg.nodes)
             .map(|node| {
                 let params = MetricParams {
                     atom_read_ms: cfg.cost.atom_read_ms,
                     position_compute_ms: cfg.cost.position_compute_ms,
-                    atoms_per_timestep: owned_atoms(per_ts, slab_size, cfg.nodes, node),
+                    atoms_per_timestep: owned_atoms(per_ts, routing.slab_size, cfg.nodes, node),
                 };
                 // Every node opens the full geometry but only ever reads its
                 // slab (plus stencil/prefetch spill-over); its cache and disk
@@ -233,20 +233,6 @@ impl ClusterExecutor {
                 )
             })
             .collect();
-        let nodes = cfg.nodes;
-        // Static Morton slabs, or the same slabs under the hot-atom replica
-        // overlay when dynamic placement is on. A disabled config routes
-        // through `MortonSlabs` so the replay is bit-identical to a build
-        // predating replication.
-        let routing = if cfg.replication.enabled {
-            Routing::Replicated {
-                slab_size,
-                nodes,
-                replication: cfg.replication,
-            }
-        } else {
-            Routing::MortonSlabs { slab_size, nodes }
-        };
         ClusterExecutor {
             cfg,
             pipelines,
@@ -267,7 +253,9 @@ impl ClusterExecutor {
         self.sink = sink;
     }
 
-    /// The node owning a Morton key: contiguous Morton slabs of equal size.
+    /// The node owning a Morton key under the static partition: contiguous
+    /// Morton slabs of ⌈atoms/nodes⌉ keys, the last node owning the short
+    /// remainder.
     pub fn node_of(&self, m: MortonKey) -> u32 {
         self.routing.node_of(m)
     }
@@ -279,15 +267,15 @@ impl ClusterExecutor {
     }
 
     /// Replays `trace` on the cluster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace geometry does not match the database (timesteps or
+    /// atom grid).
     pub fn run(&mut self, trace: &Trace) -> ClusterReport {
-        assert_eq!(
-            trace.atoms_per_side,
-            self.cfg.db.atoms_per_side(),
-            "trace grid mismatch"
-        );
-        let outcome = engine::run_trace(
+        let outcome = Engine::run(
             &mut self.pipelines,
-            &self.routing,
+            self.routing,
             &self.cfg.sim,
             trace,
             true,
@@ -511,6 +499,15 @@ mod tests {
         assert_eq!(r.aggregate.jobs_completed, trace.jobs.len() as u64);
         let routed: u64 = r.nodes.iter().map(|n| n.parts_completed).sum();
         assert!(routed >= trace.query_count() as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace spans 8 timesteps, beyond the database's 4")]
+    fn cluster_rejects_a_trace_longer_than_the_database() {
+        let trace = TraceGenerator::new(GenConfig::small(3)).generate();
+        let mut cfg = cluster_cfg(2, SchedulerKind::Jaws2 { batch_k: 8 });
+        cfg.db.timesteps = 4;
+        ClusterExecutor::new(cfg).run(&trace);
     }
 
     #[test]
@@ -935,17 +932,19 @@ mod tests {
         }
 
         /// `(query, node)` round-trips through part-id packing over the full
-        /// supported range of both fields.
+        /// supported range of both fields; node 0's part ids are the trace
+        /// ids, and parts of one query on different nodes never collide.
         #[test]
         fn part_id_packing_round_trips(
             query in 0u64..=engine::PART_QUERY_MASK,
             node in 0u32..=engine::MAX_NODE_INDEX,
+            other in 0u32..=engine::MAX_NODE_INDEX,
         ) {
             let pid = engine::part_id(query, node);
             prop_assert_eq!(engine::orig_id(pid), query);
             prop_assert_eq!(engine::part_node(pid), node);
-            prop_assert!(pid > engine::PART_QUERY_MASK,
-                "part ids must never collide with raw trace query ids");
+            prop_assert_eq!(engine::part_id(query, 0), query);
+            prop_assert_eq!(pid == engine::part_id(query, other), node == other);
         }
     }
 }

@@ -1,30 +1,33 @@
-//! The shared discrete-event core behind [`crate::Executor`] and
+//! The discrete-event core behind [`crate::Executor`] and
 //! [`crate::ClusterExecutor`].
 //!
-//! Both public executors used to carry their own event heap, arrival pacing,
-//! ordered-job think-time chains and completion bookkeeping — and had drifted
-//! (the cluster path lacked prefetching, `max_sim_ms` truncation and the idle
-//! re-check). This module owns all of it exactly once:
+//! One route serves every deployment shape: a single server is a cluster of
+//! one node owning the one Morton slab (§V-C runs one JAWS instance per
+//! slab). This module owns all of the replay:
 //!
-//! * [`Routing`] decides how a submitted query reaches the node pipelines —
-//!   the identity route of a single node, or the Morton-slab fan-out of the
-//!   §V-C cluster with packed per-node part ids;
+//! * [`Routing`] splits the atom grid into `nodes ≥ 1` contiguous Morton
+//!   slabs, optionally under the hot-atom replica overlay
+//!   ([`crate::replication`]); a query fans out into per-node parts under
+//!   packed part ids, and node 0's part ids *are* the trace query ids;
 //! * `LiveRouting` (crate-internal) overlays the static route with node
-//!   liveness: a scripted
-//!   crash ([`crate::FailurePlan`]) marks a node dead and re-routes its slab
-//!   to a survivor (clamped, chained across repeated failures);
-//! * `run_trace` (crate-internal) is the one client model: it replays job
-//!   arrivals, paces batched queries, drives ordered think-time chains,
-//!   enforces the cross-node completion barrier (outstanding-part counts),
-//!   charges batch service times, spends idle capacity on trajectory
-//!   prefetches, injects scripted node failures (crash re-dispatch, straggler
-//!   slowdowns), and truncates at the simulated-time cap — against N ≥ 1
-//!   [`NodePipeline`]s.
+//!   liveness: a scripted crash ([`crate::FailurePlan`]) marks a node dead
+//!   and re-routes its slab to a survivor (clamped, chained across repeated
+//!   failures);
+//! * `Engine` (crate-internal) is the one client model, with one method per
+//!   event kind: it replays job arrivals, paces batched queries, drives
+//!   ordered think-time chains, enforces the cross-node completion barrier
+//!   (outstanding-part counts), charges batch service times, spends idle
+//!   capacity on trajectory prefetches, injects scripted node failures
+//!   (crash re-dispatch, straggler slowdowns), and truncates at the
+//!   simulated-time cap — against N ≥ 1 [`NodePipeline`]s.
 //!
 //! The engine owns the clock: pipelines never see time except through the
-//! `now_ms` arguments the engine passes in. All engine-side state is kept in
-//! `BTreeMap`s so iteration order can never leak hash randomness into
-//! scheduling decisions (lint rule D001 needs no carve-outs here).
+//! `now_ms` arguments the engine passes in. Dispatch is serial: each event
+//! is followed by one round over the live pipelines in ascending node order,
+//! so event ids, reports and JSONL traces are a function of the seeded
+//! inputs only. All engine-side state is kept in `BTreeMap`s so iteration
+//! order can never leak hash randomness into scheduling decisions (lint rule
+//! D001 needs no carve-outs here).
 //!
 //! ## Failure semantics
 //!
@@ -47,24 +50,23 @@ use crate::report::RunTotals;
 use crate::SimConfig;
 use jaws_arena::Lanes;
 use jaws_morton::MortonKey;
-use jaws_obs::{ObsSink, VecRecorder};
+use jaws_obs::ObsSink;
 use jaws_workload::{Footprint, Job, JobKind, Query, QueryId, Trace};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
 
 /// Bits of a packed part id that carry the original query id. The remaining
-/// high bits hold `node + 1`, so part ids from different nodes never collide
-/// with each other or with raw trace query ids.
+/// high bits hold the node index, so node 0's part ids equal the trace query
+/// ids and parts of one query on different nodes never collide.
 pub const PART_QUERY_BITS: u32 = 48;
 
 /// Mask selecting the original-query-id bits of a packed part id.
 pub const PART_QUERY_MASK: u64 = (1 << PART_QUERY_BITS) - 1;
 
-/// Highest node index a part id can encode: `node + 1` must fit in the
-/// `64 − PART_QUERY_BITS` tag bits.
-pub const MAX_NODE_INDEX: u32 = (1 << (64 - PART_QUERY_BITS)) - 2;
+/// Highest node index a part id can encode in its `64 − PART_QUERY_BITS`
+/// tag bits.
+pub const MAX_NODE_INDEX: u32 = (1 << (64 - PART_QUERY_BITS)) - 1;
 
 /// Packs a node index into the high bits of a part id.
 pub fn part_id(query: QueryId, node: u32) -> QueryId {
@@ -76,7 +78,7 @@ pub fn part_id(query: QueryId, node: u32) -> QueryId {
         node <= MAX_NODE_INDEX,
         "node {node} exceeds the packed-field maximum {MAX_NODE_INDEX}"
     );
-    ((node as u64 + 1) << PART_QUERY_BITS) | query
+    ((node as u64) << PART_QUERY_BITS) | query
 }
 
 /// Recovers the original query id from a part id.
@@ -86,7 +88,7 @@ pub fn orig_id(part: QueryId) -> QueryId {
 
 /// Recovers the node index from a part id.
 pub fn part_node(part: QueryId) -> u32 {
-    ((part >> PART_QUERY_BITS) - 1) as u32
+    (part >> PART_QUERY_BITS) as u32
 }
 
 /// Remnant job declarations (crash re-dispatch) tag the synthetic job id with
@@ -102,58 +104,48 @@ const REMNANT_JOB_BITS: u32 = 48;
 /// count (far below 2¹⁵), so the namespaces never collide.
 const REPLICA_DECL_BIT: u64 = 1 << 63;
 
-/// How submitted queries reach the node pipelines.
+/// How submitted queries reach the node pipelines: the §V-C partition of the
+/// atom grid into contiguous Morton slabs of `slab_size` atoms, one per
+/// node. Each query fans out into per-node part queries (packed ids) and
+/// completes only when every part has. One node owns the one slab, and its
+/// parts are the queries themselves. Built by [`Routing::new`], which keeps
+/// `nodes ≥ 1` and the slab size consistent with it.
 #[derive(Debug, Clone, Copy)]
-pub enum Routing {
-    /// One pipeline; queries are delivered whole, under their trace ids.
-    Single,
-    /// The §V-C cluster: the atom grid is split into contiguous Morton slabs
-    /// of `slab_size` atoms, one per node; each query fans out into per-node
-    /// part queries (packed ids) and completes only when every part has.
-    MortonSlabs {
-        /// Atoms per node slab (`ceil(atoms-per-timestep / nodes)`). When the
-        /// node count does not divide the atoms per timestep, every node but
-        /// the last owns a full slab and the last owns the short remainder.
-        slab_size: u64,
-        /// Number of nodes; keys past the last full slab are clamped onto the
-        /// final node so the short remainder slab is still owned.
-        nodes: u32,
-    },
-    /// Morton slabs plus a dynamic hot-atom replica overlay: static slab
-    /// ownership exactly as in [`Routing::MortonSlabs`], but the engine
-    /// maintains a per-key access histogram and routes each footprint atom to
-    /// the least-loaded live replica, falling back to the owner
-    /// ([`crate::replication`]).
-    Replicated {
-        /// Atoms per node slab, as in [`Routing::MortonSlabs`].
-        slab_size: u64,
-        /// Number of nodes, as in [`Routing::MortonSlabs`].
-        nodes: u32,
-        /// Histogram window and hysteresis thresholds of the overlay.
-        replication: ReplicationConfig,
-    },
+pub struct Routing {
+    /// Atoms per node slab (`ceil(atoms-per-timestep / nodes)`). When the
+    /// node count does not divide the atoms per timestep, every node but
+    /// the last owns a full slab and the last owns the short remainder.
+    pub(crate) slab_size: u64,
+    /// Number of nodes (≥ 1); keys past the last full slab are clamped onto
+    /// the final node so the short remainder slab is still owned.
+    pub(crate) nodes: u32,
+    /// Hot-atom replica overlay: when enabled, the engine keeps a per-key
+    /// access histogram and routes each footprint atom to the least-loaded
+    /// live replica, falling back to the slab owner. Disabled, the engine
+    /// allocates no replication state at all.
+    pub(crate) replication: ReplicationConfig,
 }
 
 impl Routing {
+    /// Ceil-sized slabs of `atoms_per_timestep` keys over `nodes` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is zero.
+    pub fn new(atoms_per_timestep: u64, nodes: u32, replication: ReplicationConfig) -> Self {
+        assert!(nodes >= 1, "need at least one node");
+        Routing {
+            slab_size: atoms_per_timestep.div_ceil(nodes as u64),
+            nodes,
+            replication,
+        }
+    }
+
     /// The node owning a Morton key under the *static* partition (no failure
     /// redirects applied — the engine's `LiveRouting` overlay holds its
     /// own failure-aware view).
     pub fn node_of(&self, m: MortonKey) -> u32 {
-        match self {
-            Routing::Single => 0,
-            Routing::MortonSlabs { slab_size, nodes }
-            | Routing::Replicated {
-                slab_size, nodes, ..
-            } => ((m.raw() / slab_size) as u32).min(nodes - 1),
-        }
-    }
-
-    /// Maps a completed part id back to the trace query id.
-    pub fn original_id(&self, part: QueryId) -> QueryId {
-        match self {
-            Routing::Single => part,
-            Routing::MortonSlabs { .. } | Routing::Replicated { .. } => orig_id(part),
-        }
+        ((m.raw() / self.slab_size) as u32).min(self.nodes - 1)
     }
 }
 
@@ -161,26 +153,32 @@ impl Routing {
 /// crash redirects the dead node's slab onto its survivor (and compresses any
 /// chain of earlier redirects that pointed at the dead node), so `node_of`
 /// always answers with a live node.
-struct LiveRouting<'r> {
-    base: &'r Routing,
+struct LiveRouting {
+    base: Routing,
     /// Per static owner: the live node currently responsible for its slab.
     redirect: Vec<u32>,
     /// Per node: false once a scripted crash killed it.
     alive: Vec<bool>,
 }
 
-impl<'r> LiveRouting<'r> {
-    fn new(base: &'r Routing, nodes: usize) -> Self {
+impl LiveRouting {
+    fn new(base: Routing) -> Self {
         LiveRouting {
             base,
-            redirect: (0..nodes as u32).collect(),
-            alive: vec![true; nodes],
+            redirect: (0..base.nodes).collect(),
+            alive: vec![true; base.nodes as usize],
         }
     }
 
     /// The live node owning a Morton key.
     fn node_of(&self, m: MortonKey) -> u32 {
         self.redirect[self.base.node_of(m) as usize]
+    }
+
+    /// True when node 0 serves every slab, so a job's node-0 projection is
+    /// the job itself. O(nodes): it reads `redirect`, never a footprint.
+    fn node0_owns_all(&self) -> bool {
+        self.redirect.iter().all(|&r| r == 0)
     }
 
     /// Kills `node`, redirecting every slab it was responsible for onto the
@@ -224,48 +222,47 @@ impl<'r> LiveRouting<'r> {
     /// Projects a job onto one node for declaration: each query keeps only
     /// the footprint atoms the node owns (under its part id); queries with
     /// empty projections are dropped, preserving order. `None` when the node
-    /// owns nothing of the job. The single route borrows the job whole.
+    /// owns nothing of the job. When node 0 owns every slab its projection
+    /// is the job itself, borrowed.
     fn project_job<'j>(&self, job: &'j Job, node: u32) -> Option<Cow<'j, Job>> {
-        match self.base {
-            Routing::Single => Some(Cow::Borrowed(job)),
-            Routing::MortonSlabs { .. } | Routing::Replicated { .. } => {
-                let queries: Vec<Query> = job
-                    .queries
+        if node == 0 && self.node0_owns_all() {
+            return Some(Cow::Borrowed(job));
+        }
+        let queries: Vec<Query> = job
+            .queries
+            .iter()
+            .filter_map(|q| {
+                let atoms: Vec<(MortonKey, u32)> = q
+                    .footprint
+                    .atoms
                     .iter()
-                    .filter_map(|q| {
-                        let atoms: Vec<(MortonKey, u32)> = q
-                            .footprint
-                            .atoms
-                            .iter()
-                            .copied()
-                            .filter(|&(m, _)| self.node_of(m) == node)
-                            .collect();
-                        if atoms.is_empty() {
-                            return None;
-                        }
-                        Some(Query {
-                            id: part_id(q.id, node),
-                            user: q.user,
-                            op: q.op,
-                            timestep: q.timestep,
-                            footprint: Footprint::from_pairs(atoms),
-                        })
-                    })
+                    .copied()
+                    .filter(|&(m, _)| self.node_of(m) == node)
                     .collect();
-                if queries.is_empty() {
+                if atoms.is_empty() {
                     return None;
                 }
-                Some(Cow::Owned(Job {
-                    id: job.id,
-                    user: job.user,
-                    kind: job.kind,
-                    campaign: job.campaign,
-                    queries,
-                    arrival_ms: job.arrival_ms,
-                    think_ms: job.think_ms,
-                }))
-            }
+                Some(Query {
+                    id: part_id(q.id, node),
+                    user: q.user,
+                    op: q.op,
+                    timestep: q.timestep,
+                    footprint: Footprint::from_pairs(atoms),
+                })
+            })
+            .collect();
+        if queries.is_empty() {
+            return None;
         }
+        Some(Cow::Owned(Job {
+            id: job.id,
+            user: job.user,
+            kind: job.kind,
+            campaign: job.campaign,
+            queries,
+            arrival_ms: job.arrival_ms,
+            think_ms: job.think_ms,
+        }))
     }
 }
 
@@ -445,60 +442,6 @@ impl EventQueue {
     }
 }
 
-/// Per-node observability buffers, active only while a traced multi-node run
-/// is in flight. Pipelines may step on `jaws-par` worker threads, so letting
-/// them write the shared recorder directly would make trace order depend on
-/// thread interleaving. Instead each pipeline is rewired to a private
-/// [`VecRecorder`]; the engine drains the buffers — in node order, at the
-/// exact points where the serial engine would have called into each pipeline
-/// — through [`ObsSink::forward`], which re-records verbatim. The resulting
-/// JSONL is byte-identical to a serial run at any thread count (jaws-obs
-/// module docs, invariant 3).
-struct TraceBuffers<'a> {
-    bufs: Vec<Arc<Mutex<VecRecorder>>>,
-    out: &'a ObsSink,
-}
-
-impl TraceBuffers<'_> {
-    /// Forwards everything `node` buffered since the last drain.
-    fn drain(&self, node: usize) {
-        // lint: invariant — a poisoned buffer lock means a worker already
-        // panicked, and that panic is re-raised by jaws_par::map_mut
-        let mut buf = self.bufs[node].lock().expect("trace buffer lock");
-        for r in buf.take() {
-            self.out.forward(&r);
-        }
-    }
-
-    /// Drains every node's buffer in ascending node order.
-    fn drain_all(&self) {
-        for node in 0..self.bufs.len() {
-            self.drain(node);
-        }
-    }
-}
-
-/// Installs per-node trace buffers when a traced run has more than one
-/// pipeline (the only case where pipelines may emit from worker threads).
-fn buffer_node_sinks<'a>(
-    pipelines: &mut [NodePipeline],
-    sink: &'a ObsSink,
-) -> Option<TraceBuffers<'a>> {
-    if pipelines.len() < 2 || !sink.enabled() {
-        return None;
-    }
-    let bufs: Vec<Arc<Mutex<VecRecorder>>> = pipelines
-        .iter_mut()
-        .enumerate()
-        .map(|(node, p)| {
-            let buf = Arc::new(Mutex::new(VecRecorder::new()));
-            p.set_recorder(ObsSink::new(buf.clone()).with_node(node as u32));
-            buf
-        })
-        .collect();
-    Some(TraceBuffers { bufs, out: sink })
-}
-
 /// Per-node failure outcome of one run, consumed by the cluster report.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeStatus {
@@ -533,8 +476,7 @@ pub(crate) struct EngineOutcome {
     pub node_status: Vec<NodeStatus>,
     /// Time of the first scripted failure that actually fired, if any.
     pub first_failure_ms: Option<f64>,
-    /// Replica-overlay summary; `None` unless [`Routing::Replicated`] with
-    /// replication enabled was in force.
+    /// Replica-overlay summary; `None` unless replication was enabled.
     pub replication: Option<ReplicationSummary>,
 }
 
@@ -548,26 +490,18 @@ struct FailureState {
     /// Every outstanding part as submitted (footprint included), so a crash
     /// can re-enqueue it verbatim through the survivor.
     defs: BTreeMap<QueryId, Query>,
-    /// Per node: part ids its scheduler has been told about via a job
-    /// declaration (arrival projections and crash remnants).
-    declared: Vec<BTreeSet<QueryId>>,
     /// Per trace job: whether its arrival event has fired.
     arrived: Vec<bool>,
     /// Crashes handled so far (1-based ordinal tags remnant job ids).
     crashes: u64,
 }
 
-/// Bookkeeping that exists only under an enabled [`Routing::Replicated`]
-/// overlay; static-slab and single-node replays allocate none of it and take
-/// the exact pre-replication code paths.
+/// Bookkeeping that exists only under an enabled replica overlay;
+/// static-slab replays allocate none of it and take the exact
+/// pre-replication code paths.
 struct ReplicationState {
     /// Histogram, replica table and transition counters.
     dir: ReplicaDirectory,
-    /// Per node: part ids its scheduler has been told about — arrival
-    /// projections, crash remnants, and just-in-time replica declarations.
-    /// Kept in lockstep with `FailureState::declared` when both layers are
-    /// active, so either layer's membership test answers for both.
-    declared: Vec<BTreeSet<QueryId>>,
     /// Per node: parts submitted and not yet completed — the integer load
     /// signal that replica placement and routing minimize over.
     node_load: Vec<u64>,
@@ -579,17 +513,17 @@ struct ReplicationState {
 /// footprint is scattered into per-node lanes, built into part queries, and
 /// the lane buffers are recovered after delivery — so a warmed-up submit
 /// allocates nothing on the static-slab route and only the per-part `Query`
-/// clones demanded by declarations on the replicated route.
+/// clones demanded by declarations under the replica overlay.
 struct EngineScratch {
     /// Per-node `(morton, count)` buckets for the footprint scatter.
     lanes: Lanes<(MortonKey, u32)>,
-    /// Replicated route: which nodes statically own atoms of the current
+    /// Replica overlay: which nodes statically own atoms of the current
     /// query (withdrawal bookkeeping). Reset per submit.
     owner_flag: Vec<bool>,
-    /// Replicated route: replica promote/demote/route transitions of the
-    /// current query. Cleared per submit.
+    /// Replica overlay: promote/demote/route transitions of the current
+    /// query. Cleared per submit.
     actions: Vec<ReplicaAction>,
-    /// Replicated route: built parts awaiting delivery — the trace event
+    /// Replica overlay: built parts awaiting delivery — the trace event
     /// order requires every just-in-time declaration to precede the first
     /// delivery, so parts are staged here between the two passes.
     parts: Vec<(u32, Query)>,
@@ -606,152 +540,253 @@ impl EngineScratch {
     }
 }
 
-/// Hands one part query to its owning pipeline: emits the routing record,
-/// registers failure-plan bookkeeping, feeds the trajectory predictor (for
-/// ordered follow-ups) and makes the part available to the node's scheduler.
-#[allow(clippy::too_many_arguments)]
-fn deliver_part(
-    node: u32,
-    part: &Query,
-    query: QueryId,
-    observe: bool,
-    job_id: u64,
-    now_ms: f64,
-    fstate: &mut Option<FailureState>,
-    pipelines: &mut [NodePipeline],
-    sink: &ObsSink,
-    buffers: &Option<TraceBuffers<'_>>,
-) {
-    if sink.enabled() {
-        sink.emit(
-            now_ms,
-            jaws_obs::Event::PartRouted {
-                query,
-                part: part.id,
-                node,
-                atoms: part.footprint.atoms.len() as u32,
-            },
-        );
-    }
-    if let Some(fs) = fstate {
-        fs.pending[node as usize].insert(part.id);
-        fs.defs.insert(part.id, part.clone());
-    }
-    let p = &mut pipelines[node as usize];
-    if observe {
-        p.observe(job_id, part);
-    }
-    p.query_available(part, now_ms);
-    if let Some(b) = buffers {
-        b.drain(node as usize);
-    }
+/// Panics unless `trace` fits a node's database geometry: no more timesteps
+/// than the database holds, and the same atom grid. The engine checks every
+/// node once, before any event fires, for both executors.
+fn check_trace(trace: &Trace, db: &jaws_turbdb::DbConfig) {
+    assert!(
+        trace.timesteps <= db.timesteps,
+        "trace spans {} timesteps, beyond the database's {}",
+        trace.timesteps,
+        db.timesteps
+    );
+    assert_eq!(
+        trace.atoms_per_side,
+        db.atoms_per_side(),
+        "trace atom grid does not match the database"
+    );
 }
 
-/// Replays `trace` against `pipelines` under `routing` until the trace drains
-/// or the simulated-time cap fires.
-///
-/// `declare_on_arrival` controls whether each trace job is declared to the
-/// schedulers at its arrival (the normal path); the single-node executor
-/// passes `false` after an up-front ground-truth declaration override
-/// ([`crate::Executor::declare_jobs`]).
-///
-/// `failures` scripts node crashes and slowdowns; it must be empty on the
-/// single route (there is no survivor to re-dispatch to).
-///
-/// `sink` receives the engine-level lifecycle events (job arrival, query
-/// submission, part routing, completion, failures, end-of-run counters);
-/// per-node events are emitted by the pipelines through their own
-/// (node-tagged) sinks.
-pub(crate) fn run_trace(
-    pipelines: &mut [NodePipeline],
-    routing: &Routing,
-    cfg: &SimConfig,
-    trace: &Trace,
+/// One replay of a trace against N ≥ 1 node pipelines: the run's state, and
+/// one method per [`Event`] kind.
+pub(crate) struct Engine<'a> {
+    pipelines: &'a mut [NodePipeline],
+    cfg: &'a SimConfig,
+    trace: &'a Trace,
+    failures: &'a FailurePlan,
+    /// Receives the engine-level lifecycle events (job arrival, query
+    /// submission, part routing, completion, failures, end-of-run counters);
+    /// per-node events are emitted by the pipelines through their own sinks.
+    sink: &'a ObsSink,
+    /// Whether each trace job is declared to the schedulers at its arrival
+    /// (false after [`crate::Executor::declare_jobs`] declared up front).
     declare_on_arrival: bool,
-    failures: &FailurePlan,
-    sink: &ObsSink,
-) -> EngineOutcome {
-    assert!(
-        failures.is_empty()
-            || matches!(
-                routing,
-                Routing::MortonSlabs { .. } | Routing::Replicated { .. }
-            ),
-        "failure plans require the cluster route (a single node has no survivor)"
-    );
-    // Query → (job index, query index) for completion routing.
-    let mut locate: BTreeMap<QueryId, (usize, usize)> = BTreeMap::new();
-    for (ji, job) in trace.jobs.iter().enumerate() {
-        for (qi, q) in job.queries.iter().enumerate() {
-            locate.insert(q.id, (ji, qi));
+    live: LiveRouting,
+    /// Query → (job index, query index) for completion routing.
+    locate: BTreeMap<QueryId, (usize, usize)>,
+    submit_ms: BTreeMap<QueryId, f64>,
+    /// Per-query completion barrier: outstanding part count.
+    outstanding: BTreeMap<QueryId, u32>,
+    totals: RunTotals,
+    response_log: Vec<(QueryId, f64)>,
+    remaining_per_job: Vec<usize>,
+    now_ms: f64,
+    queue: EventQueue,
+    node_status: Vec<NodeStatus>,
+    first_failure_ms: Option<f64>,
+    /// Per node: part ids its scheduler has been told about — arrival
+    /// projections, crash remnants and just-in-time replica declarations,
+    /// minus withdrawn ids. Empty unless a failure plan or the replica
+    /// overlay needs the membership answers.
+    declared: Vec<BTreeSet<QueryId>>,
+    fstate: Option<FailureState>,
+    rstate: Option<ReplicationState>,
+    scratch: EngineScratch,
+}
+
+impl<'a> Engine<'a> {
+    /// Replays `trace` against `pipelines` under `routing` until the trace
+    /// drains or the simulated-time cap fires.
+    ///
+    /// `failures` scripts node crashes and slowdowns (validated against the
+    /// node count by the caller).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace does not fit the database geometry, if a query id
+    /// exceeds the [`PART_QUERY_BITS`] budget, or if the pipeline count
+    /// differs from `routing.nodes`.
+    pub(crate) fn run(
+        pipelines: &'a mut [NodePipeline],
+        routing: Routing,
+        cfg: &'a SimConfig,
+        trace: &'a Trace,
+        declare_on_arrival: bool,
+        failures: &'a FailurePlan,
+        sink: &'a ObsSink,
+    ) -> EngineOutcome {
+        let nodes = pipelines.len();
+        assert_eq!(nodes, routing.nodes as usize, "one pipeline per node");
+        for p in pipelines.iter() {
+            check_trace(trace, p.db().config());
+        }
+        let mut locate = BTreeMap::new();
+        for (ji, job) in trace.jobs.iter().enumerate() {
+            for (qi, q) in job.queries.iter().enumerate() {
+                assert!(
+                    q.id <= PART_QUERY_MASK,
+                    "query id {} exceeds the {PART_QUERY_BITS}-bit part budget",
+                    q.id
+                );
+                locate.insert(q.id, (ji, qi));
+            }
+        }
+        let first_arrival = trace.jobs.first().map_or(0.0, |j| j.arrival_ms);
+        let replication = routing.replication;
+        let mut e = Engine {
+            cfg,
+            trace,
+            failures,
+            sink,
+            declare_on_arrival,
+            live: LiveRouting::new(routing),
+            locate,
+            submit_ms: BTreeMap::new(),
+            outstanding: BTreeMap::new(),
+            totals: RunTotals {
+                responses: Vec::with_capacity(trace.query_count()),
+                jobs_completed: 0,
+                first_arrival,
+                last_completion: first_arrival,
+                truncated: false,
+            },
+            response_log: Vec::new(),
+            remaining_per_job: trace.jobs.iter().map(|j| j.queries.len()).collect(),
+            now_ms: 0.0,
+            queue: EventQueue::default(),
+            node_status: vec![NodeStatus::default(); nodes],
+            first_failure_ms: None,
+            // Failure and replication bookkeeping is allocated only when in
+            // force, so a plain replay pays nothing (event ids included: an
+            // empty plan pushes no events).
+            declared: if failures.is_empty() && !replication.enabled {
+                Vec::new()
+            } else {
+                vec![BTreeSet::new(); nodes]
+            },
+            fstate: (!failures.is_empty()).then(|| FailureState {
+                pending: vec![BTreeSet::new(); nodes],
+                defs: BTreeMap::new(),
+                arrived: vec![false; trace.jobs.len()],
+                crashes: 0,
+            }),
+            rstate: replication.enabled.then(|| ReplicationState {
+                dir: ReplicaDirectory::new(replication),
+                node_load: vec![0; nodes],
+                decls: 0,
+            }),
+            // Reusable fan-out scratch: allocated once per run, cleared per
+            // event — the per-event hot path allocates nothing after warm-up.
+            scratch: EngineScratch::new(nodes),
+            pipelines,
+        };
+        for (ji, job) in trace.jobs.iter().enumerate() {
+            e.queue.push(job.arrival_ms, Event::JobArrival(ji));
+        }
+        for (i, ev) in failures.events().iter().enumerate() {
+            e.queue.push(ev.at_ms(), Event::Failure(i));
+        }
+        while let Some((at, ev)) = e.queue.pop() {
+            if at > cfg.max_sim_ms {
+                e.totals.truncated = true;
+                break;
+            }
+            e.now_ms = e.now_ms.max(at);
+            match ev {
+                Event::JobArrival(ji) => e.job_arrival(ji),
+                Event::QuerySubmit(ji, qi) => {
+                    let observe = trace.jobs[ji].kind == JobKind::Ordered;
+                    e.submit(ji, qi, observe);
+                }
+                Event::BatchDone(node, parts) => {
+                    if !e.live.alive[node as usize] {
+                        // The node died mid-batch: its completion never
+                        // happens and these parts were re-dispatched at
+                        // crash time. Nothing changed, so no dispatch round.
+                        continue;
+                    }
+                    e.batch_done(node, parts);
+                }
+                Event::PrefetchDone(node) => {
+                    if e.live.alive[node as usize] {
+                        e.pipelines[node as usize].set_idle();
+                    }
+                }
+                Event::IdleCheck(node) => {
+                    if e.live.alive[node as usize] {
+                        e.pipelines[node as usize].clear_idle_check();
+                    }
+                }
+                Event::Failure(i) => e.failure(i),
+            }
+            e.dispatch_round();
+        }
+        e.finish()
+    }
+
+    /// A trace job arrived: declare its projection to every live node (unless
+    /// declarations were overridden), then start its client loop.
+    fn job_arrival(&mut self, ji: usize) {
+        let (trace, now_ms) = (self.trace, self.now_ms);
+        let job = &trace.jobs[ji];
+        if let Some(fs) = &mut self.fstate {
+            fs.arrived[ji] = true;
+        }
+        if self.sink.enabled() {
+            self.sink.emit(
+                now_ms,
+                jaws_obs::Event::JobArrival {
+                    job: job.id,
+                    kind: match job.kind {
+                        JobKind::Ordered => "ordered".to_string(),
+                        JobKind::Batched => "batched".to_string(),
+                    },
+                    queries: job.queries.len() as u32,
+                },
+            );
+        }
+        if self.declare_on_arrival {
+            for (node, p) in self.pipelines.iter_mut().enumerate() {
+                if !self.live.alive[node] {
+                    continue;
+                }
+                if let Some(pj) = self.live.project_job(job, node as u32) {
+                    if let Some(d) = self.declared.get_mut(node) {
+                        d.extend(pj.queries.iter().map(|q| q.id));
+                    }
+                    p.job_declared(pj.as_ref(), now_ms);
+                }
+            }
+        }
+        match job.kind {
+            JobKind::Batched => {
+                // The client loop streams order-independent queries at its
+                // pacing cadence.
+                for qi in 0..job.queries.len() {
+                    self.queue.push(
+                        now_ms + qi as f64 * job.think_ms,
+                        Event::QuerySubmit(ji, qi),
+                    );
+                }
+            }
+            // The chain head is submitted in place (the predictor only
+            // observes from the second query on).
+            JobKind::Ordered => self.submit(ji, 0, false),
         }
     }
-    let total_queries: usize = trace.query_count();
-    let mut submit_ms: BTreeMap<QueryId, f64> = BTreeMap::new();
-    // Per-query completion barrier: outstanding part count (always 1 on the
-    // single route; one per owning node under Morton slabs).
-    let mut outstanding: BTreeMap<QueryId, u32> = BTreeMap::new();
-    let mut responses: Vec<f64> = Vec::with_capacity(total_queries);
-    let mut response_log: Vec<(QueryId, f64)> = Vec::new();
-    let mut jobs_completed = 0u64;
-    let mut remaining_per_job: Vec<usize> = trace.jobs.iter().map(|j| j.queries.len()).collect();
-    let first_arrival = trace.jobs.first().map_or(0.0, |j| j.arrival_ms);
-    let mut last_completion = first_arrival;
-    let mut truncated = false;
-    let mut now_ms = 0.0f64;
-    let mut queue = EventQueue::default();
-    let mut live = LiveRouting::new(routing, pipelines.len());
-    let mut node_status: Vec<NodeStatus> = vec![NodeStatus::default(); pipelines.len()];
-    let mut first_failure_ms: Option<f64> = None;
-    // Failure bookkeeping is allocated only when a plan is in force, so the
-    // plain replay pays nothing and stays byte-identical to its pre-failure
-    // behavior (event ids included: the plan pushes no events when empty).
-    let mut fstate: Option<FailureState> = (!failures.is_empty()).then(|| FailureState {
-        pending: vec![BTreeSet::new(); pipelines.len()],
-        defs: BTreeMap::new(),
-        declared: vec![BTreeSet::new(); pipelines.len()],
-        arrived: vec![false; trace.jobs.len()],
-        crashes: 0,
-    });
-    // Replication bookkeeping follows the same only-pay-when-active rule.
-    let mut rstate: Option<ReplicationState> = match routing {
-        Routing::Replicated { replication, .. } if replication.enabled => Some(ReplicationState {
-            dir: ReplicaDirectory::new(*replication),
-            declared: vec![BTreeSet::new(); pipelines.len()],
-            node_load: vec![0; pipelines.len()],
-            decls: 0,
-        }),
-        _ => None,
-    };
-    // Traced multi-node runs: buffer per-node emissions so worker threads
-    // never interleave on the shared recorder (see [`TraceBuffers`]).
-    let buffers = buffer_node_sinks(pipelines, sink);
-    // Reusable fan-out and dispatch scratch: allocated once per run, cleared
-    // per event — the per-event hot path allocates nothing after warm-up.
-    let mut scratch = EngineScratch::new(pipelines.len());
-    let mut plans: Vec<DispatchPlan> = Vec::with_capacity(pipelines.len());
 
-    // Submits query (ji, qi): records the submission time, fans the query
-    // out to its owning pipelines, and (for ordered follow-ups) feeds the
-    // trajectory predictors. The fan-out scatters into the reusable scratch
-    // lanes and recovers each part's footprint buffer after delivery, so a
-    // warmed-up submit performs no allocation on the static routes.
-    let submit = |ji: usize,
-                  qi: usize,
-                  observe: bool,
-                  now_ms: f64,
-                  live: &LiveRouting,
-                  submit_ms: &mut BTreeMap<QueryId, f64>,
-                  outstanding: &mut BTreeMap<QueryId, u32>,
-                  fstate: &mut Option<FailureState>,
-                  rstate: &mut Option<ReplicationState>,
-                  pipelines: &mut [NodePipeline],
-                  scratch: &mut EngineScratch| {
+    /// Submits query (ji, qi): records the submission time and fans the query
+    /// out to its owning pipelines; `observe` feeds ordered follow-ups to the
+    /// trajectory predictors. The static fan-out scatters into the reusable
+    /// scratch lanes and recovers each part's footprint buffer after
+    /// delivery, so a warmed-up submit performs no allocation.
+    fn submit(&mut self, ji: usize, qi: usize, observe: bool) {
+        let (trace, now_ms) = (self.trace, self.now_ms);
         let job = &trace.jobs[ji];
         let q = &job.queries[qi];
-        submit_ms.insert(q.id, now_ms);
-        if sink.enabled() {
-            sink.emit(
+        self.submit_ms.insert(q.id, now_ms);
+        if self.sink.enabled() {
+            self.sink.emit(
                 now_ms,
                 jaws_obs::Event::QuerySubmit {
                     query: q.id,
@@ -762,783 +797,499 @@ pub(crate) fn run_trace(
                 },
             );
         }
-        match rstate {
-            Some(rs) => {
-                replicated_fan_out(
-                    rs,
-                    fstate,
-                    q,
-                    job,
-                    observe,
-                    now_ms,
-                    live,
-                    pipelines,
-                    sink,
-                    &buffers,
-                    scratch,
-                    outstanding,
-                );
+        if self.rstate.is_some() {
+            self.replicated_fan_out(q, job, observe);
+        } else {
+            for &(m, c) in &q.footprint.atoms {
+                self.scratch
+                    .lanes
+                    .push(self.live.node_of(m) as usize, (m, c));
             }
-            None => match live.base {
-                Routing::Single => {
-                    // The single route delivers the query itself, unchanged.
-                    outstanding.insert(q.id, 1);
-                    deliver_part(
-                        0, q, q.id, observe, job.id, now_ms, fstate, pipelines, sink, &buffers,
-                    );
-                }
-                Routing::MortonSlabs { .. } | Routing::Replicated { .. } => {
-                    for &(m, c) in &q.footprint.atoms {
-                        scratch.lanes.push(live.node_of(m) as usize, (m, c));
-                    }
-                    let parts = (0..scratch.lanes.len())
-                        .filter(|&n| scratch.lanes.lane_len(n) > 0)
-                        .count();
-                    outstanding.insert(q.id, parts as u32);
-                    for node in 0..scratch.lanes.len() {
-                        if scratch.lanes.lane_len(node) == 0 {
-                            continue;
-                        }
-                        let atoms = scratch.lanes.take_lane(node);
-                        let mut part = Query {
-                            id: part_id(q.id, node as u32),
-                            user: q.user,
-                            op: q.op,
-                            timestep: q.timestep,
-                            footprint: Footprint::from_pairs_in_place(atoms),
-                        };
-                        deliver_part(
-                            node as u32,
-                            &part,
-                            q.id,
-                            observe,
-                            job.id,
-                            now_ms,
-                            fstate,
-                            pipelines,
-                            sink,
-                            &buffers,
-                        );
-                        scratch
-                            .lanes
-                            .restore(node, std::mem::take(&mut part.footprint.atoms));
-                    }
-                }
-            },
-        }
-    };
-
-    for (ji, job) in trace.jobs.iter().enumerate() {
-        queue.push(job.arrival_ms, Event::JobArrival(ji));
-    }
-    for (i, ev) in failures.events().iter().enumerate() {
-        queue.push(ev.at_ms(), Event::Failure(i));
-    }
-
-    while let Some((at, ev)) = queue.pop() {
-        if at > cfg.max_sim_ms {
-            truncated = true;
-            break;
-        }
-        now_ms = now_ms.max(at);
-        match ev {
-            Event::JobArrival(ji) => {
-                let job = &trace.jobs[ji];
-                if let Some(fs) = &mut fstate {
-                    fs.arrived[ji] = true;
-                }
-                if sink.enabled() {
-                    sink.emit(
-                        now_ms,
-                        jaws_obs::Event::JobArrival {
-                            job: job.id,
-                            kind: match job.kind {
-                                JobKind::Ordered => "ordered".to_string(),
-                                JobKind::Batched => "batched".to_string(),
-                            },
-                            queries: job.queries.len() as u32,
-                        },
-                    );
-                }
-                if declare_on_arrival {
-                    for node in 0..pipelines.len() as u32 {
-                        if !live.alive[node as usize] {
-                            continue;
-                        }
-                        if let Some(pj) = live.project_job(job, node) {
-                            if let Some(fs) = &mut fstate {
-                                fs.declared[node as usize].extend(pj.queries.iter().map(|q| q.id));
-                            }
-                            if let Some(rs) = &mut rstate {
-                                rs.declared[node as usize].extend(pj.queries.iter().map(|q| q.id));
-                            }
-                            pipelines[node as usize].job_declared(pj.as_ref(), now_ms);
-                            if let Some(b) = &buffers {
-                                b.drain(node as usize);
-                            }
-                        }
-                    }
-                }
-                match job.kind {
-                    JobKind::Batched => {
-                        // The client loop streams order-independent queries
-                        // at its pacing cadence.
-                        for (qi, _) in job.queries.iter().enumerate() {
-                            queue.push(
-                                now_ms + qi as f64 * job.think_ms,
-                                Event::QuerySubmit(ji, qi),
-                            );
-                        }
-                    }
-                    JobKind::Ordered => {
-                        // The chain head is submitted in place (the predictor
-                        // only observes from the second query on).
-                        submit(
-                            ji,
-                            0,
-                            false,
-                            now_ms,
-                            &live,
-                            &mut submit_ms,
-                            &mut outstanding,
-                            &mut fstate,
-                            &mut rstate,
-                            &mut *pipelines,
-                            &mut scratch,
-                        );
-                    }
-                }
-            }
-            Event::QuerySubmit(ji, qi) => {
-                let observe = trace.jobs[ji].kind == JobKind::Ordered;
-                submit(
-                    ji,
-                    qi,
-                    observe,
-                    now_ms,
-                    &live,
-                    &mut submit_ms,
-                    &mut outstanding,
-                    &mut fstate,
-                    &mut rstate,
-                    &mut *pipelines,
-                    &mut scratch,
-                );
-            }
-            Event::BatchDone(node, completed_parts) => {
-                if !live.alive[node as usize] {
-                    // The node died mid-batch: its completion never happens
-                    // and these parts were re-dispatched at crash time.
+            let parts = (0..self.scratch.lanes.len())
+                .filter(|&n| self.scratch.lanes.lane_len(n) > 0)
+                .count();
+            self.outstanding.insert(q.id, parts as u32);
+            for node in 0..self.scratch.lanes.len() {
+                if self.scratch.lanes.lane_len(node) == 0 {
                     continue;
                 }
-                pipelines[node as usize].set_idle();
-                for pid in completed_parts {
-                    let qid = routing.original_id(pid);
-                    // lint: invariant — schedulers only complete queries
-                    // previously handed to query_available
-                    let submitted = submit_ms
-                        .get(&qid)
-                        .copied()
-                        .expect("completed query was submitted");
-                    let rt = now_ms - submitted;
-                    pipelines[node as usize].complete_part(pid, rt, now_ms);
-                    if let Some(fs) = &mut fstate {
-                        fs.pending[node as usize].remove(&pid);
-                        fs.defs.remove(&pid);
-                    }
-                    if let Some(rs) = &mut rstate {
-                        rs.node_load[node as usize] = rs.node_load[node as usize].saturating_sub(1);
-                    }
-                    if let Some(b) = &buffers {
-                        b.drain(node as usize);
-                    }
-                    // lint: invariant — every part was registered in
-                    // `outstanding` when its query was submitted
-                    let left = outstanding
-                        .get_mut(&qid)
-                        .expect("completed part of a tracked query");
-                    *left -= 1;
-                    if *left > 0 {
-                        continue;
-                    }
-                    outstanding.remove(&qid);
-                    // The whole query is done: record and advance the job.
-                    if sink.enabled() {
-                        sink.emit(
-                            now_ms,
-                            jaws_obs::Event::QueryComplete {
-                                query: qid,
-                                response_ms: rt,
-                            },
-                        );
-                        sink.emit(
-                            now_ms,
-                            jaws_obs::Event::Histogram {
-                                name: "engine.response_ms".to_string(),
-                                sample: rt,
-                            },
-                        );
-                    }
-                    responses.push(rt);
-                    response_log.push((qid, rt));
-                    last_completion = now_ms;
-                    let (ji, qi) = locate[&qid];
-                    let job = &trace.jobs[ji];
-                    remaining_per_job[ji] -= 1;
-                    if remaining_per_job[ji] == 0 {
-                        jobs_completed += 1;
-                    }
-                    if job.kind == JobKind::Ordered && qi + 1 < job.queries.len() {
-                        queue.push(now_ms + job.think_ms, Event::QuerySubmit(ji, qi + 1));
-                    }
-                }
-            }
-            Event::PrefetchDone(node) => {
-                if live.alive[node as usize] {
-                    pipelines[node as usize].set_idle();
-                }
-            }
-            Event::IdleCheck(node) => {
-                if live.alive[node as usize] {
-                    pipelines[node as usize].clear_idle_check();
-                }
-            }
-            Event::Failure(i) => {
-                let ev = failures.events()[i];
-                first_failure_ms.get_or_insert(now_ms);
-                match ev {
-                    FailureEvent::Slowdown { node, factor, .. } => {
-                        if live.alive[node as usize] {
-                            pipelines[node as usize].set_service_multiplier(factor);
-                            node_status[node as usize].slowdown = factor;
-                            if sink.enabled() {
-                                sink.emit(now_ms, jaws_obs::Event::NodeSlowdown { node, factor });
-                            }
-                        }
-                    }
-                    FailureEvent::Crash { node, survivor, .. } => {
-                        // FailurePlan::validate rejects plans that crash the
-                        // same node twice, so this assert cannot fire.
-                        assert!(live.alive[node as usize], "node {node} crashed twice");
-                        crash_node(
-                            node,
-                            survivor,
-                            now_ms,
-                            trace,
-                            &locate,
-                            &submit_ms,
-                            &mut live,
-                            // lint: invariant — run_trace asserts the plan is
-                            // empty unless the cluster route is in force, and
-                            // fstate is Some whenever the plan is non-empty
-                            fstate.as_mut().expect("failure state exists"),
-                            &mut rstate,
-                            &mut node_status,
-                            pipelines,
-                            sink,
-                            &buffers,
-                        );
-                    }
-                }
-            }
-        }
-        dispatch_round(
-            pipelines,
-            &live.alive,
-            now_ms,
-            cfg,
-            &mut queue,
-            &buffers,
-            &mut plans,
-        );
-    }
-
-    if let Some(b) = &buffers {
-        // Nothing should be left (every interaction drains eagerly), but a
-        // truncation break mid-iteration must not lose records.
-        b.drain_all();
-        // Re-wire the pipelines to the shared recorder, exactly as the
-        // cluster executor had them before the run.
-        for (node, p) in pipelines.iter_mut().enumerate() {
-            p.set_recorder(sink.with_node(node as u32));
-        }
-    }
-
-    if responses.len() < total_queries {
-        truncated = true;
-    }
-    if truncated {
-        // Queries still queued will never complete; let schedulers that keep
-        // per-query bookkeeping (QoS deadlines) retire it instead of leaking
-        // it — scheduler instances outlive the trace in the daemon direction.
-        for (node, p) in pipelines.iter_mut().enumerate() {
-            if live.alive[node] {
-                p.retire_pending(now_ms);
-            }
-        }
-    }
-    if sink.enabled() {
-        sink.emit(
-            now_ms,
-            jaws_obs::Event::Counter {
-                name: "engine.queries_completed".to_string(),
-                value: responses.len() as u64,
-            },
-        );
-        sink.emit(
-            now_ms,
-            jaws_obs::Event::Counter {
-                name: "engine.jobs_completed".to_string(),
-                value: jobs_completed,
-            },
-        );
-    }
-    EngineOutcome {
-        totals: RunTotals {
-            responses,
-            jobs_completed,
-            first_arrival,
-            last_completion,
-            truncated,
-        },
-        response_log,
-        node_status,
-        first_failure_ms,
-        replication: rstate.map(|rs| rs.dir.summary()),
-    }
-}
-
-/// Computes the per-node parts of `q` under the replica overlay: records each
-/// footprint atom in the access histogram, applies the promotion/demotion
-/// transitions the refreshed windows trigger, routes every atom to the
-/// least-loaded live candidate (slab owner or replica), and regroups the
-/// atoms into per-target parts. Two declaration-consistency duties ride
-/// along, in deterministic order:
-///
-/// * **withdrawals** — a statically-owning node whose every atom diverted
-///   away holds a declared part id that will never arrive; job-aware gating
-///   would stall its partners until the gate timeout, so the id is withdrawn
-///   ([`crate::scheduler_api::Scheduler::query_withdrawn`] via the pipeline);
-/// * **just-in-time declarations** — a replica host outside the job's static
-///   projection has never heard of the incoming part id (JAWS₂ gating
-///   requires every available query to be declared), so a synthetic
-///   single-query job (id namespace [`REPLICA_DECL_BIT`]) declares it first.
-///   Single-query jobs never form gating alignments, so the declaration
-///   cannot distort schedule quality.
-#[allow(clippy::too_many_arguments)]
-fn replicated_fan_out(
-    rs: &mut ReplicationState,
-    fstate: &mut Option<FailureState>,
-    q: &Query,
-    job: &Job,
-    observe: bool,
-    now_ms: f64,
-    live: &LiveRouting<'_>,
-    pipelines: &mut [NodePipeline],
-    sink: &ObsSink,
-    buffers: &Option<TraceBuffers<'_>>,
-    scratch: &mut EngineScratch,
-    outstanding: &mut BTreeMap<QueryId, u32>,
-) {
-    scratch.actions.clear();
-    scratch.owner_flag.iter_mut().for_each(|f| *f = false);
-    for &(m, c) in &q.footprint.atoms {
-        let owner = live.node_of(m);
-        scratch.owner_flag[owner as usize] = true;
-        let target = rs.dir.route_atom(
-            m,
-            owner,
-            now_ms,
-            &live.alive,
-            &rs.node_load,
-            &mut scratch.actions,
-        );
-        scratch.lanes.push(target as usize, (m, c));
-    }
-    if sink.enabled() {
-        for a in &scratch.actions {
-            let ev = match *a {
-                ReplicaAction::Promoted {
-                    morton,
-                    node,
-                    window_accesses,
-                } => jaws_obs::Event::ReplicaPromoted {
-                    morton: morton.raw(),
-                    node,
-                    window_accesses,
-                },
-                ReplicaAction::Demoted { morton, node } => jaws_obs::Event::ReplicaDropped {
-                    morton: morton.raw(),
-                    node,
-                    crashed: false,
-                },
-                ReplicaAction::Routed {
-                    morton,
-                    owner,
-                    replica,
-                } => jaws_obs::Event::ReplicaRouted {
-                    query: q.id,
-                    morton: morton.raw(),
-                    owner,
-                    replica,
-                },
-            };
-            sink.emit(now_ms, ev);
-        }
-    }
-    // Withdrawals before deliveries, so gating state is settled when the
-    // diverted parts arrive.
-    for (node, pipeline) in pipelines.iter_mut().enumerate() {
-        if !scratch.owner_flag[node] || scratch.lanes.lane_len(node) > 0 {
-            continue;
-        }
-        let pid = part_id(q.id, node as u32);
-        if rs.declared[node].remove(&pid) {
-            if let Some(fs) = fstate {
-                fs.declared[node].remove(&pid);
-            }
-            pipeline.query_withdrawn(pid, now_ms);
-            if let Some(b) = buffers {
-                b.drain(node);
-            }
-        }
-    }
-    // Build the parts and run every just-in-time declaration first (ascending
-    // node order) — the trace byte-stream pins declarations ahead of the
-    // first delivery.
-    debug_assert!(scratch.parts.is_empty(), "parts scratch left dirty");
-    for (node, pipeline) in pipelines.iter_mut().enumerate() {
-        if scratch.lanes.lane_len(node) == 0 {
-            continue;
-        }
-        let atoms = scratch.lanes.take_lane(node);
-        let part = Query {
-            id: part_id(q.id, node as u32),
-            user: q.user,
-            op: q.op,
-            timestep: q.timestep,
-            footprint: Footprint::from_pairs_in_place(atoms),
-        };
-        if !rs.declared[node].contains(&part.id) {
-            rs.decls += 1;
-            let decl = Job {
-                id: REPLICA_DECL_BIT | rs.decls,
-                user: job.user,
-                kind: job.kind,
-                campaign: job.campaign,
-                queries: vec![part.clone()],
-                arrival_ms: job.arrival_ms,
-                think_ms: job.think_ms,
-            };
-            rs.declared[node].insert(part.id);
-            if let Some(fs) = fstate {
-                fs.declared[node].insert(part.id);
-            }
-            pipeline.job_declared(&decl, now_ms);
-            if let Some(b) = buffers {
-                b.drain(node);
-            }
-        }
-        scratch.parts.push((node as u32, part));
-    }
-    outstanding.insert(q.id, scratch.parts.len() as u32);
-    // Deliveries in ascending node order; each part's footprint buffer goes
-    // back to its lane once the pipeline has taken what it needs.
-    let mut parts = std::mem::take(&mut scratch.parts);
-    for (node, part) in &mut parts {
-        rs.node_load[*node as usize] += 1;
-        deliver_part(
-            *node, part, q.id, observe, job.id, now_ms, fstate, pipelines, sink, buffers,
-        );
-        scratch
-            .lanes
-            .restore(*node as usize, std::mem::take(&mut part.footprint.atoms));
-    }
-    parts.clear();
-    scratch.parts = parts;
-}
-
-/// Handles one scripted crash: kills the node in the routing overlay, then
-/// re-dispatches everything it held through the survivor — first declaring
-/// *remnant job* projections so the survivor's job-aware gating knows the
-/// incoming ids, then re-enqueueing the pending parts in ascending part-id
-/// order. Future queries of already-arrived jobs whose atoms now route to the
-/// survivor under a part id it was never told about are declared too, so
-/// their later submission finds a known id.
-#[allow(clippy::too_many_arguments)]
-fn crash_node(
-    node: u32,
-    designated: Option<u32>,
-    now_ms: f64,
-    trace: &Trace,
-    locate: &BTreeMap<QueryId, (usize, usize)>,
-    submit_ms: &BTreeMap<QueryId, f64>,
-    live: &mut LiveRouting<'_>,
-    fs: &mut FailureState,
-    rstate: &mut Option<ReplicationState>,
-    node_status: &mut [NodeStatus],
-    pipelines: &mut [NodePipeline],
-    sink: &ObsSink,
-    buffers: &Option<TraceBuffers<'_>>,
-) {
-    let surv = live.crash(node, designated);
-    fs.crashes += 1;
-    let moved = std::mem::take(&mut fs.pending[node as usize]);
-    node_status[node as usize].failed = true;
-    node_status[node as usize].redispatched_parts = moved.len() as u64;
-    if sink.enabled() {
-        sink.emit(
-            now_ms,
-            jaws_obs::Event::NodeFailed {
-                node,
-                survivor: surv,
-                redispatched: moved.len() as u64,
-            },
-        );
-    }
-    if let Some(rs) = rstate {
-        // The dead node's replicas leave the routing table (its slab itself
-        // re-chains through `LiveRouting` exactly as without replication),
-        // and the load it carried moves to the survivor along with the parts.
-        for m in rs.dir.drop_node(node) {
-            if sink.enabled() {
-                sink.emit(
-                    now_ms,
-                    jaws_obs::Event::ReplicaDropped {
-                        morton: m.raw(),
-                        node,
-                        crashed: true,
-                    },
-                );
-            }
-        }
-        let moved_load = std::mem::take(&mut rs.node_load[node as usize]);
-        debug_assert_eq!(moved_load, moved.len() as u64, "load tracks pending");
-        rs.node_load[surv as usize] += moved_load;
-    }
-
-    // Remnant declarations, grouped per trace job in ascending job index;
-    // within a job, queries stay in sequence order (ties on the same query —
-    // several re-dispatched parts of one query — break by part id).
-    let mut remnants: BTreeMap<usize, Vec<(usize, QueryId, Query)>> = BTreeMap::new();
-    for &pid in &moved {
-        let qid = orig_id(pid);
-        let (ji, qi) = locate[&qid];
-        // lint: invariant — every pending part stored its definition at
-        // submission time
-        let def = fs.defs.get(&pid).expect("pending part has a definition");
-        remnants.entry(ji).or_default().push((qi, pid, def.clone()));
-    }
-    for (ji, job) in trace.jobs.iter().enumerate() {
-        if !fs.arrived[ji] {
-            // Unarrived jobs project through the post-crash routing at their
-            // arrival; nothing to declare early.
-            continue;
-        }
-        for (qi, q) in job.queries.iter().enumerate() {
-            if submit_ms.contains_key(&q.id) {
-                continue; // submitted (or already complete): not a future query
-            }
-            let atoms: Vec<(MortonKey, u32)> = q
-                .footprint
-                .atoms
-                .iter()
-                .copied()
-                .filter(|&(m, _)| live.node_of(m) == surv)
-                .collect();
-            if atoms.is_empty() {
-                continue;
-            }
-            let pid = part_id(q.id, surv);
-            if fs.declared[surv as usize].contains(&pid) {
-                continue; // the survivor's own projection already covers it
-            }
-            remnants.entry(ji).or_default().push((
-                qi,
-                pid,
-                Query {
-                    id: pid,
+                let atoms = self.scratch.lanes.take_lane(node);
+                let mut part = Query {
+                    id: part_id(q.id, node as u32),
                     user: q.user,
                     op: q.op,
                     timestep: q.timestep,
-                    footprint: Footprint::from_pairs(atoms),
-                },
-            ));
-        }
-    }
-    for (ji, mut parts) in remnants {
-        parts.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let job = &trace.jobs[ji];
-        debug_assert!(
-            job.id < (1 << REMNANT_JOB_BITS),
-            "trace job id exceeds the remnant tag budget"
-        );
-        let remnant = Job {
-            // Tagged with the crash ordinal: distinct from the trace id and
-            // from remnants of earlier crashes.
-            id: (fs.crashes << REMNANT_JOB_BITS) | job.id,
-            user: job.user,
-            kind: job.kind,
-            campaign: job.campaign,
-            queries: parts.into_iter().map(|(_, _, q)| q).collect(),
-            arrival_ms: job.arrival_ms,
-            think_ms: job.think_ms,
-        };
-        fs.declared[surv as usize].extend(remnant.queries.iter().map(|q| q.id));
-        if let Some(rs) = rstate {
-            rs.declared[surv as usize].extend(remnant.queries.iter().map(|q| q.id));
-        }
-        pipelines[surv as usize].job_declared(&remnant, now_ms);
-        if let Some(b) = buffers {
-            b.drain(surv as usize);
+                    footprint: Footprint::from_pairs_in_place(atoms),
+                };
+                self.deliver_part(node as u32, &part, q.id, observe, job.id);
+                self.scratch
+                    .lanes
+                    .restore(node, std::mem::take(&mut part.footprint.atoms));
+            }
         }
     }
 
-    // Re-enqueue the dead node's pending parts through the survivor's
-    // scheduler: recovered work re-enters the utility ranking, it does not
-    // jump the queue.
-    for &pid in &moved {
-        // lint: invariant — every pending part stored its definition at
-        // submission time
-        let def = fs
-            .defs
-            .get(&pid)
-            .expect("pending part has a definition")
-            .clone();
-        if sink.enabled() {
-            sink.emit(
-                now_ms,
-                jaws_obs::Event::PartRedispatched {
-                    part: pid,
-                    from: node,
-                    to: surv,
+    /// Hands one part query to its owning pipeline: emits the routing record,
+    /// registers failure-plan and replica-load bookkeeping, feeds the
+    /// trajectory predictor (for ordered follow-ups) and makes the part
+    /// available to the node's scheduler.
+    fn deliver_part(&mut self, node: u32, part: &Query, query: QueryId, observe: bool, job: u64) {
+        if self.sink.enabled() {
+            self.sink.emit(
+                self.now_ms,
+                jaws_obs::Event::PartRouted {
+                    query,
+                    part: part.id,
+                    node,
+                    atoms: part.footprint.atoms.len() as u32,
                 },
             );
         }
-        fs.pending[surv as usize].insert(pid);
-        pipelines[surv as usize].query_available(&def, now_ms);
-        if let Some(b) = buffers {
-            b.drain(surv as usize);
+        if let Some(fs) = &mut self.fstate {
+            fs.pending[node as usize].insert(part.id);
+            fs.defs.insert(part.id, part.clone());
         }
-    }
-}
-
-/// What one node decided in a dispatch round. Planning is node-local (it
-/// touches only that node's pipeline), so plans can be computed on `jaws-par`
-/// worker threads; the follow-up events are then pushed in ascending node
-/// order by [`dispatch_round`], reproducing the serial engine's insertion-id
-/// sequence exactly.
-enum DispatchPlan {
-    /// The node started a batch: (completed part ids, service time).
-    Batch(Vec<QueryId>, f64),
-    /// The node started a speculative read costing `io_ms`.
-    Prefetch(f64),
-    /// Gated work exists; re-poll after `idle_recheck_ms`.
-    IdleCheck,
-    /// Busy, dead, or nothing to do.
-    Nothing,
-}
-
-/// Starts the next batch on `pipeline` if it is free and work is schedulable;
-/// otherwise spends the idle capacity on a speculative read, or asks for an
-/// idle re-poll if gated work exists. Mutates only `pipeline` — the decision
-/// is returned as a [`DispatchPlan`] instead of pushed, so planning can run
-/// off-thread.
-fn dispatch_plan(pipeline: &mut NodePipeline, now_ms: f64) -> DispatchPlan {
-    if pipeline.is_busy() {
-        return DispatchPlan::Nothing;
-    }
-    match pipeline.next_batch(now_ms) {
-        Some(batch) => {
-            debug_assert!(!batch.is_empty(), "scheduler produced an empty batch");
-            let service_ms = pipeline.charge_batch(&batch, now_ms);
-            DispatchPlan::Batch(batch.completing_queries, service_ms)
+        if let Some(rs) = &mut self.rstate {
+            rs.node_load[node as usize] += 1;
         }
-        None => {
-            // Nothing schedulable: spend the idle capacity on a speculative
-            // read, if the trajectory predictor has one.
-            if let Some(io_ms) = pipeline.try_prefetch(now_ms) {
-                DispatchPlan::Prefetch(io_ms)
-            } else if pipeline.wants_idle_check() {
-                // If gated work exists, poll again soon so the starvation
-                // valve can fire even with no other events.
-                DispatchPlan::IdleCheck
-            } else {
-                DispatchPlan::Nothing
+        let p = &mut self.pipelines[node as usize];
+        if observe {
+            p.observe(job, part);
+        }
+        p.query_available(part, self.now_ms);
+    }
+
+    /// Computes the per-node parts of `q` under the replica overlay: records
+    /// each footprint atom in the access histogram, applies the
+    /// promotion/demotion transitions the refreshed windows trigger, routes
+    /// every atom to the least-loaded live candidate (slab owner or replica),
+    /// and regroups the atoms into per-target parts. Two
+    /// declaration-consistency duties ride along, in deterministic order:
+    ///
+    /// * **withdrawals** — a statically-owning node whose every atom diverted
+    ///   away holds a declared part id that will never arrive; job-aware
+    ///   gating would stall its partners until the gate timeout, so the id is
+    ///   withdrawn (`Scheduler::query_withdrawn` via the pipeline);
+    /// * **just-in-time declarations** — a replica host outside the job's
+    ///   static projection has never heard of the incoming part id (JAWS₂
+    ///   gating requires every available query to be declared), so a
+    ///   synthetic single-query job (id namespace [`REPLICA_DECL_BIT`])
+    ///   declares it first. Single-query jobs never form gating alignments,
+    ///   so the declaration cannot distort schedule quality.
+    fn replicated_fan_out(&mut self, q: &Query, job: &Job, observe: bool) {
+        let now_ms = self.now_ms;
+        // lint: invariant — submit routes here only while the overlay is on
+        let rs = self.rstate.as_mut().expect("replica overlay state");
+        self.scratch.actions.clear();
+        self.scratch.owner_flag.iter_mut().for_each(|f| *f = false);
+        for &(m, c) in &q.footprint.atoms {
+            let owner = self.live.node_of(m);
+            self.scratch.owner_flag[owner as usize] = true;
+            let target = rs.dir.route_atom(
+                m,
+                owner,
+                now_ms,
+                &self.live.alive,
+                &rs.node_load,
+                &mut self.scratch.actions,
+            );
+            self.scratch.lanes.push(target as usize, (m, c));
+        }
+        if self.sink.enabled() {
+            for a in &self.scratch.actions {
+                let ev = match *a {
+                    ReplicaAction::Promoted {
+                        morton,
+                        node,
+                        window_accesses,
+                    } => jaws_obs::Event::ReplicaPromoted {
+                        morton: morton.raw(),
+                        node,
+                        window_accesses,
+                    },
+                    ReplicaAction::Demoted { morton, node } => jaws_obs::Event::ReplicaDropped {
+                        morton: morton.raw(),
+                        node,
+                        crashed: false,
+                    },
+                    ReplicaAction::Routed {
+                        morton,
+                        owner,
+                        replica,
+                    } => jaws_obs::Event::ReplicaRouted {
+                        query: q.id,
+                        morton: morton.raw(),
+                        owner,
+                        replica,
+                    },
+                };
+                self.sink.emit(now_ms, ev);
             }
         }
-    }
-}
-
-/// Free nodes below which a dispatch round plans inline instead of on the
-/// `jaws_par` pool. A delta-core planning step costs ~20–60 µs (BENCH_8)
-/// while `std::thread::scope` pays a fresh OS-thread spawn of the same order
-/// per worker per call, so fanning out for two or three free nodes loses
-/// wall-clock; bench-chosen, wall-clock only (plans are reassembled in node
-/// order either way).
-const PAR_DISPATCH_MIN_FREE: usize = 4;
-
-/// One per-event dispatch round over all live pipelines.
-///
-/// Nodes share no state between events (each owns its database, cache and
-/// scheduler), so when several are free their planning steps run concurrently
-/// via [`jaws_par::map_mut`]; with fewer than [`PAR_DISPATCH_MIN_FREE`] free
-/// nodes (the common saturated case is one) the round stays inline and
-/// spawns nothing. Dead nodes are skipped entirely. Plans are applied — and
-/// any buffered trace records drained — in ascending node order, so event
-/// ids, reports and JSONL traces are byte-identical at any thread count.
-// lint: hotpath
-#[allow(clippy::too_many_arguments)]
-fn dispatch_round(
-    pipelines: &mut [NodePipeline],
-    alive: &[bool],
-    now_ms: f64,
-    cfg: &SimConfig,
-    queue: &mut EventQueue,
-    buffers: &Option<TraceBuffers<'_>>,
-    plans: &mut Vec<DispatchPlan>,
-) {
-    let free = pipelines
-        .iter()
-        .enumerate()
-        .filter(|(i, p)| alive[*i] && !p.is_busy())
-        .count();
-    plans.clear();
-    if free >= PAR_DISPATCH_MIN_FREE {
-        *plans = jaws_par::map_mut(pipelines, |i, p| {
-            if alive[i] {
-                dispatch_plan(p, now_ms)
-            } else {
-                DispatchPlan::Nothing
+        // Withdrawals before deliveries, so gating state is settled when the
+        // diverted parts arrive.
+        for (node, pipeline) in self.pipelines.iter_mut().enumerate() {
+            if !self.scratch.owner_flag[node] || self.scratch.lanes.lane_len(node) > 0 {
+                continue;
             }
-        });
-    } else {
-        plans.extend(pipelines.iter_mut().enumerate().map(|(i, p)| {
-            if alive[i] {
-                dispatch_plan(p, now_ms)
-            } else {
-                DispatchPlan::Nothing
+            let pid = part_id(q.id, node as u32);
+            if self.declared[node].remove(&pid) {
+                pipeline.query_withdrawn(pid, now_ms);
             }
-        }));
-    }
-    for (node, plan) in plans.drain(..).enumerate() {
-        if let Some(b) = buffers {
-            b.drain(node);
         }
-        match plan {
-            DispatchPlan::Batch(completed, service_ms) => {
-                queue.push(
-                    now_ms + service_ms,
-                    Event::BatchDone(node as u32, completed),
+        // Build the parts and run every just-in-time declaration first
+        // (ascending node order) — the trace byte-stream pins declarations
+        // ahead of the first delivery.
+        debug_assert!(self.scratch.parts.is_empty(), "parts scratch left dirty");
+        for (node, pipeline) in self.pipelines.iter_mut().enumerate() {
+            if self.scratch.lanes.lane_len(node) == 0 {
+                continue;
+            }
+            let atoms = self.scratch.lanes.take_lane(node);
+            let part = Query {
+                id: part_id(q.id, node as u32),
+                user: q.user,
+                op: q.op,
+                timestep: q.timestep,
+                footprint: Footprint::from_pairs_in_place(atoms),
+            };
+            if self.declared[node].insert(part.id) {
+                rs.decls += 1;
+                let decl = Job {
+                    id: REPLICA_DECL_BIT | rs.decls,
+                    user: job.user,
+                    kind: job.kind,
+                    campaign: job.campaign,
+                    queries: vec![part.clone()],
+                    arrival_ms: job.arrival_ms,
+                    think_ms: job.think_ms,
+                };
+                pipeline.job_declared(&decl, now_ms);
+            }
+            self.scratch.parts.push((node as u32, part));
+        }
+        self.outstanding
+            .insert(q.id, self.scratch.parts.len() as u32);
+        // Deliveries in ascending node order; each part's footprint buffer
+        // goes back to its lane once the pipeline has taken what it needs.
+        let mut parts = std::mem::take(&mut self.scratch.parts);
+        for (node, part) in &mut parts {
+            self.deliver_part(*node, part, q.id, observe, job.id);
+            self.scratch
+                .lanes
+                .restore(*node as usize, std::mem::take(&mut part.footprint.atoms));
+        }
+        parts.clear();
+        self.scratch.parts = parts;
+    }
+
+    /// A node finished a batch: complete its parts, and every query whose
+    /// last part this was.
+    fn batch_done(&mut self, node: u32, completed_parts: Vec<QueryId>) {
+        let (trace, now_ms) = (self.trace, self.now_ms);
+        let n = node as usize;
+        self.pipelines[n].set_idle();
+        for pid in completed_parts {
+            let qid = orig_id(pid);
+            // lint: invariant — schedulers only complete queries previously
+            // handed to query_available
+            let submitted = self
+                .submit_ms
+                .get(&qid)
+                .copied()
+                .expect("completed query was submitted");
+            let rt = now_ms - submitted;
+            self.pipelines[n].complete_part(pid, rt, now_ms);
+            if let Some(fs) = &mut self.fstate {
+                fs.pending[n].remove(&pid);
+                fs.defs.remove(&pid);
+            }
+            if let Some(rs) = &mut self.rstate {
+                rs.node_load[n] = rs.node_load[n].saturating_sub(1);
+            }
+            // lint: invariant — every part was registered in `outstanding`
+            // when its query was submitted
+            let left = self
+                .outstanding
+                .get_mut(&qid)
+                .expect("completed part of a tracked query");
+            *left -= 1;
+            if *left > 0 {
+                continue;
+            }
+            self.outstanding.remove(&qid);
+            // The whole query is done: record and advance the job.
+            if self.sink.enabled() {
+                self.sink.emit(
+                    now_ms,
+                    jaws_obs::Event::QueryComplete {
+                        query: qid,
+                        response_ms: rt,
+                    },
+                );
+                self.sink.emit(
+                    now_ms,
+                    jaws_obs::Event::Histogram {
+                        name: "engine.response_ms".to_string(),
+                        sample: rt,
+                    },
                 );
             }
-            DispatchPlan::Prefetch(io_ms) => {
-                queue.push(now_ms + io_ms, Event::PrefetchDone(node as u32));
+            self.totals.responses.push(rt);
+            self.response_log.push((qid, rt));
+            self.totals.last_completion = now_ms;
+            let (ji, qi) = self.locate[&qid];
+            let job = &trace.jobs[ji];
+            self.remaining_per_job[ji] -= 1;
+            if self.remaining_per_job[ji] == 0 {
+                self.totals.jobs_completed += 1;
             }
-            DispatchPlan::IdleCheck => {
-                queue.push(now_ms + cfg.idle_recheck_ms, Event::IdleCheck(node as u32));
+            if job.kind == JobKind::Ordered && qi + 1 < job.queries.len() {
+                self.queue
+                    .push(now_ms + job.think_ms, Event::QuerySubmit(ji, qi + 1));
             }
-            DispatchPlan::Nothing => {}
+        }
+    }
+
+    /// Scripted failure event `i` fired.
+    fn failure(&mut self, i: usize) {
+        let now_ms = self.now_ms;
+        self.first_failure_ms.get_or_insert(now_ms);
+        match self.failures.events()[i] {
+            FailureEvent::Slowdown { node, factor, .. } => {
+                if self.live.alive[node as usize] {
+                    self.pipelines[node as usize].set_service_multiplier(factor);
+                    self.node_status[node as usize].slowdown = factor;
+                    if self.sink.enabled() {
+                        self.sink
+                            .emit(now_ms, jaws_obs::Event::NodeSlowdown { node, factor });
+                    }
+                }
+            }
+            FailureEvent::Crash { node, survivor, .. } => {
+                // FailurePlan::validate rejects plans that crash the same node
+                // twice, so this assert cannot fire.
+                assert!(self.live.alive[node as usize], "node {node} crashed twice");
+                self.crash_node(node, survivor);
+            }
+        }
+    }
+
+    /// Handles one scripted crash: kills the node in the routing overlay,
+    /// then re-dispatches everything it held through the survivor — first
+    /// declaring *remnant job* projections so the survivor's job-aware gating
+    /// knows the incoming ids, then re-enqueueing the pending parts in
+    /// ascending part-id order. Future queries of already-arrived jobs whose
+    /// atoms now route to the survivor under a part id it was never told
+    /// about are declared too, so their later submission finds a known id.
+    fn crash_node(&mut self, node: u32, designated: Option<u32>) {
+        let (trace, now_ms, sink) = (self.trace, self.now_ms, self.sink);
+        // lint: invariant — a crash event exists only in a non-empty plan,
+        // and fstate is Some whenever the plan is non-empty
+        let fs = self.fstate.as_mut().expect("failure state exists");
+        let surv = self.live.crash(node, designated);
+        fs.crashes += 1;
+        let moved = std::mem::take(&mut fs.pending[node as usize]);
+        self.node_status[node as usize].failed = true;
+        self.node_status[node as usize].redispatched_parts = moved.len() as u64;
+        if sink.enabled() {
+            sink.emit(
+                now_ms,
+                jaws_obs::Event::NodeFailed {
+                    node,
+                    survivor: surv,
+                    redispatched: moved.len() as u64,
+                },
+            );
+        }
+        if let Some(rs) = &mut self.rstate {
+            // The dead node's replicas leave the routing table (its slab
+            // itself re-chains through `LiveRouting` exactly as without
+            // replication), and the load it carried moves to the survivor
+            // along with the parts.
+            for m in rs.dir.drop_node(node) {
+                if sink.enabled() {
+                    sink.emit(
+                        now_ms,
+                        jaws_obs::Event::ReplicaDropped {
+                            morton: m.raw(),
+                            node,
+                            crashed: true,
+                        },
+                    );
+                }
+            }
+            let moved_load = std::mem::take(&mut rs.node_load[node as usize]);
+            debug_assert_eq!(moved_load, moved.len() as u64, "load tracks pending");
+            rs.node_load[surv as usize] += moved_load;
+        }
+
+        // Remnant declarations, grouped per trace job in ascending job index;
+        // within a job, queries stay in sequence order (ties on the same
+        // query — several re-dispatched parts of one query — break by part
+        // id).
+        let mut remnants: BTreeMap<usize, Vec<(usize, QueryId, Query)>> = BTreeMap::new();
+        for &pid in &moved {
+            let (ji, qi) = self.locate[&orig_id(pid)];
+            // lint: invariant — every pending part stored its definition at
+            // submission time
+            let def = fs.defs.get(&pid).expect("pending part has a definition");
+            remnants.entry(ji).or_default().push((qi, pid, def.clone()));
+        }
+        let declared = &mut self.declared[surv as usize];
+        for (ji, job) in trace.jobs.iter().enumerate() {
+            if !fs.arrived[ji] {
+                // Unarrived jobs project through the post-crash routing at
+                // their arrival; nothing to declare early.
+                continue;
+            }
+            for (qi, q) in job.queries.iter().enumerate() {
+                if self.submit_ms.contains_key(&q.id) {
+                    continue; // submitted (or already complete): not a future query
+                }
+                let atoms: Vec<(MortonKey, u32)> = q
+                    .footprint
+                    .atoms
+                    .iter()
+                    .copied()
+                    .filter(|&(m, _)| self.live.node_of(m) == surv)
+                    .collect();
+                if atoms.is_empty() {
+                    continue;
+                }
+                let pid = part_id(q.id, surv);
+                if declared.contains(&pid) {
+                    continue; // the survivor's own projection already covers it
+                }
+                remnants.entry(ji).or_default().push((
+                    qi,
+                    pid,
+                    Query {
+                        id: pid,
+                        user: q.user,
+                        op: q.op,
+                        timestep: q.timestep,
+                        footprint: Footprint::from_pairs(atoms),
+                    },
+                ));
+            }
+        }
+        let survivor = &mut self.pipelines[surv as usize];
+        for (ji, mut parts) in remnants {
+            parts.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            let job = &trace.jobs[ji];
+            debug_assert!(
+                job.id < (1 << REMNANT_JOB_BITS),
+                "trace job id exceeds the remnant tag budget"
+            );
+            let remnant = Job {
+                // Tagged with the crash ordinal: distinct from the trace id
+                // and from remnants of earlier crashes.
+                id: (fs.crashes << REMNANT_JOB_BITS) | job.id,
+                user: job.user,
+                kind: job.kind,
+                campaign: job.campaign,
+                queries: parts.into_iter().map(|(_, _, q)| q).collect(),
+                arrival_ms: job.arrival_ms,
+                think_ms: job.think_ms,
+            };
+            declared.extend(remnant.queries.iter().map(|q| q.id));
+            survivor.job_declared(&remnant, now_ms);
+        }
+
+        // Re-enqueue the dead node's pending parts through the survivor's
+        // scheduler: recovered work re-enters the utility ranking, it does
+        // not jump the queue.
+        for &pid in &moved {
+            // lint: invariant — every pending part stored its definition at
+            // submission time
+            let def = fs.defs.get(&pid).expect("pending part has a definition");
+            if sink.enabled() {
+                sink.emit(
+                    now_ms,
+                    jaws_obs::Event::PartRedispatched {
+                        part: pid,
+                        from: node,
+                        to: surv,
+                    },
+                );
+            }
+            fs.pending[surv as usize].insert(pid);
+            survivor.query_available(def, now_ms);
+        }
+    }
+
+    /// One dispatch round over the live pipelines, in ascending node order:
+    /// a free node starts its next batch if work is schedulable; otherwise
+    /// it spends the idle capacity on a speculative read, or asks for an
+    /// idle re-poll if gated work exists. Dead nodes are skipped.
+    // lint: hotpath
+    fn dispatch_round(&mut self) {
+        let now_ms = self.now_ms;
+        for (node, p) in self.pipelines.iter_mut().enumerate() {
+            if !self.live.alive[node] || p.is_busy() {
+                continue;
+            }
+            let node = node as u32;
+            if let Some(batch) = p.next_batch(now_ms) {
+                debug_assert!(!batch.is_empty(), "scheduler produced an empty batch");
+                let service_ms = p.charge_batch(&batch, now_ms);
+                self.queue.push(
+                    now_ms + service_ms,
+                    Event::BatchDone(node, batch.completing_queries),
+                );
+            } else if let Some(io_ms) = p.try_prefetch(now_ms) {
+                // Nothing schedulable: the trajectory predictor had a
+                // speculative read for the idle capacity.
+                self.queue.push(now_ms + io_ms, Event::PrefetchDone(node));
+            } else if p.wants_idle_check() {
+                // Gated work exists: poll again soon so the starvation valve
+                // can fire even with no other events.
+                self.queue
+                    .push(now_ms + self.cfg.idle_recheck_ms, Event::IdleCheck(node));
+            }
+        }
+    }
+
+    /// Closes the run: retires what a truncated run left queued, emits the
+    /// end-of-run counters and hands the outcome to the report layer.
+    fn finish(mut self) -> EngineOutcome {
+        let now_ms = self.now_ms;
+        if self.totals.responses.len() < self.trace.query_count() {
+            self.totals.truncated = true;
+        }
+        if self.totals.truncated {
+            // Queries still queued will never complete; let schedulers that
+            // keep per-query bookkeeping (QoS deadlines) retire it instead of
+            // leaking it.
+            for (node, p) in self.pipelines.iter_mut().enumerate() {
+                if self.live.alive[node] {
+                    p.retire_pending(now_ms);
+                }
+            }
+        }
+        if self.sink.enabled() {
+            self.sink.emit(
+                now_ms,
+                jaws_obs::Event::Counter {
+                    name: "engine.queries_completed".to_string(),
+                    value: self.totals.responses.len() as u64,
+                },
+            );
+            self.sink.emit(
+                now_ms,
+                jaws_obs::Event::Counter {
+                    name: "engine.jobs_completed".to_string(),
+                    value: self.totals.jobs_completed,
+                },
+            );
+        }
+        EngineOutcome {
+            totals: self.totals,
+            response_log: self.response_log,
+            node_status: self.node_status,
+            first_failure_ms: self.first_failure_ms,
+            replication: self.rstate.map(|rs| rs.dir.summary()),
         }
     }
 }
@@ -1708,22 +1459,57 @@ mod tests {
             }
         }
         assert_ne!(part_id(7, 0), part_id(7, 1), "parts distinct across nodes");
-        assert_ne!(part_id(7, 0), 7, "part ids never collide with trace ids");
+        assert_eq!(part_id(7, 0), 7, "node 0's part ids are the trace ids");
+    }
+
+    /// A one-query job whose footprint spans keys 0 and 63.
+    fn spanning_job() -> Job {
+        Job {
+            id: 1,
+            user: 0,
+            kind: JobKind::Batched,
+            campaign: 1,
+            queries: vec![Query {
+                id: 9,
+                user: 0,
+                op: jaws_workload::QueryOp::Velocity,
+                timestep: 0,
+                footprint: Footprint::from_pairs([(MortonKey(0), 5u32), (MortonKey(63), 7)]),
+            }],
+            arrival_ms: 0.0,
+            think_ms: 0.0,
+        }
     }
 
     #[test]
-    fn single_routing_is_the_identity() {
-        let r = Routing::Single;
+    fn one_node_slab_routing_is_the_identity() {
+        let r = Routing::new(64, 1, ReplicationConfig::disabled());
+        assert_eq!(r.node_of(MortonKey(0)), 0);
         assert_eq!(r.node_of(MortonKey(63)), 0);
-        assert_eq!(r.original_id(42), 42);
+        assert_eq!(orig_id(part_id(42, 0)), 42);
+        let live = LiveRouting::new(r);
+        let job = spanning_job();
+        assert!(
+            matches!(live.project_job(&job, 0), Some(Cow::Borrowed(j)) if std::ptr::eq(j, &job)),
+            "one node's projection is the job itself"
+        );
+    }
+
+    #[test]
+    fn node_0_borrows_the_job_once_it_owns_every_slab() {
+        let mut live = LiveRouting::new(Routing::new(64, 2, ReplicationConfig::disabled()));
+        let job = spanning_job();
+        match live.project_job(&job, 0) {
+            Some(Cow::Owned(p)) => assert_eq!(p.queries[0].footprint.atoms.len(), 1),
+            other => panic!("node 0 owns half the grid, got {other:?}"),
+        }
+        live.crash(1, Some(0));
+        assert!(matches!(live.project_job(&job, 0), Some(Cow::Borrowed(_))));
     }
 
     #[test]
     fn slab_routing_assigns_contiguous_ranges() {
-        let r = Routing::MortonSlabs {
-            slab_size: 16,
-            nodes: 4,
-        };
+        let r = Routing::new(64, 4, ReplicationConfig::disabled());
         assert_eq!(r.node_of(MortonKey(0)), 0);
         assert_eq!(r.node_of(MortonKey(15)), 0);
         assert_eq!(r.node_of(MortonKey(16)), 1);
@@ -1733,30 +1519,21 @@ mod tests {
     #[test]
     fn slab_routing_clamps_the_short_remainder_onto_the_last_node() {
         // 64 atoms over 3 nodes: ceil slabs of 22 → nodes own 22/22/20.
-        let r = Routing::MortonSlabs {
-            slab_size: 22,
-            nodes: 3,
-        };
+        let r = Routing::new(64, 3, ReplicationConfig::disabled());
+        assert_eq!(r.slab_size, 22);
         assert_eq!(r.node_of(MortonKey(21)), 0);
         assert_eq!(r.node_of(MortonKey(22)), 1);
         assert_eq!(r.node_of(MortonKey(43)), 1);
         assert_eq!(r.node_of(MortonKey(44)), 2);
         assert_eq!(r.node_of(MortonKey(63)), 2);
         // More nodes than slabs ever fill: everything clamps in range.
-        let r = Routing::MortonSlabs {
-            slab_size: 1,
-            nodes: 2,
-        };
+        let r = Routing::new(2, 2, ReplicationConfig::disabled());
         assert_eq!(r.node_of(MortonKey(500)), 1);
     }
 
     #[test]
     fn live_routing_redirects_a_dead_slab_to_the_survivor() {
-        let base = Routing::MortonSlabs {
-            slab_size: 16,
-            nodes: 4,
-        };
-        let mut live = LiveRouting::new(&base, 4);
+        let mut live = LiveRouting::new(Routing::new(64, 4, ReplicationConfig::disabled()));
         assert_eq!(live.node_of(MortonKey(20)), 1);
         let surv = live.crash(1, Some(3));
         assert_eq!(surv, 3);
@@ -1767,11 +1544,7 @@ mod tests {
 
     #[test]
     fn live_routing_chains_redirects_across_repeated_crashes() {
-        let base = Routing::MortonSlabs {
-            slab_size: 16,
-            nodes: 4,
-        };
-        let mut live = LiveRouting::new(&base, 4);
+        let mut live = LiveRouting::new(Routing::new(64, 4, ReplicationConfig::disabled()));
         live.crash(1, Some(2));
         // Node 2 now owns slabs 1 and 2; when it dies both must land on the
         // next survivor (designated dead ⇒ lowest live fallback).

@@ -1,11 +1,13 @@
 //! The single-node discrete-event executor.
 //!
-//! A thin instantiation of the shared engine ([`crate::engine`]): one
-//! [`NodePipeline`] driven by the identity route. All event-loop mechanics —
-//! arrivals, pacing, think-time chains, prefetching, truncation — live in the
-//! engine and are shared with [`crate::ClusterExecutor`].
+//! A cluster of one ([`crate::engine`]): one [`NodePipeline`] owning the one
+//! Morton slab, so its part ids are the trace query ids. It differs from a
+//! 1-node [`crate::ClusterExecutor`] only in what it is built from — a
+//! caller-opened database and scheduler — and in the
+//! [`Executor::declare_jobs`] override. All event-loop mechanics — arrivals,
+//! pacing, think-time chains, prefetching, truncation — are the engine's.
 
-use crate::engine::{self, Routing};
+use crate::engine::{Engine, Routing};
 use crate::node::NodePipeline;
 use crate::report::{self, RunReport};
 use jaws_obs::ObsSink;
@@ -106,27 +108,20 @@ impl Executor {
     /// Panics if the trace geometry does not match the database (timesteps or
     /// atom grid).
     pub fn run(&mut self, trace: &Trace) -> RunReport {
-        let cfg = self.pipeline.db().config();
-        assert!(
-            trace.timesteps <= cfg.timesteps,
-            "trace addresses timestep {} beyond the database's {}",
-            trace.timesteps,
-            cfg.timesteps
-        );
-        assert_eq!(
-            trace.atoms_per_side,
-            cfg.atoms_per_side(),
-            "trace atom grid does not match the database"
-        );
         if let Some(decls) = self.declared_jobs.take() {
             self.declarations_overridden = true;
             for d in &decls {
                 self.pipeline.job_declared(d, 0.0);
             }
         }
-        let outcome = engine::run_trace(
+        let routing = Routing::new(
+            self.pipeline.db().config().atoms_per_timestep(),
+            1,
+            crate::ReplicationConfig::disabled(),
+        );
+        let outcome = Engine::run(
             std::slice::from_mut(&mut self.pipeline),
-            &Routing::Single,
+            routing,
             &self.cfg,
             trace,
             !self.declarations_overridden,
@@ -289,6 +284,43 @@ mod tests {
             "{}",
             r.mean_response_ms
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 48-bit part budget")]
+    fn query_ids_beyond_the_part_budget_are_rejected() {
+        use jaws_morton::MortonKey;
+        use jaws_workload::{Footprint, Job, Query, QueryOp, Trace};
+        let q = Query {
+            id: 1 << 48,
+            user: 0,
+            op: QueryOp::Velocity,
+            timestep: 0,
+            footprint: Footprint::from_pairs([(MortonKey(0), 10u32)]),
+        };
+        let job = Job {
+            id: 1,
+            user: 0,
+            kind: JobKind::Batched,
+            campaign: 1,
+            queries: vec![q],
+            arrival_ms: 0.0,
+            think_ms: 0.0,
+        };
+        let db = build_db(
+            small_db_config(),
+            CostModel::paper_testbed(),
+            DataMode::Virtual,
+            16,
+            CachePolicyKind::Lru,
+        );
+        let sched = build_scheduler(
+            SchedulerKind::NoShare,
+            MetricParams::paper_testbed(),
+            25,
+            10_000.0,
+        );
+        Executor::new(db, sched, SimConfig::default()).run(&Trace::new(8, 4, vec![job]));
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //!
 //! A plan is constructed from an **explicit seed** and explicit event times —
 //! this module contains no entropy or wall-clock source (lint rule D002), and
-//! `jaws-lint` additionally enforces (rule D003) that plans are built through
-//! [`FailurePlan::new`] so the seed can never be defaulted away. The seed
+//! the compiler enforces that plans are built through [`FailurePlan::new`]:
+//! the fields are private and there is no `Default`, so the seed can never be
+//! defaulted away. The seed
 //! drives only the optional deterministic time [`FailurePlan::jittered`]
 //! perturbation; same seed + same plan ⇒ byte-identical reports and JSONL
 //! traces (asserted by `crates/sim/tests/determinism.rs`).
@@ -75,10 +76,28 @@ impl FailureEvent {
 
 /// A deterministic, seeded script of node failures for one cluster replay.
 ///
-/// Construction requires an explicit seed ([`FailurePlan::new`]; enforced by
-/// jaws-lint rule D003) even though event times are explicit, so that every
-/// derived perturbation ([`FailurePlan::jittered`]) is replayable and no
-/// call site can fall back to ambient entropy.
+/// Construction requires an explicit seed ([`FailurePlan::new`]) even though
+/// event times are explicit, so that every derived perturbation
+/// ([`FailurePlan::jittered`]) is replayable and no call site can fall back
+/// to ambient entropy:
+///
+/// ```
+/// let plan = jaws_sim::FailurePlan::new(17).crash_at(1_000.0, 1);
+/// assert_eq!(plan.seed(), 17);
+/// ```
+///
+/// The fields are private, so a struct literal does not compile outside
+/// this module:
+///
+/// ```compile_fail,E0451
+/// let plan = jaws_sim::FailurePlan { seed: 0, events: Vec::new() };
+/// ```
+///
+/// and there is no `Default` to hide the seed behind:
+///
+/// ```compile_fail,E0599
+/// let plan = jaws_sim::FailurePlan::default();
+/// ```
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FailurePlan {
     seed: u64,

@@ -17,11 +17,13 @@
 //!   knowledge feeds the URC cache policy, closing both coordination loops of
 //!   §V-B.
 //!
-//! One discrete-event core ([`engine`]) drives both deployment shapes:
-//! [`Executor`] is its single-node instantiation and [`ClusterExecutor`] its
-//! N-node Morton-slab instantiation (§V-C) — same event loop, same client
-//! model, same [`SimConfig`] knobs (prefetching, `max_sim_ms` truncation,
-//! idle re-check). Per-node state lives in [`node::NodePipeline`].
+//! One discrete-event core ([`engine`]) drives every deployment over one
+//! route: N ≥ 1 nodes, each owning a contiguous Morton slab (§V-C). A single
+//! server is a cluster of one — [`Executor`] replays as one node over a
+//! caller-built database and scheduler, [`ClusterExecutor`] builds N — with
+//! the same event loop, client model and [`SimConfig`] knobs (prefetching,
+//! `max_sim_ms` truncation, idle re-check). Dispatch within a replay is
+//! serial. Per-node state lives in [`node::NodePipeline`].
 //!
 //! [`sweep`] runs many configurations in parallel threads for the saturation
 //! and batch-size sweeps of Figs. 11–12.

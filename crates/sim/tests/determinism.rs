@@ -301,8 +301,8 @@ fn null_recorder_leaves_reports_bit_identical() {
     }
 }
 
-/// With one node the cluster is the plain executor plus the part-id packing
-/// layer: same engine, same event sequencing. Totals — and the completion
+/// With one node the cluster and the plain executor take the same route:
+/// same engine, same event sequencing, node 0's part ids are the query ids. Totals — and the completion
 /// log under original query ids — must match the single executor exactly.
 /// The single run derives its `MetricParams` the same way the cluster does
 /// (from the cost model and the whole-grid atom count), so both schedulers
