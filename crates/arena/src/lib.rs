@@ -1,76 +1,18 @@
-//! Allocation-reuse primitives for the JAWS hot paths.
+//! Allocation-reuse scratch for the JAWS engine's fan-out.
 //!
-//! The discrete-event engine and the scheduler's dispatch path run once per
-//! simulated event — millions of times per experiment — and every transient
-//! `Vec` they allocate there is pure allocator traffic: the buffers have the
-//! same shape every round and could simply be reused. This crate provides the
-//! three shapes those paths need:
+//! The discrete-event engine splits every query's footprint by owning
+//! cluster node, once per simulated query — millions of times per
+//! experiment. [`Lanes`] is a fixed set of reusable buckets (one per node)
+//! for that group-by-node scatter, replacing a fresh
+//! `BTreeMap<u32, Vec<T>>` per query. Iteration is always in ascending lane
+//! order, so the deterministic-order obligations of the engine hold by
+//! construction.
 //!
-//! * [`VecPool`] — a free-list of cleared `Vec<T>`s. `take` hands out a
-//!   buffer with its old capacity intact; `put` clears and shelves it.
-//!   Buffers that escape into long-lived structures simply never come back —
-//!   the pool is a cache, not an owner.
-//! * [`Lanes`] — a fixed set of reusable buckets (one per cluster node) for
-//!   group-by-node scatters, replacing a fresh `BTreeMap<u32, Vec<T>>` per
-//!   query fan-out. Iteration is always in ascending lane order, so the
-//!   deterministic-order obligations of the engine hold by construction.
-//! * [`Slab`] — an index-keyed arena with an intrusive free-list: O(1)
-//!   insert/remove with stable keys and no per-entry allocation after
-//!   warm-up.
-//!
-//! Everything here is plain safe Rust over `Vec`; the win is reuse, not
-//! custom memory management. None of these types are thread-safe — each hot
-//! path owns its scratch.
+//! It is plain safe Rust over `Vec`; the win is reuse, not custom memory
+//! management. It is not thread-safe — the engine owns its scratch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// A free-list of cleared `Vec<T>` buffers.
-///
-/// `take` pops a recycled buffer (empty, capacity preserved) or allocates a
-/// fresh one; `put` clears a buffer and shelves it for the next `take`. The
-/// pool holds at most [`VecPool::MAX_SHELVED`] buffers — beyond that, `put`
-/// simply drops, so a one-off burst cannot pin memory forever.
-#[derive(Debug)]
-pub struct VecPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> Default for VecPool<T> {
-    fn default() -> Self {
-        VecPool { free: Vec::new() }
-    }
-}
-
-impl<T> VecPool<T> {
-    /// Buffers shelved at most; `put` beyond this drops the buffer.
-    pub const MAX_SHELVED: usize = 64;
-
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hands out an empty buffer, reusing a shelved one when available.
-    pub fn take(&mut self) -> Vec<T> {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Clears `v` and shelves it for reuse (or drops it if the shelf is
-    /// full). Clearing drops the elements now, so `put` is safe for element
-    /// types with meaningful destructors.
-    pub fn put(&mut self, mut v: Vec<T>) {
-        if self.free.len() < Self::MAX_SHELVED && v.capacity() > 0 {
-            v.clear();
-            self.free.push(v);
-        }
-    }
-
-    /// Buffers currently shelved (diagnostics).
-    pub fn shelved(&self) -> usize {
-        self.free.len()
-    }
-}
 
 /// A fixed set of reusable buckets for group-by-lane scatters.
 ///
@@ -159,143 +101,9 @@ impl<T> Lanes<T> {
     }
 }
 
-/// An index-keyed arena with an intrusive free-list.
-///
-/// `insert` returns a stable `usize` key; `remove` frees the slot for reuse.
-/// After warm-up, insert/remove cycles perform no allocation. Keys are only
-/// meaningful to the slab that issued them; accessing a vacant key returns
-/// `None` (or panics on `remove`, which is a caller bug).
-#[derive(Debug)]
-pub struct Slab<T> {
-    slots: Vec<Entry<T>>,
-    /// Head of the free-list (index into `slots`), or `usize::MAX`.
-    free_head: usize,
-    len: usize,
-}
-
-#[derive(Debug)]
-enum Entry<T> {
-    Occupied(T),
-    /// Next free slot index, or `usize::MAX` for the list tail.
-    Vacant(usize),
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free_head: usize::MAX,
-            len: 0,
-        }
-    }
-}
-
-impl<T> Slab<T> {
-    /// Creates an empty slab.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts `value`, reusing a vacant slot when one exists.
-    pub fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
-        if self.free_head != usize::MAX {
-            let key = self.free_head;
-            match self.slots[key] {
-                Entry::Vacant(next) => {
-                    self.free_head = next;
-                    self.slots[key] = Entry::Occupied(value);
-                    key
-                }
-                // free_head only ever points at Vacant entries, so this arm
-                // is unreachable by construction.
-                Entry::Occupied(_) => unreachable!("free-list points at an occupied slot"),
-            }
-        } else {
-            self.slots.push(Entry::Occupied(value));
-            self.slots.len() - 1
-        }
-    }
-
-    /// Removes and returns the entry under `key`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is vacant or out of range — callers own their keys.
-    pub fn remove(&mut self, key: usize) -> T {
-        let entry = std::mem::replace(&mut self.slots[key], Entry::Vacant(self.free_head));
-        match entry {
-            Entry::Occupied(v) => {
-                self.free_head = key;
-                self.len -= 1;
-                v
-            }
-            Entry::Vacant(prev) => {
-                // Undo the replace so the free-list is not corrupted, then
-                // report the caller bug.
-                self.slots[key] = Entry::Vacant(prev);
-                panic!("slab key {key} is vacant");
-            }
-        }
-    }
-
-    /// Borrows the entry under `key`, if occupied.
-    pub fn get(&self, key: usize) -> Option<&T> {
-        match self.slots.get(key) {
-            Some(Entry::Occupied(v)) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Mutably borrows the entry under `key`, if occupied.
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
-        match self.slots.get_mut(key) {
-            Some(Entry::Occupied(v)) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vec_pool_recycles_capacity() {
-        let mut pool: VecPool<u64> = VecPool::new();
-        let mut v = pool.take();
-        v.extend(0..100);
-        let cap = v.capacity();
-        assert!(cap >= 100);
-        pool.put(v);
-        assert_eq!(pool.shelved(), 1);
-        let v2 = pool.take();
-        assert!(v2.is_empty());
-        assert_eq!(v2.capacity(), cap, "capacity survives the round-trip");
-        assert_eq!(pool.shelved(), 0);
-    }
-
-    #[test]
-    fn vec_pool_bounds_its_shelf() {
-        let mut pool: VecPool<u8> = VecPool::new();
-        for _ in 0..(VecPool::<u8>::MAX_SHELVED + 10) {
-            pool.put(Vec::with_capacity(4));
-        }
-        assert_eq!(pool.shelved(), VecPool::<u8>::MAX_SHELVED);
-        // Capacity-less buffers are not worth shelving.
-        pool.put(Vec::new());
-        assert_eq!(pool.shelved(), VecPool::<u8>::MAX_SHELVED);
-    }
 
     #[test]
     fn lanes_drain_in_ascending_order_and_reuse_capacity() {
@@ -318,31 +126,5 @@ mod tests {
         let mut second = Vec::new();
         lanes.drain(|lane, bucket| second.push((lane, bucket)));
         assert_eq!(second, vec![(1, vec![7])]);
-    }
-
-    #[test]
-    fn slab_reuses_slots_without_growing() {
-        let mut slab: Slab<String> = Slab::new();
-        let a = slab.insert("a".into());
-        let b = slab.insert("b".into());
-        assert_eq!(slab.len(), 2);
-        assert_eq!(slab.remove(a), "a");
-        let c = slab.insert("c".into());
-        assert_eq!(c, a, "vacant slot is reused");
-        assert_eq!(slab.get(b).map(String::as_str), Some("b"));
-        assert_eq!(slab.get_mut(c).map(|s| s.as_str()), Some("c"));
-        assert_eq!(slab.get(99), None);
-        assert_eq!(slab.remove(b), "b");
-        assert_eq!(slab.remove(c), "c");
-        assert!(slab.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "slab key 0 is vacant")]
-    fn slab_remove_of_vacant_key_panics() {
-        let mut slab: Slab<u32> = Slab::new();
-        let k = slab.insert(5);
-        slab.remove(k);
-        slab.remove(k);
     }
 }

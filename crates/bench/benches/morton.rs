@@ -1,9 +1,9 @@
-//! Microbenchmarks for Morton encoding and box covers — the operations on
-//! the pre-processing hot path (every queried position is mapped to an atom
+//! Microbenchmarks for Morton encoding and sorting — the operations on the
+//! pre-processing hot path (every queried position is mapped to an atom
 //! and sorted in Morton order).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use jaws_morton::{cover_box, decode, encode, MortonKey};
+use jaws_morton::{decode, encode, MortonKey};
 
 fn bench_encode(c: &mut Criterion) {
     c.bench_function("morton/encode", |b| {
@@ -42,14 +42,5 @@ fn bench_sort_positions(c: &mut Criterion) {
     });
 }
 
-fn bench_cover(c: &mut Criterion) {
-    c.bench_function("morton/cover_unaligned_box", |b| {
-        b.iter(|| black_box(cover_box((3, 5, 2), (12, 13, 9))))
-    });
-    c.bench_function("morton/cover_full_grid", |b| {
-        b.iter(|| black_box(cover_box((0, 0, 0), (15, 15, 15))))
-    });
-}
-
-criterion_group!(benches, bench_encode, bench_sort_positions, bench_cover);
+criterion_group!(benches, bench_encode, bench_sort_positions);
 criterion_main!(benches);

@@ -19,7 +19,8 @@ use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 use jaws_turbdb::CostModel;
 
 fn main() {
-    let trace = exp::select_trace();
+    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
+    let trace = exp::select_trace(quick);
     let base = exp::paper_cost();
     let variants: Vec<(&str, CostModel)> = vec![
         ("baseline", base),

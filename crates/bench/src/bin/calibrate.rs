@@ -2,16 +2,26 @@
 //! the schedulers' capacity differences are visible as throughput, i.e.
 //! offered load sits at or just above JAWS's capacity. Prints throughput,
 //! response time, reads and gating diagnostics per (burst-gap, scheduler).
+//!
+//! Usage: `calibrate [GAP_MS...]` — mean burst gaps to sweep, in ms
+//! (default 2000 1200 800). `CALIB_ALL=1` sweeps every scheduler instead of
+//! the JAWS gate-timeout ladder.
 
+use jaws_bench::exp;
 use jaws_sim::sweep::RunSpec;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 use jaws_turbdb::{CostModel, DbConfig};
 use jaws_workload::{GenConfig, TraceGenerator};
 
 fn main() {
-    let gaps: Vec<f64> = std::env::args()
-        .skip(1)
-        .filter_map(|a| a.parse().ok())
+    let args = exp::parse_args("[GAP_MS...]", &[]);
+    let gaps: Vec<f64> = args
+        .operands()
+        .iter()
+        .map(|a| {
+            a.parse()
+                .unwrap_or_else(|_| args.fail(&format!("bad burst gap `{a}`")))
+        })
         .collect();
     let gaps = if gaps.is_empty() {
         vec![2000.0, 1200.0, 800.0]

@@ -24,26 +24,26 @@ use jaws_sim::{
 };
 use std::sync::{Arc, Mutex};
 
-fn cap_ms() -> f64 {
-    std::env::args()
-        .find_map(|a| a.strip_prefix("--cap-ms=").map(str::to_string))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1e10)
-}
-
-fn trace_out() -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix("--trace-out=").map(str::to_string))
-}
+const CAP_MS: exp::Flag = exp::Flag {
+    name: "--cap-ms",
+    value: Some("MS"),
+    help: "simulated-time cap per run",
+};
 
 fn main() {
-    let smoke = exp::smoke_mode();
+    let args = exp::parse_args("", &[exp::QUICK, exp::SMOKE, CAP_MS, exp::TRACE_OUT]);
+    let smoke = args.has("--smoke");
     let (trace, db, node_counts): (_, _, &[u32]) = if smoke {
         eprintln!("# --smoke: tiny geometry, 1/2/4 nodes");
         (exp::smoke_trace(), exp::smoke_db(), &[1, 2, 4])
     } else {
-        (exp::select_trace(), exp::paper_db(), &[1, 2, 4, 8])
+        (
+            exp::select_trace(args.has("--quick")),
+            exp::paper_db(),
+            &[1, 2, 4, 8],
+        )
     };
-    let max_sim_ms = cap_ms();
+    let max_sim_ms = args.parsed("--cap-ms").unwrap_or(1e10);
     println!("\nCluster scale-out — JAWS_2 per node, Morton-slab partitioning");
     exp::rule();
     println!(
@@ -59,7 +59,7 @@ fn main() {
         "speedup"
     );
     exp::rule();
-    let trace_path = trace_out();
+    let trace_path = args.value("--trace-out");
     let mut last_trace: Option<String> = None;
     let mut base_qps = None;
     for &nodes in node_counts {
@@ -119,7 +119,7 @@ fn main() {
         exp::CACHE_ATOMS
     );
     if let (Some(path), Some(jsonl)) = (trace_path, last_trace) {
-        std::fs::write(&path, jsonl).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(path, jsonl).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote observability trace of the last run to {path}");
     }
 }

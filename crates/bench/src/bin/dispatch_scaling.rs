@@ -257,10 +257,9 @@ fn bench_identity(threads: &[usize]) -> Vec<IdentityRow> {
 }
 
 fn main() {
-    let smoke = exp::smoke_mode();
-    let out_path = std::env::args()
-        .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        .unwrap_or_else(|| "BENCH_8.json".to_string());
+    let args = exp::parse_args("", &[exp::SMOKE, exp::OUT]);
+    let smoke = args.has("--smoke");
+    let out_path = args.value("--out").unwrap_or("BENCH_8.json");
     let threads_reported = jaws_par::thread_count();
 
     let (depths, dispatches, full_scan_reps): (&[u64], usize, usize) = if smoke {
@@ -343,6 +342,6 @@ fn main() {
         identity,
     };
     let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write bench output");
+    std::fs::write(out_path, json + "\n").expect("write bench output");
     eprintln!("# wrote {out_path}");
 }

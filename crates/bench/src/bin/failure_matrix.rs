@@ -113,18 +113,20 @@ fn row(
 }
 
 fn main() {
-    let smoke = exp::smoke_mode();
-    let out_path = std::env::args()
-        .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        .unwrap_or_else(|| "BENCH_6.json".to_string());
-    let trace_out =
-        std::env::args().find_map(|a| a.strip_prefix("--trace-out=").map(str::to_string));
+    let args = exp::parse_args("", &[exp::QUICK, exp::SMOKE, exp::OUT, exp::TRACE_OUT]);
+    let smoke = args.has("--smoke");
+    let out_path = args.value("--out").unwrap_or("BENCH_6.json");
+    let trace_out = args.value("--trace-out");
 
     let (db, trace, nodes) = if smoke {
         eprintln!("# --smoke: tiny geometry, 3 nodes");
         (exp::smoke_db(), exp::smoke_trace().speedup(20.0), 3u32)
     } else {
-        (exp::paper_db(), exp::select_trace().speedup(20.0), 4u32)
+        (
+            exp::paper_db(),
+            exp::select_trace(args.has("--quick")).speedup(20.0),
+            4u32,
+        )
     };
     let queries = trace.query_count() as u64;
     let plan_seed = exp::TRACE_SEED;
@@ -217,6 +219,6 @@ fn main() {
         rows,
     };
     let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write bench output");
+    std::fs::write(out_path, json + "\n").expect("write bench output");
     eprintln!("# wrote {out_path}");
 }

@@ -11,7 +11,8 @@ use jaws_bench::exp;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let trace = exp::select_trace();
+    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
+    let trace = exp::select_trace(quick);
     let specs: Vec<_> = SchedulerKind::evaluation_set()
         .iter()
         .map(|&k| exp::base_spec(k.name(), k, CachePolicyKind::LruK))

@@ -12,8 +12,9 @@ use jaws_bench::exp;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let trace = exp::select_trace();
-    let speedups: &[f64] = if exp::quick_mode() {
+    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
+    let trace = exp::select_trace(quick);
+    let speedups: &[f64] = if quick {
         &[0.25, 1.0, 4.0]
     } else {
         &[0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]

@@ -9,8 +9,9 @@ use jaws_bench::exp;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let trace = exp::select_trace();
-    let ks: &[usize] = if exp::quick_mode() {
+    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
+    let trace = exp::select_trace(quick);
+    let ks: &[usize] = if quick {
         &[1, 10, 30]
     } else {
         &[1, 2, 5, 10, 15, 20, 30, 50, 75, 100]

@@ -15,7 +15,8 @@ use jaws_turbdb::DataMode;
 use std::collections::HashMap;
 
 fn main() {
-    let trace = exp::select_trace();
+    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
+    let trace = exp::select_trace(quick);
     let cost = exp::paper_cost();
     let params = MetricParams {
         atom_read_ms: cost.atom_read_ms,

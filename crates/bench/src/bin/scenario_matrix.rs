@@ -6,8 +6,8 @@
 //! matrix of named, seeded workload shapes rather than the single calibrated
 //! trace the other benches replay:
 //!
-//! * `bench5_e2e`    — the BENCH_5 single-node smoke run, unchanged, as the
-//!   anchor row comparable against the committed `BENCH_5.json` trajectory;
+//! * `bench5_e2e`    — the single-node Synthetic-mode smoke run of the
+//!   former `hotpath` bench, unchanged, as the anchor row;
 //! * `flash_crowd`   — dense bursts with near-zero intra-burst gaps: the
 //!   event queue's same-bucket worst case and the dispatch path under
 //!   maximum ready-set pressure;
@@ -124,7 +124,7 @@ struct BaselineReport {
 /// How a scenario is executed. Every variant is a pure function of its
 /// seeded inputs, so re-running one is the determinism probe.
 enum Driver {
-    /// Single-node materialized-mode `Executor` (the BENCH_5 configuration).
+    /// Single-node materialized-mode `Executor` (the `bench5_e2e` configuration).
     SingleNode { trace: Trace },
     /// Multi-node `ClusterExecutor` on virtual data.
     Cluster {
@@ -550,12 +550,17 @@ fn guard_violations(report: &MatrixReport, baseline_json: &str) -> Vec<String> {
     violations
 }
 
+const GUARD: exp::Flag = exp::Flag {
+    name: "--guard",
+    value: Some("BASELINE"),
+    help: "exit non-zero on a >2x regression against the BASELINE report",
+};
+
 fn main() {
-    let smoke = exp::smoke_mode();
-    let out_path = std::env::args()
-        .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        .unwrap_or_else(|| "BENCH_10.json".to_string());
-    let guard_path = std::env::args().find_map(|a| a.strip_prefix("--guard=").map(str::to_string));
+    let args = exp::parse_args("", &[exp::SMOKE, exp::OUT, GUARD]);
+    let smoke = args.has("--smoke");
+    let out_path = args.value("--out").unwrap_or("BENCH_10.json");
+    let guard_path = args.value("--guard");
 
     let (micro_n, micro_warm, micro_measured) = if smoke {
         (2_000, 10, 100)
@@ -639,11 +644,11 @@ fn main() {
         scenarios: rows,
     };
     let json = serde_json::to_string_pretty(&report).expect("matrix report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write bench output");
+    std::fs::write(out_path, json + "\n").expect("write bench output");
     eprintln!("# wrote {out_path}");
 
     if let Some(path) = guard_path {
-        let baseline = std::fs::read_to_string(&path)
+        let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read guard baseline {path}: {e}"));
         let violations = guard_violations(&report, &baseline);
         for v in &violations {

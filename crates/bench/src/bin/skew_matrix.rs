@@ -189,12 +189,10 @@ fn thread_sweep(cfg: &ClusterConfig, trace: &Trace) -> bool {
 }
 
 fn main() {
-    let smoke = exp::smoke_mode();
-    let out_path = std::env::args()
-        .find_map(|a| a.strip_prefix("--out=").map(str::to_string))
-        .unwrap_or_else(|| "BENCH_9.json".to_string());
-    let trace_out =
-        std::env::args().find_map(|a| a.strip_prefix("--trace-out=").map(str::to_string));
+    let args = exp::parse_args("", &[exp::SMOKE, exp::OUT, exp::TRACE_OUT]);
+    let smoke = args.has("--smoke");
+    let out_path = args.value("--out").unwrap_or("BENCH_9.json");
+    let trace_out = args.value("--trace-out");
     let zipf_s = 1.1;
 
     let (db, trace) = if smoke {
@@ -319,6 +317,6 @@ fn main() {
         rows,
     };
     let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(&out_path, json + "\n").expect("write bench output");
+    std::fs::write(out_path, json + "\n").expect("write bench output");
     eprintln!("# wrote {out_path}");
 }

@@ -19,7 +19,8 @@ use std::collections::HashMap;
 const THRESHOLD_MS: f64 = 600.0;
 
 fn main() {
-    let trace = exp::select_trace();
+    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
+    let trace = exp::select_trace(quick);
     let cost = exp::paper_cost();
     let params = MetricParams {
         atom_read_ms: cost.atom_read_ms,

@@ -17,7 +17,8 @@ use jaws_bench::exp;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let trace = exp::select_trace();
+    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
+    let trace = exp::select_trace(quick);
     let specs: Vec<_> = CachePolicyKind::table1_set()
         .iter()
         .map(|&p| exp::base_spec(&format!("{p:?}"), SchedulerKind::Jaws2 { batch_k: 15 }, p))

@@ -27,6 +27,7 @@
 //!
 //! Usage: `trace_explain <trace.jsonl> [--queries=N] [--batches=N]`
 
+use jaws_bench::exp;
 use jaws_obs::{Event, Record};
 use jaws_sim::engine;
 use std::collections::BTreeMap;
@@ -61,21 +62,26 @@ struct Selection {
     atoms: Vec<jaws_obs::AtomChoice>,
 }
 
-fn flag(name: &str, default: usize) -> usize {
-    std::env::args()
-        .find_map(|a| a.strip_prefix(name).map(str::to_string))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+const QUERIES: exp::Flag = exp::Flag {
+    name: "--queries",
+    value: Some("N"),
+    help: "explain the first N queries (default 20)",
+};
+
+const BATCHES: exp::Flag = exp::Flag {
+    name: "--batches",
+    value: Some("N"),
+    help: "explain the first N batch selections (default 5)",
+};
 
 fn main() {
-    let path = std::env::args()
-        .skip(1)
-        .find(|a| !a.starts_with("--"))
-        .expect("usage: trace_explain <trace.jsonl> [--queries=N] [--batches=N]");
-    let max_queries = flag("--queries=", 20);
-    let max_batches = flag("--batches=", 5);
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let args = exp::parse_args("<trace.jsonl>", &[QUERIES, BATCHES]);
+    let [path] = args.operands() else {
+        args.fail("expected exactly one trace path")
+    };
+    let max_queries = args.parsed("--queries").unwrap_or(20);
+    let max_batches = args.parsed("--batches").unwrap_or(5);
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
 
     let mut queries: BTreeMap<u64, QueryStat> = BTreeMap::new();
     let mut selections: Vec<Selection> = Vec::new();

@@ -1,7 +1,7 @@
 //! Trace utility: generate, inspect and rescale workload traces on disk.
 //!
 //! ```text
-//! trace_tools generate <out.json> [--jobs N] [--seed S] [--small]
+//! trace_tools generate <out.json> [--jobs=N] [--seed=S] [--small]
 //! trace_tools info     <trace.json>
 //! trace_tools speedup  <in.json> <factor> <out.json>
 //! ```
@@ -10,18 +10,29 @@
 //! tool writes can be replayed by the experiment binaries' machinery or the
 //! library's `Executor`.
 
+use jaws_bench::exp;
 use jaws_workload::stats::{job_duration_histogram, timestep_histogram, top_timestep_share};
 use jaws_workload::{GenConfig, Trace, TraceGenerator};
 use std::fs::File;
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!("usage:");
-    eprintln!("  trace_tools generate <out.json> [--jobs N] [--seed S] [--small]");
-    eprintln!("  trace_tools info     <trace.json>");
-    eprintln!("  trace_tools speedup  <in.json> <factor> <out.json>");
-    ExitCode::FAILURE
-}
+const JOBS: exp::Flag = exp::Flag {
+    name: "--jobs",
+    value: Some("N"),
+    help: "generate: number of jobs",
+};
+
+const SEED: exp::Flag = exp::Flag {
+    name: "--seed",
+    value: Some("S"),
+    help: "generate: trace seed",
+};
+
+const SMALL: exp::Flag = exp::Flag {
+    name: "--small",
+    value: None,
+    help: "generate: the small test-scale configuration",
+};
 
 fn load(path: &str) -> Result<Trace, String> {
     let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
@@ -34,15 +45,32 @@ fn save(trace: &Trace, path: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
-    };
-    let result = match cmd.as_str() {
-        "generate" => generate(&args[1..]),
-        "info" => info(&args[1..]),
-        "speedup" => speedup(&args[1..]),
-        _ => return usage(),
+    let args = exp::parse_args(
+        "generate <out.json> | info <trace.json> | speedup <in.json> <factor> <out.json>",
+        &[JOBS, SEED, SMALL],
+    );
+    let ops: Vec<&str> = args.operands().iter().map(String::as_str).collect();
+    if ops.first() != Some(&"generate") && [JOBS, SEED, SMALL].iter().any(|f| args.has(f.name)) {
+        args.fail("--jobs, --seed and --small apply to `generate` only");
+    }
+    let result = match ops[..] {
+        ["generate", out] => generate(
+            out,
+            args.has("--small"),
+            args.parsed("--jobs"),
+            args.parsed("--seed"),
+        ),
+        ["info", path] => info(path),
+        ["speedup", input, factor, output] => {
+            let f: f64 = factor
+                .parse()
+                .unwrap_or_else(|_| args.fail(&format!("bad factor `{factor}`")));
+            if f <= 0.0 {
+                args.fail("factor must be positive");
+            }
+            speedup(input, f, output)
+        }
+        _ => args.fail("expected a subcommand and its operands"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -53,34 +81,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
-    let out = args.first().ok_or("missing output path")?;
-    let mut small = false;
-    let mut jobs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut it = args[1..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--small" => small = true,
-            "--jobs" => {
-                jobs = Some(
-                    it.next()
-                        .ok_or("--jobs needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?,
-                )
-            }
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .ok_or("--seed needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
+fn generate(out: &str, small: bool, jobs: Option<usize>, seed: Option<u64>) -> Result<(), String> {
     let mut cfg = if small {
         GenConfig::small(seed.unwrap_or(42))
     } else {
@@ -100,8 +101,7 @@ fn generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn info(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("missing trace path")?;
+fn info(path: &str) -> Result<(), String> {
     let t = load(path)?;
     t.validate();
     println!("trace {path}");
@@ -146,14 +146,7 @@ fn info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn speedup(args: &[String]) -> Result<(), String> {
-    let [input, factor, output] = args else {
-        return Err("speedup needs <in.json> <factor> <out.json>".into());
-    };
-    let f: f64 = factor.parse().map_err(|e| format!("factor: {e}"))?;
-    if f <= 0.0 {
-        return Err("factor must be positive".into());
-    }
+fn speedup(input: &str, f: f64, output: &str) -> Result<(), String> {
     let t = load(input)?.speedup(f);
     save(&t, output)?;
     println!("wrote {output} at {f}x arrival rate");

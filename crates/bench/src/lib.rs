@@ -100,7 +100,7 @@ pub mod exp {
         TraceGenerator::new(GenConfig::paper_like(TRACE_SEED)).generate()
     }
 
-    /// A smaller trace for quick smoke runs (`--quick` flag on binaries).
+    /// A smaller trace for quick runs (the [`QUICK`] flag).
     pub fn quick_trace() -> Trace {
         let cfg = GenConfig {
             jobs: 150,
@@ -124,18 +124,7 @@ pub mod exp {
         }
     }
 
-    /// True if the process was invoked with `--quick`.
-    pub fn quick_mode() -> bool {
-        std::env::args().any(|a| a == "--quick")
-    }
-
-    /// True if the process was invoked with `--smoke`: a reduced-size run for
-    /// CI, exercising the same code paths on a tiny geometry and trace.
-    pub fn smoke_mode() -> bool {
-        std::env::args().any(|a| a == "--smoke")
-    }
-
-    /// The tiny database geometry used by `--smoke` runs (64 atoms per
+    /// The tiny database geometry used by [`SMOKE`] runs (64 atoms per
     /// timestep — still divisible across 1/2/4 nodes).
     pub fn smoke_db() -> DbConfig {
         DbConfig {
@@ -148,14 +137,13 @@ pub mod exp {
         }
     }
 
-    /// The tiny trace used by `--smoke` runs.
+    /// The tiny trace used by [`SMOKE`] runs.
     pub fn smoke_trace() -> Trace {
         TraceGenerator::new(GenConfig::small(TRACE_SEED)).generate()
     }
 
-    /// Picks the trace per the `--quick` flag and announces it.
-    pub fn select_trace() -> Trace {
-        let quick = quick_mode();
+    /// Picks the quick or the full paper trace and announces it.
+    pub fn select_trace(quick: bool) -> Trace {
         let t = if quick { quick_trace() } else { paper_trace() };
         eprintln!(
             "# trace: {} jobs, {} queries, {} positions{}",
@@ -196,5 +184,229 @@ pub mod exp {
             out = masked;
         }
         out
+    }
+
+    /// A flag an experiment binary accepts: a switch (`--quick`) or, when
+    /// `value` names its value, `--name=VALUE`.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Flag {
+        /// The spelling, dashes included.
+        pub name: &'static str,
+        /// The value's name in the usage text; `None` for a switch.
+        pub value: Option<&'static str>,
+        /// One line for `--help`.
+        pub help: &'static str,
+    }
+
+    /// Replay the 150-job trace instead of the full paper trace.
+    pub const QUICK: Flag = Flag {
+        name: "--quick",
+        value: None,
+        help: "replay the 150-job trace instead of the full paper trace",
+    };
+
+    /// A reduced-size run for CI: the same code paths on a tiny geometry
+    /// and trace.
+    pub const SMOKE: Flag = Flag {
+        name: "--smoke",
+        value: None,
+        help: "tiny geometry and trace (the CI run)",
+    };
+
+    /// Where to write the JSON report.
+    pub const OUT: Flag = Flag {
+        name: "--out",
+        value: Some("PATH"),
+        help: "write the JSON report to PATH",
+    };
+
+    /// Where to write a JSONL observability trace.
+    pub const TRACE_OUT: Flag = Flag {
+        name: "--trace-out",
+        value: Some("PATH"),
+        help: "record a JSONL observability trace to PATH",
+    };
+
+    /// Flags and operands accepted by [`parse`].
+    #[derive(Debug)]
+    pub struct Args {
+        usage: String,
+        flags: Vec<(&'static str, Option<String>)>,
+        operands: Vec<String>,
+    }
+
+    impl Args {
+        /// True if the switch or valued flag `name` was given.
+        pub fn has(&self, name: &str) -> bool {
+            self.flags.iter().any(|(n, _)| *n == name)
+        }
+
+        /// The value given to flag `name`, if any.
+        pub fn value(&self, name: &str) -> Option<&str> {
+            self.flags
+                .iter()
+                .find(|(n, _)| *n == name)
+                .and_then(|(_, v)| v.as_deref())
+        }
+
+        /// The value of flag `name` parsed as `T`; an unparsable value is a
+        /// usage error.
+        pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+            self.value(name).map(|v| {
+                v.parse()
+                    .unwrap_or_else(|_| self.fail(&format!("bad value for {name}: `{v}`")))
+            })
+        }
+
+        /// The operands (arguments that are not flags), in order.
+        pub fn operands(&self) -> &[String] {
+            &self.operands
+        }
+
+        /// Prints `msg` and the usage to stderr and exits with status 2.
+        pub fn fail(&self, msg: &str) -> ! {
+            eprint!("error: {msg}\n{}", self.usage);
+            std::process::exit(2)
+        }
+    }
+
+    fn usage(bin: &str, operands: &str, flags: &[Flag]) -> String {
+        let mut out = format!("usage: {bin}");
+        if !flags.is_empty() {
+            out.push_str(" [FLAGS]");
+        }
+        if !operands.is_empty() {
+            out.push(' ');
+            out.push_str(operands);
+        }
+        out.push('\n');
+        let help = Flag {
+            name: "--help",
+            value: None,
+            help: "print this help",
+        };
+        for f in flags.iter().chain([&help]) {
+            let spelled = match f.value {
+                Some(v) => format!("{}={v}", f.name),
+                None => f.name.to_string(),
+            };
+            out.push_str(&format!("  {spelled:<20} {}\n", f.help));
+        }
+        out
+    }
+
+    /// Parses `args` (without the program name) against `flags`. Operands
+    /// are accepted only when `operands` (their usage text) is non-empty.
+    /// `Ok(None)` means `--help` was asked for; `Err` carries the message.
+    pub fn parse(
+        bin: &str,
+        operands: &str,
+        flags: &[Flag],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Option<Args>, String> {
+        let mut parsed = Args {
+            usage: usage(bin, operands, flags),
+            flags: Vec::new(),
+            operands: Vec::new(),
+        };
+        for arg in args {
+            if arg == "--help" {
+                return Ok(None);
+            }
+            if !arg.starts_with('-') || arg == "-" {
+                if operands.is_empty() {
+                    return Err(format!("unexpected operand `{arg}`"));
+                }
+                parsed.operands.push(arg);
+                continue;
+            }
+            let (name, value) = match arg.split_once('=') {
+                Some((n, v)) => (n, Some(v.to_string())),
+                None => (arg.as_str(), None),
+            };
+            let Some(flag) = flags.iter().find(|f| f.name == name) else {
+                return Err(format!("unknown flag `{arg}`"));
+            };
+            match (flag.value, &value) {
+                (Some(v), None) => return Err(format!("{name} needs a value: {name}={v}")),
+                (None, Some(_)) => return Err(format!("{name} takes no value")),
+                _ if parsed.has(name) => return Err(format!("{name} given twice")),
+                _ => {}
+            }
+            parsed.flags.push((flag.name, value));
+        }
+        Ok(Some(parsed))
+    }
+
+    /// Parses the process arguments against `flags` (see [`parse`]).
+    /// `--help` prints the usage and exits 0; an unknown flag, a missing or
+    /// unexpected value, or an operand the binary does not take prints the
+    /// usage and exits 2 — before any replay starts.
+    pub fn parse_args(operands: &str, flags: &[Flag]) -> Args {
+        let mut argv = std::env::args();
+        let bin = argv
+            .next()
+            .and_then(|p| {
+                std::path::Path::new(&p)
+                    .file_name()
+                    .map(|n| n.to_string_lossy().into_owned())
+            })
+            .unwrap_or_default();
+        match parse(&bin, operands, flags, argv) {
+            Ok(Some(args)) => args,
+            Ok(None) => {
+                print!("{}", usage(&bin, operands, flags));
+                std::process::exit(0)
+            }
+            Err(msg) => {
+                eprint!("error: {msg}\n{}", usage(&bin, operands, flags));
+                std::process::exit(2)
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::exp::{parse, Args, Flag, OUT, QUICK};
+
+    const FLAGS: &[Flag] = &[QUICK, OUT];
+
+    fn run(operands: &str, argv: &[&str]) -> Result<Option<Args>, String> {
+        parse("bin", operands, FLAGS, argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn switches_values_and_operands_parse() {
+        let args = run("<FILE>", &["a.json", "--quick", "--out=x.json", "b"])
+            .expect("valid")
+            .expect("not help");
+        assert!(args.has("--quick"));
+        assert_eq!(args.value("--out"), Some("x.json"));
+        assert_eq!(args.value("--quick"), None);
+        assert_eq!(args.operands(), ["a.json", "b"]);
+        let none = run("", &[]).expect("valid").expect("not help");
+        assert!(!none.has("--quick") && none.value("--out").is_none());
+    }
+
+    #[test]
+    fn unknown_flags_and_malformed_values_are_errors() {
+        for (argv, msg) in [
+            (&["--quik"][..], "unknown flag `--quik`"),
+            (&["-q"], "unknown flag `-q`"),
+            (&["--out"], "--out needs a value"),
+            (&["--quick=1"], "--quick takes no value"),
+            (&["--quick", "--quick"], "--quick given twice"),
+            (&["stray"], "unexpected operand `stray`"),
+        ] {
+            let err = run("", argv).expect_err("rejected");
+            assert!(err.contains(msg), "{argv:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_wins_over_everything_else() {
+        assert!(run("", &["--help"]).expect("help").is_none());
+        assert!(run("", &["--quick", "--help"]).expect("help").is_none());
     }
 }

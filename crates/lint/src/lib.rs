@@ -38,9 +38,8 @@
 //! | C002 | everywhere, tests included | acquiring a second distinct `Mutex`/`RwLock` while a guard is held in the same scope (lock-ordering hazard; lock-typed names are collected workspace-wide) |
 //! | C003 | everywhere, tests included | holding a lock guard across a `jaws_par::map*` call |
 //! | T001 | everywhere except `crates/par` | `jaws-par` closures capturing `RefCell`/`Cell`/atomics, doing atomic RMW, or calling obs sinks |
-//! | M001 | bodies of `// lint: hotpath` functions, tests included | per-call allocation (`Vec::new`, `Box::new`, `.collect()`) inside a declared hot path — reuse scratch from `jaws-arena` or a caller-provided buffer |
+//! | M001 | bodies of `// lint: hotpath` functions, tests included | per-call allocation (`Vec::new`, `Box::new`, `.collect()`) inside a declared hot path — reuse a caller-provided buffer or a `mem::take`d field |
 //! | S001 | everywhere, tests included | suppression debt: a `lint:` marker that no longer justifies anything, or that matches no known form |
-//! | U001 | crate roots except `crates/bench` | missing `#![forbid(unsafe_code)]` |
 //!
 //! # Suppression grammar
 //!
@@ -218,9 +217,8 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "functions declared `// lint: hotpath` (engine event loop, next_batch, sweep \
                     kernels) run once per simulated event; a `Vec::new`/`Box::new`/`collect()` \
                     there is allocator traffic repeated millions of times per experiment.",
-        fix: "reuse scratch: take buffers from a jaws-arena pool, accept a caller-provided \
-              buffer, or `mem::take` a reusable field; `// lint: allow(M001)` for genuinely \
-              cold branches inside a hot body.",
+        fix: "reuse scratch: a caller-provided buffer or a `mem::take`d field; \
+              `// lint: allow(M001)` for genuinely cold branches inside a hot body.",
     },
     RuleInfo {
         id: "S001",
@@ -231,13 +229,6 @@ pub const RULES: &[RuleInfo] = &[
         fix: "delete stale markers; fix malformed ones to `lint: sorted`, `lint: invariant`, \
               `lint: hotpath`, or `lint: allow(<RULE>)`. S001 is not \
               suppressible.",
-    },
-    RuleInfo {
-        id: "U001",
-        title: "crate roots forbid unsafe",
-        rationale: "the workspace is pure-Rust by policy; only crates/bench harness shims are \
-                    exempt.",
-        fix: "add `#![forbid(unsafe_code)]` to the crate root.",
     },
 ];
 
@@ -412,34 +403,9 @@ fn is_workspace_root(dir: &Path) -> bool {
     })
 }
 
-/// Crate roots (relative to the workspace root) that must carry
-/// `#![forbid(unsafe_code)]` — every crate except `crates/bench`, whose
-/// harness shims are exempt.
-fn forbid_unsafe_roots(root: &Path) -> Vec<String> {
-    let mut roots = Vec::new();
-    if root.join("src/lib.rs").is_file() {
-        roots.push("src/lib.rs".to_string());
-    }
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
-        let mut dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-        dirs.sort();
-        for d in dirs {
-            let name = d.file_name().map(|n| n.to_string_lossy().to_string());
-            if name.as_deref() == Some("bench") {
-                continue;
-            }
-            if d.join("src/lib.rs").is_file() {
-                roots.push(format!("crates/{}/src/lib.rs", name.unwrap_or_default()));
-            }
-        }
-    }
-    roots
-}
-
 /// Scans a workspace tree rooted at `root`: reads every `.rs` file (in
 /// sorted order, skipping target/vendor/fixtures and nested workspaces),
-/// builds the cross-file [`Context`], checks each file, and applies the
-/// U001 crate-root check.
+/// builds the cross-file [`Context`] and checks each file.
 /// Diagnostics come back sorted by `(file, line, rule)`.
 pub fn check_workspace(root: &Path) -> io::Result<Report> {
     let mut paths = Vec::new();
@@ -463,17 +429,6 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
     for (rel, src) in &files {
         report.diagnostics.extend(check_file_in(rel, src, &ctx));
     }
-    for rel in forbid_unsafe_roots(root) {
-        let src = fs::read_to_string(root.join(&rel))?;
-        if !src.contains("#![forbid(unsafe_code)]") {
-            report.diagnostics.push(Diagnostic {
-                file: rel,
-                line: 1,
-                rule: "U001",
-                message: "crate root is missing `#![forbid(unsafe_code)]`".to_string(),
-            });
-        }
-    }
     report.diagnostics.sort();
     Ok(report)
 }
@@ -488,7 +443,6 @@ mod tests {
         assert_eq!(ids.len(), RULES.len(), "duplicate rule ids");
         for id in [
             "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001", "S001",
-            "U001",
         ] {
             assert!(rule_info(id).is_some(), "missing registry entry for {id}");
         }

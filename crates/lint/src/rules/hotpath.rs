@@ -5,8 +5,7 @@
 //!   event — millions of times per experiment — so a per-call allocation
 //!   there is pure allocator traffic. `Vec::new`, `Box::new` and
 //!   `.collect()` inside the body are flagged; hot paths reuse scratch
-//!   (`jaws-arena` pools, caller-provided buffers, `mem::take`d fields)
-//!   instead.
+//!   (a caller-provided buffer or a `mem::take`d field) instead.
 //!
 //! The marker is a *declaration*, not a suppression: it opts the function
 //! below into the rule. A marker that annotates no function is S001 debt —
@@ -117,8 +116,8 @@ pub fn run(c: &mut Check<'_>) {
                             "M001",
                             format!(
                                 "{label} allocates per call inside `// lint: hotpath` function \
-                                 `{name}`; reuse scratch (jaws-arena pool, caller-provided \
-                                 buffer, or a `mem::take`d field) instead"
+                                 `{name}`; reuse scratch (a caller-provided buffer or a \
+                                 `mem::take`d field) instead"
                             ),
                         );
                     }

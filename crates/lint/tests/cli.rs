@@ -7,10 +7,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// Every rule the violations fixture plants; `U001` comes from the missing
-/// forbid-unsafe attribute rather than a planted function.
+/// Every rule the violations fixture plants.
 const ALL_RULES: &[&str] = &[
-    "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001", "S001", "U001",
+    "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001", "S001",
 ];
 
 fn workspace_root() -> PathBuf {

@@ -3,8 +3,7 @@
 //! Never compiled — the `fixtures` directory is excluded from workspace
 //! scans and from cargo targets. Each function plants exactly one rule
 //! violation; `tests/cli.rs` asserts the binary reports all of them and
-//! exits non-zero. The crate root also deliberately omits the
-//! forbid-unsafe attribute, so U001 fires too.
+//! exits non-zero.
 
 use std::collections::HashMap;
 

@@ -12,8 +12,8 @@
 //! * [`encode`]/[`decode`] — branch-free 3-D Morton encoding via bit dilation.
 //! * [`MortonKey`] — a typed Morton index with hierarchy operations (the paper's
 //!   "cubes of side 2^k" logical partitioning).
-//! * [`cover_box`] — decomposition of an axis-aligned voxel box into a minimal
-//!   set of contiguous Morton ranges, used for clustered B+ tree range scans.
+//! * [`AtomId`] — a (timestep, Morton key) pair, the addressing unit of the
+//!   database, the cache and the schedulers.
 //!
 //! All operations support coordinates up to 2²¹−1 per axis (63 usable bits),
 //! far beyond the 16 atoms/side (1024³ grid / 64³ atoms) of the production
@@ -23,16 +23,12 @@
 #![warn(missing_docs)]
 
 mod atom;
-mod bigmin;
 mod encode;
 mod key;
-mod range;
 
 pub use atom::AtomId;
-pub use bigmin::{bigmin, box_corners, in_box};
 pub use encode::{decode, encode, MAX_COORD};
 pub use key::MortonKey;
-pub use range::{cover_box, BoxCover, MortonRange};
 
 #[cfg(test)]
 mod proptests;

@@ -1,6 +1,6 @@
-//! Property-based tests for Morton encoding and box covers.
+//! Property-based tests for Morton encoding and the key hierarchy.
 
-use crate::{cover_box, decode, encode, MortonKey, MAX_COORD};
+use crate::{decode, encode, MortonKey, MAX_COORD};
 use proptest::prelude::*;
 
 proptest! {
@@ -40,37 +40,6 @@ proptest! {
         prop_assert!(lo1 <= k && k < hi1);
     }
 
-    /// Box covers agree with brute-force membership on grids up to 16³.
-    #[test]
-    fn cover_matches_membership(
-        x0 in 0u32..16, y0 in 0u32..16, z0 in 0u32..16,
-        dx in 0u32..8, dy in 0u32..8, dz in 0u32..8,
-        probe in (0u32..24, 0u32..24, 0u32..24),
-    ) {
-        let min = (x0, y0, z0);
-        let max = (x0 + dx, y0 + dy, z0 + dz);
-        let cover = cover_box(min, max);
-        let (px, py, pz) = probe;
-        let inside = (min.0..=max.0).contains(&px)
-            && (min.1..=max.1).contains(&py)
-            && (min.2..=max.2).contains(&pz);
-        prop_assert_eq!(cover.contains(MortonKey::from_coords(px, py, pz)), inside);
-    }
-
-    /// Covers count exactly the box volume and keep ranges sorted and disjoint.
-    #[test]
-    fn cover_volume_and_structure(
-        x0 in 0u32..32, y0 in 0u32..32, z0 in 0u32..32,
-        dx in 0u32..16, dy in 0u32..16, dz in 0u32..16,
-    ) {
-        let cover = cover_box((x0, y0, z0), (x0 + dx, y0 + dy, z0 + dz));
-        let volume = (dx as u64 + 1) * (dy as u64 + 1) * (dz as u64 + 1);
-        prop_assert_eq!(cover.cell_count(), volume);
-        for w in cover.ranges.windows(2) {
-            prop_assert!(w[0].hi.0 < w[1].lo.0);
-        }
-    }
-
     /// Chebyshev distance is a metric: symmetric, zero iff equal, triangle inequality.
     #[test]
     fn chebyshev_is_a_metric(
@@ -86,46 +55,5 @@ proptest! {
         prop_assert!(
             ka.chebyshev_distance(kc) <= ka.chebyshev_distance(kb) + kb.chebyshev_distance(kc)
         );
-    }
-}
-
-mod bigmin_props {
-    use crate::{bigmin, box_corners, in_box, MortonKey};
-    use proptest::prelude::*;
-
-    fn naive(current: MortonKey, zmin: MortonKey, zmax: MortonKey) -> Option<MortonKey> {
-        ((current.0 + 1)..=zmax.0)
-            .map(MortonKey)
-            .find(|&k| in_box(k, zmin, zmax))
-    }
-
-    proptest! {
-        /// BIGMIN agrees with the linear-scan reference on random boxes.
-        #[test]
-        fn bigmin_matches_naive(
-            x0 in 0u32..12, y0 in 0u32..12, z0 in 0u32..12,
-            dx in 0u32..6, dy in 0u32..6, dz in 0u32..6,
-            cur in 0u64..6000,
-        ) {
-            let (zmin, zmax) = box_corners((x0, y0, z0), (x0 + dx, y0 + dy, z0 + dz));
-            prop_assert_eq!(
-                bigmin(MortonKey(cur), zmin, zmax),
-                naive(MortonKey(cur), zmin, zmax)
-            );
-        }
-
-        /// BIGMIN's result is always strictly greater and inside the box.
-        #[test]
-        fn bigmin_postconditions(
-            x0 in 0u32..16, y0 in 0u32..16, z0 in 0u32..16,
-            dx in 0u32..8, dy in 0u32..8, dz in 0u32..8,
-            cur in 0u64..20_000,
-        ) {
-            let (zmin, zmax) = box_corners((x0, y0, z0), (x0 + dx, y0 + dy, z0 + dz));
-            if let Some(next) = bigmin(MortonKey(cur), zmin, zmax) {
-                prop_assert!(next.0 > cur);
-                prop_assert!(in_box(next, zmin, zmax));
-            }
-        }
     }
 }

@@ -262,30 +262,6 @@ pub enum Event {
         /// The sample.
         sample: f64,
     },
-    /// Snapshot of the scheduler delta layer's monotone maintenance counters
-    /// and arrangement sizes (emitted after a batch when the scheduler is
-    /// configured to report them; off by default because it changes the trace
-    /// byte-stream).
-    DeltaStats {
-        /// `Arrived` deltas applied so far.
-        arrived: u64,
-        /// `Taken` deltas applied so far.
-        taken: u64,
-        /// `Completed` deltas applied so far.
-        completed: u64,
-        /// `ResidencyChanged` deltas applied so far.
-        residency_changed: u64,
-        /// Per-atom Eq. 1 recomputations performed by integration.
-        eq1_recomputes: u64,
-        /// Per-timestep aggregate refolds performed by integration.
-        ts_refolds: u64,
-        /// Coarse O(#timesteps) scans that actually ran (memo misses).
-        coarse_scans: u64,
-        /// Atoms with pending work (arrangement size).
-        pending_atoms: u64,
-        /// Timesteps with pending work (arrangement size).
-        pending_timesteps: u64,
-    },
 }
 
 /// A timestamped, optionally node-tagged [`Event`].
@@ -559,29 +535,6 @@ mod tests {
         };
         let line = serde_json::to_string(&rec).unwrap();
         assert!(line.contains("\"node\":null"), "{line}");
-        let back: Record = serde_json::from_str(&line).unwrap();
-        assert_eq!(back, rec);
-    }
-
-    #[test]
-    fn delta_stats_event_round_trips() {
-        let rec = Record {
-            t_ms: 7.5,
-            node: Some(2),
-            event: Event::DeltaStats {
-                arrived: 100,
-                taken: 40,
-                completed: 12,
-                residency_changed: 9,
-                eq1_recomputes: 55,
-                ts_refolds: 8,
-                coarse_scans: 3,
-                pending_atoms: 60,
-                pending_timesteps: 4,
-            },
-        };
-        let line = serde_json::to_string(&rec).unwrap();
-        assert!(line.contains("\"DeltaStats\""), "{line}");
         let back: Record = serde_json::from_str(&line).unwrap();
         assert_eq!(back, rec);
     }

@@ -7,8 +7,9 @@
 //!   timestep's atoms whose metric exceeds the timestep mean, executing them
 //!   in Morton order — one pass that exploits locality of reference and
 //!   sequential disk layout.
-//! * **Adaptive starvation resistance** (§V-A): the age bias α is tuned
-//!   incrementally per run of `r` queries by an [`AlphaController`].
+//! * **Adaptive starvation resistance** (§V-A): the age bias α starts at
+//!   the paper's 0.5 and is tuned incrementally per run of `r` queries by an
+//!   [`AlphaController`].
 //! * **Job-aware gated execution** (§IV): queries of aligned ordered jobs are
 //!   held until their gating partners are ready, then released together so
 //!   shared atoms are read once. Disable `job_aware` to get the paper's
@@ -70,10 +71,6 @@ pub struct JawsConfig {
     /// Batch size `k`: maximum atoms co-scheduled per timestep pass (the
     /// paper sets 15; Fig. 12 sweeps it).
     pub batch_k: usize,
-    /// Initial age bias α (the paper initializes 0.5).
-    pub alpha0: f64,
-    /// If false, α stays fixed at `alpha0` (ablation of §V-A).
-    pub adaptive_alpha: bool,
     /// Run length `r` in queries, for α adaptation and cache run boundaries.
     pub run_len: usize,
     /// If true, ordered jobs are aligned and gated (JAWS₂); if false the
@@ -81,25 +78,20 @@ pub struct JawsConfig {
     pub job_aware: bool,
     /// Gating knobs (timeout valve, alignment fan-in).
     pub gating: GatingConfig,
-    /// If true (and a recorder is attached), every produced batch is followed
-    /// by an [`Event::DeltaStats`] snapshot of the delta layer's counters and
-    /// arrangement sizes. Off by default: enabling it changes the trace
-    /// byte-stream, so the determinism suite's golden traces keep it off.
-    pub emit_delta_stats: bool,
 }
 
+/// The initial age bias α; the paper initializes it to 0.5 (§V-A).
+const ALPHA0: f64 = 0.5;
+
 impl JawsConfig {
-    /// The paper's full configuration: k = 15, α₀ = 0.5, adaptive, job-aware.
+    /// The paper's full configuration: k = 15, run length 50, job-aware.
     pub fn jaws2(params: MetricParams) -> Self {
         JawsConfig {
             params,
             batch_k: 15,
-            alpha0: 0.5,
-            adaptive_alpha: true,
             run_len: 50,
             job_aware: true,
             gating: GatingConfig::default(),
-            emit_delta_stats: false,
         }
     }
 
@@ -120,9 +112,6 @@ pub struct Jaws {
     alpha_ctl: AlphaController,
     /// Queries available but held by gating, by id, awaiting release.
     held: HashMap<QueryId, Query>,
-    /// Run-boundary counter for the fixed-α ablation, which must not feed
-    /// fabricated response times into the (unused) [`AlphaController`].
-    fixed_completed_in_run: usize,
     run_boundary: bool,
     stats: SchedulerStats,
     sink: ObsSink,
@@ -138,13 +127,11 @@ impl Jaws {
     /// Creates a JAWS scheduler.
     pub fn new(cfg: JawsConfig) -> Self {
         assert!(cfg.batch_k >= 1, "batch size k must be at least 1");
-        assert!((0.0..=1.0).contains(&cfg.alpha0));
         Jaws {
             wm: WorkloadManager::new(cfg.params),
             gating: GatingGraph::new(cfg.gating),
-            alpha_ctl: AlphaController::new(cfg.alpha0, cfg.run_len),
+            alpha_ctl: AlphaController::new(ALPHA0, cfg.run_len),
             held: HashMap::new(),
-            fixed_completed_in_run: 0,
             run_boundary: false,
             stats: SchedulerStats::default(),
             sink: ObsSink::null(),
@@ -227,7 +214,7 @@ impl Jaws {
     /// Drains the selected atoms out of the workload queues into a [`Batch`],
     /// updating the dispatch counters. The batch's own vectors are the only
     /// allocations here — they escape to the engine with the batch.
-    fn build_batch(&mut self, selected: &[AtomId], now_ms: f64) -> Batch {
+    fn build_batch(&mut self, selected: &[AtomId]) -> Batch {
         let mut atoms = Vec::with_capacity(selected.len());
         // The two batch Vecs escape into the returned `Batch` (the engine
         // owns them); `take_atom_into` keeps the k takes themselves
@@ -240,23 +227,6 @@ impl Jaws {
         }
         self.stats.batches += 1;
         self.stats.atom_groups += atoms.len() as u64;
-        if self.cfg.emit_delta_stats && self.sink.enabled() {
-            let d = self.wm.delta_stats();
-            self.sink.emit(
-                now_ms,
-                Event::DeltaStats {
-                    arrived: d.arrived,
-                    taken: d.taken,
-                    completed: d.completed,
-                    residency_changed: d.residency_changed,
-                    eq1_recomputes: d.eq1_recomputes,
-                    ts_refolds: d.ts_refolds,
-                    coarse_scans: d.coarse_scans,
-                    pending_atoms: self.wm.pending_atoms() as u64,
-                    pending_timesteps: self.wm.pending_timesteps() as u64,
-                },
-            );
-        }
         Batch {
             atoms,
             completing_queries: completing,
@@ -280,10 +250,8 @@ impl Scheduler for Jaws {
     }
 
     fn query_available(&mut self, query: &Query, now_ms: f64) {
-        if self.cfg.adaptive_alpha {
-            // The first arrival anchors the first α run's throughput window.
-            self.alpha_ctl.note_arrival(now_ms);
-        }
+        // The first arrival anchors the first α run's throughput window.
+        self.alpha_ctl.note_arrival(now_ms);
         if self.cfg.job_aware {
             self.held.insert(query.id, query.clone());
             let fired = self.gating.query_available(query.id, now_ms);
@@ -382,7 +350,7 @@ impl Scheduler for Jaws {
                 residency, best_ts, alpha, ts_mean, &in_ts, &selected, now_ms,
             );
         }
-        let batch = self.build_batch(&selected, now_ms);
+        let batch = self.build_batch(&selected);
         self.ranked_scratch = in_ts;
         selected.clear();
         self.selected_scratch = selected;
@@ -391,31 +359,19 @@ impl Scheduler for Jaws {
 
     fn on_query_complete(&mut self, query: QueryId, response_ms: f64, now_ms: f64) {
         self.wm.note_completed(query);
-        if self.cfg.adaptive_alpha {
-            if self.alpha_ctl.on_query_complete(response_ms, now_ms) {
-                self.run_boundary = true;
-                if self.sink.enabled() {
-                    if let Some(&(alpha, fb)) = self.alpha_ctl.history().last() {
-                        self.sink.emit(
-                            now_ms,
-                            Event::AlphaAdjusted {
-                                alpha,
-                                mean_response_ms: fb.mean_response_ms,
-                                throughput_qps: fb.throughput_qps,
-                            },
-                        );
-                    }
+        if self.alpha_ctl.on_query_complete(response_ms, now_ms) {
+            self.run_boundary = true;
+            if self.sink.enabled() {
+                if let Some(&(alpha, fb)) = self.alpha_ctl.history().last() {
+                    self.sink.emit(
+                        now_ms,
+                        Event::AlphaAdjusted {
+                            alpha,
+                            mean_response_ms: fb.mean_response_ms,
+                            throughput_qps: fb.throughput_qps,
+                        },
+                    );
                 }
-            }
-        } else {
-            // Fixed-α ablation still wants run boundaries for the cache, but
-            // must not feed fabricated zero response times into the
-            // controller — that would pollute its run telemetry (and the
-            // alpha_history() report) even though α itself never moves.
-            self.fixed_completed_in_run += 1;
-            if self.fixed_completed_in_run >= self.cfg.run_len {
-                self.fixed_completed_in_run = 0;
-                self.run_boundary = true;
             }
         }
         if self.cfg.job_aware {
@@ -450,11 +406,7 @@ impl Scheduler for Jaws {
     }
 
     fn alpha(&self) -> f64 {
-        if self.cfg.adaptive_alpha {
-            self.alpha_ctl.alpha()
-        } else {
-            self.cfg.alpha0
-        }
+        self.alpha_ctl.alpha()
     }
 
     fn utility_snapshot(&mut self, residency: &dyn Residency) -> UtilitySnapshot {
@@ -622,46 +574,6 @@ mod tests {
         let b = s.next_batch(5_000.0, &none).expect("force-released");
         assert_eq!(b.positions(), 50);
         assert!(s.stats().forced_releases >= 1);
-    }
-
-    #[test]
-    fn alpha_is_fixed_when_adaptation_is_off() {
-        let mut s = Jaws::new(JawsConfig {
-            adaptive_alpha: false,
-            alpha0: 0.3,
-            ..JawsConfig::jaws1(params())
-        });
-        for i in 0..500 {
-            s.on_query_complete(i, 100.0 + i as f64, i as f64 * 10.0);
-        }
-        assert_eq!(s.alpha(), 0.3);
-    }
-
-    #[test]
-    fn fixed_alpha_keeps_run_boundaries_without_polluting_the_controller() {
-        // Regression: the fixed-α ablation used to drive run boundaries by
-        // feeding response_ms = 0.0 into the AlphaController, fabricating
-        // run feedback for a controller that is supposed to be inert.
-        let mut s = Jaws::new(JawsConfig {
-            adaptive_alpha: false,
-            alpha0: 0.3,
-            run_len: 3,
-            ..JawsConfig::jaws1(params())
-        });
-        let mut boundaries = 0;
-        for i in 0..12 {
-            s.on_query_complete(i, 250.0, i as f64 * 10.0);
-            if s.take_run_boundary() {
-                boundaries += 1;
-                assert_eq!((i + 1) % 3, 0, "boundary fires every run_len");
-            }
-        }
-        assert_eq!(boundaries, 4, "run counting still works for the cache");
-        assert_eq!(s.alpha(), 0.3, "alpha untouched");
-        assert!(
-            s.alpha_history().is_empty(),
-            "no fabricated RunFeedback reaches the controller"
-        );
     }
 
     #[test]

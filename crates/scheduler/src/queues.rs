@@ -158,11 +158,6 @@ impl WorkloadManager {
         self.core.atom_count()
     }
 
-    /// Number of timesteps with at least one pending atom.
-    pub fn pending_timesteps(&self) -> usize {
-        self.core.timestep_count()
-    }
-
     /// Pending positions on one atom (ΣW of Eq. 1), zero if queue-less.
     pub fn atom_positions(&self, atom: &AtomId) -> u64 {
         self.core.queue(*atom).map_or(0, |(positions, _)| positions)

@@ -1,6 +1,6 @@
 //! Factories wiring schedulers, cache policies and databases together.
 
-use jaws_cache::{Lru, LruK, ReplacementPolicy, Slru, TwoQ, Urc};
+use jaws_cache::{Lru, LruK, ReplacementPolicy, Slru, Urc};
 use jaws_morton::AtomId;
 use jaws_scheduler::{
     CasJobs, GatingConfig, Jaws, JawsConfig, LifeRaft, MetricParams, NoShare, QosScheduler,
@@ -81,9 +81,6 @@ pub enum CachePolicyKind {
     Slru,
     /// Utility Ranked Caching driven by scheduler knowledge.
     Urc,
-    /// 2Q (Johnson & Shasha) — the scan-resistant design SLRU is compared
-    /// against in the literature the paper cites \[23\].
-    TwoQ,
 }
 
 impl CachePolicyKind {
@@ -108,7 +105,6 @@ pub fn build_policy(
         CachePolicyKind::LruK => Box::new(LruK::new()),
         CachePolicyKind::Slru => Box::new(Slru::for_cache(cache_atoms)),
         CachePolicyKind::Urc => Box::new(Urc::new()),
-        CachePolicyKind::TwoQ => Box::new(TwoQ::for_cache(cache_atoms)),
     }
 }
 
@@ -197,6 +193,5 @@ mod tests {
         assert_eq!(build_policy(CachePolicyKind::LruK, 100).name(), "LRU-K");
         assert_eq!(build_policy(CachePolicyKind::Slru, 100).name(), "SLRU");
         assert_eq!(build_policy(CachePolicyKind::Urc, 100).name(), "URC");
-        assert_eq!(build_policy(CachePolicyKind::TwoQ, 100).name(), "2Q");
     }
 }

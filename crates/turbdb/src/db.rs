@@ -174,43 +174,6 @@ impl TurbDb {
         Some(self.res_log.iter().skip(skip).copied().collect())
     }
 
-    /// Atoms of one timestep whose grid coordinates fall inside the inclusive
-    /// atom-coordinate box `[min, max]` — a spatial range query answered with
-    /// a BIGMIN skip-scan over the clustered index: the scan jumps over the
-    /// Morton-interval gaps that lie outside the box instead of filtering key
-    /// by key (§III-A: "both range and containment queries are efficient with
-    /// respect to I/O").
-    pub fn atoms_in_box(
-        &self,
-        timestep: u32,
-        min: (u32, u32, u32),
-        max: (u32, u32, u32),
-    ) -> Vec<AtomId> {
-        assert!(
-            min.0 <= max.0 && min.1 <= max.1 && min.2 <= max.2,
-            "degenerate atom box"
-        );
-        let side = self.cfg.atoms_per_side();
-        assert!(
-            max.0 < side && max.1 < side && max.2 < side,
-            "atom box exceeds the grid"
-        );
-        let (zmin, zmax) = jaws_morton::box_corners(min, max);
-        let mut out = Vec::new();
-        let mut cur = if jaws_morton::in_box(zmin, zmin, zmax) {
-            Some(zmin)
-        } else {
-            jaws_morton::bigmin(zmin, zmin, zmax)
-        };
-        while let Some(k) = cur {
-            let id = AtomId::new(timestep, k);
-            debug_assert!(self.index.get(&id).is_some(), "index covers the grid");
-            out.push(id);
-            cur = jaws_morton::bigmin(k, zmin, zmax);
-        }
-        out
-    }
-
     /// Atom (Morton key) owning a continuous voxel position, with periodic
     /// wrapping.
     pub fn atom_of_position(&self, p: [f64; 3]) -> MortonKey {
@@ -531,31 +494,6 @@ mod tests {
         let db = open_tiny(DataMode::Virtual, 4);
         assert_eq!(db.compute_cost_ms(0), 0.0);
         assert_eq!(db.compute_cost_ms(100), 50.0);
-    }
-
-    #[test]
-    fn atoms_in_box_matches_brute_force() {
-        let db = open_tiny(DataMode::Virtual, 4); // 2 atoms per side
-        let got = db.atoms_in_box(1, (0, 0, 0), (1, 1, 0));
-        let mut expect = Vec::new();
-        for z in 0..1u32 {
-            for y in 0..2u32 {
-                for x in 0..2u32 {
-                    expect.push(AtomId::from_coords(1, x, y, z));
-                }
-            }
-        }
-        expect.sort();
-        assert_eq!(got, expect, "4 atoms of the z=0 slab, Morton order");
-        assert_eq!(db.atoms_in_box(0, (1, 1, 1), (1, 1, 1)).len(), 1);
-        assert_eq!(db.atoms_in_box(0, (0, 0, 0), (1, 1, 1)).len(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the grid")]
-    fn atoms_in_box_checks_bounds() {
-        let db = open_tiny(DataMode::Virtual, 4);
-        let _ = db.atoms_in_box(0, (0, 0, 0), (5, 0, 0));
     }
 
     #[test]
