@@ -1,18 +1,18 @@
 //! Scenario-matrix allocation & determinism bench (PR 10) — `BENCH_10.json`.
 //!
-//! The memory-layout overhaul (calendar event queue, jaws-arena scratch
-//! reuse, SoA atom planes) claims two things at once: the hot paths got
+//! The memory-layout overhaul (inline event-queue entries, jaws-arena
+//! scratch reuse, SoA atom planes) claims two things at once: the hot paths got
 //! cheaper, and nothing observable moved. This harness checks both across a
 //! matrix of named, seeded workload shapes rather than the single calibrated
 //! trace the other benches replay:
 //!
 //! * `bench5_e2e`    — the single-node Synthetic-mode smoke run of the
 //!   former `hotpath` bench, unchanged, as the anchor row;
-//! * `flash_crowd`   — dense bursts with near-zero intra-burst gaps: the
-//!   event queue's same-bucket worst case and the dispatch path under
-//!   maximum ready-set pressure;
-//! * `diurnal`       — long quiet gaps between bursts: events land far ahead
-//!   of the calendar cursor and migrate through the overflow map;
+//! * `flash_crowd`   — dense bursts with near-zero intra-burst gaps: many
+//!   simultaneous events, ordered by insertion id, and the dispatch path
+//!   under maximum ready-set pressure;
+//! * `diurnal`       — long quiet gaps between bursts: pending events spread
+//!   far ahead of the current time;
 //! * `regime_shift`  — a hotspot-heavy trace spliced before a scan-heavy
 //!   one, exercising α re-adaptation and cache turnover at the seam;
 //! * `heavy_tailed`  — few jobs, enormous batched query counts and many

@@ -1,7 +1,7 @@
 //! Plain least-recently-used replacement (reference policy).
 
 use crate::policy::{ReplacementPolicy, UtilityOracle};
-use std::collections::HashMap;
+use jaws_morton::FastMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::mem::size_of;
@@ -28,7 +28,7 @@ pub struct Lru<K> {
     links: Vec<Link<K>>,
     /// Slots vacated by removals, reused before `links` grows.
     free: Vec<usize>,
-    slot_of: HashMap<K, usize>,
+    slot_of: FastMap<K, usize>,
     oldest: usize,
     newest: usize,
 }
@@ -38,7 +38,7 @@ impl<K> Default for Lru<K> {
         Lru {
             links: Vec::new(),
             free: Vec::new(),
-            slot_of: HashMap::new(),
+            slot_of: FastMap::default(),
             oldest: NIL,
             newest: NIL,
         }

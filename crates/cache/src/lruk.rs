@@ -8,7 +8,8 @@
 //! once-touched full-timestep scan cannot displace twice-touched hot atoms.
 
 use crate::policy::{ReplacementPolicy, UtilityOracle};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use jaws_morton::FastMap;
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::mem::size_of;
@@ -29,7 +30,7 @@ struct History {
 pub struct LruK<K> {
     k: usize,
     clock: u64,
-    history: HashMap<K, History>,
+    history: FastMap<K, History>,
     // (band, stamp, key): band 0 = fewer than K refs (evict first, by oldest
     // first reference), band 1 = K refs (evict by oldest K-th-last reference).
     order: BTreeSet<(u8, u64, K)>,
@@ -48,7 +49,7 @@ impl<K: Eq + Hash + Ord + Copy + Debug> LruK<K> {
         LruK {
             k,
             clock: 0,
-            history: HashMap::new(),
+            history: FastMap::default(),
             order: BTreeSet::new(),
         }
     }

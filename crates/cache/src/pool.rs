@@ -1,8 +1,8 @@
 //! The buffer pool: residency, statistics, and overhead accounting.
 
 use crate::policy::{NullOracle, ReplacementPolicy, UtilityOracle};
+use jaws_morton::FastMap;
 use serde::Serialize;
-use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::time::Instant;
@@ -65,7 +65,7 @@ impl CacheStats {
 /// externally from the database", §VI-B).
 pub struct BufferPool<K: Eq + Hash + Ord + Copy + Debug, V> {
     capacity: usize,
-    resident: HashMap<K, V>,
+    resident: FastMap<K, V>,
     policy: Box<dyn ReplacementPolicy<K>>,
     stats: CacheStats,
 }
@@ -81,7 +81,7 @@ impl<K: Eq + Hash + Ord + Copy + Debug, V> BufferPool<K, V> {
         assert!(capacity > 0, "cache capacity must be positive");
         BufferPool {
             capacity,
-            resident: HashMap::with_capacity(capacity),
+            resident: FastMap::with_capacity_and_hasher(capacity, Default::default()),
             policy,
             stats: CacheStats::default(),
         }
@@ -193,11 +193,6 @@ impl<K: Eq + Hash + Ord + Copy + Debug, V> BufferPool<K, V> {
         let t0 = Instant::now();
         self.policy.end_run();
         self.stats.policy_overhead_ns += t0.elapsed().as_nanos() as u64;
-    }
-
-    /// Iterates the resident keys in unspecified order.
-    pub fn resident_keys(&self) -> impl Iterator<Item = &K> {
-        self.resident.keys()
     }
 }
 

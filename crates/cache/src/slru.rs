@@ -10,7 +10,8 @@
 //! survive full-timestep scans.
 
 use crate::policy::{ReplacementPolicy, UtilityOracle};
-use std::collections::{BTreeMap, HashMap};
+use jaws_morton::FastMap;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::mem::size_of;
@@ -35,7 +36,7 @@ struct Meta {
 pub struct Slru<K> {
     protected_capacity: usize,
     clock: u64,
-    meta: HashMap<K, Meta>,
+    meta: FastMap<K, Meta>,
     probationary: BTreeMap<u64, K>, // oldest-first recency order
     protected: BTreeMap<u64, K>,
 }
@@ -46,7 +47,7 @@ impl<K: Eq + Hash + Ord + Copy + Debug> Slru<K> {
         Slru {
             protected_capacity,
             clock: 0,
-            meta: HashMap::new(),
+            meta: FastMap::default(),
             probationary: BTreeMap::new(),
             protected: BTreeMap::new(),
         }

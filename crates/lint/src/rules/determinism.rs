@@ -172,6 +172,18 @@ mod tests {
     }
 
     #[test]
+    fn d001_sees_fast_map_fields_and_respects_attestation() {
+        // The fixed-hasher aliases iterate in an order set by insertion
+        // history and capacity, so they are held to the same rule as std's.
+        let bad = "use jaws_morton::FastMap;\nstruct S { m: FastMap<u32, u32> }\nimpl S { fn f(&self) { for _ in self.m.keys() {} } }\n";
+        assert_eq!(codes(SCHED, bad), vec!["D001"]);
+        let set = "struct S { s: jaws_morton::FastSet<u32> }\nimpl S { fn f(&self) -> u32 { self.s.iter().sum() } }\n";
+        assert_eq!(codes(SCHED, set), vec!["D001"]);
+        let attested = "struct S { m: jaws_morton::FastMap<u32, u32> }\nimpl S { fn f(&self) -> Vec<u32> {\n    let mut v: Vec<u32> = self.m.keys().copied().collect(); // lint: sorted\n    v.sort();\n    v\n} }\n";
+        assert!(codes(SCHED, attested).is_empty());
+    }
+
+    #[test]
     fn d001_sees_chains_split_across_lines() {
         // rustfmt's one-method-per-line style must not hide the iteration.
         let bad = "struct S { m: std::collections::HashMap<u32, u32> }\nimpl S { fn f(&self) -> u32 {\n    self\n        .m\n        .values()\n        .sum()\n} }\n";

@@ -421,10 +421,11 @@ fn decl_name_before(code: &str, abs: usize) -> Option<String> {
     None
 }
 
-/// Collects identifiers bound to `HashMap`/`HashSet` values in this file
-/// (D001 input).
+/// Collects identifiers bound to hash-ordered collections in this file
+/// (D001 input): std's `HashMap`/`HashSet` and their fixed-hasher aliases
+/// `FastMap`/`FastSet`.
 pub fn hash_collection_names(lines: &[Line]) -> BTreeSet<String> {
-    declared_names(lines, &["HashMap", "HashSet"])
+    declared_names(lines, &["HashMap", "HashSet", "FastMap", "FastSet"])
 }
 
 #[cfg(test)]

@@ -62,3 +62,11 @@ pub fn planted_s001_malformed() -> u32 {
 pub fn planted_m001(xs: &[u32]) -> Vec<u32> {
     xs.iter().map(|x| x + 1).collect()
 }
+
+pub struct Table {
+    by_id: jaws_morton::FastMap<u32, u32>,
+}
+
+pub fn planted_d001_fast_map(t: &Table) -> Vec<u32> {
+    t.by_id.values().copied().collect()
+}

@@ -14,6 +14,8 @@
 //!   "cubes of side 2^k" logical partitioning).
 //! * [`AtomId`] — a (timestep, Morton key) pair, the addressing unit of the
 //!   database, the cache and the schedulers.
+//! * [`FastMap`]/[`FastSet`] — hash containers under a fixed multiply-rotate
+//!   hasher, for the maps every layer looks these ids up in.
 //!
 //! All operations support coordinates up to 2²¹−1 per axis (63 usable bits),
 //! far beyond the 16 atoms/side (1024³ grid / 64³ atoms) of the production
@@ -24,10 +26,12 @@
 
 mod atom;
 mod encode;
+mod hash;
 mod key;
 
 pub use atom::AtomId;
 pub use encode::{decode, encode, MAX_COORD};
+pub use hash::{FastMap, FastSet};
 pub use key::MortonKey;
 
 #[cfg(test)]

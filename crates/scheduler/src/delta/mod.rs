@@ -81,10 +81,10 @@ use crate::batch::SubQuery;
 use crate::policy::Residency;
 use crate::queues::{finite_or_zero, MetricParams};
 use jaws_cache::{UtilityOracle, UtilityRank};
-use jaws_morton::{AtomId, MortonKey};
+use jaws_morton::{AtomId, FastMap, MortonKey};
 use jaws_workload::QueryId;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Eq. 1 for one queue. Shared by the reference and incremental paths so the
@@ -313,7 +313,7 @@ pub(crate) struct DeltaCore {
     /// Per-timestep aggregates (lazily refolded).
     ts_aggs: BTreeMap<u32, TsAgg>,
     /// Clamped-age indexes, built on demand (lookup-only, never iterated).
-    age_indexes: HashMap<u32, AgeIndex>,
+    age_indexes: FastMap<u32, AgeIndex>,
     /// Timesteps touched since the last integration (a slot marked dirty or
     /// taken), possibly repeated; integration sorts and dedups it. Reused,
     /// so `integrate` is alloc-free at steady state.
@@ -347,7 +347,7 @@ impl DeltaCore {
             spare_slabs: Vec::new(),
             taken: Vec::new(),
             ts_aggs: BTreeMap::new(),
-            age_indexes: HashMap::new(),
+            age_indexes: FastMap::default(),
             dirty_ts: Vec::new(),
             best_atom_scratch: Vec::new(),
             synced_epoch: None,
@@ -930,8 +930,8 @@ impl DeltaCore {
 /// dispatches.
 #[derive(Debug, Clone)]
 pub struct UtilitySnapshot {
-    atoms: Arc<HashMap<AtomId, f64>>,
-    means: Arc<HashMap<u32, f64>>,
+    atoms: Arc<FastMap<AtomId, f64>>,
+    means: Arc<FastMap<u32, f64>>,
 }
 
 impl UtilitySnapshot {
@@ -940,15 +940,15 @@ impl UtilitySnapshot {
     /// schedulers that keep no workload queues (NoShare).
     pub fn empty() -> Self {
         UtilitySnapshot {
-            atoms: Arc::new(HashMap::new()),
-            means: Arc::new(HashMap::new()),
+            atoms: Arc::new(FastMap::default()),
+            means: Arc::new(FastMap::default()),
         }
     }
 
     /// Builds a snapshot from already-computed maps — the [`reference`]
     /// oracle's constructor. Production code receives snapshots from
     /// [`DeltaCore::snapshot`] instead.
-    pub(crate) fn from_parts(atoms: HashMap<AtomId, f64>, means: HashMap<u32, f64>) -> Self {
+    pub(crate) fn from_parts(atoms: FastMap<AtomId, f64>, means: FastMap<u32, f64>) -> Self {
         UtilitySnapshot {
             atoms: Arc::new(atoms),
             means: Arc::new(means),

@@ -18,8 +18,8 @@
 
 use crate::policy::Residency;
 use crate::queues::{finite_or_zero, WorkloadManager};
-use jaws_morton::AtomId;
-use std::collections::{BTreeMap, HashMap};
+use jaws_morton::{AtomId, FastMap};
+use std::collections::BTreeMap;
 
 use super::{blend, UtilitySnapshot};
 
@@ -79,8 +79,8 @@ pub fn timestep_means(wm: &WorkloadManager, residency: &dyn Residency) -> BTreeM
 /// plus its timestep's mean. The oracle for
 /// [`WorkloadManager::utility_snapshot`].
 pub fn utility_snapshot(wm: &WorkloadManager, residency: &dyn Residency) -> UtilitySnapshot {
-    let means: HashMap<u32, f64> = timestep_means(wm, residency).into_iter().collect();
-    let atoms: HashMap<AtomId, f64> = wm
+    let means: FastMap<u32, f64> = timestep_means(wm, residency).into_iter().collect();
+    let atoms: FastMap<AtomId, f64> = wm
         .pending_atom_ids()
         .into_iter()
         .map(|a| {

@@ -58,10 +58,13 @@
 //! * **Group firing**: promoted queries come out in group-membership order,
 //!   which is itself the deterministic admission order above.
 //!
-//! All graph state lives in `BTreeMap`/`BTreeSet` keyed by `JobId`/`QueryId`/
-//! group id, so every iteration is ordered by construction.
+//! Every iterated map or set is a `BTreeMap`/`BTreeSet` keyed by `JobId`/
+//! `QueryId`/group id, so every iteration is ordered by construction. The
+//! per-query entries are only ever looked up by id, so they live in a
+//! [`FastMap`].
 
 use crate::align::align_jobs;
+use jaws_morton::FastMap;
 use jaws_workload::{Job, JobId, JobKind, Query, QueryId};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
@@ -127,7 +130,8 @@ pub struct GatingGraph {
     jobs: BTreeMap<JobId, JobEntry>,
     /// Arrival order of ordered jobs, for alignment candidate selection.
     job_order: Vec<JobId>,
-    queries: BTreeMap<QueryId, QueryEntry>,
+    /// Per registered query: its job, position, lifecycle state and group.
+    entries: FastMap<QueryId, QueryEntry>,
     /// The READY queries. An ungated query is promoted in the call that
     /// makes it READY, so between calls this holds only gated ones.
     ready: BTreeSet<QueryId>,
@@ -145,7 +149,7 @@ impl GatingGraph {
             cfg,
             jobs: BTreeMap::new(),
             job_order: Vec::new(),
-            queries: BTreeMap::new(),
+            entries: FastMap::default(),
             ready: BTreeSet::new(),
             groups: BTreeMap::new(),
             next_group: 0,
@@ -172,12 +176,12 @@ impl GatingGraph {
 
     /// Current state of a query ([`QueryState::Done`] if unknown/pruned).
     pub fn state(&self, q: QueryId) -> QueryState {
-        self.queries.get(&q).map_or(QueryState::Done, |e| e.state)
+        self.entries.get(&q).map_or(QueryState::Done, |e| e.state)
     }
 
     /// The co-scheduling group of a query, if it is gated.
     pub fn group_members(&self, q: QueryId) -> Option<&[QueryId]> {
-        let g = self.queries.get(&q)?.group?;
+        let g = self.entries.get(&q)?.group?;
         self.groups.get(&g).map(Vec::as_slice)
     }
 
@@ -191,7 +195,7 @@ impl GatingGraph {
             first_pending: 0,
         };
         for (i, q) in job.queries.iter().enumerate() {
-            self.queries.insert(
+            self.entries.insert(
                 q.id,
                 QueryEntry {
                     job: job.id,
@@ -241,7 +245,7 @@ impl GatingGraph {
     /// Admits a gating edge between `a` (new job) and `b` (existing job) if
     /// it cannot deadlock the schedule; see the module docs.
     fn admit_edge(&mut self, a: QueryId, b: QueryId) -> bool {
-        let (ga, gb) = match (self.queries.get(&a), self.queries.get(&b)) {
+        let (ga, gb) = match (self.entries.get(&a), self.entries.get(&b)) {
             (Some(x), Some(y)) => {
                 // Gating an already scheduled / completed query is pointless.
                 if !matches!(x.state, QueryState::Wait | QueryState::Ready)
@@ -269,7 +273,7 @@ impl GatingGraph {
             .collect();
         let mut jobs_seen = BTreeSet::new();
         for q in &merged {
-            if !jobs_seen.insert(self.queries[q].job) {
+            if !jobs_seen.insert(self.entries[q].job) {
                 self.refused_edges += 1;
                 return false;
             }
@@ -278,8 +282,8 @@ impl GatingGraph {
         let gid = self.next_group;
         self.next_group += 1;
         for q in &merged {
-            // lint: invariant — merged only holds ids from self.queries
-            self.queries.get_mut(q).expect("tracked").group = Some(gid);
+            // lint: invariant — merged only holds ids from self.entries
+            self.entries.get_mut(q).expect("tracked").group = Some(gid);
         }
         // lint: invariant — a query's group id always names a live group
         let old_a = ga.map(|g| (g, self.groups.remove(&g).expect("live group")));
@@ -303,12 +307,12 @@ impl GatingGraph {
                 match old {
                     None => {
                         // lint: invariant — `lone` was looked up at entry
-                        self.queries.get_mut(&lone).expect("tracked").group = None;
+                        self.entries.get_mut(&lone).expect("tracked").group = None;
                     }
                     Some((g, members)) => {
                         for m in &members {
-                            // lint: invariant — members came from self.queries
-                            self.queries.get_mut(m).expect("tracked").group = Some(g);
+                            // lint: invariant — members came from self.entries
+                            self.entries.get_mut(m).expect("tracked").group = Some(g);
                         }
                         self.groups.insert(g, members);
                     }
@@ -327,10 +331,10 @@ impl GatingGraph {
     /// The precedence successor of `q`'s group along `q`'s own job: the
     /// group of the next gated query after `q`.
     fn next_group_after(&self, q: QueryId) -> Option<GroupId> {
-        let e = &self.queries[&q];
+        let e = &self.entries[&q];
         self.jobs[&e.job].queries[e.index + 1..]
             .iter()
-            .find_map(|n| self.queries[&n.id].group)
+            .find_map(|n| self.entries[&n.id].group)
     }
 
     /// True if a path of the group-precedence DAG leads from `gid` back to
@@ -360,7 +364,7 @@ impl GatingGraph {
         for job in self.jobs.values() {
             let mut prev: Option<GroupId> = None;
             for q in &job.queries[job.first_pending..] {
-                if let Some(e) = self.queries.get(&q.id) {
+                if let Some(e) = self.entries.get(&q.id) {
                     if let Some(g) = e.group {
                         if let Some(p) = prev {
                             if p != g {
@@ -408,7 +412,7 @@ impl GatingGraph {
     pub fn query_available(&mut self, q: QueryId, now_ms: f64) -> Vec<QueryId> {
         // lint: invariant — callers only pass ids registered via add_job
         let e = self
-            .queries
+            .entries
             .get_mut(&q)
             .expect("available query is tracked");
         debug_assert_eq!(e.state, QueryState::Wait, "double availability for {q}");
@@ -422,7 +426,7 @@ impl GatingGraph {
     /// job front, and fires any group unblocked by the pruning. Returns the
     /// queries newly promoted to QUEUE.
     pub fn query_done(&mut self, q: QueryId) -> Vec<QueryId> {
-        let Some(e) = self.queries.get_mut(&q) else {
+        let Some(e) = self.entries.get_mut(&q) else {
             return Vec::new();
         };
         e.state = QueryState::Done;
@@ -434,7 +438,7 @@ impl GatingGraph {
         if let Some(j) = self.jobs.get_mut(&job) {
             while j.first_pending < j.queries.len()
                 && self
-                    .queries
+                    .entries
                     .get(&j.queries[j.first_pending].id)
                     .is_none_or(|e| e.state == QueryState::Done)
             {
@@ -450,8 +454,8 @@ impl GatingGraph {
                     self.groups.remove(&g);
                     for m in remaining {
                         // lint: invariant — group members are tracked queries
-                        self.queries.get_mut(&m).expect("tracked").group = None;
-                        if self.queries[&m].state == QueryState::Ready {
+                        self.entries.get_mut(&m).expect("tracked").group = None;
+                        if self.entries[&m].state == QueryState::Ready {
                             promoted.extend(self.promote(m));
                         }
                     }
@@ -466,7 +470,7 @@ impl GatingGraph {
     /// Promotes a READY query (and, if gated, its whole ready group) to QUEUE
     /// when all gating constraints hold. Returns newly QUEUEd queries.
     fn try_fire(&mut self, q: QueryId) -> Vec<QueryId> {
-        let Some(e) = self.queries.get(&q) else {
+        let Some(e) = self.entries.get(&q) else {
             return Vec::new();
         };
         if e.state != QueryState::Ready {
@@ -479,7 +483,7 @@ impl GatingGraph {
                 let members = self.groups.get(&g).expect("member's group exists");
                 let all_ready = members.iter().all(|m| {
                     matches!(
-                        self.queries[m].state,
+                        self.entries[m].state,
                         QueryState::Ready | QueryState::Queue | QueryState::Done
                     )
                 });
@@ -488,7 +492,7 @@ impl GatingGraph {
                 }
                 let to_fire: Vec<QueryId> = members
                     .iter()
-                    .filter(|m| self.queries[*m].state == QueryState::Ready)
+                    .filter(|m| self.entries[*m].state == QueryState::Ready)
                     .copied()
                     .collect();
                 let mut out = Vec::new();
@@ -502,7 +506,7 @@ impl GatingGraph {
 
     fn promote(&mut self, q: QueryId) -> Vec<QueryId> {
         // lint: invariant — promote is only called with tracked READY queries
-        let e = self.queries.get_mut(&q).expect("tracked");
+        let e = self.entries.get_mut(&q).expect("tracked");
         debug_assert_eq!(e.state, QueryState::Ready);
         e.state = QueryState::Queue;
         self.ready.remove(&q);
@@ -521,7 +525,7 @@ impl GatingGraph {
             .iter()
             .copied()
             .filter(|q| {
-                let e = &self.queries[q];
+                let e = &self.entries[q];
                 e.state == QueryState::Ready
                     && e.group.is_some()
                     && now_ms - e.ready_since_ms > self.cfg.gate_timeout_ms
@@ -529,12 +533,12 @@ impl GatingGraph {
             .collect();
         let mut promoted = Vec::new();
         for q in stale {
-            if self.queries[&q].state != QueryState::Ready {
+            if self.entries[&q].state != QueryState::Ready {
                 continue; // already promoted by an earlier release this round
             }
             self.forced_releases += 1;
             // lint: invariant — `stale` ids were collected from self.ready
-            let g = self.queries.get_mut(&q).expect("tracked").group.take();
+            let g = self.entries.get_mut(&q).expect("tracked").group.take();
             if let Some(g) = g {
                 if let Some(members) = self.groups.get_mut(&g) {
                     members.retain(|&m| m != q);
@@ -543,7 +547,7 @@ impl GatingGraph {
                         self.groups.remove(&g);
                         for m in &rest {
                             // lint: invariant — group members are tracked queries
-                            self.queries.get_mut(m).expect("tracked").group = None;
+                            self.entries.get_mut(m).expect("tracked").group = None;
                         }
                     }
                     if let Some(&m) = rest.first() {
@@ -560,13 +564,13 @@ impl GatingGraph {
     /// query can be scheduled (ancestors of its group in the precedence DAG,
     /// plus groups earlier in its own job). Used by tests and reports.
     pub fn gating_number(&self, q: QueryId) -> usize {
-        let Some(e) = self.queries.get(&q) else {
+        let Some(e) = self.entries.get(&q) else {
             return 0;
         };
         let job = &self.jobs[&e.job];
         let mut blocking: BTreeSet<GroupId> = BTreeSet::new();
         for pq in &job.queries[job.first_pending..] {
-            let pe = &self.queries[&pq.id];
+            let pe = &self.entries[&pq.id];
             if pe.index >= e.index {
                 break;
             }
@@ -582,7 +586,7 @@ impl GatingGraph {
                 for job in self.jobs.values() {
                     let mut prev: Option<GroupId> = None;
                     for pq in &job.queries[job.first_pending..] {
-                        if let Some(pe) = self.queries.get(&pq.id) {
+                        if let Some(pe) = self.entries.get(&pq.id) {
                             if let Some(pg) = pe.group {
                                 if Some(pg) != prev {
                                     if let Some(p) = prev {
@@ -966,13 +970,13 @@ mod tests {
         /// between calls, and the group DAG is acyclic.
         fn check(g: &GatingGraph) {
             let scan: BTreeSet<QueryId> = g
-                .queries
+                .entries
                 .iter()
                 .filter(|(_, e)| e.state == QueryState::Ready)
                 .map(|(&q, _)| q)
                 .collect();
             assert_eq!(g.ready, scan, "READY index diverged from a full scan");
-            assert!(g.ready.iter().all(|q| g.queries[q].group.is_some()));
+            assert!(g.ready.iter().all(|q| g.entries[q].group.is_some()));
             assert!(g.group_dag_is_acyclic());
         }
 
@@ -1075,7 +1079,7 @@ impl GatingGraph {
         for (jid, job) in &self.jobs {
             let _ = writeln!(out, "  subgraph cluster_job_{jid} {{ label=\"job {jid}\";");
             for q in &job.queries {
-                if let Some(e) = self.queries.get(&q.id) {
+                if let Some(e) = self.entries.get(&q.id) {
                     let fill = match e.state {
                         QueryState::Wait => "white",
                         QueryState::Ready => "lightyellow",

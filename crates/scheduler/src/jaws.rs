@@ -21,11 +21,10 @@ use crate::gating::{GatingConfig, GatingGraph};
 use crate::policy::{Residency, Scheduler, SchedulerStats};
 use crate::queues::{MetricParams, UtilitySnapshot, WorkloadManager};
 use jaws_cache::UtilityOracle;
-use jaws_morton::AtomId;
+use jaws_morton::{AtomId, FastMap};
 use jaws_obs::{Event, GateAction, ObsSink};
 use jaws_workload::{Job, Query, QueryId};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Orders pending atoms best-first: descending aged utility, ascending
 /// [`AtomId`] tie-break. `total_cmp` plus the id makes this a *strict* total
@@ -111,7 +110,7 @@ pub struct Jaws {
     gating: GatingGraph,
     alpha_ctl: AlphaController,
     /// Queries available but held by gating, by id, awaiting release.
-    held: HashMap<QueryId, Query>,
+    held: FastMap<QueryId, Query>,
     run_boundary: bool,
     stats: SchedulerStats,
     sink: ObsSink,
@@ -131,7 +130,7 @@ impl Jaws {
             wm: WorkloadManager::new(cfg.params),
             gating: GatingGraph::new(cfg.gating),
             alpha_ctl: AlphaController::new(ALPHA0, cfg.run_len),
-            held: HashMap::new(),
+            held: FastMap::default(),
             run_boundary: false,
             stats: SchedulerStats::default(),
             sink: ObsSink::null(),
@@ -191,7 +190,7 @@ impl Jaws {
         // One lookup table over the k finalists, not a linear scan per
         // selected atom (every selected atom is a finalist by
         // construction, including the below-mean fallback).
-        let aged_of: HashMap<AtomId, f64> = in_ts.iter().copied().collect();
+        let aged_of: FastMap<AtomId, f64> = in_ts.iter().copied().collect();
         let choices = selected
             .iter()
             .map(|a| jaws_obs::AtomChoice {

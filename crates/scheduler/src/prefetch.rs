@@ -12,9 +12,9 @@
 //! the drift. The execution engine issues these predictions when the pipeline
 //! would otherwise idle, so prefetching only ever uses spare capacity.
 
-use jaws_morton::{AtomId, MortonKey};
+use jaws_morton::{AtomId, FastMap, FastSet, MortonKey};
 use jaws_workload::{JobId, Query};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-job trajectory state.
 #[derive(Debug, Clone)]
@@ -55,10 +55,10 @@ fn centroid(q: &Query) -> [f64; 3] {
 pub struct Prefetcher {
     atoms_per_side: u32,
     max_timestep: u32,
-    jobs: HashMap<JobId, Trajectory>,
+    jobs: FastMap<JobId, Trajectory>,
     /// Predicted atoms awaiting idle capacity, most recent predictions last.
     queue: VecDeque<AtomId>,
-    queued: std::collections::HashSet<AtomId>,
+    queued: FastSet<AtomId>,
     /// Predictions issued (for hit-rate diagnostics).
     issued: u64,
 }
@@ -70,9 +70,9 @@ impl Prefetcher {
         Prefetcher {
             atoms_per_side,
             max_timestep: timesteps - 1,
-            jobs: HashMap::new(),
+            jobs: FastMap::default(),
             queue: VecDeque::new(),
-            queued: std::collections::HashSet::new(),
+            queued: FastSet::default(),
             issued: 0,
         }
     }

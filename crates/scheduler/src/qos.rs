@@ -28,7 +28,7 @@
 use crate::batch::{preprocess, Batch};
 use crate::policy::{Residency, Scheduler, SchedulerStats};
 use crate::queues::{MetricParams, UtilitySnapshot, WorkloadManager};
-use jaws_morton::AtomId;
+use jaws_morton::{AtomId, FastMap};
 use jaws_obs::ObsSink;
 use jaws_workload::{Job, Query, QueryId};
 use std::collections::BTreeMap;
@@ -41,7 +41,7 @@ pub struct QosScheduler {
     /// estimated service time before its deadline passes.
     stretch: f64,
     /// Per-query absolute deadline, ms.
-    deadline: BTreeMap<QueryId, f64>,
+    deadline: FastMap<QueryId, f64>,
     /// Per-atom earliest deadline among pending sub-queries.
     atom_deadline: BTreeMap<AtomId, f64>,
     run_len: usize,
@@ -59,7 +59,7 @@ impl QosScheduler {
         QosScheduler {
             wm: WorkloadManager::new(params),
             stretch,
-            deadline: BTreeMap::new(),
+            deadline: FastMap::default(),
             atom_deadline: BTreeMap::new(),
             run_len,
             completed_in_run: 0,

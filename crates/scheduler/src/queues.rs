@@ -45,10 +45,9 @@
 use crate::batch::{AtomBatch, SubQuery};
 use crate::delta::{eq1, Delta, DeltaCore, DeltaStats};
 use crate::policy::Residency;
-use jaws_morton::AtomId;
+use jaws_morton::{AtomId, FastMap};
 use jaws_workload::QueryId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 pub use crate::delta::UtilitySnapshot;
 
@@ -98,7 +97,7 @@ impl MetricParams {
 pub struct WorkloadManager {
     params: MetricParams,
     /// Remaining sub-query count per query (for completion detection).
-    pending_subs: HashMap<QueryId, usize>,
+    pending_subs: FastMap<QueryId, usize>,
     /// The pending work and everything derived from it.
     core: DeltaCore,
 }
@@ -108,7 +107,7 @@ impl WorkloadManager {
     pub fn new(params: MetricParams) -> Self {
         WorkloadManager {
             params,
-            pending_subs: HashMap::new(),
+            pending_subs: FastMap::default(),
             core: DeltaCore::new(),
         }
     }
@@ -807,7 +806,7 @@ mod proptests {
     use jaws_cache::UtilityOracle;
     use jaws_morton::MortonKey;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashSet};
+    use std::collections::{BTreeMap, HashMap, HashSet};
 
     proptest! {
         /// Conservation: every enqueued sub-query is returned by exactly one

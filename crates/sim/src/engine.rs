@@ -25,9 +25,10 @@
 //! `now_ms` arguments the engine passes in. Dispatch is serial: each event
 //! is followed by one round over the live pipelines in ascending node order,
 //! so event ids, reports and JSONL traces are a function of the seeded
-//! inputs only. All engine-side state is kept in `BTreeMap`s so iteration
-//! order can never leak hash randomness into scheduling decisions (lint rule
-//! D001 needs no carve-outs here).
+//! inputs only. Every engine-side map that is iterated is a `BTreeMap` or
+//! `BTreeSet`, so iteration order follows the keys; the per-query table and
+//! the failure plan's part definitions are only looked up by id, so they are
+//! [`FastMap`]s (lint rule D001 would flag any iteration over them).
 //!
 //! ## Failure semantics
 //!
@@ -49,11 +50,12 @@ use crate::replication::{ReplicaAction, ReplicaDirectory, ReplicationConfig, Rep
 use crate::report::RunTotals;
 use crate::SimConfig;
 use jaws_arena::Lanes;
-use jaws_morton::MortonKey;
+use jaws_morton::{FastMap, MortonKey};
 use jaws_obs::ObsSink;
 use jaws_workload::{Footprint, Job, JobKind, Query, QueryId, Trace};
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Bits of a packed part id that carry the original query id. The remaining
@@ -309,50 +311,47 @@ pub fn reset_queue_ops() {
     EV_POPS.store(0, AtomicOrdering::Relaxed);
 }
 
-/// One-millisecond buckets in the calendar ring. Events scheduled further
-/// ahead of the cursor than this wait in the sorted overflow map and migrate
-/// into the ring as the window slides over them.
-const RING_BUCKETS: u64 = 4096;
-
-/// A pending event stored inline in its bucket: `(time, insertion id,
-/// payload)`. Insertion ids break time ties first-pushed-first-popped.
-type Slot = (f64, u64, Event);
-
-/// The event queue: a calendar queue of integer-millisecond buckets over
-/// simulated time. The ring covers the next [`RING_BUCKETS`] ms from the pop
-/// cursor; pops select the intra-bucket minimum under the same
-/// `(f64::total_cmp, insertion id)` total order the former binary heap used,
-/// so the replay's event sequence is bit-for-bit unchanged — but pushes and
-/// pops are O(bucket occupancy) with no per-event sift or payload-map
-/// round-trip, and drained bucket `Vec`s keep their capacity as the ring
-/// wraps, so a warmed-up queue allocates nothing in steady state.
-struct EventQueue {
-    /// `RING_BUCKETS` buckets; slot `b % RING_BUCKETS` holds exactly the
-    /// events of absolute bucket `b` for `b` in `[cursor, cursor + RING)`.
-    ring: Vec<Vec<Slot>>,
-    /// Far-future events, keyed by absolute bucket index (all `>= cursor +
-    /// RING_BUCKETS`).
-    overflow: BTreeMap<u64, Vec<Slot>>,
-    /// Lowest absolute bucket index that may still hold events.
-    cursor: u64,
-    /// Events currently in `ring`.
-    ring_len: usize,
-    /// Total pending events (ring + overflow).
-    len: usize,
-    next_event: u64,
+/// A pending event stored inline in the heap. The insertion id breaks time
+/// ties first-pushed-first-popped.
+struct Pending {
+    at_ms: f64,
+    id: u64,
+    ev: Event,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue {
-            ring: (0..RING_BUCKETS).map(|_| Vec::new()).collect(),
-            overflow: BTreeMap::new(),
-            cursor: 0,
-            ring_len: 0,
-            len: 0,
-            next_event: 0,
-        }
+impl Ord for Pending {
+    /// `(f64::total_cmp, insertion id)`, reversed: `BinaryHeap` is a
+    /// max-heap, and the queue pops the earliest event first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at_ms
+            .total_cmp(&self.at_ms)
+            .then(other.id.cmp(&self.id))
     }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pending {}
+
+/// The event queue: a binary min-heap of inline `(time, insertion id,
+/// payload)` entries under the `(f64::total_cmp, insertion id)` total order.
+/// Insertion ids are unique, so the pop sequence is a function of the push
+/// sequence alone.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Pending>,
+    next_event: u64,
 }
 
 impl EventQueue {
@@ -360,85 +359,15 @@ impl EventQueue {
     fn push(&mut self, at_ms: f64, ev: Event) {
         let id = self.next_event;
         self.next_event += 1;
-        // Event times are finite and non-negative (now_ms plus a non-negative
-        // delay), so `as u64` is floor(). The clamp keeps a (never observed)
-        // sub-cursor time poppable — it lands in the current bucket, where
-        // min-selection orders it first.
-        let bucket = (at_ms as u64).max(self.cursor);
-        if bucket - self.cursor < RING_BUCKETS {
-            self.ring[(bucket % RING_BUCKETS) as usize].push((at_ms, id, ev));
-            self.ring_len += 1;
-        } else {
-            self.overflow
-                .entry(bucket)
-                .or_default()
-                .push((at_ms, id, ev));
-        }
-        self.len += 1;
+        self.heap.push(Pending { at_ms, id, ev });
         EV_PUSHES.fetch_add(1, AtomicOrdering::Relaxed);
     }
 
     // lint: hotpath
     fn pop(&mut self) -> Option<(f64, Event)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.ring_len == 0 {
-            // Everything pending is far-future: jump the window instead of
-            // walking empty buckets.
-            // lint: invariant — len > 0 with an empty ring means overflow is
-            // non-empty
-            let (&first, _) = self
-                .overflow
-                .first_key_value()
-                .expect("pending events live in ring or overflow");
-            self.cursor = first;
-            self.migrate_window();
-        }
-        loop {
-            let slot = (self.cursor % RING_BUCKETS) as usize;
-            if !self.ring[slot].is_empty() {
-                let bucket = &mut self.ring[slot];
-                let mut best = 0;
-                for i in 1..bucket.len() {
-                    let ord = bucket[i]
-                        .0
-                        .total_cmp(&bucket[best].0)
-                        .then(bucket[i].1.cmp(&bucket[best].1));
-                    if ord == std::cmp::Ordering::Less {
-                        best = i;
-                    }
-                }
-                let (at, _, ev) = bucket.swap_remove(best);
-                self.ring_len -= 1;
-                self.len -= 1;
-                EV_POPS.fetch_add(1, AtomicOrdering::Relaxed);
-                return Some((at, ev));
-            }
-            self.cursor += 1;
-            // The window slid by one: the newly covered far bucket (if any)
-            // enters the ring at the slot just vacated.
-            if let Some(mut evs) = self.overflow.remove(&(self.cursor + RING_BUCKETS - 1)) {
-                self.ring_len += evs.len();
-                let far = ((self.cursor + RING_BUCKETS - 1) % RING_BUCKETS) as usize;
-                self.ring[far].append(&mut evs);
-            }
-        }
-    }
-
-    /// Moves every overflow bucket now inside `[cursor, cursor + RING)` into
-    /// the ring. Called after a cursor jump.
-    fn migrate_window(&mut self) {
-        while let Some((&k, _)) = self.overflow.first_key_value() {
-            if k >= self.cursor + RING_BUCKETS {
-                break;
-            }
-            // lint: invariant — first_key_value just returned this key
-            let mut evs = self.overflow.remove(&k).expect("first overflow bucket");
-            self.ring_len += evs.len();
-            let slot = (k % RING_BUCKETS) as usize;
-            self.ring[slot].append(&mut evs);
-        }
+        let Pending { at_ms, ev, .. } = self.heap.pop()?;
+        EV_POPS.fetch_add(1, AtomicOrdering::Relaxed);
+        Some((at_ms, ev))
     }
 }
 
@@ -489,7 +418,7 @@ struct FailureState {
     pending: Vec<BTreeSet<QueryId>>,
     /// Every outstanding part as submitted (footprint included), so a crash
     /// can re-enqueue it verbatim through the survivor.
-    defs: BTreeMap<QueryId, Query>,
+    defs: FastMap<QueryId, Query>,
     /// Per trace job: whether its arrival event has fired.
     arrived: Vec<bool>,
     /// Crashes handled so far (1-based ordinal tags remnant job ids).
@@ -557,6 +486,18 @@ fn check_trace(trace: &Trace, db: &jaws_turbdb::DbConfig) {
     );
 }
 
+/// The run state of one trace query.
+struct QueryState {
+    /// Index of the query's job in the trace.
+    job: usize,
+    /// Index of the query within its job.
+    index: usize,
+    /// Simulated submission time; `None` until the client submits it.
+    submit_ms: Option<f64>,
+    /// Completion barrier: parts submitted and not yet completed.
+    outstanding: u32,
+}
+
 /// One replay of a trace against N ≥ 1 node pipelines: the run's state, and
 /// one method per [`Event`] kind.
 pub(crate) struct Engine<'a> {
@@ -572,11 +513,9 @@ pub(crate) struct Engine<'a> {
     /// (false after [`crate::Executor::declare_jobs`] declared up front).
     declare_on_arrival: bool,
     live: LiveRouting,
-    /// Query → (job index, query index) for completion routing.
-    locate: BTreeMap<QueryId, (usize, usize)>,
-    submit_ms: BTreeMap<QueryId, f64>,
-    /// Per-query completion barrier: outstanding part count.
-    outstanding: BTreeMap<QueryId, u32>,
+    /// Per trace query id: where it sits in the trace, when it was
+    /// submitted and how many of its parts are still out. Only looked up.
+    per_query: FastMap<QueryId, QueryState>,
     totals: RunTotals,
     response_log: Vec<(QueryId, f64)>,
     remaining_per_job: Vec<usize>,
@@ -620,7 +559,8 @@ impl<'a> Engine<'a> {
         for p in pipelines.iter() {
             check_trace(trace, p.db().config());
         }
-        let mut locate = BTreeMap::new();
+        let mut per_query =
+            FastMap::with_capacity_and_hasher(trace.query_count(), Default::default());
         for (ji, job) in trace.jobs.iter().enumerate() {
             for (qi, q) in job.queries.iter().enumerate() {
                 assert!(
@@ -628,7 +568,17 @@ impl<'a> Engine<'a> {
                     "query id {} exceeds the {PART_QUERY_BITS}-bit part budget",
                     q.id
                 );
-                locate.insert(q.id, (ji, qi));
+                let state = QueryState {
+                    job: ji,
+                    index: qi,
+                    submit_ms: None,
+                    outstanding: 0,
+                };
+                assert!(
+                    per_query.insert(q.id, state).is_none(),
+                    "query id {} appears twice in the trace",
+                    q.id
+                );
             }
         }
         let first_arrival = trace.jobs.first().map_or(0.0, |j| j.arrival_ms);
@@ -640,9 +590,7 @@ impl<'a> Engine<'a> {
             sink,
             declare_on_arrival,
             live: LiveRouting::new(routing),
-            locate,
-            submit_ms: BTreeMap::new(),
-            outstanding: BTreeMap::new(),
+            per_query,
             totals: RunTotals {
                 responses: Vec::with_capacity(trace.query_count()),
                 jobs_completed: 0,
@@ -666,7 +614,7 @@ impl<'a> Engine<'a> {
             },
             fstate: (!failures.is_empty()).then(|| FailureState {
                 pending: vec![BTreeSet::new(); nodes],
-                defs: BTreeMap::new(),
+                defs: FastMap::default(),
                 arrived: vec![false; trace.jobs.len()],
                 crashes: 0,
             }),
@@ -784,7 +732,6 @@ impl<'a> Engine<'a> {
         let (trace, now_ms) = (self.trace, self.now_ms);
         let job = &trace.jobs[ji];
         let q = &job.queries[qi];
-        self.submit_ms.insert(q.id, now_ms);
         if self.sink.enabled() {
             self.sink.emit(
                 now_ms,
@@ -797,22 +744,22 @@ impl<'a> Engine<'a> {
                 },
             );
         }
-        if self.rstate.is_some() {
-            self.replicated_fan_out(q, job, observe);
+        // No part completes inside this call, so the barrier can be armed
+        // after the fan-out.
+        let parts = if self.rstate.is_some() {
+            self.replicated_fan_out(q, job, observe)
         } else {
             for &(m, c) in &q.footprint.atoms {
                 self.scratch
                     .lanes
                     .push(self.live.node_of(m) as usize, (m, c));
             }
-            let parts = (0..self.scratch.lanes.len())
-                .filter(|&n| self.scratch.lanes.lane_len(n) > 0)
-                .count();
-            self.outstanding.insert(q.id, parts as u32);
+            let mut parts = 0;
             for node in 0..self.scratch.lanes.len() {
                 if self.scratch.lanes.lane_len(node) == 0 {
                     continue;
                 }
+                parts += 1;
                 let atoms = self.scratch.lanes.take_lane(node);
                 let mut part = Query {
                     id: part_id(q.id, node as u32),
@@ -826,7 +773,13 @@ impl<'a> Engine<'a> {
                     .lanes
                     .restore(node, std::mem::take(&mut part.footprint.atoms));
             }
-        }
+            parts
+        };
+        // lint: invariant — `run` registered every trace query
+        let state = self.per_query.get_mut(&q.id).expect("trace query");
+        assert!(state.submit_ms.is_none(), "query {} submitted twice", q.id);
+        state.submit_ms = Some(now_ms);
+        state.outstanding = parts;
     }
 
     /// Hands one part query to its owning pipeline: emits the routing record,
@@ -876,7 +829,9 @@ impl<'a> Engine<'a> {
     ///   synthetic single-query job (id namespace [`REPLICA_DECL_BIT`])
     ///   declares it first. Single-query jobs never form gating alignments,
     ///   so the declaration cannot distort schedule quality.
-    fn replicated_fan_out(&mut self, q: &Query, job: &Job, observe: bool) {
+    ///
+    /// Returns the number of parts delivered.
+    fn replicated_fan_out(&mut self, q: &Query, job: &Job, observe: bool) -> u32 {
         let now_ms = self.now_ms;
         // lint: invariant — submit routes here only while the overlay is on
         let rs = self.rstate.as_mut().expect("replica overlay state");
@@ -968,8 +923,7 @@ impl<'a> Engine<'a> {
             }
             self.scratch.parts.push((node as u32, part));
         }
-        self.outstanding
-            .insert(q.id, self.scratch.parts.len() as u32);
+        let delivered = self.scratch.parts.len() as u32;
         // Deliveries in ascending node order; each part's footprint buffer
         // goes back to its lane once the pipeline has taken what it needs.
         let mut parts = std::mem::take(&mut self.scratch.parts);
@@ -981,6 +935,7 @@ impl<'a> Engine<'a> {
         }
         parts.clear();
         self.scratch.parts = parts;
+        delivered
     }
 
     /// A node finished a batch: complete its parts, and every query whose
@@ -991,13 +946,22 @@ impl<'a> Engine<'a> {
         self.pipelines[n].set_idle();
         for pid in completed_parts {
             let qid = orig_id(pid);
+            // lint: invariant — schedulers only complete parts the engine
+            // handed them, all of trace queries
+            let state = self
+                .per_query
+                .get_mut(&qid)
+                .expect("completed a trace query");
             // lint: invariant — schedulers only complete queries previously
             // handed to query_available
-            let submitted = self
-                .submit_ms
-                .get(&qid)
-                .copied()
-                .expect("completed query was submitted");
+            let submitted = state.submit_ms.expect("completed query was submitted");
+            // lint: invariant — submit armed the barrier with one count per
+            // delivered part
+            state.outstanding = state
+                .outstanding
+                .checked_sub(1)
+                .unwrap_or_else(|| panic!("query {qid} completed more parts than it has"));
+            let (left, ji, qi) = (state.outstanding, state.job, state.index);
             let rt = now_ms - submitted;
             self.pipelines[n].complete_part(pid, rt, now_ms);
             if let Some(fs) = &mut self.fstate {
@@ -1007,17 +971,9 @@ impl<'a> Engine<'a> {
             if let Some(rs) = &mut self.rstate {
                 rs.node_load[n] = rs.node_load[n].saturating_sub(1);
             }
-            // lint: invariant — every part was registered in `outstanding`
-            // when its query was submitted
-            let left = self
-                .outstanding
-                .get_mut(&qid)
-                .expect("completed part of a tracked query");
-            *left -= 1;
-            if *left > 0 {
+            if left > 0 {
                 continue;
             }
-            self.outstanding.remove(&qid);
             // The whole query is done: record and advance the job.
             if self.sink.enabled() {
                 self.sink.emit(
@@ -1038,7 +994,6 @@ impl<'a> Engine<'a> {
             self.totals.responses.push(rt);
             self.response_log.push((qid, rt));
             self.totals.last_completion = now_ms;
-            let (ji, qi) = self.locate[&qid];
             let job = &trace.jobs[ji];
             self.remaining_per_job[ji] -= 1;
             if self.remaining_per_job[ji] == 0 {
@@ -1130,7 +1085,9 @@ impl<'a> Engine<'a> {
         // id).
         let mut remnants: BTreeMap<usize, Vec<(usize, QueryId, Query)>> = BTreeMap::new();
         for &pid in &moved {
-            let (ji, qi) = self.locate[&orig_id(pid)];
+            let QueryState {
+                job: ji, index: qi, ..
+            } = self.per_query[&orig_id(pid)];
             // lint: invariant — every pending part stored its definition at
             // submission time
             let def = fs.defs.get(&pid).expect("pending part has a definition");
@@ -1144,7 +1101,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             for (qi, q) in job.queries.iter().enumerate() {
-                if self.submit_ms.contains_key(&q.id) {
+                if self.per_query[&q.id].submit_ms.is_some() {
                     continue; // submitted (or already complete): not a future query
                 }
                 let atoms: Vec<(MortonKey, u32)> = q
@@ -1219,6 +1176,38 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Conservation of an untruncated run: every trace query was submitted
+    /// and completed exactly once. Submission is checked when it happens, a
+    /// surplus completion fails the barrier's decrement, and a query logs its
+    /// response when its last part completes; so once every barrier is down
+    /// and the log holds one entry per trace query, each query holds one.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the first query, in trace order, that was never
+    /// submitted or still has parts out.
+    fn check_conservation(&self) {
+        for q in self.trace.jobs.iter().flat_map(|j| &j.queries) {
+            let state = &self.per_query[&q.id];
+            assert!(
+                state.submit_ms.is_some(),
+                "query {} was never submitted, yet the run drained untruncated",
+                q.id
+            );
+            assert!(
+                state.outstanding == 0,
+                "query {} never completed: {} of its parts were lost",
+                q.id,
+                state.outstanding
+            );
+        }
+        assert_eq!(
+            self.response_log.len(),
+            self.trace.query_count(),
+            "the response log must hold one entry per trace query"
+        );
+    }
+
     /// One dispatch round over the live pipelines, in ascending node order:
     /// a free node starts its next batch if work is schedulable; otherwise
     /// it spends the idle capacity on a speculative read, or asks for an
@@ -1251,12 +1240,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Closes the run: retires what a truncated run left queued, emits the
-    /// end-of-run counters and hands the outcome to the report layer.
-    fn finish(mut self) -> EngineOutcome {
+    /// Closes the run: checks that an untruncated run completed every query,
+    /// retires what a truncated run left queued, emits the end-of-run
+    /// counters and hands the outcome to the report layer.
+    fn finish(self) -> EngineOutcome {
         let now_ms = self.now_ms;
-        if self.totals.responses.len() < self.trace.query_count() {
-            self.totals.truncated = true;
+        if !self.totals.truncated {
+            self.check_conservation();
         }
         if self.totals.truncated {
             // Queries still queued will never complete; let schedulers that
@@ -1301,8 +1291,8 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    /// The retired heap key: f64 event times under a total order. Kept as the
-    /// test oracle for the calendar queue's pop order.
+    /// The original heap key: f64 event times under a total order. Kept as
+    /// the test oracle for the event queue's pop order.
     #[derive(Debug, PartialEq)]
     struct Key(f64, u64);
 
@@ -1320,9 +1310,9 @@ mod tests {
         }
     }
 
-    /// The pre-calendar-queue implementation, verbatim: a min-heap of
-    /// `(time, insertion id)` keys. Pop order is the specification the
-    /// calendar queue must reproduce bit-for-bit.
+    /// The original implementation, verbatim: a min-heap of `(time,
+    /// insertion id)` keys with payloads in a side map. Pop order is the
+    /// specification the event queue must reproduce bit-for-bit.
     #[derive(Default)]
     struct HeapOracle {
         heap: BinaryHeap<Reverse<(Key, u64)>>,
@@ -1354,7 +1344,7 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_pops_nothing_when_empty() {
+    fn event_queue_pops_nothing_when_empty() {
         let mut q = EventQueue::default();
         assert!(q.pop().is_none());
         q.push(5.0, Event::IdleCheck(0));
@@ -1363,7 +1353,7 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_orders_by_time_then_insertion_id() {
+    fn event_queue_orders_by_time_then_insertion_id() {
         let mut q = EventQueue::default();
         q.push(3.25, Event::IdleCheck(0));
         q.push(1.5, Event::IdleCheck(1));
@@ -1374,22 +1364,9 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_migrates_far_future_overflow() {
-        let mut q = EventQueue::default();
-        // Far beyond the ring window, out of push order, with a tie.
-        let far = RING_BUCKETS as f64 * 3.0;
-        q.push(far + 7.0, Event::IdleCheck(0));
-        q.push(2.0, Event::IdleCheck(1));
-        q.push(far + 7.0, Event::IdleCheck(2));
-        q.push(far + 1.0, Event::IdleCheck(3));
-        let order: Vec<u32> = std::iter::from_fn(|| tag(q.pop()).map(|(_, n)| n)).collect();
-        assert_eq!(order, vec![1, 3, 0, 2]);
-    }
-
-    #[test]
-    fn calendar_queue_interleaves_pushes_between_pops() {
-        // The engine's shape: pops advance the cursor while new events land
-        // at or after the popped time, including in the current bucket.
+    fn event_queue_interleaves_pushes_between_pops() {
+        // The engine's shape: new events land at or after the popped time,
+        // including exactly at it.
         let mut q = EventQueue::default();
         let mut oracle = HeapOracle::default();
         for (i, t) in [10.0, 4.5, 4.5, 2_000.0, 9_999.5].iter().enumerate() {
@@ -1412,12 +1389,12 @@ mod tests {
     }
 
     proptest! {
-        /// Pop order equals the retired binary heap's over random event
+        /// Pop order equals the original binary heap's over random event
         /// sequences — quantized times force same-timestamp ties, the far
-        /// multiplier exercises overflow migration, and interleaved pops
-        /// exercise the sliding window.
+        /// multiplier spreads times over a wide range, and pops interleave
+        /// with pushes.
         #[test]
-        fn calendar_queue_matches_heap_oracle(
+        fn event_queue_matches_heap_oracle(
             ops in proptest::collection::vec((0u8..2, 0u16..200, 0u8..2), 1..200)
         ) {
             let mut q = EventQueue::default();

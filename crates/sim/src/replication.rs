@@ -31,7 +31,7 @@
 //! serialized into the cluster report via [`ReplicationSummary`], so the
 //! byte-identity tests cover placement itself.
 
-use jaws_morton::MortonKey;
+use jaws_morton::{FastMap, MortonKey};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -188,7 +188,7 @@ pub(crate) enum ReplicaAction {
 pub(crate) struct ReplicaDirectory {
     cfg: ReplicationConfig,
     /// Per key: the fixed-capacity ring of recent access timestamps.
-    hits: BTreeMap<MortonKey, AccessRing>,
+    hits: FastMap<MortonKey, AccessRing>,
     /// Per replicated key: hosting nodes, ascending (never the owner).
     replicas: BTreeMap<MortonKey, Vec<u32>>,
     promotions: u64,
@@ -202,7 +202,7 @@ impl ReplicaDirectory {
         cfg.validate();
         ReplicaDirectory {
             cfg,
-            hits: BTreeMap::new(),
+            hits: FastMap::default(),
             replicas: BTreeMap::new(),
             promotions: 0,
             demotions: 0,

@@ -4,18 +4,20 @@
 //! trace queries completes, an uncapped replay completes every query exactly
 //! once, and a capped one reports itself truncated with a completion count
 //! that matches its log. No part may be lost across a crash, a re-dispatch or
-//! a replica withdrawal.
+//! a replica withdrawal. The engine itself asserts the uncapped half at the
+//! end of every replay, so a lost completion fails the run that lost it.
 //!
 //! CI runs this with `PROPTEST_CASES=1024`.
 
 #![forbid(unsafe_code)]
 
+use jaws_scheduler::{Batch, MetricParams, Residency, Scheduler, SchedulerStats, UtilitySnapshot};
 use jaws_sim::{
-    CachePolicyKind, ClusterConfig, ClusterExecutor, FailurePlan, ReplicationConfig, SchedulerKind,
-    SimConfig,
+    build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, Executor,
+    FailurePlan, ReplicationConfig, SchedulerKind, SimConfig,
 };
-use jaws_turbdb::{CostModel, DbConfig};
-use jaws_workload::{GenConfig, QueryId, Trace, TraceGenerator};
+use jaws_turbdb::{CostModel, DataMode, DbConfig};
+use jaws_workload::{GenConfig, Job, Query, QueryId, Trace, TraceGenerator};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -28,6 +30,18 @@ fn tiny_trace(seed: u64) -> Trace {
     })
     .generate()
     .speedup(20.0)
+}
+
+/// The 32³ database the tiny traces run against.
+fn db_config() -> DbConfig {
+    DbConfig {
+        grid_side: 32,
+        atom_side: 8,
+        ghost: 2,
+        timesteps: 8,
+        dt: 0.002,
+        seed: 5,
+    }
 }
 
 fn scheduler(pick: u8) -> SchedulerKind {
@@ -97,14 +111,7 @@ proptest! {
         };
         let cfg = ClusterConfig {
             nodes,
-            db: DbConfig {
-                grid_side: 32,
-                atom_side: 8,
-                ghost: 2,
-                timesteps: 8,
-                dt: 0.002,
-                seed: 5,
-            },
+            db: db_config(),
             cost: CostModel::paper_testbed(),
             scheduler: scheduler(sched),
             cache_policy: CachePolicyKind::LruK,
@@ -156,4 +163,78 @@ proptest! {
             prop_assert_eq!(report.jobs_completed, trace.jobs.len() as u64);
         }
     }
+}
+
+/// NoShare, except that the first batch it builds drops one query from its
+/// completion list: the batch runs, but that query's completion is lost.
+struct LosesOneCompletion {
+    inner: Box<dyn Scheduler>,
+    lost: bool,
+}
+
+impl Scheduler for LosesOneCompletion {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn job_declared(&mut self, job: &Job, now_ms: f64) {
+        self.inner.job_declared(job, now_ms);
+    }
+
+    fn query_available(&mut self, query: &Query, now_ms: f64) {
+        self.inner.query_available(query, now_ms);
+    }
+
+    fn next_batch(&mut self, now_ms: f64, residency: &dyn Residency) -> Option<Batch> {
+        let mut batch = self.inner.next_batch(now_ms, residency)?;
+        if !self.lost && !batch.completing_queries.is_empty() {
+            batch.completing_queries.remove(0);
+            self.lost = true;
+        }
+        Some(batch)
+    }
+
+    fn on_query_complete(&mut self, query: QueryId, response_ms: f64, now_ms: f64) {
+        self.inner.on_query_complete(query, response_ms, now_ms);
+    }
+
+    fn has_pending(&self) -> bool {
+        self.inner.has_pending()
+    }
+
+    fn take_run_boundary(&mut self) -> bool {
+        self.inner.take_run_boundary()
+    }
+
+    fn alpha(&self) -> f64 {
+        self.inner.alpha()
+    }
+
+    fn utility_snapshot(&mut self, residency: &dyn Residency) -> UtilitySnapshot {
+        self.inner.utility_snapshot(residency)
+    }
+
+    fn stats(&self) -> SchedulerStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+#[should_panic(expected = "never completed: 1 of its parts were lost")]
+fn a_lost_completion_fails_the_replay() {
+    let db = build_db(
+        db_config(),
+        CostModel::paper_testbed(),
+        DataMode::Virtual,
+        8,
+        CachePolicyKind::LruK,
+    );
+    let inner = build_scheduler(
+        SchedulerKind::NoShare,
+        MetricParams::paper_testbed(),
+        10,
+        2_000.0,
+    );
+    let sched = Box::new(LosesOneCompletion { inner, lost: false });
+    Executor::new(db, sched, SimConfig::default()).run(&tiny_trace(3));
 }
