@@ -4,28 +4,13 @@
 //! utility-ordered batch execution (the design choice DESIGN.md calls out).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use jaws_bench::exp::NoneResident;
 use jaws_morton::{AtomId, MortonKey};
 use jaws_scheduler::delta::reference;
 use jaws_scheduler::{
-    Jaws, JawsConfig, LifeRaft, MetricParams, Residency, Scheduler, SubQuery, WorkloadManager,
+    Jaws, JawsConfig, LifeRaft, MetricParams, Scheduler, SubQuery, WorkloadManager,
 };
 use jaws_workload::{Footprint, Query, QueryOp};
-
-struct NoneResident;
-
-impl Residency for NoneResident {
-    fn is_resident(&self, _atom: &AtomId) -> bool {
-        false
-    }
-
-    fn residency_epoch(&self) -> Option<u64> {
-        Some(0) // nothing ever becomes resident
-    }
-
-    fn residency_changes_since(&self, _since: u64) -> Option<Vec<(AtomId, bool)>> {
-        Some(Vec::new())
-    }
-}
 
 /// Loads a scheduler with `n` queries over a 16³ atom grid, 31 timesteps.
 fn load<S: Scheduler>(s: &mut S, n: u64) {

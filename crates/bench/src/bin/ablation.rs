@@ -14,13 +14,12 @@
 //!   atoms absorb the spill-over in cache.
 
 use jaws_bench::exp;
-use jaws_sim::sweep::RunSpec;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 use jaws_turbdb::CostModel;
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
     let base = exp::paper_cost();
     let variants: Vec<(&str, CostModel)> = vec![
         ("baseline", base),
@@ -88,7 +87,3 @@ fn main() {
         println!("  {:<14} {:.2}x", name, j / l);
     }
 }
-
-/// The `RunSpec` import is used through `exp::base_spec`'s return type.
-#[allow(dead_code)]
-fn _type_anchor(_: RunSpec) {}

@@ -10,7 +10,6 @@
 use jaws_bench::exp;
 use jaws_sim::sweep::RunSpec;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
-use jaws_turbdb::{CostModel, DbConfig};
 use jaws_workload::{GenConfig, TraceGenerator};
 
 fn main() {
@@ -54,15 +53,8 @@ fn main() {
         let specs: Vec<RunSpec> = kinds
             .iter()
             .map(|&(k, gate)| RunSpec {
-                label: k.name().to_string(),
-                db: DbConfig::paper_sample(),
-                cost: CostModel::paper_testbed(),
-                scheduler: k,
-                cache_policy: CachePolicyKind::LruK,
-                cache_atoms: 256,
-                run_len: 50,
                 gate_timeout_ms: gate,
-                speedup: 1.0,
+                ..exp::base_spec(k.name(), k, CachePolicyKind::LruK)
             })
             .collect();
         println!(

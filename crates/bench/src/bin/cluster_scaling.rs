@@ -8,7 +8,6 @@
 //! load imbalance: the scalability story behind the deployment choice.
 //!
 //! Flags:
-//! * `--quick`  — smaller trace, full geometry;
 //! * `--smoke`  — tiny geometry and trace (CI exercise of the multi-node
 //!   path), 1/2/4 nodes only;
 //! * `--cap-ms=<float>` — simulated-time cap per run (`max_sim_ms`),
@@ -18,11 +17,7 @@
 //!   `trace_explain`).
 
 use jaws_bench::exp;
-use jaws_obs::{JsonlRecorder, ObsSink};
-use jaws_sim::{
-    CachePolicyKind, ClusterConfig, ClusterExecutor, FailurePlan, SchedulerKind, SimConfig,
-};
-use std::sync::{Arc, Mutex};
+use jaws_sim::{ClusterConfig, ClusterExecutor, SimConfig};
 
 const CAP_MS: exp::Flag = exp::Flag {
     name: "--cap-ms",
@@ -31,17 +26,13 @@ const CAP_MS: exp::Flag = exp::Flag {
 };
 
 fn main() {
-    let args = exp::parse_args("", &[exp::QUICK, exp::SMOKE, CAP_MS, exp::TRACE_OUT]);
+    let args = exp::parse_args("", &[exp::SMOKE, CAP_MS, exp::TRACE_OUT]);
     let smoke = args.has("--smoke");
     let (trace, db, node_counts): (_, _, &[u32]) = if smoke {
         eprintln!("# --smoke: tiny geometry, 1/2/4 nodes");
         (exp::smoke_trace(), exp::smoke_db(), &[1, 2, 4])
     } else {
-        (
-            exp::select_trace(args.has("--quick")),
-            exp::paper_db(),
-            &[1, 2, 4, 8],
-        )
+        (exp::paper_trace(), exp::paper_db(), &[1, 2, 4, 8])
     };
     let max_sim_ms = args.parsed("--cap-ms").unwrap_or(1e10);
     println!("\nCluster scale-out — JAWS_2 per node, Morton-slab partitioning");
@@ -64,34 +55,21 @@ fn main() {
     let mut base_qps = None;
     for &nodes in node_counts {
         for prefetch in [false, true] {
-            let mut ex = ClusterExecutor::new(ClusterConfig {
-                nodes,
-                db,
-                cost: exp::paper_cost(),
-                scheduler: SchedulerKind::Jaws2 { batch_k: 15 },
-                cache_policy: CachePolicyKind::LruK,
-                cache_atoms_per_node: (exp::CACHE_ATOMS as u32 / nodes).max(16) as usize,
-                run_len: exp::RUN_LEN,
-                gate_timeout_ms: exp::GATE_TIMEOUT_MS,
+            let cfg = ClusterConfig {
                 sim: SimConfig {
                     prefetch,
                     max_sim_ms,
                     ..SimConfig::default()
                 },
-                failures: FailurePlan::none(),
-                replication: jaws_sim::ReplicationConfig::disabled(),
-            });
-            let recorder = trace_path.as_ref().map(|_| {
-                let rc = Arc::new(Mutex::new(JsonlRecorder::new()));
-                ex.set_recorder(ObsSink::new(rc.clone()));
-                rc
-            });
-            let r = ex.run(&trace);
-            if let Some(rc) = recorder {
-                // lint: invariant — the run above completed; a poisoned mutex
-                // would already have panicked the emitting thread
-                last_trace = Some(rc.lock().expect("recorder lock").take());
-            }
+                ..exp::paper_cluster(db, nodes)
+            };
+            let r = if trace_path.is_some() {
+                let (r, jsonl) = exp::traced_run(cfg, &trace);
+                last_trace = Some(jsonl);
+                r
+            } else {
+                ClusterExecutor::new(cfg).run(&trace)
+            };
             let base = *base_qps.get_or_insert(r.aggregate.throughput_qps);
             println!(
                 "{:<7} {:<9} {:>9.3} {:>12.1} {:>10} {:>10} {:>9.1}% {:>10.2}x {:>8.2}x{}",

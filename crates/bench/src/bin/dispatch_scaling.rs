@@ -26,11 +26,11 @@
 //! `--smoke` shrinks queue depths and rep counts for CI; `--out=PATH`
 //! overrides the output path.
 
-use jaws_bench::exp;
+use jaws_bench::exp::{self, NoneResident};
 use jaws_morton::{AtomId, MortonKey};
 use jaws_obs::{JsonlRecorder, ObsSink};
 use jaws_scheduler::delta::reference;
-use jaws_scheduler::{MetricParams, Residency, SubQuery, WorkloadManager};
+use jaws_scheduler::{MetricParams, SubQuery, WorkloadManager};
 use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
 use jaws_turbdb::{CostModel, DataMode};
 use serde::Serialize;
@@ -52,22 +52,6 @@ const HOT_POSITIONS: u32 = 5_000;
 
 /// Timesteps the cold backlog is spread over.
 const COLD_TIMESTEPS: u64 = 30;
-
-struct NoneResident;
-
-impl Residency for NoneResident {
-    fn is_resident(&self, _atom: &AtomId) -> bool {
-        false
-    }
-
-    fn residency_epoch(&self) -> Option<u64> {
-        Some(0) // nothing ever becomes resident
-    }
-
-    fn residency_changes_since(&self, _since: u64) -> Option<Vec<(AtomId, bool)>> {
-        Some(Vec::new())
-    }
-}
 
 #[derive(Serialize)]
 struct DepthRow {
@@ -341,7 +325,5 @@ fn main() {
         within_5x,
         identity,
     };
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(out_path, json + "\n").expect("write bench output");
-    eprintln!("# wrote {out_path}");
+    exp::write_json(out_path, &report);
 }

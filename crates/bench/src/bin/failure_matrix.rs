@@ -23,15 +23,9 @@
 //! failure-recovery attribution).
 
 use jaws_bench::exp;
-use jaws_obs::{JsonlRecorder, ObsSink};
-use jaws_sim::{
-    CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport, FailurePlan, SchedulerKind,
-    SimConfig,
-};
+use jaws_sim::{ClusterConfig, ClusterReport, FailurePlan};
 use jaws_turbdb::DbConfig;
-use jaws_workload::Trace;
 use serde::Serialize;
-use std::sync::{Arc, Mutex};
 
 /// Node the crash scenarios kill and the survivor that inherits its slab.
 const CRASHED_NODE: u32 = 1;
@@ -61,33 +55,11 @@ struct BenchReport {
     rows: Vec<ScenarioRow>,
 }
 
-fn config(db: DbConfig, nodes: u32, failures: FailurePlan) -> ClusterConfig {
+fn config(db: DbConfig, nodes: u32, plan: &FailurePlan) -> ClusterConfig {
     ClusterConfig {
-        nodes,
-        db,
-        cost: exp::paper_cost(),
-        scheduler: SchedulerKind::Jaws2 { batch_k: 15 },
-        cache_policy: CachePolicyKind::LruK,
-        cache_atoms_per_node: (exp::CACHE_ATOMS as u32 / nodes).max(16) as usize,
-        run_len: exp::RUN_LEN,
-        gate_timeout_ms: exp::GATE_TIMEOUT_MS,
-        sim: SimConfig::default(),
-        failures,
-        replication: jaws_sim::ReplicationConfig::disabled(),
+        failures: plan.clone(),
+        ..exp::paper_cluster(db, nodes)
     }
-}
-
-/// Runs the scenario twice; returns the report and whether the two
-/// serialized reports were byte-identical (they must be).
-fn run_twice(db: DbConfig, nodes: u32, trace: &Trace, plan: &FailurePlan) -> (ClusterReport, bool) {
-    let serialized = |r: &ClusterReport| {
-        exp::mask_wallclock_fields(&serde_json::to_string(r).expect("report serializes"))
-    };
-    let report = ClusterExecutor::new(config(db, nodes, plan.clone())).run(trace);
-    let again = ClusterExecutor::new(config(db, nodes, plan.clone())).run(trace);
-    let identical = serialized(&report) == serialized(&again);
-    assert!(identical, "scenario replay diverged between two runs");
-    (report, identical)
 }
 
 fn row(
@@ -113,7 +85,7 @@ fn row(
 }
 
 fn main() {
-    let args = exp::parse_args("", &[exp::QUICK, exp::SMOKE, exp::OUT, exp::TRACE_OUT]);
+    let args = exp::parse_args("", &[exp::SMOKE, exp::OUT, exp::TRACE_OUT]);
     let smoke = args.has("--smoke");
     let out_path = args.value("--out").unwrap_or("BENCH_6.json");
     let trace_out = args.value("--trace-out");
@@ -122,36 +94,26 @@ fn main() {
         eprintln!("# --smoke: tiny geometry, 3 nodes");
         (exp::smoke_db(), exp::smoke_trace().speedup(20.0), 3u32)
     } else {
-        (
-            exp::paper_db(),
-            exp::select_trace(args.has("--quick")).speedup(20.0),
-            4u32,
-        )
+        (exp::paper_db(), exp::paper_trace().speedup(20.0), 4u32)
     };
     let queries = trace.query_count() as u64;
     let plan_seed = exp::TRACE_SEED;
 
-    let (healthy, healthy_ok) = run_twice(db, nodes, &trace, &FailurePlan::none());
+    let (healthy, healthy_ok) = exp::run_twice(&exp::paper_cluster(db, nodes), &trace);
     let healthy_ms = healthy.aggregate.makespan_ms;
     let mut rows = vec![row("healthy", &healthy, healthy_ok, healthy_ms, queries)];
 
     for pct in [10u32, 50, 90] {
         let at_ms = healthy_ms * pct as f64 / 100.0;
         let plan = FailurePlan::new(plan_seed).crash_with_survivor(at_ms, CRASHED_NODE, SURVIVOR);
-        let (report, identical) = run_twice(db, nodes, &trace, &plan);
+        let (report, identical) = exp::run_twice(&config(db, nodes, &plan), &trace);
         assert_eq!(
             report.aggregate.queries_completed, queries,
             "crash@{pct}% dropped queries"
         );
         if pct == 50 {
             if let Some(path) = &trace_out {
-                let rc = Arc::new(Mutex::new(JsonlRecorder::new()));
-                let mut ex = ClusterExecutor::new(config(db, nodes, plan.clone()));
-                ex.set_recorder(ObsSink::new(rc.clone()));
-                ex.run(&trace);
-                // lint: invariant — the run above completed; a poisoned
-                // mutex would already have panicked the emitting thread
-                let jsonl = rc.lock().expect("recorder lock").take();
+                let (_, jsonl) = exp::traced_run(config(db, nodes, &plan), &trace);
                 std::fs::write(path, jsonl).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
                 eprintln!("# wrote observability trace of the crash@50% run to {path}");
             }
@@ -167,7 +129,7 @@ fn main() {
 
     for factor in [2.0f64, 8.0] {
         let plan = FailurePlan::new(plan_seed).slowdown_at(0.0, nodes - 1, factor);
-        let (report, identical) = run_twice(db, nodes, &trace, &plan);
+        let (report, identical) = exp::run_twice(&config(db, nodes, &plan), &trace);
         rows.push(row(
             &format!("straggle {factor:.0}x"),
             &report,
@@ -218,7 +180,5 @@ fn main() {
         plan_seed,
         rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(out_path, json + "\n").expect("write bench output");
-    eprintln!("# wrote {out_path}");
+    exp::write_json(out_path, &report);
 }

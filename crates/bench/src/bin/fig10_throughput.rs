@@ -4,20 +4,18 @@
 //! job-awareness (JAWS₂ → JAWS₁) costs ~30%; two-level scheduling
 //! (JAWS₁ vs LifeRaft₂) is worth ~12%; contention vs arrival order
 //! (LifeRaft₂ vs LifeRaft₁) is worth ~22%.
-//!
-//! Run with `--quick` for a 150-job smoke trace.
 
-use jaws_bench::exp;
-use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
+use jaws_bench::{claims, exp};
+use jaws_sim::{CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
     let specs: Vec<_> = SchedulerKind::evaluation_set()
         .iter()
         .map(|&k| exp::base_spec(k.name(), k, CachePolicyKind::LruK))
         .collect();
-    let results = run_parallel(&specs, &trace);
+    let runs = claims::Runs::replay(&specs, &trace);
 
     println!("\nFig. 10 — Query throughput by scheduling algorithm");
     exp::rule();
@@ -35,9 +33,7 @@ fn main() {
         "alpha"
     );
     exp::rule();
-    let mut qps = std::collections::HashMap::new();
-    for (spec, r) in &results {
-        qps.insert(spec.label.clone(), r.throughput_qps);
+    for (_, r) in runs.iter() {
         println!(
             "{:<11} {:>9.3} {:>12.2} {:>10.2} {:>8} {:>8} {:>8} {:>8.1}% {:>8} {:>6.2}{}",
             r.scheduler,
@@ -54,26 +50,5 @@ fn main() {
         );
     }
     exp::rule();
-    let ratio = |a: &str, b: &str| qps[a] / qps[b];
-    println!("paper expectations vs measured:");
-    println!(
-        "  JAWS_2 / NoShare      paper ~2.6x   measured {:.2}x",
-        ratio("JAWS_2", "NoShare")
-    );
-    println!(
-        "  JAWS_2 / JAWS_1       paper ~1.43x  measured {:.2}x  (30% drop without job-awareness)",
-        ratio("JAWS_2", "JAWS_1")
-    );
-    println!(
-        "  JAWS_1 / LifeRaft_2   paper ~1.12x  measured {:.2}x  (two-level scheduling)",
-        ratio("JAWS_1", "LifeRaft_2")
-    );
-    println!(
-        "  LifeRaft_2/LifeRaft_1 paper ~1.22x  measured {:.2}x  (contention vs arrival order)",
-        ratio("LifeRaft_2", "LifeRaft_1")
-    );
-    println!(
-        "  JAWS_2 / LifeRaft_2   paper ~1.6x   measured {:.2}x  (overall vs LifeRaft)",
-        ratio("JAWS_2", "LifeRaft_2")
-    );
+    claims::print(&claims::fig10(&runs));
 }

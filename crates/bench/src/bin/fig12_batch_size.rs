@@ -5,18 +5,14 @@
 //! (cache eviction, less contention-conforming order); beyond ~50 the impact
 //! is marginal because only above-mean atoms are ever selected.
 
+use jaws_bench::claims::{self, BATCH_KS};
 use jaws_bench::exp;
-use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
+use jaws_sim::{CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
-    let ks: &[usize] = if quick {
-        &[1, 10, 30]
-    } else {
-        &[1, 2, 5, 10, 15, 20, 30, 50, 75, 100]
-    };
-    let mut specs: Vec<_> = ks
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
+    let mut specs: Vec<_> = BATCH_KS
         .iter()
         .map(|&k| {
             exp::base_spec(
@@ -33,7 +29,7 @@ fn main() {
         SchedulerKind::LifeRaft2,
         CachePolicyKind::LruK,
     ));
-    let results = run_parallel(&specs, &trace);
+    let runs = claims::Runs::replay(&specs, &trace);
 
     println!("\nFig. 12 — Performance impact of batch size k (JAWS_2)");
     exp::rule();
@@ -42,7 +38,7 @@ fn main() {
         "k", "qps", "mean rt (s)", "reads", "seeks", "cache hit"
     );
     exp::rule();
-    for (spec, r) in &results {
+    for (spec, r) in runs.iter() {
         println!(
             "{:<12} {:>9.3} {:>12.2} {:>9} {:>9} {:>9.1}%",
             spec.label,
@@ -54,19 +50,5 @@ fn main() {
         );
     }
     exp::rule();
-    let qps: Vec<f64> = results.iter().map(|(_, r)| r.throughput_qps).collect();
-    let lr2 = qps[qps.len() - 1];
-    let best = qps[..qps.len() - 1]
-        .iter()
-        .cloned()
-        .fold(f64::MIN, f64::max);
-    let best_k = ks[qps[..qps.len() - 1]
-        .iter()
-        .position(|&q| q == best)
-        .unwrap_or(0)];
-    println!("best k measured: {best_k} (paper: 10-15)");
-    println!(
-        "JAWS at k=1 vs LifeRaft_2: {:.2}x (paper: >1 due to job-awareness)",
-        qps[0] / lr2
-    );
+    claims::print(&claims::fig12(&runs, &BATCH_KS));
 }

@@ -9,8 +9,8 @@ use jaws_bench::exp;
 use jaws_workload::stats::job_duration_histogram;
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
     let cost = exp::paper_cost();
     let hist = job_duration_histogram(&trace, cost.atom_read_ms, cost.position_compute_ms);
 

@@ -9,8 +9,8 @@ use jaws_bench::exp;
 use jaws_workload::stats::{timestep_histogram, top_atom_share, top_timestep_share};
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
     let hist = timestep_histogram(&trace);
     let total: u64 = hist.iter().sum();
     let peak = *hist.iter().max().expect("non-empty") as f64;

@@ -8,22 +8,14 @@
 //! (JAWS₁), all replaying the identical trace.
 
 use jaws_bench::exp;
-use jaws_scheduler::MetricParams;
-use jaws_sim::CachePolicyKind;
-use jaws_sim::{build_db, build_scheduler, Executor, SchedulerKind, SimConfig};
-use jaws_turbdb::DataMode;
+use jaws_sim::SchedulerKind;
 use jaws_workload::jobid::reconstruct_jobs;
 use jaws_workload::{identify_jobs, JobIdConfig, JobIdEvaluation, SubmitRecord};
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
     let cost = exp::paper_cost();
-    let params = MetricParams {
-        atom_read_ms: cost.atom_read_ms,
-        position_compute_ms: cost.position_compute_ms,
-        atoms_per_timestep: exp::paper_db().atoms_per_timestep(),
-    };
     let log = SubmitRecord::log_from_trace(&trace, cost.atom_read_ms, cost.position_compute_ms);
     let assignment = identify_jobs(&log, JobIdConfig::default());
     let eval = JobIdEvaluation::score(&log, &assignment);
@@ -37,15 +29,7 @@ fn main() {
     );
 
     let run = |label: &str, kind: SchedulerKind, declared: Option<Vec<jaws_workload::Job>>| {
-        let db = build_db(
-            exp::paper_db(),
-            cost,
-            DataMode::Virtual,
-            exp::CACHE_ATOMS,
-            CachePolicyKind::LruK,
-        );
-        let sched = build_scheduler(kind, params, exp::RUN_LEN, exp::GATE_TIMEOUT_MS);
-        let mut ex = Executor::new(db, sched, SimConfig::default());
+        let mut ex = exp::paper_executor(kind);
         if let Some(jobs) = declared {
             ex.declare_jobs(jobs);
         }

@@ -8,21 +8,13 @@
 //! paper's future-work proposal while keeping per-pass data sharing.
 
 use jaws_bench::exp;
-use jaws_scheduler::MetricParams;
-use jaws_sim::Percentiles;
-use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
-use jaws_turbdb::DataMode;
+use jaws_sim::{Percentiles, SchedulerKind};
 use std::collections::HashMap;
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
     let cost = exp::paper_cost();
-    let params = MetricParams {
-        atom_read_ms: cost.atom_read_ms,
-        position_compute_ms: cost.position_compute_ms,
-        atoms_per_timestep: exp::paper_db().atoms_per_timestep(),
-    };
     let mut estimate: HashMap<u64, f64> = HashMap::new();
     for (_, q) in trace.queries() {
         let est = q.footprint.atom_count() as f64 * cost.atom_read_ms
@@ -41,15 +33,7 @@ fn main() {
         SchedulerKind::Jaws2 { batch_k: 15 },
         SchedulerKind::Qos { stretch_x10: 30 },
     ] {
-        let db = build_db(
-            exp::paper_db(),
-            cost,
-            DataMode::Virtual,
-            exp::CACHE_ATOMS,
-            CachePolicyKind::LruK,
-        );
-        let sched = build_scheduler(kind, params, exp::RUN_LEN, exp::GATE_TIMEOUT_MS);
-        let mut ex = Executor::new(db, sched, SimConfig::default());
+        let mut ex = exp::paper_executor(kind);
         let r = ex.run(&trace);
         let mut stretches: Vec<f64> = ex
             .response_log()

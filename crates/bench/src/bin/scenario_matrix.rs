@@ -31,9 +31,10 @@
 //! queue-ops/query per scenario against a committed baseline report of the
 //! same mode and exits non-zero on a >2× regression.
 
-use jaws_bench::{alloc_counter, exp};
-use jaws_morton::{AtomId, MortonKey};
-use jaws_scheduler::{Jaws, JawsConfig, MetricParams, Residency, Scheduler};
+use jaws_bench::alloc_counter;
+use jaws_bench::exp::{self, NoneResident};
+use jaws_morton::MortonKey;
+use jaws_scheduler::{Jaws, JawsConfig, MetricParams, Scheduler};
 use jaws_sim::{
     build_db, build_scheduler, queue_ops, reset_queue_ops, CachePolicyKind, ClusterConfig,
     ClusterExecutor, Executor, FailurePlan, ReplicationConfig, SchedulerKind, SimConfig,
@@ -209,23 +210,6 @@ impl Driver {
                 )
             }
         }
-    }
-}
-
-/// Nothing is ever resident: every batch pays the full metric evaluation.
-struct NoneResident;
-
-impl Residency for NoneResident {
-    fn is_resident(&self, _atom: &AtomId) -> bool {
-        false
-    }
-
-    fn residency_epoch(&self) -> Option<u64> {
-        Some(0)
-    }
-
-    fn residency_changes_since(&self, _since: u64) -> Option<Vec<(AtomId, bool)>> {
-        Some(Vec::new())
     }
 }
 
@@ -643,9 +627,7 @@ fn main() {
         dispatch_path,
         scenarios: rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("matrix report serializes");
-    std::fs::write(out_path, json + "\n").expect("write bench output");
-    eprintln!("# wrote {out_path}");
+    exp::write_json(out_path, &report);
 
     if let Some(path) = guard_path {
         let baseline = std::fs::read_to_string(path)

@@ -8,18 +8,20 @@
 //! Reported per cell:
 //!
 //! * makespan / mean response / throughput;
-//! * the busy-time load imbalance ([`ClusterReport::imbalance`]) — the
-//!   number replication exists to push down;
+//! * the busy-time load imbalance
+//!   ([`jaws_sim::ClusterReport::imbalance`]) — the number replication
+//!   exists to push down;
 //! * the replica directory's counters: promotions, demotions, diverted
 //!   sub-queries.
 //!
-//! Every cell is run twice and the two serialized [`ClusterReport`]s are
-//! byte-compared (wall-clock telemetry masked); on the 4-node cells the
-//! whole replay is additionally repeated at 1, 2 and 8 `jaws-par` workers —
-//! reports *and* JSONL observability traces must be byte-identical, with
-//! replication on and off alike. Both determinism columns are asserted, not
-//! advisory, as is the headline claim: at 4 and 8 nodes the replicated
-//! imbalance must come in strictly below the static one.
+//! Every cell is run twice and the two serialized
+//! [`jaws_sim::ClusterReport`]s are byte-compared (wall-clock telemetry
+//! masked); on the 4-node cells the whole replay is additionally repeated
+//! at 1, 2 and 8 `jaws-par` workers — reports *and* JSONL observability
+//! traces must be byte-identical, with replication on and off alike. Both
+//! determinism columns are asserted, not advisory, as is the headline
+//! claim: at 4 and 8 nodes the replicated imbalance must come in strictly
+//! below the static one.
 //!
 //! `--smoke` shrinks geometry and trace for CI; `--out=PATH` overrides the
 //! output path; `--trace-out=PATH` additionally records the 4-node
@@ -29,17 +31,12 @@
 
 use jaws_bench::exp;
 use jaws_morton::MortonKey;
-use jaws_obs::{JsonlRecorder, ObsSink};
-use jaws_sim::{
-    CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport, FailurePlan, ReplicationConfig,
-    SchedulerKind, SimConfig,
-};
+use jaws_sim::{ClusterConfig, ReplicationConfig};
 use jaws_turbdb::DbConfig;
 use jaws_workload::{Footprint, Job, JobKind, Query, QueryOp, Trace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use std::sync::{Arc, Mutex};
 
 #[derive(Serialize)]
 struct ScenarioRow {
@@ -134,46 +131,10 @@ fn zipf_trace(db: DbConfig, jobs: u64, queries_per_job: u64, s: f64) -> Trace {
     Trace::new(timesteps, db.atoms_per_side(), jobs)
 }
 
-fn config(db: DbConfig, nodes: u32, replication: ReplicationConfig) -> ClusterConfig {
-    ClusterConfig {
-        nodes,
-        db,
-        cost: exp::paper_cost(),
-        scheduler: SchedulerKind::Jaws2 { batch_k: 15 },
-        cache_policy: CachePolicyKind::LruK,
-        cache_atoms_per_node: (exp::CACHE_ATOMS as u32 / nodes).max(16) as usize,
-        run_len: exp::RUN_LEN,
-        gate_timeout_ms: exp::GATE_TIMEOUT_MS,
-        sim: SimConfig::default(),
-        failures: FailurePlan::none(),
-        replication,
-    }
-}
-
-fn serialized(r: &ClusterReport) -> String {
-    exp::mask_wallclock_fields(&serde_json::to_string(r).expect("report serializes"))
-}
-
-/// Runs the cell twice; returns the report and whether the two serialized
-/// reports were byte-identical (they must be).
-fn run_twice(cfg: &ClusterConfig, trace: &Trace) -> (ClusterReport, bool) {
-    let report = ClusterExecutor::new(cfg.clone()).run(trace);
-    let again = ClusterExecutor::new(cfg.clone()).run(trace);
-    let identical = serialized(&report) == serialized(&again);
-    assert!(identical, "cell replay diverged between two runs");
-    (report, identical)
-}
-
 /// One instrumented replay; returns (masked report JSON, JSONL trace).
 fn instrumented_run(cfg: &ClusterConfig, trace: &Trace) -> (String, String) {
-    let rc = Arc::new(Mutex::new(JsonlRecorder::new()));
-    let mut ex = ClusterExecutor::new(cfg.clone());
-    ex.set_recorder(ObsSink::new(rc.clone()));
-    let report = ex.run(trace);
-    // lint: invariant — the run above completed; a poisoned mutex would
-    // already have panicked the emitting thread
-    let jsonl = rc.lock().expect("recorder lock").take();
-    (serialized(&report), jsonl)
+    let (report, jsonl) = exp::traced_run(cfg.clone(), trace);
+    (exp::masked_json(&report), jsonl)
 }
 
 /// Byte-identity of reports and JSONL traces at 1, 2 and 8 workers.
@@ -214,8 +175,11 @@ fn main() {
             } else {
                 ReplicationConfig::disabled()
             };
-            let cfg = config(db, nodes, rep);
-            let (report, identical) = run_twice(&cfg, &trace);
+            let cfg = ClusterConfig {
+                replication: rep,
+                ..exp::paper_cluster(db, nodes)
+            };
+            let (report, identical) = exp::run_twice(&cfg, &trace);
             assert_eq!(
                 report.aggregate.queries_completed, queries,
                 "{nodes}-node replicated={replicated} cell dropped queries"
@@ -316,7 +280,5 @@ fn main() {
         zipf_exponent: zipf_s,
         rows,
     };
-    let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-    std::fs::write(out_path, json + "\n").expect("write bench output");
-    eprintln!("# wrote {out_path}");
+    exp::write_json(out_path, &report);
 }

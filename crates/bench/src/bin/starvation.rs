@@ -9,24 +9,16 @@
 //! response times by query size class.
 
 use jaws_bench::exp;
-use jaws_scheduler::MetricParams;
-use jaws_sim::Percentiles;
-use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
-use jaws_turbdb::DataMode;
+use jaws_sim::{Percentiles, SchedulerKind};
 use std::collections::HashMap;
 
 /// CasJobs threshold and the class boundary used for reporting, ms.
 const THRESHOLD_MS: f64 = 600.0;
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
     let cost = exp::paper_cost();
-    let params = MetricParams {
-        atom_read_ms: cost.atom_read_ms,
-        position_compute_ms: cost.position_compute_ms,
-        atoms_per_timestep: exp::paper_db().atoms_per_timestep(),
-    };
     // Classify every query by estimated service time.
     let mut class: HashMap<u64, bool> = HashMap::new(); // true = short
     let mut shorts = 0u64;
@@ -55,15 +47,7 @@ fn main() {
         SchedulerKind::LifeRaft2,
         SchedulerKind::Jaws2 { batch_k: 15 },
     ] {
-        let db = build_db(
-            exp::paper_db(),
-            cost,
-            DataMode::Virtual,
-            exp::CACHE_ATOMS,
-            CachePolicyKind::LruK,
-        );
-        let sched = build_scheduler(kind, params, exp::RUN_LEN, exp::GATE_TIMEOUT_MS);
-        let mut ex = Executor::new(db, sched, SimConfig::default());
+        let mut ex = exp::paper_executor(kind);
         let r = ex.run(&trace);
         let mut short_rt: Vec<f64> = Vec::new();
         let mut long_rt: Vec<f64> = Vec::new();

@@ -13,17 +13,17 @@
 //! overhead. Overhead here is *measured wall-clock time inside the policy*,
 //! exactly as the paper measures it against its implementation.
 
-use jaws_bench::exp;
-use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
+use jaws_bench::{claims, exp};
+use jaws_sim::{CachePolicyKind, SchedulerKind};
 
 fn main() {
-    let quick = exp::parse_args("", &[exp::QUICK]).has("--quick");
-    let trace = exp::select_trace(quick);
+    exp::parse_args("", &[]);
+    let trace = exp::paper_trace();
     let specs: Vec<_> = CachePolicyKind::table1_set()
         .iter()
         .map(|&p| exp::base_spec(&format!("{p:?}"), SchedulerKind::Jaws2 { batch_k: 15 }, p))
         .collect();
-    let results = run_parallel(&specs, &trace);
+    let runs = claims::Runs::replay(&specs, &trace);
 
     println!("\nTable I — Performance and overhead of caching algorithms (JAWS_2)");
     exp::rule();
@@ -32,8 +32,7 @@ fn main() {
         "policy", "cache hit", "seconds/qry", "overhead/qry", "qps", "disk reads"
     );
     exp::rule();
-    let mut rows = Vec::new();
-    for (_, r) in &results {
+    for (_, r) in runs.iter() {
         println!(
             "{:<8} {:>9.1}% {:>14.3} {:>11.3} ms {:>10.3} {:>12}",
             r.cache_policy,
@@ -43,21 +42,7 @@ fn main() {
             r.throughput_qps,
             r.disk.reads
         );
-        rows.push((
-            r.cache_policy.clone(),
-            r.cache.hit_ratio(),
-            r.seconds_per_query,
-        ));
     }
     exp::rule();
-    println!("paper: LRU-K 47% / 1.62 s ... SLRU 49% / 1.56 s (<1 ms) ... URC 54% / 1.39 s (7 ms)");
-    let find = |n: &str| rows.iter().find(|(p, _, _)| p == n).expect("policy row");
-    let (_, lruk_hit, lruk_spq) = find("LRU-K");
-    let (_, _slru_hit, _) = find("SLRU");
-    let (_, urc_hit, urc_spq) = find("URC");
-    println!(
-        "URC vs LRU-K: hit {:+.1} points (paper +7), query performance {:+.1}% (paper +16%)",
-        (urc_hit - lruk_hit) * 100.0,
-        (lruk_spq / urc_spq - 1.0) * 100.0
-    );
+    claims::print(&claims::table1(&runs));
 }

@@ -6,6 +6,8 @@
 //! the paper's single experimental setup (800 GB sample, 31 timesteps,
 //! 4096 atoms/timestep, 2 GB external cache, 50k-query trace of ~1k jobs).
 
+pub mod claims;
+
 pub mod alloc_counter {
     //! A counting global allocator for the allocation-discipline benches.
     //!
@@ -66,10 +68,17 @@ pub mod alloc_counter {
 }
 
 pub mod exp {
+    use jaws_morton::AtomId;
+    use jaws_obs::{JsonlRecorder, ObsSink};
+    use jaws_scheduler::{MetricParams, Residency};
     use jaws_sim::sweep::RunSpec;
-    use jaws_sim::{CachePolicyKind, SchedulerKind};
-    use jaws_turbdb::{CostModel, DbConfig};
+    use jaws_sim::{
+        build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport,
+        Executor, FailurePlan, ReplicationConfig, SchedulerKind, SimConfig,
+    };
+    use jaws_turbdb::{CostModel, DataMode, DbConfig};
     use jaws_workload::{GenConfig, Trace, TraceGenerator};
+    use std::sync::{Arc, Mutex};
 
     /// Trace seed shared by all experiments (deterministic reproduction).
     pub const TRACE_SEED: u64 = 2009_0720; // the paper's week-of-July-20th trace
@@ -95,18 +104,16 @@ pub mod exp {
     }
 
     /// The evaluation trace: ~1k jobs, tens of thousands of queries,
-    /// calibrated to §VI-A.
+    /// calibrated to §VI-A. Its size is announced on stderr.
     pub fn paper_trace() -> Trace {
-        TraceGenerator::new(GenConfig::paper_like(TRACE_SEED)).generate()
-    }
-
-    /// A smaller trace for quick runs (the [`QUICK`] flag).
-    pub fn quick_trace() -> Trace {
-        let cfg = GenConfig {
-            jobs: 150,
-            ..GenConfig::paper_like(TRACE_SEED)
-        };
-        TraceGenerator::new(cfg).generate()
+        let t = TraceGenerator::new(GenConfig::paper_like(TRACE_SEED)).generate();
+        eprintln!(
+            "# trace: {} jobs, {} queries, {} positions",
+            t.jobs.len(),
+            t.query_count(),
+            t.position_count()
+        );
+        t
     }
 
     /// A fully specified run at the paper's defaults.
@@ -121,6 +128,102 @@ pub mod exp {
             run_len: RUN_LEN,
             gate_timeout_ms: GATE_TIMEOUT_MS,
             speedup: 1.0,
+        }
+    }
+
+    /// A single-node executor for `scheduler` at the paper's defaults, for
+    /// bins that need more than a [`RunSpec`]'s report: its response log or
+    /// declared jobs.
+    pub fn paper_executor(scheduler: SchedulerKind) -> Executor {
+        let (db, cost) = (paper_db(), paper_cost());
+        let params = MetricParams {
+            atom_read_ms: cost.atom_read_ms,
+            position_compute_ms: cost.position_compute_ms,
+            atoms_per_timestep: db.atoms_per_timestep(),
+        };
+        Executor::new(
+            build_db(
+                db,
+                cost,
+                DataMode::Virtual,
+                CACHE_ATOMS,
+                CachePolicyKind::LruK,
+            ),
+            build_scheduler(scheduler, params, RUN_LEN, GATE_TIMEOUT_MS),
+            SimConfig::default(),
+        )
+    }
+
+    /// A cluster of `nodes` JAWS₂ nodes over `db` at the paper's defaults:
+    /// the 2 GB cache split across the nodes (at least 16 atoms each), no
+    /// failures, no replication.
+    pub fn paper_cluster(db: DbConfig, nodes: u32) -> ClusterConfig {
+        ClusterConfig {
+            nodes,
+            db,
+            cost: paper_cost(),
+            scheduler: SchedulerKind::Jaws2 { batch_k: 15 },
+            cache_policy: CachePolicyKind::LruK,
+            cache_atoms_per_node: (CACHE_ATOMS as u32 / nodes).max(16) as usize,
+            run_len: RUN_LEN,
+            gate_timeout_ms: GATE_TIMEOUT_MS,
+            sim: SimConfig::default(),
+            failures: FailurePlan::none(),
+            replication: ReplicationConfig::disabled(),
+        }
+    }
+
+    /// The report as JSON with its wall-clock fields masked (see
+    /// [`mask_wallclock_fields`]).
+    pub fn masked_json(report: &ClusterReport) -> String {
+        mask_wallclock_fields(&serde_json::to_string(report).expect("report serializes"))
+    }
+
+    /// Replays `cfg` twice and asserts that the two masked reports are
+    /// byte-identical. Returns the report and the (asserted) verdict.
+    pub fn run_twice(cfg: &ClusterConfig, trace: &Trace) -> (ClusterReport, bool) {
+        let report = ClusterExecutor::new(cfg.clone()).run(trace);
+        let again = ClusterExecutor::new(cfg.clone()).run(trace);
+        let identical = masked_json(&report) == masked_json(&again);
+        assert!(identical, "replay diverged between two runs");
+        (report, identical)
+    }
+
+    /// Replays `cfg` through a [`JsonlRecorder`]; returns the report and the
+    /// JSONL observability trace.
+    pub fn traced_run(cfg: ClusterConfig, trace: &Trace) -> (ClusterReport, String) {
+        let rc = Arc::new(Mutex::new(JsonlRecorder::new()));
+        let mut ex = ClusterExecutor::new(cfg);
+        ex.set_recorder(ObsSink::new(rc.clone()));
+        let report = ex.run(trace);
+        // lint: invariant — the run above completed; a poisoned mutex would
+        // already have panicked the emitting thread
+        let jsonl = rc.lock().expect("recorder lock").take();
+        (report, jsonl)
+    }
+
+    /// Writes `report` to `path` as pretty JSON and says so on stderr.
+    pub fn write_json(path: &str, report: &impl serde::Serialize) {
+        let json = serde_json::to_string_pretty(report).expect("bench report serializes");
+        std::fs::write(path, json + "\n").expect("write bench output");
+        eprintln!("# wrote {path}");
+    }
+
+    /// A [`Residency`] under which no atom is ever cached: every batch pays
+    /// the full metric evaluation.
+    pub struct NoneResident;
+
+    impl Residency for NoneResident {
+        fn is_resident(&self, _atom: &AtomId) -> bool {
+            false
+        }
+
+        fn residency_epoch(&self) -> Option<u64> {
+            Some(0) // nothing ever becomes resident
+        }
+
+        fn residency_changes_since(&self, _since: u64) -> Option<Vec<(AtomId, bool)>> {
+            Some(Vec::new())
         }
     }
 
@@ -140,19 +243,6 @@ pub mod exp {
     /// The tiny trace used by [`SMOKE`] runs.
     pub fn smoke_trace() -> Trace {
         TraceGenerator::new(GenConfig::small(TRACE_SEED)).generate()
-    }
-
-    /// Picks the quick or the full paper trace and announces it.
-    pub fn select_trace(quick: bool) -> Trace {
-        let t = if quick { quick_trace() } else { paper_trace() };
-        eprintln!(
-            "# trace: {} jobs, {} queries, {} positions{}",
-            t.jobs.len(),
-            t.query_count(),
-            t.position_count(),
-            if quick { " [--quick]" } else { "" }
-        );
-        t
     }
 
     /// Prints a rule line for experiment tables.
@@ -186,7 +276,7 @@ pub mod exp {
         out
     }
 
-    /// A flag an experiment binary accepts: a switch (`--quick`) or, when
+    /// A flag an experiment binary accepts: a switch (`--smoke`) or, when
     /// `value` names its value, `--name=VALUE`.
     #[derive(Debug, Clone, Copy)]
     pub struct Flag {
@@ -197,13 +287,6 @@ pub mod exp {
         /// One line for `--help`.
         pub help: &'static str,
     }
-
-    /// Replay the 150-job trace instead of the full paper trace.
-    pub const QUICK: Flag = Flag {
-        name: "--quick",
-        value: None,
-        help: "replay the 150-job trace instead of the full paper trace",
-    };
 
     /// A reduced-size run for CI: the same code paths on a tiny geometry
     /// and trace.
@@ -368,9 +451,9 @@ pub mod exp {
 
 #[cfg(test)]
 mod tests {
-    use super::exp::{parse, Args, Flag, OUT, QUICK};
+    use super::exp::{parse, Args, Flag, OUT, SMOKE};
 
-    const FLAGS: &[Flag] = &[QUICK, OUT];
+    const FLAGS: &[Flag] = &[SMOKE, OUT];
 
     fn run(operands: &str, argv: &[&str]) -> Result<Option<Args>, String> {
         parse("bin", operands, FLAGS, argv.iter().map(|a| a.to_string()))
@@ -378,15 +461,15 @@ mod tests {
 
     #[test]
     fn switches_values_and_operands_parse() {
-        let args = run("<FILE>", &["a.json", "--quick", "--out=x.json", "b"])
+        let args = run("<FILE>", &["a.json", "--smoke", "--out=x.json", "b"])
             .expect("valid")
             .expect("not help");
-        assert!(args.has("--quick"));
+        assert!(args.has("--smoke"));
         assert_eq!(args.value("--out"), Some("x.json"));
-        assert_eq!(args.value("--quick"), None);
+        assert_eq!(args.value("--smoke"), None);
         assert_eq!(args.operands(), ["a.json", "b"]);
         let none = run("", &[]).expect("valid").expect("not help");
-        assert!(!none.has("--quick") && none.value("--out").is_none());
+        assert!(!none.has("--smoke") && none.value("--out").is_none());
     }
 
     #[test]
@@ -395,8 +478,8 @@ mod tests {
             (&["--quik"][..], "unknown flag `--quik`"),
             (&["-q"], "unknown flag `-q`"),
             (&["--out"], "--out needs a value"),
-            (&["--quick=1"], "--quick takes no value"),
-            (&["--quick", "--quick"], "--quick given twice"),
+            (&["--smoke=1"], "--smoke takes no value"),
+            (&["--smoke", "--smoke"], "--smoke given twice"),
             (&["stray"], "unexpected operand `stray`"),
         ] {
             let err = run("", argv).expect_err("rejected");
@@ -407,6 +490,6 @@ mod tests {
     #[test]
     fn help_wins_over_everything_else() {
         assert!(run("", &["--help"]).expect("help").is_none());
-        assert!(run("", &["--quick", "--help"]).expect("help").is_none());
+        assert!(run("", &["--smoke", "--help"]).expect("help").is_none());
     }
 }

@@ -559,52 +559,6 @@ impl GatingGraph {
         }
         promoted
     }
-
-    /// Gating number diagnostic: how many gating groups must fire before this
-    /// query can be scheduled (ancestors of its group in the precedence DAG,
-    /// plus groups earlier in its own job). Used by tests and reports.
-    pub fn gating_number(&self, q: QueryId) -> usize {
-        let Some(e) = self.entries.get(&q) else {
-            return 0;
-        };
-        let job = &self.jobs[&e.job];
-        let mut blocking: BTreeSet<GroupId> = BTreeSet::new();
-        for pq in &job.queries[job.first_pending..] {
-            let pe = &self.entries[&pq.id];
-            if pe.index >= e.index {
-                break;
-            }
-            if let Some(g) = pe.group {
-                blocking.insert(g);
-            }
-        }
-        // Expand to DAG ancestors of the query's own group.
-        if let Some(g) = e.group {
-            let mut frontier = vec![g];
-            let mut seen = BTreeSet::new();
-            while let Some(cur) = frontier.pop() {
-                for job in self.jobs.values() {
-                    let mut prev: Option<GroupId> = None;
-                    for pq in &job.queries[job.first_pending..] {
-                        if let Some(pe) = self.entries.get(&pq.id) {
-                            if let Some(pg) = pe.group {
-                                if Some(pg) != prev {
-                                    if let Some(p) = prev {
-                                        if pg == cur && p != cur && seen.insert(p) {
-                                            blocking.insert(p);
-                                            frontier.push(p);
-                                        }
-                                    }
-                                }
-                                prev = Some(pg);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        blocking.len()
-    }
 }
 
 #[cfg(test)]
@@ -848,19 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn gating_numbers_count_upstream_groups() {
-        // Mirror of Fig. 3: J1 = R1 R3 R4 aligned with J2 = R1 R2 R3 R4.
-        let mut g = graph();
-        g.add_job(&job(1, &[(0, 1), (1, 3), (2, 4)]));
-        g.add_job(&job(2, &[(0, 1), (3, 2), (1, 3), (2, 4)]));
-        // j1's R4 query (102) is gated and has two prior groups (R1, R3) on
-        // its path.
-        assert_eq!(g.gating_number(100), 0, "first gated query");
-        assert!(g.gating_number(101) >= 1);
-        assert!(g.gating_number(102) >= 2);
-    }
-
-    #[test]
     fn late_arriving_job_aligns_against_remaining_suffix_only() {
         let mut g = graph();
         g.add_job(&job(1, &[(0, 1), (1, 3), (2, 4)]));
@@ -1061,96 +1002,5 @@ mod tests {
                 }
             }
         }
-    }
-}
-
-impl GatingGraph {
-    /// Renders the current precedence/gating graph in Graphviz DOT format:
-    /// solid arrows are precedence edges within a job, dashed undirected
-    /// edges connect gating-group members, and node fill encodes the
-    /// WAIT/READY/QUEUE/DONE state. Intended for debugging schedules — pipe
-    /// into `dot -Tsvg`.
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from(
-            "graph jaws_gating {\n  rankdir=LR;\n  node [shape=circle fontsize=10];\n",
-        );
-        // Precedence chains per job (BTreeMap iteration: ascending JobId).
-        for (jid, job) in &self.jobs {
-            let _ = writeln!(out, "  subgraph cluster_job_{jid} {{ label=\"job {jid}\";");
-            for q in &job.queries {
-                if let Some(e) = self.entries.get(&q.id) {
-                    let fill = match e.state {
-                        QueryState::Wait => "white",
-                        QueryState::Ready => "lightyellow",
-                        QueryState::Queue => "lightblue",
-                        QueryState::Done => "lightgray",
-                    };
-                    let _ = writeln!(
-                        out,
-                        "    q{} [style=filled fillcolor={fill} label=\"{}\\n{:?}\"];",
-                        q.id, q.id, e.state
-                    );
-                }
-            }
-            for w in job.queries.windows(2) {
-                if let [a, b] = w {
-                    let _ = writeln!(out, "    q{} -- q{} [dir=forward];", a.id, b.id);
-                }
-            }
-            let _ = writeln!(out, "  }}");
-        }
-        // Gating groups as dashed cliques (BTreeMap iteration: ascending id).
-        for members in self.groups.values() {
-            for w in members.windows(2) {
-                if let [a, b] = w {
-                    let _ = writeln!(
-                        out,
-                        "  q{a} -- q{b} [style=dashed color=red constraint=false];"
-                    );
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use jaws_morton::MortonKey;
-    use jaws_workload::{Footprint, QueryOp};
-
-    #[test]
-    fn dot_export_lists_every_query_and_gate() {
-        let q = |id: u64, ts: u32, r: u64| Query {
-            id,
-            user: 0,
-            op: QueryOp::ParticleTrack,
-            timestep: ts,
-            footprint: Footprint::from_pairs([(MortonKey(r), 10u32)]),
-        };
-        let job = |jid: u64, base: u64| Job {
-            id: jid,
-            user: jid as u32,
-            kind: JobKind::Ordered,
-            campaign: jid,
-            queries: vec![q(base, 0, 1), q(base + 1, 1, 3)],
-            arrival_ms: 0.0,
-            think_ms: 0.0,
-        };
-        let mut g = GatingGraph::new(GatingConfig::default());
-        g.add_job(&job(1, 100));
-        g.add_job(&job(2, 200));
-        g.query_available(100, 0.0);
-        let dot = g.to_dot();
-        assert!(dot.starts_with("graph jaws_gating"));
-        for qid in [100, 101, 200, 201] {
-            assert!(dot.contains(&format!("q{qid} [")), "missing node q{qid}");
-        }
-        assert!(dot.contains("style=dashed"), "missing gating edges");
-        assert!(dot.contains("Ready"), "state rendering missing");
-        assert!(dot.ends_with("}\n"));
     }
 }

@@ -145,11 +145,6 @@ impl Jaws {
         &self.gating
     }
 
-    /// The α adaptation history.
-    pub fn alpha_history(&self) -> &[(f64, crate::adaptive::RunFeedback)] {
-        self.alpha_ctl.history()
-    }
-
     /// The delta layer's monotone maintenance counters (diagnostics; also
     /// what the no-op-dispatch regression test pins).
     pub fn delta_stats(&self) -> crate::delta::DeltaStats {

@@ -59,9 +59,10 @@ pub struct SchedulerStats {
 /// 4. [`Scheduler::on_query_complete`] when every sub-query of a query has
 ///    been executed.
 ///
-/// `Send` is required so a node pipeline (which owns its scheduler) can be
-/// stepped on a `jaws-par` worker thread; schedulers still run strictly
-/// single-threaded — one node, one scheduler, one worker at a time.
+/// Schedulers run single-threaded: one replay steps all its nodes'
+/// schedulers on one thread, in simulated-time order. The `Send` bound only
+/// lets a replay that owns its schedulers be handed to another thread as a
+/// whole.
 pub trait Scheduler: Send {
     /// Scheduler name for reports (e.g. `"JAWS_2"`).
     fn name(&self) -> &'static str;
