@@ -4,6 +4,8 @@
 //! low in practice given that the graph is sparse"). The merge phase does
 //! not rebuild the whole group DAG per edge: each admission runs a DFS over
 //! the groups reachable from the merged one (see `jaws_scheduler::gating`).
+//! The lifecycle bench passes one reused buffer to every call that can
+//! promote queries, as `Jaws` does.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use jaws_morton::MortonKey;
@@ -61,8 +63,9 @@ fn bench_alignment(c: &mut Criterion) {
             }
             let mut now = 0.0;
             let mut cursor = vec![0usize; jobs.len()];
+            let mut promoted = Vec::new();
             for j in &jobs {
-                g.query_available(j.queries[0].id, now);
+                g.query_available(j.queries[0].id, now, &mut promoted);
             }
             let mut remaining: usize = jobs.iter().map(|j| j.queries.len()).sum();
             while remaining > 0 {
@@ -74,19 +77,20 @@ fn bench_alignment(c: &mut Criterion) {
                     }
                     let qid = j.queries[qi].id;
                     if matches!(g.state(qid), jaws_scheduler::QueryState::Queue) {
-                        g.query_done(qid);
+                        g.query_done(qid, &mut promoted);
                         remaining -= 1;
                         cursor[ji] += 1;
                         if cursor[ji] < j.queries.len() {
-                            g.query_available(j.queries[cursor[ji]].id, now);
+                            g.query_available(j.queries[cursor[ji]].id, now, &mut promoted);
                         }
                         progressed = true;
                     }
                 }
                 if !progressed {
                     now += 200.0;
-                    g.release_stale(now);
+                    g.release_stale(now, &mut promoted);
                 }
+                promoted.clear();
             }
             black_box(g.forced_releases())
         })

@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use jaws_bench::exp::NoneResident;
 use jaws_morton::{AtomId, MortonKey};
-use jaws_scheduler::delta::reference;
+use jaws_scheduler::queues::reference;
 use jaws_scheduler::{
     Jaws, JawsConfig, LifeRaft, MetricParams, Scheduler, SubQuery, WorkloadManager,
 };
@@ -98,7 +98,7 @@ fn loaded_wm(n: u64) -> WorkloadManager {
 }
 
 /// One steady-state scheduling step against the full-scan reference oracle
-/// (`jaws_scheduler::delta::reference`): argmax over a fresh
+/// (`jaws_scheduler::queues::reference`): argmax over a fresh
 /// `aged_utilities` scan, take the atom, enqueue a replacement sub-query,
 /// rebuild the URC snapshot from scratch.
 fn full_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
@@ -107,7 +107,7 @@ fn full_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
         .into_iter()
         .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
         .unwrap();
-    let (batch, _) = wm.take_atom(&atom);
+    let batch = wm.take_atom(&atom, &mut Vec::new());
     black_box(batch.positions());
     wm.enqueue([SubQuery {
         query: 1_000_000 + i,
@@ -118,12 +118,12 @@ fn full_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
     black_box(reference::utility_snapshot(wm, &res));
 }
 
-/// The same step through the delta-propagation core: O(#timesteps) argmax,
+/// The same step through the maintained views: O(#timesteps) argmax,
 /// O(Δ) integration, O(1) snapshot clone.
 fn incremental_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
     let res = NoneResident;
     let (atom, _) = wm.best_atom(now_ms, 0.3, &res).unwrap();
-    let (batch, _) = wm.take_atom(&atom);
+    let batch = wm.take_atom(&atom, &mut Vec::new());
     black_box(batch.positions());
     wm.enqueue([SubQuery {
         query: 1_000_000 + i,

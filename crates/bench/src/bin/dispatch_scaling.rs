@@ -1,27 +1,28 @@
-//! Queue-depth scaling bench (delta-propagation core, PR 8) — writes
-//! `BENCH_8.json`.
+//! Queue-depth scaling bench for the workload manager's maintained views —
+//! writes `BENCH_8.json`.
 //!
 //! Two sections:
 //!
 //! 1. **depth_sweep** — per-dispatch scheduling cost at 10k / 100k / 1M
-//!    queued sub-queries, old path vs new. The *reference* path is the
-//!    pre-refactor full scan (`jaws_scheduler::delta::reference`): every
-//!    dispatch rescans all pending atoms for the argmax and rebuilds the URC
-//!    snapshot from scratch, so its cost grows with queue depth. The *delta*
-//!    path reads the maintained arrangements (`best_atom` +
-//!    `utility_snapshot`), whose per-dispatch cost is O(Δ + timesteps), not
-//!    O(queue). Both paths are asserted to choose the same atom (bit-equal
-//!    utility) before any timing. Reference reps are capped at large depths
-//!    (the full scan at 1M atoms is exactly the cost being demonstrated);
-//!    the cap is recorded in the row, never silent.
+//!    queued sub-queries, full scan vs maintained views. The *reference*
+//!    path is the full-scan oracle (`jaws_scheduler::queues::reference`):
+//!    every dispatch rescans all pending atoms for the argmax and rebuilds
+//!    the URC snapshot from scratch, so its cost grows with queue depth. The
+//!    *delta* path (`delta_*` columns) is `WorkloadManager` itself: `best_atom`
+//!    and `utility_snapshot` read views it keeps up to date per change, so
+//!    the per-dispatch cost is O(Δ + timesteps), not O(queue). Both paths
+//!    are asserted to choose the same atom (bit-equal utility) before any
+//!    timing. Reference reps are capped at large depths (the full scan at 1M
+//!    atoms is exactly the cost being demonstrated); the cap is recorded in
+//!    the row, never silent.
 //! 2. **identity** — the masked-report / JSONL-trace identity columns: one
 //!    seeded end-to-end run per worker count (1/2/8), byte-compared against
 //!    the serial baseline after masking the two measured-wall-clock overhead
 //!    fields (same masking as the determinism suite).
 //!
-//! The acceptance criterion for the delta-propagation refactor is
-//! `within_5x`: per-dispatch delta-path cost at the deepest queue must stay
-//! within 5× of the shallowest (~O(Δ), not O(queue)).
+//! The acceptance criterion for the maintained views is `within_5x`:
+//! per-dispatch delta-path cost at the deepest queue must stay within 5× of
+//! the shallowest (~O(Δ), not O(queue)).
 //!
 //! `--smoke` shrinks queue depths and rep counts for CI; `--out=PATH`
 //! overrides the output path.
@@ -29,7 +30,7 @@
 use jaws_bench::exp::{self, NoneResident};
 use jaws_morton::{AtomId, MortonKey};
 use jaws_obs::{JsonlRecorder, ObsSink};
-use jaws_scheduler::delta::reference;
+use jaws_scheduler::queues::reference;
 use jaws_scheduler::{MetricParams, SubQuery, WorkloadManager};
 use jaws_sim::{build_db, build_scheduler, CachePolicyKind, Executor, SchedulerKind, SimConfig};
 use jaws_turbdb::{CostModel, DataMode};
@@ -157,12 +158,12 @@ fn bench_depth(n: u64, dispatches: usize, reference_reps: usize) -> DepthRow {
 
     // Delta path: full steady-state dispatch loop — select, take, re-enqueue
     // an equivalent sub-query, rebuild the snapshot view.
-    let before = wm.delta_stats();
+    let before = wm.stats();
     let start = Instant::now();
     for i in 0..dispatches {
         let now = BASE_NOW + i as f64;
         let (atom, _) = wm.best_atom(now, ALPHA, &res).expect("non-empty queue");
-        let (group, _) = wm.take_atom(&atom);
+        let group = wm.take_atom(&atom, &mut Vec::new());
         black_box(group.positions());
         wm.enqueue([SubQuery {
             query: 10_000_000 + i as u64,
@@ -173,7 +174,7 @@ fn bench_depth(n: u64, dispatches: usize, reference_reps: usize) -> DepthRow {
         black_box(wm.utility_snapshot(&res));
     }
     let delta_us_per_dispatch = start.elapsed().as_secs_f64() * 1e6 / dispatches as f64;
-    let stats = wm.delta_stats();
+    let stats = wm.stats();
 
     DepthRow {
         queued_subqueries: n,

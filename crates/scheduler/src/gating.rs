@@ -56,7 +56,17 @@
 //!   released in ascending `QueryId` order. Candidates come from an index of
 //!   the READY queries, so a call costs the gated READY set, not the trace.
 //! * **Group firing**: promoted queries come out in group-membership order,
-//!   which is itself the deterministic admission order above.
+//!   which is itself the deterministic admission order above. Every call
+//!   that can promote appends to one caller-provided buffer, in that order.
+//!
+//! ## Retirement
+//!
+//! Once a job's last query is DONE, its `JobEntry` and every query entry
+//! go: the graph's size follows the live jobs, not the trace. `job_order`
+//! keeps only the last [`GatingConfig::max_align_jobs`] ordered ids, the
+//! only ones alignment reads; a retired id among them is skipped exactly
+//! like a finished job was (nothing pending to align against), so the
+//! window's meaning is unchanged.
 //!
 //! Every iterated map or set is a `BTreeMap`/`BTreeSet` keyed by `JobId`/
 //! `QueryId`/group id, so every iteration is ordered by construction. The
@@ -67,7 +77,7 @@ use crate::align::align_jobs;
 use jaws_morton::FastMap;
 use jaws_workload::{Job, JobId, JobKind, Query, QueryId};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Gating behaviour knobs.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -128,8 +138,9 @@ struct JobEntry {
 pub struct GatingGraph {
     cfg: GatingConfig,
     jobs: BTreeMap<JobId, JobEntry>,
-    /// Arrival order of ordered jobs, for alignment candidate selection.
-    job_order: Vec<JobId>,
+    /// Arrival order of the last `max_align_jobs` ordered jobs, retired ones
+    /// included, for alignment candidate selection.
+    job_order: VecDeque<JobId>,
     /// Per registered query: its job, position, lifecycle state and group.
     entries: FastMap<QueryId, QueryEntry>,
     /// The READY queries. An ungated query is promoted in the call that
@@ -148,7 +159,7 @@ impl GatingGraph {
         GatingGraph {
             cfg,
             jobs: BTreeMap::new(),
-            job_order: Vec::new(),
+            job_order: VecDeque::new(),
             entries: FastMap::default(),
             ready: BTreeSet::new(),
             groups: BTreeMap::new(),
@@ -172,6 +183,12 @@ impl GatingGraph {
     /// Queries force-released by the starvation valve.
     pub fn forced_releases(&self) -> u64 {
         self.forced_releases
+    }
+
+    /// Queries the graph still tracks: every query of every job not yet
+    /// fully DONE. A drained replay leaves zero.
+    pub fn tracked_queries(&self) -> usize {
+        self.entries.len()
     }
 
     /// Current state of a query ([`QueryState::Done`] if unknown/pruned).
@@ -212,10 +229,12 @@ impl GatingGraph {
         }
         // Dynamic-program phase: align against the most recent ordered jobs.
         let mut alignments: Vec<(JobId, Vec<(usize, usize)>)> = Vec::new();
-        for &other_id in self.job_order.iter().rev().take(self.cfg.max_align_jobs) {
-            let other = &self.jobs[&other_id];
+        for &other_id in self.job_order.iter().rev() {
             // Only align against the not-yet-done suffix: gating a completed
-            // query is meaningless.
+            // query is meaningless, and a retired job has none.
+            let Some(other) = self.jobs.get(&other_id) else {
+                continue;
+            };
             let offset = other.first_pending;
             if offset >= other.queries.len() {
                 continue;
@@ -226,7 +245,10 @@ impl GatingGraph {
                 alignments.push((other_id, pairs));
             }
         }
-        self.job_order.push(job.id);
+        self.job_order.push_back(job.id);
+        if self.job_order.len() > self.cfg.max_align_jobs {
+            self.job_order.pop_front();
+        }
         // Merge phase: job pairs in decreasing alignment size.
         alignments.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
         let mut admitted = 0;
@@ -407,9 +429,9 @@ impl GatingGraph {
     }
 
     /// Marks a query available (predecessor done, think time elapsed):
-    /// WAIT → READY, then fires any group that became fully ready. Returns
-    /// the queries newly promoted to QUEUE.
-    pub fn query_available(&mut self, q: QueryId, now_ms: f64) -> Vec<QueryId> {
+    /// WAIT → READY, then fires any group that became fully ready. Appends
+    /// the queries newly promoted to QUEUE to `promoted`.
+    pub fn query_available(&mut self, q: QueryId, now_ms: f64, promoted: &mut Vec<QueryId>) {
         // lint: invariant — callers only pass ids registered via add_job
         let e = self
             .entries
@@ -419,22 +441,24 @@ impl GatingGraph {
         e.state = QueryState::Ready;
         e.ready_since_ms = now_ms;
         self.ready.insert(q);
-        self.try_fire(q)
+        self.try_fire(q, promoted);
     }
 
     /// Marks a query complete: QUEUE → DONE, prunes it from its group and the
-    /// job front, and fires any group unblocked by the pruning. Returns the
-    /// queries newly promoted to QUEUE.
-    pub fn query_done(&mut self, q: QueryId) -> Vec<QueryId> {
+    /// job front, retires the job once its last query is DONE, and fires any
+    /// group unblocked by the pruning. Appends the queries newly promoted to
+    /// QUEUE to `promoted`.
+    pub fn query_done(&mut self, q: QueryId, promoted: &mut Vec<QueryId>) {
         let Some(e) = self.entries.get_mut(&q) else {
-            return Vec::new();
+            return;
         };
         e.state = QueryState::Done;
         self.ready.remove(&q);
         let job = e.job;
         let group = e.group.take();
         // Advance the job's pending front (prunes completed queries from
-        // future alignments and DAG checks).
+        // future alignments and DAG checks). A job with nothing pending is
+        // retired: none of its queries is READY or in a group any more.
         if let Some(j) = self.jobs.get_mut(&job) {
             while j.first_pending < j.queries.len()
                 && self
@@ -444,8 +468,13 @@ impl GatingGraph {
             {
                 j.first_pending += 1;
             }
+            if j.first_pending == j.queries.len() {
+                for done in &j.queries {
+                    self.entries.remove(&done.id);
+                }
+                self.jobs.remove(&job);
+            }
         }
-        let mut promoted = Vec::new();
         if let Some(g) = group {
             if let Some(members) = self.groups.get_mut(&g) {
                 members.retain(|&m| m != q);
@@ -456,28 +485,27 @@ impl GatingGraph {
                         // lint: invariant — group members are tracked queries
                         self.entries.get_mut(&m).expect("tracked").group = None;
                         if self.entries[&m].state == QueryState::Ready {
-                            promoted.extend(self.promote(m));
+                            self.promote(m, promoted);
                         }
                     }
                 } else if let Some(&m) = remaining.first() {
-                    promoted.extend(self.try_fire(m));
+                    self.try_fire(m, promoted);
                 }
             }
         }
-        promoted
     }
 
     /// Promotes a READY query (and, if gated, its whole ready group) to QUEUE
-    /// when all gating constraints hold. Returns newly QUEUEd queries.
-    fn try_fire(&mut self, q: QueryId) -> Vec<QueryId> {
+    /// when all gating constraints hold, appending them to `promoted`.
+    fn try_fire(&mut self, q: QueryId, promoted: &mut Vec<QueryId>) {
         let Some(e) = self.entries.get(&q) else {
-            return Vec::new();
+            return;
         };
         if e.state != QueryState::Ready {
-            return Vec::new();
+            return;
         }
         match e.group {
-            None => self.promote(q),
+            None => self.promote(q, promoted),
             Some(g) => {
                 // lint: invariant — a query's group id always names a live group
                 let members = self.groups.get(&g).expect("member's group exists");
@@ -488,38 +516,37 @@ impl GatingGraph {
                     )
                 });
                 if !all_ready {
-                    return Vec::new();
+                    return;
                 }
                 let to_fire: Vec<QueryId> = members
                     .iter()
                     .filter(|m| self.entries[*m].state == QueryState::Ready)
                     .copied()
                     .collect();
-                let mut out = Vec::new();
                 for m in to_fire {
-                    out.extend(self.promote(m));
+                    self.promote(m, promoted);
                 }
-                out
             }
         }
     }
 
-    fn promote(&mut self, q: QueryId) -> Vec<QueryId> {
+    /// READY → QUEUE for one query, appended to `promoted`.
+    fn promote(&mut self, q: QueryId, promoted: &mut Vec<QueryId>) {
         // lint: invariant — promote is only called with tracked READY queries
         let e = self.entries.get_mut(&q).expect("tracked");
         debug_assert_eq!(e.state, QueryState::Ready);
         e.state = QueryState::Queue;
         self.ready.remove(&q);
-        vec![q]
+        promoted.push(q);
     }
 
     /// Force-releases READY queries gated for longer than the timeout.
-    /// Returns the queries promoted to QUEUE (the released query itself plus
-    /// any group mates its departure unblocked).
+    /// Appends the queries promoted to QUEUE (the released query itself plus
+    /// any group mates its departure unblocked) to `promoted`.
     ///
     /// Only READY queries are visited, in ascending `QueryId` order (see the
     /// module docs on determinism) — `self.ready` is a `BTreeSet`.
-    pub fn release_stale(&mut self, now_ms: f64) -> Vec<QueryId> {
+    pub fn release_stale(&mut self, now_ms: f64, promoted: &mut Vec<QueryId>) {
         let stale: Vec<QueryId> = self
             .ready
             .iter()
@@ -531,7 +558,6 @@ impl GatingGraph {
                     && now_ms - e.ready_since_ms > self.cfg.gate_timeout_ms
             })
             .collect();
-        let mut promoted = Vec::new();
         for q in stale {
             if self.entries[&q].state != QueryState::Ready {
                 continue; // already promoted by an earlier release this round
@@ -551,13 +577,12 @@ impl GatingGraph {
                         }
                     }
                     if let Some(&m) = rest.first() {
-                        promoted.extend(self.try_fire(m));
+                        self.try_fire(m, promoted);
                     }
                 }
             }
-            promoted.extend(self.promote(q));
+            self.promote(q, promoted);
         }
-        promoted
     }
 }
 
@@ -601,12 +626,33 @@ mod tests {
         GatingGraph::new(GatingConfig::default())
     }
 
+    /// [`GatingGraph::query_available`] into a fresh buffer.
+    fn avail(g: &mut GatingGraph, q: QueryId, now_ms: f64) -> Vec<QueryId> {
+        let mut promoted = Vec::new();
+        g.query_available(q, now_ms, &mut promoted);
+        promoted
+    }
+
+    /// [`GatingGraph::query_done`] into a fresh buffer.
+    fn complete(g: &mut GatingGraph, q: QueryId) -> Vec<QueryId> {
+        let mut promoted = Vec::new();
+        g.query_done(q, &mut promoted);
+        promoted
+    }
+
+    /// [`GatingGraph::release_stale`] into a fresh buffer.
+    fn stale(g: &mut GatingGraph, now_ms: f64) -> Vec<QueryId> {
+        let mut promoted = Vec::new();
+        g.release_stale(now_ms, &mut promoted);
+        promoted
+    }
+
     #[test]
     fn ungated_query_queues_immediately_on_availability() {
         let mut g = graph();
         g.add_job(&job(1, &[(0, 1), (1, 2)]));
         assert_eq!(g.state(100), QueryState::Wait);
-        let fired = g.query_available(100, 0.0);
+        let fired = avail(&mut g, 100, 0.0);
         assert_eq!(fired, vec![100]);
         assert_eq!(g.state(100), QueryState::Queue);
         assert_eq!(g.state(101), QueryState::Wait);
@@ -630,11 +676,11 @@ mod tests {
         g.add_job(&job(1, &[(0, 1), (1, 3)]));
         g.add_job(&job(2, &[(0, 1), (1, 3)]));
         // First query of job 1 ready: partner not ready yet, so it holds.
-        let fired = g.query_available(100, 0.0);
+        let fired = avail(&mut g, 100, 0.0);
         assert!(fired.is_empty(), "waits for its gating partner");
         assert_eq!(g.state(100), QueryState::Ready);
         // Partner arrives: both fire together (co-scheduling on R1).
-        let mut fired = g.query_available(200, 1.0);
+        let mut fired = avail(&mut g, 200, 1.0);
         fired.sort_unstable();
         assert_eq!(fired, vec![100, 200]);
         assert_eq!(g.state(100), QueryState::Queue);
@@ -650,26 +696,26 @@ mod tests {
         g.add_job(&job(2, &[(0, 2), (1, 3), (2, 4)]));
         g.add_job(&job(3, &[(0, 1), (1, 3), (2, 4)]));
         // R1 gating: jobs 1 and 3 (first queries). Job 2's R2 is ungated.
-        let f1 = g.query_available(100, 0.0);
+        let f1 = avail(&mut g, 100, 0.0);
         assert!(f1.is_empty());
-        let f2 = g.query_available(200, 0.0);
+        let f2 = avail(&mut g, 200, 0.0);
         assert_eq!(f2, vec![200], "R2 has no partner: runs immediately");
-        let mut f3 = g.query_available(300, 0.0);
+        let mut f3 = avail(&mut g, 300, 0.0);
         f3.sort_unstable();
         assert_eq!(f3, vec![100, 300], "R1 pair fires together");
         // Complete the first wave; the R3 group is j1q2 + j2q2 + j3q2.
-        g.query_done(200);
-        g.query_done(100);
-        g.query_done(300);
+        complete(&mut g, 200);
+        complete(&mut g, 100);
+        complete(&mut g, 300);
         let m = g
             .group_members(101)
             .expect("R3 gated across all three jobs");
         assert_eq!(m.len(), 3, "transitivity merged all three R3 queries");
         // R3 queries become available one by one; only the last arrival fires
         // the whole group.
-        assert!(g.query_available(101, 1.0).is_empty());
-        assert!(g.query_available(201, 1.0).is_empty());
-        let mut f = g.query_available(301, 1.0);
+        assert!(avail(&mut g, 101, 1.0).is_empty());
+        assert!(avail(&mut g, 201, 1.0).is_empty());
+        let mut f = avail(&mut g, 301, 1.0);
         f.sort_unstable();
         assert_eq!(f, vec![101, 201, 301]);
     }
@@ -688,7 +734,7 @@ mod tests {
         let mut done = 0;
         let mut available: Vec<QueryId> = vec![100, 200];
         for &q in &available {
-            g.query_available(q, 0.0);
+            avail(&mut g, q, 0.0);
         }
         // Drive to completion, force-releasing if a gate would stall us.
         let mut now = 0.0;
@@ -701,20 +747,20 @@ mod tests {
                 .collect();
             if queued.is_empty() {
                 now += 100_000.0;
-                g.release_stale(now);
+                stale(&mut g, now);
                 continue;
             }
             for q in queued {
-                g.query_done(q);
+                complete(&mut g, q);
                 done += 1;
                 if q == 100 && !available.contains(&101) {
                     available.push(101);
-                    g.query_available(101, now);
+                    avail(&mut g, 101, now);
                     next.retain(|&x| x != 101);
                 }
                 if q == 200 && !available.contains(&201) {
                     available.push(201);
-                    g.query_available(201, now);
+                    avail(&mut g, 201, now);
                     next.retain(|&x| x != 201);
                 }
             }
@@ -746,17 +792,17 @@ mod tests {
         let mut g = graph();
         g.add_job(&job(1, &[(0, 1), (1, 3)]));
         g.add_job(&job(2, &[(0, 1), (1, 3)]));
-        g.query_available(100, 0.0);
-        g.query_available(200, 0.0);
-        g.query_done(100);
-        g.query_done(200);
+        avail(&mut g, 100, 0.0);
+        avail(&mut g, 200, 0.0);
+        complete(&mut g, 100);
+        complete(&mut g, 200);
         // Both R3 queries gated; complete job 1's side first.
-        g.query_available(101, 1.0);
-        let f = g.query_available(201, 2.0);
+        avail(&mut g, 101, 1.0);
+        let f = avail(&mut g, 201, 2.0);
         assert_eq!(f.len(), 2);
-        g.query_done(101);
+        complete(&mut g, 101);
         // Job 2's query now alone in a dissolved group; still completes.
-        g.query_done(201);
+        complete(&mut g, 201);
         assert_eq!(g.state(201), QueryState::Done);
     }
 
@@ -768,16 +814,16 @@ mod tests {
         });
         g.add_job(&job(1, &[(0, 1), (1, 3)]));
         g.add_job(&job(2, &[(0, 1), (1, 3)]));
-        g.query_available(100, 0.0);
+        avail(&mut g, 100, 0.0);
         assert_eq!(g.state(100), QueryState::Ready);
         // Partner never arrives; the valve opens after the timeout.
-        assert!(g.release_stale(500.0).is_empty(), "not stale yet");
-        let released = g.release_stale(2_000.0);
+        assert!(stale(&mut g, 500.0).is_empty(), "not stale yet");
+        let released = stale(&mut g, 2_000.0);
         assert_eq!(released, vec![100]);
         assert_eq!(g.state(100), QueryState::Queue);
         assert_eq!(g.forced_releases(), 1);
         // The abandoned partner is no longer gated either.
-        let f = g.query_available(200, 3_000.0);
+        let f = avail(&mut g, 200, 3_000.0);
         assert_eq!(f, vec![200], "dissolved group does not hold the partner");
     }
 
@@ -806,8 +852,8 @@ mod tests {
         let mut g = graph();
         g.add_job(&job(1, &[(0, 1), (1, 3), (2, 4)]));
         // Job 1 completes its first query before job 2 arrives.
-        g.query_available(100, 0.0);
-        g.query_done(100);
+        avail(&mut g, 100, 0.0);
+        complete(&mut g, 100);
         g.add_job(&job(2, &[(0, 1), (1, 3), (2, 4)]));
         // R1 cannot gate anymore (done); R3/R4 can.
         assert!(g.group_members(200).is_none(), "R1 edge skipped");
@@ -838,7 +884,7 @@ mod tests {
             }
             let mut cursor: HashMap<u64, usize> = jobs.iter().map(|j| (j.id, 0usize)).collect();
             for j in &jobs {
-                g.query_available(j.queries[0].id, 0.0);
+                avail(&mut g, j.queries[0].id, 0.0);
             }
             let mut now = 0.0;
             let mut remaining: usize = jobs.iter().map(|j| j.queries.len()).sum();
@@ -853,20 +899,27 @@ mod tests {
                     .collect();
                 if queued.is_empty() {
                     now += 100.0;
-                    g.release_stale(now);
+                    stale(&mut g, now);
                     continue;
                 }
                 for (jid, qid) in queued {
-                    g.query_done(qid);
+                    complete(&mut g, qid);
                     remaining -= 1;
                     let c = cursor.get_mut(&jid).unwrap();
                     *c += 1;
                     let j = jobs.iter().find(|j| j.id == jid).unwrap();
                     if *c < j.queries.len() {
-                        g.query_available(j.queries[*c].id, now);
+                        avail(&mut g, j.queries[*c].id, now);
                     }
                 }
             }
+            assert_eq!(
+                g.tracked_queries(),
+                0,
+                "round {round}: drained graph keeps queries"
+            );
+            assert!(g.jobs.is_empty(), "round {round}: drained graph keeps jobs");
+            assert!(g.ready.is_empty() && g.groups.is_empty());
         }
     }
 
@@ -908,7 +961,9 @@ mod tests {
         }
 
         /// The READY index equals a full scan, holds only gated queries
-        /// between calls, and the group DAG is acyclic.
+        /// between calls, and the group DAG is acyclic. Every tracked job
+        /// still has a query that is not DONE, every entry belongs to a
+        /// tracked job, and the alignment window is bounded.
         fn check(g: &GatingGraph) {
             let scan: BTreeSet<QueryId> = g
                 .entries
@@ -919,6 +974,16 @@ mod tests {
             assert_eq!(g.ready, scan, "READY index diverged from a full scan");
             assert!(g.ready.iter().all(|q| g.entries[q].group.is_some()));
             assert!(g.group_dag_is_acyclic());
+            for (id, job) in &g.jobs {
+                assert!(
+                    job.queries
+                        .iter()
+                        .any(|q| g.entries[&q.id].state != QueryState::Done),
+                    "job {id} is fully DONE but still tracked"
+                );
+            }
+            assert!(g.entries.values().all(|e| g.jobs.contains_key(&e.job)));
+            assert!(g.job_order.len() <= g.cfg.max_align_jobs);
         }
 
         proptest! {
@@ -974,7 +1039,7 @@ mod tests {
                                 .map(|q| q.id)
                                 .collect();
                             if !candidates.is_empty() {
-                                g.query_available(candidates[i % candidates.len()], now);
+                                avail(&mut g, candidates[i % candidates.len()], now);
                             }
                         }
                         Op::Done(i) => {
@@ -985,17 +1050,17 @@ mod tests {
                                 .map(|q| q.id)
                                 .collect();
                             if !queued.is_empty() {
-                                g.query_done(queued[i % queued.len()]);
+                                complete(&mut g, queued[i % queued.len()]);
                             }
                         }
                         Op::Withdraw(i) => {
                             if !waiting.is_empty() {
-                                g.query_done(waiting[i % waiting.len()]);
+                                complete(&mut g, waiting[i % waiting.len()]);
                             }
                         }
                         Op::Release(dt) => {
                             now += dt as f64;
-                            g.release_stale(now);
+                            stale(&mut g, now);
                         }
                     }
                     check(&g);

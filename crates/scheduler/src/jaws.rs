@@ -19,7 +19,7 @@ use crate::adaptive::AlphaController;
 use crate::batch::{preprocess, Batch};
 use crate::gating::{GatingConfig, GatingGraph};
 use crate::policy::{Residency, Scheduler, SchedulerStats};
-use crate::queues::{MetricParams, UtilitySnapshot, WorkloadManager};
+use crate::queues::{MetricParams, QueueStats, UtilitySnapshot, WorkloadManager};
 use jaws_cache::UtilityOracle;
 use jaws_morton::{AtomId, FastMap};
 use jaws_obs::{Event, GateAction, ObsSink};
@@ -120,6 +120,9 @@ pub struct Jaws {
     ranked_scratch: Vec<(AtomId, f64)>,
     /// Dispatch-path scratch: the selected atom ids of the current batch.
     selected_scratch: Vec<AtomId>,
+    /// Gating scratch: the queries one gating-graph call promoted, reused
+    /// across calls (emptied by [`Jaws::release`]).
+    fired_scratch: Vec<QueryId>,
 }
 
 impl Jaws {
@@ -136,6 +139,7 @@ impl Jaws {
             sink: ObsSink::null(),
             ranked_scratch: Vec::new(),
             selected_scratch: Vec::new(),
+            fired_scratch: Vec::new(),
             cfg,
         }
     }
@@ -145,22 +149,25 @@ impl Jaws {
         &self.gating
     }
 
-    /// The delta layer's monotone maintenance counters (diagnostics; also
-    /// what the no-op-dispatch regression test pins).
-    pub fn delta_stats(&self) -> crate::delta::DeltaStats {
-        self.wm.delta_stats()
+    /// The workload queues' monotone maintenance counters (diagnostics;
+    /// also what the no-op-dispatch regression test pins).
+    pub fn queue_stats(&self) -> QueueStats {
+        self.wm.stats()
     }
 
     fn enqueue_query(&mut self, query: &Query, now_ms: f64) {
         self.wm.enqueue(preprocess(query, now_ms));
     }
 
-    fn release(&mut self, fired: Vec<QueryId>, now_ms: f64) {
-        for qid in fired {
+    /// Enqueues the held queries a gating-graph call promoted, then keeps
+    /// the emptied buffer as the scratch for the next call.
+    fn release(&mut self, mut fired: Vec<QueryId>, now_ms: f64) {
+        for qid in fired.drain(..) {
             if let Some(q) = self.held.remove(&qid) {
                 self.enqueue_query(&q, now_ms);
             }
         }
+        self.fired_scratch = fired;
     }
 
     /// Emits the [`Event::BatchSelected`] record for an accepted batch. Only
@@ -211,11 +218,11 @@ impl Jaws {
     fn build_batch(&mut self, selected: &[AtomId]) -> Batch {
         let mut atoms = Vec::with_capacity(selected.len());
         // The two batch Vecs escape into the returned `Batch` (the engine
-        // owns them); `take_atom_into` keeps the k takes themselves
-        // alloc-free.
+        // owns them); the k takes append into `completing` and allocate
+        // nothing themselves.
         let mut completing = Vec::new();
         for atom in selected {
-            let group = self.wm.take_atom_into(atom, &mut completing);
+            let group = self.wm.take_atom(atom, &mut completing);
             self.stats.subqueries += group.subqueries.len() as u64;
             atoms.push(group);
         }
@@ -248,7 +255,8 @@ impl Scheduler for Jaws {
         self.alpha_ctl.note_arrival(now_ms);
         if self.cfg.job_aware {
             self.held.insert(query.id, query.clone());
-            let fired = self.gating.query_available(query.id, now_ms);
+            let mut fired = std::mem::take(&mut self.fired_scratch);
+            self.gating.query_available(query.id, now_ms, &mut fired);
             if self.sink.enabled() {
                 if !fired.contains(&query.id) {
                     self.sink.emit(
@@ -279,7 +287,8 @@ impl Scheduler for Jaws {
     fn next_batch(&mut self, now_ms: f64, residency: &dyn Residency) -> Option<Batch> {
         if self.cfg.job_aware {
             // Starvation valve: break gates that out-waited their budget.
-            let released = self.gating.release_stale(now_ms);
+            let mut released = std::mem::take(&mut self.fired_scratch);
+            self.gating.release_stale(now_ms, &mut released);
             if !released.is_empty() {
                 self.stats.forced_releases += released.len() as u64;
                 if self.sink.enabled() {
@@ -293,8 +302,8 @@ impl Scheduler for Jaws {
                         );
                     }
                 }
-                self.release(released, now_ms);
             }
+            self.release(released, now_ms);
         }
         if self.wm.is_empty() {
             return None;
@@ -314,7 +323,7 @@ impl Scheduler for Jaws {
         // dispatch allocates nothing here.
         let mut in_ts = std::mem::take(&mut self.ranked_scratch);
         self.wm
-            .timestep_aged_utilities_into(best_ts, now_ms, alpha, residency, &mut in_ts);
+            .timestep_aged_utilities(best_ts, now_ms, alpha, residency, &mut in_ts);
         let sum: f64 = in_ts.iter().map(|&(_, u)| u).sum();
         let ts_mean = sum / self.cfg.params.atoms_per_timestep.max(1) as f64;
         // Bounded top-k instead of a full sort of the pending timestep: the
@@ -352,7 +361,6 @@ impl Scheduler for Jaws {
     }
 
     fn on_query_complete(&mut self, query: QueryId, response_ms: f64, now_ms: f64) {
-        self.wm.note_completed(query);
         if self.alpha_ctl.on_query_complete(response_ms, now_ms) {
             self.run_boundary = true;
             if self.sink.enabled() {
@@ -369,7 +377,8 @@ impl Scheduler for Jaws {
             }
         }
         if self.cfg.job_aware {
-            let fired = self.gating.query_done(query);
+            let mut fired = std::mem::take(&mut self.fired_scratch);
+            self.gating.query_done(query, &mut fired);
             self.release(fired, now_ms);
         }
     }
@@ -381,7 +390,8 @@ impl Scheduler for Jaws {
         // alignment it was the last holdout of; `held` needs no touch — a
         // withdrawn id was declared but never became available here.
         if self.cfg.job_aware {
-            let fired = self.gating.query_done(query);
+            let mut fired = std::mem::take(&mut self.fired_scratch);
+            self.gating.query_done(query, &mut fired);
             self.release(fired, now_ms);
         }
     }
@@ -592,9 +602,9 @@ mod tests {
 
     #[test]
     fn noop_dispatch_performs_zero_arrangement_folds() {
-        // Satellite regression (ISSUE 8): a dispatch attempt that produces
-        // nothing — here the gate holds every available query — must not
-        // trigger incidental recomputation in the delta layer. Before the
+        // A dispatch attempt that produces nothing — here the gate holds
+        // every available query — must not trigger incidental
+        // recomputation in the workload queues. Before the
         // generation-counter short-circuit, gate rulings and α probes inside
         // next_batch re-derived timestep means on every call.
         let mut s = Jaws::new(JawsConfig {
@@ -615,11 +625,11 @@ mod tests {
         s.job_declared(&mk_job(2, 200), 0.0);
         // Job 1's first query arrives alone and is gated on job 2's.
         s.query_available(&mk_job(1, 100).queries[0], 0.0);
-        let before = s.delta_stats();
+        let before = s.queue_stats();
         for i in 0..5 {
             assert!(s.next_batch(1.0 + i as f64, &none).is_none(), "held");
         }
-        let after = s.delta_stats();
+        let after = s.queue_stats();
         assert_eq!(after.eq1_recomputes, before.eq1_recomputes, "Eq. 1 folds");
         assert_eq!(after.ts_refolds, before.ts_refolds, "aggregate refolds");
         assert_eq!(after.coarse_scans, before.coarse_scans, "coarse scans");
@@ -673,7 +683,8 @@ mod tests {
                     wm.enqueue(preprocess(&q(i as u64 + 1, 0, &[(m, c)]), (i % 7) as f64));
                 }
                 let none = FixedResidency::none();
-                let ranked = wm.timestep_aged_utilities(0, now, alpha, &none);
+                let mut ranked = Vec::new();
+                wm.timestep_aged_utilities(0, now, alpha, &none, &mut ranked);
                 let reference = top_k_full_sort(ranked.clone(), k);
                 let fast = top_k(ranked, k);
                 prop_assert_eq!(reference.len(), fast.len());

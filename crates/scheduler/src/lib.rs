@@ -13,6 +13,13 @@
 //!   *gated execution* (Needleman–Wunsch alignment of ordered jobs, gating
 //!   edges, co-scheduled release).
 //!
+//! The shared substrate is one type, [`WorkloadManager`] ([`queues`]): it
+//! owns every atom's workload queue together with the views derived from
+//! them (Eq. 1 per atom, per-timestep aggregates, the URC snapshot) and keeps
+//! those views up to date per change, bit-identical to the full-scan oracle
+//! in [`queues::reference`]. Gating state ([`GatingGraph`]) lives only as
+//! long as its job: a job's entries are dropped once its last query is done.
+//!
 //! The crate is execution-agnostic: a scheduler consumes query arrivals and
 //! produces [`Batch`]es; the `jaws-sim` crate owns the clock, the database and
 //! the job think-time loop.
@@ -24,7 +31,6 @@ pub mod adaptive;
 pub mod align;
 pub mod batch;
 pub mod casjobs;
-pub mod delta;
 pub mod gating;
 pub mod jaws;
 pub mod liferaft;
@@ -38,7 +44,6 @@ pub use adaptive::{AlphaController, RunFeedback};
 pub use align::align_jobs;
 pub use batch::{AtomBatch, Batch, SubQuery};
 pub use casjobs::CasJobs;
-pub use delta::{Delta, DeltaStats};
 pub use gating::{GatingConfig, GatingGraph, QueryState};
 pub use jaws::{Jaws, JawsConfig};
 pub use liferaft::LifeRaft;
@@ -46,4 +51,4 @@ pub use noshare::NoShare;
 pub use policy::{Residency, Scheduler, SchedulerStats};
 pub use prefetch::Prefetcher;
 pub use qos::QosScheduler;
-pub use queues::{finite_or_zero, MetricParams, UtilitySnapshot, WorkloadManager};
+pub use queues::{finite_or_zero, MetricParams, QueueStats, UtilitySnapshot, WorkloadManager};

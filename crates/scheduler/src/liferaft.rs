@@ -72,7 +72,8 @@ impl Scheduler for LifeRaft {
         // from the workload manager's incremental state instead of a full
         // per-dispatch scan.
         let (atom, _) = self.wm.best_atom(now_ms, self.alpha, residency)?;
-        let (group, completing) = self.wm.take_atom(&atom);
+        let mut completing = Vec::new();
+        let group = self.wm.take_atom(&atom, &mut completing);
         self.stats.batches += 1;
         self.stats.atom_groups += 1;
         self.stats.subqueries += group.subqueries.len() as u64;
@@ -82,8 +83,7 @@ impl Scheduler for LifeRaft {
         })
     }
 
-    fn on_query_complete(&mut self, query: QueryId, _response_ms: f64, _now_ms: f64) {
-        self.wm.note_completed(query);
+    fn on_query_complete(&mut self, _query: QueryId, _response_ms: f64, _now_ms: f64) {
         self.completed_in_run += 1;
         if self.completed_in_run >= self.run_len {
             self.completed_in_run = 0;

@@ -114,7 +114,8 @@ impl Scheduler for QosScheduler {
             .iter()
             .min_by(|a, b| a.1.total_cmp(b.1).then_with(|| a.0.cmp(b.0)))?;
         self.atom_deadline.remove(&atom);
-        let (group, completing) = self.wm.take_atom(&atom);
+        let mut completing = Vec::new();
+        let group = self.wm.take_atom(&atom, &mut completing);
         for c in &completing {
             self.deadline.remove(c);
         }
@@ -127,8 +128,7 @@ impl Scheduler for QosScheduler {
         })
     }
 
-    fn on_query_complete(&mut self, query: QueryId, _response_ms: f64, _now_ms: f64) {
-        self.wm.note_completed(query);
+    fn on_query_complete(&mut self, _query: QueryId, _response_ms: f64, _now_ms: f64) {
         self.completed_in_run += 1;
         if self.completed_in_run >= self.run_len {
             self.completed_in_run = 0;

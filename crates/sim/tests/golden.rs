@@ -61,12 +61,14 @@ const GOLDEN_CLUSTER_CRASH: &str = "cc52a4aaf5e02410";
 /// The crash run under hot-atom replication.
 const GOLDEN_CLUSTER_CRASH_REPLICATED: &str = "dca32d5e991f0c67";
 
-/// Admitted and refused gating edges, copied out of the graph.
-type EdgeCounts = Arc<[AtomicU64; 2]>;
+/// Admitted and refused gating edges, plus the queries the graph still
+/// tracks, copied out of the graph.
+type EdgeCounts = Arc<[AtomicU64; 3]>;
 
 /// JAWS₂ behind a pass-through that copies the gating graph's edge counters
 /// out after each job declaration, the only call that admits or refuses
-/// edges.
+/// edges, and its tracked-query count after each completion, the call that
+/// retires a finished job.
 struct EdgeProbe {
     inner: Jaws,
     edges: EdgeCounts,
@@ -94,6 +96,8 @@ impl Scheduler for EdgeProbe {
 
     fn on_query_complete(&mut self, query: QueryId, response_ms: f64, now_ms: f64) {
         self.inner.on_query_complete(query, response_ms, now_ms);
+        let tracked = self.inner.gating().tracked_queries() as u64;
+        self.edges[2].store(tracked, Ordering::Relaxed);
     }
 
     fn query_withdrawn(&mut self, query: QueryId, now_ms: f64) {
@@ -211,6 +215,11 @@ fn small_paper_like_jaws2_run_matches_its_golden_digest() {
     assert!(
         report.cache.evictions > 0,
         "URC victim choice must be under the pin"
+    );
+    assert_eq!(
+        edges[2].load(Ordering::Relaxed),
+        0,
+        "a drained replay must leave no query in the gating graph"
     );
     assert_eq!(digest, GOLDEN_DIGEST, "masked report moved");
 }
