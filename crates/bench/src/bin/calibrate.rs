@@ -34,27 +34,32 @@ fn main() {
             ..GenConfig::paper_like(7)
         };
         let trace = TraceGenerator::new(cfg).generate();
+        // The gate timeout of each run; `None` for schedulers that never
+        // gate (only JAWS₂ is job-aware).
         let mut kinds = vec![
-            (SchedulerKind::Jaws1 { batch_k: 15 }, 20_000.0),
-            (SchedulerKind::Jaws2 { batch_k: 15 }, 90_000.0),
-            (SchedulerKind::Jaws2 { batch_k: 15 }, 180_000.0),
-            (SchedulerKind::Jaws2 { batch_k: 15 }, 360_000.0),
-            (SchedulerKind::Jaws2 { batch_k: 15 }, 720_000.0),
+            (SchedulerKind::Jaws1 { batch_k: 15 }, None),
+            (SchedulerKind::Jaws2 { batch_k: 15 }, Some(90_000.0)),
+            (SchedulerKind::Jaws2 { batch_k: 15 }, Some(180_000.0)),
+            (SchedulerKind::Jaws2 { batch_k: 15 }, Some(360_000.0)),
+            (SchedulerKind::Jaws2 { batch_k: 15 }, Some(720_000.0)),
         ];
         if std::env::var("CALIB_ALL").is_ok() {
             kinds = vec![
-                (SchedulerKind::NoShare, 20_000.0),
-                (SchedulerKind::LifeRaft1, 20_000.0),
-                (SchedulerKind::LifeRaft2, 20_000.0),
-                (SchedulerKind::Jaws1 { batch_k: 15 }, 20_000.0),
-                (SchedulerKind::Jaws2 { batch_k: 15 }, 20_000.0),
+                (SchedulerKind::NoShare, None),
+                (SchedulerKind::LifeRaft1, None),
+                (SchedulerKind::LifeRaft2, None),
+                (SchedulerKind::Jaws1 { batch_k: 15 }, None),
+                (SchedulerKind::Jaws2 { batch_k: 15 }, Some(20_000.0)),
             ];
         }
         let specs: Vec<RunSpec> = kinds
             .iter()
-            .map(|&(k, gate)| RunSpec {
-                gate_timeout_ms: gate,
-                ..exp::base_spec(k.name(), k, CachePolicyKind::LruK)
+            .map(|&(k, gate)| {
+                let base = exp::base_spec(k.name(), k, CachePolicyKind::LruK);
+                RunSpec {
+                    gate_timeout_ms: gate.unwrap_or(base.gate_timeout_ms),
+                    ..base
+                }
             })
             .collect();
         println!(
@@ -62,11 +67,12 @@ fn main() {
             trace.query_count(),
             (trace.jobs.last().unwrap().arrival_ms - trace.jobs[0].arrival_ms) / 3.6e6
         );
-        for (spec, r) in run_parallel(&specs, &trace) {
+        for ((spec, r), &(_, gate)) in run_parallel(&specs, &trace).iter().zip(&kinds) {
+            let gate = gate.map_or("-".to_string(), |g: f64| format!("{g:.0}"));
             println!(
-                "{:<11} gate {:>6.0}  qps {:>6.3}  rt {:>8.1}s  mkspan {:>5.2}h  reads {:>6}  hit {:>5.1}%  forced {:>4}  alpha {:.2}",
+                "{:<11} gate {:>6}  qps {:>6.3}  rt {:>8.1}s  mkspan {:>5.2}h  reads {:>6}  hit {:>5.1}%  forced {:>4}  alpha {:.2}",
                 spec.label,
-                spec.gate_timeout_ms,
+                gate,
                 r.throughput_qps,
                 r.mean_response_ms / 1000.0,
                 r.makespan_ms / 3.6e6,

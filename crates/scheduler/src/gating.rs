@@ -478,17 +478,16 @@ impl GatingGraph {
         if let Some(g) = group {
             if let Some(members) = self.groups.get_mut(&g) {
                 members.retain(|&m| m != q);
-                let remaining = members.clone();
-                if remaining.len() <= 1 {
-                    self.groups.remove(&g);
-                    for m in remaining {
+                if members.len() <= 1 {
+                    for m in self.groups.remove(&g).into_iter().flatten() {
                         // lint: invariant — group members are tracked queries
-                        self.entries.get_mut(&m).expect("tracked").group = None;
-                        if self.entries[&m].state == QueryState::Ready {
-                            self.promote(m, promoted);
+                        let e = self.entries.get_mut(&m).expect("tracked");
+                        e.group = None;
+                        if e.state == QueryState::Ready {
+                            promote(&mut self.entries, &mut self.ready, m, promoted);
                         }
                     }
-                } else if let Some(&m) = remaining.first() {
+                } else if let Some(&m) = members.first() {
                     self.try_fire(m, promoted);
                 }
             }
@@ -505,7 +504,7 @@ impl GatingGraph {
             return;
         }
         match e.group {
-            None => self.promote(q, promoted),
+            None => promote(&mut self.entries, &mut self.ready, q, promoted),
             Some(g) => {
                 // lint: invariant — a query's group id always names a live group
                 let members = self.groups.get(&g).expect("member's group exists");
@@ -518,26 +517,16 @@ impl GatingGraph {
                 if !all_ready {
                     return;
                 }
-                let to_fire: Vec<QueryId> = members
-                    .iter()
-                    .filter(|m| self.entries[*m].state == QueryState::Ready)
-                    .copied()
-                    .collect();
-                for m in to_fire {
-                    self.promote(m, promoted);
+                // Promoting one member changes only that member's state, so
+                // testing each state as the walk reaches it selects the same
+                // members, in the same order, as a filter before the walk.
+                for &m in members {
+                    if self.entries[&m].state == QueryState::Ready {
+                        promote(&mut self.entries, &mut self.ready, m, promoted);
+                    }
                 }
             }
         }
-    }
-
-    /// READY → QUEUE for one query, appended to `promoted`.
-    fn promote(&mut self, q: QueryId, promoted: &mut Vec<QueryId>) {
-        // lint: invariant — promote is only called with tracked READY queries
-        let e = self.entries.get_mut(&q).expect("tracked");
-        debug_assert_eq!(e.state, QueryState::Ready);
-        e.state = QueryState::Queue;
-        self.ready.remove(&q);
-        promoted.push(q);
     }
 
     /// Force-releases READY queries gated for longer than the timeout.
@@ -568,22 +557,38 @@ impl GatingGraph {
             if let Some(g) = g {
                 if let Some(members) = self.groups.get_mut(&g) {
                     members.retain(|&m| m != q);
-                    let rest = members.clone();
-                    if rest.len() <= 1 {
-                        self.groups.remove(&g);
-                        for m in &rest {
+                    let first = members.first().copied();
+                    if members.len() <= 1 {
+                        for m in self.groups.remove(&g).into_iter().flatten() {
                             // lint: invariant — group members are tracked queries
-                            self.entries.get_mut(m).expect("tracked").group = None;
+                            self.entries.get_mut(&m).expect("tracked").group = None;
                         }
                     }
-                    if let Some(&m) = rest.first() {
+                    if let Some(m) = first {
                         self.try_fire(m, promoted);
                     }
                 }
             }
-            self.promote(q, promoted);
+            promote(&mut self.entries, &mut self.ready, q, promoted);
         }
     }
+}
+
+/// READY → QUEUE for one query, appended to `promoted`. Takes the two
+/// collections it updates rather than the graph, so a caller can walk a
+/// group's member list while promoting its members.
+fn promote(
+    entries: &mut FastMap<QueryId, QueryEntry>,
+    ready: &mut BTreeSet<QueryId>,
+    q: QueryId,
+    promoted: &mut Vec<QueryId>,
+) {
+    // lint: invariant — promote is only called with tracked READY queries
+    let e = entries.get_mut(&q).expect("tracked");
+    debug_assert_eq!(e.state, QueryState::Ready);
+    e.state = QueryState::Queue;
+    ready.remove(&q);
+    promoted.push(q);
 }
 
 #[cfg(test)]

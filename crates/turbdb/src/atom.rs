@@ -9,7 +9,7 @@
 //! two-level scheduler exploits with its batch size `k`.
 
 use crate::config::DbConfig;
-use crate::synth::SyntheticField;
+use crate::synth::{FillWorkspace, SyntheticField};
 use jaws_morton::AtomId;
 
 /// Materialized voxel data of one atom, including the ghost shell.
@@ -18,14 +18,15 @@ use jaws_morton::AtomId;
 /// of the production database. Local coordinates run over
 /// `[-ghost, side + ghost)` on each axis.
 ///
-/// Storage is structure-of-arrays: four parallel `f32` planes (`vx`, `vy`,
-/// `vz`, `p`) indexed by the same voxel offset, rather than one
-/// `Vec<[f32; 3]>` plus a pressure vector. Sweep kernels that walk a single
-/// component (the longitudinal structure function reads only `vx`; gradient
-/// sweeps read one component per difference quotient) touch a quarter of the
-/// memory they used to, in unit stride — the layout the autovectorizer
-/// wants. The per-voxel accessors gather from the planes, so the numeric
-/// values are unchanged from the array-of-structs layout
+/// Storage is structure-of-arrays: four `f32` planes (`vx`, `vy`, `vz`,
+/// `p`) indexed by the same voxel offset, rather than one `Vec<[f32; 3]>`
+/// plus a pressure vector. Sweep kernels that walk a single component (the
+/// longitudinal structure function reads only `vx`; gradient sweeps read one
+/// component per difference quotient) touch a quarter of the memory they
+/// used to, in unit stride — the layout the autovectorizer wants. The four
+/// planes sit one after another in a single buffer, so a payload is one
+/// allocation. The per-voxel accessors gather from the planes, so the
+/// numeric values are unchanged from the array-of-structs layout
 /// ([`crate::reference`] retains that layout for bitwise-equality tests).
 #[derive(Debug, Clone)]
 pub struct AtomData {
@@ -34,10 +35,8 @@ pub struct AtomData {
     ghost: u32,
     /// Base (global) voxel coordinate of the atom's (0,0,0) corner.
     base: [i64; 3],
-    vx: Vec<f32>,
-    vy: Vec<f32>,
-    vz: Vec<f32>,
-    p: Vec<f32>,
+    /// The planes `vx`, `vy`, `vz`, `p`, each `ext³` long, in that order.
+    planes: Vec<f32>,
 }
 
 impl AtomData {
@@ -46,32 +45,49 @@ impl AtomData {
     /// replicated shell; the field is periodic so the shell is well defined
     /// even at the domain boundary.
     ///
-    /// One serial call into [`SyntheticField::fill_block`] over the block's
-    /// wrapped global coordinates: the payload is bitwise the `f32`
-    /// rounding of a direct `velocity_pressure` evaluation at every voxel.
+    /// The one-shot form of [`Self::materialize_with`]: it fills through a
+    /// fresh [`FillWorkspace`]. The payload is bitwise the `f32` rounding of
+    /// a direct `velocity_pressure` evaluation at every voxel.
     pub fn materialize(cfg: &DbConfig, field: &SyntheticField, id: AtomId) -> Self {
+        Self::materialize_with(cfg, field, &mut FillWorkspace::new(), id)
+    }
+
+    /// [`Self::materialize`] through `ws`, which keeps the phasor tables
+    /// and scratch shared by successive atoms of `field`. The payload is the
+    /// same bits as a fresh materialization; once `ws` is warm, the payload
+    /// buffer is the only allocation.
+    pub fn materialize_with(
+        cfg: &DbConfig,
+        field: &SyntheticField,
+        ws: &mut FillWorkspace,
+        id: AtomId,
+    ) -> Self {
         let side = cfg.atom_side;
         let ghost = cfg.ghost;
         let (ax, ay, az) = id.morton.coords();
         let base = [(ax * side) as i64, (ay * side) as i64, (az * side) as i64];
         let t = id.timestep as f64 * cfg.dt;
+        let grid = cfg.grid_side as i64;
         // Global voxel coordinates along each axis, wrapped periodically.
         let axes = base.map(|b| {
-            (b - ghost as i64..b + (side + ghost) as i64)
-                .map(|g| g.rem_euclid(cfg.grid_side as i64) as f64)
-                .collect::<Vec<_>>()
+            (b - ghost as i64..b + (side + ghost) as i64).map(move |g| g.rem_euclid(grid) as u32)
         });
-        let ([vx, vy, vz, p], _) = field.fill_block(axes.each_ref().map(Vec::as_slice), t);
+        let ext = (side + 2 * ghost) as usize;
+        let mut planes = vec![0.0; 4 * ext * ext * ext];
+        ws.fill(field, axes, t, &mut planes);
         AtomData {
             id,
             side,
             ghost,
             base,
-            vx,
-            vy,
-            vz,
-            p,
+            planes,
         }
+    }
+
+    /// Voxels per plane: `ext³`.
+    #[inline]
+    fn volume(&self) -> usize {
+        self.planes.len() / 4
     }
 
     /// The atom's address.
@@ -114,8 +130,12 @@ impl AtomData {
     /// Gathers from the three component planes.
     #[inline]
     pub fn velocity_at(&self, lx: i64, ly: i64, lz: i64) -> [f32; 3] {
-        let i = self.index(lx, ly, lz);
-        [self.vx[i], self.vy[i], self.vz[i]]
+        let (i, vol) = (self.index(lx, ly, lz), self.volume());
+        [
+            self.planes[i],
+            self.planes[vol + i],
+            self.planes[2 * vol + i],
+        ]
     }
 
     /// Longitudinal (x) velocity component at local voxel `(lx, ly, lz)` —
@@ -123,20 +143,23 @@ impl AtomData {
     /// the longitudinal structure-function gather.
     #[inline]
     pub fn velocity_x_at(&self, lx: i64, ly: i64, lz: i64) -> f32 {
-        self.vx[self.index(lx, ly, lz)]
+        self.planes[self.index(lx, ly, lz)]
     }
 
     /// Pressure at local voxel `(lx, ly, lz)`; ghost coordinates allowed.
     #[inline]
     pub fn pressure_at(&self, lx: i64, ly: i64, lz: i64) -> f32 {
-        self.p[self.index(lx, ly, lz)]
+        self.planes[3 * self.volume() + self.index(lx, ly, lz)]
     }
 
     /// The four SoA planes `(vx, vy, vz, pressure)`, each `ext³` long in
     /// z-major voxel order, for sweep kernels that want unit-stride slices.
     /// Use [`AtomData::plane_index`] to address them.
     pub fn planes(&self) -> (&[f32], &[f32], &[f32], &[f32]) {
-        (&self.vx, &self.vy, &self.vz, &self.p)
+        let (vx, rest) = self.planes.split_at(self.volume());
+        let (vy, rest) = rest.split_at(self.volume());
+        let (vz, p) = rest.split_at(self.volume());
+        (vx, vy, vz, p)
     }
 
     /// Offset of local voxel `(lx, ly, lz)` into the [`AtomData::planes`]
@@ -154,7 +177,7 @@ impl AtomData {
 
     /// Nominal stored size in bytes (velocity + pressure voxels, with ghosts).
     pub fn nominal_bytes(&self) -> usize {
-        self.vx.len() * (3 * 4 + 4)
+        self.planes.len() * 4
     }
 }
 

@@ -4,7 +4,7 @@ use crate::atom::AtomData;
 use crate::btree::BPlusTree;
 use crate::config::{CostModel, DbConfig};
 use crate::disk::{DiskExtent, DiskStats, SimulatedDisk};
-use crate::synth::SyntheticField;
+use crate::synth::{FillWorkspace, SyntheticField};
 use jaws_cache::{AccessOutcome, BufferPool, CacheStats, ReplacementPolicy, UtilityOracle};
 use jaws_morton::{AtomId, MortonKey};
 use jaws_obs::ObsSink;
@@ -47,7 +47,10 @@ pub struct ReadResult {
 pub struct TurbDb {
     cfg: DbConfig,
     mode: DataMode,
-    field: Option<SyntheticField>,
+    /// The field and the workspace that fills its atoms (Synthetic mode
+    /// only): successive misses share the workspace's phasor tables. Boxed,
+    /// so a Virtual-mode database carries one pointer for it.
+    synth: Option<Box<(SyntheticField, FillWorkspace)>>,
     index: BPlusTree<AtomId, DiskExtent>,
     disk: SimulatedDisk,
     pool: BufferPool<AtomId, Option<Arc<AtomData>>>,
@@ -95,14 +98,17 @@ impl TurbDb {
             }
         }
         let index = BPlusTree::bulk_load(64, pairs);
-        let field = match mode {
+        let synth = match mode {
             DataMode::Virtual => None,
-            DataMode::Synthetic => Some(SyntheticField::new(cfg.seed, cfg.grid_side)),
+            DataMode::Synthetic => Some(Box::new((
+                SyntheticField::new(cfg.seed, cfg.grid_side),
+                FillWorkspace::new(),
+            ))),
         };
         TurbDb {
             cfg,
             mode,
-            field,
+            synth,
             index,
             disk: SimulatedDisk::new(cost),
             pool: BufferPool::new(cache_atoms, policy),
@@ -140,7 +146,7 @@ impl TurbDb {
     /// The synthetic field (Synthetic mode only) — exposed for ground-truth
     /// physics checks in tests.
     pub fn field(&self) -> Option<&SyntheticField> {
-        self.field.as_ref()
+        self.synth.as_deref().map(|(field, _)| field)
     }
 
     /// φ from Eq. 1: true if the atom is resident in the buffer pool.
@@ -226,19 +232,11 @@ impl TurbDb {
             id,
             || {
                 io_ms = self.disk.read(extent);
-                match self.mode {
-                    DataMode::Virtual => None,
-                    DataMode::Synthetic => {
-                        self.materializations += 1;
-                        let data = Arc::new(AtomData::materialize(
-                            &self.cfg,
-                            self.field.as_ref().expect("synthetic mode has a field"),
-                            id,
-                        ));
-                        materialized = Some(Arc::clone(&data));
-                        Some(data)
-                    }
-                }
+                let (field, ws) = self.synth.as_deref_mut()?;
+                self.materializations += 1;
+                let data = Arc::new(AtomData::materialize_with(&self.cfg, field, ws, id));
+                materialized = Some(Arc::clone(&data));
+                Some(data)
             },
             oracle,
         );

@@ -50,4 +50,4 @@ pub use config::{CostModel, DbConfig};
 pub use db::{DataMode, ReadResult, TurbDb};
 pub use disk::{DiskExtent, DiskStats, SimulatedDisk};
 pub use jaws_morton::{AtomId, MortonKey};
-pub use synth::SyntheticField;
+pub use synth::{FillWorkspace, SyntheticField};

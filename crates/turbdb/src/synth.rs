@@ -37,7 +37,13 @@ struct Mode {
 pub struct SyntheticField {
     modes: Vec<Mode>,
     grid_side: f64,
+    /// The constructor's inputs, which determine every mode.
+    key: FieldKey,
 }
+
+/// `(seed, grid_side, mode count)`: two fields with equal keys are the same
+/// field.
+type FieldKey = (u64, u32, usize);
 
 fn cross(a: [f64; 3], b: [f64; 3]) -> [f64; 3] {
     [
@@ -140,6 +146,7 @@ impl SyntheticField {
         SyntheticField {
             modes,
             grid_side: grid_side as f64,
+            key: (seed, grid_side, n_modes),
         }
     }
 
@@ -167,62 +174,11 @@ impl SyntheticField {
     /// velocity vector, so evaluating both separately pays the trigonometric
     /// mode sum twice; this returns the exact values of [`Self::velocity`]
     /// and [`Self::pressure`] (bitwise — same operations on the same inputs)
-    /// at half the cost. It is [`Self::fill_block`]'s fallback and the
+    /// at half the cost. It is [`FillWorkspace::fill`]'s fallback and the
     /// reference its tests compare against.
     pub fn velocity_pressure(&self, p: [f64; 3], t: f64) -> ([f64; 3], f64) {
         let u = self.velocity(p, t);
         (u, kinetic_pressure(u))
-    }
-
-    /// Velocity and pressure of every voxel of the tensor grid
-    /// `xs × ys × zs` (`axes = [xs, ys, zs]`, global voxel coordinates) at
-    /// time `t`, rounded to `f32`: the four planes `[vx, vy, vz, p]` in
-    /// z→y→x order, plus the number of voxels that took the fallback.
-    ///
-    /// Every stored value is bitwise the `f32` rounding of
-    /// [`Self::velocity_pressure`] at that voxel, but the mode sum is
-    /// evaluated separably. `cos(kx·x + ky·y + kz·z + ωt + φ)` is the real
-    /// part of `e^{i·kx·x} · e^{i·ky·y} · e^{i·(kz·z + ωt + φ)}`, so the fill
-    /// takes `cos`/`sin` once per mode and axis coordinate, forms the y·z
-    /// product once per mode and x-row, and leaves only multiply-adds per
-    /// voxel — in `velocity`'s mode order with its operations
-    /// (`amp · cos`, then `u[i] += c · dir[i]`).
-    ///
-    /// The separable value differs from the direct angle sum in its last
-    /// bits, so each voxel is guarded: its four `f64` outputs carry a bound
-    /// `δ` on their distance to the direct evaluation (derived on
-    /// `BlockTables`), and a voxel whose interval `v ± δ` does not round to
-    /// a single `f32` is recomputed with [`Self::velocity_pressure`]. The
-    /// payload is therefore identical to direct evaluation by construction;
-    /// the fallback fires on a few voxels in ten thousand.
-    pub fn fill_block(&self, axes: [&[f64]; 3], t: f64) -> ([Vec<f32>; 4], usize) {
-        let tables = BlockTables::new(self, axes, t);
-        let delta = tables.delta;
-        let [xs, ys, zs] = axes;
-        let vol = xs.len() * ys.len() * zs.len();
-        let mut planes: [Vec<f32>; 4] = std::array::from_fn(|_| Vec::with_capacity(vol));
-        let mut yz = vec![(0.0, 0.0); self.modes.len()];
-        let mut row = vec![[0.0; 3]; xs.len().next_multiple_of(LANES)];
-        let mut fallbacks = 0;
-        for (iz, &z) in zs.iter().enumerate() {
-            for (iy, &y) in ys.iter().enumerate() {
-                tables.row(iy, iz, &mut yz, &mut row);
-                for (&u, &x) in row.iter().zip(xs) {
-                    let p = kinetic_pressure(u);
-                    let bounds = [delta, delta, delta, pressure_bound(u, p, delta)];
-                    let mut v = [u[0], u[1], u[2], p];
-                    if !v.iter().zip(bounds).all(|(&v, d)| rounds_stably(v, d)) {
-                        fallbacks += 1;
-                        let (u, p) = self.velocity_pressure([x, y, z], t);
-                        v = [u[0], u[1], u[2], p];
-                    }
-                    for (plane, v) in planes.iter_mut().zip(v) {
-                        plane.push(v as f32);
-                    }
-                }
-            }
-        }
-        (planes, fallbacks)
     }
 
     /// Analytic velocity gradient tensor ∂uᵢ/∂xⱼ at `p`, `t` — used to verify
@@ -311,11 +267,13 @@ fn pressure_bound(u: [f64; 3], p: f64, delta: f64) -> f64 {
 struct BlockTables<'a> {
     modes: &'a [Mode],
     /// `cos`/`sin` of `kx·x`, in blocks of [`LANES`] coordinates.
-    x: AxisTable<LANES>,
-    /// `cos`/`sin` of `ky·y`, one coordinate per block.
-    y: AxisTable<1>,
+    x: &'a AxisTable<LANES>,
+    /// `cos`/`sin` of `ky·y` per grid coordinate.
+    y: &'a CoordTable,
+    /// The block's y coordinates.
+    ys: &'a [u32],
     /// `cos`/`sin` of `kz·z + ωt + φ`, one coordinate per block.
-    z: AxisTable<1>,
+    z: &'a AxisTable<1>,
     /// The bound `δ` on every velocity component's distance to the direct
     /// evaluation.
     delta: f64,
@@ -328,23 +286,25 @@ const LANES: usize = 4;
 /// `(cos, sin)` of one angle per (mode, coordinate), laid out
 /// `[coordinate block][mode][lane]` so that one block's mode loop reads
 /// contiguous memory. The last block is padded with coordinate 0.
+#[derive(Debug, Default)]
 struct AxisTable<const N: usize> {
     entries: Vec<([f64; N], [f64; N])>,
 }
 
 impl<const N: usize> AxisTable<N> {
-    fn new(modes: &[Mode], coords: &[f64], angle: impl Fn(&Mode, f64) -> f64) -> Self {
-        let mut entries = Vec::with_capacity(coords.len().div_ceil(N) * modes.len());
+    /// Refills the table over `coords`, taking the `(cos, sin)` of
+    /// coordinate `c` and mode `m` from `phasor(c, m)`.
+    fn rebuild(&mut self, modes: usize, coords: &[u32], phasor: impl Fn(u32, usize) -> (f64, f64)) {
+        self.entries.clear();
         for block in coords.chunks(N) {
-            for m in modes {
+            for m in 0..modes {
                 let (mut c, mut s) = ([1.0; N], [0.0; N]);
                 for (l, &x) in block.iter().enumerate() {
-                    (s[l], c[l]) = angle(m, x).sin_cos();
+                    (c[l], s[l]) = phasor(x, m);
                 }
-                entries.push((c, s));
+                self.entries.push((c, s));
             }
         }
-        AxisTable { entries }
     }
 
     /// The per-mode entries of coordinate block `b`.
@@ -353,10 +313,146 @@ impl<const N: usize> AxisTable<N> {
     }
 }
 
-impl<'a> BlockTables<'a> {
-    fn new(field: &'a SyntheticField, axes: [&[f64]; 3], t: f64) -> Self {
+/// `(cos, sin)` of `k[axis]·c` per integer grid coordinate `c` and mode,
+/// laid out `[coordinate][mode]`. A coordinate's entries are computed the
+/// first time a block touches it and kept for every later block: they do
+/// not depend on time.
+#[derive(Debug, Default)]
+struct CoordTable {
+    entries: Vec<([f64; 1], [f64; 1])>,
+    filled: Vec<bool>,
+}
+
+impl CoordTable {
+    /// Forgets every entry and sizes the table for `coords` coordinates.
+    fn reset(&mut self, coords: usize, modes: usize) {
+        self.filled.clear();
+        self.filled.resize(coords, false);
+        self.entries.clear();
+        self.entries.resize(coords * modes, ([1.0], [0.0]));
+    }
+
+    /// Computes coordinate `c`'s entries unless an earlier block did.
+    fn touch(&mut self, modes: &[Mode], axis: usize, c: u32) {
+        let c = c as usize;
+        if !self.filled[c] {
+            let entries = &mut self.entries[c * modes.len()..(c + 1) * modes.len()];
+            for (e, m) in entries.iter_mut().zip(modes) {
+                let (s, co) = (m.k[axis] * c as f64).sin_cos();
+                *e = ([co], [s]);
+            }
+            self.filled[c] = true;
+        }
+    }
+
+    /// The per-mode entries of coordinate `c`.
+    fn coord(&self, c: u32, modes: usize) -> &[([f64; 1], [f64; 1])] {
+        let c = c as usize;
+        debug_assert!(self.filled[c], "coordinate {c} was never touched");
+        &self.entries[c * modes..(c + 1) * modes]
+    }
+}
+
+/// Reusable state for filling blocks of one [`SyntheticField`] at a time:
+/// the phasor tables blocks share, and the fill's scratch.
+///
+/// * The x and y tables hold `(cos, sin)` of `kx·x` and `ky·y` per integer
+///   grid coordinate and mode. A coordinate is computed when a block first
+///   touches it; nothing is built before the first fill.
+/// * The z table `kz·z + ωt + φ` depends on time, so it is memoized for
+///   one block, keyed by the block's exact z coordinates and `t.to_bits()`.
+///   Consecutive atoms in Morton order come in z-pairs, so a batch hits the
+///   memo on about half of its fills.
+///
+/// Every entry is bitwise the value a fresh table holds — the same rounded
+/// angle through the same `sin_cos` — so a fill through a warm workspace
+/// equals a fresh one bit for bit. A workspace used with another field
+/// drops its tables first. Once the tables and scratch have grown to a
+/// block's size, a fill allocates nothing.
+#[derive(Debug, Default)]
+pub struct FillWorkspace {
+    tables: Tables,
+    /// Per-mode y·z phasors of the current x-row.
+    yz: Vec<(f64, f64)>,
+    /// Separable velocity of the current x-row, padded to [`LANES`].
+    row: Vec<[f64; 3]>,
+}
+
+/// The tables of [`FillWorkspace`].
+#[derive(Debug, Default)]
+struct Tables {
+    /// The field the tables were computed for.
+    field: Option<FieldKey>,
+    x: CoordTable,
+    y: CoordTable,
+    /// The current block's integer coordinates per axis.
+    axes: [Vec<u32>; 3],
+    /// The current block's x phasors, regrouped for the row loop.
+    x_block: AxisTable<LANES>,
+    /// `kz·z + ωt + φ` over `z_coords` at the time with bits `z_t`.
+    z: AxisTable<1>,
+    z_coords: Vec<u32>,
+    /// `None` until the z table holds a block.
+    z_t: Option<u64>,
+    /// Times the z table was rebuilt (memo misses).
+    z_builds: u64,
+}
+
+impl Tables {
+    /// Points the tables at the block `axes` of `field` at time `t`:
+    /// records the coordinates, computes the x and y coordinates no earlier
+    /// block touched, regroups the x phasors, and rebuilds the z table
+    /// unless it already holds these z coordinates at `t`.
+    fn prepare<I: IntoIterator<Item = u32>>(
+        &mut self,
+        field: &SyntheticField,
+        axes: [I; 3],
+        t: f64,
+    ) {
         let modes = field.modes.as_slice();
-        let extent = axes.map(|a| a.iter().fold(0.0f64, |acc, c| acc.max(c.abs())));
+        let nm = modes.len();
+        if self.field != Some(field.key) {
+            let side = field.key.1 as usize;
+            self.x.reset(side, nm);
+            self.y.reset(side, nm);
+            self.z_t = None;
+            self.field = Some(field.key);
+        }
+        for (axis, coords) in self.axes.iter_mut().zip(axes) {
+            axis.clear();
+            axis.extend(coords);
+        }
+        let [xs, ys, zs] = &self.axes;
+        for &x in xs {
+            self.x.touch(modes, 0, x);
+        }
+        for &y in ys {
+            self.y.touch(modes, 1, y);
+        }
+        let x = &self.x;
+        self.x_block.rebuild(nm, xs, |c, m| {
+            let ([cos], [sin]) = x.coord(c, nm)[m];
+            (cos, sin)
+        });
+        if self.z_t != Some(t.to_bits()) || self.z_coords != *zs {
+            self.z.rebuild(nm, zs, |z, m| {
+                let m = &modes[m];
+                let (s, c) = (m.k[2] * z as f64 + m.omega * t + m.phase).sin_cos();
+                (c, s)
+            });
+            self.z_coords.clone_from(zs);
+            self.z_t = Some(t.to_bits());
+            self.z_builds += 1;
+        }
+    }
+
+    /// The prepared block's tables and its bound `δ`.
+    fn view<'a>(&'a self, field: &'a SyntheticField, t: f64) -> BlockTables<'a> {
+        let modes = field.modes.as_slice();
+        let extent = self
+            .axes
+            .each_ref()
+            .map(|a| a.iter().fold(0.0f64, |acc, &c| acc.max(c as f64)));
         let n = modes.len() as f64;
         let delta = UNIT_ROUNDOFF
             * modes
@@ -372,19 +468,106 @@ impl<'a> BlockTables<'a> {
                 .sum::<f64>();
         BlockTables {
             modes,
-            x: AxisTable::new(modes, axes[0], |m, x| m.k[0] * x),
-            y: AxisTable::new(modes, axes[1], |m, y| m.k[1] * y),
-            z: AxisTable::new(modes, axes[2], |m, z| m.k[2] * z + m.omega * t + m.phase),
+            x: &self.x_block,
+            y: &self.y,
+            ys: &self.axes[1],
+            z: &self.z,
             delta,
         }
     }
+}
 
+impl FillWorkspace {
+    /// An empty workspace; its tables grow on the first fill.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Velocity and pressure of every voxel of the tensor grid
+    /// `xs × ys × zs` (`axes = [xs, ys, zs]`, integer grid coordinates in
+    /// `[0, grid_side)`) at time `t`, rounded to `f32` into `out`: the four
+    /// planes `[vx, vy, vz, p]` one after another, each in z→y→x order.
+    /// Returns the number of voxels that took the fallback.
+    ///
+    /// Every stored value is bitwise the `f32` rounding of
+    /// [`SyntheticField::velocity_pressure`] at that voxel, but the mode
+    /// sum is evaluated separably. `cos(kx·x + ky·y + kz·z + ωt + φ)` is the
+    /// real part of `e^{i·kx·x} · e^{i·ky·y} · e^{i·(kz·z + ωt + φ)}`, so
+    /// the fill takes `cos`/`sin` once per mode and axis coordinate (shared
+    /// across blocks, see [`FillWorkspace`]), forms the y·z product once per
+    /// mode and x-row, and leaves only multiply-adds per voxel — in
+    /// `velocity`'s mode order with its operations (`amp · cos`, then
+    /// `u[i] += c · dir[i]`).
+    ///
+    /// The separable value differs from the direct angle sum in its last
+    /// bits, so each voxel is guarded: its four `f64` outputs carry a bound
+    /// `δ` on their distance to the direct evaluation (derived on
+    /// `BlockTables`), and a voxel whose interval `v ± δ` does not round to
+    /// a single `f32` is recomputed with
+    /// [`SyntheticField::velocity_pressure`]. The payload is therefore
+    /// identical to direct evaluation by construction; the fallback fires
+    /// on a few voxels in ten thousand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not four times the block's voxel count long, or
+    /// a coordinate is outside the field's grid.
+    // lint: hotpath
+    pub fn fill<I: IntoIterator<Item = u32>>(
+        &mut self,
+        field: &SyntheticField,
+        axes: [I; 3],
+        t: f64,
+        out: &mut [f32],
+    ) -> usize {
+        self.tables.prepare(field, axes, t);
+        let tables = self.tables.view(field, t);
+        let delta = tables.delta;
+        let [xs, ys, zs] = &self.tables.axes;
+        let vol = xs.len() * ys.len() * zs.len();
+        assert_eq!(out.len(), 4 * vol, "output is not four planes of the block");
+        let (vx, rest) = out.split_at_mut(vol);
+        let (vy, rest) = rest.split_at_mut(vol);
+        let (vz, p) = rest.split_at_mut(vol);
+        let mut planes = [vx, vy, vz, p];
+        self.yz.resize(field.modes.len(), (0.0, 0.0));
+        self.row.resize(xs.len().next_multiple_of(LANES), [0.0; 3]);
+        let mut fallbacks = 0;
+        let mut i = 0;
+        for (iz, &z) in zs.iter().enumerate() {
+            for (iy, &y) in ys.iter().enumerate() {
+                tables.row(iy, iz, &mut self.yz, &mut self.row);
+                for (&u, &x) in self.row.iter().zip(xs) {
+                    let p = kinetic_pressure(u);
+                    let bounds = [delta, delta, delta, pressure_bound(u, p, delta)];
+                    let mut v = [u[0], u[1], u[2], p];
+                    if !v.iter().zip(bounds).all(|(&v, d)| rounds_stably(v, d)) {
+                        fallbacks += 1;
+                        let (u, p) = field.velocity_pressure([x, y, z].map(f64::from), t);
+                        v = [u[0], u[1], u[2], p];
+                    }
+                    for (plane, v) in planes.iter_mut().zip(v) {
+                        plane[i] = v as f32;
+                    }
+                    i += 1;
+                }
+            }
+        }
+        fallbacks
+    }
+}
+
+impl BlockTables<'_> {
     /// Separable velocity of the x-row `(iy, iz)` into `u`, one `[ux, uy, uz]`
     /// per voxel, padded to a multiple of [`LANES`]. `yz` is scratch for the
     /// row's per-mode y·z phasors. Each voxel accumulates its modes in order.
     fn row(&self, iy: usize, iz: usize, yz: &mut [(f64, f64)], u: &mut [[f64; 3]]) {
         let nm = self.modes.len();
-        let yz_tables = self.y.block(iy, nm).iter().zip(self.z.block(iz, nm));
+        let yz_tables = self
+            .y
+            .coord(self.ys[iy], nm)
+            .iter()
+            .zip(self.z.block(iz, nm));
         for (p, (([cy], [sy]), ([cz], [sz]))) in yz.iter_mut().zip(yz_tables) {
             *p = (cy * cz - sy * sz, sy * cz + cy * sz);
         }
@@ -556,26 +739,30 @@ mod tests {
         let (side, ghost) = (cfg.atom_side as i64, cfg.ghost as i64);
         let axes = [1i64, 2, 1].map(|a| {
             (a * side - ghost..(a + 1) * side + ghost)
-                .map(|g| g.rem_euclid(cfg.grid_side as i64) as f64)
+                .map(|g| g.rem_euclid(cfg.grid_side as i64) as u32)
                 .collect::<Vec<_>>()
         });
-        let axes = axes.each_ref().map(Vec::as_slice);
 
         let [ix, iy, iz] = [3, 20, 2].map(|l: i64| (l + ghost) as usize);
-        let tables = BlockTables::new(&field, axes, t);
+        let mut ws = FillWorkspace::new();
+        ws.tables.prepare(&field, axes.clone(), t);
+        let tables = ws.tables.view(&field, t);
         let mut yz = vec![(0.0, 0.0); field.mode_count()];
         let mut row = vec![[0.0; 3]; axes[0].len().next_multiple_of(LANES)];
         tables.row(iy, iz, &mut yz, &mut row);
         let u = row[ix];
-        let (u_direct, p_direct) =
-            field.velocity_pressure([axes[0][ix], axes[1][iy], axes[2][iz]], t);
+        let at = [axes[0][ix], axes[1][iy], axes[2][iz]].map(f64::from);
+        let (u_direct, p_direct) = field.velocity_pressure(at, t);
         let bits = |u: [f64; 3], p: f64| [u[0], u[1], u[2], p].map(|v| (v as f32).to_bits());
         assert_ne!(bits(u, kinetic_pressure(u)), bits(u_direct, p_direct));
 
-        let (planes, fallbacks) = field.fill_block(axes, t);
+        let vol = axes.iter().map(Vec::len).product::<usize>();
+        let mut out = vec![0.0; 4 * vol];
+        let fallbacks = ws.fill(&field, axes, t, &mut out);
+        let planes: [&[f32]; 4] = std::array::from_fn(|k| &out[k * vol..(k + 1) * vol]);
         let atom = AtomData::materialize(&cfg, &field, id);
         let (vx, vy, vz, p) = atom.planes();
-        assert_eq!([vx, vy, vz, p], planes.each_ref().map(Vec::as_slice));
+        assert_eq!([vx, vy, vz, p], planes);
         let aos = AosAtom::materialize(&cfg, &field, id);
         let mut i = 0;
         for lz in -ghost..side + ghost {
@@ -584,7 +771,7 @@ mod tests {
                     let u = aos.velocity_at(lx, ly, lz);
                     let p = aos.pressure_at(lx, ly, lz);
                     let want = [u[0], u[1], u[2], p].map(f32::to_bits);
-                    assert_eq!(planes.each_ref().map(|pl| pl[i].to_bits()), want);
+                    assert_eq!(planes.map(|pl| pl[i].to_bits()), want);
                     i += 1;
                 }
             }
@@ -592,7 +779,72 @@ mod tests {
         assert!(fallbacks > 0);
     }
 
+    #[test]
+    fn a_workspace_moves_between_fields_cleanly() {
+        // The same atom at the same time: only the field changes, so stale
+        // x/y tables or a stale z memo would show.
+        let cfg = DbConfig::tiny();
+        let a = SyntheticField::with_modes(1, cfg.grid_side, 8);
+        let b = SyntheticField::with_modes(2, cfg.grid_side, 8);
+        let id = AtomId::from_coords(1, 1, 0, 1);
+        let mut ws = FillWorkspace::new();
+        for field in [&a, &b, &a] {
+            let warm = AtomData::materialize_with(&cfg, field, &mut ws, id);
+            let fresh = AtomData::materialize(&cfg, field, id);
+            assert_eq!(warm.planes(), fresh.planes());
+        }
+    }
+
     proptest! {
+        /// Atoms filled one after another through one workspace are bit for
+        /// bit the fresh [`AtomData::materialize`] of each id, whether the z
+        /// memo hits or misses. Steps with `same_z` keep the previous step's
+        /// timestep and z block (a hit); the others draw both afresh. Both
+        /// the smoke geometry (8³ atoms, 2-voxel ghost) and, in one case of
+        /// four (its atoms cost 8× more), the 64³ grid of 16³ atoms with a
+        /// 4-voxel ghost are covered, with up to the default 48 modes.
+        #[test]
+        fn workspace_fill_matches_fresh_materialize(
+            seed in 0u64..1_000_000,
+            n_modes in 1usize..49,
+            geometry in 0u32..4,
+            steps in collection::vec((0u32..4, 0u32..4, 0u32..4, 0u32..4, 0u32..2), 1..6),
+        ) {
+            let (grid_side, atom_side, ghost) = if geometry == 0 { (64, 16, 4) } else { (32, 8, 2) };
+            let cfg = DbConfig {
+                grid_side,
+                atom_side,
+                ghost,
+                timesteps: 4,
+                dt: 0.002,
+                seed,
+            };
+            let field = SyntheticField::with_modes(cfg.seed, cfg.grid_side, n_modes);
+            let mut ws = FillWorkspace::new();
+            let mut prev: Option<(u32, u32)> = None;
+            let mut misses = 0;
+            for (timestep, x, y, z, same_z) in steps {
+                let (timestep, z) = match prev {
+                    Some(tz) if same_z == 1 => tz,
+                    _ => (timestep, z),
+                };
+                if prev != Some((timestep, z)) {
+                    misses += 1;
+                }
+                prev = Some((timestep, z));
+                let id = AtomId::from_coords(timestep, x, y, z);
+                let warm = AtomData::materialize_with(&cfg, &field, &mut ws, id);
+                let fresh = AtomData::materialize(&cfg, &field, id);
+                prop_assert_eq!(warm.base(), fresh.base());
+                let bits = |a: &AtomData| {
+                    let (vx, vy, vz, p) = a.planes();
+                    [vx, vy, vz, p].map(|pl| pl.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                };
+                prop_assert!(bits(&warm) == bits(&fresh), "atom {id} differs");
+            }
+            prop_assert_eq!(ws.tables.z_builds, misses);
+        }
+
         /// Every `f64` output of the separable sum — velocity components and
         /// the pressure derived from them — lies within its stated bound of
         /// the direct evaluation, on grids up to `DbConfig::paper_sample`'s
@@ -612,10 +864,12 @@ mod tests {
             // Scattered coordinates reach every part of the box.
             let axes = [origin.0, origin.1, origin.2].map(|o| {
                 (0..ext as u32)
-                    .map(|i| ((o + 37 * i) % side) as f64)
+                    .map(|i| (o + 37 * i) % side)
                     .collect::<Vec<_>>()
             });
-            let tables = BlockTables::new(&field, axes.each_ref().map(Vec::as_slice), t);
+            let mut ws = FillWorkspace::new();
+            ws.tables.prepare(&field, axes.clone(), t);
+            let tables = ws.tables.view(&field, t);
             prop_assert!(tables.delta < 1e-9, "vacuous bound {}", tables.delta);
             let mut yz = vec![(0.0, 0.0); field.mode_count()];
             let mut row = vec![[0.0; 3]; ext.next_multiple_of(LANES)];
@@ -623,7 +877,8 @@ mod tests {
                 for (iy, &y) in axes[1].iter().enumerate() {
                     tables.row(iy, iz, &mut yz, &mut row);
                     for (&u, &x) in row.iter().zip(&axes[0]) {
-                        let (u_direct, p_direct) = field.velocity_pressure([x, y, z], t);
+                        let at = [x, y, z].map(f64::from);
+                        let (u_direct, p_direct) = field.velocity_pressure(at, t);
                         for c in 0..3 {
                             prop_assert!((u[c] - u_direct[c]).abs() <= tables.delta);
                         }
