@@ -222,8 +222,12 @@ pub mod exp {
             Some(0) // nothing ever becomes resident
         }
 
-        fn residency_changes_since(&self, _since: u64) -> Option<Vec<(AtomId, bool)>> {
-            Some(Vec::new())
+        fn residency_changes_since(
+            &self,
+            _since: u64,
+            _visit: &mut dyn FnMut(AtomId, bool),
+        ) -> bool {
+            true
         }
     }
 

@@ -15,8 +15,8 @@ use std::fmt;
 
 /// Address of one atom: timestep plus Morton key within the timestep.
 ///
-/// `Ord` is lexicographic on `(timestep, morton)`, matching the clustered
-/// B+ tree key order so that a full-timestep scan is one contiguous range.
+/// `Ord` is lexicographic on `(timestep, morton)`, matching the on-disk atom
+/// order so that a full-timestep scan is one contiguous range.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

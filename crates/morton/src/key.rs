@@ -10,8 +10,8 @@ use std::fmt;
 /// for k = 0, …, log(n)" (§III-A). A `MortonKey` addresses a unit cell (an
 /// atom) and exposes that hierarchy: [`MortonKey::parent_at`] returns the
 /// enclosing cube at a coarser level, and [`MortonKey::cube_range`] the
-/// contiguous Morton interval the cube occupies — contiguity is what makes the
-/// clustered B+ tree range scans efficient.
+/// contiguous Morton interval the cube occupies — contiguity is what makes
+/// Morton-range reads sequential on disk.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
 )]

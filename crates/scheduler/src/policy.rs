@@ -26,12 +26,13 @@ pub trait Residency {
         None
     }
 
-    /// The `(atom, now_resident)` flips since epoch `since`, or `None` when
-    /// the log cannot answer (untracked, or truncated past `since`) — the
-    /// consumer must then re-check every atom it cares about.
-    fn residency_changes_since(&self, since: u64) -> Option<Vec<(AtomId, bool)>> {
-        let _ = since;
-        None
+    /// Calls `visit(atom, now_resident)` for each flip since epoch `since`,
+    /// oldest first, and returns true. Returns false without visiting
+    /// anything when the log cannot answer (untracked, or truncated past
+    /// `since`) — the consumer must then re-check every atom it cares about.
+    fn residency_changes_since(&self, since: u64, visit: &mut dyn FnMut(AtomId, bool)) -> bool {
+        let _ = (since, visit);
+        false
     }
 }
 
@@ -163,8 +164,12 @@ pub mod test_support {
             Some(0) // the set never changes
         }
 
-        fn residency_changes_since(&self, _since: u64) -> Option<Vec<(AtomId, bool)>> {
-            Some(Vec::new())
+        fn residency_changes_since(
+            &self,
+            _since: u64,
+            _visit: &mut dyn FnMut(AtomId, bool),
+        ) -> bool {
+            true
         }
     }
 }

@@ -567,33 +567,29 @@ impl WorkloadManager {
         if in_sync {
             return;
         }
-        let changes = match self.synced_epoch {
-            Some(since) if epoch.is_some() => residency.residency_changes_since(since),
-            _ => None,
+        let answered = match self.synced_epoch {
+            Some(since) if epoch.is_some() => residency
+                .residency_changes_since(since, &mut |atom, resident| {
+                    self.flip_residency(atom, resident)
+                }),
+            _ => false,
         };
-        match changes {
-            Some(list) => {
-                for (atom, resident) in list {
-                    self.flip_residency(atom, resident);
-                }
-            }
-            None => {
-                // Untracked source or truncated log: re-probe every pending
-                // atom (cheap boolean probe; only actual flips dirty).
-                let mut flips = Vec::new();
-                for (&ts, slab) in &self.slabs {
-                    for s in slab {
-                        let atom = AtomId::new(ts, s.morton);
-                        let resident = residency.is_resident(&atom);
-                        if s.resident != Some(resident) {
-                            flips.push((atom, resident));
-                        }
+        if !answered {
+            // Untracked source or truncated log: re-probe every pending
+            // atom (cheap boolean probe; only actual flips dirty).
+            let mut flips = Vec::new();
+            for (&ts, slab) in &self.slabs {
+                for s in slab {
+                    let atom = AtomId::new(ts, s.morton);
+                    let resident = residency.is_resident(&atom);
+                    if s.resident != Some(resident) {
+                        flips.push((atom, resident));
                     }
-                    self.stats.residency_probes += slab.len() as u64;
                 }
-                for (atom, resident) in flips {
-                    self.flip_residency(atom, resident);
-                }
+                self.stats.residency_probes += slab.len() as u64;
+            }
+            for (atom, resident) in flips {
+                self.flip_residency(atom, resident);
             }
         }
         self.synced_epoch = epoch;
@@ -1607,11 +1603,14 @@ mod proptests {
             self.tracked.then_some(self.log.len() as u64)
         }
 
-        fn residency_changes_since(&self, since: u64) -> Option<Vec<(AtomId, bool)>> {
+        fn residency_changes_since(&self, since: u64, visit: &mut dyn FnMut(AtomId, bool)) -> bool {
             if !self.tracked {
-                return None;
+                return false;
             }
-            Some(self.log[since as usize..].to_vec())
+            for &(atom, resident) in &self.log[since as usize..] {
+                visit(atom, resident);
+            }
+            true
         }
     }
 

@@ -25,8 +25,12 @@ impl Residency for DbResidency<'_> {
         Some(self.0.residency_epoch())
     }
 
-    fn residency_changes_since(&self, since: u64) -> Option<Vec<(AtomId, bool)>> {
-        self.0.residency_changes_since(since)
+    fn residency_changes_since(&self, since: u64, visit: &mut dyn FnMut(AtomId, bool)) -> bool {
+        let Some(changes) = self.0.residency_changes_since(since) else {
+            return false;
+        };
+        changes.for_each(|(atom, resident)| visit(atom, resident));
+        true
     }
 }
 

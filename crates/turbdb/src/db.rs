@@ -1,9 +1,8 @@
-//! The database facade: B+ tree + simulated disk + buffer pool.
+//! The database facade: atom layout + simulated disk + buffer pool.
 
 use crate::atom::AtomData;
-use crate::btree::BPlusTree;
 use crate::config::{CostModel, DbConfig};
-use crate::disk::{DiskExtent, DiskStats, SimulatedDisk};
+use crate::disk::{DiskStats, SimulatedDisk};
 use crate::synth::{FillWorkspace, SyntheticField};
 use jaws_cache::{AccessOutcome, BufferPool, CacheStats, ReplacementPolicy, UtilityOracle};
 use jaws_morton::{AtomId, MortonKey};
@@ -41,9 +40,15 @@ pub struct ReadResult {
 /// One node of the Turbulence Database Cluster.
 ///
 /// Each cluster node runs a separate JAWS instance over its spatial partition
-/// (§V-C); a `TurbDb` models one such node: a clustered B+ tree mapping
-/// [`AtomId`]s to disk extents, a simulated disk, and an externally managed
-/// buffer pool exactly like the paper's 2 GB external cache (§VI-B).
+/// (§V-C); a `TurbDb` models one such node: atoms laid out on a simulated
+/// disk in (timestep, Morton) order, and an externally managed buffer pool
+/// exactly like the paper's 2 GB external cache (§VI-B).
+///
+/// The production cluster finds an atom's disk extent through SQL Server's
+/// clustered B+ tree. Here the layout itself is the index: atom `m` of
+/// timestep `t` is block `t·A + m` (A = atoms per timestep). The seek model
+/// reads contiguity from that block number alone, and an index lookup costs
+/// no simulated time.
 pub struct TurbDb {
     cfg: DbConfig,
     mode: DataMode,
@@ -51,7 +56,6 @@ pub struct TurbDb {
     /// only): successive misses share the workspace's phasor tables. Boxed,
     /// so a Virtual-mode database carries one pointer for it.
     synth: Option<Box<(SyntheticField, FillWorkspace)>>,
-    index: BPlusTree<AtomId, DiskExtent>,
     disk: SimulatedDisk,
     pool: BufferPool<AtomId, Option<Arc<AtomData>>>,
     materializations: u64,
@@ -71,8 +75,8 @@ pub struct TurbDb {
 }
 
 impl TurbDb {
-    /// Opens a database: lays out every atom in (timestep, Morton) order on
-    /// the simulated disk and bulk-loads the clustered index.
+    /// Opens a database whose atoms lie in (timestep, Morton) order on the
+    /// simulated disk. Nothing is built per atom.
     ///
     /// `cache_atoms` is the buffer pool capacity in atoms (the paper's 2 GB
     /// cache is 256 × 8 MB atoms) and `policy` its replacement policy.
@@ -85,19 +89,6 @@ impl TurbDb {
     ) -> Self {
         cfg.validate();
         cost.validate();
-        let per_ts = cfg.atoms_per_timestep();
-        let mut pairs = Vec::with_capacity(cfg.total_atoms() as usize);
-        for t in 0..cfg.timesteps {
-            for m in 0..per_ts {
-                let id = AtomId::new(t, MortonKey(m));
-                let extent = DiskExtent {
-                    start: t as u64 * per_ts + m,
-                    len: 1,
-                };
-                pairs.push((id, extent));
-            }
-        }
-        let index = BPlusTree::bulk_load(64, pairs);
         let synth = match mode {
             DataMode::Virtual => None,
             DataMode::Synthetic => Some(Box::new((
@@ -109,7 +100,6 @@ impl TurbDb {
             cfg,
             mode,
             synth,
-            index,
             disk: SimulatedDisk::new(cost),
             pool: BufferPool::new(cache_atoms, policy),
             materializations: 0,
@@ -171,13 +161,17 @@ impl TurbDb {
 
     /// The `(atom, now_resident)` flips since epoch `since`, oldest first, or
     /// `None` when the ring buffer no longer reaches back that far (the
-    /// caller must then re-check every atom it cares about).
-    pub fn residency_changes_since(&self, since: u64) -> Option<Vec<(AtomId, bool)>> {
+    /// caller must then re-check every atom it cares about). Borrows the log;
+    /// nothing is allocated.
+    pub fn residency_changes_since(
+        &self,
+        since: u64,
+    ) -> Option<impl Iterator<Item = (AtomId, bool)> + '_> {
         if since < self.res_log_base || since > self.residency_epoch() {
             return None;
         }
         let skip = (since - self.res_log_base) as usize;
-        Some(self.res_log.iter().skip(skip).copied().collect())
+        Some(self.res_log.range(skip..).copied())
     }
 
     /// Atom (Morton key) owning a continuous voxel position, with periodic
@@ -201,8 +195,7 @@ impl TurbDb {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is outside the stored geometry (an index corruption in
-    /// the real system).
+    /// Panics if `id` is outside the stored geometry.
     pub fn read_atom(&mut self, id: AtomId, oracle: &dyn UtilityOracle<AtomId>) -> ReadResult {
         self.read_atom_at(id, oracle, 0.0)
     }
@@ -214,24 +207,21 @@ impl TurbDb {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is outside the stored geometry (an index corruption in
-    /// the real system).
+    /// Panics if `id` is outside the stored geometry: its block number would
+    /// alias another atom's.
     pub fn read_atom_at(
         &mut self,
         id: AtomId,
         oracle: &dyn UtilityOracle<AtomId>,
         now_ms: f64,
     ) -> ReadResult {
-        let extent = self
-            .index
-            .get(&id)
-            .unwrap_or_else(|| panic!("atom {id} not in the clustered index"));
+        let block = self.block_of(id);
         let mut io_ms = 0.0;
         let mut materialized = None;
         let outcome = self.pool.access_with(
             id,
             || {
-                io_ms = self.disk.read(extent);
+                io_ms = self.disk.read(block);
                 let (field, ws) = self.synth.as_deref_mut()?;
                 self.materializations += 1;
                 let data = Arc::new(AtomData::materialize_with(&self.cfg, field, ws, id));
@@ -280,6 +270,18 @@ impl TurbDb {
             io_ms,
             data,
         }
+    }
+
+    /// The disk block holding `id`: `t·A + m`, with A atoms per timestep.
+    fn block_of(&self, id: AtomId) -> u64 {
+        let per_ts = self.cfg.atoms_per_timestep();
+        let m = id.morton.raw();
+        assert!(
+            id.timestep < self.cfg.timesteps && m < per_ts,
+            "atom {id} not in the stored geometry ({} timesteps of {per_ts} atoms)",
+            self.cfg.timesteps
+        );
+        id.timestep as u64 * per_ts + m
     }
 
     /// Simulated compute charge for evaluating `positions` positions (T_m).
@@ -398,9 +400,31 @@ mod tests {
     }
 
     #[test]
-    fn index_covers_every_atom() {
+    fn every_atom_is_stored() {
         let db = open_tiny(DataMode::Virtual, 4);
         assert_eq!(db.total_atoms(), 4 * 8); // 4 timesteps × 2³ atoms
+    }
+
+    #[test]
+    #[should_panic(expected = "atom t4:m0(0,0,0) not in")]
+    fn reading_past_the_last_timestep_panics() {
+        let cfg = DbConfig::tiny();
+        let mut db = open_tiny(DataMode::Virtual, 4);
+        db.read_atom(
+            AtomId::new(cfg.timesteps, MortonKey(0)),
+            &jaws_cache::NullOracle,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "atom t0:m8(2,0,0) not in")]
+    fn reading_past_the_last_morton_key_panics() {
+        let cfg = DbConfig::tiny();
+        let mut db = open_tiny(DataMode::Virtual, 4);
+        db.read_atom(
+            AtomId::new(0, MortonKey(cfg.atoms_per_timestep())),
+            &jaws_cache::NullOracle,
+        );
     }
 
     #[test]
@@ -517,7 +541,7 @@ mod tests {
         // Third distinct atom evicts the LRU victim (atom 0).
         db.read_atom(AtomId::new(0, MortonKey(2)), &jaws_cache::NullOracle);
         assert_eq!(db.residency_epoch(), 4);
-        let changes = db.residency_changes_since(e0).unwrap();
+        let changes: Vec<_> = db.residency_changes_since(e0).unwrap().collect();
         assert_eq!(
             changes,
             vec![
@@ -527,8 +551,8 @@ mod tests {
                 (AtomId::new(0, MortonKey(2)), true),
             ]
         );
-        assert_eq!(db.residency_changes_since(2).unwrap().len(), 2);
-        assert!(db.residency_changes_since(4).unwrap().is_empty());
+        assert_eq!(db.residency_changes_since(2).unwrap().count(), 2);
+        assert_eq!(db.residency_changes_since(4).unwrap().count(), 0);
         // The log's net effect agrees with is_resident.
         assert!(!db.is_resident(&AtomId::new(0, MortonKey(0))));
         assert!(db.is_resident(&AtomId::new(0, MortonKey(1))));
@@ -552,7 +576,7 @@ mod tests {
             "epoch 0 predates the ring buffer"
         );
         let recent = db.residency_epoch() - 1;
-        assert_eq!(db.residency_changes_since(recent).unwrap().len(), 1);
+        assert_eq!(db.residency_changes_since(recent).unwrap().count(), 1);
         assert!(db
             .residency_changes_since(db.residency_epoch() + 1)
             .is_none());

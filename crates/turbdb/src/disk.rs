@@ -5,21 +5,10 @@
 //! locality" (§III-A). The disk charges a seek whenever a read is not
 //! physically contiguous with the previous one, so Morton-sorted batches (the
 //! scheduler's execution order) genuinely earn their amortization: reading a
-//! Morton range costs one seek plus `n` transfers.
+//! Morton range costs one seek plus `n` transfers. One block holds one atom.
 
 use crate::config::CostModel;
 use serde::Serialize;
-
-/// Physical placement of one atom: a contiguous extent of `len` blocks
-/// starting at `start` (block = one atom in this model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct DiskExtent {
-    /// First block number.
-    pub start: u64,
-    /// Extent length in blocks (always 1 for atoms; kept general for the
-    /// B+ tree's internal pages).
-    pub len: u64,
-}
 
 /// Cumulative I/O statistics.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
@@ -51,15 +40,16 @@ impl SimulatedDisk {
         }
     }
 
-    /// Reads one extent, returning the simulated time it took in ms.
-    pub fn read(&mut self, extent: DiskExtent) -> f64 {
-        let sequential = self.head == Some(extent.start);
-        let mut ms = self.cost.atom_read_ms * extent.len as f64;
+    /// Reads the atom stored in `block`, returning the simulated time it
+    /// took in ms.
+    pub fn read(&mut self, block: u64) -> f64 {
+        let sequential = self.head == Some(block);
+        let mut ms = self.cost.atom_read_ms;
         if !sequential {
             ms += self.cost.seek_ms;
             self.stats.seeks += 1;
         }
-        self.head = Some(extent.start + extent.len);
+        self.head = Some(block + 1);
         self.stats.reads += 1;
         self.stats.io_ms += ms;
         ms
@@ -95,23 +85,19 @@ mod tests {
         })
     }
 
-    fn ext(start: u64) -> DiskExtent {
-        DiskExtent { start, len: 1 }
-    }
-
     #[test]
     fn first_read_pays_a_seek() {
         let mut d = disk();
-        assert_eq!(d.read(ext(5)), 110.0);
+        assert_eq!(d.read(5), 110.0);
         assert_eq!(d.stats().seeks, 1);
     }
 
     #[test]
     fn sequential_reads_skip_the_seek() {
         let mut d = disk();
-        d.read(ext(5));
-        assert_eq!(d.read(ext(6)), 100.0, "contiguous follow-up read");
-        assert_eq!(d.read(ext(7)), 100.0);
+        d.read(5);
+        assert_eq!(d.read(6), 100.0, "contiguous follow-up read");
+        assert_eq!(d.read(7), 100.0);
         assert_eq!(d.stats().seeks, 1);
         assert_eq!(d.stats().reads, 3);
     }
@@ -119,35 +105,28 @@ mod tests {
     #[test]
     fn backward_or_skipping_reads_pay_seeks() {
         let mut d = disk();
-        d.read(ext(5));
-        assert_eq!(d.read(ext(4)), 110.0, "backward");
-        assert_eq!(d.read(ext(9)), 110.0, "skip ahead");
+        d.read(5);
+        assert_eq!(d.read(4), 110.0, "backward");
+        assert_eq!(d.read(9), 110.0, "skip ahead");
         assert_eq!(d.stats().seeks, 3);
     }
 
     #[test]
     fn morton_range_costs_one_seek() {
         let mut d = disk();
-        let total: f64 = (100..116).map(|b| d.read(ext(b))).sum();
+        let total: f64 = (100..116).map(|b| d.read(b)).sum();
         assert_eq!(total, 10.0 + 16.0 * 100.0);
     }
 
     #[test]
     fn io_time_accumulates() {
         let mut d = disk();
-        d.read(ext(0));
-        d.read(ext(1));
+        d.read(0);
+        d.read(1);
         assert!((d.stats().io_ms - 210.0).abs() < 1e-9);
         d.reset_stats();
         assert_eq!(d.stats().reads, 0);
         // Head survives the reset: next read of block 2 is sequential.
-        assert_eq!(d.read(ext(2)), 100.0);
-    }
-
-    #[test]
-    fn multi_block_extent_scales_transfer_only() {
-        let mut d = disk();
-        let ms = d.read(DiskExtent { start: 0, len: 4 });
-        assert_eq!(ms, 10.0 + 400.0);
+        assert_eq!(d.read(2), 100.0);
     }
 }

@@ -5,7 +5,9 @@
 //! fields on a 1024³ grid, partitioned into fixed-size storage blocks (*atoms*)
 //! of 64³ voxels (physically 72³ with four units of replication per side),
 //! laid out on disk in Morton order behind a clustered B+ tree keyed on
-//! (Morton index, timestep).
+//! (Morton index, timestep). What the scheduler exploits is that layout, so
+//! the model keeps the layout and drops the tree: an atom's disk block is a
+//! function of its (timestep, Morton) address.
 //!
 //! This crate rebuilds that substrate from scratch:
 //!
@@ -16,12 +18,10 @@
 //! * [`disk`] — a simulated disk with an explicit seek + transfer cost model;
 //!   sequential reads of Morton-adjacent atoms avoid seek charges, which is
 //!   exactly the effect Morton-ordered batch execution exploits.
-//! * [`btree`] — a clustered B+ tree over [`AtomId`] mapping atoms to disk
-//!   extents, supporting point gets and range scans.
-//! * [`db`] — the [`TurbDb`] facade combining B+ tree, disk and a buffer pool,
-//!   in either [`DataMode::Virtual`] (costs only, for large scheduling
-//!   simulations) or [`DataMode::Synthetic`] (real voxel payloads, for the
-//!   computation kernels).
+//! * [`db`] — the [`TurbDb`] facade combining the atom layout, disk and a
+//!   buffer pool, in either [`DataMode::Virtual`] (costs only, for large
+//!   scheduling simulations) or [`DataMode::Synthetic`] (real voxel payloads,
+//!   for the computation kernels).
 //! * [`kernels`] — query evaluation kernels mirroring the public Turbulence
 //!   services: Lagrange interpolation of velocity, finite-difference
 //!   velocity gradients, particle advection (RK2/RK4), and region statistics.
@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod atom;
-pub mod btree;
 pub mod config;
 pub mod db;
 pub mod disk;
@@ -45,9 +44,8 @@ pub mod structures;
 pub mod synth;
 
 pub use atom::AtomData;
-pub use btree::BPlusTree;
 pub use config::{CostModel, DbConfig};
 pub use db::{DataMode, ReadResult, TurbDb};
-pub use disk::{DiskExtent, DiskStats, SimulatedDisk};
+pub use disk::{DiskStats, SimulatedDisk};
 pub use jaws_morton::{AtomId, MortonKey};
 pub use synth::{FillWorkspace, SyntheticField};

@@ -12,8 +12,8 @@
 //!
 //! * [`morton`] — Z-order spatial indexing;
 //! * [`turbdb`] — the simulated Turbulence Database Cluster substrate
-//!   (synthetic DNS fields, atoms, clustered B+ tree, simulated disk,
-//!   query kernels);
+//!   (synthetic DNS fields, atoms in (timestep, Morton) disk order,
+//!   simulated disk, query kernels);
 //! * [`cache`] — buffer cache with LRU / LRU-K / SLRU / URC replacement;
 //! * [`workload`] — calibrated trace generation and job identification;
 //! * [`scheduler`] — NoShare, LifeRaft and JAWS;
