@@ -59,7 +59,6 @@ fn main() {
                 sim: SimConfig {
                     prefetch,
                     max_sim_ms,
-                    ..SimConfig::default()
                 },
                 ..exp::paper_cluster(db, nodes)
             };

@@ -59,6 +59,13 @@
 //!   which is itself the deterministic admission order above. Every call
 //!   that can promote appends to one caller-provided buffer, in that order.
 //!
+//! ## Ownership of held queries
+//!
+//! The READY index owns the copy of each query handed to
+//! [`GatingGraph::query_available`] (the part as delivered, whose footprint
+//! may differ from the declared one), and promotion moves it out through
+//! the caller's buffer: the scheduler keeps no second record of the gate.
+//!
 //! ## Retirement
 //!
 //! Once a job's last query is DONE, its `JobEntry` and every query entry
@@ -143,9 +150,10 @@ pub struct GatingGraph {
     job_order: VecDeque<JobId>,
     /// Per registered query: its job, position, lifecycle state and group.
     entries: FastMap<QueryId, QueryEntry>,
-    /// The READY queries. An ungated query is promoted in the call that
-    /// makes it READY, so between calls this holds only gated ones.
-    ready: BTreeSet<QueryId>,
+    /// The READY queries, each with the available copy handed in. An
+    /// ungated query is promoted in the call that makes it READY, so between
+    /// calls this holds only gated ones.
+    ready: BTreeMap<QueryId, Query>,
     groups: BTreeMap<GroupId, Vec<QueryId>>,
     next_group: GroupId,
     admitted_edges: u64,
@@ -161,7 +169,7 @@ impl GatingGraph {
             jobs: BTreeMap::new(),
             job_order: VecDeque::new(),
             entries: FastMap::default(),
-            ready: BTreeSet::new(),
+            ready: BTreeMap::new(),
             groups: BTreeMap::new(),
             next_group: 0,
             admitted_edges: 0,
@@ -189,6 +197,21 @@ impl GatingGraph {
     /// fully DONE. A drained replay leaves zero.
     pub fn tracked_queries(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Queries held at a gate: READY, waiting only on gating partners.
+    pub fn held_queries(&self) -> usize {
+        self.ready.len()
+    }
+
+    /// Drops every held query, as a truncated replay retires its queues: each
+    /// moves to QUEUE and its copy is discarded.
+    pub fn retire_held(&mut self) {
+        for q in std::mem::take(&mut self.ready).into_keys() {
+            if let Some(e) = self.entries.get_mut(&q) {
+                e.state = QueryState::Queue;
+            }
+        }
     }
 
     /// Current state of a query ([`QueryState::Done`] if unknown/pruned).
@@ -429,9 +452,11 @@ impl GatingGraph {
     }
 
     /// Marks a query available (predecessor done, think time elapsed):
-    /// WAIT → READY, then fires any group that became fully ready. Appends
-    /// the queries newly promoted to QUEUE to `promoted`.
-    pub fn query_available(&mut self, q: QueryId, now_ms: f64, promoted: &mut Vec<QueryId>) {
+    /// WAIT → READY, then fires any group that became fully ready. The graph
+    /// holds `query` until it is promoted; the queries newly promoted to
+    /// QUEUE are appended to `promoted`.
+    pub fn query_available(&mut self, query: Query, now_ms: f64, promoted: &mut Vec<Query>) {
+        let q = query.id;
         // lint: invariant — callers only pass ids registered via add_job
         let e = self
             .entries
@@ -440,7 +465,7 @@ impl GatingGraph {
         debug_assert_eq!(e.state, QueryState::Wait, "double availability for {q}");
         e.state = QueryState::Ready;
         e.ready_since_ms = now_ms;
-        self.ready.insert(q);
+        self.ready.insert(q, query);
         self.try_fire(q, promoted);
     }
 
@@ -448,7 +473,7 @@ impl GatingGraph {
     /// job front, retires the job once its last query is DONE, and fires any
     /// group unblocked by the pruning. Appends the queries newly promoted to
     /// QUEUE to `promoted`.
-    pub fn query_done(&mut self, q: QueryId, promoted: &mut Vec<QueryId>) {
+    pub fn query_done(&mut self, q: QueryId, promoted: &mut Vec<Query>) {
         let Some(e) = self.entries.get_mut(&q) else {
             return;
         };
@@ -496,7 +521,7 @@ impl GatingGraph {
 
     /// Promotes a READY query (and, if gated, its whole ready group) to QUEUE
     /// when all gating constraints hold, appending them to `promoted`.
-    fn try_fire(&mut self, q: QueryId, promoted: &mut Vec<QueryId>) {
+    fn try_fire(&mut self, q: QueryId, promoted: &mut Vec<Query>) {
         let Some(e) = self.entries.get(&q) else {
             return;
         };
@@ -534,11 +559,11 @@ impl GatingGraph {
     /// any group mates its departure unblocked) to `promoted`.
     ///
     /// Only READY queries are visited, in ascending `QueryId` order (see the
-    /// module docs on determinism) — `self.ready` is a `BTreeSet`.
-    pub fn release_stale(&mut self, now_ms: f64, promoted: &mut Vec<QueryId>) {
+    /// module docs on determinism) — `self.ready` is a `BTreeMap`.
+    pub fn release_stale(&mut self, now_ms: f64, promoted: &mut Vec<Query>) {
         let stale: Vec<QueryId> = self
             .ready
-            .iter()
+            .keys()
             .copied()
             .filter(|q| {
                 let e = &self.entries[q];
@@ -574,21 +599,20 @@ impl GatingGraph {
     }
 }
 
-/// READY → QUEUE for one query, appended to `promoted`. Takes the two
-/// collections it updates rather than the graph, so a caller can walk a
-/// group's member list while promoting its members.
+/// READY → QUEUE for one query, whose held copy moves to `promoted`. Takes
+/// the two collections it updates rather than the graph, so a caller can
+/// walk a group's member list while promoting its members.
 fn promote(
     entries: &mut FastMap<QueryId, QueryEntry>,
-    ready: &mut BTreeSet<QueryId>,
+    ready: &mut BTreeMap<QueryId, Query>,
     q: QueryId,
-    promoted: &mut Vec<QueryId>,
+    promoted: &mut Vec<Query>,
 ) {
     // lint: invariant — promote is only called with tracked READY queries
     let e = entries.get_mut(&q).expect("tracked");
     debug_assert_eq!(e.state, QueryState::Ready);
     e.state = QueryState::Queue;
-    ready.remove(&q);
-    promoted.push(q);
+    promoted.extend(ready.remove(&q));
 }
 
 #[cfg(test)]
@@ -631,25 +655,33 @@ mod tests {
         GatingGraph::new(GatingConfig::default())
     }
 
-    /// [`GatingGraph::query_available`] into a fresh buffer.
+    /// The ids of promoted queries, in promotion order.
+    fn ids(promoted: Vec<Query>) -> Vec<QueryId> {
+        promoted.into_iter().map(|q| q.id).collect()
+    }
+
+    /// [`GatingGraph::query_available`] with the declared copy of `q`, into a
+    /// fresh buffer.
     fn avail(g: &mut GatingGraph, q: QueryId, now_ms: f64) -> Vec<QueryId> {
+        let e = &g.entries[&q];
+        let query = g.jobs[&e.job].queries[e.index].clone();
         let mut promoted = Vec::new();
-        g.query_available(q, now_ms, &mut promoted);
-        promoted
+        g.query_available(query, now_ms, &mut promoted);
+        ids(promoted)
     }
 
     /// [`GatingGraph::query_done`] into a fresh buffer.
     fn complete(g: &mut GatingGraph, q: QueryId) -> Vec<QueryId> {
         let mut promoted = Vec::new();
         g.query_done(q, &mut promoted);
-        promoted
+        ids(promoted)
     }
 
     /// [`GatingGraph::release_stale`] into a fresh buffer.
     fn stale(g: &mut GatingGraph, now_ms: f64) -> Vec<QueryId> {
         let mut promoted = Vec::new();
         g.release_stale(now_ms, &mut promoted);
-        promoted
+        ids(promoted)
     }
 
     #[test]
@@ -965,8 +997,8 @@ mod tests {
             }
         }
 
-        /// The READY index equals a full scan, holds only gated queries
-        /// between calls, and the group DAG is acyclic. Every tracked job
+        /// The READY index keys equal a full scan, it holds only gated
+        /// queries between calls, and the group DAG is acyclic. Every tracked job
         /// still has a query that is not DONE, every entry belongs to a
         /// tracked job, and the alignment window is bounded.
         fn check(g: &GatingGraph) {
@@ -976,8 +1008,10 @@ mod tests {
                 .filter(|(_, e)| e.state == QueryState::Ready)
                 .map(|(&q, _)| q)
                 .collect();
-            assert_eq!(g.ready, scan, "READY index diverged from a full scan");
-            assert!(g.ready.iter().all(|q| g.entries[q].group.is_some()));
+            let index: BTreeSet<QueryId> = g.ready.keys().copied().collect();
+            assert_eq!(index, scan, "READY index diverged from a full scan");
+            assert_eq!(g.held_queries(), scan.len());
+            assert!(g.ready.keys().all(|q| g.entries[q].group.is_some()));
             assert!(g.group_dag_is_acyclic());
             for (id, job) in &g.jobs {
                 assert!(
@@ -991,7 +1025,25 @@ mod tests {
             assert!(g.job_order.len() <= g.cfg.max_align_jobs);
         }
 
+        /// The copy a test hands in for `q`: its declared query with a
+        /// footprint no declaration has, so a promotion that returned the
+        /// declared copy instead would be caught.
+        fn available_copy(declared: &[Job], q: QueryId) -> Query {
+            let decl = declared
+                .iter()
+                .flat_map(|j| &j.queries)
+                .find(|d| d.id == q)
+                .expect("declared query");
+            Query {
+                footprint: Footprint::from_pairs([(MortonKey(1_000 + q), 1u32)]),
+                ..decl.clone()
+            }
+        }
+
         proptest! {
+            /// Besides `check` after every step: every query made available
+            /// comes back through a promotion exactly once, equal to the copy
+            /// handed in, and until then the graph holds it.
             #[test]
             fn ready_index_and_local_cycle_check_match_full_scans(
                 // (ordered unless 0, [(timestep, region)]) per job: few
@@ -1009,6 +1061,9 @@ mod tests {
                 });
                 let mut declared: Vec<Job> = Vec::new();
                 let mut now = 0.0;
+                let mut handed: BTreeMap<QueryId, Query> = BTreeMap::new();
+                let mut returned: BTreeSet<QueryId> = BTreeSet::new();
+                let mut promoted: Vec<Query> = Vec::new();
                 for op in ops.into_iter().map(Op::decode) {
                     let state = |q: &Query| g.state(q.id);
                     let waiting: Vec<QueryId> = declared
@@ -1044,7 +1099,10 @@ mod tests {
                                 .map(|q| q.id)
                                 .collect();
                             if !candidates.is_empty() {
-                                avail(&mut g, candidates[i % candidates.len()], now);
+                                let copy =
+                                    available_copy(&declared, candidates[i % candidates.len()]);
+                                handed.insert(copy.id, copy.clone());
+                                g.query_available(copy, now, &mut promoted);
                             }
                         }
                         Op::Done(i) => {
@@ -1055,21 +1113,39 @@ mod tests {
                                 .map(|q| q.id)
                                 .collect();
                             if !queued.is_empty() {
-                                complete(&mut g, queued[i % queued.len()]);
+                                g.query_done(queued[i % queued.len()], &mut promoted);
                             }
                         }
                         Op::Withdraw(i) => {
                             if !waiting.is_empty() {
-                                complete(&mut g, waiting[i % waiting.len()]);
+                                g.query_done(waiting[i % waiting.len()], &mut promoted);
                             }
                         }
                         Op::Release(dt) => {
                             now += dt as f64;
-                            stale(&mut g, now);
+                            g.release_stale(now, &mut promoted);
                         }
                     }
                     check(&g);
+                    for p in promoted.drain(..) {
+                        prop_assert!(returned.insert(p.id), "query {} came back twice", p.id);
+                        prop_assert_eq!(format!("{p:?}"), format!("{:?}", handed[&p.id]));
+                    }
+                    for q in handed.keys() {
+                        prop_assert!(
+                            returned.contains(q) != g.ready.contains_key(q),
+                            "query {} is neither held nor handed back once", q
+                        );
+                    }
                 }
+                // Past every gate timeout, the graph hands back all it holds.
+                g.release_stale(now + 1e9, &mut promoted);
+                for p in promoted.drain(..) {
+                    prop_assert!(returned.insert(p.id), "query {} came back twice", p.id);
+                    prop_assert_eq!(format!("{p:?}"), format!("{:?}", handed[&p.id]));
+                }
+                prop_assert_eq!(g.held_queries(), 0);
+                prop_assert!(returned.iter().eq(handed.keys()));
             }
         }
     }

@@ -109,8 +109,6 @@ pub struct Jaws {
     wm: WorkloadManager,
     gating: GatingGraph,
     alpha_ctl: AlphaController,
-    /// Queries available but held by gating, by id, awaiting release.
-    held: FastMap<QueryId, Query>,
     run_boundary: bool,
     stats: SchedulerStats,
     sink: ObsSink,
@@ -122,7 +120,7 @@ pub struct Jaws {
     selected_scratch: Vec<AtomId>,
     /// Gating scratch: the queries one gating-graph call promoted, reused
     /// across calls (emptied by [`Jaws::release`]).
-    fired_scratch: Vec<QueryId>,
+    fired_scratch: Vec<Query>,
 }
 
 impl Jaws {
@@ -133,7 +131,6 @@ impl Jaws {
             wm: WorkloadManager::new(cfg.params),
             gating: GatingGraph::new(cfg.gating),
             alpha_ctl: AlphaController::new(ALPHA0, cfg.run_len),
-            held: FastMap::default(),
             run_boundary: false,
             stats: SchedulerStats::default(),
             sink: ObsSink::null(),
@@ -159,13 +156,11 @@ impl Jaws {
         self.wm.enqueue(preprocess(query, now_ms));
     }
 
-    /// Enqueues the held queries a gating-graph call promoted, then keeps
-    /// the emptied buffer as the scratch for the next call.
-    fn release(&mut self, mut fired: Vec<QueryId>, now_ms: f64) {
-        for qid in fired.drain(..) {
-            if let Some(q) = self.held.remove(&qid) {
-                self.enqueue_query(&q, now_ms);
-            }
+    /// Enqueues the queries a gating-graph call promoted, then keeps the
+    /// emptied buffer as the scratch for the next call.
+    fn release(&mut self, mut fired: Vec<Query>, now_ms: f64) {
+        for q in fired.drain(..) {
+            self.enqueue_query(&q, now_ms);
         }
         self.fired_scratch = fired;
     }
@@ -254,11 +249,11 @@ impl Scheduler for Jaws {
         // The first arrival anchors the first α run's throughput window.
         self.alpha_ctl.note_arrival(now_ms);
         if self.cfg.job_aware {
-            self.held.insert(query.id, query.clone());
             let mut fired = std::mem::take(&mut self.fired_scratch);
-            self.gating.query_available(query.id, now_ms, &mut fired);
+            self.gating
+                .query_available(query.clone(), now_ms, &mut fired);
             if self.sink.enabled() {
-                if !fired.contains(&query.id) {
+                if !fired.iter().any(|q| q.id == query.id) {
                     self.sink.emit(
                         now_ms,
                         Event::GateDecision {
@@ -267,11 +262,11 @@ impl Scheduler for Jaws {
                         },
                     );
                 }
-                for &qid in &fired {
+                for q in &fired {
                     self.sink.emit(
                         now_ms,
                         Event::GateDecision {
-                            query: qid,
+                            query: q.id,
                             action: GateAction::Released,
                         },
                     );
@@ -292,11 +287,11 @@ impl Scheduler for Jaws {
             if !released.is_empty() {
                 self.stats.forced_releases += released.len() as u64;
                 if self.sink.enabled() {
-                    for &qid in &released {
+                    for q in &released {
                         self.sink.emit(
                             now_ms,
                             Event::GateDecision {
-                                query: qid,
+                                query: q.id,
                                 action: GateAction::ForceReleased,
                             },
                         );
@@ -387,8 +382,8 @@ impl Scheduler for Jaws {
         // Dynamic placement diverted the id's atoms to a replica on another
         // node: its job-mates must not keep waiting for it at a gate.
         // `query_done` removes the id from the gating graph and fires any
-        // alignment it was the last holdout of; `held` needs no touch — a
-        // withdrawn id was declared but never became available here.
+        // alignment it was the last holdout of. A withdrawn id was declared
+        // but never became available here, so the graph holds no copy of it.
         if self.cfg.job_aware {
             let mut fired = std::mem::take(&mut self.fired_scratch);
             self.gating.query_done(query, &mut fired);
@@ -398,11 +393,11 @@ impl Scheduler for Jaws {
 
     fn retire_pending(&mut self, _now_ms: f64) {
         self.wm.clear();
-        self.held.clear();
+        self.gating.retire_held();
     }
 
     fn has_pending(&self) -> bool {
-        !self.wm.is_empty() || !self.held.is_empty()
+        !self.wm.is_empty() || self.gating.held_queries() > 0
     }
 
     fn take_run_boundary(&mut self) -> bool {
@@ -578,6 +573,29 @@ mod tests {
         let b = s.next_batch(5_000.0, &none).expect("force-released");
         assert_eq!(b.positions(), 50);
         assert!(s.stats().forced_releases >= 1);
+    }
+
+    #[test]
+    fn retiring_drops_the_queries_held_at_a_gate() {
+        let mut s = Jaws::new(JawsConfig::jaws2(params()));
+        let mk_job = |jid: u64, base: u64| Job {
+            id: jid,
+            user: jid as u32,
+            kind: JobKind::Ordered,
+            campaign: jid,
+            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])],
+            arrival_ms: 0.0,
+            think_ms: 0.0,
+        };
+        s.job_declared(&mk_job(1, 100), 0.0);
+        s.job_declared(&mk_job(2, 200), 0.0);
+        s.query_available(&mk_job(1, 100).queries[0], 0.0);
+        assert_eq!(s.gating().held_queries(), 1, "held by the gate");
+        assert!(s.has_pending());
+        s.retire_pending(1.0);
+        assert!(!s.has_pending(), "a retired gate holds nothing");
+        assert_eq!(s.gating().held_queries(), 0);
+        assert!(s.next_batch(1e9, &FixedResidency::none()).is_none());
     }
 
     #[test]

@@ -282,7 +282,6 @@ impl ClusterExecutor {
             &self.cfg.failures,
             &self.sink,
         );
-        self.response_log.extend(outcome.response_log);
 
         let total_disk = self
             .pipelines
@@ -333,7 +332,7 @@ impl ClusterExecutor {
         let aggregate = report::assemble(
             format!("{}x{}", self.cfg.nodes, first_node.scheduler().name()),
             first_node.db().cache_policy_name().to_string(),
-            outcome.totals,
+            &outcome.totals,
             total_cache,
             total_disk,
             total_sched,
@@ -358,7 +357,7 @@ impl ClusterExecutor {
                     utilization: finite_or_zero(p.busy_ms() / makespan_ms),
                     busy_ms: p.busy_ms(),
                     alpha_final: p.scheduler().alpha(),
-                    failed: status.failed,
+                    failed: !outcome.alive[i],
                     redispatched_parts: status.redispatched_parts,
                     slowdown: status.slowdown,
                 }
@@ -368,10 +367,10 @@ impl ClusterExecutor {
             plan_seed: self.cfg.failures.seed(),
             first_failure_ms: outcome.first_failure_ms,
             failed_nodes: outcome
-                .node_status
+                .alive
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| s.failed)
+                .filter(|(_, &a)| !a)
                 .map(|(i, _)| i as u32)
                 .collect(),
             redispatched_parts: outcome
@@ -390,6 +389,7 @@ impl ClusterExecutor {
                 .map(|(i, s)| (i as u32, s.slowdown))
                 .collect(),
         });
+        self.response_log.extend(outcome.totals.response_log);
         ClusterReport {
             aggregate,
             nodes,

@@ -26,9 +26,18 @@
 //! is followed by one round over the live pipelines in ascending node order,
 //! so event ids, reports and JSONL traces are a function of the seeded
 //! inputs only. Every engine-side map that is iterated is a `BTreeMap` or
-//! `BTreeSet`, so iteration order follows the keys; the per-query table and
-//! the failure plan's part definitions are only looked up by id, so they are
-//! [`FastMap`]s (lint rule D001 would flag any iteration over them).
+//! `BTreeSet`, so iteration order follows the keys; the per-query table is
+//! only looked up by id, so it is a [`FastMap`] (lint rule D001 would flag
+//! any iteration over it).
+//!
+//! ## Outstanding-part ledger
+//!
+//! Under a failure plan or the replica overlay, each node keeps one ledger:
+//! every part delivered to it and not yet completed, by part id, with its
+//! definition (footprint included). It is the one record of what a node
+//! holds. Replica routing reads a node's load as the length of its ledger,
+//! and a crash re-dispatches the dead node's ledger to the survivor and
+//! moves the entries with it. A plain replay keeps no ledger.
 //!
 //! ## Failure semantics
 //!
@@ -105,6 +114,10 @@ const REMNANT_JOB_BITS: u32 = 48;
 /// tag crash ordinals into bits 48.. and crash counts are bounded by the node
 /// count (far below 2¹⁵), so the namespaces never collide.
 const REPLICA_DECL_BIT: u64 = 1 << 63;
+
+/// Re-poll interval of a node that is idle but holds gated work, so the
+/// starvation valve can fire even when no other event is due.
+const IDLE_RECHECK_MS: f64 = 500.0;
 
 /// How submitted queries reach the node pipelines: the §V-C partition of the
 /// atom grid into contiguous Morton slabs of `slab_size` atoms, one per
@@ -374,8 +387,6 @@ impl EventQueue {
 /// Per-node failure outcome of one run, consumed by the cluster report.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeStatus {
-    /// True once a scripted crash killed the node.
-    pub failed: bool,
     /// Parts re-dispatched *off* this node when it crashed (in-flight plus
     /// queued at crash time).
     pub redispatched_parts: u64,
@@ -387,62 +398,42 @@ pub(crate) struct NodeStatus {
 impl Default for NodeStatus {
     fn default() -> Self {
         NodeStatus {
-            failed: false,
             redispatched_parts: 0,
             slowdown: 1.0,
         }
     }
 }
 
-/// Everything a run produced that the report layer needs, plus the per-query
-/// completion log in completion order.
+/// Everything a run produced that the report layer needs.
 pub(crate) struct EngineOutcome {
-    /// Totals feeding [`crate::report`] assembly.
+    /// Totals feeding [`crate::report`] assembly, the completion log
+    /// included.
     pub totals: RunTotals,
-    /// `(trace query id, response ms)` in completion order.
-    pub response_log: Vec<(QueryId, f64)>,
     /// Per-node failure outcomes (all-default when the plan was empty).
     pub node_status: Vec<NodeStatus>,
+    /// Per node: false once a scripted crash killed it.
+    pub alive: Vec<bool>,
     /// Time of the first scripted failure that actually fired, if any.
     pub first_failure_ms: Option<f64>,
     /// Replica-overlay summary; `None` unless replication was enabled.
     pub replication: Option<ReplicationSummary>,
 }
 
-/// Bookkeeping that exists only while a non-empty [`FailurePlan`] is in
-/// force; a plain replay allocates none of it and takes the exact pre-failure
-/// code paths.
-struct FailureState {
-    /// Per node: part ids submitted to it and not yet completed (in-flight
-    /// batch parts included — their `BatchDone` hasn't fired yet).
-    pending: Vec<BTreeSet<QueryId>>,
-    /// Every outstanding part as submitted (footprint included), so a crash
-    /// can re-enqueue it verbatim through the survivor.
-    defs: FastMap<QueryId, Query>,
-    /// Per trace job: whether its arrival event has fired.
-    arrived: Vec<bool>,
-    /// Crashes handled so far (1-based ordinal tags remnant job ids).
-    crashes: u64,
-}
-
 /// Bookkeeping that exists only under an enabled replica overlay;
-/// static-slab replays allocate none of it and take the exact
-/// pre-replication code paths.
+/// static-slab replays allocate none of it.
 struct ReplicationState {
     /// Histogram, replica table and transition counters.
     dir: ReplicaDirectory,
-    /// Per node: parts submitted and not yet completed — the integer load
-    /// signal that replica placement and routing minimize over.
-    node_load: Vec<u64>,
     /// Monotone ordinal for just-in-time declaration job ids.
     decls: u64,
 }
 
 /// Reusable per-submit scratch for the engine's fan-out path. One query's
 /// footprint is scattered into per-node lanes, built into part queries, and
-/// the lane buffers are recovered after delivery — so a warmed-up submit
-/// allocates nothing on the static-slab route and only the per-part `Query`
-/// clones demanded by declarations under the replica overlay.
+/// the lane buffers are recovered after delivery — so a warmed-up submit of
+/// a plain replay allocates nothing, and one under a failure plan or the
+/// replica overlay only the ledger's per-part `Query` clones (plus those
+/// demanded by just-in-time declarations).
 struct EngineScratch {
     /// Per-node `(morton, count)` buckets for the footprint scatter.
     lanes: Lanes<(MortonKey, u32)>,
@@ -452,9 +443,9 @@ struct EngineScratch {
     /// Replica overlay: promote/demote/route transitions of the current
     /// query. Cleared per submit.
     actions: Vec<ReplicaAction>,
-    /// Replica overlay: built parts awaiting delivery — the trace event
-    /// order requires every just-in-time declaration to precede the first
-    /// delivery, so parts are staged here between the two passes.
+    /// Built parts awaiting delivery — the trace event order requires every
+    /// just-in-time declaration to precede the first delivery, so parts are
+    /// staged here between the two passes.
     parts: Vec<(u32, Query)>,
 }
 
@@ -502,7 +493,6 @@ struct QueryState {
 /// one method per [`Event`] kind.
 pub(crate) struct Engine<'a> {
     pipelines: &'a mut [NodePipeline],
-    cfg: &'a SimConfig,
     trace: &'a Trace,
     failures: &'a FailurePlan,
     /// Receives the engine-level lifecycle events (job arrival, query
@@ -517,7 +507,6 @@ pub(crate) struct Engine<'a> {
     /// submitted and how many of its parts are still out. Only looked up.
     per_query: FastMap<QueryId, QueryState>,
     totals: RunTotals,
-    response_log: Vec<(QueryId, f64)>,
     remaining_per_job: Vec<usize>,
     now_ms: f64,
     queue: EventQueue,
@@ -528,7 +517,14 @@ pub(crate) struct Engine<'a> {
     /// minus withdrawn ids. Empty unless a failure plan or the replica
     /// overlay needs the membership answers.
     declared: Vec<BTreeSet<QueryId>>,
-    fstate: Option<FailureState>,
+    /// Per node: the outstanding-part ledger (module docs) — every part
+    /// delivered to it and not yet completed, in-flight batch parts
+    /// included, by part id with its definition. Empty under the same
+    /// condition as `declared`.
+    ledger: Vec<BTreeMap<QueryId, Query>>,
+    /// Per trace job: whether its arrival event has fired. Empty unless a
+    /// failure plan is in force.
+    arrived: Vec<bool>,
     rstate: Option<ReplicationState>,
     scratch: EngineScratch,
 }
@@ -583,8 +579,8 @@ impl<'a> Engine<'a> {
         }
         let first_arrival = trace.jobs.first().map_or(0.0, |j| j.arrival_ms);
         let replication = routing.replication;
+        let ledgered = !failures.is_empty() || replication.enabled;
         let mut e = Engine {
-            cfg,
             trace,
             failures,
             sink,
@@ -592,13 +588,12 @@ impl<'a> Engine<'a> {
             live: LiveRouting::new(routing),
             per_query,
             totals: RunTotals {
-                responses: Vec::with_capacity(trace.query_count()),
+                response_log: Vec::with_capacity(trace.query_count()),
                 jobs_completed: 0,
                 first_arrival,
                 last_completion: first_arrival,
                 truncated: false,
             },
-            response_log: Vec::new(),
             remaining_per_job: trace.jobs.iter().map(|j| j.queries.len()).collect(),
             now_ms: 0.0,
             queue: EventQueue::default(),
@@ -607,20 +602,23 @@ impl<'a> Engine<'a> {
             // Failure and replication bookkeeping is allocated only when in
             // force, so a plain replay pays nothing (event ids included: an
             // empty plan pushes no events).
-            declared: if failures.is_empty() && !replication.enabled {
+            declared: if ledgered {
+                vec![BTreeSet::new(); nodes]
+            } else {
+                Vec::new()
+            },
+            ledger: if ledgered {
+                vec![BTreeMap::new(); nodes]
+            } else {
+                Vec::new()
+            },
+            arrived: if failures.is_empty() {
                 Vec::new()
             } else {
-                vec![BTreeSet::new(); nodes]
+                vec![false; trace.jobs.len()]
             },
-            fstate: (!failures.is_empty()).then(|| FailureState {
-                pending: vec![BTreeSet::new(); nodes],
-                defs: FastMap::default(),
-                arrived: vec![false; trace.jobs.len()],
-                crashes: 0,
-            }),
             rstate: replication.enabled.then(|| ReplicationState {
                 dir: ReplicaDirectory::new(replication),
-                node_load: vec![0; nodes],
                 decls: 0,
             }),
             // Reusable fan-out scratch: allocated once per run, cleared per
@@ -677,8 +675,8 @@ impl<'a> Engine<'a> {
     fn job_arrival(&mut self, ji: usize) {
         let (trace, now_ms) = (self.trace, self.now_ms);
         let job = &trace.jobs[ji];
-        if let Some(fs) = &mut self.fstate {
-            fs.arrived[ji] = true;
+        if let Some(arrived) = self.arrived.get_mut(ji) {
+            *arrived = true;
         }
         if self.sink.enabled() {
             self.sink.emit(
@@ -725,9 +723,7 @@ impl<'a> Engine<'a> {
 
     /// Submits query (ji, qi): records the submission time and fans the query
     /// out to its owning pipelines; `observe` feeds ordered follow-ups to the
-    /// trajectory predictors. The static fan-out scatters into the reusable
-    /// scratch lanes and recovers each part's footprint buffer after
-    /// delivery, so a warmed-up submit performs no allocation.
+    /// trajectory predictors.
     fn submit(&mut self, ji: usize, qi: usize, observe: bool) {
         let (trace, now_ms) = (self.trace, self.now_ms);
         let job = &trace.jobs[ji];
@@ -746,35 +742,7 @@ impl<'a> Engine<'a> {
         }
         // No part completes inside this call, so the barrier can be armed
         // after the fan-out.
-        let parts = if self.rstate.is_some() {
-            self.replicated_fan_out(q, job, observe)
-        } else {
-            for &(m, c) in &q.footprint.atoms {
-                self.scratch
-                    .lanes
-                    .push(self.live.node_of(m) as usize, (m, c));
-            }
-            let mut parts = 0;
-            for node in 0..self.scratch.lanes.len() {
-                if self.scratch.lanes.lane_len(node) == 0 {
-                    continue;
-                }
-                parts += 1;
-                let atoms = self.scratch.lanes.take_lane(node);
-                let mut part = Query {
-                    id: part_id(q.id, node as u32),
-                    user: q.user,
-                    op: q.op,
-                    timestep: q.timestep,
-                    footprint: Footprint::from_pairs_in_place(atoms),
-                };
-                self.deliver_part(node as u32, &part, q.id, observe, job.id);
-                self.scratch
-                    .lanes
-                    .restore(node, std::mem::take(&mut part.footprint.atoms));
-            }
-            parts
-        };
+        let parts = self.fan_out(q, job, observe);
         // lint: invariant — `run` registered every trace query
         let state = self.per_query.get_mut(&q.id).expect("trace query");
         assert!(state.submit_ms.is_none(), "query {} submitted twice", q.id);
@@ -783,7 +751,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Hands one part query to its owning pipeline: emits the routing record,
-    /// registers failure-plan and replica-load bookkeeping, feeds the
+    /// enters the part in the node's ledger (when one is kept), feeds the
     /// trajectory predictor (for ordered follow-ups) and makes the part
     /// available to the node's scheduler.
     fn deliver_part(&mut self, node: u32, part: &Query, query: QueryId, observe: bool, job: u64) {
@@ -798,12 +766,8 @@ impl<'a> Engine<'a> {
                 },
             );
         }
-        if let Some(fs) = &mut self.fstate {
-            fs.pending[node as usize].insert(part.id);
-            fs.defs.insert(part.id, part.clone());
-        }
-        if let Some(rs) = &mut self.rstate {
-            rs.node_load[node as usize] += 1;
+        if let Some(ledger) = self.ledger.get_mut(node as usize) {
+            ledger.insert(part.id, part.clone());
         }
         let p = &mut self.pipelines[node as usize];
         if observe {
@@ -812,12 +776,14 @@ impl<'a> Engine<'a> {
         p.query_available(part, self.now_ms);
     }
 
-    /// Computes the per-node parts of `q` under the replica overlay: records
-    /// each footprint atom in the access histogram, applies the
-    /// promotion/demotion transitions the refreshed windows trigger, routes
-    /// every atom to the least-loaded live candidate (slab owner or replica),
-    /// and regroups the atoms into per-target parts. Two
-    /// declaration-consistency duties ride along, in deterministic order:
+    /// Splits `q` into per-node parts and delivers them in ascending node
+    /// order; returns the number of parts delivered. Each footprint atom goes
+    /// to the live owner of its slab. Under the replica overlay the atom is
+    /// first recorded in the access histogram, the promotion/demotion
+    /// transitions the refreshed window triggers are applied, and the atom
+    /// goes to the least-loaded live candidate (slab owner or replica)
+    /// instead. Two declaration-consistency duties ride along under the
+    /// overlay, in deterministic order:
     ///
     /// * **withdrawals** — a statically-owning node whose every atom diverted
     ///   away holds a declared part id that will never arrive; job-aware
@@ -830,26 +796,33 @@ impl<'a> Engine<'a> {
     ///   declares it first. Single-query jobs never form gating alignments,
     ///   so the declaration cannot distort schedule quality.
     ///
-    /// Returns the number of parts delivered.
-    fn replicated_fan_out(&mut self, q: &Query, job: &Job, observe: bool) -> u32 {
+    /// The scatter reuses the scratch lanes, and each part's footprint buffer
+    /// goes back to its lane after delivery.
+    fn fan_out(&mut self, q: &Query, job: &Job, observe: bool) -> u32 {
         let now_ms = self.now_ms;
-        // lint: invariant — submit routes here only while the overlay is on
-        let rs = self.rstate.as_mut().expect("replica overlay state");
         self.scratch.actions.clear();
-        self.scratch.owner_flag.iter_mut().for_each(|f| *f = false);
+        self.scratch.owner_flag.fill(false);
         for &(m, c) in &q.footprint.atoms {
             let owner = self.live.node_of(m);
             self.scratch.owner_flag[owner as usize] = true;
-            let target = rs.dir.route_atom(
-                m,
-                owner,
-                now_ms,
-                &self.live.alive,
-                &rs.node_load,
-                &mut self.scratch.actions,
-            );
+            let target = match &mut self.rstate {
+                None => owner,
+                Some(rs) => {
+                    let ledger = &self.ledger;
+                    rs.dir.route_atom(
+                        m,
+                        owner,
+                        now_ms,
+                        &self.live.alive,
+                        |n| ledger[n as usize].len() as u64,
+                        &mut self.scratch.actions,
+                    )
+                }
+            };
             self.scratch.lanes.push(target as usize, (m, c));
         }
+        // Replica transitions and diversions, in decision order (none
+        // without the overlay).
         if self.sink.enabled() {
             for a in &self.scratch.actions {
                 let ev = match *a {
@@ -881,15 +854,17 @@ impl<'a> Engine<'a> {
                 self.sink.emit(now_ms, ev);
             }
         }
-        // Withdrawals before deliveries, so gating state is settled when the
-        // diverted parts arrive.
-        for (node, pipeline) in self.pipelines.iter_mut().enumerate() {
-            if !self.scratch.owner_flag[node] || self.scratch.lanes.lane_len(node) > 0 {
-                continue;
-            }
-            let pid = part_id(q.id, node as u32);
-            if self.declared[node].remove(&pid) {
-                pipeline.query_withdrawn(pid, now_ms);
+        if self.rstate.is_some() {
+            // Withdrawals before deliveries, so gating state is settled when
+            // the diverted parts arrive.
+            for (node, pipeline) in self.pipelines.iter_mut().enumerate() {
+                if !self.scratch.owner_flag[node] || self.scratch.lanes.lane_len(node) > 0 {
+                    continue;
+                }
+                let pid = part_id(q.id, node as u32);
+                if self.declared[node].remove(&pid) {
+                    pipeline.query_withdrawn(pid, now_ms);
+                }
             }
         }
         // Build the parts and run every just-in-time declaration first
@@ -908,18 +883,20 @@ impl<'a> Engine<'a> {
                 timestep: q.timestep,
                 footprint: Footprint::from_pairs_in_place(atoms),
             };
-            if self.declared[node].insert(part.id) {
-                rs.decls += 1;
-                let decl = Job {
-                    id: REPLICA_DECL_BIT | rs.decls,
-                    user: job.user,
-                    kind: job.kind,
-                    campaign: job.campaign,
-                    queries: vec![part.clone()],
-                    arrival_ms: job.arrival_ms,
-                    think_ms: job.think_ms,
-                };
-                pipeline.job_declared(&decl, now_ms);
+            if let Some(rs) = &mut self.rstate {
+                if self.declared[node].insert(part.id) {
+                    rs.decls += 1;
+                    let decl = Job {
+                        id: REPLICA_DECL_BIT | rs.decls,
+                        user: job.user,
+                        kind: job.kind,
+                        campaign: job.campaign,
+                        queries: vec![part.clone()],
+                        arrival_ms: job.arrival_ms,
+                        think_ms: job.think_ms,
+                    };
+                    pipeline.job_declared(&decl, now_ms);
+                }
             }
             self.scratch.parts.push((node as u32, part));
         }
@@ -964,12 +941,8 @@ impl<'a> Engine<'a> {
             let (left, ji, qi) = (state.outstanding, state.job, state.index);
             let rt = now_ms - submitted;
             self.pipelines[n].complete_part(pid, rt, now_ms);
-            if let Some(fs) = &mut self.fstate {
-                fs.pending[n].remove(&pid);
-                fs.defs.remove(&pid);
-            }
-            if let Some(rs) = &mut self.rstate {
-                rs.node_load[n] = rs.node_load[n].saturating_sub(1);
+            if let Some(ledger) = self.ledger.get_mut(n) {
+                ledger.remove(&pid);
             }
             if left > 0 {
                 continue;
@@ -991,8 +964,7 @@ impl<'a> Engine<'a> {
                     },
                 );
             }
-            self.totals.responses.push(rt);
-            self.response_log.push((qid, rt));
+            self.totals.response_log.push((qid, rt));
             self.totals.last_completion = now_ms;
             let job = &trace.jobs[ji];
             self.remaining_per_job[ji] -= 1;
@@ -1033,19 +1005,17 @@ impl<'a> Engine<'a> {
     /// Handles one scripted crash: kills the node in the routing overlay,
     /// then re-dispatches everything it held through the survivor — first
     /// declaring *remnant job* projections so the survivor's job-aware gating
-    /// knows the incoming ids, then re-enqueueing the pending parts in
+    /// knows the incoming ids, then re-enqueueing the dead node's ledger in
     /// ascending part-id order. Future queries of already-arrived jobs whose
     /// atoms now route to the survivor under a part id it was never told
     /// about are declared too, so their later submission finds a known id.
     fn crash_node(&mut self, node: u32, designated: Option<u32>) {
         let (trace, now_ms, sink) = (self.trace, self.now_ms, self.sink);
-        // lint: invariant — a crash event exists only in a non-empty plan,
-        // and fstate is Some whenever the plan is non-empty
-        let fs = self.fstate.as_mut().expect("failure state exists");
         let surv = self.live.crash(node, designated);
-        fs.crashes += 1;
-        let moved = std::mem::take(&mut fs.pending[node as usize]);
-        self.node_status[node as usize].failed = true;
+        // Nodes never crash twice, so the dead count is the 1-based crash
+        // ordinal that tags remnant job ids.
+        let crashes = self.live.alive.iter().filter(|&&a| !a).count() as u64;
+        let moved = std::mem::take(&mut self.ledger[node as usize]);
         self.node_status[node as usize].redispatched_parts = moved.len() as u64;
         if sink.enabled() {
             sink.emit(
@@ -1058,10 +1028,9 @@ impl<'a> Engine<'a> {
             );
         }
         if let Some(rs) = &mut self.rstate {
-            // The dead node's replicas leave the routing table (its slab
+            // The dead node's replicas leave the routing table; its slab
             // itself re-chains through `LiveRouting` exactly as without
-            // replication), and the load it carried moves to the survivor
-            // along with the parts.
+            // replication.
             for m in rs.dir.drop_node(node) {
                 if sink.enabled() {
                     sink.emit(
@@ -1074,9 +1043,6 @@ impl<'a> Engine<'a> {
                     );
                 }
             }
-            let moved_load = std::mem::take(&mut rs.node_load[node as usize]);
-            debug_assert_eq!(moved_load, moved.len() as u64, "load tracks pending");
-            rs.node_load[surv as usize] += moved_load;
         }
 
         // Remnant declarations, grouped per trace job in ascending job index;
@@ -1084,18 +1050,15 @@ impl<'a> Engine<'a> {
         // query — several re-dispatched parts of one query — break by part
         // id).
         let mut remnants: BTreeMap<usize, Vec<(usize, QueryId, Query)>> = BTreeMap::new();
-        for &pid in &moved {
+        for (&pid, def) in &moved {
             let QueryState {
                 job: ji, index: qi, ..
             } = self.per_query[&orig_id(pid)];
-            // lint: invariant — every pending part stored its definition at
-            // submission time
-            let def = fs.defs.get(&pid).expect("pending part has a definition");
             remnants.entry(ji).or_default().push((qi, pid, def.clone()));
         }
         let declared = &mut self.declared[surv as usize];
         for (ji, job) in trace.jobs.iter().enumerate() {
-            if !fs.arrived[ji] {
+            if !self.arrived[ji] {
                 // Unarrived jobs project through the post-crash routing at
                 // their arrival; nothing to declare early.
                 continue;
@@ -1142,7 +1105,7 @@ impl<'a> Engine<'a> {
             let remnant = Job {
                 // Tagged with the crash ordinal: distinct from the trace id
                 // and from remnants of earlier crashes.
-                id: (fs.crashes << REMNANT_JOB_BITS) | job.id,
+                id: (crashes << REMNANT_JOB_BITS) | job.id,
                 user: job.user,
                 kind: job.kind,
                 campaign: job.campaign,
@@ -1154,13 +1117,11 @@ impl<'a> Engine<'a> {
             survivor.job_declared(&remnant, now_ms);
         }
 
-        // Re-enqueue the dead node's pending parts through the survivor's
-        // scheduler: recovered work re-enters the utility ranking, it does
-        // not jump the queue.
-        for &pid in &moved {
-            // lint: invariant — every pending part stored its definition at
-            // submission time
-            let def = fs.defs.get(&pid).expect("pending part has a definition");
+        // Re-enqueue the dead node's ledger through the survivor's scheduler:
+        // recovered work re-enters the utility ranking, it does not jump the
+        // queue. The entries move to the survivor's ledger with the work.
+        let ledger = &mut self.ledger[surv as usize];
+        for (pid, def) in moved {
             if sink.enabled() {
                 sink.emit(
                     now_ms,
@@ -1171,8 +1132,8 @@ impl<'a> Engine<'a> {
                     },
                 );
             }
-            fs.pending[surv as usize].insert(pid);
-            survivor.query_available(def, now_ms);
+            survivor.query_available(&def, now_ms);
+            ledger.insert(pid, def);
         }
     }
 
@@ -1202,7 +1163,7 @@ impl<'a> Engine<'a> {
             );
         }
         assert_eq!(
-            self.response_log.len(),
+            self.totals.response_log.len(),
             self.trace.query_count(),
             "the response log must hold one entry per trace query"
         );
@@ -1235,7 +1196,7 @@ impl<'a> Engine<'a> {
                 // Gated work exists: poll again soon so the starvation valve
                 // can fire even with no other events.
                 self.queue
-                    .push(now_ms + self.cfg.idle_recheck_ms, Event::IdleCheck(node));
+                    .push(now_ms + IDLE_RECHECK_MS, Event::IdleCheck(node));
             }
         }
     }
@@ -1263,7 +1224,7 @@ impl<'a> Engine<'a> {
                 now_ms,
                 jaws_obs::Event::Counter {
                     name: "engine.queries_completed".to_string(),
-                    value: self.totals.responses.len() as u64,
+                    value: self.totals.response_log.len() as u64,
                 },
             );
             self.sink.emit(
@@ -1276,8 +1237,8 @@ impl<'a> Engine<'a> {
         }
         EngineOutcome {
             totals: self.totals,
-            response_log: self.response_log,
             node_status: self.node_status,
+            alive: self.live.alive,
             first_failure_ms: self.first_failure_ms,
             replication: self.rstate.map(|rs| rs.dir.summary()),
         }

@@ -21,8 +21,6 @@ use serde::{Deserialize, Serialize};
 pub struct SimConfig {
     /// Simulated-time cap; runs report `truncated = true` when they hit it.
     pub max_sim_ms: f64,
-    /// Re-poll interval while the scheduler is idle but holds gated work.
-    pub idle_recheck_ms: f64,
     /// Enable trajectory-based prefetching (§VII): when the pipeline would
     /// otherwise idle, extrapolated next-step atoms of ordered jobs are read
     /// into the cache ahead of demand.
@@ -33,7 +31,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             max_sim_ms: 1e10,
-            idle_recheck_ms: 500.0,
             prefetch: false,
         }
     }
@@ -128,16 +125,17 @@ impl Executor {
             &crate::FailurePlan::none(),
             &self.sink,
         );
-        self.response_log.extend(outcome.response_log);
-        report::assemble(
+        let report = report::assemble(
             self.pipeline.scheduler().name().to_string(),
             self.pipeline.db().cache_policy_name().to_string(),
-            outcome.totals,
+            &outcome.totals,
             self.pipeline.db().cache_stats(),
             self.pipeline.db().disk_stats(),
             self.pipeline.scheduler().stats(),
             self.pipeline.scheduler().alpha(),
-        )
+        );
+        self.response_log.extend(outcome.totals.response_log);
+        report
     }
 }
 

@@ -22,7 +22,7 @@
 //! server is a cluster of one — [`Executor`] replays as one node over a
 //! caller-built database and scheduler, [`ClusterExecutor`] builds N — with
 //! the same event loop, client model and [`SimConfig`] knobs (prefetching,
-//! `max_sim_ms` truncation, idle re-check). Dispatch within a replay is
+//! `max_sim_ms` truncation). Dispatch within a replay is
 //! serial. Per-node state lives in [`node::NodePipeline`].
 //!
 //! [`sweep`] runs many configurations in parallel threads for the saturation

@@ -215,7 +215,9 @@ impl ReplicaDirectory {
     /// transition the refreshed window triggers, and returns the node that
     /// should serve the access: the least-loaded live candidate among the
     /// owner and the key's replicas (ties prefer the owner, then the lowest
-    /// node index). Transitions and diversions are appended to `actions`.
+    /// node index). `load` answers a node's outstanding parts — the length
+    /// of its ledger in the engine. Transitions and diversions are appended
+    /// to `actions`.
     // lint: hotpath
     pub(crate) fn route_atom(
         &mut self,
@@ -223,7 +225,7 @@ impl ReplicaDirectory {
         owner: u32,
         now_ms: f64,
         alive: &[bool],
-        load: &[u64],
+        load: impl Fn(u32) -> u64,
         actions: &mut Vec<ReplicaAction>,
     ) -> u32 {
         let capacity = self.cfg.promote_accesses as usize;
@@ -251,7 +253,7 @@ impl ReplicaDirectory {
             let mut hosts: Vec<u32> = (0..alive.len() as u32)
                 .filter(|&n| n != owner && alive[n as usize])
                 .collect();
-            hosts.sort_by_key(|&n| (load[n as usize], n));
+            hosts.sort_by_key(|&n| (load(n), n));
             hosts.truncate(self.cfg.max_replicas_per_atom as usize);
             if !hosts.is_empty() {
                 for &n in &hosts {
@@ -269,7 +271,7 @@ impl ReplicaDirectory {
         let mut best = owner;
         if let Some(hosts) = self.replicas.get(&m) {
             for &n in hosts {
-                if alive[n as usize] && load[n as usize] < load[best as usize] {
+                if alive[n as usize] && load(n) < load(best) {
                     best = n;
                 }
             }
@@ -369,7 +371,14 @@ mod tests {
         let load = [0u64; 4];
         let mut acts = Vec::new();
         assert_eq!(
-            d.route_atom(MortonKey(7), 2, 0.0, &alive, &load, &mut acts),
+            d.route_atom(
+                MortonKey(7),
+                2,
+                0.0,
+                &alive,
+                |n| load[n as usize],
+                &mut acts
+            ),
             2
         );
         assert!(acts.is_empty(), "no transitions on a cold key: {acts:?}");
@@ -383,10 +392,24 @@ mod tests {
         let load = [9u64, 4, 0, 2]; // owner 0 busy; node 2 idlest
         let mut acts = Vec::new();
         for t in 0..2 {
-            d.route_atom(MortonKey(7), 0, t as f64, &alive, &load, &mut acts);
+            d.route_atom(
+                MortonKey(7),
+                0,
+                t as f64,
+                &alive,
+                |n| load[n as usize],
+                &mut acts,
+            );
         }
         assert!(acts.is_empty(), "below threshold: {acts:?}");
-        let target = d.route_atom(MortonKey(7), 0, 2.0, &alive, &load, &mut acts);
+        let target = d.route_atom(
+            MortonKey(7),
+            0,
+            2.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
         assert!(matches!(
             acts[0],
             ReplicaAction::Promoted {
@@ -412,8 +435,22 @@ mod tests {
         let alive = [true; 2];
         let load = [3u64, 3];
         let mut acts = Vec::new();
-        d.route_atom(MortonKey(1), 0, 0.0, &alive, &load, &mut acts);
-        let t = d.route_atom(MortonKey(1), 0, 1.0, &alive, &load, &mut acts);
+        d.route_atom(
+            MortonKey(1),
+            0,
+            0.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
+        let t = d.route_atom(
+            MortonKey(1),
+            0,
+            1.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
         assert_eq!(t, 0, "equal load must not divert");
     }
 
@@ -423,12 +460,33 @@ mod tests {
         let alive = [true; 2];
         let load = [5u64, 0];
         let mut acts = Vec::new();
-        d.route_atom(MortonKey(3), 0, 0.0, &alive, &load, &mut acts);
-        d.route_atom(MortonKey(3), 0, 10.0, &alive, &load, &mut acts); // promotes
+        d.route_atom(
+            MortonKey(3),
+            0,
+            0.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
+        d.route_atom(
+            MortonKey(3),
+            0,
+            10.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        ); // promotes
         assert_eq!(d.summary().replicas.len(), 1);
         acts.clear();
         // Next access far outside the window: count falls to 1 ≤ demote.
-        let t = d.route_atom(MortonKey(3), 0, 10_000.0, &alive, &load, &mut acts);
+        let t = d.route_atom(
+            MortonKey(3),
+            0,
+            10_000.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
         assert!(matches!(acts[0], ReplicaAction::Demoted { node: 1, .. }));
         assert_eq!(t, 0, "demoted key routes to its owner");
         assert!(d.summary().replicas.is_empty());
@@ -441,15 +499,36 @@ mod tests {
         let mut alive = [true; 3];
         let load = [5u64, 0, 1];
         let mut acts = Vec::new();
-        d.route_atom(MortonKey(3), 0, 0.0, &alive, &load, &mut acts);
-        d.route_atom(MortonKey(3), 0, 1.0, &alive, &load, &mut acts); // replica on 1
+        d.route_atom(
+            MortonKey(3),
+            0,
+            0.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
+        d.route_atom(
+            MortonKey(3),
+            0,
+            1.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        ); // replica on 1
         assert_eq!(d.drop_node(1), vec![MortonKey(3)]);
         assert!(d.summary().replicas.is_empty());
         assert_eq!(d.summary().crash_drops, 1);
         alive[1] = false;
         acts.clear();
         // Re-promotion after the crash must pick a live host.
-        d.route_atom(MortonKey(3), 0, 2.0, &alive, &load, &mut acts);
+        d.route_atom(
+            MortonKey(3),
+            0,
+            2.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
         assert!(
             matches!(acts[0], ReplicaAction::Promoted { node: 2, .. }),
             "{acts:?}"
@@ -465,8 +544,22 @@ mod tests {
         let alive = [true; 2];
         let load = [5u64, 0];
         let mut acts = Vec::new();
-        d.route_atom(MortonKey(1), 0, 0.0, &alive, &load, &mut acts);
-        d.route_atom(MortonKey(2), 0, 0.0, &alive, &load, &mut acts);
+        d.route_atom(
+            MortonKey(1),
+            0,
+            0.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
+        d.route_atom(
+            MortonKey(2),
+            0,
+            0.0,
+            &alive,
+            |n| load[n as usize],
+            &mut acts,
+        );
         assert_eq!(d.summary().replicas.len(), 1, "budget of one key");
     }
 
@@ -620,7 +713,14 @@ mod tests {
                 });
                 alive[3] = false;
             }
-            let a = ring.route_atom(key, owner, now_ms, &alive, &load, &mut ring_actions);
+            let a = ring.route_atom(
+                key,
+                owner,
+                now_ms,
+                &alive,
+                |n| load[n as usize],
+                &mut ring_actions,
+            );
             let b = oracle.route_atom(key, owner, now_ms, &alive, &load, &mut oracle_actions);
             assert_eq!(a, b, "routing diverged at step {step}");
         }

@@ -3,6 +3,7 @@
 use jaws_cache::CacheStats;
 use jaws_scheduler::SchedulerStats;
 use jaws_turbdb::DiskStats;
+use jaws_workload::QueryId;
 use serde::Serialize;
 
 /// Response-time percentiles in ms.
@@ -50,8 +51,8 @@ impl Percentiles {
 
 /// Raw per-run totals the engine hands to report assembly.
 pub(crate) struct RunTotals {
-    /// Per-query response times in completion order.
-    pub responses: Vec<f64>,
+    /// `(trace query id, response ms)` in completion order.
+    pub response_log: Vec<(QueryId, f64)>,
     /// Jobs whose every query completed.
     pub jobs_completed: u64,
     /// Arrival time of the first trace job, ms.
@@ -69,18 +70,19 @@ pub(crate) struct RunTotals {
 pub(crate) fn assemble(
     scheduler: String,
     cache_policy: String,
-    mut totals: RunTotals,
+    totals: &RunTotals,
     cache: CacheStats,
     disk: DiskStats,
     scheduler_stats: SchedulerStats,
     alpha_final: f64,
 ) -> RunReport {
-    let completed = totals.responses.len() as u64;
+    let mut responses: Vec<f64> = totals.response_log.iter().map(|&(_, rt)| rt).collect();
+    let completed = responses.len() as u64;
     let makespan_ms = (totals.last_completion - totals.first_arrival).max(1e-9);
-    let mean_response_ms = if totals.responses.is_empty() {
+    let mean_response_ms = if responses.is_empty() {
         0.0
     } else {
-        totals.responses.iter().sum::<f64>() / totals.responses.len() as f64
+        responses.iter().sum::<f64>() / responses.len() as f64
     };
     RunReport {
         scheduler,
@@ -90,7 +92,7 @@ pub(crate) fn assemble(
         makespan_ms,
         throughput_qps: completed as f64 / (makespan_ms / 1000.0),
         mean_response_ms,
-        response: Percentiles::from_samples(&mut totals.responses),
+        response: Percentiles::from_samples(&mut responses),
         cache,
         disk,
         scheduler_stats,

@@ -121,7 +121,6 @@ proptest! {
             sim: SimConfig {
                 max_sim_ms,
                 prefetch: prefetch == 1,
-                ..SimConfig::default()
             },
             failures: failure_plan(
                 failures,

@@ -18,7 +18,10 @@
 //! A small 4-node cluster is pinned in three variants — healthy static
 //! slabs, one seeded crash, and the crash under hot-atom replication — by
 //! the masked report plus the completion log, so fan-out, crash re-dispatch
-//! and replica routing are under a committed digest as well.
+//! and replica routing are under a committed digest as well. Replication
+//! without a crash is pinned the same way, and the crash-under-replication
+//! run's JSONL trace is pinned too, so the part routing, replica and re-dispatch
+//! event stream of a cluster cannot move silently either.
 
 #![forbid(unsafe_code)]
 
@@ -60,6 +63,12 @@ const GOLDEN_CLUSTER_CRASH: &str = "cc52a4aaf5e02410";
 
 /// The crash run under hot-atom replication.
 const GOLDEN_CLUSTER_CRASH_REPLICATED: &str = "dca32d5e991f0c67";
+
+/// The same cluster under hot-atom replication with no failure.
+const GOLDEN_CLUSTER_REPLICATED: &str = "20fdbf7d4996613c";
+
+/// FNV-1a of the JSONL trace the crash run under replication emits.
+const GOLDEN_JSONL_CLUSTER_CRASH_REPLICATED: &str = "6dcaa251cf0d8bfa";
 
 /// Admitted and refused gating edges, plus the queries the graph still
 /// tracks, copied out of the graph.
@@ -355,5 +364,43 @@ fn small_cluster_runs_match_their_golden_digests() {
     assert_eq!(
         digest, GOLDEN_CLUSTER_CRASH_REPLICATED,
         "replicated crash run moved"
+    );
+}
+
+#[test]
+fn small_cluster_replication_without_failure_matches_its_golden_digest() {
+    let (report, digest) =
+        cluster_digest(cluster_cfg(FailurePlan::none(), ReplicationConfig::on()));
+    assert!(report.degraded.is_none());
+    let rep = report.replication.as_ref().expect("replica summary");
+    assert!(
+        rep.promotions > 0 && rep.replica_routed > 0,
+        "no replica was promoted or routed to"
+    );
+    assert_eq!(digest, GOLDEN_CLUSTER_REPLICATED, "replicated run moved");
+}
+
+#[test]
+fn small_cluster_crash_under_replication_jsonl_trace_matches_its_golden_digest() {
+    let trace = cluster_trace();
+    let rec = Arc::new(Mutex::new(JsonlRecorder::new()));
+    let mut ex = ClusterExecutor::new(cluster_cfg(crash_plan(&trace), ReplicationConfig::on()));
+    ex.set_recorder(ObsSink::new(rec.clone()));
+    ex.run(&trace);
+    // lint: invariant — the run above completed; a poisoned mutex would
+    // already have panicked the emitting thread
+    let rec = rec.lock().expect("recorder mutex unpoisoned");
+    let jsonl = rec.contents();
+    for kind in [
+        "\"NodeFailed\"",
+        "\"PartRedispatched\"",
+        "\"ReplicaRouted\"",
+    ] {
+        assert!(jsonl.contains(kind), "the trace has no {kind} record");
+    }
+    assert_eq!(
+        fnv1a(jsonl.as_bytes()),
+        GOLDEN_JSONL_CLUSTER_CRASH_REPLICATED,
+        "JSONL trace moved"
     );
 }

@@ -37,7 +37,6 @@ fn config(nodes: u32, prefetch: bool) -> ClusterConfig {
             // Generous cap: this replay is expected to drain; a truncated
             // row would print [TRUNCATED] via the aggregate report.
             max_sim_ms: 1e10,
-            idle_recheck_ms: 500.0,
         },
         failures: FailurePlan::none(),
         replication: jaws_sim::ReplicationConfig::disabled(),
