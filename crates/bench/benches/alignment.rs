@@ -65,7 +65,7 @@ fn bench_alignment(c: &mut Criterion) {
             let mut cursor = vec![0usize; jobs.len()];
             let mut promoted = Vec::new();
             for j in &jobs {
-                g.query_available(j.queries[0].clone(), now, &mut promoted);
+                g.query_available(&j.queries[0], now, &mut promoted);
             }
             let mut remaining: usize = jobs.iter().map(|j| j.queries.len()).sum();
             while remaining > 0 {
@@ -81,7 +81,7 @@ fn bench_alignment(c: &mut Criterion) {
                         remaining -= 1;
                         cursor[ji] += 1;
                         if cursor[ji] < j.queries.len() {
-                            g.query_available(j.queries[cursor[ji]].clone(), now, &mut promoted);
+                            g.query_available(&j.queries[cursor[ji]], now, &mut promoted);
                         }
                         progressed = true;
                     }

@@ -108,7 +108,7 @@ fn full_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
         .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
         .unwrap();
     let batch = wm.take_atom(&atom, &mut Vec::new());
-    black_box(batch.positions());
+    black_box(batch.positions);
     wm.enqueue([SubQuery {
         query: 1_000_000 + i,
         atom,
@@ -124,7 +124,7 @@ fn incremental_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
     let res = NoneResident;
     let (atom, _) = wm.best_atom(now_ms, 0.3, &res).unwrap();
     let batch = wm.take_atom(&atom, &mut Vec::new());
-    black_box(batch.positions());
+    black_box(batch.positions);
     wm.enqueue([SubQuery {
         query: 1_000_000 + i,
         atom,

@@ -164,7 +164,7 @@ fn bench_depth(n: u64, dispatches: usize, reference_reps: usize) -> DepthRow {
         let now = BASE_NOW + i as f64;
         let (atom, _) = wm.best_atom(now, ALPHA, &res).expect("non-empty queue");
         let group = wm.take_atom(&atom, &mut Vec::new());
-        black_box(group.positions());
+        black_box(group.positions);
         wm.enqueue([SubQuery {
             query: 10_000_000 + i as u64,
             atom,

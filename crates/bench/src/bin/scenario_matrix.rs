@@ -43,6 +43,7 @@ use jaws_turbdb::{CostModel, DataMode};
 use jaws_workload::{Footprint, Job, JobKind, Query, QueryOp};
 use jaws_workload::{GenConfig, Trace, TraceGenerator};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Every heap acquisition in the measured runs is counted, so the
@@ -238,7 +239,7 @@ fn dispatch_microbench(n: u64, warmup: usize, measured: usize) -> DispatchMicro 
                 user: q.user,
                 kind: JobKind::Batched,
                 campaign: i + 1,
-                queries: vec![q.clone()],
+                queries: Arc::from([q.clone()]),
                 arrival_ms: i as f64,
                 think_ms: 0.0,
             },
@@ -302,7 +303,7 @@ fn splice(head: Trace, tail: Trace, gap_ms: f64) -> Trace {
         j.user += user_off;
         j.campaign += campaign_off;
         j.arrival_ms += head_end + gap_ms;
-        for q in &mut j.queries {
+        for q in Arc::make_mut(&mut j.queries).iter_mut() {
             q.id += query_off;
             q.user = j.user;
         }

@@ -1,0 +1,79 @@
+//! Pins the allocation cost of the scheduler's arrival path. The golden
+//! JAWS₂ replay (the 40-job `paper_like` trace on the paper's geometry, as
+//! in `crates/sim/tests/golden.rs`) is run twice through one executor, and
+//! the second, warm replay must stay at the count the arrival path reaches
+//! when nothing on it copies a query or grows a fresh buffer: sub-queries
+//! queue as query ids in recycled slot buffers, a job's queries are shared
+//! with the gating graph instead of cloned, only queries held at a gate are
+//! copied, and alignment reuses the graph's scratch tables.
+//!
+//! The counting allocator is process-global, so this file holds a single
+//! test: no other test thread allocates while it measures.
+
+use jaws_bench::alloc_counter::{self, CountingAlloc};
+use jaws_bench::exp;
+use jaws_scheduler::{GatingConfig, Jaws, JawsConfig, MetricParams};
+use jaws_sim::{build_db, CachePolicyKind, Executor, SimConfig};
+use jaws_turbdb::DataMode;
+use jaws_workload::{GenConfig, TraceGenerator};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations per query of the warm replay (2,887 over its 1,067
+/// queries, debug and release alike). While the arrival path still copied
+/// every sub-query list, job and arriving query, it made 18.95 (20,224).
+const WARM_ALLOCS_PER_QUERY: f64 = 2.71;
+
+/// Slack over [`WARM_ALLOCS_PER_QUERY`]: about a hundred allocations over
+/// the replay, a tenth of what one extra copy per query would add.
+const MARGIN: f64 = 0.1;
+
+#[test]
+fn warm_jaws2_replay_stays_near_its_allocation_floor() {
+    let trace = TraceGenerator::new(GenConfig {
+        jobs: 40,
+        ..GenConfig::paper_like(exp::TRACE_SEED)
+    })
+    .generate();
+    let (db_cfg, cost) = (exp::paper_db(), exp::paper_cost());
+    let db = build_db(
+        db_cfg,
+        cost,
+        DataMode::Virtual,
+        exp::CACHE_ATOMS,
+        CachePolicyKind::Urc,
+    );
+    let params = MetricParams {
+        atom_read_ms: cost.atom_read_ms,
+        position_compute_ms: cost.position_compute_ms,
+        atoms_per_timestep: db_cfg.atoms_per_timestep(),
+    };
+    let jaws2 = Jaws::new(JawsConfig {
+        run_len: exp::RUN_LEN,
+        gating: GatingConfig {
+            gate_timeout_ms: exp::GATE_TIMEOUT_MS,
+            ..GatingConfig::default()
+        },
+        ..JawsConfig::jaws2(params)
+    });
+    let mut ex = Executor::new(db, Box::new(jaws2), SimConfig::default());
+    let cold = ex.run(&trace);
+    assert!(!cold.truncated);
+    let before = alloc_counter::count();
+    let warm = ex.run(&trace);
+    let allocs = alloc_counter::count() - before;
+    assert!(!warm.truncated);
+    assert_eq!(
+        ex.response_log().len(),
+        2 * trace.query_count(),
+        "both replays complete every query"
+    );
+    let per_query = allocs as f64 / trace.query_count() as f64;
+    assert!(
+        per_query <= WARM_ALLOCS_PER_QUERY + MARGIN,
+        "warm replay made {per_query:.3} allocations per query \
+         ({allocs} over {} queries); the pin is {WARM_ALLOCS_PER_QUERY} + {MARGIN}",
+        trace.query_count()
+    );
+}

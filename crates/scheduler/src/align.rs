@@ -29,38 +29,56 @@ pub struct Alignment {
 /// Aligns two query sequences, matching only pairs that actually share data.
 ///
 /// Runs in O(n·m) time and space — with ~tens of queries per job this is the
-/// `(n 2) m²` dynamic-program phase of the paper.
+/// `(n 2) m²` dynamic-program phase of the paper. A convenience over
+/// [`align_into`] with fresh buffers.
 pub fn align_jobs(a: &[Query], b: &[Query]) -> Alignment {
+    let mut pairs = Vec::new();
+    let score = align_into(a, b, &mut Vec::new(), &mut pairs);
+    Alignment { pairs, score }
+}
+
+/// [`align_jobs`] into caller-owned buffers: `table` is the flat
+/// `(n+1)·(m+1)` dynamic-program table (resized and overwritten), and the
+/// matched pairs are appended to `pairs` in ascending order. Returns the
+/// alignment score. A caller that keeps both buffers aligns without
+/// allocating once they have grown to its largest job pair.
+pub fn align_into(
+    a: &[Query],
+    b: &[Query],
+    table: &mut Vec<u32>,
+    pairs: &mut Vec<(usize, usize)>,
+) -> u32 {
     let n = a.len();
     let m = b.len();
     if n == 0 || m == 0 {
-        return Alignment {
-            pairs: Vec::new(),
-            score: 0,
-        };
+        return 0;
     }
-    // score[i][j] = best alignment of a[..i] with b[..j].
-    let mut score = vec![vec![0u32; m + 1]; n + 1];
+    // score(i, j) = table[i·w + j] = best alignment of a[..i] with b[..j];
+    // row 0 and column 0 stay zero.
+    let w = m + 1;
+    table.clear();
+    table.resize((n + 1) * w, 0);
     for i in 1..=n {
         for j in 1..=m {
             let s = u32::from(a[i - 1].shares_data(&b[j - 1]));
-            score[i][j] = (score[i - 1][j - 1] + s)
-                .max(score[i][j - 1])
-                .max(score[i - 1][j]);
+            table[i * w + j] = (table[(i - 1) * w + j - 1] + s)
+                .max(table[i * w + j - 1])
+                .max(table[(i - 1) * w + j]);
         }
     }
     // Traceback, preferring diagonal moves that matched.
-    let mut pairs = Vec::new();
+    let start = pairs.len();
     let (mut i, mut j) = (n, m);
     while i > 0 && j > 0 {
+        let here = table[i * w + j];
         let s = u32::from(a[i - 1].shares_data(&b[j - 1]));
-        if s == 1 && score[i][j] == score[i - 1][j - 1] + 1 {
+        if s == 1 && here == table[(i - 1) * w + j - 1] + 1 {
             pairs.push((i - 1, j - 1));
             i -= 1;
             j -= 1;
-        } else if score[i][j] == score[i - 1][j] {
+        } else if here == table[(i - 1) * w + j] {
             i -= 1;
-        } else if score[i][j] == score[i][j - 1] {
+        } else if here == table[i * w + j - 1] {
             j -= 1;
         } else {
             // Zero-score diagonal (no sharing): skip both.
@@ -68,11 +86,8 @@ pub fn align_jobs(a: &[Query], b: &[Query]) -> Alignment {
             j -= 1;
         }
     }
-    pairs.reverse();
-    Alignment {
-        score: score[n][m],
-        pairs,
-    }
+    pairs[start..].reverse();
+    table[n * w + m]
 }
 
 #[cfg(test)]

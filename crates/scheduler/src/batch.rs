@@ -10,7 +10,7 @@ use jaws_workload::{Query, QueryId};
 use serde::Serialize;
 
 /// The positions of one query that fall within one atom.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SubQuery {
     /// Owning query.
     pub query: QueryId,
@@ -23,19 +23,28 @@ pub struct SubQuery {
     pub enqueued_ms: f64,
 }
 
-/// All pending sub-queries of one atom selected for execution in one pass.
-#[derive(Debug, Clone, Serialize)]
+/// All pending sub-queries of one atom selected for execution in one pass:
+/// the atom and what its read is amortized over. The queue's query ids stay
+/// with the workload manager, which reports the queries the group completes
+/// through [`Batch::completing_queries`].
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct AtomBatch {
     /// The atom to read (once) for the whole group.
     pub atom: AtomId,
-    /// Sub-queries amortizing that read.
-    pub subqueries: Vec<SubQuery>,
+    /// Total positions evaluated against this atom — the queue's ΣW.
+    pub positions: u64,
+    /// Number of sub-queries amortizing that read.
+    pub subqueries: u32,
 }
 
 impl AtomBatch {
-    /// Total positions evaluated against this atom.
-    pub fn positions(&self) -> u64 {
-        self.subqueries.iter().map(|s| s.positions as u64).sum()
+    /// The group of one sub-query alone.
+    pub fn single(sub: SubQuery) -> Self {
+        AtomBatch {
+            atom: sub.atom,
+            positions: sub.positions as u64,
+            subqueries: 1,
+        }
     }
 }
 
@@ -58,7 +67,7 @@ impl Batch {
 
     /// Total positions across all atom groups.
     pub fn positions(&self) -> u64 {
-        self.atoms.iter().map(AtomBatch::positions).sum()
+        self.atoms.iter().map(|a| a.positions).sum()
     }
 
     /// Number of atoms read.
@@ -69,20 +78,19 @@ impl Batch {
 
 /// Splits a query into sub-queries stamped with `now_ms` — the pre-processor
 /// of §III-B. Footprints are already per-atom position counts, so this is a
-/// direct mapping; the result is Morton-ordered like the paper's sorted
-/// position lists.
-pub fn preprocess(query: &Query, now_ms: f64) -> Vec<SubQuery> {
+/// direct, lazy mapping that allocates nothing; the sub-queries come out
+/// Morton-ordered like the paper's sorted position lists.
+pub fn preprocess(query: &Query, now_ms: f64) -> impl Iterator<Item = SubQuery> + '_ {
     query
         .footprint
         .atoms
         .iter()
-        .map(|&(morton, positions)| SubQuery {
+        .map(move |&(morton, positions)| SubQuery {
             query: query.id,
             atom: AtomId::new(query.timestep, morton),
             positions,
             enqueued_ms: now_ms,
         })
-        .collect()
 }
 
 #[cfg(test)]
@@ -107,7 +115,7 @@ mod tests {
 
     #[test]
     fn preprocess_maps_every_footprint_atom() {
-        let subs = preprocess(&query(), 123.0);
+        let subs: Vec<SubQuery> = preprocess(&query(), 123.0).collect();
         assert_eq!(subs.len(), 3);
         assert!(subs.iter().all(|s| s.query == 9));
         assert!(subs.iter().all(|s| s.atom.timestep == 3));
@@ -120,16 +128,14 @@ mod tests {
 
     #[test]
     fn batch_accounting() {
-        let subs = preprocess(&query(), 0.0);
+        let subs: Vec<SubQuery> = preprocess(&query(), 0.0).collect();
         let batch = Batch {
             atoms: vec![
-                AtomBatch {
-                    atom: subs[0].atom,
-                    subqueries: vec![subs[0]],
-                },
+                AtomBatch::single(subs[0]),
                 AtomBatch {
                     atom: subs[1].atom,
-                    subqueries: vec![subs[1], subs[2]],
+                    positions: (subs[1].positions + subs[2].positions) as u64,
+                    subqueries: 2,
                 },
             ],
             completing_queries: vec![9],

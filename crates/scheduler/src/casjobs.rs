@@ -94,13 +94,7 @@ impl Scheduler for CasJobs {
             self.long_served += 1;
         }
         let qid = query.id;
-        let atoms: Vec<AtomBatch> = preprocess(&query, now_ms)
-            .into_iter()
-            .map(|s| AtomBatch {
-                atom: s.atom,
-                subqueries: vec![s],
-            })
-            .collect();
+        let atoms: Vec<AtomBatch> = preprocess(&query, now_ms).map(AtomBatch::single).collect();
         self.stats.batches += 1;
         self.stats.atom_groups += atoms.len() as u64;
         self.stats.subqueries += atoms.len() as u64;

@@ -57,14 +57,26 @@
 //!   the READY queries, so a call costs the gated READY set, not the trace.
 //! * **Group firing**: promoted queries come out in group-membership order,
 //!   which is itself the deterministic admission order above. Every call
-//!   that can promote appends to one caller-provided buffer, in that order.
+//!   that can promote appends to one caller-provided buffer, in that order;
+//!   [`GatingGraph::query_available`] reports the arriving query's place in
+//!   that order instead of appending it (next section).
 //!
 //! ## Ownership of held queries
 //!
-//! The READY index owns the copy of each query handed to
-//! [`GatingGraph::query_available`] (the part as delivered, whose footprint
-//! may differ from the declared one), and promotion moves it out through
-//! the caller's buffer: the scheduler keeps no second record of the gate.
+//! Only a query actually held at a gate is copied. The graph borrows the
+//! query handed to [`GatingGraph::query_available`] (the part as delivered,
+//! whose footprint may differ from the declared one). If the call promotes
+//! it — it is ungated, or it completes its group — the graph keeps nothing
+//! and tells the caller where the query falls among the call's promotions,
+//! so the caller enqueues it from its own borrow. Otherwise the READY index
+//! keeps a copy, and a later promotion moves that copy out through the
+//! caller's buffer: the scheduler keeps no second record of the gate.
+//!
+//! A job's declared queries are shared, not copied: [`Job::queries`] is an
+//! `Arc<[Query]>`, and the graph's job entry holds another reference to it.
+//! Alignment fills one flat dynamic-program table and two flat candidate
+//! buffers owned by the graph, so declaring a job allocates only what the
+//! admitted gates themselves need.
 //!
 //! ## Retirement
 //!
@@ -80,11 +92,12 @@
 //! per-query entries are only ever looked up by id, so they live in a
 //! [`FastMap`].
 
-use crate::align::align_jobs;
+use crate::align::align_into;
 use jaws_morton::FastMap;
 use jaws_workload::{Job, JobId, JobKind, Query, QueryId};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Gating behaviour knobs.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -134,8 +147,8 @@ struct QueryEntry {
 #[derive(Debug)]
 struct JobEntry {
     /// The job's queries in precedence order (footprints retained for future
-    /// alignments against newly arriving jobs).
-    queries: Vec<Query>,
+    /// alignments against newly arriving jobs), shared with the declaration.
+    queries: Arc<[Query]>,
     /// Indices of queries that are not DONE yet (monotone front pointer).
     first_pending: usize,
 }
@@ -150,12 +163,18 @@ pub struct GatingGraph {
     job_order: VecDeque<JobId>,
     /// Per registered query: its job, position, lifecycle state and group.
     entries: FastMap<QueryId, QueryEntry>,
-    /// The READY queries, each with the available copy handed in. An
+    /// The READY queries, each with a copy of the query made available. An
     /// ungated query is promoted in the call that makes it READY, so between
     /// calls this holds only gated ones.
     ready: BTreeMap<QueryId, Query>,
     groups: BTreeMap<GroupId, Vec<QueryId>>,
     next_group: GroupId,
+    /// Alignment scratch, reused across [`Self::add_job`] calls: the flat
+    /// dynamic-program table, the matched pairs of every candidate back to
+    /// back, and one `(partner, start, len)` slice of them per candidate.
+    align_table: Vec<u32>,
+    align_pairs: Vec<(usize, usize)>,
+    align_cands: Vec<(JobId, usize, usize)>,
     admitted_edges: u64,
     refused_edges: u64,
     forced_releases: u64,
@@ -172,6 +191,9 @@ impl GatingGraph {
             ready: BTreeMap::new(),
             groups: BTreeMap::new(),
             next_group: 0,
+            align_table: Vec::new(),
+            align_pairs: Vec::new(),
+            align_cands: Vec::new(),
             admitted_edges: 0,
             refused_edges: 0,
             forced_releases: 0,
@@ -231,7 +253,7 @@ impl GatingGraph {
     /// queries but never gate. Returns the number of edges admitted.
     pub fn add_job(&mut self, job: &Job) -> usize {
         let entry = JobEntry {
-            queries: job.queries.clone(),
+            queries: Arc::clone(&job.queries),
             first_pending: 0,
         };
         for (i, q) in job.queries.iter().enumerate() {
@@ -251,7 +273,10 @@ impl GatingGraph {
             return 0;
         }
         // Dynamic-program phase: align against the most recent ordered jobs.
-        let mut alignments: Vec<(JobId, Vec<(usize, usize)>)> = Vec::new();
+        let mut pairs = std::mem::take(&mut self.align_pairs);
+        let mut cands = std::mem::take(&mut self.align_cands);
+        pairs.clear();
+        cands.clear();
         for &other_id in self.job_order.iter().rev() {
             // Only align against the not-yet-done suffix: gating a completed
             // query is meaningless, and a retired job has none.
@@ -262,29 +287,41 @@ impl GatingGraph {
             if offset >= other.queries.len() {
                 continue;
             }
-            let al = align_jobs(&job.queries, &other.queries[offset..]);
-            if al.score > 0 {
-                let pairs = al.pairs.into_iter().map(|(i, j)| (i, j + offset)).collect();
-                alignments.push((other_id, pairs));
+            let start = pairs.len();
+            let score = align_into(
+                &job.queries,
+                &other.queries[offset..],
+                &mut self.align_table,
+                &mut pairs,
+            );
+            if score > 0 {
+                for p in &mut pairs[start..] {
+                    p.1 += offset;
+                }
+                cands.push((other_id, start, pairs.len() - start));
             }
         }
         self.job_order.push_back(job.id);
         if self.job_order.len() > self.cfg.max_align_jobs {
             self.job_order.pop_front();
         }
-        // Merge phase: job pairs in decreasing alignment size.
-        alignments.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+        // Merge phase: job pairs in decreasing alignment size, then
+        // ascending partner id. Partners are distinct jobs, so the order is
+        // total and an unstable sort yields it without a merge buffer.
+        cands.sort_unstable_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
         let mut admitted = 0;
-        for (other_id, pairs) in alignments {
-            for (new_idx, other_idx) in pairs {
-                let new_q = self.jobs[&job.id].queries[new_idx].id;
+        for &(other_id, start, len) in &cands {
+            for &(new_idx, other_idx) in &pairs[start..start + len] {
+                let new_q = job.queries[new_idx].id;
                 let other_q = self.jobs[&other_id].queries[other_idx].id;
                 if self.admit_edge(new_q, other_q) {
                     admitted += 1;
                 }
             }
         }
-        admitted as usize
+        self.align_pairs = pairs;
+        self.align_cands = cands;
+        admitted
     }
 
     /// Admits a gating edge between `a` (new job) and `b` (existing job) if
@@ -452,10 +489,19 @@ impl GatingGraph {
     }
 
     /// Marks a query available (predecessor done, think time elapsed):
-    /// WAIT → READY, then fires any group that became fully ready. The graph
-    /// holds `query` until it is promoted; the queries newly promoted to
-    /// QUEUE are appended to `promoted`.
-    pub fn query_available(&mut self, query: Query, now_ms: f64, promoted: &mut Vec<Query>) {
+    /// WAIT → READY, then fires any group that became fully ready. The
+    /// queries newly promoted to QUEUE are appended to `promoted`, except
+    /// `query` itself (see the module docs on ownership). Returns `Some(i)`
+    /// when `query` was promoted too: it belongs at index `i` of `promoted`,
+    /// in promotion order, and the caller enqueues it from its borrow.
+    /// Returns `None` when it is held at a gate; the graph then keeps a copy
+    /// until a later call promotes it.
+    pub fn query_available(
+        &mut self,
+        query: &Query,
+        now_ms: f64,
+        promoted: &mut Vec<Query>,
+    ) -> Option<usize> {
         let q = query.id;
         // lint: invariant — callers only pass ids registered via add_job
         let e = self
@@ -465,8 +511,11 @@ impl GatingGraph {
         debug_assert_eq!(e.state, QueryState::Wait, "double availability for {q}");
         e.state = QueryState::Ready;
         e.ready_since_ms = now_ms;
-        self.ready.insert(q, query);
-        self.try_fire(q, promoted);
+        let at = self.try_fire(q, promoted);
+        if at.is_none() {
+            self.ready.insert(q, query.clone());
+        }
+        at
     }
 
     /// Marks a query complete: QUEUE → DONE, prunes it from its group and the
@@ -494,7 +543,7 @@ impl GatingGraph {
                 j.first_pending += 1;
             }
             if j.first_pending == j.queries.len() {
-                for done in &j.queries {
+                for done in j.queries.iter() {
                     self.entries.remove(&done.id);
                 }
                 self.jobs.remove(&job);
@@ -509,24 +558,27 @@ impl GatingGraph {
                         let e = self.entries.get_mut(&m).expect("tracked");
                         e.group = None;
                         if e.state == QueryState::Ready {
-                            promote(&mut self.entries, &mut self.ready, m, promoted);
+                            let uncopied = promote(&mut self.entries, &mut self.ready, m, promoted);
+                            debug_assert!(uncopied.is_none(), "held query {m} has no copy");
                         }
                     }
                 } else if let Some(&m) = members.first() {
-                    self.try_fire(m, promoted);
+                    let uncopied = self.try_fire(m, promoted);
+                    debug_assert!(uncopied.is_none(), "held query has no copy");
                 }
             }
         }
     }
 
     /// Promotes a READY query (and, if gated, its whole ready group) to QUEUE
-    /// when all gating constraints hold, appending them to `promoted`.
-    fn try_fire(&mut self, q: QueryId, promoted: &mut Vec<Query>) {
-        let Some(e) = self.entries.get(&q) else {
-            return;
-        };
+    /// when all gating constraints hold, appending their held copies to
+    /// `promoted`. Returns where in `promoted` a promoted query the graph
+    /// holds no copy of belongs — only the query being made available can be
+    /// one.
+    fn try_fire(&mut self, q: QueryId, promoted: &mut Vec<Query>) -> Option<usize> {
+        let e = self.entries.get(&q)?;
         if e.state != QueryState::Ready {
-            return;
+            return None;
         }
         match e.group {
             None => promote(&mut self.entries, &mut self.ready, q, promoted),
@@ -540,16 +592,19 @@ impl GatingGraph {
                     )
                 });
                 if !all_ready {
-                    return;
+                    return None;
                 }
                 // Promoting one member changes only that member's state, so
                 // testing each state as the walk reaches it selects the same
                 // members, in the same order, as a filter before the walk.
+                let mut uncopied = None;
                 for &m in members {
                     if self.entries[&m].state == QueryState::Ready {
-                        promote(&mut self.entries, &mut self.ready, m, promoted);
+                        uncopied =
+                            uncopied.or(promote(&mut self.entries, &mut self.ready, m, promoted));
                     }
                 }
+                uncopied
             }
         }
     }
@@ -590,29 +645,39 @@ impl GatingGraph {
                         }
                     }
                     if let Some(m) = first {
-                        self.try_fire(m, promoted);
+                        let uncopied = self.try_fire(m, promoted);
+                        debug_assert!(uncopied.is_none(), "held query has no copy");
                     }
                 }
             }
-            promote(&mut self.entries, &mut self.ready, q, promoted);
+            let uncopied = promote(&mut self.entries, &mut self.ready, q, promoted);
+            debug_assert!(uncopied.is_none(), "held query {q} has no copy");
         }
     }
 }
 
-/// READY → QUEUE for one query, whose held copy moves to `promoted`. Takes
-/// the two collections it updates rather than the graph, so a caller can
-/// walk a group's member list while promoting its members.
+/// READY → QUEUE for one query, whose held copy moves to `promoted`. A
+/// query the graph holds no copy of (the one being made available) is not
+/// appended; its would-be index in `promoted` is returned instead. Takes the
+/// two collections it updates rather than the graph, so a caller can walk a
+/// group's member list while promoting its members.
 fn promote(
     entries: &mut FastMap<QueryId, QueryEntry>,
     ready: &mut BTreeMap<QueryId, Query>,
     q: QueryId,
     promoted: &mut Vec<Query>,
-) {
+) -> Option<usize> {
     // lint: invariant — promote is only called with tracked READY queries
     let e = entries.get_mut(&q).expect("tracked");
     debug_assert_eq!(e.state, QueryState::Ready);
     e.state = QueryState::Queue;
-    promoted.extend(ready.remove(&q));
+    match ready.remove(&q) {
+        Some(held) => {
+            promoted.push(held);
+            None
+        }
+        None => Some(promoted.len()),
+    }
 }
 
 #[cfg(test)]
@@ -661,13 +726,17 @@ mod tests {
     }
 
     /// [`GatingGraph::query_available`] with the declared copy of `q`, into a
-    /// fresh buffer.
+    /// fresh buffer; `q` itself is listed at its place if it was promoted.
     fn avail(g: &mut GatingGraph, q: QueryId, now_ms: f64) -> Vec<QueryId> {
         let e = &g.entries[&q];
         let query = g.jobs[&e.job].queries[e.index].clone();
         let mut promoted = Vec::new();
-        g.query_available(query, now_ms, &mut promoted);
-        ids(promoted)
+        let at = g.query_available(&query, now_ms, &mut promoted);
+        let mut fired = ids(promoted);
+        if let Some(i) = at {
+            fired.insert(i, q);
+        }
+        fired
     }
 
     /// [`GatingGraph::query_done`] into a fresh buffer.
@@ -1031,7 +1100,7 @@ mod tests {
         fn available_copy(declared: &[Job], q: QueryId) -> Query {
             let decl = declared
                 .iter()
-                .flat_map(|j| &j.queries)
+                .flat_map(|j| j.queries.iter())
                 .find(|d| d.id == q)
                 .expect("declared query");
             Query {
@@ -1068,7 +1137,7 @@ mod tests {
                     let state = |q: &Query| g.state(q.id);
                     let waiting: Vec<QueryId> = declared
                         .iter()
-                        .flat_map(|j| &j.queries)
+                        .flat_map(|j| j.queries.iter())
                         .filter(|q| state(q) == QueryState::Wait)
                         .map(|q| q.id)
                         .collect();
@@ -1102,13 +1171,17 @@ mod tests {
                                 let copy =
                                     available_copy(&declared, candidates[i % candidates.len()]);
                                 handed.insert(copy.id, copy.clone());
-                                g.query_available(copy, now, &mut promoted);
+                                // The caller enqueues a query promoted on
+                                // arrival from its own borrow.
+                                if let Some(at) = g.query_available(&copy, now, &mut promoted) {
+                                    promoted.insert(at, copy);
+                                }
                             }
                         }
                         Op::Done(i) => {
                             let queued: Vec<QueryId> = declared
                                 .iter()
-                                .flat_map(|j| &j.queries)
+                                .flat_map(|j| j.queries.iter())
                                 .filter(|q| state(q) == QueryState::Queue)
                                 .map(|q| q.id)
                                 .collect();

@@ -62,6 +62,17 @@ fn top_k_full_sort(mut in_ts: Vec<(AtomId, f64)>, k: usize) -> Vec<(AtomId, f64)
     in_ts
 }
 
+/// The queries one gating-graph call promoted, in promotion order: the held
+/// copies in `fired`, with the arriving query spliced in at its index when
+/// the graph promoted it from the caller's borrow.
+fn promotion_order<'a>(
+    fired: &'a [Query],
+    arriving: Option<(usize, &'a Query)>,
+) -> impl Iterator<Item = &'a Query> {
+    let (before, after) = fired.split_at(arriving.map_or(fired.len(), |(at, _)| at));
+    before.iter().chain(arriving.map(|(_, q)| q)).chain(after)
+}
+
 /// JAWS configuration.
 #[derive(Debug, Clone)]
 pub struct JawsConfig {
@@ -156,12 +167,16 @@ impl Jaws {
         self.wm.enqueue(preprocess(query, now_ms));
     }
 
-    /// Enqueues the queries a gating-graph call promoted, then keeps the
-    /// emptied buffer as the scratch for the next call.
-    fn release(&mut self, mut fired: Vec<Query>, now_ms: f64) {
-        for q in fired.drain(..) {
-            self.enqueue_query(&q, now_ms);
+    /// Enqueues the queries a gating-graph call promoted, in promotion
+    /// order, then keeps the emptied buffer as the scratch for the next
+    /// call. `arriving` is the query made available by the call, with its
+    /// index among the promotions, when the graph promoted it without a
+    /// copy.
+    fn release(&mut self, mut fired: Vec<Query>, arriving: Option<(usize, &Query)>, now_ms: f64) {
+        for q in promotion_order(&fired, arriving) {
+            self.enqueue_query(q, now_ms);
         }
+        fired.clear();
         self.fired_scratch = fired;
     }
 
@@ -208,17 +223,18 @@ impl Jaws {
     }
 
     /// Drains the selected atoms out of the workload queues into a [`Batch`],
-    /// updating the dispatch counters. The batch's own vectors are the only
-    /// allocations here — they escape to the engine with the batch.
+    /// updating the dispatch counters. The batch's own two vectors are the
+    /// only allocations here — they escape to the engine with the batch.
+    /// Each take returns the atom's ΣW and sub-query count, appends the
+    /// queries it completes to `completing` and hands the atom's id buffer
+    /// back to the workload manager's spare list, so the k takes allocate
+    /// nothing themselves.
     fn build_batch(&mut self, selected: &[AtomId]) -> Batch {
         let mut atoms = Vec::with_capacity(selected.len());
-        // The two batch Vecs escape into the returned `Batch` (the engine
-        // owns them); the k takes append into `completing` and allocate
-        // nothing themselves.
         let mut completing = Vec::new();
         for atom in selected {
             let group = self.wm.take_atom(atom, &mut completing);
-            self.stats.subqueries += group.subqueries.len() as u64;
+            self.stats.subqueries += group.subqueries as u64;
             atoms.push(group);
         }
         self.stats.batches += 1;
@@ -250,10 +266,12 @@ impl Scheduler for Jaws {
         self.alpha_ctl.note_arrival(now_ms);
         if self.cfg.job_aware {
             let mut fired = std::mem::take(&mut self.fired_scratch);
-            self.gating
-                .query_available(query.clone(), now_ms, &mut fired);
+            let arriving = self
+                .gating
+                .query_available(query, now_ms, &mut fired)
+                .map(|at| (at, query));
             if self.sink.enabled() {
-                if !fired.iter().any(|q| q.id == query.id) {
+                if arriving.is_none() {
                     self.sink.emit(
                         now_ms,
                         Event::GateDecision {
@@ -262,7 +280,7 @@ impl Scheduler for Jaws {
                         },
                     );
                 }
-                for q in &fired {
+                for q in promotion_order(&fired, arriving) {
                     self.sink.emit(
                         now_ms,
                         Event::GateDecision {
@@ -272,7 +290,7 @@ impl Scheduler for Jaws {
                     );
                 }
             }
-            self.release(fired, now_ms);
+            self.release(fired, arriving, now_ms);
         } else {
             self.enqueue_query(query, now_ms);
         }
@@ -298,7 +316,7 @@ impl Scheduler for Jaws {
                     }
                 }
             }
-            self.release(released, now_ms);
+            self.release(released, None, now_ms);
         }
         if self.wm.is_empty() {
             return None;
@@ -374,7 +392,7 @@ impl Scheduler for Jaws {
         if self.cfg.job_aware {
             let mut fired = std::mem::take(&mut self.fired_scratch);
             self.gating.query_done(query, &mut fired);
-            self.release(fired, now_ms);
+            self.release(fired, None, now_ms);
         }
     }
 
@@ -387,7 +405,7 @@ impl Scheduler for Jaws {
         if self.cfg.job_aware {
             let mut fired = std::mem::take(&mut self.fired_scratch);
             self.gating.query_done(query, &mut fired);
-            self.release(fired, now_ms);
+            self.release(fired, None, now_ms);
         }
     }
 
@@ -525,7 +543,7 @@ mod tests {
             user: jid as u32,
             kind: JobKind::Ordered,
             campaign: jid,
-            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])],
+            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])].into(),
             arrival_ms: 0.0,
             think_ms: 0.0,
         };
@@ -561,7 +579,7 @@ mod tests {
             user: jid as u32,
             kind: JobKind::Ordered,
             campaign: jid,
-            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])],
+            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])].into(),
             arrival_ms: 0.0,
             think_ms: 0.0,
         };
@@ -583,7 +601,7 @@ mod tests {
             user: jid as u32,
             kind: JobKind::Ordered,
             campaign: jid,
-            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])],
+            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])].into(),
             arrival_ms: 0.0,
             think_ms: 0.0,
         };
@@ -635,7 +653,7 @@ mod tests {
             user: jid as u32,
             kind: JobKind::Ordered,
             campaign: jid,
-            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])],
+            queries: vec![q(base, 0, &[(1, 50)]), q(base + 1, 1, &[(2, 50)])].into(),
             arrival_ms: 0.0,
             think_ms: 0.0,
         };

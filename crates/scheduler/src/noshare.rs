@@ -54,13 +54,7 @@ impl Scheduler for NoShare {
         // Sub-queries of this query only, in Morton order (preprocess output
         // is already sorted) — "points from each query are sorted and
         // evaluated in Morton order so that each atom is read only once".
-        let atoms: Vec<AtomBatch> = preprocess(&query, now_ms)
-            .into_iter()
-            .map(|s| AtomBatch {
-                atom: s.atom,
-                subqueries: vec![s],
-            })
-            .collect();
+        let atoms: Vec<AtomBatch> = preprocess(&query, now_ms).map(AtomBatch::single).collect();
         self.stats.batches += 1;
         self.stats.atom_groups += atoms.len() as u64;
         self.stats.subqueries += atoms.len() as u64;

@@ -121,7 +121,7 @@ impl Scheduler for QosScheduler {
         }
         self.stats.batches += 1;
         self.stats.atom_groups += 1;
-        self.stats.subqueries += group.subqueries.len() as u64;
+        self.stats.subqueries += group.subqueries as u64;
         Some(Batch {
             atoms: vec![group],
             completing_queries: completing,

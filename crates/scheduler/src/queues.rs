@@ -27,9 +27,12 @@
 //!
 //! * one **slab** per timestep: a `Vec` of slots, one per pending atom,
 //!   sorted by Morton key (the canonical fold order) and found by binary
-//!   search. A slot *is* the atom's workload queue — its sub-queries, ΣW and
-//!   oldest enqueue time — plus the cached Eq. 1 value, the residency that
-//!   value was computed under, and a dirty flag;
+//!   search. A slot *is* the atom's workload queue — the query ids of its
+//!   sub-queries in arrival order, ΣW and oldest enqueue time — plus the
+//!   cached Eq. 1 value, the residency that value was computed under, and a
+//!   dirty flag. Emptied slabs and emptied id buffers go to spare lists, so
+//!   an atom that drains and refills reuses a buffer instead of growing a
+//!   fresh one;
 //! * the per-timestep aggregates (ΣU, max U, Σoldest, min/max oldest);
 //! * the lazily built clamped-age prefix indexes;
 //! * the `Arc`-backed [`UtilitySnapshot`] the URC cache policy consumes;
@@ -185,7 +188,7 @@ pub struct QueueStats {
 }
 
 /// One pending atom of a timestep's slab: the atom's workload queue plus
-/// the values integration derives from it. `subs`, `positions` and `oldest`
+/// the values integration derives from it. `ids`, `positions` and `oldest`
 /// are kept eagerly by [`WorkloadManager::enqueue`]; `u` and `resident` are
 /// written by integration's recompute of dirty slots, so between the arrival
 /// that created a slot and the next integration they are placeholders that
@@ -194,8 +197,9 @@ pub struct QueueStats {
 struct Slot {
     /// Morton key of the atom within its timestep — the slab's sort key.
     morton: MortonKey,
-    /// The atom's pending sub-queries, in arrival order.
-    subs: Vec<SubQuery>,
+    /// The query ids of the atom's pending sub-queries, in arrival order —
+    /// all a take needs: ΣW and `oldest` are already folded below.
+    ids: Vec<QueryId>,
     /// ΣW (total pending positions) — the numerator of Eq. 1.
     positions: u64,
     /// Enqueue time of the atom's oldest pending sub-query, ms.
@@ -211,13 +215,14 @@ struct Slot {
 }
 
 impl Slot {
-    /// An empty queue awaiting its first sub-query and recompute. The NaN
-    /// placeholder makes a missed recompute visible to any fold instead of
-    /// silently reading 0.
-    fn new(morton: MortonKey, resident: Option<bool>) -> Self {
+    /// An empty queue over the (empty) id buffer `ids`, awaiting its first
+    /// sub-query and recompute. The NaN placeholder makes a missed recompute
+    /// visible to any fold instead of silently reading 0.
+    fn new(morton: MortonKey, ids: Vec<QueryId>, resident: Option<bool>) -> Self {
+        debug_assert!(ids.is_empty(), "spare id buffer not emptied");
         Slot {
             morton,
-            subs: Vec::new(),
+            ids,
             positions: 0,
             oldest: f64::INFINITY,
             u: f64::NAN,
@@ -230,6 +235,12 @@ impl Slot {
     fn aged(&self, now_ms: f64, max_u: f64, max_e: f64, alpha: f64) -> f64 {
         blend(self.u, (now_ms - self.oldest).max(0.0), max_u, max_e, alpha)
     }
+}
+
+/// `ids` cleared for the spare list, keeping its capacity.
+fn emptied(mut ids: Vec<QueryId>) -> Vec<QueryId> {
+    ids.clear();
+    ids
 }
 
 /// Binary search for `morton` in one Morton-sorted slab.
@@ -306,6 +317,9 @@ pub struct WorkloadManager {
     /// Emptied slabs kept with their capacity, so a timestep that drains
     /// and refills does not regrow its `Vec` from nothing.
     spare_slabs: Vec<Vec<Slot>>,
+    /// Emptied slot id buffers kept with their capacity, the same way: a
+    /// take hands its slot's buffer here and a new slot pops one.
+    spare_ids: Vec<Vec<QueryId>>,
     /// Atoms [`Self::take_atom`] removed since the last integration, with
     /// the residency their slot was computed under. Integration drops them
     /// from the URC view. An atom taken and re-enqueued inside one
@@ -351,6 +365,7 @@ impl WorkloadManager {
             pending_subs: FastMap::default(),
             slabs: BTreeMap::new(),
             spare_slabs: Vec::new(),
+            spare_ids: Vec::new(),
             taken: Vec::new(),
             ts_aggs: BTreeMap::new(),
             age_indexes: FastMap::default(),
@@ -374,7 +389,8 @@ impl WorkloadManager {
     /// Adds sub-queries to their atoms' queues, creating an atom's slot if
     /// absent. Per sub-query: O(log m) search plus at most one O(m_ts) slot
     /// insert — the float work is deferred to the next integration, so a
-    /// burst of arrivals costs one refold, not many.
+    /// burst of arrivals costs one refold, not many. A new slot takes a
+    /// spare id buffer, so at steady state an arrival allocates nothing.
     pub fn enqueue(&mut self, subs: impl IntoIterator<Item = SubQuery>) {
         for sub in subs {
             debug_assert!(sub.positions > 0, "empty sub-query");
@@ -391,13 +407,14 @@ impl WorkloadManager {
                     .iter()
                     .rev()
                     .find_map(|&(a, r)| r.filter(|_| a == atom));
-                slab.insert(at, Slot::new(atom.morton, carried));
+                let ids = self.spare_ids.pop().unwrap_or_default();
+                slab.insert(at, Slot::new(atom.morton, ids, carried));
                 at
             });
             let slot = &mut slab[at];
             slot.oldest = slot.oldest.min(sub.enqueued_ms);
             slot.positions += sub.positions as u64;
-            slot.subs.push(sub);
+            slot.ids.push(sub.query);
             if !slot.dirty {
                 slot.dirty = true;
                 self.dirty_ts.push(atom.timestep);
@@ -413,7 +430,9 @@ impl WorkloadManager {
     pub fn clear(&mut self) {
         self.pending_subs.clear();
         for (_, mut slab) in std::mem::take(&mut self.slabs) {
-            slab.clear();
+            for slot in slab.drain(..) {
+                self.spare_ids.push(emptied(slot.ids));
+            }
             self.spare_slabs.push(slab);
         }
         self.taken.clear();
@@ -431,7 +450,7 @@ impl WorkloadManager {
 
     /// Number of pending sub-queries. O(pending atoms).
     pub fn pending_subqueries(&self) -> usize {
-        self.slabs.values().flatten().map(|s| s.subs.len()).sum()
+        self.slabs.values().flatten().map(|s| s.ids.len()).sum()
     }
 
     /// Number of atoms with non-empty queues. O(#timesteps).
@@ -483,10 +502,12 @@ impl WorkloadManager {
             .collect()
     }
 
-    /// Removes and returns the whole queue of one atom, appending the
-    /// queries that now have no pending sub-queries anywhere (they complete
-    /// with this batch) to `completing`. Batch builders pass one reused
-    /// buffer, so a k-atom batch build performs no per-atom allocation.
+    /// Removes the whole queue of one atom and returns its summary (ΣW and
+    /// sub-query count), appending the queries that now have no pending
+    /// sub-queries anywhere (they complete with this batch) to `completing`
+    /// in the queue's arrival order. Batch builders pass one reused buffer,
+    /// and the slot's id buffer goes to the spare list, so a take allocates
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -510,22 +531,25 @@ impl WorkloadManager {
         self.taken.push((*atom, slot.resident));
         self.dirty_ts.push(atom.timestep);
         self.generation += 1;
-        for s in &slot.subs {
+        for &q in &slot.ids {
             // lint: invariant — enqueue() registered every sub-query's query id
             let left = self
                 .pending_subs
-                .get_mut(&s.query)
+                .get_mut(&q)
                 .expect("sub-query of a tracked query");
             *left -= 1;
             if *left == 0 {
-                self.pending_subs.remove(&s.query);
-                completing.push(s.query);
+                self.pending_subs.remove(&q);
+                completing.push(q);
             }
         }
-        AtomBatch {
+        let batch = AtomBatch {
             atom: *atom,
-            subqueries: slot.subs,
-        }
+            positions: slot.positions,
+            subqueries: slot.ids.len() as u32,
+        };
+        self.spare_ids.push(emptied(slot.ids));
+        batch
     }
 
     /// Maintenance counters. Monotone; diff two snapshots to measure one
@@ -935,6 +959,13 @@ impl WorkloadManager {
         best
     }
 
+    /// The query ids queued on one atom, in arrival order (empty if it has
+    /// no queue).
+    #[cfg(test)]
+    fn queued_ids(&self, atom: &AtomId) -> &[QueryId] {
+        self.slot(atom).map_or(&[], |s| &s.ids)
+    }
+
     /// Pending atoms of one timestep, Morton order.
     #[cfg(test)]
     fn atoms_in_timestep(&self, timestep: u32) -> Vec<AtomId> {
@@ -949,13 +980,17 @@ impl WorkloadManager {
     }
 
     /// Test-only structural check of the slabs: every slab is non-empty and
-    /// strictly ascending in Morton order, and every slot's queue is
-    /// consistent — non-empty, all of the slot's atom, ΣW and oldest equal to
-    /// the fold over its sub-queries. With `residency`, the manager must be
-    /// integrated against that source: no slot is dirty, and every slot's
-    /// `u` and `resident` equal Eq. 1 and the source.
+    /// strictly ascending in Morton order; every slot's queue is non-empty,
+    /// with at least one position per queued sub-query and a finite oldest
+    /// enqueue time; and every queued id is a query the completion
+    /// bookkeeping still counts, as often as it is queued. Each slot's exact
+    /// ids, ΣW and oldest are compared against a shadow model by the
+    /// proptests. With `residency`, the manager must be integrated against
+    /// that source: no slot is dirty, and every slot's `u` and `resident`
+    /// equal Eq. 1 and the source.
     #[cfg(test)]
     fn check_slabs(&self, residency: Option<&dyn Residency>) {
+        let mut queued: BTreeMap<QueryId, usize> = BTreeMap::new();
         for (&ts, slab) in &self.slabs {
             assert!(!slab.is_empty(), "empty slab kept for ts {ts}");
             for pair in slab.windows(2) {
@@ -966,19 +1001,12 @@ impl WorkloadManager {
             }
             for s in slab {
                 let atom = AtomId::new(ts, s.morton);
-                assert!(!s.subs.is_empty(), "empty queue kept for {atom}");
-                assert!(
-                    s.subs.iter().all(|q| q.atom == atom),
-                    "stray sub-query in {atom}"
-                );
-                let positions: u64 = s.subs.iter().map(|q| q.positions as u64).sum();
-                assert_eq!(s.positions, positions, "ΣW of {atom}");
-                let oldest = s
-                    .subs
-                    .iter()
-                    .map(|q| q.enqueued_ms)
-                    .fold(f64::INFINITY, f64::min);
-                assert_eq!(s.oldest.to_bits(), oldest.to_bits(), "oldest of {atom}");
+                assert!(!s.ids.is_empty(), "empty queue kept for {atom}");
+                assert!(s.positions >= s.ids.len() as u64, "ΣW of {atom}");
+                assert!(s.oldest.is_finite(), "oldest of {atom}");
+                for &q in &s.ids {
+                    *queued.entry(q).or_default() += 1;
+                }
                 let Some(residency) = residency else {
                     continue;
                 };
@@ -992,6 +1020,9 @@ impl WorkloadManager {
                 );
             }
         }
+        let counted: BTreeMap<QueryId, usize> =
+            self.pending_subs.iter().map(|(&q, &n)| (q, n)).collect();
+        assert_eq!(queued, counted, "queued ids vs completion bookkeeping");
         if residency.is_some() {
             assert!(self.dirty_ts.is_empty(), "manager not integrated");
             assert!(self.taken.is_empty(), "taken atoms not integrated");
@@ -1243,8 +1274,8 @@ mod tests {
         ]);
         assert_eq!(wm.pending_subqueries(), 3);
         let (batch, done) = take(&mut wm, &AtomId::new(0, MortonKey(0)));
-        assert_eq!(batch.subqueries.len(), 2);
-        assert_eq!(batch.positions(), 12);
+        assert_eq!(batch.subqueries, 2);
+        assert_eq!(batch.positions, 12);
         assert_eq!(done, vec![2], "query 2 fully served; query 1 still pending");
         let (_, done) = take(&mut wm, &AtomId::new(0, MortonKey(1)));
         assert_eq!(done, vec![1]);
@@ -1465,8 +1496,8 @@ mod proptests {
                 prop_assert!(!atoms.is_empty());
                 let (atom, _) = atoms[0];
                 let (batch, done) = take(&mut wm, &atom);
-                prop_assert!(!batch.subqueries.is_empty());
-                taken += batch.subqueries.len();
+                prop_assert!(batch.subqueries > 0);
+                taken += batch.subqueries as usize;
                 completed.extend(done);
             }
             prop_assert_eq!(taken, subs.len());
@@ -1757,8 +1788,9 @@ mod proptests {
         /// (epoch + change log) and the conservative residency protocols.
         /// The oracle reads the same slots it checks, so the queues
         /// themselves are checked against an independent shadow model: the
-        /// pending atoms, every atom's ΣW and age, and the exact sub-queries
-        /// (and completions) each take returns.
+        /// pending atoms, every atom's ΣW and age, and for each take the
+        /// queued ids in arrival order, the ΣW and count it returns and the
+        /// queries it completes.
         #[test]
         fn queues_match_reference_under_interleaving(
             tracked in 0u32..2,
@@ -1791,9 +1823,13 @@ mod proptests {
                         // Kind 6 re-enqueues on the taken atom in the same
                         // window.
                         if let Some((best, _)) = wm.best_atom(now_ms, alpha, &res) {
-                            let (batch, done) = take(&mut wm, &best);
                             let expect = shadow.remove(&best).expect("best atom is pending");
-                            prop_assert_eq!(&batch.subqueries, &expect, "queue of {}", best);
+                            let ids: Vec<QueryId> = expect.iter().map(|s| s.query).collect();
+                            prop_assert_eq!(wm.queued_ids(&best), &ids[..], "queue of {}", best);
+                            let (batch, done) = take(&mut wm, &best);
+                            let positions: u64 = expect.iter().map(|s| s.positions as u64).sum();
+                            prop_assert_eq!(batch.positions, positions, "ΣW of {}", best);
+                            prop_assert_eq!(batch.subqueries as usize, expect.len(), "count of {}", best);
                             let mut expect_done: Vec<QueryId> = Vec::new();
                             for s in &expect {
                                 let elsewhere = shadow.values().flatten().any(|o| o.query == s.query);
@@ -1838,6 +1874,73 @@ mod proptests {
                 wm.check_slabs(None);
                 assert_equiv(&mut wm, &res, now_ms, alpha, &probes);
                 wm.check_slabs(Some(&res));
+            }
+        }
+
+        /// Every take returns the ΣW and sub-query count of exactly what was
+        /// enqueued on its atom since the atom last drained (or since the
+        /// last `clear`), with the queued ids in arrival order and the
+        /// queries it completes, while slot id buffers cycle through the
+        /// spare list: a take hands its buffer back, a new slot takes one,
+        /// and `clear` hands back every queued buffer at once.
+        #[test]
+        fn take_summaries_match_enqueued_work_across_buffer_reuse(
+            ops in proptest::collection::vec(
+                // (kind, ts, morton, positions): kind 0-2 enqueue a new
+                // query, 3-4 extend the previous query to this atom, 5-8
+                // take this atom if pending, 9 clear.
+                (0u32..10, 0u32..2, 0u64..5, 1u32..100), 1..150),
+        ) {
+            let mut wm = WorkloadManager::new(MetricParams::paper_testbed());
+            let mut shadow: BTreeMap<AtomId, Vec<SubQuery>> = BTreeMap::new();
+            let mut query: QueryId = 0;
+            for (i, &(kind, ts, m, positions)) in ops.iter().enumerate() {
+                let atom = AtomId::new(ts, MortonKey(m));
+                let spares = wm.spare_ids.len();
+                match kind {
+                    0..=4 => {
+                        if kind <= 2 || query == 0 {
+                            query += 1;
+                        }
+                        let sub = SubQuery { query, atom, positions, enqueued_ms: i as f64 };
+                        let fresh = !shadow.contains_key(&atom);
+                        wm.enqueue([sub]);
+                        shadow.entry(atom).or_default().push(sub);
+                        let expect = if fresh { spares.saturating_sub(1) } else { spares };
+                        prop_assert_eq!(wm.spare_ids.len(), expect, "spare taken by a new slot");
+                    }
+                    5..=8 => {
+                        let Some(expect) = shadow.remove(&atom) else {
+                            continue;
+                        };
+                        let ids: Vec<QueryId> = expect.iter().map(|s| s.query).collect();
+                        prop_assert_eq!(wm.queued_ids(&atom), &ids[..], "queue of {}", atom);
+                        let (batch, done) = take(&mut wm, &atom);
+                        let positions: u64 = expect.iter().map(|s| s.positions as u64).sum();
+                        prop_assert_eq!(batch.atom, atom);
+                        prop_assert_eq!(batch.positions, positions, "ΣW of {}", atom);
+                        prop_assert_eq!(batch.subqueries as usize, expect.len(), "count of {}", atom);
+                        let mut expect_done: Vec<QueryId> = Vec::new();
+                        for q in ids {
+                            let elsewhere = shadow.values().flatten().any(|o| o.query == q);
+                            if !elsewhere && !expect_done.contains(&q) {
+                                expect_done.push(q);
+                            }
+                        }
+                        prop_assert_eq!(done, expect_done, "completions of {}", atom);
+                        prop_assert_eq!(wm.spare_ids.len(), spares + 1, "buffer handed back");
+                    }
+                    _ => {
+                        let slots = shadow.len();
+                        wm.clear();
+                        shadow.clear();
+                        prop_assert!(wm.is_empty());
+                        prop_assert_eq!(wm.spare_ids.len(), spares + slots, "buffers handed back");
+                    }
+                }
+                prop_assert!(wm.spare_ids.iter().all(Vec::is_empty), "spare buffer not emptied");
+                prop_assert_eq!(wm.pending_subqueries(), shadow.values().map(Vec::len).sum::<usize>());
+                wm.check_slabs(None);
             }
         }
 

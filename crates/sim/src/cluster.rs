@@ -583,7 +583,7 @@ mod tests {
                 user: 0,
                 kind: JobKind::Ordered,
                 campaign: 1,
-                queries: vec![q(1, 0), q(2, 1), q(3, 2)],
+                queries: vec![q(1, 0), q(2, 1), q(3, 2)].into(),
                 arrival_ms: 0.0,
                 think_ms: 100.0,
             }],

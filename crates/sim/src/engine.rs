@@ -66,6 +66,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 /// Bits of a packed part id that carry the original query id. The remaining
 /// high bits hold the node index, so node 0's part ids equal the trace query
@@ -234,38 +235,42 @@ impl LiveRouting {
         surv
     }
 
-    /// Projects a job onto one node for declaration: each query keeps only
-    /// the footprint atoms the node owns (under its part id); queries with
-    /// empty projections are dropped, preserving order. `None` when the node
-    /// owns nothing of the job. When node 0 owns every slab its projection
-    /// is the job itself, borrowed.
+    /// Projects a query onto one node: its part id and the footprint atoms
+    /// the node owns, `None` when the node owns none. A filtered canonical
+    /// footprint is still canonical (sorted, merged, no zero counts), so the
+    /// filtered atom list is the part's footprint as is. The list is sized
+    /// exactly: declarations keep their projections for the job's lifetime.
+    fn project_query(&self, q: &Query, node: u32) -> Option<Query> {
+        let owned = |a: &&(MortonKey, u32)| self.node_of(a.0) == node;
+        let n = q.footprint.atoms.iter().filter(owned).count();
+        let mut atoms = Vec::with_capacity(n);
+        atoms.extend(q.footprint.atoms.iter().filter(owned).copied());
+        (n > 0).then(|| Query {
+            id: part_id(q.id, node),
+            user: q.user,
+            op: q.op,
+            timestep: q.timestep,
+            footprint: Footprint { atoms },
+        })
+    }
+
+    /// Projects a job onto one node for declaration: each query is
+    /// projected by [`Self::project_query`]; queries with empty projections
+    /// are dropped, preserving order. `None` when the node owns nothing of
+    /// the job. When node 0 owns every slab its projection is the job
+    /// itself, borrowed.
     fn project_job<'j>(&self, job: &'j Job, node: u32) -> Option<Cow<'j, Job>> {
         if node == 0 && self.node0_owns_all() {
             return Some(Cow::Borrowed(job));
         }
-        let queries: Vec<Query> = job
-            .queries
-            .iter()
-            .filter_map(|q| {
-                let atoms: Vec<(MortonKey, u32)> = q
-                    .footprint
-                    .atoms
-                    .iter()
-                    .copied()
-                    .filter(|&(m, _)| self.node_of(m) == node)
-                    .collect();
-                if atoms.is_empty() {
-                    return None;
-                }
-                Some(Query {
-                    id: part_id(q.id, node),
-                    user: q.user,
-                    op: q.op,
-                    timestep: q.timestep,
-                    footprint: Footprint::from_pairs(atoms),
-                })
-            })
-            .collect();
+        // Sized for every query, so it never regrows before the
+        // projection is copied into its `Arc`.
+        let mut queries = Vec::with_capacity(job.queries.len());
+        queries.extend(
+            job.queries
+                .iter()
+                .filter_map(|q| self.project_query(q, node)),
+        );
         if queries.is_empty() {
             return None;
         }
@@ -274,7 +279,7 @@ impl LiveRouting {
             user: job.user,
             kind: job.kind,
             campaign: job.campaign,
-            queries,
+            queries: queries.into(),
             arrival_ms: job.arrival_ms,
             think_ms: job.think_ms,
         }))
@@ -429,11 +434,13 @@ struct ReplicationState {
 }
 
 /// Reusable per-submit scratch for the engine's fan-out path. One query's
-/// footprint is scattered into per-node lanes, built into part queries, and
-/// the lane buffers are recovered after delivery — so a warmed-up submit of
-/// a plain replay allocates nothing, and one under a failure plan or the
-/// replica overlay only the ledger's per-part `Query` clones (plus those
-/// demanded by just-in-time declarations).
+/// footprint is scattered into per-node lanes and built into part queries.
+/// A plain replay recovers each lane buffer after delivery, so a warmed-up
+/// submit allocates nothing. Under a failure plan or the replica overlay the
+/// part moves into its node's ledger with its buffer, the lane takes a spare
+/// in its place, and the buffer becomes a spare when the part completes — so
+/// there too a warmed-up submit allocates only the ledger's map nodes (and
+/// what just-in-time declarations demand).
 struct EngineScratch {
     /// Per-node `(morton, count)` buckets for the footprint scatter.
     lanes: Lanes<(MortonKey, u32)>,
@@ -447,6 +454,9 @@ struct EngineScratch {
     /// just-in-time declaration to precede the first delivery, so parts are
     /// staged here between the two passes.
     parts: Vec<(u32, Query)>,
+    /// Emptied footprint buffers of completed ledgered parts, handed to a
+    /// lane whose buffer left with a part.
+    spare_atoms: Vec<Vec<(MortonKey, u32)>>,
 }
 
 impl EngineScratch {
@@ -456,6 +466,7 @@ impl EngineScratch {
             owner_flag: vec![false; nodes],
             actions: Vec::new(),
             parts: Vec::new(),
+            spare_atoms: Vec::new(),
         }
     }
 }
@@ -751,10 +762,13 @@ impl<'a> Engine<'a> {
     }
 
     /// Hands one part query to its owning pipeline: emits the routing record,
-    /// enters the part in the node's ledger (when one is kept), feeds the
-    /// trajectory predictor (for ordered follow-ups) and makes the part
-    /// available to the node's scheduler.
-    fn deliver_part(&mut self, node: u32, part: &Query, query: QueryId, observe: bool, job: u64) {
+    /// feeds the trajectory predictor (for ordered follow-ups), makes the
+    /// part available to the node's scheduler and then moves it into the
+    /// node's ledger. Without a ledger, the part's footprint buffer goes
+    /// straight back to its lane; with one, the lane takes a spare buffer
+    /// instead and [`Self::batch_done`] returns the part's buffer to the
+    /// spares when the part completes.
+    fn deliver_part(&mut self, node: u32, part: Query, query: QueryId, observe: bool, job: u64) {
         if self.sink.enabled() {
             self.sink.emit(
                 self.now_ms,
@@ -766,14 +780,19 @@ impl<'a> Engine<'a> {
                 },
             );
         }
-        if let Some(ledger) = self.ledger.get_mut(node as usize) {
-            ledger.insert(part.id, part.clone());
-        }
         let p = &mut self.pipelines[node as usize];
         if observe {
-            p.observe(job, part);
+            p.observe(job, &part);
         }
-        p.query_available(part, self.now_ms);
+        p.query_available(&part, self.now_ms);
+        let lane = match self.ledger.get_mut(node as usize) {
+            Some(ledger) => {
+                ledger.insert(part.id, part);
+                self.scratch.spare_atoms.pop().unwrap_or_default()
+            }
+            None => part.footprint.atoms,
+        };
+        self.scratch.lanes.restore(node as usize, lane);
     }
 
     /// Splits `q` into per-node parts and delivers them in ascending node
@@ -797,7 +816,8 @@ impl<'a> Engine<'a> {
     ///   so the declaration cannot distort schedule quality.
     ///
     /// The scatter reuses the scratch lanes, and each part's footprint buffer
-    /// goes back to its lane after delivery.
+    /// goes back to its lane after delivery, or at completion when the
+    /// node's ledger keeps the part.
     fn fan_out(&mut self, q: &Query, job: &Job, observe: bool) -> u32 {
         let now_ms = self.now_ms;
         self.scratch.actions.clear();
@@ -891,7 +911,7 @@ impl<'a> Engine<'a> {
                         user: job.user,
                         kind: job.kind,
                         campaign: job.campaign,
-                        queries: vec![part.clone()],
+                        queries: Arc::from([part.clone()]),
                         arrival_ms: job.arrival_ms,
                         think_ms: job.think_ms,
                     };
@@ -901,16 +921,11 @@ impl<'a> Engine<'a> {
             self.scratch.parts.push((node as u32, part));
         }
         let delivered = self.scratch.parts.len() as u32;
-        // Deliveries in ascending node order; each part's footprint buffer
-        // goes back to its lane once the pipeline has taken what it needs.
+        // Deliveries in ascending node order.
         let mut parts = std::mem::take(&mut self.scratch.parts);
-        for (node, part) in &mut parts {
-            self.deliver_part(*node, part, q.id, observe, job.id);
-            self.scratch
-                .lanes
-                .restore(*node as usize, std::mem::take(&mut part.footprint.atoms));
+        for (node, part) in parts.drain(..) {
+            self.deliver_part(node, part, q.id, observe, job.id);
         }
-        parts.clear();
         self.scratch.parts = parts;
         delivered
     }
@@ -941,8 +956,10 @@ impl<'a> Engine<'a> {
             let (left, ji, qi) = (state.outstanding, state.job, state.index);
             let rt = now_ms - submitted;
             self.pipelines[n].complete_part(pid, rt, now_ms);
-            if let Some(ledger) = self.ledger.get_mut(n) {
-                ledger.remove(&pid);
+            if let Some(part) = self.ledger.get_mut(n).and_then(|l| l.remove(&pid)) {
+                let mut spare = part.footprint.atoms;
+                spare.clear();
+                self.scratch.spare_atoms.push(spare);
             }
             if left > 0 {
                 continue;
@@ -1067,31 +1084,13 @@ impl<'a> Engine<'a> {
                 if self.per_query[&q.id].submit_ms.is_some() {
                     continue; // submitted (or already complete): not a future query
                 }
-                let atoms: Vec<(MortonKey, u32)> = q
-                    .footprint
-                    .atoms
-                    .iter()
-                    .copied()
-                    .filter(|&(m, _)| self.live.node_of(m) == surv)
-                    .collect();
-                if atoms.is_empty() {
+                let Some(part) = self.live.project_query(q, surv) else {
                     continue;
-                }
-                let pid = part_id(q.id, surv);
-                if declared.contains(&pid) {
+                };
+                if declared.contains(&part.id) {
                     continue; // the survivor's own projection already covers it
                 }
-                remnants.entry(ji).or_default().push((
-                    qi,
-                    pid,
-                    Query {
-                        id: pid,
-                        user: q.user,
-                        op: q.op,
-                        timestep: q.timestep,
-                        footprint: Footprint::from_pairs(atoms),
-                    },
-                ));
+                remnants.entry(ji).or_default().push((qi, part.id, part));
             }
         }
         let survivor = &mut self.pipelines[surv as usize];
@@ -1148,7 +1147,7 @@ impl<'a> Engine<'a> {
     /// Panics naming the first query, in trace order, that was never
     /// submitted or still has parts out.
     fn check_conservation(&self) {
-        for q in self.trace.jobs.iter().flat_map(|j| &j.queries) {
+        for q in self.trace.jobs.iter().flat_map(|j| j.queries.iter()) {
             let state = &self.per_query[&q.id];
             assert!(
                 state.submit_ms.is_some(),
@@ -1407,13 +1406,13 @@ mod tests {
             user: 0,
             kind: JobKind::Batched,
             campaign: 1,
-            queries: vec![Query {
+            queries: Arc::from([Query {
                 id: 9,
                 user: 0,
                 op: jaws_workload::QueryOp::Velocity,
                 timestep: 0,
                 footprint: Footprint::from_pairs([(MortonKey(0), 5u32), (MortonKey(63), 7)]),
-            }],
+            }]),
             arrival_ms: 0.0,
             think_ms: 0.0,
         }

@@ -246,7 +246,7 @@ mod tests {
                 user: 0,
                 kind: JobKind::Batched,
                 campaign: 1,
-                queries: vec![q],
+                queries: vec![q].into(),
                 arrival_ms: 1000.0,
                 think_ms: 0.0,
             }],
@@ -301,7 +301,7 @@ mod tests {
             user: 0,
             kind: JobKind::Batched,
             campaign: 1,
-            queries: vec![q],
+            queries: vec![q].into(),
             arrival_ms: 0.0,
             think_ms: 0.0,
         };

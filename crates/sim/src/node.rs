@@ -182,7 +182,7 @@ impl NodePipeline {
             let r = self.db.read_atom_at(group.atom, &snapshot, now_ms);
             service_ms += r.io_ms;
             io_ms += r.io_ms;
-            service_ms += self.db.compute_cost_ms(group.positions());
+            service_ms += self.db.compute_cost_ms(group.positions);
         }
         // Second pass: stencil spill-over into neighboring atoms. Neighbors
         // co-scheduled in this batch, or still cached, cost nothing extra.

@@ -358,7 +358,7 @@ impl TraceGenerator {
             user,
             kind: JobKind::Ordered,
             campaign: 0, // assigned by the burst loop
-            queries,
+            queries: queries.into(),
             arrival_ms,
             think_ms,
         }

@@ -51,7 +51,7 @@ impl SubmitRecord {
         let mut log = Vec::with_capacity(trace.query_count());
         for job in &trace.jobs {
             let mut t = job.arrival_ms;
-            for q in &job.queries {
+            for q in job.queries.iter() {
                 log.push(SubmitRecord {
                     query: q.id,
                     user: q.user,
@@ -354,7 +354,7 @@ pub fn reconstruct_jobs(
     assert_eq!(log.len(), assignment.len());
     let mut by_id: HashMap<QueryId, &Query> = HashMap::new();
     for job in &trace.jobs {
-        for q in &job.queries {
+        for q in job.queries.iter() {
             by_id.insert(q.id, q);
         }
     }

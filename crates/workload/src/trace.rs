@@ -103,7 +103,7 @@ impl Trace {
             assert!(j.arrival_ms >= last, "jobs not sorted by arrival");
             last = j.arrival_ms;
             assert!(!j.queries.is_empty(), "empty job {}", j.id);
-            for q in &j.queries {
+            for q in j.queries.iter() {
                 assert!(ids.insert(q.id), "duplicate query id {}", q.id);
                 assert!(q.timestep < self.timesteps, "timestep out of range");
                 assert!(!q.footprint.atoms.is_empty(), "empty footprint {}", q.id);
@@ -138,7 +138,7 @@ mod tests {
             user: 1,
             kind: JobKind::Ordered,
             campaign: id,
-            queries,
+            queries: queries.into(),
             arrival_ms: arrival,
             think_ms: 50.0,
         }

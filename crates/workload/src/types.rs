@@ -2,6 +2,7 @@
 
 use jaws_morton::{AtomId, MortonKey};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Unique query identifier within a trace.
 pub type QueryId = u64;
@@ -177,7 +178,9 @@ pub struct Job {
     pub campaign: u64,
     /// The query sequence. For [`JobKind::Ordered`] the order is the
     /// precedence order q₁ → q₂ → …; for batched jobs it is arbitrary.
-    pub queries: Vec<Query>,
+    /// Shared: a scheduler that keeps a job's queries (the gating graph)
+    /// holds another reference instead of a copy.
+    pub queries: Arc<[Query]>,
     /// Job submission time in trace milliseconds.
     pub arrival_ms: f64,
     /// Client-side pacing. For ordered jobs: think time between a query
@@ -298,7 +301,7 @@ mod tests {
             user: 1,
             kind: JobKind::Ordered,
             campaign: 1,
-            queries: vec![q(1, 0), q(2, 1), q(3, 2)],
+            queries: vec![q(1, 0), q(2, 1), q(3, 2)].into(),
             arrival_ms: 0.0,
             think_ms: 100.0,
         };
@@ -315,7 +318,7 @@ mod tests {
             user: 1,
             kind: JobKind::Batched,
             campaign: 1,
-            queries: vec![],
+            queries: Vec::new().into(),
             arrival_ms: 0.0,
             think_ms: 500.0,
         };
