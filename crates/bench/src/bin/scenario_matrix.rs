@@ -217,7 +217,9 @@ impl Driver {
 /// Loads a JAWS₂ scheduler with `n` seeded queries (same synthetic shape as
 /// the `scheduler_step` microbench), warms it up for `warmup` batches so
 /// every scratch buffer and pool reaches steady-state capacity, then counts
-/// heap allocations over the next `measured` dispatch rounds.
+/// heap allocations over the next `measured` dispatch rounds. Each batch is
+/// handed back through `recycle_batch`, as the engine does when a batch
+/// completes.
 fn dispatch_microbench(n: u64, warmup: usize, measured: usize) -> DispatchMicro {
     let mut s = Jaws::new(JawsConfig::jaws2(MetricParams::paper_testbed()));
     for i in 0..n {
@@ -250,7 +252,9 @@ fn dispatch_microbench(n: u64, warmup: usize, measured: usize) -> DispatchMicro 
     let mut now = n as f64;
     for _ in 0..warmup {
         now += 1.0;
-        s.next_batch(now, &NoneResident);
+        if let Some(batch) = s.next_batch(now, &NoneResident) {
+            s.recycle_batch(batch);
+        }
     }
     let mut atoms = 0u64;
     alloc_counter::reset();
@@ -262,6 +266,7 @@ fn dispatch_microbench(n: u64, warmup: usize, measured: usize) -> DispatchMicro 
         };
         atoms += batch.atom_count() as u64;
         batches += 1;
+        s.recycle_batch(batch);
     }
     let allocations = alloc_counter::count();
     assert!(batches > 0, "dispatch microbench drained during warm-up");

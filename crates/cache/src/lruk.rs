@@ -15,6 +15,8 @@ use std::hash::Hash;
 use std::mem::size_of;
 
 /// Per-key reference history: the stamps of the most recent `k` references.
+/// Its buffer never grows past `k`: the oldest stamp leaves before a new one
+/// enters.
 #[derive(Debug, Clone)]
 struct History {
     stamps: VecDeque<u64>,
@@ -26,6 +28,10 @@ struct History {
 /// `kth_stamp` is the stamp of the K-th most recent reference, or the first
 /// reference negated into a "cold" band for keys with fewer than K
 /// references so that all cold keys sort before all hot keys.
+///
+/// A removed key's history buffer is emptied onto a spare list and the next
+/// untracked key takes it, so once the cache is full a miss allocates no
+/// history.
 #[derive(Debug)]
 pub struct LruK<K> {
     k: usize,
@@ -34,6 +40,8 @@ pub struct LruK<K> {
     // (band, stamp, key): band 0 = fewer than K refs (evict first, by oldest
     // first reference), band 1 = K refs (evict by oldest K-th-last reference).
     order: BTreeSet<(u8, u64, K)>,
+    /// Emptied history buffers of removed keys, capacity `k` each.
+    spare: Vec<VecDeque<u64>>,
 }
 
 impl<K: Eq + Hash + Ord + Copy + Debug> LruK<K> {
@@ -51,6 +59,7 @@ impl<K: Eq + Hash + Ord + Copy + Debug> LruK<K> {
             clock: 0,
             history: FastMap::default(),
             order: BTreeSet::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -69,13 +78,17 @@ impl<K: Eq + Hash + Ord + Copy + Debug> LruK<K> {
         let k = self.k;
         if let Some(h) = self.history.get_mut(&key) {
             self.order.remove(&Self::sort_entry(k, key, h));
-            h.stamps.push_back(stamp);
-            if h.stamps.len() > k {
+            if h.stamps.len() == k {
                 h.stamps.pop_front();
             }
+            h.stamps.push_back(stamp);
             self.order.insert(Self::sort_entry(k, key, h));
         } else {
-            let mut stamps = VecDeque::with_capacity(k);
+            let mut stamps = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| VecDeque::with_capacity(k));
+            debug_assert!(stamps.is_empty(), "spare history not emptied");
             stamps.push_back(stamp);
             let h = History { stamps };
             self.order.insert(Self::sort_entry(k, key, &h));
@@ -112,6 +125,9 @@ impl<K: Eq + Hash + Ord + Copy + Debug + Send> ReplacementPolicy<K> for LruK<K> 
     fn on_remove(&mut self, key: &K) {
         if let Some(h) = self.history.remove(key) {
             self.order.remove(&Self::sort_entry(self.k, *key, &h));
+            let mut stamps = h.stamps;
+            stamps.clear();
+            self.spare.push(stamps);
         }
     }
 

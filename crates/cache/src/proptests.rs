@@ -225,3 +225,74 @@ fn urc_victim_equals_full_rerank() {
         "both branches must run: {early_exits} early exits, {full_passes} full passes"
     );
 }
+
+/// The definition LRU-K's victim order must match: each tracked key's last
+/// `k` reference stamps, and the minimum `(band, oldest retained stamp,
+/// key)` over them, band 0 holding the keys with fewer than `k` references.
+struct KStamps {
+    k: usize,
+    clock: u64,
+    stamps: HashMap<u32, Vec<u64>>,
+}
+
+impl KStamps {
+    fn touch(&mut self, key: u32) {
+        let s = self.stamps.entry(key).or_default();
+        s.push(self.clock);
+        if s.len() > self.k {
+            s.remove(0);
+        }
+        self.clock += 1;
+    }
+
+    fn victim(&self) -> Option<u32> {
+        self.stamps
+            .iter()
+            .map(|(&key, s)| (u8::from(s.len() >= self.k), s[0], key))
+            .min()
+            .map(|(_, _, key)| key)
+    }
+}
+
+proptest! {
+    /// LRU-K picks the naive scan's victim after every step of a random
+    /// insert/hit/remove/victim sequence, for K of 1, 2 and 3. Removed keys'
+    /// history buffers are recycled for later inserts, so a stale stamp left
+    /// in one shows up here as a wrong band or a wrong oldest stamp.
+    #[test]
+    fn lruk_victim_equals_naive_scan(
+        k in 1usize..4,
+        // (op, key): ops 0–4 access (insert or hit), 5–6 remove, 7–9 pick
+        // and evict a victim.
+        ops in proptest::collection::vec((0u8..10, 0u32..10), 1..300),
+    ) {
+        let mut lruk = LruK::with_k(k);
+        let mut naive = KStamps { k, clock: 0, stamps: HashMap::new() };
+        for (step, &(op, key)) in ops.iter().enumerate() {
+            match op {
+                0..=4 if naive.stamps.contains_key(&key) => {
+                    lruk.on_hit(&key);
+                    naive.touch(key);
+                }
+                0..=4 => {
+                    lruk.on_insert(key);
+                    naive.touch(key);
+                }
+                5 | 6 => {
+                    lruk.on_remove(&key);
+                    naive.stamps.remove(&key);
+                }
+                _ => {
+                    let got = lruk.choose_victim(&crate::NullOracle);
+                    prop_assert_eq!(got, naive.victim(), "step {}", step);
+                    if let Some(v) = got {
+                        lruk.on_remove(&v);
+                        naive.stamps.remove(&v);
+                    }
+                }
+            }
+            prop_assert_eq!(lruk.choose_victim(&crate::NullOracle), naive.victim(), "step {}", step);
+            prop_assert_eq!(lruk.tracked(), naive.stamps.len());
+        }
+    }
+}

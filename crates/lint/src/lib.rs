@@ -38,7 +38,6 @@
 //! | C002 | everywhere, tests included | acquiring a second distinct `Mutex`/`RwLock` while a guard is held in the same scope (lock-ordering hazard; lock-typed names are collected workspace-wide) |
 //! | C003 | everywhere, tests included | holding a lock guard across a `jaws_par::map*` call |
 //! | T001 | everywhere except `crates/par` | `jaws-par` closures capturing `RefCell`/`Cell`/atomics, doing atomic RMW, or calling obs sinks |
-//! | M001 | bodies of `// lint: hotpath` functions, tests included | per-call allocation (`Vec::new`, `Box::new`, `.collect()`) inside a declared hot path — reuse a caller-provided buffer or a `mem::take`d field |
 //! | S001 | everywhere, tests included | suppression debt: a `lint:` marker that no longer justifies anything, or that matches no known form |
 //!
 //! # Suppression grammar
@@ -50,9 +49,6 @@
 //!   rule additionally demands visible sort evidence within a few lines.
 //! * `lint: invariant — why` — P001/C001: the `expect`/panic cannot fire, or
 //!   must abort; say why.
-//! * `lint: hotpath` — M001 declaration (not a suppression): the function
-//!   below is a per-event hot path; its body must not allocate per call. A
-//!   marker that annotates no function is S001 debt.
 //! * `lint: allow(<RULE>) — reason` — unconditional per-rule escape hatch.
 //!
 //! A marker attests the violation on its own line, on the same multi-line
@@ -212,23 +208,13 @@ pub const RULES: &[RuleInfo] = &[
               map, in input order.",
     },
     RuleInfo {
-        id: "M001",
-        title: "no per-call allocation in hot-path functions",
-        rationale: "functions declared `// lint: hotpath` (engine event loop, next_batch, sweep \
-                    kernels) run once per simulated event; a `Vec::new`/`Box::new`/`collect()` \
-                    there is allocator traffic repeated millions of times per experiment.",
-        fix: "reuse scratch: a caller-provided buffer or a `mem::take`d field; \
-              `// lint: allow(M001)` for genuinely cold branches inside a hot body.",
-    },
-    RuleInfo {
         id: "S001",
         title: "zero suppression debt",
         rationale: "a `lint:` marker whose rule no longer fires is a stale exemption that hides \
                     future regressions; a malformed marker suppresses nothing and misleads \
                     readers.",
-        fix: "delete stale markers; fix malformed ones to `lint: sorted`, `lint: invariant`, \
-              `lint: hotpath`, or `lint: allow(<RULE>)`. S001 is not \
-              suppressible.",
+        fix: "delete stale markers; fix malformed ones to `lint: sorted`, `lint: invariant` \
+              or `lint: allow(<RULE>)`. S001 is not suppressible.",
     },
 ];
 
@@ -265,7 +251,6 @@ pub fn check_file_in(rel: &str, src: &str, ctx: &Context) -> Vec<Diagnostic> {
     rules::panics::run(&mut c);
     rules::concurrency::run(&mut c);
     rules::thread_det::run(&mut c);
-    rules::hotpath::run(&mut c);
     // The suppression audit must run last: it flags whatever the families
     // above never consumed.
     rules::suppression::run(&mut c);
@@ -442,7 +427,7 @@ mod tests {
         let ids: BTreeSet<&str> = RULES.iter().map(|r| r.id).collect();
         assert_eq!(ids.len(), RULES.len(), "duplicate rule ids");
         for id in [
-            "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001", "S001",
+            "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "S001",
         ] {
             assert!(rule_info(id).is_some(), "missing registry entry for {id}");
         }

@@ -6,7 +6,6 @@
 pub mod concurrency;
 pub mod determinism;
 pub mod floats;
-pub mod hotpath;
 pub mod panics;
 pub mod suppression;
 pub mod thread_det;

@@ -21,7 +21,6 @@ pub fn run(c: &mut Check<'_>) {
         let what = match &s.marker {
             Marker::Sorted => "`lint: sorted`".to_string(),
             Marker::Invariant => "`lint: invariant`".to_string(),
-            Marker::Hotpath => "`lint: hotpath`".to_string(),
             Marker::Allow(rule) => format!("`lint: allow({rule})`"),
             Marker::Unknown(_) => continue,
         };
@@ -40,8 +39,8 @@ pub fn run(c: &mut Check<'_>) {
         found.push((
             s.line,
             format!(
-                "malformed suppression `{}`: expected `lint: sorted`, `lint: invariant`, \
-                 `lint: hotpath`, or `lint: allow(<RULE>)`",
+                "malformed suppression `{}`: expected `lint: sorted`, `lint: invariant` \
+                 or `lint: allow(<RULE>)`",
                 text.trim()
             ),
         ));

@@ -136,9 +136,6 @@ pub enum Marker {
     Sorted,
     /// `lint: invariant — why` — P001/C001 `expect`/panic attestations.
     Invariant,
-    /// `lint: hotpath` — M001 declaration: the function below is a per-event
-    /// hot path; per-call allocations are forbidden in its body.
-    Hotpath,
     /// `lint: allow(<RULE>) — reason` — unconditional per-rule escape hatch.
     Allow(String),
     /// A `lint:` marker that matches no known form (malformed suppression).
@@ -168,8 +165,6 @@ pub fn parse_suppressions(lines: &[Line]) -> Vec<Suppression> {
             Marker::Sorted
         } else if rest.starts_with("invariant") {
             Marker::Invariant
-        } else if rest.starts_with("hotpath") {
-            Marker::Hotpath
         } else if let Some(r) = rest.strip_prefix("allow(") {
             match r.split(')').next() {
                 Some(rule)
@@ -497,7 +492,10 @@ mod tests {
         assert_eq!(sup[1].marker, Marker::Invariant);
         assert_eq!(sup[2].marker, Marker::Allow("D002".to_string()));
         assert!(matches!(sup[3].marker, Marker::Unknown(_)));
-        assert_eq!(sup[4].marker, Marker::Hotpath);
+        assert!(
+            matches!(sup[4].marker, Marker::Unknown(_)),
+            "the retired `lint: hotpath` marker is malformed"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::process::{Command, Output};
 
 /// Every rule the violations fixture plants.
 const ALL_RULES: &[&str] = &[
-    "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "M001", "S001",
+    "D001", "D002", "F001", "F002", "P001", "C001", "C002", "C003", "T001", "S001",
 ];
 
 fn workspace_root() -> PathBuf {

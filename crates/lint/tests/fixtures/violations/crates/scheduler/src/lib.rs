@@ -58,11 +58,6 @@ pub fn planted_s001_malformed() -> u32 {
     2 // lint: allov(D001)
 }
 
-// lint: hotpath
-pub fn planted_m001(xs: &[u32]) -> Vec<u32> {
-    xs.iter().map(|x| x + 1).collect()
-}
-
 pub struct Table {
     by_id: jaws_morton::FastMap<u32, u32>,
 }

@@ -75,8 +75,10 @@
 //! A job's declared queries are shared, not copied: [`Job::queries`] is an
 //! `Arc<[Query]>`, and the graph's job entry holds another reference to it.
 //! Alignment fills one flat dynamic-program table and two flat candidate
-//! buffers owned by the graph, so declaring a job allocates only what the
-//! admitted gates themselves need.
+//! buffers owned by the graph, and each edge's deadlock check runs on the
+//! graph's own job, stack and visited-set scratch. A merged group takes the
+//! member list of a dissolved one, so declaring a job allocates only when
+//! the live groups outgrow every earlier high-water mark.
 //!
 //! ## Retirement
 //!
@@ -89,14 +91,14 @@
 //!
 //! Every iterated map or set is a `BTreeMap`/`BTreeSet` keyed by `JobId`/
 //! `QueryId`/group id, so every iteration is ordered by construction. The
-//! per-query entries are only ever looked up by id, so they live in a
-//! [`FastMap`].
+//! per-query entries and the cycle search's visited set are only ever
+//! looked up, so they live in a [`FastMap`] and a [`FastSet`].
 
 use crate::align::align_into;
-use jaws_morton::FastMap;
+use jaws_morton::{FastMap, FastSet};
 use jaws_workload::{Job, JobId, JobKind, Query, QueryId};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Gating behaviour knobs.
@@ -175,6 +177,14 @@ pub struct GatingGraph {
     align_table: Vec<u32>,
     align_pairs: Vec<(usize, usize)>,
     align_cands: Vec<(JobId, usize, usize)>,
+    /// Emptied member lists of dissolved groups, for later merges.
+    spare_groups: Vec<Vec<QueryId>>,
+    /// Edge-check scratch, reused across [`Self::admit_edge`] calls: the
+    /// jobs of a tentative merge, and the stack and visited set of the
+    /// cycle search.
+    merge_jobs: Vec<JobId>,
+    dfs_stack: Vec<GroupId>,
+    dfs_seen: FastSet<GroupId>,
     admitted_edges: u64,
     refused_edges: u64,
     forced_releases: u64,
@@ -194,6 +204,10 @@ impl GatingGraph {
             align_table: Vec::new(),
             align_pairs: Vec::new(),
             align_cands: Vec::new(),
+            spare_groups: Vec::new(),
+            merge_jobs: Vec::new(),
+            dfs_stack: Vec::new(),
+            dfs_seen: FastSet::default(),
             admitted_edges: 0,
             refused_edges: 0,
             forced_releases: 0,
@@ -347,18 +361,21 @@ impl GatingGraph {
         // joining b means joining b's whole group. Constraint: the merged
         // group may hold at most one query per job (two queries of one job in
         // a group could never be co-scheduled).
-        let merged: Vec<QueryId> = self
-            .members_or_self(ga, &a)
-            .iter()
-            .chain(self.members_or_self(gb, &b))
-            .copied()
-            .collect();
-        let mut jobs_seen = BTreeSet::new();
-        for q in &merged {
-            if !jobs_seen.insert(self.entries[q].job) {
-                self.refused_edges += 1;
-                return false;
-            }
+        let mut merged = self.spare_groups.pop().unwrap_or_default();
+        merged.extend_from_slice(self.members_or_self(ga, &a));
+        merged.extend_from_slice(self.members_or_self(gb, &b));
+        let mut jobs = std::mem::take(&mut self.merge_jobs);
+        jobs.clear();
+        jobs.extend(merged.iter().map(|q| self.entries[q].job));
+        jobs.sort_unstable();
+        let members = jobs.len();
+        jobs.dedup();
+        let repeated = jobs.len() < members;
+        self.merge_jobs = jobs;
+        if repeated {
+            self.retire_members(merged);
+            self.refused_edges += 1;
+            return false;
         }
         // Tentatively apply, then verify no cycle runs through the merge.
         let gid = self.next_group;
@@ -380,11 +397,16 @@ impl GatingGraph {
             "local cycle check disagrees with the global oracle"
         );
         if !cyclic {
+            for (_, members) in old_a.into_iter().chain(old_b) {
+                self.retire_members(members);
+            }
             self.admitted_edges += 1;
             true
         } else {
             // Revert to the exact pre-merge state.
-            self.groups.remove(&gid);
+            if let Some(merged) = self.groups.remove(&gid) {
+                self.retire_members(merged);
+            }
             for (old, lone) in [(old_a, a), (old_b, b)] {
                 match old {
                     None => {
@@ -405,6 +427,12 @@ impl GatingGraph {
         }
     }
 
+    /// Empties a dissolved group's member list onto the spare list.
+    fn retire_members(&mut self, mut members: Vec<QueryId>) {
+        members.clear();
+        self.spare_groups.push(members);
+    }
+
     /// The members of group `g`, or just `q` when it is ungated.
     fn members_or_self<'a>(&'a self, g: Option<GroupId>, q: &'a QueryId) -> &'a [QueryId] {
         g.map_or(std::slice::from_ref(q), |g| &self.groups[&g])
@@ -420,20 +448,30 @@ impl GatingGraph {
     }
 
     /// True if a path of the group-precedence DAG leads from `gid` back to
-    /// itself. A depth-first search over the groups reachable from `gid`.
-    fn reaches_itself(&self, gid: GroupId) -> bool {
-        let mut stack = vec![gid];
-        let mut seen = BTreeSet::new();
-        while let Some(g) = stack.pop() {
+    /// itself. A depth-first search over the groups reachable from `gid`,
+    /// on the graph's reused stack and visited set.
+    fn reaches_itself(&mut self, gid: GroupId) -> bool {
+        let mut stack = std::mem::take(&mut self.dfs_stack);
+        let mut seen = std::mem::take(&mut self.dfs_seen);
+        stack.clear();
+        seen.clear();
+        stack.push(gid);
+        let mut found = false;
+        'search: while let Some(g) = stack.pop() {
             for &m in &self.groups[&g] {
                 match self.next_group_after(m) {
-                    Some(next) if next == gid => return true,
+                    Some(next) if next == gid => {
+                        found = true;
+                        break 'search;
+                    }
                     Some(next) if seen.insert(next) => stack.push(next),
                     _ => {}
                 }
             }
         }
-        false
+        self.dfs_stack = stack;
+        self.dfs_seen = seen;
+        found
     }
 
     /// Global cycle check over the gating-group precedence DAG: rebuilds
@@ -442,7 +480,7 @@ impl GatingGraph {
     #[cfg(test)]
     fn group_dag_is_acyclic(&self) -> bool {
         // Edges: for each job, consecutive gated queries g_prev -> g_next.
-        let mut edges: BTreeMap<GroupId, BTreeSet<GroupId>> = BTreeMap::new();
+        let mut edges: BTreeMap<GroupId, std::collections::BTreeSet<GroupId>> = BTreeMap::new();
         for job in self.jobs.values() {
             let mut prev: Option<GroupId> = None;
             for q in &job.queries[job.first_pending..] {
@@ -553,7 +591,8 @@ impl GatingGraph {
             if let Some(members) = self.groups.get_mut(&g) {
                 members.retain(|&m| m != q);
                 if members.len() <= 1 {
-                    for m in self.groups.remove(&g).into_iter().flatten() {
+                    let members = self.groups.remove(&g).unwrap_or_default();
+                    for &m in &members {
                         // lint: invariant — group members are tracked queries
                         let e = self.entries.get_mut(&m).expect("tracked");
                         e.group = None;
@@ -562,6 +601,7 @@ impl GatingGraph {
                             debug_assert!(uncopied.is_none(), "held query {m} has no copy");
                         }
                     }
+                    self.retire_members(members);
                 } else if let Some(&m) = members.first() {
                     let uncopied = self.try_fire(m, promoted);
                     debug_assert!(uncopied.is_none(), "held query has no copy");
@@ -639,10 +679,12 @@ impl GatingGraph {
                     members.retain(|&m| m != q);
                     let first = members.first().copied();
                     if members.len() <= 1 {
-                        for m in self.groups.remove(&g).into_iter().flatten() {
+                        let members = self.groups.remove(&g).unwrap_or_default();
+                        for &m in &members {
                             // lint: invariant — group members are tracked queries
                             self.entries.get_mut(&m).expect("tracked").group = None;
                         }
+                        self.retire_members(members);
                     }
                     if let Some(m) = first {
                         let uncopied = self.try_fire(m, promoted);
@@ -685,7 +727,7 @@ mod tests {
     use super::*;
     use jaws_morton::MortonKey;
     use jaws_workload::{Footprint, QueryOp};
-    use std::collections::HashMap;
+    use std::collections::{BTreeSet, HashMap};
 
     /// Builds a query with id `id` touching region `r` at timestep `ts`.
     fn q(id: u64, ts: u32, r: u64) -> Query {

@@ -132,6 +132,9 @@ pub struct Jaws {
     /// Gating scratch: the queries one gating-graph call promoted, reused
     /// across calls (emptied by [`Jaws::release`]).
     fired_scratch: Vec<Query>,
+    /// The buffers of the last batch handed back through
+    /// [`Scheduler::recycle_batch`], emptied, for the next batch.
+    spare_batch: Batch,
 }
 
 impl Jaws {
@@ -148,6 +151,7 @@ impl Jaws {
             ranked_scratch: Vec::new(),
             selected_scratch: Vec::new(),
             fired_scratch: Vec::new(),
+            spare_batch: Batch::default(),
             cfg,
         }
     }
@@ -223,26 +227,28 @@ impl Jaws {
     }
 
     /// Drains the selected atoms out of the workload queues into a [`Batch`],
-    /// updating the dispatch counters. The batch's own two vectors are the
-    /// only allocations here — they escape to the engine with the batch.
-    /// Each take returns the atom's ΣW and sub-query count, appends the
-    /// queries it completes to `completing` and hands the atom's id buffer
-    /// back to the workload manager's spare list, so the k takes allocate
-    /// nothing themselves.
+    /// updating the dispatch counters. The batch is built in the buffers of
+    /// the last batch the engine handed back, so a build allocates only
+    /// when the batch outgrows every batch before it; with none handed
+    /// back, the atom list is sized once for the selection. Each take
+    /// returns the atom's ΣW and sub-query count, appends the queries it
+    /// completes to the batch and hands the queue's id chunks back to the
+    /// workload manager.
     fn build_batch(&mut self, selected: &[AtomId]) -> Batch {
-        let mut atoms = Vec::with_capacity(selected.len());
-        let mut completing = Vec::new();
+        let mut batch = std::mem::take(&mut self.spare_batch);
+        debug_assert!(
+            batch.is_empty() && batch.completing_queries.is_empty(),
+            "spare batch not emptied"
+        );
+        batch.atoms.reserve(selected.len());
         for atom in selected {
-            let group = self.wm.take_atom(atom, &mut completing);
+            let group = self.wm.take_atom(atom, &mut batch.completing_queries);
             self.stats.subqueries += group.subqueries as u64;
-            atoms.push(group);
+            batch.atoms.push(group);
         }
         self.stats.batches += 1;
-        self.stats.atom_groups += atoms.len() as u64;
-        Batch {
-            atoms,
-            completing_queries: completing,
-        }
+        self.stats.atom_groups += batch.atoms.len() as u64;
+        batch
     }
 }
 
@@ -296,7 +302,6 @@ impl Scheduler for Jaws {
         }
     }
 
-    // lint: hotpath
     fn next_batch(&mut self, now_ms: f64, residency: &dyn Residency) -> Option<Batch> {
         if self.cfg.job_aware {
             // Starvation valve: break gates that out-waited their budget.
@@ -394,6 +399,12 @@ impl Scheduler for Jaws {
             self.gating.query_done(query, &mut fired);
             self.release(fired, None, now_ms);
         }
+    }
+
+    fn recycle_batch(&mut self, mut batch: Batch) {
+        batch.atoms.clear();
+        batch.completing_queries.clear();
+        self.spare_batch = batch;
     }
 
     fn query_withdrawn(&mut self, query: QueryId, now_ms: f64) {

@@ -84,6 +84,14 @@ pub trait Scheduler: Send {
     /// Reports a query completion with its response time.
     fn on_query_complete(&mut self, query: QueryId, response_ms: f64, now_ms: f64);
 
+    /// Hands back a batch from [`Scheduler::next_batch`] once the caller is
+    /// done with it, so the scheduler can build a later batch in its
+    /// buffers. Schedulers that build every batch afresh keep this default,
+    /// which drops it.
+    fn recycle_batch(&mut self, batch: Batch) {
+        drop(batch);
+    }
+
     /// Withdraws a previously declared query id that will never become
     /// available on this scheduler — dynamic placement routed its atoms to a
     /// replica on another node. Job-aware schedulers must release any gating

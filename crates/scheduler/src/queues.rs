@@ -30,9 +30,12 @@
 //!   search. A slot *is* the atom's workload queue — the query ids of its
 //!   sub-queries in arrival order, ΣW and oldest enqueue time — plus the
 //!   cached Eq. 1 value, the residency that value was computed under, and a
-//!   dirty flag. Emptied slabs and emptied id buffers go to spare lists, so
-//!   an atom that drains and refills reuses a buffer instead of growing a
-//!   fresh one;
+//!   dirty flag. Emptied slabs go to a spare list, so a timestep that drains
+//!   and refills reuses a buffer instead of growing a fresh one;
+//! * one **id arena** for every queue: a slot's query ids are a linked list
+//!   of seven-id chunks in arrival order, and a take hands its chunks to
+//!   the arena's free list. The arena grows only to the high-water mark of
+//!   chunks in use, so arrivals stop allocating once it is reached;
 //! * the per-timestep aggregates (ΣU, max U, Σoldest, min/max oldest);
 //! * the lazily built clamped-age prefix indexes;
 //! * the `Arc`-backed [`UtilitySnapshot`] the URC cache policy consumes;
@@ -188,7 +191,7 @@ pub struct QueueStats {
 }
 
 /// One pending atom of a timestep's slab: the atom's workload queue plus
-/// the values integration derives from it. `ids`, `positions` and `oldest`
+/// the values integration derives from it. `queue`, `positions` and `oldest`
 /// are kept eagerly by [`WorkloadManager::enqueue`]; `u` and `resident` are
 /// written by integration's recompute of dirty slots, so between the arrival
 /// that created a slot and the next integration they are placeholders that
@@ -197,9 +200,10 @@ pub struct QueueStats {
 struct Slot {
     /// Morton key of the atom within its timestep — the slab's sort key.
     morton: MortonKey,
-    /// The query ids of the atom's pending sub-queries, in arrival order —
-    /// all a take needs: ΣW and `oldest` are already folded below.
-    ids: Vec<QueryId>,
+    /// The query ids of the atom's pending sub-queries, in arrival order, as
+    /// a list in the manager's [`IdArena`] — all a take needs: ΣW and
+    /// `oldest` are already folded below.
+    queue: IdQueue,
     /// ΣW (total pending positions) — the numerator of Eq. 1.
     positions: u64,
     /// Enqueue time of the atom's oldest pending sub-query, ms.
@@ -215,14 +219,13 @@ struct Slot {
 }
 
 impl Slot {
-    /// An empty queue over the (empty) id buffer `ids`, awaiting its first
-    /// sub-query and recompute. The NaN placeholder makes a missed recompute
-    /// visible to any fold instead of silently reading 0.
-    fn new(morton: MortonKey, ids: Vec<QueryId>, resident: Option<bool>) -> Self {
-        debug_assert!(ids.is_empty(), "spare id buffer not emptied");
+    /// An empty queue awaiting its first sub-query and recompute. The NaN
+    /// placeholder makes a missed recompute visible to any fold instead of
+    /// silently reading 0.
+    fn new(morton: MortonKey, resident: Option<bool>) -> Self {
         Slot {
             morton,
-            ids,
+            queue: IdQueue::EMPTY,
             positions: 0,
             oldest: f64::INFINITY,
             u: f64::NAN,
@@ -237,10 +240,120 @@ impl Slot {
     }
 }
 
-/// `ids` cleared for the spare list, keeping its capacity.
-fn emptied(mut ids: Vec<QueryId>) -> Vec<QueryId> {
-    ids.clear();
-    ids
+/// End of a queue, or of the arena's free list.
+const NIL: u32 = u32::MAX;
+
+/// One slot's queue in the [`IdArena`]: first and last chunk, and length.
+#[derive(Debug, Clone, Copy)]
+struct IdQueue {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl IdQueue {
+    const EMPTY: IdQueue = IdQueue {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// Query ids per [`IdChunk`]: seven ids and a link fill one 64-byte line.
+const CHUNK: usize = 7;
+
+/// Up to [`CHUNK`] consecutive ids of one queue, linked to the queue's
+/// next chunk (or, once freed, to the next free chunk).
+#[derive(Debug, Clone, Copy)]
+struct IdChunk {
+    ids: [QueryId; CHUNK],
+    next: u32,
+}
+
+/// The query ids of every slot's queue: each queue is a linked list of
+/// chunks in one `Vec`, filled front to back in arrival order. A take hands
+/// its queue's chunks to a free list that new chunks are drawn from first,
+/// so the `Vec` grows only when the queues need more chunks at once than
+/// ever before. A walk reads one cache line per seven ids.
+#[derive(Debug)]
+struct IdArena {
+    chunks: Vec<IdChunk>,
+    /// First free chunk, or [`NIL`].
+    free: u32,
+}
+
+impl IdArena {
+    fn new() -> Self {
+        IdArena {
+            chunks: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Appends `query` to the back of `queue`.
+    fn push(&mut self, queue: &mut IdQueue, query: QueryId) {
+        let at = queue.len as usize % CHUNK;
+        if at == 0 {
+            let chunk = IdChunk {
+                ids: [0; CHUNK],
+                next: NIL,
+            };
+            let fresh = if self.free == NIL {
+                self.chunks.push(chunk);
+                (self.chunks.len() - 1) as u32
+            } else {
+                let fresh = self.free;
+                self.free = self.chunks[fresh as usize].next;
+                self.chunks[fresh as usize] = chunk;
+                fresh
+            };
+            match queue.tail {
+                NIL => queue.head = fresh,
+                tail => self.chunks[tail as usize].next = fresh,
+            }
+            queue.tail = fresh;
+        }
+        self.chunks[queue.tail as usize].ids[at] = query;
+        queue.len += 1;
+    }
+
+    /// The ids of `queue`, front to back.
+    fn iter(&self, queue: IdQueue) -> impl Iterator<Item = QueryId> + '_ {
+        let mut at = queue.head;
+        let mut left = queue.len as usize;
+        std::iter::from_fn(move || {
+            let chunk = self.chunks.get(at as usize).filter(|_| left > 0)?;
+            let n = left.min(CHUNK);
+            left -= n;
+            at = chunk.next;
+            Some(&chunk.ids[..n])
+        })
+        .flatten()
+        .copied()
+    }
+
+    /// Visits the ids of `queue` front to back, then hands its chunks to
+    /// the free list.
+    fn drain(&mut self, queue: IdQueue, mut visit: impl FnMut(QueryId)) {
+        if queue.len == 0 {
+            return;
+        }
+        self.iter(queue).for_each(&mut visit);
+        self.chunks[queue.tail as usize].next = self.free;
+        self.free = queue.head;
+    }
+
+    /// Frees every chunk at once.
+    fn clear(&mut self) {
+        self.chunks.clear();
+        self.free = NIL;
+    }
+}
+
+/// Chunks a queue of `len` ids occupies.
+#[cfg(test)]
+fn chunks_for(len: u32) -> usize {
+    (len as usize).div_ceil(CHUNK)
 }
 
 /// Binary search for `morton` in one Morton-sorted slab.
@@ -317,9 +430,8 @@ pub struct WorkloadManager {
     /// Emptied slabs kept with their capacity, so a timestep that drains
     /// and refills does not regrow its `Vec` from nothing.
     spare_slabs: Vec<Vec<Slot>>,
-    /// Emptied slot id buffers kept with their capacity, the same way: a
-    /// take hands its slot's buffer here and a new slot pops one.
-    spare_ids: Vec<Vec<QueryId>>,
+    /// The query ids of every slot's queue.
+    ids: IdArena,
     /// Atoms [`Self::take_atom`] removed since the last integration, with
     /// the residency their slot was computed under. Integration drops them
     /// from the URC view. An atom taken and re-enqueued inside one
@@ -365,7 +477,7 @@ impl WorkloadManager {
             pending_subs: FastMap::default(),
             slabs: BTreeMap::new(),
             spare_slabs: Vec::new(),
-            spare_ids: Vec::new(),
+            ids: IdArena::new(),
             taken: Vec::new(),
             ts_aggs: BTreeMap::new(),
             age_indexes: FastMap::default(),
@@ -389,8 +501,10 @@ impl WorkloadManager {
     /// Adds sub-queries to their atoms' queues, creating an atom's slot if
     /// absent. Per sub-query: O(log m) search plus at most one O(m_ts) slot
     /// insert — the float work is deferred to the next integration, so a
-    /// burst of arrivals costs one refold, not many. A new slot takes a
-    /// spare id buffer, so at steady state an arrival allocates nothing.
+    /// burst of arrivals costs one refold, not many. Query ids go to the id
+    /// arena, which reuses freed chunks, so an arrival allocates only when
+    /// the queues need more chunks at once than ever before (or a
+    /// timestep's slab outgrows its buffer).
     pub fn enqueue(&mut self, subs: impl IntoIterator<Item = SubQuery>) {
         for sub in subs {
             debug_assert!(sub.positions > 0, "empty sub-query");
@@ -407,14 +521,13 @@ impl WorkloadManager {
                     .iter()
                     .rev()
                     .find_map(|&(a, r)| r.filter(|_| a == atom));
-                let ids = self.spare_ids.pop().unwrap_or_default();
-                slab.insert(at, Slot::new(atom.morton, ids, carried));
+                slab.insert(at, Slot::new(atom.morton, carried));
                 at
             });
             let slot = &mut slab[at];
             slot.oldest = slot.oldest.min(sub.enqueued_ms);
             slot.positions += sub.positions as u64;
-            slot.ids.push(sub.query);
+            self.ids.push(&mut slot.queue, sub.query);
             if !slot.dirty {
                 slot.dirty = true;
                 self.dirty_ts.push(atom.timestep);
@@ -430,11 +543,10 @@ impl WorkloadManager {
     pub fn clear(&mut self) {
         self.pending_subs.clear();
         for (_, mut slab) in std::mem::take(&mut self.slabs) {
-            for slot in slab.drain(..) {
-                self.spare_ids.push(emptied(slot.ids));
-            }
+            slab.clear();
             self.spare_slabs.push(slab);
         }
+        self.ids.clear();
         self.taken.clear();
         self.dirty_ts.clear();
         self.ts_aggs.clear();
@@ -450,7 +562,11 @@ impl WorkloadManager {
 
     /// Number of pending sub-queries. O(pending atoms).
     pub fn pending_subqueries(&self) -> usize {
-        self.slabs.values().flatten().map(|s| s.ids.len()).sum()
+        self.slabs
+            .values()
+            .flatten()
+            .map(|s| s.queue.len as usize)
+            .sum()
     }
 
     /// Number of atoms with non-empty queues. O(#timesteps).
@@ -506,8 +622,8 @@ impl WorkloadManager {
     /// sub-query count), appending the queries that now have no pending
     /// sub-queries anywhere (they complete with this batch) to `completing`
     /// in the queue's arrival order. Batch builders pass one reused buffer,
-    /// and the slot's id buffer goes to the spare list, so a take allocates
-    /// nothing.
+    /// and the queue's chunks go back to the id arena, so a take allocates
+    /// only when `completing` outgrows its capacity.
     ///
     /// # Panics
     ///
@@ -531,25 +647,23 @@ impl WorkloadManager {
         self.taken.push((*atom, slot.resident));
         self.dirty_ts.push(atom.timestep);
         self.generation += 1;
-        for &q in &slot.ids {
+        let pending_subs = &mut self.pending_subs;
+        self.ids.drain(slot.queue, |q| {
             // lint: invariant — enqueue() registered every sub-query's query id
-            let left = self
-                .pending_subs
+            let left = pending_subs
                 .get_mut(&q)
                 .expect("sub-query of a tracked query");
             *left -= 1;
             if *left == 0 {
-                self.pending_subs.remove(&q);
+                pending_subs.remove(&q);
                 completing.push(q);
             }
-        }
-        let batch = AtomBatch {
+        });
+        AtomBatch {
             atom: *atom,
             positions: slot.positions,
-            subqueries: slot.ids.len() as u32,
-        };
-        self.spare_ids.push(emptied(slot.ids));
-        batch
+            subqueries: slot.queue.len,
+        }
     }
 
     /// Maintenance counters. Monotone; diff two snapshots to measure one
@@ -962,8 +1076,9 @@ impl WorkloadManager {
     /// The query ids queued on one atom, in arrival order (empty if it has
     /// no queue).
     #[cfg(test)]
-    fn queued_ids(&self, atom: &AtomId) -> &[QueryId] {
-        self.slot(atom).map_or(&[], |s| &s.ids)
+    fn queued_ids(&self, atom: &AtomId) -> Vec<QueryId> {
+        self.slot(atom)
+            .map_or(Vec::new(), |s| self.ids.iter(s.queue).collect())
     }
 
     /// Pending atoms of one timestep, Morton order.
@@ -983,13 +1098,30 @@ impl WorkloadManager {
     /// strictly ascending in Morton order; every slot's queue is non-empty,
     /// with at least one position per queued sub-query and a finite oldest
     /// enqueue time; and every queued id is a query the completion
-    /// bookkeeping still counts, as often as it is queued. Each slot's exact
-    /// ids, ΣW and oldest are compared against a shadow model by the
-    /// proptests. With `residency`, the manager must be integrated against
+    /// bookkeeping still counts, as often as it is queued; every id-arena
+    /// chunk is either queued or free. Each slot's exact ids, ΣW and oldest
+    /// are compared against a shadow model by the proptests. With `residency`, the manager must be integrated against
     /// that source: no slot is dirty, and every slot's `u` and `resident`
     /// equal Eq. 1 and the source.
     #[cfg(test)]
     fn check_slabs(&self, residency: Option<&dyn Residency>) {
+        let mut free = 0;
+        let mut at = self.ids.free;
+        while at != NIL {
+            free += 1;
+            at = self.ids.chunks[at as usize].next;
+        }
+        let queued: usize = self
+            .slabs
+            .values()
+            .flatten()
+            .map(|s| chunks_for(s.queue.len))
+            .sum();
+        assert_eq!(
+            free + queued,
+            self.ids.chunks.len(),
+            "an id chunk is neither queued nor free"
+        );
         let mut queued: BTreeMap<QueryId, usize> = BTreeMap::new();
         for (&ts, slab) in &self.slabs {
             assert!(!slab.is_empty(), "empty slab kept for ts {ts}");
@@ -1001,10 +1133,15 @@ impl WorkloadManager {
             }
             for s in slab {
                 let atom = AtomId::new(ts, s.morton);
-                assert!(!s.ids.is_empty(), "empty queue kept for {atom}");
-                assert!(s.positions >= s.ids.len() as u64, "ΣW of {atom}");
+                assert!(s.queue.len > 0, "empty queue kept for {atom}");
+                assert!(s.positions >= s.queue.len as u64, "ΣW of {atom}");
                 assert!(s.oldest.is_finite(), "oldest of {atom}");
-                for &q in &s.ids {
+                assert_eq!(
+                    self.ids.iter(s.queue).count(),
+                    s.queue.len as usize,
+                    "queue length of {atom}"
+                );
+                for q in self.ids.iter(s.queue) {
                     *queued.entry(q).or_default() += 1;
                 }
                 let Some(residency) = residency else {
@@ -1825,7 +1962,7 @@ mod proptests {
                         if let Some((best, _)) = wm.best_atom(now_ms, alpha, &res) {
                             let expect = shadow.remove(&best).expect("best atom is pending");
                             let ids: Vec<QueryId> = expect.iter().map(|s| s.query).collect();
-                            prop_assert_eq!(wm.queued_ids(&best), &ids[..], "queue of {}", best);
+                            prop_assert_eq!(wm.queued_ids(&best), ids, "queue of {}", best);
                             let (batch, done) = take(&mut wm, &best);
                             let positions: u64 = expect.iter().map(|s| s.positions as u64).sum();
                             prop_assert_eq!(batch.positions, positions, "ΣW of {}", best);
@@ -1880,9 +2017,9 @@ mod proptests {
         /// Every take returns the ΣW and sub-query count of exactly what was
         /// enqueued on its atom since the atom last drained (or since the
         /// last `clear`), with the queued ids in arrival order and the
-        /// queries it completes, while slot id buffers cycle through the
-        /// spare list: a take hands its buffer back, a new slot takes one,
-        /// and `clear` hands back every queued buffer at once.
+        /// queries it completes, while id chunks cycle through the arena's
+        /// free list: the arena never holds more chunks than the queues
+        /// needed at once since the last `clear`.
         #[test]
         fn take_summaries_match_enqueued_work_across_buffer_reuse(
             ops in proptest::collection::vec(
@@ -1894,27 +2031,24 @@ mod proptests {
             let mut wm = WorkloadManager::new(MetricParams::paper_testbed());
             let mut shadow: BTreeMap<AtomId, Vec<SubQuery>> = BTreeMap::new();
             let mut query: QueryId = 0;
+            let mut high_water = 0;
             for (i, &(kind, ts, m, positions)) in ops.iter().enumerate() {
                 let atom = AtomId::new(ts, MortonKey(m));
-                let spares = wm.spare_ids.len();
                 match kind {
                     0..=4 => {
                         if kind <= 2 || query == 0 {
                             query += 1;
                         }
                         let sub = SubQuery { query, atom, positions, enqueued_ms: i as f64 };
-                        let fresh = !shadow.contains_key(&atom);
                         wm.enqueue([sub]);
                         shadow.entry(atom).or_default().push(sub);
-                        let expect = if fresh { spares.saturating_sub(1) } else { spares };
-                        prop_assert_eq!(wm.spare_ids.len(), expect, "spare taken by a new slot");
                     }
                     5..=8 => {
                         let Some(expect) = shadow.remove(&atom) else {
                             continue;
                         };
                         let ids: Vec<QueryId> = expect.iter().map(|s| s.query).collect();
-                        prop_assert_eq!(wm.queued_ids(&atom), &ids[..], "queue of {}", atom);
+                        prop_assert_eq!(wm.queued_ids(&atom), ids.clone(), "queue of {}", atom);
                         let (batch, done) = take(&mut wm, &atom);
                         let positions: u64 = expect.iter().map(|s| s.positions as u64).sum();
                         prop_assert_eq!(batch.atom, atom);
@@ -1928,18 +2062,19 @@ mod proptests {
                             }
                         }
                         prop_assert_eq!(done, expect_done, "completions of {}", atom);
-                        prop_assert_eq!(wm.spare_ids.len(), spares + 1, "buffer handed back");
                     }
                     _ => {
-                        let slots = shadow.len();
                         wm.clear();
                         shadow.clear();
                         prop_assert!(wm.is_empty());
-                        prop_assert_eq!(wm.spare_ids.len(), spares + slots, "buffers handed back");
+                        high_water = 0;
                     }
                 }
-                prop_assert!(wm.spare_ids.iter().all(Vec::is_empty), "spare buffer not emptied");
-                prop_assert_eq!(wm.pending_subqueries(), shadow.values().map(Vec::len).sum::<usize>());
+                let pending = shadow.values().map(Vec::len).sum::<usize>();
+                let chunks: usize = shadow.values().map(|q| chunks_for(q.len() as u32)).sum();
+                high_water = high_water.max(chunks);
+                prop_assert_eq!(wm.pending_subqueries(), pending);
+                prop_assert_eq!(wm.ids.chunks.len(), high_water, "arena grew past the high-water mark");
                 wm.check_slabs(None);
             }
         }

@@ -26,9 +26,10 @@
 //! is followed by one round over the live pipelines in ascending node order,
 //! so event ids, reports and JSONL traces are a function of the seeded
 //! inputs only. Every engine-side map that is iterated is a `BTreeMap` or
-//! `BTreeSet`, so iteration order follows the keys; the per-query table is
-//! only looked up by id, so it is a [`FastMap`] (lint rule D001 would flag
-//! any iteration over it).
+//! `BTreeSet`, so iteration order follows the keys; the per-query table,
+//! the declared-id sets and the ledgers' position maps are only looked up
+//! by id, so they are a [`FastMap`] or a [`FastSet`] (lint rule D001 would
+//! flag any iteration over them).
 //!
 //! ## Outstanding-part ledger
 //!
@@ -36,8 +37,18 @@
 //! every part delivered to it and not yet completed, by part id, with its
 //! definition (footprint included). It is the one record of what a node
 //! holds. Replica routing reads a node's load as the length of its ledger,
-//! and a crash re-dispatches the dead node's ledger to the survivor and
-//! moves the entries with it. A plain replay keeps no ledger.
+//! and a crash re-dispatches the dead node's ledger to the survivor, in
+//! ascending part-id order, and moves the entries with it. A plain replay
+//! keeps no ledger.
+//!
+//! ## Buffer reuse
+//!
+//! The replay's bookkeeping allocates in proportion to the most work it
+//! holds at once, not to the queries it replays. Footprints of parts and of
+//! just-in-time declarations come from one pool of emptied buffers, binned
+//! by capacity, and return to it when the part completes. A completed
+//! batch goes back to its node's scheduler, which builds the next batch in
+//! its buffers.
 //!
 //! ## Failure semantics
 //!
@@ -59,12 +70,12 @@ use crate::replication::{ReplicaAction, ReplicaDirectory, ReplicationConfig, Rep
 use crate::report::RunTotals;
 use crate::SimConfig;
 use jaws_arena::Lanes;
-use jaws_morton::{FastMap, MortonKey};
+use jaws_morton::{FastMap, FastSet, MortonKey};
 use jaws_obs::ObsSink;
 use jaws_workload::{Footprint, Job, JobKind, Query, QueryId, Trace};
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -258,20 +269,24 @@ impl LiveRouting {
     /// projected by [`Self::project_query`]; queries with empty projections
     /// are dropped, preserving order. `None` when the node owns nothing of
     /// the job. When node 0 owns every slab its projection is the job
-    /// itself, borrowed.
-    fn project_job<'j>(&self, job: &'j Job, node: u32) -> Option<Cow<'j, Job>> {
+    /// itself, borrowed. The projected queries are staged in `staged` (left
+    /// empty) and moved from there into the job's `Arc` in one allocation.
+    fn project_job<'j>(
+        &self,
+        job: &'j Job,
+        node: u32,
+        staged: &mut Vec<Query>,
+    ) -> Option<Cow<'j, Job>> {
         if node == 0 && self.node0_owns_all() {
             return Some(Cow::Borrowed(job));
         }
-        // Sized for every query, so it never regrows before the
-        // projection is copied into its `Arc`.
-        let mut queries = Vec::with_capacity(job.queries.len());
-        queries.extend(
+        debug_assert!(staged.is_empty(), "projection scratch left dirty");
+        staged.extend(
             job.queries
                 .iter()
                 .filter_map(|q| self.project_query(q, node)),
         );
-        if queries.is_empty() {
+        if staged.is_empty() {
             return None;
         }
         Some(Cow::Owned(Job {
@@ -279,7 +294,7 @@ impl LiveRouting {
             user: job.user,
             kind: job.kind,
             campaign: job.campaign,
-            queries: queries.into(),
+            queries: staged.drain(..).collect(),
             arrival_ms: job.arrival_ms,
             think_ms: job.think_ms,
         }))
@@ -293,8 +308,8 @@ enum Event {
     JobArrival(usize),
     /// Query `(job index, query index)` is submitted by the client model.
     QuerySubmit(usize, usize),
-    /// A node finished a batch: (node, completed part ids).
-    BatchDone(u32, Vec<QueryId>),
+    /// A node finished the batch it holds in service.
+    BatchDone(u32),
     /// A node's speculative read finished.
     PrefetchDone(u32),
     /// A node's idle re-poll fired (starvation-valve wake-up).
@@ -373,7 +388,6 @@ struct EventQueue {
 }
 
 impl EventQueue {
-    // lint: hotpath
     fn push(&mut self, at_ms: f64, ev: Event) {
         let id = self.next_event;
         self.next_event += 1;
@@ -381,7 +395,6 @@ impl EventQueue {
         EV_PUSHES.fetch_add(1, AtomicOrdering::Relaxed);
     }
 
-    // lint: hotpath
     fn pop(&mut self) -> Option<(f64, Event)> {
         let Pending { at_ms, ev, .. } = self.heap.pop()?;
         EV_POPS.fetch_add(1, AtomicOrdering::Relaxed);
@@ -433,14 +446,129 @@ struct ReplicationState {
     decls: u64,
 }
 
+/// Footprint buffers the replay has finished with, binned by exact
+/// capacity. A taker asking for `n` atoms gets a buffer from the lowest
+/// non-empty bin at or above `n` — the tightest fit — so a buffer never
+/// regrows once taken; only when no bin fits is a buffer allocated, sized
+/// exactly. A bitset of the non-empty bins finds that bin a word at a
+/// time. Parts and their just-in-time declarations draw from here and
+/// return here, so once the replay has as many buffers of each size out as
+/// it ever needs at once, building a part allocates nothing.
+#[derive(Default)]
+struct FootprintPool {
+    bins: Vec<Vec<Vec<(MortonKey, u32)>>>,
+    /// Bit `b` is set iff `bins[b]` is non-empty.
+    stocked: Vec<u64>,
+}
+
+impl FootprintPool {
+    /// An empty buffer with room for at least `n` atoms.
+    fn take(&mut self, n: usize) -> Vec<(MortonKey, u32)> {
+        if let Some(bin) = self.first_stocked(n) {
+            let shelf = &mut self.bins[bin];
+            if let Some(buf) = shelf.pop() {
+                if shelf.is_empty() {
+                    self.stocked[bin / 64] &= !(1 << (bin % 64));
+                }
+                return buf;
+            }
+        }
+        Vec::with_capacity(n)
+    }
+
+    /// The lowest non-empty bin at or above `from`.
+    fn first_stocked(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.stocked.get(word)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.stocked.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Empties `buf` into the bin of its capacity.
+    fn give(&mut self, mut buf: Vec<(MortonKey, u32)>) {
+        if buf.capacity() == 0 {
+            return;
+        }
+        buf.clear();
+        let bin = buf.capacity();
+        if self.bins.len() <= bin {
+            self.bins.resize_with(bin + 1, Vec::new);
+            self.stocked.resize(bin / 64 + 1, 0);
+        }
+        self.bins[bin].push(buf);
+        self.stocked[bin / 64] |= 1 << (bin % 64);
+    }
+
+    /// Reclaims the footprint of a declaration once no scheduler holds it
+    /// any more, and returns the declaration for reuse; one still shared is
+    /// dropped as it is.
+    fn reclaim(&mut self, mut queries: Arc<[Query]>) -> Option<Arc<[Query]>> {
+        let qs = Arc::get_mut(&mut queries)?;
+        for q in qs {
+            self.give(std::mem::take(&mut q.footprint.atoms));
+        }
+        Some(queries)
+    }
+}
+
+/// One part in a node's outstanding-part ledger: its definition and, when
+/// the node heard of it through a just-in-time declaration, that
+/// declaration's queries, kept for reuse once the part completes.
+struct LedgerEntry {
+    part: Query,
+    decl: Option<Arc<[Query]>>,
+}
+
+/// One node's outstanding-part ledger (module docs): the entries in a
+/// `Vec` and each one's position in a lookup-only map, so a delivery or a
+/// completion allocates nothing once both have grown to the most parts the
+/// node ever held at once. A crash drains it in ascending part-id order.
+#[derive(Default)]
+struct Ledger {
+    entries: Vec<LedgerEntry>,
+    at: FastMap<QueryId, usize>,
+}
+
+impl Ledger {
+    /// Parts outstanding: the node's load under replica routing.
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn insert(&mut self, entry: LedgerEntry) {
+        let prev = self.at.insert(entry.part.id, self.entries.len());
+        debug_assert!(prev.is_none(), "part {} ledgered twice", entry.part.id);
+        self.entries.push(entry);
+    }
+
+    fn remove(&mut self, part: QueryId) -> Option<LedgerEntry> {
+        let i = self.at.remove(&part)?;
+        let entry = self.entries.swap_remove(i);
+        if let Some(moved) = self.entries.get(i) {
+            self.at.insert(moved.part.id, i);
+        }
+        Some(entry)
+    }
+
+    /// Takes every entry, in ascending part-id order.
+    fn drain_sorted(&mut self) -> Vec<LedgerEntry> {
+        self.at.clear();
+        let mut entries = std::mem::take(&mut self.entries);
+        entries.sort_unstable_by_key(|e| e.part.id);
+        entries
+    }
+}
+
 /// Reusable per-submit scratch for the engine's fan-out path. One query's
-/// footprint is scattered into per-node lanes and built into part queries.
-/// A plain replay recovers each lane buffer after delivery, so a warmed-up
-/// submit allocates nothing. Under a failure plan or the replica overlay the
-/// part moves into its node's ledger with its buffer, the lane takes a spare
-/// in its place, and the buffer becomes a spare when the part completes — so
-/// there too a warmed-up submit allocates only the ledger's map nodes (and
-/// what just-in-time declarations demand).
+/// footprint is scattered into per-node lanes, and each lane is copied into
+/// a pooled buffer that becomes the part's footprint; the lanes keep their
+/// own buffers. A plain replay returns each part's buffer to the pool after
+/// delivery; under a failure plan or the replica overlay the part moves
+/// into its node's ledger with its buffer, which returns to the pool when
+/// the part completes. So a warmed-up submit allocates nothing.
 struct EngineScratch {
     /// Per-node `(morton, count)` buckets for the footprint scatter.
     lanes: Lanes<(MortonKey, u32)>,
@@ -450,13 +578,18 @@ struct EngineScratch {
     /// Replica overlay: promote/demote/route transitions of the current
     /// query. Cleared per submit.
     actions: Vec<ReplicaAction>,
-    /// Built parts awaiting delivery — the trace event order requires every
-    /// just-in-time declaration to precede the first delivery, so parts are
-    /// staged here between the two passes.
-    parts: Vec<(u32, Query)>,
-    /// Emptied footprint buffers of completed ledgered parts, handed to a
-    /// lane whose buffer left with a part.
-    spare_atoms: Vec<Vec<(MortonKey, u32)>>,
+    /// Built parts awaiting delivery, each with its just-in-time
+    /// declaration if it needed one — the trace event order requires every
+    /// declaration to precede the first delivery, so parts are staged here
+    /// between the two passes.
+    parts: Vec<(u32, LedgerEntry)>,
+    /// Footprint buffers of parts and declarations.
+    pool: FootprintPool,
+    /// A job projection's queries, staged before they move into its `Arc`.
+    projected: Vec<Query>,
+    /// Single-query declarations whose part completed, with no other owner
+    /// left, for the next just-in-time declaration to overwrite.
+    spare_decls: Vec<Arc<[Query]>>,
 }
 
 impl EngineScratch {
@@ -466,9 +599,34 @@ impl EngineScratch {
             owner_flag: vec![false; nodes],
             actions: Vec::new(),
             parts: Vec::new(),
-            spare_atoms: Vec::new(),
+            pool: FootprintPool::default(),
+            projected: Vec::new(),
+            spare_decls: Vec::new(),
         }
     }
+}
+
+/// The queries of a just-in-time declaration of `part`: one copy of it,
+/// its footprint in a pooled buffer, written over a spare declaration when
+/// one is left.
+fn declaration_of(
+    part: &Query,
+    pool: &mut FootprintPool,
+    spare: &mut Vec<Arc<[Query]>>,
+) -> Arc<[Query]> {
+    let mut atoms = pool.take(part.footprint.atoms.len());
+    atoms.extend_from_slice(&part.footprint.atoms);
+    let copy = Query {
+        footprint: Footprint { atoms },
+        ..*part
+    };
+    if let Some(mut queries) = spare.pop() {
+        if let Some([slot]) = Arc::get_mut(&mut queries) {
+            *slot = copy;
+            return queries;
+        }
+    }
+    Arc::from([copy])
 }
 
 /// Panics unless `trace` fits a node's database geometry: no more timesteps
@@ -525,14 +683,15 @@ pub(crate) struct Engine<'a> {
     first_failure_ms: Option<f64>,
     /// Per node: part ids its scheduler has been told about — arrival
     /// projections, crash remnants and just-in-time replica declarations,
-    /// minus withdrawn ids. Empty unless a failure plan or the replica
-    /// overlay needs the membership answers.
-    declared: Vec<BTreeSet<QueryId>>,
+    /// minus withdrawn and completed ids (a completed part's id is never
+    /// asked about again). Empty unless a failure plan or the replica
+    /// overlay needs the membership answers. Only looked up.
+    declared: Vec<FastSet<QueryId>>,
     /// Per node: the outstanding-part ledger (module docs) — every part
     /// delivered to it and not yet completed, in-flight batch parts
     /// included, by part id with its definition. Empty under the same
     /// condition as `declared`.
-    ledger: Vec<BTreeMap<QueryId, Query>>,
+    ledger: Vec<Ledger>,
     /// Per trace job: whether its arrival event has fired. Empty unless a
     /// failure plan is in force.
     arrived: Vec<bool>,
@@ -614,12 +773,12 @@ impl<'a> Engine<'a> {
             // force, so a plain replay pays nothing (event ids included: an
             // empty plan pushes no events).
             declared: if ledgered {
-                vec![BTreeSet::new(); nodes]
+                vec![FastSet::default(); nodes]
             } else {
                 Vec::new()
             },
             ledger: if ledgered {
-                vec![BTreeMap::new(); nodes]
+                (0..nodes).map(|_| Ledger::default()).collect()
             } else {
                 Vec::new()
             },
@@ -655,14 +814,14 @@ impl<'a> Engine<'a> {
                     let observe = trace.jobs[ji].kind == JobKind::Ordered;
                     e.submit(ji, qi, observe);
                 }
-                Event::BatchDone(node, parts) => {
+                Event::BatchDone(node) => {
                     if !e.live.alive[node as usize] {
                         // The node died mid-batch: its completion never
                         // happens and these parts were re-dispatched at
                         // crash time. Nothing changed, so no dispatch round.
                         continue;
                     }
-                    e.batch_done(node, parts);
+                    e.batch_done(node);
                 }
                 Event::PrefetchDone(node) => {
                     if e.live.alive[node as usize] {
@@ -707,7 +866,10 @@ impl<'a> Engine<'a> {
                 if !self.live.alive[node] {
                     continue;
                 }
-                if let Some(pj) = self.live.project_job(job, node as u32) {
+                let projected =
+                    self.live
+                        .project_job(job, node as u32, &mut self.scratch.projected);
+                if let Some(pj) = projected {
                     if let Some(d) = self.declared.get_mut(node) {
                         d.extend(pj.queries.iter().map(|q| q.id));
                     }
@@ -763,12 +925,19 @@ impl<'a> Engine<'a> {
 
     /// Hands one part query to its owning pipeline: emits the routing record,
     /// feeds the trajectory predictor (for ordered follow-ups), makes the
-    /// part available to the node's scheduler and then moves it into the
-    /// node's ledger. Without a ledger, the part's footprint buffer goes
-    /// straight back to its lane; with one, the lane takes a spare buffer
-    /// instead and [`Self::batch_done`] returns the part's buffer to the
-    /// spares when the part completes.
-    fn deliver_part(&mut self, node: u32, part: Query, query: QueryId, observe: bool, job: u64) {
+    /// part available to the node's scheduler and then moves it, with its
+    /// just-in-time declaration if any, into the node's ledger. Without a
+    /// ledger, the part's footprint buffer goes straight back to the pool;
+    /// with one, [`Self::batch_done`] returns it when the part completes.
+    fn deliver_part(
+        &mut self,
+        node: u32,
+        entry: LedgerEntry,
+        query: QueryId,
+        observe: bool,
+        job: u64,
+    ) {
+        let part = &entry.part;
         if self.sink.enabled() {
             self.sink.emit(
                 self.now_ms,
@@ -782,17 +951,13 @@ impl<'a> Engine<'a> {
         }
         let p = &mut self.pipelines[node as usize];
         if observe {
-            p.observe(job, &part);
+            p.observe(job, part);
         }
-        p.query_available(&part, self.now_ms);
-        let lane = match self.ledger.get_mut(node as usize) {
-            Some(ledger) => {
-                ledger.insert(part.id, part);
-                self.scratch.spare_atoms.pop().unwrap_or_default()
-            }
-            None => part.footprint.atoms,
-        };
-        self.scratch.lanes.restore(node as usize, lane);
+        p.query_available(part, self.now_ms);
+        match self.ledger.get_mut(node as usize) {
+            Some(ledger) => ledger.insert(entry),
+            None => self.scratch.pool.give(entry.part.footprint.atoms),
+        }
     }
 
     /// Splits `q` into per-node parts and delivers them in ascending node
@@ -815,9 +980,10 @@ impl<'a> Engine<'a> {
     ///   declares it first. Single-query jobs never form gating alignments,
     ///   so the declaration cannot distort schedule quality.
     ///
-    /// The scatter reuses the scratch lanes, and each part's footprint buffer
-    /// goes back to its lane after delivery, or at completion when the
-    /// node's ledger keeps the part.
+    /// The scatter reuses the scratch lanes, and each part's footprint is a
+    /// pooled buffer that goes back to the pool after delivery, or at
+    /// completion when the node's ledger keeps the part. A just-in-time
+    /// declaration overwrites one whose part completed, when there is one.
     fn fan_out(&mut self, q: &Query, job: &Job, observe: bool) -> u32 {
         let now_ms = self.now_ms;
         self.scratch.actions.clear();
@@ -895,7 +1061,13 @@ impl<'a> Engine<'a> {
             if self.scratch.lanes.lane_len(node) == 0 {
                 continue;
             }
-            let atoms = self.scratch.lanes.take_lane(node);
+            let scratch = &mut self.scratch;
+            // A lane holds its node's atoms in footprint order, so it is
+            // already canonical and `from_pairs_in_place` keeps it as is.
+            let lane = scratch.lanes.take_lane(node);
+            let mut atoms = scratch.pool.take(lane.len());
+            atoms.extend_from_slice(&lane);
+            scratch.lanes.restore(node, lane);
             let part = Query {
                 id: part_id(q.id, node as u32),
                 user: q.user,
@@ -903,40 +1075,52 @@ impl<'a> Engine<'a> {
                 timestep: q.timestep,
                 footprint: Footprint::from_pairs_in_place(atoms),
             };
+            let mut decl = None;
             if let Some(rs) = &mut self.rstate {
                 if self.declared[node].insert(part.id) {
                     rs.decls += 1;
-                    let decl = Job {
+                    let queries =
+                        declaration_of(&part, &mut scratch.pool, &mut scratch.spare_decls);
+                    let d = Job {
                         id: REPLICA_DECL_BIT | rs.decls,
                         user: job.user,
                         kind: job.kind,
                         campaign: job.campaign,
-                        queries: Arc::from([part.clone()]),
+                        queries,
                         arrival_ms: job.arrival_ms,
                         think_ms: job.think_ms,
                     };
-                    pipeline.job_declared(&decl, now_ms);
+                    pipeline.job_declared(&d, now_ms);
+                    decl = Some(d.queries);
                 }
             }
-            self.scratch.parts.push((node as u32, part));
+            scratch
+                .parts
+                .push((node as u32, LedgerEntry { part, decl }));
         }
         let delivered = self.scratch.parts.len() as u32;
         // Deliveries in ascending node order.
         let mut parts = std::mem::take(&mut self.scratch.parts);
-        for (node, part) in parts.drain(..) {
-            self.deliver_part(node, part, q.id, observe, job.id);
+        for (node, entry) in parts.drain(..) {
+            self.deliver_part(node, entry, q.id, observe, job.id);
         }
         self.scratch.parts = parts;
         delivered
     }
 
-    /// A node finished a batch: complete its parts, and every query whose
-    /// last part this was.
-    fn batch_done(&mut self, node: u32, completed_parts: Vec<QueryId>) {
+    /// A node finished its batch in service: complete its parts, and every
+    /// query whose last part this was, then hand the batch back to the
+    /// node's scheduler for reuse.
+    fn batch_done(&mut self, node: u32) {
         let (trace, now_ms) = (self.trace, self.now_ms);
         let n = node as usize;
         self.pipelines[n].set_idle();
-        for pid in completed_parts {
+        // lint: invariant — a node has one BatchDone pending per charged
+        // batch, and only its own BatchDone takes the batch back
+        let batch = self.pipelines[n]
+            .take_batch()
+            .expect("a completing node holds its batch");
+        for &pid in &batch.completing_queries {
             let qid = orig_id(pid);
             // lint: invariant — schedulers only complete parts the engine
             // handed them, all of trace queries
@@ -956,10 +1140,15 @@ impl<'a> Engine<'a> {
             let (left, ji, qi) = (state.outstanding, state.job, state.index);
             let rt = now_ms - submitted;
             self.pipelines[n].complete_part(pid, rt, now_ms);
-            if let Some(part) = self.ledger.get_mut(n).and_then(|l| l.remove(&pid)) {
-                let mut spare = part.footprint.atoms;
-                spare.clear();
-                self.scratch.spare_atoms.push(spare);
+            if let Some(entry) = self.ledger.get_mut(n).and_then(|l| l.remove(pid)) {
+                let scratch = &mut self.scratch;
+                scratch.pool.give(entry.part.footprint.atoms);
+                if let Some(spare) = entry.decl.and_then(|d| scratch.pool.reclaim(d)) {
+                    scratch.spare_decls.push(spare);
+                }
+            }
+            if let Some(d) = self.declared.get_mut(n) {
+                d.remove(&pid);
             }
             if left > 0 {
                 continue;
@@ -993,6 +1182,7 @@ impl<'a> Engine<'a> {
                     .push(now_ms + job.think_ms, Event::QuerySubmit(ji, qi + 1));
             }
         }
+        self.pipelines[n].recycle_batch(batch);
     }
 
     /// Scripted failure event `i` fired.
@@ -1032,7 +1222,7 @@ impl<'a> Engine<'a> {
         // Nodes never crash twice, so the dead count is the 1-based crash
         // ordinal that tags remnant job ids.
         let crashes = self.live.alive.iter().filter(|&&a| !a).count() as u64;
-        let moved = std::mem::take(&mut self.ledger[node as usize]);
+        let moved = self.ledger[node as usize].drain_sorted();
         self.node_status[node as usize].redispatched_parts = moved.len() as u64;
         if sink.enabled() {
             sink.emit(
@@ -1067,11 +1257,15 @@ impl<'a> Engine<'a> {
         // query — several re-dispatched parts of one query — break by part
         // id).
         let mut remnants: BTreeMap<usize, Vec<(usize, QueryId, Query)>> = BTreeMap::new();
-        for (&pid, def) in &moved {
+        for entry in &moved {
+            let pid = entry.part.id;
             let QueryState {
                 job: ji, index: qi, ..
             } = self.per_query[&orig_id(pid)];
-            remnants.entry(ji).or_default().push((qi, pid, def.clone()));
+            remnants
+                .entry(ji)
+                .or_default()
+                .push((qi, pid, entry.part.clone()));
         }
         let declared = &mut self.declared[surv as usize];
         for (ji, job) in trace.jobs.iter().enumerate() {
@@ -1084,12 +1278,12 @@ impl<'a> Engine<'a> {
                 if self.per_query[&q.id].submit_ms.is_some() {
                     continue; // submitted (or already complete): not a future query
                 }
+                if declared.contains(&part_id(q.id, surv)) {
+                    continue; // the survivor's own projection already covers it
+                }
                 let Some(part) = self.live.project_query(q, surv) else {
                     continue;
                 };
-                if declared.contains(&part.id) {
-                    continue; // the survivor's own projection already covers it
-                }
                 remnants.entry(ji).or_default().push((qi, part.id, part));
             }
         }
@@ -1120,19 +1314,19 @@ impl<'a> Engine<'a> {
         // recovered work re-enters the utility ranking, it does not jump the
         // queue. The entries move to the survivor's ledger with the work.
         let ledger = &mut self.ledger[surv as usize];
-        for (pid, def) in moved {
+        for entry in moved {
             if sink.enabled() {
                 sink.emit(
                     now_ms,
                     jaws_obs::Event::PartRedispatched {
-                        part: pid,
+                        part: entry.part.id,
                         from: node,
                         to: surv,
                     },
                 );
             }
-            survivor.query_available(&def, now_ms);
-            ledger.insert(pid, def);
+            survivor.query_available(&entry.part, now_ms);
+            ledger.insert(entry);
         }
     }
 
@@ -1172,7 +1366,6 @@ impl<'a> Engine<'a> {
     /// a free node starts its next batch if work is schedulable; otherwise
     /// it spends the idle capacity on a speculative read, or asks for an
     /// idle re-poll if gated work exists. Dead nodes are skipped.
-    // lint: hotpath
     fn dispatch_round(&mut self) {
         let now_ms = self.now_ms;
         for (node, p) in self.pipelines.iter_mut().enumerate() {
@@ -1182,11 +1375,8 @@ impl<'a> Engine<'a> {
             let node = node as u32;
             if let Some(batch) = p.next_batch(now_ms) {
                 debug_assert!(!batch.is_empty(), "scheduler produced an empty batch");
-                let service_ms = p.charge_batch(&batch, now_ms);
-                self.queue.push(
-                    now_ms + service_ms,
-                    Event::BatchDone(node, batch.completing_queries),
-                );
+                let service_ms = p.charge_batch(batch, now_ms);
+                self.queue.push(now_ms + service_ms, Event::BatchDone(node));
             } else if let Some(io_ms) = p.try_prefetch(now_ms) {
                 // Nothing schedulable: the trajectory predictor had a
                 // speculative read for the idle capacity.
@@ -1426,8 +1616,9 @@ mod tests {
         assert_eq!(orig_id(part_id(42, 0)), 42);
         let live = LiveRouting::new(r);
         let job = spanning_job();
+        let mut staged = Vec::new();
         assert!(
-            matches!(live.project_job(&job, 0), Some(Cow::Borrowed(j)) if std::ptr::eq(j, &job)),
+            matches!(live.project_job(&job, 0, &mut staged), Some(Cow::Borrowed(j)) if std::ptr::eq(j, &job)),
             "one node's projection is the job itself"
         );
     }
@@ -1436,12 +1627,59 @@ mod tests {
     fn node_0_borrows_the_job_once_it_owns_every_slab() {
         let mut live = LiveRouting::new(Routing::new(64, 2, ReplicationConfig::disabled()));
         let job = spanning_job();
-        match live.project_job(&job, 0) {
-            Some(Cow::Owned(p)) => assert_eq!(p.queries[0].footprint.atoms.len(), 1),
+        let mut staged = Vec::new();
+        match live.project_job(&job, 0, &mut staged) {
+            Some(Cow::Owned(p)) => {
+                assert_eq!(p.queries[0].footprint.atoms.len(), 1);
+                assert!(
+                    staged.is_empty(),
+                    "staged queries moved into the projection"
+                );
+            }
             other => panic!("node 0 owns half the grid, got {other:?}"),
         }
         live.crash(1, Some(0));
-        assert!(matches!(live.project_job(&job, 0), Some(Cow::Borrowed(_))));
+        assert!(matches!(
+            live.project_job(&job, 0, &mut staged),
+            Some(Cow::Borrowed(_))
+        ));
+    }
+
+    #[test]
+    fn footprint_pool_hands_out_only_buffers_that_fit() {
+        let mut pool = FootprintPool::default();
+        let small = pool.take(3);
+        assert_eq!(small.capacity(), 3, "fresh buffers are sized exactly");
+        let mut big = pool.take(9);
+        big.push((MortonKey(1), 1));
+        let (small_ptr, big_ptr) = (small.as_ptr(), big.as_ptr());
+        pool.give(small);
+        pool.give(big);
+        let again = pool.take(4);
+        assert_eq!(again.as_ptr(), big_ptr, "a 3-slot buffer cannot hold 4");
+        assert!(again.is_empty(), "a pooled buffer comes back empty");
+        pool.give(again);
+        let tight = pool.take(2);
+        assert_eq!(tight.as_ptr(), small_ptr, "the tightest fit first");
+        let exact = pool.take(9);
+        assert_eq!(exact.as_ptr(), big_ptr, "an exact fit is reused");
+        assert_eq!(pool.take(5).capacity(), 5, "an empty pool allocates");
+        // Bins past the first bitset word.
+        let wide = pool.take(130);
+        let wide_ptr = wide.as_ptr();
+        pool.give(wide);
+        let found = pool.take(70);
+        assert_eq!(found.as_ptr(), wide_ptr, "found two words up");
+        assert_eq!(pool.take(131).capacity(), 131, "nothing holds 131");
+        // A declaration's footprint comes back only once nobody shares it.
+        let decl: Arc<[Query]> = spanning_job().queries;
+        let atoms_ptr = decl[0].footprint.atoms.as_ptr();
+        let shared = Arc::clone(&decl);
+        assert!(pool.reclaim(decl).is_none(), "a shared declaration");
+        let spare = pool.reclaim(shared).expect("the last holder reclaims");
+        assert!(spare[0].footprint.atoms.is_empty(), "footprint pooled");
+        let pooled = pool.take(2);
+        assert_eq!(pooled.as_ptr(), atoms_ptr, "the pooled footprint");
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub struct NodePipeline {
     scheduler: Box<dyn Scheduler>,
     prefetcher: Option<Prefetcher>,
     busy: bool,
+    /// The batch in service, from [`Self::charge_batch`] until the engine
+    /// takes it back at its completion.
+    in_flight: Option<Batch>,
     idle_check_pending: bool,
     /// Straggler factor from a scripted [`crate::FailurePlan`] slowdown:
     /// every charged batch and speculative-read service time is multiplied
@@ -64,6 +67,7 @@ impl NodePipeline {
             scheduler,
             prefetcher,
             busy: false,
+            in_flight: None,
             idle_check_pending: false,
             service_multiplier: 1.0,
             busy_ms: 0.0,
@@ -166,10 +170,11 @@ impl NodePipeline {
 
     /// Charges a batch against the database — atom reads in Morton order,
     /// position compute, then the stencil spill-over pass (§V locality of
-    /// reference) — marks the pipeline busy, and returns the service time.
-    /// `now_ms` is the dispatch time, used only to stamp observability
-    /// events (the engine owns the clock).
-    pub fn charge_batch(&mut self, batch: &Batch, now_ms: f64) -> f64 {
+    /// reference) — marks the pipeline busy, keeps the batch in service
+    /// until [`Self::take_batch`], and returns the service time. `now_ms` is
+    /// the dispatch time, used only to stamp observability events (the
+    /// engine owns the clock).
+    pub fn charge_batch(&mut self, batch: Batch, now_ms: f64) -> f64 {
         let snapshot = {
             let res = DbResidency(&self.db);
             self.scheduler.utility_snapshot(&res)
@@ -211,7 +216,20 @@ impl NodePipeline {
         }
         self.busy = true;
         self.busy_ms += service_ms;
+        self.in_flight = Some(batch);
         service_ms
+    }
+
+    /// Takes back the batch in service, whose completion is due; `None` if
+    /// no batch was charged since the last take.
+    pub(crate) fn take_batch(&mut self) -> Option<Batch> {
+        self.in_flight.take()
+    }
+
+    /// Hands a completed batch back to the scheduler, which builds a later
+    /// batch in its buffers.
+    pub(crate) fn recycle_batch(&mut self, batch: Batch) {
+        self.scheduler.recycle_batch(batch);
     }
 
     /// Issues one speculative read if the trajectory predictor has a

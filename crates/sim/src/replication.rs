@@ -218,7 +218,6 @@ impl ReplicaDirectory {
     /// node index). `load` answers a node's outstanding parts — the length
     /// of its ledger in the engine. Transitions and diversions are appended
     /// to `actions`.
-    // lint: hotpath
     pub(crate) fn route_atom(
         &mut self,
         m: MortonKey,
@@ -248,8 +247,8 @@ impl ReplicaDirectory {
         {
             // Candidate hosts: live nodes other than the owner, least loaded
             // first (ties by index). Integer loads, so the order is total.
-            // lint: allow(M001) — promotion is a rare table transition; the
-            // Vec escapes into the replica table, it is not scratch.
+            // Promotion is a rare table transition, and the `Vec` escapes
+            // into the replica table.
             let mut hosts: Vec<u32> = (0..alive.len() as u32)
                 .filter(|&n| n != owner && alive[n as usize])
                 .collect();

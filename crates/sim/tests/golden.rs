@@ -21,7 +21,9 @@
 //! and replica routing are under a committed digest as well. Replication
 //! without a crash is pinned the same way, and the crash-under-replication
 //! run's JSONL trace is pinned too, so the part routing, replica and re-dispatch
-//! event stream of a cluster cannot move silently either.
+//! event stream of a cluster cannot move silently either. The crash under
+//! replication is pinned once more behind LRU-K caches, so LRU-K's history
+//! and victim choice are under a digest too.
 
 #![forbid(unsafe_code)]
 
@@ -63,6 +65,9 @@ const GOLDEN_CLUSTER_CRASH: &str = "cc52a4aaf5e02410";
 
 /// The crash run under hot-atom replication.
 const GOLDEN_CLUSTER_CRASH_REPLICATED: &str = "dca32d5e991f0c67";
+
+/// The crash run under replication with LRU-K caches in place of URC.
+const GOLDEN_CLUSTER_LRUK_CRASH_REPLICATED: &str = "615faf0bb854d275";
 
 /// The same cluster under hot-atom replication with no failure.
 const GOLDEN_CLUSTER_REPLICATED: &str = "20fdbf7d4996613c";
@@ -364,6 +369,19 @@ fn small_cluster_runs_match_their_golden_digests() {
     assert_eq!(
         digest, GOLDEN_CLUSTER_CRASH_REPLICATED,
         "replicated crash run moved"
+    );
+}
+
+#[test]
+fn small_cluster_lruk_crash_under_replication_matches_its_golden_digest() {
+    let trace = cluster_trace();
+    let mut cfg = cluster_cfg(crash_plan(&trace), ReplicationConfig::on());
+    cfg.cache_policy = CachePolicyKind::LruK;
+    let (report, digest) = cluster_digest(cfg);
+    assert!(report.degraded.is_some() && report.replication.is_some());
+    assert_eq!(
+        digest, GOLDEN_CLUSTER_LRUK_CRASH_REPLICATED,
+        "LRU-K replicated crash run moved"
     );
 }
 

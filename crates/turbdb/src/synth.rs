@@ -512,7 +512,6 @@ impl FillWorkspace {
     ///
     /// Panics if `out` is not four times the block's voxel count long, or
     /// a coordinate is outside the field's grid.
-    // lint: hotpath
     pub fn fill<I: IntoIterator<Item = u32>>(
         &mut self,
         field: &SyntheticField,
