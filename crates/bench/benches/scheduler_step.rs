@@ -106,7 +106,7 @@ fn full_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
     let (atom, _) = reference::aged_utilities(wm, now_ms, 0.3, &res)
         .into_iter()
         .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-        .unwrap();
+        .expect("the manager holds pending atoms");
     let batch = wm.take_atom(&atom, &mut Vec::new());
     black_box(batch.positions);
     wm.enqueue([SubQuery {
@@ -122,7 +122,9 @@ fn full_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
 /// O(Δ) integration, O(1) snapshot clone.
 fn incremental_step(wm: &mut WorkloadManager, i: u64, now_ms: f64) {
     let res = NoneResident;
-    let (atom, _) = wm.best_atom(now_ms, 0.3, &res).unwrap();
+    let (atom, _) = wm
+        .best_atom(now_ms, 0.3, &res)
+        .expect("the manager holds pending atoms");
     let batch = wm.take_atom(&atom, &mut Vec::new());
     black_box(batch.positions);
     wm.enqueue([SubQuery {

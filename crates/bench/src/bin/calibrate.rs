@@ -65,7 +65,8 @@ fn main() {
         println!(
             "\n== burst gap {gap} ms: {} queries over {:.2} h of arrivals ==",
             trace.query_count(),
-            (trace.jobs.last().unwrap().arrival_ms - trace.jobs[0].arrival_ms) / 3.6e6
+            (trace.jobs.last().expect("the trace has jobs").arrival_ms - trace.jobs[0].arrival_ms)
+                / 3.6e6
         );
         for ((spec, r), &(_, gate)) in run_parallel(&specs, &trace).iter().zip(&kinds) {
             let gate = gate.map_or("-".to_string(), |g: f64| format!("{g:.0}"));

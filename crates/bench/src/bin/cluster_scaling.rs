@@ -10,8 +10,8 @@
 //! Flags:
 //! * `--smoke`  — tiny geometry and trace (CI exercise of the multi-node
 //!   path), 1/2/4 nodes only;
-//! * `--cap-ms=<float>` — simulated-time cap per run (`max_sim_ms`),
-//!   demonstrating cluster truncation;
+//! * `--cap-ms=<float>` — simulated-time cap per run (`max_sim_ms`, a
+//!   finite number > 0), demonstrating cluster truncation;
 //! * `--trace-out=<path>` — record the last configuration's run through a
 //!   [`jaws_obs::JsonlRecorder`] and write the JSONL trace there (feed it to
 //!   `trace_explain`).
@@ -27,6 +27,15 @@ const CAP_MS: exp::Flag = exp::Flag {
 
 fn main() {
     let args = exp::parse_args("", &[exp::SMOKE, CAP_MS, exp::TRACE_OUT]);
+    // The engine stops at the first event past the cap, so a cap of NaN
+    // would never stop a run and one ≤ 0 would stop it before it starts.
+    let max_sim_ms: f64 = args.parsed("--cap-ms").unwrap_or(1e10);
+    if !(max_sim_ms.is_finite() && max_sim_ms > 0.0) {
+        args.fail(&format!(
+            "bad value for --cap-ms: `{}` (want a finite number > 0)",
+            args.value("--cap-ms").unwrap_or_default()
+        ));
+    }
     let smoke = args.has("--smoke");
     let (trace, db, node_counts): (_, _, &[u32]) = if smoke {
         eprintln!("# --smoke: tiny geometry, 1/2/4 nodes");
@@ -34,7 +43,6 @@ fn main() {
     } else {
         (exp::paper_trace(), exp::paper_db(), &[1, 2, 4, 8])
     };
-    let max_sim_ms = args.parsed("--cap-ms").unwrap_or(1e10);
     println!("\nCluster scale-out — JAWS_2 per node, Morton-slab partitioning");
     exp::rule();
     println!(

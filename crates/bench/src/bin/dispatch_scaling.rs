@@ -214,8 +214,8 @@ fn identity_run() -> (String, String, u64) {
     let report = ex.run(&exp::smoke_trace());
     let masked =
         exp::mask_wallclock_fields(&serde_json::to_string(&report).expect("report serializes"));
-    // lint: invariant — the run above completed; a poisoned mutex would
-    // already have panicked the emitting thread
+    // The run above completed; a poisoned mutex would already have
+    // panicked the emitting thread.
     let trace = rec.lock().expect("recorder mutex unpoisoned").take();
     (masked, trace, report.queries_completed)
 }

@@ -196,8 +196,8 @@ pub mod exp {
         let mut ex = ClusterExecutor::new(cfg);
         ex.set_recorder(ObsSink::new(rc.clone()));
         let report = ex.run(trace);
-        // lint: invariant — the run above completed; a poisoned mutex would
-        // already have panicked the emitting thread
+        // The run above completed; a poisoned mutex would already have
+        // panicked the emitting thread.
         let jsonl = rc.lock().expect("recorder lock").take();
         (report, jsonl)
     }

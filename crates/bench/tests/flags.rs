@@ -89,3 +89,17 @@ fn help_prints_the_usage_and_exits_0() {
         );
     }
 }
+
+#[test]
+fn cluster_scaling_rejects_a_cap_that_is_not_a_positive_finite_time() {
+    for cap in ["nan", "inf", "-1", "0"] {
+        let flag = format!("--cap-ms={cap}");
+        let (code, out, err) = run(env!("CARGO_BIN_EXE_cluster_scaling"), &[&flag, "--smoke"]);
+        assert_eq!(code, Some(2), "{flag}: {err}");
+        assert!(out.is_empty(), "{flag} printed results:\n{out}");
+        assert!(
+            err.contains(&format!("bad value for --cap-ms: `{cap}`")) && err.contains("usage:"),
+            "{flag}: {err}"
+        );
+    }
+}

@@ -30,7 +30,8 @@ impl UtilityRank {
     ///
     /// `total_cmp` (not `partial_cmp`) so the order stays total even if a
     /// NaN rank ever slips in — a NaN would otherwise compare `Equal` to
-    /// everything and make victim choice depend on scan order (lint F001).
+    /// everything and make victim choice depend on scan order (`clippy.toml`
+    /// bans `partial_cmp`).
     pub fn cmp_for_eviction(&self, other: &UtilityRank) -> std::cmp::Ordering {
         self.timestep_mean
             .total_cmp(&other.timestep_mean)

@@ -81,7 +81,7 @@ impl<K: Eq + Hash + Ord + Copy + Debug, V> BufferPool<K, V> {
         assert!(capacity > 0, "cache capacity must be positive");
         BufferPool {
             capacity,
-            resident: FastMap::with_capacity_and_hasher(capacity, Default::default()),
+            resident: FastMap::with_capacity(capacity),
             policy,
             stats: CacheStats::default(),
         }
@@ -151,6 +151,10 @@ impl<K: Eq + Hash + Ord + Copy + Debug, V> BufferPool<K, V> {
     ) -> AccessOutcome<K> {
         if self.resident.contains_key(&key) {
             self.stats.hits += 1;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "policy-overhead probe, masked by the determinism tests"
+            )]
             let t0 = Instant::now();
             self.policy.on_hit(&key);
             self.stats.policy_overhead_ns += t0.elapsed().as_nanos() as u64;
@@ -159,6 +163,10 @@ impl<K: Eq + Hash + Ord + Copy + Debug, V> BufferPool<K, V> {
         self.stats.misses += 1;
         let mut evicted = None;
         if self.resident.len() >= self.capacity {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "policy-overhead probe, masked by the determinism tests"
+            )]
             let t0 = Instant::now();
             let victim = self
                 .policy
@@ -172,6 +180,10 @@ impl<K: Eq + Hash + Ord + Copy + Debug, V> BufferPool<K, V> {
             evicted = Some(victim);
         }
         self.resident.insert(key, load());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "policy-overhead probe, masked by the determinism tests"
+        )]
         let t0 = Instant::now();
         self.policy.on_insert(key);
         self.stats.policy_overhead_ns += t0.elapsed().as_nanos() as u64;
@@ -190,6 +202,10 @@ impl<K: Eq + Hash + Ord + Copy + Debug, V> BufferPool<K, V> {
 
     /// Signals the end of a workload run to the policy (SLRU promotion point).
     pub fn end_run(&mut self) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "policy-overhead probe, masked by the determinism tests"
+        )]
         let t0 = Instant::now();
         self.policy.end_run();
         self.stats.policy_overhead_ns += t0.elapsed().as_nanos() as u64;

@@ -176,8 +176,12 @@ impl<K: Eq + Hash + Ord + Copy + Debug + Send> ReplacementPolicy<K> for Slru<K> 
         for (_, _, k) in candidates {
             self.promote(k);
         }
-        for m in self.meta.values_mut() {
-            m.run_hits = 0;
+        // Every tracked key sits in exactly one segment, so the two ordered
+        // segments visit each counter once.
+        for k in self.probationary.values().chain(self.protected.values()) {
+            if let Some(m) = self.meta.get_mut(k) {
+                m.run_hits = 0;
+            }
         }
     }
 

@@ -17,9 +17,7 @@ use std::fmt;
 ///
 /// `Ord` is lexicographic on `(timestep, morton)`, matching the on-disk atom
 /// order so that a full-timestep scan is one contiguous range.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub struct AtomId {
     /// Simulation timestep the atom belongs to.
     pub timestep: u32,
@@ -41,6 +39,20 @@ impl AtomId {
             timestep,
             morton: MortonKey::from_coords(x, y, z),
         }
+    }
+}
+
+// Written out, not derived: a derived `partial_cmp` calls the fields'
+// `partial_cmp`, which `clippy.toml` bans.
+impl Ord for AtomId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.timestep, self.morton).cmp(&(other.timestep, other.morton))
+    }
+}
+
+impl PartialOrd for AtomId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 

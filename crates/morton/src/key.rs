@@ -12,9 +12,7 @@ use std::fmt;
 /// enclosing cube at a coarser level, and [`MortonKey::cube_range`] the
 /// contiguous Morton interval the cube occupies — contiguity is what makes
 /// Morton-range reads sequential on disk.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 #[serde(transparent)]
 pub struct MortonKey(pub u64);
 
@@ -96,6 +94,20 @@ impl MortonKey {
         }
         out.sort_unstable();
         out
+    }
+}
+
+// Written out, not derived: a derived `partial_cmp` calls the fields'
+// `partial_cmp`, which `clippy.toml` bans.
+impl Ord for MortonKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for MortonKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 

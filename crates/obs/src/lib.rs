@@ -7,7 +7,7 @@
 //!
 //! 1. **Simulated time only.** Records are stamped exclusively with the
 //!    engine's `now_ms`; this crate contains no wall-clock or entropy source
-//!    (jaws-lint rule D002 applies to it like any other crate). Two runs with
+//!    (`clippy.toml` bans them here as in every crate). Two runs with
 //!    the same seed therefore produce byte-identical JSONL traces — asserted
 //!    by `crates/sim/tests/determinism.rs`.
 //! 2. **Zero paid-when-disabled overhead.** The default sink is null: its
@@ -19,8 +19,9 @@
 //!    component, or to replays running on other threads (`sweep`). Within a
 //!    replay the engine dispatches serially, so every record is emitted in
 //!    the engine's event order on one thread — byte-identical JSONL at any
-//!    `jaws-par` worker count, and no `jaws-par` closure may emit (lint rule
-//!    T001).
+//!    `jaws-par` worker count. No `jaws-par` closure is handed a sink, and
+//!    the thread-count tests in `crates/sim/tests/determinism.rs` would show
+//!    records emitted in worker order.
 //!
 //! The schema (serialized as one JSON object per line, events externally
 //! tagged by variant name) is documented on [`Event`]; `trace_explain` in `crates/bench`
@@ -376,8 +377,11 @@ impl JsonlRecorder {
 
 impl Recorder for JsonlRecorder {
     fn record(&mut self, rec: &Record) {
-        // Record contains only plain structs/enums of serializable
-        // primitives; serde_json cannot fail on them.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a Record holds only plain structs and enums of \
+                      serializable primitives, which serde_json cannot fail on"
+        )]
         let line = serde_json::to_string(rec).expect("Record serialization is infallible");
         self.out.push_str(&line);
         self.out.push('\n');
@@ -431,8 +435,11 @@ impl ObsSink {
     /// constructing events (cloning part lists, ranking snapshots) entirely.
     pub fn enabled(&self) -> bool {
         match &self.inner {
-            // lint: invariant — a panicked recorder poisons the lock; no
-            // recovery keeps the trace complete, so propagate the panic
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: a panicked recorder poisons the lock; no \
+                          recovery keeps the trace complete, so propagate the panic"
+            )]
             Some(r) => r.lock().expect("recorder lock poisoned").enabled(),
             None => false,
         }
@@ -442,8 +449,11 @@ impl ObsSink {
     /// enabled.
     pub fn emit(&self, t_ms: f64, event: Event) {
         if let Some(r) = &self.inner {
-            // lint: invariant — a panicked recorder poisons the lock; no
-            // recovery keeps the trace complete, so propagate the panic
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: a panicked recorder poisons the lock; no \
+                          recovery keeps the trace complete, so propagate the panic"
+            )]
             let mut r = r.lock().expect("recorder lock poisoned");
             if r.enabled() {
                 r.record(&Record {
@@ -491,8 +501,6 @@ mod tests {
         for t in 0..5 {
             sink.emit(t as f64, sample(t as f64));
         }
-        // lint: invariant — single-threaded test: a poisoned lock means an
-        // earlier assertion already failed
         let ring = ring.lock().expect("ring recorder lock");
         assert_eq!(ring.len(), 2);
         let kept: Vec<f64> = ring.records().map(|r| r.t_ms).collect();
@@ -504,8 +512,6 @@ mod tests {
         let rec = Arc::new(Mutex::new(JsonlRecorder::new()));
         let sink = ObsSink::new(rec.clone()).with_node(7);
         sink.emit(12.5, sample(12.5));
-        // lint: invariant — single-threaded test: a poisoned lock means an
-        // earlier assertion already failed
         let out = rec
             .lock()
             .expect("jsonl recorder lock")
@@ -546,8 +552,6 @@ mod tests {
         let tagged = base.with_node(3);
         base.emit(0.0, sample(0.0));
         tagged.emit(1.0, sample(1.0));
-        // lint: invariant — single-threaded test: a poisoned lock means an
-        // earlier assertion already failed
         let rec = rec.lock().expect("ring recorder lock");
         let nodes: Vec<Option<u32>> = rec.records().map(|r| r.node).collect();
         assert_eq!(nodes, vec![None, Some(3)]);

@@ -2,9 +2,9 @@
 //!
 //! This file is the one sanctioned wall-clock shim in the obs crate: it uses
 //! `std::time::Instant` to put a *generous* ceiling on the cost of emitting
-//! through a null sink, and is explicitly allowlisted by jaws-lint's D002
-//! rule (see `wallclock_exempt` in crates/lint). Production code must keep
-//! stamping records from the engine's simulated `now_ms` only.
+//! through a null sink, under an `#[expect]` of the `clippy.toml` ban on
+//! `Instant::now`. Production code must keep stamping records from the
+//! engine's simulated `now_ms` only.
 
 use jaws_obs::{Event, ObsSink};
 use std::time::Instant;
@@ -12,6 +12,10 @@ use std::time::Instant;
 #[test]
 fn null_sink_emission_is_cheap() {
     let sink = ObsSink::null();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "times the disabled-sink fast path; the time feeds no decision"
+    )]
     let start = Instant::now();
     let mut emitted = 0u64;
     for t in 0..1_000_000u64 {

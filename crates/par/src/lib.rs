@@ -1,6 +1,6 @@
 //! Deterministic ordered parallel map on `std::thread::scope`.
 //!
-//! The repo's determinism contract (DESIGN.md, lint rules D001/D002) demands
+//! The repo's determinism contract (DESIGN.md "Determinism & invariants") demands
 //! that every simulated quantity be a function of the seeded inputs only —
 //! never of thread count, scheduling jitter, or completion order. This crate
 //! provides the one sanctioned way to use multiple cores under that contract:
@@ -65,6 +65,10 @@ pub fn override_threads(n: usize) -> ThreadGuard {
 /// The fixed worker count: thread-local override, then the `JAWS_THREADS`
 /// environment variable, then [`std::thread::available_parallelism`]
 /// (minimum 1). Purely a throughput knob — results never depend on it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "worker count is output-invariant: map* reassembles results in input order"
+)]
 pub fn thread_count() -> usize {
     if let Some(n) = OVERRIDE.with(|c| c.get()) {
         return n.max(1);
@@ -85,6 +89,10 @@ pub fn thread_count() -> usize {
 /// reader can tell "ran serial because asked to" apart from "ran serial
 /// because the box has one core". Never used to size work: that is
 /// [`thread_count`]'s job.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reported next to the configured worker count, never used to size work"
+)]
 pub fn hardware_parallelism() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -173,6 +181,22 @@ where
 
 /// Ordered parallel map over a shared slice: `map(items, f)[i] == f(&items[i])`
 /// bitwise, at any thread count.
+///
+/// `f` may capture plain values:
+///
+/// ```
+/// let scale = 3;
+/// assert_eq!(jaws_par::map(&[1, 2, 3], |&x| x * scale), [3, 6, 9]);
+/// ```
+///
+/// A closure that captures a `RefCell` (or a `Cell`) is not `Sync`, so it does
+/// not compile: worker interleaving cannot reach a result through shared
+/// interior mutability.
+///
+/// ```compile_fail
+/// let scale = std::cell::RefCell::new(3);
+/// let out = jaws_par::map(&[1, 2, 3], |&x| x * *scale.borrow());
+/// ```
 pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -177,7 +177,7 @@ impl AlphaController {
                     let step = Self::EXPLORE_STEP * self.explore_sign;
                     let next = (self.alpha + step).clamp(0.0, 1.0);
                     // total_cmp, not `==`: "the clamp absorbed the whole
-                    // step" must be an exact, total comparison (lint F002).
+                    // step" must be an exact, total comparison (`float_cmp`).
                     if next.total_cmp(&self.alpha).is_eq() {
                         self.explore_sign = -self.explore_sign;
                     } else {

@@ -1,9 +1,10 @@
 //! Gated execution: the job-aware precedence graph of §IV.
 //!
 //! Ordered jobs are sequences of queries with data dependencies. JAWS aligns
-//! every pair of jobs with a Needleman–Wunsch dynamic program ([`align_jobs`])
-//! and turns each aligned, data-sharing pair of queries into a *gating edge*:
-//! the two queries must be co-scheduled so the shared atoms are read once.
+//! every pair of jobs with a Needleman–Wunsch dynamic program
+//! ([`align_jobs`](crate::align::align_jobs)) and turns each aligned,
+//! data-sharing pair of queries into a *gating edge*: the two queries must be
+//! co-scheduled so the shared atoms are read once.
 //! Gating edges are transitive ("q inherits all gating edges incident to its
 //! partner", Fig. 4 line 2), so edges form *gating groups* — sets of queries,
 //! at most one per job, that enter the workload queues together.
@@ -46,7 +47,7 @@
 //! ## Total order (determinism)
 //!
 //! Every decision in this module is made in a documented total order so runs
-//! are bit-reproducible per seed (lint rule D001):
+//! are bit-reproducible per seed:
 //!
 //! * **Edge admission** (merge phase of [`GatingGraph::add_job`]): candidate
 //!   alignments are processed in decreasing alignment size, ties broken by
@@ -89,10 +90,10 @@
 //! like a finished job was (nothing pending to align against), so the
 //! window's meaning is unchanged.
 //!
-//! Every iterated map or set is a `BTreeMap`/`BTreeSet` keyed by `JobId`/
-//! `QueryId`/group id, so every iteration is ordered by construction. The
+//! Every iterated map or set is a `BTreeMap`/`BTreeSet` keyed by `QueryId`/
+//! group id, so every iteration is ordered by construction. The jobs, the
 //! per-query entries and the cycle search's visited set are only ever
-//! looked up, so they live in a [`FastMap`] and a [`FastSet`].
+//! looked up, so they live in [`FastMap`]s and a [`FastSet`].
 
 use crate::align::align_into;
 use jaws_morton::{FastMap, FastSet};
@@ -155,11 +156,16 @@ struct JobEntry {
     first_pending: usize,
 }
 
+/// Initial room in the job table, the default alignment window: a table
+/// grown from empty would re-allocate once per doubling in every replay.
+const JOBS_CAPACITY: usize = 64;
+
 /// The job-aware precedence/gating graph.
 #[derive(Debug)]
 pub struct GatingGraph {
     cfg: GatingConfig,
-    jobs: BTreeMap<JobId, JobEntry>,
+    /// The live jobs, with room for [`JOBS_CAPACITY`] up front.
+    jobs: FastMap<JobId, JobEntry>,
     /// Arrival order of the last `max_align_jobs` ordered jobs, retired ones
     /// included, for alignment candidate selection.
     job_order: VecDeque<JobId>,
@@ -195,7 +201,7 @@ impl GatingGraph {
     pub fn new(cfg: GatingConfig) -> Self {
         GatingGraph {
             cfg,
-            jobs: BTreeMap::new(),
+            jobs: FastMap::with_capacity(JOBS_CAPACITY),
             job_order: VecDeque::new(),
             entries: FastMap::default(),
             ready: BTreeMap::new(),
@@ -381,12 +387,22 @@ impl GatingGraph {
         let gid = self.next_group;
         self.next_group += 1;
         for q in &merged {
-            // lint: invariant — merged only holds ids from self.entries
-            self.entries.get_mut(q).expect("tracked").group = Some(gid);
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: merged only holds ids from self.entries"
+            )]
+            let e = self.entries.get_mut(q).expect("tracked");
+            e.group = Some(gid);
         }
-        // lint: invariant — a query's group id always names a live group
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a query's group id always names a live group"
+        )]
         let old_a = ga.map(|g| (g, self.groups.remove(&g).expect("live group")));
-        // lint: invariant — a query's group id always names a live group
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a query's group id always names a live group"
+        )]
         let old_b = gb.map(|g| (g, self.groups.remove(&g).expect("live group")));
         self.groups.insert(gid, merged);
         let cyclic = self.reaches_itself(gid);
@@ -410,13 +426,21 @@ impl GatingGraph {
             for (old, lone) in [(old_a, a), (old_b, b)] {
                 match old {
                     None => {
-                        // lint: invariant — `lone` was looked up at entry
-                        self.entries.get_mut(&lone).expect("tracked").group = None;
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "invariant: `lone` was looked up at entry"
+                        )]
+                        let e = self.entries.get_mut(&lone).expect("tracked");
+                        e.group = None;
                     }
                     Some((g, members)) => {
                         for m in &members {
-                            // lint: invariant — members came from self.entries
-                            self.entries.get_mut(m).expect("tracked").group = Some(g);
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "invariant: members came from self.entries"
+                            )]
+                            let e = self.entries.get_mut(m).expect("tracked");
+                            e.group = Some(g);
                         }
                         self.groups.insert(g, members);
                     }
@@ -481,7 +505,7 @@ impl GatingGraph {
     fn group_dag_is_acyclic(&self) -> bool {
         // Edges: for each job, consecutive gated queries g_prev -> g_next.
         let mut edges: BTreeMap<GroupId, std::collections::BTreeSet<GroupId>> = BTreeMap::new();
-        for job in self.jobs.values() {
+        for (_, job) in self.jobs.sorted() {
             let mut prev: Option<GroupId> = None;
             for q in &job.queries[job.first_pending..] {
                 if let Some(e) = self.entries.get(&q.id) {
@@ -541,7 +565,10 @@ impl GatingGraph {
         promoted: &mut Vec<Query>,
     ) -> Option<usize> {
         let q = query.id;
-        // lint: invariant — callers only pass ids registered via add_job
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: callers only pass ids registered via add_job"
+        )]
         let e = self
             .entries
             .get_mut(&q)
@@ -593,7 +620,10 @@ impl GatingGraph {
                 if members.len() <= 1 {
                     let members = self.groups.remove(&g).unwrap_or_default();
                     for &m in &members {
-                        // lint: invariant — group members are tracked queries
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "invariant: group members are tracked queries"
+                        )]
                         let e = self.entries.get_mut(&m).expect("tracked");
                         e.group = None;
                         if e.state == QueryState::Ready {
@@ -623,7 +653,10 @@ impl GatingGraph {
         match e.group {
             None => promote(&mut self.entries, &mut self.ready, q, promoted),
             Some(g) => {
-                // lint: invariant — a query's group id always names a live group
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: a query's group id always names a live group"
+                )]
                 let members = self.groups.get(&g).expect("member's group exists");
                 let all_ready = members.iter().all(|m| {
                     matches!(
@@ -672,7 +705,10 @@ impl GatingGraph {
                 continue; // already promoted by an earlier release this round
             }
             self.forced_releases += 1;
-            // lint: invariant — `stale` ids were collected from self.ready
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: `stale` ids were collected from self.ready"
+            )]
             let g = self.entries.get_mut(&q).expect("tracked").group.take();
             if let Some(g) = g {
                 if let Some(members) = self.groups.get_mut(&g) {
@@ -681,8 +717,12 @@ impl GatingGraph {
                     if members.len() <= 1 {
                         let members = self.groups.remove(&g).unwrap_or_default();
                         for &m in &members {
-                            // lint: invariant — group members are tracked queries
-                            self.entries.get_mut(&m).expect("tracked").group = None;
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "invariant: group members are tracked queries"
+                            )]
+                            let e = self.entries.get_mut(&m).expect("tracked");
+                            e.group = None;
                         }
                         self.retire_members(members);
                     }
@@ -709,7 +749,10 @@ fn promote(
     q: QueryId,
     promoted: &mut Vec<Query>,
 ) -> Option<usize> {
-    // lint: invariant — promote is only called with tracked READY queries
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: promote is only called with tracked READY queries"
+    )]
     let e = entries.get_mut(&q).expect("tracked");
     debug_assert_eq!(e.state, QueryState::Ready);
     e.state = QueryState::Queue;
@@ -1115,7 +1158,8 @@ mod tests {
         fn check(g: &GatingGraph) {
             let scan: BTreeSet<QueryId> = g
                 .entries
-                .iter()
+                .sorted()
+                .into_iter()
                 .filter(|(_, e)| e.state == QueryState::Ready)
                 .map(|(&q, _)| q)
                 .collect();
@@ -1124,7 +1168,7 @@ mod tests {
             assert_eq!(g.held_queries(), scan.len());
             assert!(g.ready.keys().all(|q| g.entries[q].group.is_some()));
             assert!(g.group_dag_is_acyclic());
-            for (id, job) in &g.jobs {
+            for (id, job) in g.jobs.sorted() {
                 assert!(
                     job.queries
                         .iter()
@@ -1132,7 +1176,11 @@ mod tests {
                     "job {id} is fully DONE but still tracked"
                 );
             }
-            assert!(g.entries.values().all(|e| g.jobs.contains_key(&e.job)));
+            assert!(g
+                .entries
+                .sorted()
+                .into_iter()
+                .all(|(_, e)| g.jobs.contains_key(&e.job)));
             assert!(g.job_order.len() <= g.cfg.max_align_jobs);
         }
 

@@ -187,7 +187,10 @@ impl Jaws {
     /// Emits the [`Event::BatchSelected`] record for an accepted batch. Only
     /// reached with a recorder attached, so its per-call allocations stay off
     /// the (unrecorded) dispatch hot path.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the record's fields, captured at the one call site in next_batch"
+    )]
     fn emit_batch_selected(
         &mut self,
         residency: &dyn Residency,
@@ -356,9 +359,12 @@ impl Scheduler for Jaws {
                 .map(|&(a, _)| a),
         );
         if selected.is_empty() {
-            // lint: invariant — best_timestep returned Some, so the chosen
-            // timestep holds at least one pending atom (and top_k put the
-            // highest-utility one first).
+            // top_k put the highest-utility atom first.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: best_timestep returned Some, so the chosen timestep \
+                          holds at least one pending atom"
+            )]
             let &(first, _) = in_ts.first().expect("best timestep has a pending atom");
             selected.push(first);
         }

@@ -25,6 +25,14 @@
 //! the job think-time loop.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::float_cmp,
+        clippy::disallowed_types,
+        reason = "unit tests pin exact float values and use std maps as oracles"
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod adaptive;

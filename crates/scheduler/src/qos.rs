@@ -18,7 +18,7 @@
 //!
 //! ## Total order (determinism)
 //!
-//! Atom selection is a total order (lint rule D001/F002): earliest deadline
+//! Atom selection is a total order: earliest deadline
 //! first via `f64::total_cmp`, ties broken by ascending `AtomId`. Deadline
 //! state lives in `BTreeMap`s, so the `min_by` scan visits candidates in
 //! ascending `AtomId` order and the result is independent of insertion

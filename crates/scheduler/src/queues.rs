@@ -75,7 +75,7 @@
 //!
 //! # Total order (determinism)
 //!
-//! Selection is a total order (lint rules D001/F002): scores compare via
+//! Selection is a total order: scores compare via
 //! `f64::total_cmp` and exact ties fall back to ascending `AtomId`
 //! (`(timestep, morton)`), so the chosen atom is a function of queue *state*
 //! only — never of enqueue order or map iteration order. The slabs are kept
@@ -630,12 +630,18 @@ impl WorkloadManager {
     /// Panics if the atom has no queue — schedulers must only take atoms they
     /// observed as pending.
     pub fn take_atom(&mut self, atom: &AtomId, completing: &mut Vec<QueryId>) -> AtomBatch {
-        // lint: invariant — documented public contract (see # Panics above)
+        #[expect(
+            clippy::panic,
+            reason = "invariant: documented public contract (see # Panics above)"
+        )]
         let slab = self
             .slabs
             .get_mut(&atom.timestep)
             .unwrap_or_else(|| panic!("take_atom on empty queue {atom}"));
-        // lint: invariant — documented public contract (see # Panics above)
+        #[expect(
+            clippy::panic,
+            reason = "invariant: documented public contract (see # Panics above)"
+        )]
         let at = slot_index(slab, atom.morton)
             .unwrap_or_else(|_| panic!("take_atom on empty queue {atom}"));
         let slot = slab.remove(at);
@@ -649,7 +655,10 @@ impl WorkloadManager {
         self.generation += 1;
         let pending_subs = &mut self.pending_subs;
         self.ids.drain(slot.queue, |q| {
-            // lint: invariant — enqueue() registered every sub-query's query id
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: enqueue() registered every sub-query's query id"
+            )]
             let left = pending_subs
                 .get_mut(&q)
                 .expect("sub-query of a tracked query");
@@ -866,13 +875,12 @@ impl WorkloadManager {
     #[cfg(any(test, doc))]
     pub fn timestep_means(&mut self, residency: &dyn Residency) -> BTreeMap<u32, f64> {
         self.integrate(residency);
-        // The snapshot map is keyed storage (never iterated for decisions);
-        // collecting into a BTreeMap re-establishes sorted order for callers.
         self.urc_view
             .means
-            .iter() // lint: sorted — collected into a BTreeMap below
+            .sorted()
+            .into_iter()
             .map(|(&t, &m)| (t, m))
-            .collect::<BTreeMap<u32, f64>>()
+            .collect()
     }
 
     /// The URC oracle snapshot: every pending atom's Eq. 1 value plus its
@@ -1157,8 +1165,12 @@ impl WorkloadManager {
                 );
             }
         }
-        let counted: BTreeMap<QueryId, usize> =
-            self.pending_subs.iter().map(|(&q, &n)| (q, n)).collect();
+        let counted: BTreeMap<QueryId, usize> = self
+            .pending_subs
+            .sorted()
+            .into_iter()
+            .map(|(&q, &n)| (q, n))
+            .collect();
         assert_eq!(queued, counted, "queued ids vs completion bookkeeping");
         if residency.is_some() {
             assert!(self.dirty_ts.is_empty(), "manager not integrated");
@@ -1662,11 +1674,11 @@ mod proptests {
             );
         }
 
-        /// Satellite of lint rule D001: when every pending atom ties on
-        /// utility and age, atom selection must not depend on enqueue order —
-        /// only on the documented tie-break (ascending AtomId). Draining two
-        /// managers fed the same atoms in different orders must visit atoms
-        /// in the identical (sorted) sequence.
+        /// When every pending atom ties on utility and age, atom selection
+        /// must not depend on enqueue order — only on the documented
+        /// tie-break (ascending AtomId). Draining two managers fed the same
+        /// atoms in different orders must visit atoms in the identical
+        /// (sorted) sequence.
         #[test]
         fn equal_utility_selection_is_enqueue_order_invariant(
             set in proptest::collection::btree_set((0u32..3, 0u64..12), 2..10),

@@ -315,7 +315,10 @@ impl ClusterExecutor {
                 a.forced_releases += s.forced_releases;
                 a
             });
-        // lint: invariant — ClusterExecutor::new asserts nodes >= 1
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: ClusterExecutor::new asserts nodes >= 1"
+        )]
         let first_node = self
             .pipelines
             .first()
@@ -363,6 +366,11 @@ impl ClusterExecutor {
                 }
             })
             .collect();
+        #[expect(
+            clippy::float_cmp,
+            reason = "exact sentinel, not ranking logic: a slowdown of 1.0 is the \
+                      never-degraded default and factors are copied verbatim from the plan"
+        )]
         let degraded = (!self.cfg.failures.is_empty()).then(|| DegradedReport {
             plan_seed: self.cfg.failures.seed(),
             first_failure_ms: outcome.first_failure_ms,
@@ -382,9 +390,6 @@ impl ClusterExecutor {
                 .node_status
                 .iter()
                 .enumerate()
-                // lint: allow(F002) — exact sentinel, not ranking logic: 1.0
-                // is the never-degraded default and factors are copied
-                // verbatim from the plan, so bitwise inequality is the test
                 .filter(|(_, s)| s.slowdown != 1.0)
                 .map(|(i, s)| (i as u32, s.slowdown))
                 .collect(),

@@ -28,8 +28,8 @@
 //! inputs only. Every engine-side map that is iterated is a `BTreeMap` or
 //! `BTreeSet`, so iteration order follows the keys; the per-query table,
 //! the declared-id sets and the ledgers' position maps are only looked up
-//! by id, so they are a [`FastMap`] or a [`FastSet`] (lint rule D001 would
-//! flag any iteration over them).
+//! by id, so they are a [`FastMap`] or a [`FastSet`], which iterate only in
+//! sorted order.
 //!
 //! ## Outstanding-part ledger
 //!
@@ -219,12 +219,15 @@ impl LiveRouting {
     /// [`FailurePlan::validate`], re-checked here as an invariant).
     fn crash(&mut self, node: u32, designated: Option<u32>) -> u32 {
         self.alive[node as usize] = false;
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: FailurePlan::validate rejects plans that crash every node, \
+                      so a live node always remains"
+        )]
         let fallback = || {
             self.alive
                 .iter()
                 .position(|&a| a)
-                // lint: invariant — FailurePlan::validate rejects plans that
-                // crash every node, so a live node always remains
                 .expect("a crash must leave at least one node alive") as u32
         };
         let surv = match designated {
@@ -725,8 +728,7 @@ impl<'a> Engine<'a> {
         for p in pipelines.iter() {
             check_trace(trace, p.db().config());
         }
-        let mut per_query =
-            FastMap::with_capacity_and_hasher(trace.query_count(), Default::default());
+        let mut per_query = FastMap::with_capacity(trace.query_count());
         for (ji, job) in trace.jobs.iter().enumerate() {
             for (qi, q) in job.queries.iter().enumerate() {
                 assert!(
@@ -916,7 +918,10 @@ impl<'a> Engine<'a> {
         // No part completes inside this call, so the barrier can be armed
         // after the fan-out.
         let parts = self.fan_out(q, job, observe);
-        // lint: invariant — `run` registered every trace query
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `run` registered every trace query"
+        )]
         let state = self.per_query.get_mut(&q.id).expect("trace query");
         assert!(state.submit_ms.is_none(), "query {} submitted twice", q.id);
         state.submit_ms = Some(now_ms);
@@ -1115,29 +1120,41 @@ impl<'a> Engine<'a> {
         let (trace, now_ms) = (self.trace, self.now_ms);
         let n = node as usize;
         self.pipelines[n].set_idle();
-        // lint: invariant — a node has one BatchDone pending per charged
-        // batch, and only its own BatchDone takes the batch back
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a node has one BatchDone pending per charged batch, \
+                      and only its own BatchDone takes the batch back"
+        )]
         let batch = self.pipelines[n]
             .take_batch()
             .expect("a completing node holds its batch");
         for &pid in &batch.completing_queries {
             let qid = orig_id(pid);
-            // lint: invariant — schedulers only complete parts the engine
-            // handed them, all of trace queries
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: schedulers only complete parts the engine handed \
+                          them, all of trace queries"
+            )]
             let state = self
                 .per_query
                 .get_mut(&qid)
                 .expect("completed a trace query");
-            // lint: invariant — schedulers only complete queries previously
-            // handed to query_available
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: schedulers only complete queries previously handed \
+                          to query_available"
+            )]
             let submitted = state.submit_ms.expect("completed query was submitted");
-            // lint: invariant — submit armed the barrier with one count per
-            // delivered part
-            state.outstanding = state
+            #[expect(
+                clippy::panic,
+                reason = "invariant: submit armed the barrier with one count per delivered part"
+            )]
+            let left = state
                 .outstanding
                 .checked_sub(1)
                 .unwrap_or_else(|| panic!("query {qid} completed more parts than it has"));
-            let (left, ji, qi) = (state.outstanding, state.job, state.index);
+            state.outstanding = left;
+            let (ji, qi) = (state.job, state.index);
             let rt = now_ms - submitted;
             self.pipelines[n].complete_part(pid, rt, now_ms);
             if let Some(entry) = self.ledger.get_mut(n).and_then(|l| l.remove(pid)) {

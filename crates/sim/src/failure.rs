@@ -20,7 +20,8 @@
 //! ## Determinism contract
 //!
 //! A plan is constructed from an **explicit seed** and explicit event times —
-//! this module contains no entropy or wall-clock source (lint rule D002), and
+//! this module contains no entropy or wall-clock source (`clippy.toml` bans
+//! them), and
 //! the compiler enforces that plans are built through [`FailurePlan::new`]:
 //! the fields are private and there is no `Default`, so the seed can never be
 //! defaulted away. The seed

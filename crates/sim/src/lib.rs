@@ -29,6 +29,10 @@
 //! and batch-size sweeps of Figs. 11–12.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(clippy::float_cmp, reason = "unit tests pin exact float values")
+)]
 #![warn(missing_docs)]
 
 pub mod cluster;

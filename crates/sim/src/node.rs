@@ -171,7 +171,7 @@ impl NodePipeline {
     /// Charges a batch against the database — atom reads in Morton order,
     /// position compute, then the stencil spill-over pass (§V locality of
     /// reference) — marks the pipeline busy, keeps the batch in service
-    /// until [`Self::take_batch`], and returns the service time. `now_ms` is
+    /// until the engine takes it back, and returns the service time. `now_ms` is
     /// the dispatch time, used only to stamp observability events (the
     /// engine owns the clock).
     pub fn charge_batch(&mut self, batch: Batch, now_ms: f64) -> f64 {

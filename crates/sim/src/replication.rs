@@ -27,7 +27,7 @@
 //! Every decision is a pure function of simulated time and the seeded trace:
 //! the histogram is keyed and trimmed by engine `now_ms`, candidate order is
 //! (load, owner-preference, node index) with integer loads, and all state
-//! lives in `BTreeMap`s (lint rule D001). The final replica table is
+//! that is iterated lives in `BTreeMap`s. The final replica table is
 //! serialized into the cluster report via [`ReplicationSummary`], so the
 //! byte-identity tests cover placement itself.
 

@@ -1,11 +1,16 @@
-//! Double-run determinism (lint rules D001/D002 end to end): replaying the
-//! same seeded trace twice must produce *byte-identical* serialized reports —
-//! including the per-query response log, which captures dispatch order — for
-//! every scheduling policy, on both the single-node executor and the
-//! Morton-slab cluster. Any hash-order iteration, wall-clock read, or
+//! Double-run determinism (the hash-order and wall-clock bans end to end):
+//! replaying the same seeded trace twice must produce *byte-identical*
+//! serialized reports — including the per-query response log, which captures
+//! dispatch order — for every scheduling policy, on both the single-node
+//! executor and the Morton-slab cluster. Any hash-order iteration, wall-clock read, or
 //! unseeded RNG on a decision path shows up here as a diff.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test code: a failed expectation is a failed test"
+)]
 
 mod common;
 
@@ -37,8 +42,9 @@ fn db_config() -> DbConfig {
 /// Two fields are masked before comparison: `cache.policy_overhead_ns` and
 /// the derived `cache_overhead_ms_per_query`. They are *measured wall-clock*
 /// telemetry (Table I's Overhead/Qry column) produced by the one sanctioned
-/// `Instant::now` site, `crates/cache/src/pool.rs` — the same exemption lint
-/// rule D002 carves out. Every simulated quantity must still match exactly.
+/// `Instant::now` site in library code, `crates/cache/src/pool.rs`, whose
+/// `#[expect]`s name this masking. Every simulated quantity must still match
+/// exactly.
 fn serialized_run(kind: SchedulerKind, seed: u64) -> String {
     serialized_run_wired(kind, seed, None)
 }
@@ -70,8 +76,6 @@ fn serialized_run_wired(kind: SchedulerKind, seed: u64, sink: Option<ObsSink>) -
 fn jsonl_trace_of_run(kind: SchedulerKind, seed: u64) -> String {
     let rec = Arc::new(Mutex::new(JsonlRecorder::new()));
     let _ = serialized_run_wired(kind, seed, Some(ObsSink::new(rec.clone())));
-    // lint: invariant — the run above completed; a poisoned mutex would
-    // already have panicked the emitting thread
     let trace = rec.lock().expect("recorder mutex unpoisoned").take();
     trace
 }
@@ -83,8 +87,6 @@ fn jsonl_trace_of_cluster_run(kind: SchedulerKind, nodes: u32, seed: u64) -> Str
     let mut ex = ClusterExecutor::new(cluster_config(kind, nodes));
     ex.set_recorder(ObsSink::new(rec.clone()));
     let _ = ex.run(&trace);
-    // lint: invariant — the run above completed; a poisoned mutex would
-    // already have panicked the emitting thread
     let out = rec.lock().expect("recorder mutex unpoisoned").take();
     out
 }
@@ -155,8 +157,6 @@ fn jsonl_trace_of_cluster_run_failing(
     let mut ex = ClusterExecutor::new(cfg);
     ex.set_recorder(ObsSink::new(rec.clone()));
     let _ = ex.run(&trace);
-    // lint: invariant — the run above completed; a poisoned mutex would
-    // already have panicked the emitting thread
     let out = rec.lock().expect("recorder mutex unpoisoned").take();
     out
 }
@@ -486,8 +486,6 @@ fn replicated_cluster_run(enabled: bool) -> (String, String) {
     let report_json =
         mask_wallclock_fields(&serde_json::to_string(&report).expect("report serializes"));
     let log_json = serde_json::to_string(ex.response_log()).expect("log serializes");
-    // lint: invariant — the run above completed; a poisoned mutex would
-    // already have panicked the emitting thread
     let jsonl = rec.lock().expect("recorder mutex unpoisoned").take();
     (format!("{report_json}\n{log_json}"), jsonl)
 }

@@ -26,6 +26,11 @@
 //! and victim choice are under a digest too.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test code: a failed expectation is a failed test"
+)]
 
 mod common;
 
@@ -264,8 +269,6 @@ fn small_paper_like_jaws2_jsonl_trace_matches_its_golden_digest() {
     let mut ex = Executor::new(db, Box::new(golden_jaws2(params)), SimConfig::default());
     ex.set_recorder(ObsSink::new(rec.clone()));
     ex.run(&trace);
-    // lint: invariant — the run above completed; a poisoned mutex would
-    // already have panicked the emitting thread
     let rec = rec.lock().expect("recorder mutex unpoisoned");
     assert!(!rec.contents().is_empty(), "the run emitted no records");
     assert_eq!(
@@ -405,8 +408,6 @@ fn small_cluster_crash_under_replication_jsonl_trace_matches_its_golden_digest()
     let mut ex = ClusterExecutor::new(cluster_cfg(crash_plan(&trace), ReplicationConfig::on()));
     ex.set_recorder(ObsSink::new(rec.clone()));
     ex.run(&trace);
-    // lint: invariant — the run above completed; a poisoned mutex would
-    // already have panicked the emitting thread
     let rec = rec.lock().expect("recorder mutex unpoisoned");
     let jsonl = rec.contents();
     for kind in [

@@ -264,7 +264,10 @@ impl TraceGenerator {
         (v.max(1.0).min(self.cfg.mean_positions * 50.0)) as u32
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one job's draws from the campaign; a struct would be built once per call"
+    )]
     fn make_job(
         &mut self,
         id: u64,
@@ -315,7 +318,10 @@ impl TraceGenerator {
     /// Particle-tracking style ordered job: one query per timestep, footprint
     /// drifting slowly through atom space ("tens of thousands of points …
     /// track the diffusion of these points over time").
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one job's draws from the campaign; a struct would be built once per call"
+    )]
     fn make_ordered_job(
         &mut self,
         id: u64,
@@ -366,7 +372,10 @@ impl TraceGenerator {
 
     /// Single-timestep batched job (aggregate statistics, repeated looks at
     /// the same region) or a one-off query.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one job's draws from the campaign; a struct would be built once per call"
+    )]
     fn make_batched_job(
         &mut self,
         id: u64,
