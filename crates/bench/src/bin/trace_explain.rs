@@ -1,8 +1,8 @@
 //! Explains a JSONL observability trace (tentpole tooling for `jaws-obs`).
 //!
 //! Reads a trace produced by wiring a [`jaws_obs::JsonlRecorder`] into an
-//! executor (e.g. `cluster_scaling --smoke --trace-out=trace.jsonl`) and
-//! prints:
+//! executor (e.g. `jaws_bench::exp::traced_run`, as the `scenarios` test
+//! does) and prints:
 //!
 //! * a per-query latency breakdown — queue wait vs. charged service vs. the
 //!   I/O share of that service — reconstructed from `QuerySubmit`,

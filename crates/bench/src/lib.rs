@@ -74,7 +74,7 @@ pub mod exp {
     use jaws_sim::sweep::RunSpec;
     use jaws_sim::{
         build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport,
-        Executor, FailurePlan, ReplicationConfig, SchedulerKind, SimConfig,
+        Executor, SchedulerKind, SimConfig,
     };
     use jaws_turbdb::{CostModel, DataMode, DbConfig};
     use jaws_workload::{GenConfig, Trace, TraceGenerator};
@@ -154,41 +154,6 @@ pub mod exp {
         )
     }
 
-    /// A cluster of `nodes` JAWS₂ nodes over `db` at the paper's defaults:
-    /// the 2 GB cache split across the nodes (at least 16 atoms each), no
-    /// failures, no replication.
-    pub fn paper_cluster(db: DbConfig, nodes: u32) -> ClusterConfig {
-        ClusterConfig {
-            nodes,
-            db,
-            cost: paper_cost(),
-            scheduler: SchedulerKind::Jaws2 { batch_k: 15 },
-            cache_policy: CachePolicyKind::LruK,
-            cache_atoms_per_node: (CACHE_ATOMS as u32 / nodes).max(16) as usize,
-            run_len: RUN_LEN,
-            gate_timeout_ms: GATE_TIMEOUT_MS,
-            sim: SimConfig::default(),
-            failures: FailurePlan::none(),
-            replication: ReplicationConfig::disabled(),
-        }
-    }
-
-    /// The report as JSON with its wall-clock fields masked (see
-    /// [`mask_wallclock_fields`]).
-    pub fn masked_json(report: &ClusterReport) -> String {
-        mask_wallclock_fields(&serde_json::to_string(report).expect("report serializes"))
-    }
-
-    /// Replays `cfg` twice and asserts that the two masked reports are
-    /// byte-identical. Returns the report and the (asserted) verdict.
-    pub fn run_twice(cfg: &ClusterConfig, trace: &Trace) -> (ClusterReport, bool) {
-        let report = ClusterExecutor::new(cfg.clone()).run(trace);
-        let again = ClusterExecutor::new(cfg.clone()).run(trace);
-        let identical = masked_json(&report) == masked_json(&again);
-        assert!(identical, "replay diverged between two runs");
-        (report, identical)
-    }
-
     /// Replays `cfg` through a [`JsonlRecorder`]; returns the report and the
     /// JSONL observability trace.
     pub fn traced_run(cfg: ClusterConfig, trace: &Trace) -> (ClusterReport, String) {
@@ -200,13 +165,6 @@ pub mod exp {
         // panicked the emitting thread.
         let jsonl = rc.lock().expect("recorder lock").take();
         (report, jsonl)
-    }
-
-    /// Writes `report` to `path` as pretty JSON and says so on stderr.
-    pub fn write_json(path: &str, report: &impl serde::Serialize) {
-        let json = serde_json::to_string_pretty(report).expect("bench report serializes");
-        std::fs::write(path, json + "\n").expect("write bench output");
-        eprintln!("# wrote {path}");
     }
 
     /// A [`Residency`] under which no atom is ever cached: every batch pays
@@ -231,8 +189,8 @@ pub mod exp {
         }
     }
 
-    /// The tiny database geometry used by [`SMOKE`] runs (64 atoms per
-    /// timestep — still divisible across 1/2/4 nodes).
+    /// A tiny database geometry for tests and smoke runs (64 atoms per
+    /// timestep, divisible across 1 to 8 nodes).
     pub fn smoke_db() -> DbConfig {
         DbConfig {
             grid_side: 32,
@@ -242,11 +200,6 @@ pub mod exp {
             dt: 0.002,
             seed: TRACE_SEED,
         }
-    }
-
-    /// The tiny trace used by [`SMOKE`] runs.
-    pub fn smoke_trace() -> Trace {
-        TraceGenerator::new(GenConfig::small(TRACE_SEED)).generate()
     }
 
     /// Prints a rule line for experiment tables.
@@ -280,7 +233,7 @@ pub mod exp {
         out
     }
 
-    /// A flag an experiment binary accepts: a switch (`--smoke`) or, when
+    /// A flag an experiment binary accepts: a switch (`--small`) or, when
     /// `value` names its value, `--name=VALUE`.
     #[derive(Debug, Clone, Copy)]
     pub struct Flag {
@@ -291,28 +244,6 @@ pub mod exp {
         /// One line for `--help`.
         pub help: &'static str,
     }
-
-    /// A reduced-size run for CI: the same code paths on a tiny geometry
-    /// and trace.
-    pub const SMOKE: Flag = Flag {
-        name: "--smoke",
-        value: None,
-        help: "tiny geometry and trace (the CI run)",
-    };
-
-    /// Where to write the JSON report.
-    pub const OUT: Flag = Flag {
-        name: "--out",
-        value: Some("PATH"),
-        help: "write the JSON report to PATH",
-    };
-
-    /// Where to write a JSONL observability trace.
-    pub const TRACE_OUT: Flag = Flag {
-        name: "--trace-out",
-        value: Some("PATH"),
-        help: "record a JSONL observability trace to PATH",
-    };
 
     /// Flags and operands accepted by [`parse`].
     #[derive(Debug)]
@@ -455,9 +386,20 @@ pub mod exp {
 
 #[cfg(test)]
 mod tests {
-    use super::exp::{parse, Args, Flag, OUT, SMOKE};
+    use super::exp::{parse, Args, Flag};
 
-    const FLAGS: &[Flag] = &[SMOKE, OUT];
+    const FLAGS: &[Flag] = &[
+        Flag {
+            name: "--smoke",
+            value: None,
+            help: "a switch",
+        },
+        Flag {
+            name: "--out",
+            value: Some("PATH"),
+            help: "a valued flag",
+        },
+    ];
 
     fn run(operands: &str, argv: &[&str]) -> Result<Option<Args>, String> {
         parse("bin", operands, FLAGS, argv.iter().map(|a| a.to_string()))

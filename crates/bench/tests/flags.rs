@@ -9,9 +9,6 @@ use std::time::{Duration, Instant};
 const BINS: &[&str] = &[
     env!("CARGO_BIN_EXE_ablation"),
     env!("CARGO_BIN_EXE_calibrate"),
-    env!("CARGO_BIN_EXE_cluster_scaling"),
-    env!("CARGO_BIN_EXE_dispatch_scaling"),
-    env!("CARGO_BIN_EXE_failure_matrix"),
     env!("CARGO_BIN_EXE_fig8_job_dist"),
     env!("CARGO_BIN_EXE_fig9_timestep_dist"),
     env!("CARGO_BIN_EXE_fig10_throughput"),
@@ -19,8 +16,6 @@ const BINS: &[&str] = &[
     env!("CARGO_BIN_EXE_fig12_batch_size"),
     env!("CARGO_BIN_EXE_jobid_gating"),
     env!("CARGO_BIN_EXE_qos_fairness"),
-    env!("CARGO_BIN_EXE_scenario_matrix"),
-    env!("CARGO_BIN_EXE_skew_matrix"),
     env!("CARGO_BIN_EXE_starvation"),
     env!("CARGO_BIN_EXE_table1_caching"),
     env!("CARGO_BIN_EXE_trace_explain"),
@@ -86,20 +81,6 @@ fn help_prints_the_usage_and_exits_0() {
         assert!(
             out.starts_with("usage:") && out.contains("--help"),
             "{bin}: {out}"
-        );
-    }
-}
-
-#[test]
-fn cluster_scaling_rejects_a_cap_that_is_not_a_positive_finite_time() {
-    for cap in ["nan", "inf", "-1", "0"] {
-        let flag = format!("--cap-ms={cap}");
-        let (code, out, err) = run(env!("CARGO_BIN_EXE_cluster_scaling"), &[&flag, "--smoke"]);
-        assert_eq!(code, Some(2), "{flag}: {err}");
-        assert!(out.is_empty(), "{flag} printed results:\n{out}");
-        assert!(
-            err.contains(&format!("bad value for --cap-ms: `{cap}`")) && err.contains("usage:"),
-            "{flag}: {err}"
         );
     }
 }

@@ -58,7 +58,7 @@
 //! Floating-point sums are *refolded* per dirty timestep in slab (ascending
 //! Morton) order — never drifted with `+=`/`-=` across dispatches — so every
 //! read is bit-for-bit identical to the full-scan [`mod@reference`] oracle,
-//! which only tests, proptests and the `dispatch_scaling` bench may call.
+//! which only tests, proptests and the `scheduler_step` bench may call.
 //! The interleaving proptest below asserts the equivalence after every step
 //! of random enqueue/take/residency-flip/clock-advance sequences; because the
 //! oracle reads the same slots it checks, it also keeps an independent
@@ -1603,6 +1603,52 @@ mod tests {
         assert_eq!(wm.best_timestep(10_000.0, 1.0, &none), Some(0));
         let scans = wm.stats().coarse_scans;
         assert!(scans >= 2, "distinct questions must rescan: {scans}");
+    }
+
+    /// Dispatch maintenance is O(Δ), not O(queue): 50 steady-state
+    /// dispatches (best atom, take, re-enqueue, snapshot) do the same work
+    /// at 10k and 100k queued sub-queries. The 256 hot atoms at timestep 0
+    /// always win; the cold backlog over 30 later timesteps is never read.
+    #[test]
+    fn dispatch_work_is_independent_of_queue_depth() {
+        let none = FixedResidency::none();
+        let work = [10_000u64, 100_000].map(|depth| {
+            let mut wm = WorkloadManager::new(MetricParams::paper_testbed());
+            for i in 0..256 {
+                wm.enqueue([sub(i + 1, 0, i, 5_000, i as f64)]);
+            }
+            for i in 0..depth - 256 {
+                let at = 1_000.0 + (i % 997) as f64;
+                wm.enqueue([sub(1_000 + i, 1 + (i % 30) as u32, i / 30, 10, at)]);
+            }
+            let _ = wm.utility_snapshot(&none);
+            let before = wm.stats();
+            for i in 0..50 {
+                let now = 10_000.0 + i as f64;
+                let (atom, _) = wm.best_atom(now, 0.3, &none).unwrap();
+                assert_eq!(atom.timestep, 0, "a hot atom wins");
+                take(&mut wm, &atom);
+                wm.enqueue([sub(10_000_000 + i, 0, atom.morton.0, 5_000, now)]);
+                let _ = wm.utility_snapshot(&none);
+            }
+            let after = wm.stats();
+            QueueStats {
+                eq1_recomputes: after.eq1_recomputes - before.eq1_recomputes,
+                ts_refolds: after.ts_refolds - before.ts_refolds,
+                residency_probes: after.residency_probes - before.residency_probes,
+                coarse_scans: after.coarse_scans - before.coarse_scans,
+            }
+        });
+        assert_eq!(work[0], work[1], "work grew with queue depth");
+        assert_eq!(
+            work[0],
+            QueueStats {
+                eq1_recomputes: 50,
+                ts_refolds: 50,
+                residency_probes: 0,
+                coarse_scans: 0,
+            }
+        );
     }
 }
 

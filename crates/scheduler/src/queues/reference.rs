@@ -8,8 +8,9 @@
 //! * the equivalence property tests, which assert after every step of a
 //!   random op sequence that [`WorkloadManager`]'s incremental views match
 //!   these recomputes **bit for bit**;
-//! * the `dispatch_scaling` bench, which measures the O(n) cost the
-//!   incremental path replaced.
+//! * the `scheduler/metric_maintenance` Criterion group in
+//!   `crates/bench/benches/scheduler_step.rs`, which measures the O(n) cost
+//!   the incremental path replaced.
 //!
 //! No production scheduler code may call into this module — dispatch cost
 //! must stay proportional to what changed, not to queue size. The fold

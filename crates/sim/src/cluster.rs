@@ -58,8 +58,7 @@ pub struct ClusterConfig {
     /// Gate timeout per node, ms.
     pub gate_timeout_ms: f64,
     /// Engine knobs shared with the single-node executor: per-node
-    /// trajectory prefetching, the simulated-time cap, and the idle re-poll
-    /// interval.
+    /// trajectory prefetching and the simulated-time cap.
     pub sim: SimConfig,
     /// Seeded failure scenario injected into the replay
     /// ([`FailurePlan::none`] for a healthy run). Validated against the node

@@ -41,7 +41,6 @@ pub struct Executor {
     pipeline: NodePipeline,
     cfg: SimConfig,
     declared_jobs: Option<Vec<jaws_workload::Job>>,
-    declarations_overridden: bool,
     response_log: Vec<(QueryId, f64)>,
     sink: ObsSink,
 }
@@ -53,7 +52,6 @@ impl Executor {
             pipeline: NodePipeline::new(db, scheduler, cfg.prefetch),
             cfg,
             declared_jobs: None,
-            declarations_overridden: false,
             response_log: Vec::new(),
             sink: ObsSink::null(),
         }
@@ -82,7 +80,8 @@ impl Executor {
     /// Overrides the job declarations the scheduler sees: instead of each
     /// trace job at its arrival, these jobs are declared up front. Execution
     /// semantics (arrivals, precedence, think times) still follow the trace —
-    /// only the scheduler's *knowledge* of job structure changes. Used to
+    /// only the scheduler's *knowledge* of job structure changes. Every
+    /// later [`Executor::run`] declares them again at its start. Used to
     /// evaluate heuristic job identification (§IV-A) against ground truth.
     pub fn declare_jobs(&mut self, jobs: Vec<jaws_workload::Job>) {
         self.declared_jobs = Some(jobs);
@@ -105,11 +104,8 @@ impl Executor {
     /// Panics if the trace geometry does not match the database (timesteps or
     /// atom grid).
     pub fn run(&mut self, trace: &Trace) -> RunReport {
-        if let Some(decls) = self.declared_jobs.take() {
-            self.declarations_overridden = true;
-            for d in &decls {
-                self.pipeline.job_declared(d, 0.0);
-            }
+        for d in self.declared_jobs.iter().flatten() {
+            self.pipeline.job_declared(d, 0.0);
         }
         let routing = Routing::new(
             self.pipeline.db().config().atoms_per_timestep(),
@@ -121,7 +117,7 @@ impl Executor {
             routing,
             &self.cfg,
             trace,
-            !self.declarations_overridden,
+            self.declared_jobs.is_none(),
             &crate::FailurePlan::none(),
             &self.sink,
         );
@@ -213,6 +209,33 @@ mod tests {
             liferaft2.disk.reads,
             noshare.disk.reads
         );
+    }
+
+    /// Jobs declared through [`Executor::declare_jobs`] are declared again
+    /// on every run, so a JAWS₂ executor replays its trace a second time.
+    #[test]
+    fn declared_jobs_hold_for_every_run() {
+        let trace = TraceGenerator::new(GenConfig::small(5)).generate();
+        let db = build_db(
+            small_db_config(),
+            CostModel::paper_testbed(),
+            DataMode::Virtual,
+            16,
+            CachePolicyKind::LruK,
+        );
+        let sched = build_scheduler(
+            SchedulerKind::Jaws2 { batch_k: 10 },
+            MetricParams::paper_testbed(),
+            25,
+            10_000.0,
+        );
+        let mut ex = Executor::new(db, sched, SimConfig::default());
+        ex.declare_jobs(trace.jobs.clone());
+        for _ in 0..2 {
+            let r = ex.run(&trace);
+            assert_eq!(r.queries_completed, trace.query_count() as u64);
+            assert!(!r.truncated);
+        }
     }
 
     #[test]

@@ -124,7 +124,8 @@ fn failure_trace(seed: u64) -> jaws_workload::Trace {
 }
 
 /// [`serialized_cluster_run`] under a scripted [`FailurePlan`], on the
-/// compressed [`failure_trace`].
+/// compressed [`failure_trace`]. Asserts that the run completed every query:
+/// a crash re-dispatches its parts instead of dropping them.
 fn serialized_cluster_run_failing(
     kind: SchedulerKind,
     nodes: u32,
@@ -136,6 +137,13 @@ fn serialized_cluster_run_failing(
     cfg.failures = failures;
     let mut ex = ClusterExecutor::new(cfg);
     let report = ex.run(&trace);
+    assert!(!report.aggregate.truncated, "{}: truncated", kind.name());
+    assert_eq!(
+        report.aggregate.queries_completed,
+        trace.query_count() as u64,
+        "{}: the run left queries behind",
+        kind.name()
+    );
     let report_json =
         mask_wallclock_fields(&serde_json::to_string(&report).expect("report serializes"));
     let log_json = serde_json::to_string(ex.response_log()).expect("log serializes");
@@ -161,13 +169,17 @@ fn jsonl_trace_of_cluster_run_failing(
     out
 }
 
-/// The standard degraded scenario, derived from a healthy baseline so the
-/// events land mid-replay: node 1 crashes into survivor 0 at 50% of the
-/// healthy makespan, and the last node degrades 2× at 25%.
-fn half_makespan_failure_plan(kind: SchedulerKind, nodes: u32, seed: u64) -> FailurePlan {
+/// Makespan of the healthy run on the [`failure_trace`], which failure
+/// plans scale their event times by so the events land mid-replay.
+fn healthy_makespan(kind: SchedulerKind, nodes: u32, seed: u64) -> f64 {
     let trace = failure_trace(seed);
     let healthy = ClusterExecutor::new(cluster_config(kind, nodes)).run(&trace);
-    let makespan = healthy.aggregate.makespan_ms;
+    healthy.aggregate.makespan_ms
+}
+
+/// The standard degraded scenario: node 1 crashes into survivor 0 at 50% of
+/// the healthy `makespan`, and the last node degrades 2× at 25%.
+fn half_makespan_failure_plan(makespan: f64, nodes: u32) -> FailurePlan {
     FailurePlan::new(17)
         .crash_with_survivor(0.5 * makespan, 1, 0)
         .slowdown_at(0.25 * makespan, nodes - 1, 2.0)
@@ -357,14 +369,29 @@ fn one_node_cluster_matches_single_executor_exactly() {
 /// the same [`FailurePlan`] must replay byte-for-byte — serialized
 /// `ClusterReport` (degraded section included), completion log, and the full
 /// JSONL trace with its `NodeFailed`/`PartRedispatched`/`NodeSlowdown`
-/// records.
+/// records. Single events must also drain every query and replay
+/// identically: node 1 crashing at 10%, 50% and 90% of the healthy makespan,
+/// and the last node straggling 2× and 8× from t = 0.
 #[test]
 fn failure_runs_are_byte_identical() {
     for kind in [
         SchedulerKind::Jaws2 { batch_k: 15 },
         SchedulerKind::LifeRaft2,
     ] {
-        let plan = half_makespan_failure_plan(kind, 3, 3);
+        let makespan = healthy_makespan(kind, 3, 3);
+        let crashes =
+            [0.1, 0.5, 0.9].map(|at| FailurePlan::new(17).crash_with_survivor(at * makespan, 1, 0));
+        let stragglers = [2.0, 8.0].map(|factor| FailurePlan::new(17).slowdown_at(0.0, 2, factor));
+        for plan in crashes.into_iter().chain(stragglers) {
+            assert_eq!(
+                serialized_cluster_run_failing(kind, 3, 3, plan.clone()),
+                serialized_cluster_run_failing(kind, 3, 3, plan.clone()),
+                "{} diverged across identical replays under {plan:?}",
+                kind.name()
+            );
+        }
+
+        let plan = half_makespan_failure_plan(makespan, 3);
         let a = serialized_cluster_run_failing(kind, 3, 3, plan.clone());
         let b = serialized_cluster_run_failing(kind, 3, 3, plan.clone());
         assert_eq!(
@@ -399,7 +426,7 @@ fn failure_runs_are_byte_identical() {
 #[test]
 fn crash_at_half_makespan_drains_every_query_at_any_thread_count() {
     let kind = SchedulerKind::Jaws2 { batch_k: 15 };
-    let plan = half_makespan_failure_plan(kind, 3, 3);
+    let plan = half_makespan_failure_plan(healthy_makespan(kind, 3, 3), 3);
 
     let trace = failure_trace(3);
     let mut cfg = cluster_config(kind, 3);

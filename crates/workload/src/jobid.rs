@@ -15,7 +15,7 @@
 use crate::trace::Trace;
 use crate::types::{JobId, JobKind, QueryId, QueryOp, UserId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One line of the (simulated) SQL submission log.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -344,7 +344,8 @@ mod tests {
 /// Queries of each predicted job are ordered by submission time; a group
 /// whose timesteps strictly ascend is declared [`JobKind::Ordered`]
 /// (particle-tracking shape), anything else [`JobKind::Batched`]. Arrival and
-/// think time are taken from the observed submission gaps.
+/// think time are taken from the observed submission gaps. Jobs come out by
+/// arrival, and jobs arriving together by predicted job number.
 pub fn reconstruct_jobs(
     trace: &Trace,
     log: &[SubmitRecord],
@@ -358,7 +359,7 @@ pub fn reconstruct_jobs(
             by_id.insert(q.id, q);
         }
     }
-    let mut groups: HashMap<usize, Vec<&SubmitRecord>> = HashMap::new();
+    let mut groups: BTreeMap<usize, Vec<&SubmitRecord>> = BTreeMap::new();
     for (r, &a) in log.iter().zip(assignment) {
         groups.entry(a).or_default().push(r);
     }
@@ -439,5 +440,27 @@ mod reconstruct_tests {
             assert!(w[0].arrival_ms <= w[1].arrival_ms);
         }
         assert!(jobs.iter().all(|j| j.think_ms >= 0.0));
+    }
+
+    #[test]
+    fn jobs_arriving_together_come_out_in_one_order() {
+        let trace = TraceGenerator::new(GenConfig::small(67)).generate();
+        let mut log = SubmitRecord::log_from_trace(&trace, 80.0, 0.05);
+        log.truncate(16);
+        for r in &mut log {
+            r.submit_ms = 0.0;
+        }
+        let assignment: Vec<usize> = (0..log.len()).collect();
+        let ids = || -> Vec<JobId> {
+            reconstruct_jobs(&trace, &log, &assignment)
+                .iter()
+                .map(|j| j.id)
+                .collect()
+        };
+        let first = ids();
+        assert_eq!(first, (1..=16).collect::<Vec<JobId>>());
+        for _ in 0..20 {
+            assert_eq!(ids(), first);
+        }
     }
 }

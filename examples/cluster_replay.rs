@@ -4,9 +4,8 @@
 //! node runs its own JAWS instance, buffer pool and simulated disk; queries
 //! fan out into per-node parts and complete when all parts finish. Since the
 //! engine unification the cluster honors the full [`SimConfig`]: per-node
-//! trajectory prefetching (§VII), `max_sim_ms` truncation and the idle
-//! re-poll interval — this replay runs each node count with prefetching off
-//! and on to show the knob.
+//! trajectory prefetching (§VII) and `max_sim_ms` truncation. This replay
+//! runs each node count with prefetching off and on to show the knob.
 //!
 //! ```text
 //! cargo run --release --example cluster_replay
