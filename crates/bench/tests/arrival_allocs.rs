@@ -4,9 +4,10 @@
 //! the second, warm replay must stay at the count the arrival path reaches
 //! when nothing on it copies a query or grows a fresh buffer: sub-queries
 //! queue as query ids in the workload manager's id arena, a job's queries
-//! are shared with the gating graph instead of cloned, only queries held at
-//! a gate are copied, alignment and edge checks reuse the graph's scratch,
-//! and each batch is built in the buffers of the one before it.
+//! are shared with the gating graph instead of cloned, a query held at a
+//! gate and each single-node part share the trace query's footprint buffer,
+//! alignment and edge checks reuse the graph's scratch, and each batch is
+//! built in the buffers of the one before it.
 //!
 //! The counting allocator is process-global, so this file holds a single
 //! test: no other test thread allocates while it measures.
@@ -21,12 +22,13 @@ use jaws_workload::{GenConfig, TraceGenerator};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations per query of the warm replay (173 over its 1,067 queries,
-/// debug and release alike). While slot id buffers were spares reused
-/// whatever their capacity and every batch was two fresh vectors, it made
-/// 2.71 (2,887); while the arrival path still copied every sub-query list,
-/// job and arriving query, 18.95 (20,224).
-const WARM_ALLOCS_PER_QUERY: f64 = 0.17;
+/// Allocations per query of the warm replay (58 over its 1,067 queries,
+/// debug and release alike). While each query held at a gate copied its
+/// footprint, it made 0.17 (173); while slot id buffers were spares reused
+/// whatever their capacity and every batch was two fresh vectors, 2.71
+/// (2,887); while the arrival path still copied every sub-query list, job
+/// and arriving query, 18.95 (20,224).
+const WARM_ALLOCS_PER_QUERY: f64 = 0.06;
 
 /// Slack over [`WARM_ALLOCS_PER_QUERY`]: about fifty allocations over the
 /// replay, a twentieth of what one extra allocation per query would add.

@@ -2,14 +2,17 @@
 //! cluster behind LRU-K caches, with hot-atom replication and node 1
 //! crashing halfway through the arrivals, replays one trace twice through
 //! one executor; the second replay must stay at the count the replay
-//! reaches when its bookkeeping recycles its buffers: LRU-K histories come
-//! from a spare list, part and declaration footprints from the engine's
-//! pool, batches from the last batch handed back, slot query ids from the
-//! workload manager's arena, and the gating graph's edge checks from its
-//! own scratch. The second replay reuses the first one's schedulers and
-//! caches; the engine's per-replay state (footprint pool, ledgers,
-//! per-query table) starts empty each time, so the pin includes refilling
-//! it.
+//! reaches when its bookkeeping recycles or shares its buffers: LRU-K
+//! histories come from a spare list; a job's projection onto a node lays
+//! its queries' footprints out in one buffer; a part that keeps all of its
+//! query's atoms shares the query's footprint, other parts' footprints come
+//! from the engine's pool, and a just-in-time declaration (and a gated
+//! query's copy) shares its part's; batches come from the last batch handed
+//! back, slot query ids from the workload manager's arena, and the gating
+//! graph's edge checks from its own scratch. The second replay reuses the
+//! first one's schedulers and caches; the engine's per-replay state
+//! (footprint pool, ledgers, per-query table) starts empty each time, so
+//! the pin includes refilling it.
 //!
 //! The counting allocator is process-global, so this file holds a single
 //! test: no other test thread allocates while it measures.
@@ -25,11 +28,12 @@ use jaws_workload::{GenConfig, TraceGenerator};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations per query of the second replay (2,874 over its 438
-/// queries, debug and release alike). Before the replay recycled LRU-K
-/// histories, footprints, batches and slot id buffers it made 18.14
-/// (7,946).
-const WARM_ALLOCS_PER_QUERY: f64 = 6.57;
+/// Allocations per query of the second replay (1,387 over its 438
+/// queries, debug and release alike). While every projected query and every
+/// part had a footprint buffer of its own, it made 6.57 (2,874); before the
+/// replay recycled LRU-K histories, footprints, batches and slot id buffers,
+/// 18.14 (7,946).
+const WARM_ALLOCS_PER_QUERY: f64 = 3.17;
 
 /// Slack over [`WARM_ALLOCS_PER_QUERY`]: about forty allocations over the
 /// replay, a tenth of what one extra allocation per query would add.

@@ -83,7 +83,7 @@ impl Batch {
 pub fn preprocess(query: &Query, now_ms: f64) -> impl Iterator<Item = SubQuery> + '_ {
     query
         .footprint
-        .atoms
+        .atoms()
         .iter()
         .map(move |&(morton, positions)| SubQuery {
             query: query.id,

@@ -33,7 +33,7 @@ struct Trajectory {
 fn centroid(q: &Query) -> [f64; 3] {
     let (mut cx, mut cy, mut cz) = (0.0f64, 0.0f64, 0.0f64);
     let mut w = 0.0;
-    for &(m, count) in &q.footprint.atoms {
+    for &(m, count) in q.footprint.atoms() {
         let (x, y, z) = m.coords();
         let cw = count as f64;
         cx += x as f64 * cw;
@@ -81,7 +81,7 @@ impl Prefetcher {
     /// (from the second observation on) predicting the follow-up footprint.
     pub fn observe(&mut self, job: JobId, q: &Query) {
         let c = centroid(q);
-        let atoms: Vec<MortonKey> = q.footprint.atoms.iter().map(|&(m, _)| m).collect();
+        let atoms: Vec<MortonKey> = q.footprint.atoms().iter().map(|&(m, _)| m).collect();
         match self.jobs.get_mut(&job) {
             None => {
                 self.jobs.insert(

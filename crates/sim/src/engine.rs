@@ -44,11 +44,15 @@
 //! ## Buffer reuse
 //!
 //! The replay's bookkeeping allocates in proportion to the most work it
-//! holds at once, not to the queries it replays. Footprints of parts and of
-//! just-in-time declarations come from one pool of emptied buffers, binned
-//! by capacity, and return to it when the part completes. A completed
-//! batch goes back to its node's scheduler, which builds the next batch in
-//! its buffers.
+//! holds at once, not to the queries it replays. A footprint is a view of
+//! a shared buffer (`jaws_workload::Footprint`), so copies of a query share
+//! its atoms: a part holding all of its query's atoms shares the query's
+//! buffer, and a just-in-time declaration shares its part's. The other
+//! parts' footprints come from one pool of buffers, binned by length, and
+//! return to it when the part completes and nothing else holds them. A
+//! job's projection onto a node lays its queries' atoms out in one buffer.
+//! A completed batch goes back to its node's scheduler, which builds the
+//! next batch in its buffers.
 //!
 //! ## Failure semantics
 //!
@@ -72,7 +76,7 @@ use crate::SimConfig;
 use jaws_arena::Lanes;
 use jaws_morton::{FastMap, FastSet, MortonKey};
 use jaws_obs::ObsSink;
-use jaws_workload::{Footprint, Job, JobKind, Query, QueryId, Trace};
+use jaws_workload::{AtomBuffer, Footprint, Job, JobKind, Query, QueryId, Trace};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -249,46 +253,71 @@ impl LiveRouting {
         surv
     }
 
-    /// Projects a query onto one node: its part id and the footprint atoms
-    /// the node owns, `None` when the node owns none. A filtered canonical
-    /// footprint is still canonical (sorted, merged, no zero counts), so the
-    /// filtered atom list is the part's footprint as is. The list is sized
-    /// exactly: declarations keep their projections for the job's lifetime.
-    fn project_query(&self, q: &Query, node: u32) -> Option<Query> {
+    /// Projects `queries` onto one node, in order: each query's part id
+    /// and the footprint atoms the node owns go to `emit` with the query's
+    /// index, and a query the node owns none of is skipped. A filtered
+    /// canonical footprint is still canonical (sorted, merged, no zero
+    /// counts), so a filtered run is a part's footprint as is. The runs are
+    /// gathered in `atoms` (left empty) and copied into one exact-sized
+    /// buffer that every projected footprint views: declarations keep their
+    /// projections for the job's lifetime, and one buffer costs one
+    /// allocation whatever the number of queries.
+    fn project_queries<'q>(
+        &self,
+        queries: impl Iterator<Item = (usize, &'q Query)> + Clone,
+        node: u32,
+        atoms: &mut Vec<(MortonKey, u32)>,
+        mut emit: impl FnMut(usize, Query),
+    ) {
         let owned = |a: &&(MortonKey, u32)| self.node_of(a.0) == node;
-        let n = q.footprint.atoms.iter().filter(owned).count();
-        let mut atoms = Vec::with_capacity(n);
-        atoms.extend(q.footprint.atoms.iter().filter(owned).copied());
-        (n > 0).then(|| Query {
-            id: part_id(q.id, node),
-            user: q.user,
-            op: q.op,
-            timestep: q.timestep,
-            footprint: Footprint { atoms },
-        })
+        debug_assert!(atoms.is_empty(), "projection scratch left dirty");
+        for (_, q) in queries.clone() {
+            atoms.extend(q.footprint.atoms().iter().filter(owned));
+        }
+        if atoms.is_empty() {
+            return;
+        }
+        let buf: AtomBuffer = Arc::from(atoms.as_slice());
+        atoms.clear();
+        let mut start = 0;
+        for (i, q) in queries {
+            let n = q.footprint.atoms().iter().filter(owned).count();
+            if n == 0 {
+                continue;
+            }
+            let part = Query {
+                id: part_id(q.id, node),
+                user: q.user,
+                op: q.op,
+                timestep: q.timestep,
+                footprint: Footprint::view(Arc::clone(&buf), start..start + n),
+            };
+            emit(i, part);
+            start += n;
+        }
     }
 
-    /// Projects a job onto one node for declaration: each query is
-    /// projected by [`Self::project_query`]; queries with empty projections
-    /// are dropped, preserving order. `None` when the node owns nothing of
-    /// the job. When node 0 owns every slab its projection is the job
-    /// itself, borrowed. The projected queries are staged in `staged` (left
-    /// empty) and moved from there into the job's `Arc` in one allocation.
+    /// Projects a job onto one node for declaration: its queries are
+    /// projected by [`Self::project_queries`], preserving order. `None` when
+    /// the node owns nothing of the job. When node 0 owns every slab its
+    /// projection is the job itself, borrowed. The projected queries are
+    /// staged in `staged` (left empty) and moved from there into the job's
+    /// `Arc`, so a projection costs two allocations: that `Arc` and the
+    /// atom buffer.
     fn project_job<'j>(
         &self,
         job: &'j Job,
         node: u32,
         staged: &mut Vec<Query>,
+        atoms: &mut Vec<(MortonKey, u32)>,
     ) -> Option<Cow<'j, Job>> {
         if node == 0 && self.node0_owns_all() {
             return Some(Cow::Borrowed(job));
         }
         debug_assert!(staged.is_empty(), "projection scratch left dirty");
-        staged.extend(
-            job.queries
-                .iter()
-                .filter_map(|q| self.project_query(q, node)),
-        );
+        self.project_queries(job.queries.iter().enumerate(), node, atoms, |_, q| {
+            staged.push(q);
+        });
         if staged.is_empty() {
             return None;
         }
@@ -449,34 +478,38 @@ struct ReplicationState {
     decls: u64,
 }
 
-/// Footprint buffers the replay has finished with, binned by exact
-/// capacity. A taker asking for `n` atoms gets a buffer from the lowest
-/// non-empty bin at or above `n` — the tightest fit — so a buffer never
-/// regrows once taken; only when no bin fits is a buffer allocated, sized
-/// exactly. A bitset of the non-empty bins finds that bin a word at a
-/// time. Parts and their just-in-time declarations draw from here and
-/// return here, so once the replay has as many buffers of each size out as
-/// it ever needs at once, building a part allocates nothing.
+/// Part footprint buffers the replay has finished with, binned by length.
+/// A part of `n` atoms is written into a buffer from the lowest non-empty
+/// bin at or above `n` — the tightest fit — and views its first `n`
+/// entries; only when no bin fits is a buffer allocated, sized exactly. A
+/// bitset of the non-empty bins finds that bin a word at a time. A buffer
+/// comes back only once nothing else holds it, so a pooled buffer is always
+/// written in place; once the replay has as many buffers of each size out
+/// as it ever needs at once, building a part allocates nothing.
 #[derive(Default)]
 struct FootprintPool {
-    bins: Vec<Vec<Vec<(MortonKey, u32)>>>,
+    bins: Vec<Vec<AtomBuffer>>,
     /// Bit `b` is set iff `bins[b]` is non-empty.
     stocked: Vec<u64>,
 }
 
 impl FootprintPool {
-    /// An empty buffer with room for at least `n` atoms.
-    fn take(&mut self, n: usize) -> Vec<(MortonKey, u32)> {
+    /// A footprint of `atoms`, a canonical run.
+    fn footprint(&mut self, atoms: &[(MortonKey, u32)]) -> Footprint {
+        let n = atoms.len();
         if let Some(bin) = self.first_stocked(n) {
             let shelf = &mut self.bins[bin];
-            if let Some(buf) = shelf.pop() {
+            if let Some(mut buf) = shelf.pop() {
                 if shelf.is_empty() {
                     self.stocked[bin / 64] &= !(1 << (bin % 64));
                 }
-                return buf;
+                if let Some(slots) = Arc::get_mut(&mut buf) {
+                    slots[..n].copy_from_slice(atoms);
+                    return Footprint::view(buf, 0..n);
+                }
             }
         }
-        Vec::with_capacity(n)
+        Footprint::view(Arc::from(atoms), 0..n)
     }
 
     /// The lowest non-empty bin at or above `from`.
@@ -490,30 +523,21 @@ impl FootprintPool {
         Some(word * 64 + bits.trailing_zeros() as usize)
     }
 
-    /// Empties `buf` into the bin of its capacity.
-    fn give(&mut self, mut buf: Vec<(MortonKey, u32)>) {
-        if buf.capacity() == 0 {
+    /// Puts `fp`'s buffer in the bin of its length if nothing else holds
+    /// it; a shared buffer (a trace query's, or one a scheduler still
+    /// holds) is let go as is.
+    fn give(&mut self, fp: Footprint) {
+        let mut buf = fp.into_buffer();
+        if buf.is_empty() || Arc::get_mut(&mut buf).is_none() {
             return;
         }
-        buf.clear();
-        let bin = buf.capacity();
+        let bin = buf.len();
         if self.bins.len() <= bin {
             self.bins.resize_with(bin + 1, Vec::new);
             self.stocked.resize(bin / 64 + 1, 0);
         }
         self.bins[bin].push(buf);
         self.stocked[bin / 64] |= 1 << (bin % 64);
-    }
-
-    /// Reclaims the footprint of a declaration once no scheduler holds it
-    /// any more, and returns the declaration for reuse; one still shared is
-    /// dropped as it is.
-    fn reclaim(&mut self, mut queries: Arc<[Query]>) -> Option<Arc<[Query]>> {
-        let qs = Arc::get_mut(&mut queries)?;
-        for q in qs {
-            self.give(std::mem::take(&mut q.footprint.atoms));
-        }
-        Some(queries)
     }
 }
 
@@ -566,12 +590,14 @@ impl Ledger {
 }
 
 /// Reusable per-submit scratch for the engine's fan-out path. One query's
-/// footprint is scattered into per-node lanes, and each lane is copied into
-/// a pooled buffer that becomes the part's footprint; the lanes keep their
-/// own buffers. A plain replay returns each part's buffer to the pool after
-/// delivery; under a failure plan or the replica overlay the part moves
-/// into its node's ledger with its buffer, which returns to the pool when
-/// the part completes. So a warmed-up submit allocates nothing.
+/// footprint is scattered into per-node lanes; a lane that holds the whole
+/// footprint makes a part that shares the query's buffer, and any other
+/// lane is copied into a pooled buffer that becomes the part's footprint.
+/// The lanes keep their own buffers. A plain replay returns each part's
+/// buffer to the pool after delivery; under a failure plan or the replica
+/// overlay the part moves into its node's ledger with its buffer, which
+/// returns to the pool when the part completes. So a warmed-up submit
+/// allocates nothing.
 struct EngineScratch {
     /// Per-node `(morton, count)` buckets for the footprint scatter.
     lanes: Lanes<(MortonKey, u32)>,
@@ -586,10 +612,12 @@ struct EngineScratch {
     /// declaration to precede the first delivery, so parts are staged here
     /// between the two passes.
     parts: Vec<(u32, LedgerEntry)>,
-    /// Footprint buffers of parts and declarations.
+    /// Footprint buffers of parts.
     pool: FootprintPool,
     /// A job projection's queries, staged before they move into its `Arc`.
     projected: Vec<Query>,
+    /// A projection's atoms, gathered before they move into its buffer.
+    projected_atoms: Vec<(MortonKey, u32)>,
     /// Single-query declarations whose part completed, with no other owner
     /// left, for the next just-in-time declaration to overwrite.
     spare_decls: Vec<Arc<[Query]>>,
@@ -604,32 +632,23 @@ impl EngineScratch {
             parts: Vec::new(),
             pool: FootprintPool::default(),
             projected: Vec::new(),
+            projected_atoms: Vec::new(),
             spare_decls: Vec::new(),
         }
     }
 }
 
-/// The queries of a just-in-time declaration of `part`: one copy of it,
-/// its footprint in a pooled buffer, written over a spare declaration when
-/// one is left.
-fn declaration_of(
-    part: &Query,
-    pool: &mut FootprintPool,
-    spare: &mut Vec<Arc<[Query]>>,
-) -> Arc<[Query]> {
-    let mut atoms = pool.take(part.footprint.atoms.len());
-    atoms.extend_from_slice(&part.footprint.atoms);
-    let copy = Query {
-        footprint: Footprint { atoms },
-        ..*part
-    };
+/// The queries of a just-in-time declaration of `part`: a clone of it,
+/// which shares its footprint, written over a spare declaration when one
+/// is left.
+fn declaration_of(part: &Query, spare: &mut Vec<Arc<[Query]>>) -> Arc<[Query]> {
     if let Some(mut queries) = spare.pop() {
         if let Some([slot]) = Arc::get_mut(&mut queries) {
-            *slot = copy;
+            *slot = part.clone();
             return queries;
         }
     }
-    Arc::from([copy])
+    Arc::from([part.clone()])
 }
 
 /// Panics unless `trace` fits a node's database geometry: no more timesteps
@@ -868,9 +887,12 @@ impl<'a> Engine<'a> {
                 if !self.live.alive[node] {
                     continue;
                 }
-                let projected =
-                    self.live
-                        .project_job(job, node as u32, &mut self.scratch.projected);
+                let projected = self.live.project_job(
+                    job,
+                    node as u32,
+                    &mut self.scratch.projected,
+                    &mut self.scratch.projected_atoms,
+                );
                 if let Some(pj) = projected {
                     if let Some(d) = self.declared.get_mut(node) {
                         d.extend(pj.queries.iter().map(|q| q.id));
@@ -910,7 +932,7 @@ impl<'a> Engine<'a> {
                     query: q.id,
                     job: job.id,
                     timestep: q.timestep,
-                    atoms: q.footprint.atoms.len() as u32,
+                    atoms: q.footprint.atom_count() as u32,
                     positions: q.positions(),
                 },
             );
@@ -932,8 +954,9 @@ impl<'a> Engine<'a> {
     /// feeds the trajectory predictor (for ordered follow-ups), makes the
     /// part available to the node's scheduler and then moves it, with its
     /// just-in-time declaration if any, into the node's ledger. Without a
-    /// ledger, the part's footprint buffer goes straight back to the pool;
-    /// with one, [`Self::batch_done`] returns it when the part completes.
+    /// ledger, the part's footprint buffer goes straight back to the pool
+    /// (if nothing else holds it); with one, [`Self::batch_done`] returns it
+    /// when the part completes.
     fn deliver_part(
         &mut self,
         node: u32,
@@ -950,7 +973,7 @@ impl<'a> Engine<'a> {
                     query,
                     part: part.id,
                     node,
-                    atoms: part.footprint.atoms.len() as u32,
+                    atoms: part.footprint.atom_count() as u32,
                 },
             );
         }
@@ -961,7 +984,7 @@ impl<'a> Engine<'a> {
         p.query_available(part, self.now_ms);
         match self.ledger.get_mut(node as usize) {
             Some(ledger) => ledger.insert(entry),
-            None => self.scratch.pool.give(entry.part.footprint.atoms),
+            None => self.scratch.pool.give(entry.part.footprint),
         }
     }
 
@@ -985,15 +1008,17 @@ impl<'a> Engine<'a> {
     ///   declares it first. Single-query jobs never form gating alignments,
     ///   so the declaration cannot distort schedule quality.
     ///
-    /// The scatter reuses the scratch lanes, and each part's footprint is a
-    /// pooled buffer that goes back to the pool after delivery, or at
-    /// completion when the node's ledger keeps the part. A just-in-time
-    /// declaration overwrites one whose part completed, when there is one.
+    /// The scatter reuses the scratch lanes. A part that holds every atom of
+    /// `q` shares `q`'s footprint; any other part's footprint is a pooled
+    /// buffer that goes back to the pool after delivery, or at completion
+    /// when the node's ledger keeps the part. A just-in-time declaration
+    /// shares its part's footprint and overwrites one whose part completed,
+    /// when there is one.
     fn fan_out(&mut self, q: &Query, job: &Job, observe: bool) -> u32 {
         let now_ms = self.now_ms;
         self.scratch.actions.clear();
         self.scratch.owner_flag.fill(false);
-        for &(m, c) in &q.footprint.atoms {
+        for &(m, c) in q.footprint.atoms() {
             let owner = self.live.node_of(m);
             self.scratch.owner_flag[owner as usize] = true;
             let target = match &mut self.rstate {
@@ -1068,24 +1093,26 @@ impl<'a> Engine<'a> {
             }
             let scratch = &mut self.scratch;
             // A lane holds its node's atoms in footprint order, so it is
-            // already canonical and `from_pairs_in_place` keeps it as is.
+            // already canonical; one holding every atom is the footprint.
             let lane = scratch.lanes.take_lane(node);
-            let mut atoms = scratch.pool.take(lane.len());
-            atoms.extend_from_slice(&lane);
+            let footprint = if lane.len() == q.footprint.atom_count() {
+                q.footprint.clone()
+            } else {
+                scratch.pool.footprint(&lane)
+            };
             scratch.lanes.restore(node, lane);
             let part = Query {
                 id: part_id(q.id, node as u32),
                 user: q.user,
                 op: q.op,
                 timestep: q.timestep,
-                footprint: Footprint::from_pairs_in_place(atoms),
+                footprint,
             };
             let mut decl = None;
             if let Some(rs) = &mut self.rstate {
                 if self.declared[node].insert(part.id) {
                     rs.decls += 1;
-                    let queries =
-                        declaration_of(&part, &mut scratch.pool, &mut scratch.spare_decls);
+                    let queries = declaration_of(&part, &mut scratch.spare_decls);
                     let d = Job {
                         id: REPLICA_DECL_BIT | rs.decls,
                         user: job.user,
@@ -1158,11 +1185,16 @@ impl<'a> Engine<'a> {
             let rt = now_ms - submitted;
             self.pipelines[n].complete_part(pid, rt, now_ms);
             if let Some(entry) = self.ledger.get_mut(n).and_then(|l| l.remove(pid)) {
-                let scratch = &mut self.scratch;
-                scratch.pool.give(entry.part.footprint.atoms);
-                if let Some(spare) = entry.decl.and_then(|d| scratch.pool.reclaim(d)) {
-                    scratch.spare_decls.push(spare);
+                // A declaration nobody else holds lets go of the part's
+                // buffer, so the buffer can go back to the pool, and waits
+                // for the next declaration to overwrite it.
+                if let Some(mut decl) = entry.decl {
+                    if let Some([copy]) = Arc::get_mut(&mut decl) {
+                        copy.footprint = Footprint::default();
+                        self.scratch.spare_decls.push(decl);
+                    }
                 }
+                self.scratch.pool.give(entry.part.footprint);
             }
             if let Some(d) = self.declared.get_mut(n) {
                 d.remove(&pid);
@@ -1285,24 +1317,25 @@ impl<'a> Engine<'a> {
                 .push((qi, pid, entry.part.clone()));
         }
         let declared = &mut self.declared[surv as usize];
+        let per_query = &self.per_query;
         for (ji, job) in trace.jobs.iter().enumerate() {
             if !self.arrived[ji] {
                 // Unarrived jobs project through the post-crash routing at
                 // their arrival; nothing to declare early.
                 continue;
             }
-            for (qi, q) in job.queries.iter().enumerate() {
-                if self.per_query[&q.id].submit_ms.is_some() {
-                    continue; // submitted (or already complete): not a future query
-                }
-                if declared.contains(&part_id(q.id, surv)) {
-                    continue; // the survivor's own projection already covers it
-                }
-                let Some(part) = self.live.project_query(q, surv) else {
-                    continue;
-                };
-                remnants.entry(ji).or_default().push((qi, part.id, part));
-            }
+            // Future queries only (a submitted one is queued or complete),
+            // and only those the survivor's own projection did not cover;
+            // they share one buffer per remnant job.
+            let future = job.queries.iter().enumerate().filter(|(_, q)| {
+                per_query[&q.id].submit_ms.is_none() && !declared.contains(&part_id(q.id, surv))
+            });
+            self.live.project_queries(
+                future,
+                surv,
+                &mut self.scratch.projected_atoms,
+                |qi, part| remnants.entry(ji).or_default().push((qi, part.id, part)),
+            );
         }
         let survivor = &mut self.pipelines[surv as usize];
         for (ji, mut parts) in remnants {
@@ -1633,9 +1666,9 @@ mod tests {
         assert_eq!(orig_id(part_id(42, 0)), 42);
         let live = LiveRouting::new(r);
         let job = spanning_job();
-        let mut staged = Vec::new();
+        let (mut staged, mut atoms) = (Vec::new(), Vec::new());
         assert!(
-            matches!(live.project_job(&job, 0, &mut staged), Some(Cow::Borrowed(j)) if std::ptr::eq(j, &job)),
+            matches!(live.project_job(&job, 0, &mut staged, &mut atoms), Some(Cow::Borrowed(j)) if std::ptr::eq(j, &job)),
             "one node's projection is the job itself"
         );
     }
@@ -1644,59 +1677,161 @@ mod tests {
     fn node_0_borrows_the_job_once_it_owns_every_slab() {
         let mut live = LiveRouting::new(Routing::new(64, 2, ReplicationConfig::disabled()));
         let job = spanning_job();
-        let mut staged = Vec::new();
-        match live.project_job(&job, 0, &mut staged) {
+        let (mut staged, mut atoms) = (Vec::new(), Vec::new());
+        match live.project_job(&job, 0, &mut staged, &mut atoms) {
             Some(Cow::Owned(p)) => {
-                assert_eq!(p.queries[0].footprint.atoms.len(), 1);
+                assert_eq!(p.queries[0].footprint.atoms(), [(MortonKey(0), 5)]);
                 assert!(
-                    staged.is_empty(),
-                    "staged queries moved into the projection"
+                    staged.is_empty() && atoms.is_empty(),
+                    "staged queries and atoms moved into the projection"
                 );
             }
             other => panic!("node 0 owns half the grid, got {other:?}"),
         }
         live.crash(1, Some(0));
         assert!(matches!(
-            live.project_job(&job, 0, &mut staged),
+            live.project_job(&job, 0, &mut staged, &mut atoms),
             Some(Cow::Borrowed(_))
+        ));
+    }
+
+    fn query(id: QueryId, atoms: &[(u64, u32)]) -> Query {
+        Query {
+            id,
+            user: 0,
+            op: jaws_workload::QueryOp::Velocity,
+            timestep: 0,
+            footprint: Footprint::from_pairs(atoms.iter().map(|&(m, c)| (MortonKey(m), c))),
+        }
+    }
+
+    fn buffer_ptr(fp: &Footprint) -> *const (MortonKey, u32) {
+        Arc::as_ptr(fp.buffer()).cast()
+    }
+
+    #[test]
+    fn a_projection_views_one_buffer_per_node() {
+        let live = LiveRouting::new(Routing::new(64, 2, ReplicationConfig::disabled()));
+        let job = Job {
+            queries: Arc::from([
+                query(1, &[(0, 1), (40, 2)]),
+                query(2, &[(5, 1), (10, 4)]),
+                query(3, &[(50, 3)]),
+            ]),
+            ..spanning_job()
+        };
+        let (mut staged, mut atoms) = (Vec::new(), Vec::new());
+        let expected = [
+            vec![(1, vec![(0, 1)]), (2, vec![(5, 1), (10, 4)])],
+            vec![
+                (part_id(1, 1), vec![(40, 2)]),
+                (part_id(3, 1), vec![(50, 3)]),
+            ],
+        ];
+        for (node, want) in expected.into_iter().enumerate() {
+            let Some(Cow::Owned(p)) = live.project_job(&job, node as u32, &mut staged, &mut atoms)
+            else {
+                panic!("node {node} owns part of the job");
+            };
+            let got: Vec<(QueryId, Vec<(u64, u32)>)> = p
+                .queries
+                .iter()
+                .map(|q| {
+                    let atoms = q.footprint.atoms().iter().map(|&(m, c)| (m.raw(), c));
+                    (q.id, atoms.collect())
+                })
+                .collect();
+            assert_eq!(got, want, "node {node}'s projection");
+            let buf = p.queries[0].footprint.buffer();
+            assert!(
+                p.queries
+                    .iter()
+                    .all(|q| Arc::ptr_eq(q.footprint.buffer(), buf)),
+                "node {node}: every projected query views one buffer"
+            );
+            let projected: usize = want.iter().map(|(_, a)| a.len()).sum();
+            assert_eq!(
+                buf.len(),
+                projected,
+                "node {node}: the buffer is exact-sized"
+            );
+        }
+    }
+
+    #[test]
+    fn a_declaration_shares_its_parts_footprint() {
+        let mut spare = Vec::new();
+        let part = query(part_id(9, 1), &[(40, 2), (41, 1)]);
+        let mut decl = declaration_of(&part, &mut spare);
+        assert_eq!(decl[0].id, part.id);
+        assert!(Arc::ptr_eq(
+            decl[0].footprint.buffer(),
+            part.footprint.buffer()
+        ));
+        // A spare declaration is overwritten, and shares the new part's.
+        let [copy] = Arc::get_mut(&mut decl).expect("unshared") else {
+            panic!("a declaration holds one query");
+        };
+        copy.footprint = Footprint::default();
+        let decl_ptr = Arc::as_ptr(&decl);
+        spare.push(decl);
+        let next = query(part_id(10, 1), &[(50, 1)]);
+        let again = declaration_of(&next, &mut spare);
+        assert!(std::ptr::eq(Arc::as_ptr(&again), decl_ptr), "spare reused");
+        assert!(Arc::ptr_eq(
+            again[0].footprint.buffer(),
+            next.footprint.buffer()
         ));
     }
 
     #[test]
     fn footprint_pool_hands_out_only_buffers_that_fit() {
+        let run = |n: u64| -> Vec<(MortonKey, u32)> { (0..n).map(|m| (MortonKey(m), 1)).collect() };
         let mut pool = FootprintPool::default();
-        let small = pool.take(3);
-        assert_eq!(small.capacity(), 3, "fresh buffers are sized exactly");
-        let mut big = pool.take(9);
-        big.push((MortonKey(1), 1));
-        let (small_ptr, big_ptr) = (small.as_ptr(), big.as_ptr());
+        let small = pool.footprint(&run(3));
+        assert_eq!(small.buffer().len(), 3, "fresh buffers are sized exactly");
+        let big = pool.footprint(&run(9));
+        let (small_ptr, big_ptr) = (buffer_ptr(&small), buffer_ptr(&big));
         pool.give(small);
         pool.give(big);
-        let again = pool.take(4);
-        assert_eq!(again.as_ptr(), big_ptr, "a 3-slot buffer cannot hold 4");
-        assert!(again.is_empty(), "a pooled buffer comes back empty");
+        let again = pool.footprint(&run(4));
+        assert_eq!(buffer_ptr(&again), big_ptr, "a 3-slot buffer cannot hold 4");
+        assert_eq!(
+            again.atoms(),
+            run(4),
+            "a pooled buffer views what it was given"
+        );
         pool.give(again);
-        let tight = pool.take(2);
-        assert_eq!(tight.as_ptr(), small_ptr, "the tightest fit first");
-        let exact = pool.take(9);
-        assert_eq!(exact.as_ptr(), big_ptr, "an exact fit is reused");
-        assert_eq!(pool.take(5).capacity(), 5, "an empty pool allocates");
+        let tight = pool.footprint(&run(2));
+        assert_eq!(buffer_ptr(&tight), small_ptr, "the tightest fit first");
+        let exact = pool.footprint(&run(9));
+        assert_eq!(buffer_ptr(&exact), big_ptr, "an exact fit is reused");
+        assert_eq!(
+            pool.footprint(&run(5)).buffer().len(),
+            5,
+            "an empty pool allocates"
+        );
         // Bins past the first bitset word.
-        let wide = pool.take(130);
-        let wide_ptr = wide.as_ptr();
+        let wide = pool.footprint(&run(130));
+        let wide_ptr = buffer_ptr(&wide);
         pool.give(wide);
-        let found = pool.take(70);
-        assert_eq!(found.as_ptr(), wide_ptr, "found two words up");
-        assert_eq!(pool.take(131).capacity(), 131, "nothing holds 131");
-        // A declaration's footprint comes back only once nobody shares it.
-        let decl: Arc<[Query]> = spanning_job().queries;
-        let atoms_ptr = decl[0].footprint.atoms.as_ptr();
-        let shared = Arc::clone(&decl);
-        assert!(pool.reclaim(decl).is_none(), "a shared declaration");
-        let spare = pool.reclaim(shared).expect("the last holder reclaims");
-        assert!(spare[0].footprint.atoms.is_empty(), "footprint pooled");
-        let pooled = pool.take(2);
-        assert_eq!(pooled.as_ptr(), atoms_ptr, "the pooled footprint");
+        let found = pool.footprint(&run(70));
+        assert_eq!(buffer_ptr(&found), wide_ptr, "found two words up");
+        assert_eq!(
+            pool.footprint(&run(131)).buffer().len(),
+            131,
+            "nothing holds 131"
+        );
+        // A buffer comes back only once nobody else holds it.
+        let held = found.clone();
+        pool.give(found);
+        assert!(
+            pool.first_stocked(0).is_none(),
+            "a shared buffer is not pooled"
+        );
+        pool.give(held);
+        assert_eq!(pool.first_stocked(0), Some(130), "the last holder pools it");
+        assert_eq!(buffer_ptr(&pool.footprint(&run(1))), wide_ptr);
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub mod types;
 pub use gen::{GenConfig, TraceGenerator};
 pub use jobid::{identify_jobs, JobIdConfig, JobIdEvaluation, SubmitRecord};
 pub use trace::Trace;
-pub use types::{Footprint, Job, JobId, JobKind, Query, QueryId, QueryOp, UserId};
+pub use types::{AtomBuffer, Footprint, Job, JobId, JobKind, Query, QueryId, QueryOp, UserId};

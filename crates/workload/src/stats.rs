@@ -151,7 +151,7 @@ pub fn top_atom_share(trace: &Trace, n: usize) -> f64 {
     let mut per_atom: HashMap<u64, u64> = HashMap::new();
     let mut total = 0u64;
     for (_, q) in trace.queries() {
-        for &(m, c) in &q.footprint.atoms {
+        for &(m, c) in q.footprint.atoms() {
             *per_atom.entry(m.raw()).or_default() += c as u64;
             total += c as u64;
         }

@@ -106,8 +106,8 @@ impl Trace {
             for q in j.queries.iter() {
                 assert!(ids.insert(q.id), "duplicate query id {}", q.id);
                 assert!(q.timestep < self.timesteps, "timestep out of range");
-                assert!(!q.footprint.atoms.is_empty(), "empty footprint {}", q.id);
-                for &(m, c) in &q.footprint.atoms {
+                assert!(!q.footprint.atoms().is_empty(), "empty footprint {}", q.id);
+                for &(m, c) in q.footprint.atoms() {
                     assert!(m.raw() < max_morton, "atom outside grid");
                     assert!(c > 0, "zero-count footprint entry");
                 }

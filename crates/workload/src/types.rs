@@ -23,6 +23,10 @@ pub enum QueryOp {
     RegionStats,
 }
 
+/// Shared storage of footprints: (atom, positions-in-atom) pairs, of which
+/// each [`Footprint`] views one canonical run.
+pub type AtomBuffer = Arc<[(MortonKey, u32)]>;
+
 /// The data requirements of one query: for each atom it touches, the number
 /// of queried positions falling inside that atom.
 ///
@@ -30,36 +34,33 @@ pub enum QueryOp {
 /// pre-processor identifies the data atom that corresponds to each position")
 /// and all the scheduler ever needs; concrete coordinates only matter to the
 /// computation kernels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+///
+/// A footprint is a view: a run of a shared, immutable atom buffer. Cloning
+/// one (and so cloning a [`Query`]) bumps a reference count and copies no
+/// atoms, so a copy of a query — a scheduler's copy of a query it holds at
+/// a gate, a just-in-time replica declaration of a part — shares its
+/// original's buffer. A trace query owns a buffer of its own, and a part
+/// that keeps all of its query's atoms shares it. A job's projection onto a
+/// cluster node lays every projected query's atoms out in one buffer and
+/// each projected query views its run: a scheduler keeps a declared job
+/// for the job's life, and one buffer costs one allocation whatever the
+/// job's query count. Only the run matters: equality, `Debug`, the overlap
+/// predicates and the serde form `{"atoms":[[m,c],…]}` all read
+/// [`Footprint::atoms`].
+#[derive(Clone, Default)]
 pub struct Footprint {
-    /// (atom, positions-in-atom) pairs, sorted by Morton key, counts > 0.
-    pub atoms: Vec<(MortonKey, u32)>,
+    /// The shared storage; the footprint is `buf[start..start + len]`.
+    buf: AtomBuffer,
+    start: u32,
+    len: u32,
 }
 
 impl Footprint {
     /// Builds a footprint from unsorted pairs, merging duplicates and
-    /// dropping zero counts.
+    /// dropping zero counts. The pairs are put in canonical form in the
+    /// collected `Vec`, which is then copied into the footprint's buffer.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (MortonKey, u32)>) -> Self {
         let mut v: Vec<(MortonKey, u32)> = pairs.into_iter().filter(|&(_, c)| c > 0).collect();
-        v.sort_unstable_by_key(|&(m, _)| m);
-        let mut merged: Vec<(MortonKey, u32)> = Vec::with_capacity(v.len());
-        for (m, c) in v {
-            match merged.last_mut() {
-                Some((lm, lc)) if *lm == m => *lc += c,
-                _ => merged.push((m, c)),
-            }
-        }
-        Footprint { atoms: merged }
-    }
-
-    /// Builds a footprint from an owned pair buffer without allocating: the
-    /// canonical form (sorted by Morton key, duplicates merged, zero counts
-    /// dropped) is produced in place and `v`'s storage becomes the
-    /// footprint's. Output is bitwise identical to [`Footprint::from_pairs`]
-    /// over the same pairs — the dispatch-path variant for reused scratch
-    /// buffers.
-    pub fn from_pairs_in_place(mut v: Vec<(MortonKey, u32)>) -> Self {
-        v.retain(|&(_, c)| c > 0);
         v.sort_unstable_by_key(|&(m, _)| m);
         v.dedup_by(|cur, acc| {
             if acc.0 == cur.0 {
@@ -69,25 +70,63 @@ impl Footprint {
                 false
             }
         });
-        Footprint { atoms: v }
+        let len = v.len();
+        Footprint::view(Arc::from(v), 0..len)
+    }
+
+    /// The footprint whose atoms are `buf[range]`, sharing `buf`. The run
+    /// must already be canonical: sorted by strictly increasing Morton key,
+    /// with no zero count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` lies outside `buf` or past `u32::MAX`.
+    pub fn view(buf: AtomBuffer, range: std::ops::Range<usize>) -> Self {
+        let run = &buf[range.clone()];
+        debug_assert!(
+            run.windows(2).all(|w| w[0].0 < w[1].0) && run.iter().all(|&(_, c)| c > 0),
+            "a footprint view must be a canonical run"
+        );
+        let (start, len) = (
+            u32::try_from(range.start).expect("footprint buffer offset fits u32"),
+            u32::try_from(run.len()).expect("footprint length fits u32"),
+        );
+        Footprint { buf, start, len }
+    }
+
+    /// (atom, positions-in-atom) pairs, sorted by Morton key, counts > 0.
+    pub fn atoms(&self) -> &[(MortonKey, u32)] {
+        let start = self.start as usize;
+        &self.buf[start..start + self.len as usize]
+    }
+
+    /// The buffer this footprint views, shared with every other view of it.
+    pub fn buffer(&self) -> &AtomBuffer {
+        &self.buf
+    }
+
+    /// Gives up the view and returns its buffer.
+    pub fn into_buffer(self) -> AtomBuffer {
+        self.buf
     }
 
     /// Total queried positions.
     pub fn positions(&self) -> u64 {
-        self.atoms.iter().map(|&(_, c)| c as u64).sum()
+        self.atoms().iter().map(|&(_, c)| c as u64).sum()
     }
 
     /// Number of atoms touched.
     pub fn atom_count(&self) -> usize {
-        self.atoms.len()
+        self.len as usize
     }
 
     /// True if this footprint shares at least one atom with `other` — the
     /// paper's data-sharing predicate A(q₁) ∩ A(q₂) ≠ ∅.
     pub fn overlaps(&self, other: &Footprint) -> bool {
+        let (a, b) = (self.atoms(), other.atoms());
         let (mut i, mut j) = (0, 0);
-        while i < self.atoms.len() && j < other.atoms.len() {
-            match self.atoms[i].0.cmp(&other.atoms[j].0) {
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => return true,
@@ -98,9 +137,10 @@ impl Footprint {
 
     /// Number of shared atoms with `other`.
     pub fn overlap_count(&self, other: &Footprint) -> usize {
+        let (a, b) = (self.atoms(), other.atoms());
         let (mut i, mut j, mut n) = (0, 0, 0);
-        while i < self.atoms.len() && j < other.atoms.len() {
-            match self.atoms[i].0.cmp(&other.atoms[j].0) {
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
@@ -111,6 +151,42 @@ impl Footprint {
             }
         }
         n
+    }
+}
+
+impl PartialEq for Footprint {
+    fn eq(&self, other: &Self) -> bool {
+        self.atoms() == other.atoms()
+    }
+}
+
+impl Eq for Footprint {}
+
+impl std::fmt::Debug for Footprint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Footprint")
+            .field("atoms", &self.atoms())
+            .finish()
+    }
+}
+
+impl Serialize for Footprint {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![(String::from("atoms"), self.atoms().to_value())])
+    }
+}
+
+impl Deserialize for Footprint {
+    /// Reads the atoms as saved; a loaded footprint is not checked to be
+    /// canonical.
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let obj = v.as_object().ok_or_else(|| {
+            serde::DeError::new(format!("expected object for Footprint, found {}", v.kind()))
+        })?;
+        let buf: AtomBuffer = serde::field(obj, "atoms")?;
+        let len = u32::try_from(buf.len())
+            .map_err(|_| serde::DeError::new("footprint holds more than u32::MAX atoms"))?;
+        Ok(Footprint { buf, start: 0, len })
     }
 }
 
@@ -133,7 +209,7 @@ impl Query {
     /// The set of atoms accessed, as full [`AtomId`]s — A(q) in §IV.
     pub fn atom_ids(&self) -> impl Iterator<Item = AtomId> + '_ {
         self.footprint
-            .atoms
+            .atoms()
             .iter()
             .map(move |&(m, _)| AtomId::new(self.timestep, m))
     }
@@ -236,12 +312,21 @@ mod tests {
     fn footprint_merges_and_sorts() {
         let f = fp(&[(5, 2), (1, 3), (5, 4), (9, 0)]);
         assert_eq!(
-            f.atoms,
-            vec![(MortonKey(1), 3), (MortonKey(5), 6)],
+            f.atoms(),
+            [(MortonKey(1), 3), (MortonKey(5), 6)],
             "sorted, merged, zero-dropped"
         );
         assert_eq!(f.positions(), 9);
         assert_eq!(f.atom_count(), 2);
+    }
+
+    /// A footprint is three words, as the `Vec` it replaced was, so a
+    /// `Query` keeps its size.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn footprint_is_three_words() {
+        assert_eq!(std::mem::size_of::<Footprint>(), 24);
+        assert_eq!(std::mem::size_of::<Query>(), 48);
     }
 
     #[test]
@@ -311,6 +396,56 @@ mod tests {
         assert_eq!(job.positions(), 30);
     }
 
+    /// The saved form of a footprint is its run alone, as `{"atoms":[…]}`,
+    /// whatever buffer it views: a two-query trace saves to the literal
+    /// below (recorded from the owned-`Vec` footprint), and loads back.
+    #[test]
+    fn trace_json_form_is_pinned() {
+        let shared: AtomBuffer =
+            Arc::from([(MortonKey(2), 5), (MortonKey(9), 1), (MortonKey(3), 4)]);
+        let q = |id: u64, ts: u32, op: QueryOp, range: std::ops::Range<usize>| Query {
+            id,
+            user: 7,
+            op,
+            timestep: ts,
+            footprint: Footprint::view(Arc::clone(&shared), range),
+        };
+        let job = Job {
+            id: 1,
+            user: 7,
+            kind: JobKind::Ordered,
+            campaign: 3,
+            queries: Arc::from([
+                q(10, 0, QueryOp::Velocity, 0..2),
+                q(11, 1, QueryOp::ParticleTrack, 2..3),
+            ]),
+            arrival_ms: 250.0,
+            think_ms: 1500.5,
+        };
+        let trace = crate::Trace::new(2, 4, vec![job]);
+        let mut out = Vec::new();
+        trace.save_json(&mut out).unwrap();
+        let saved = String::from_utf8(out).unwrap();
+        assert_eq!(
+            saved,
+            r#"{"timesteps":2,"atoms_per_side":4,"jobs":[{"id":1,"user":7,"kind":"Ordered","campaign":3,"queries":[{"id":10,"user":7,"op":"Velocity","timestep":0,"footprint":{"atoms":[[2,5],[9,1]]}},{"id":11,"user":7,"op":"ParticleTrack","timestep":1,"footprint":{"atoms":[[3,4]]}}],"arrival_ms":250.0,"think_ms":1500.5}]}"#
+        );
+        let back = crate::Trace::load_json(saved.as_bytes()).unwrap();
+        let (a, b) = (&back.jobs[0].queries, &trace.jobs[0].queries);
+        assert_eq!(a.len(), 2);
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!((x.id, x.timestep, x.op), (y.id, y.timestep, y.op));
+            assert_eq!(x.footprint, y.footprint);
+        }
+        let mut again = Vec::new();
+        back.save_json(&mut again).unwrap();
+        assert_eq!(
+            String::from_utf8(again).unwrap(),
+            saved,
+            "a loaded trace saves the same"
+        );
+    }
+
     #[test]
     fn empty_job_has_zero_duration() {
         let job = Job {
@@ -341,24 +476,54 @@ mod proptests {
         #[test]
         fn footprint_normalization_invariants(pairs in arb_pairs()) {
             let f = Footprint::from_pairs(pairs.iter().map(|&(m, c)| (MortonKey(m), c)));
-            for w in f.atoms.windows(2) {
+            for w in f.atoms().windows(2) {
                 prop_assert!(w[0].0 < w[1].0, "sorted and deduped");
             }
-            prop_assert!(f.atoms.iter().all(|&(_, c)| c > 0));
+            prop_assert!(f.atoms().iter().all(|&(_, c)| c > 0));
             let expect: u64 = pairs.iter().map(|&(_, c)| c as u64).sum();
             prop_assert_eq!(f.positions(), expect);
         }
 
-        /// The in-place (scratch-buffer) constructor produces the bitwise
-        /// identical canonical form as from_pairs — same atoms, same order,
-        /// same merged counts — so the dispatch path may use either.
+        /// Views of sub-runs of one shared buffer read exactly as owned
+        /// footprints of the same pairs: atoms, positions, equality and
+        /// both overlap predicates, against each other and against an
+        /// owned footprint.
         #[test]
-        fn from_pairs_in_place_matches_from_pairs(pairs in arb_pairs()) {
-            let keyed: Vec<(MortonKey, u32)> =
-                pairs.iter().map(|&(m, c)| (MortonKey(m), c)).collect();
-            let reference = Footprint::from_pairs(keyed.iter().copied());
-            let in_place = Footprint::from_pairs_in_place(keyed);
-            prop_assert_eq!(reference, in_place);
+        fn views_equal_owned_footprints(
+            runs in proptest::collection::vec(arb_pairs(), 1..5),
+            other in arb_pairs(),
+        ) {
+            let owned: Vec<Footprint> = runs
+                .iter()
+                .map(|r| Footprint::from_pairs(r.iter().map(|&(m, c)| (MortonKey(m), c))))
+                .collect();
+            let shared: AtomBuffer =
+                owned.iter().flat_map(|f| f.atoms().iter().copied()).collect();
+            let mut start = 0;
+            let views: Vec<Footprint> = owned
+                .iter()
+                .map(|f| {
+                    let range = start..start + f.atom_count();
+                    start = range.end;
+                    Footprint::view(Arc::clone(&shared), range)
+                })
+                .collect();
+            let other = Footprint::from_pairs(other.iter().map(|&(m, c)| (MortonKey(m), c)));
+            for (v, f) in views.iter().zip(&owned) {
+                prop_assert_eq!(v.atoms(), f.atoms());
+                prop_assert_eq!(v.positions(), f.positions());
+                prop_assert_eq!(v.atom_count(), f.atom_count());
+                prop_assert_eq!(v, f);
+                prop_assert_eq!(format!("{v:?}"), format!("{f:?}"));
+                prop_assert!(Arc::ptr_eq(v.buffer(), &shared));
+                prop_assert_eq!(v.overlaps(&other), f.overlaps(&other));
+                prop_assert_eq!(v.overlap_count(&other), f.overlap_count(&other));
+                for (w, g) in views.iter().zip(&owned) {
+                    prop_assert_eq!(v == w, f == g);
+                    prop_assert_eq!(v.overlaps(w), f.overlaps(g));
+                    prop_assert_eq!(v.overlap_count(w), f.overlap_count(g));
+                }
+            }
         }
 
         /// Overlap is symmetric and consistent with overlap_count.
@@ -375,7 +540,7 @@ mod proptests {
         #[test]
         fn self_overlap(a in arb_pairs()) {
             let fa = Footprint::from_pairs(a.iter().map(|&(m, c)| (MortonKey(m), c)));
-            prop_assert_eq!(fa.overlaps(&fa), !fa.atoms.is_empty());
+            prop_assert_eq!(fa.overlaps(&fa), !fa.atoms().is_empty());
         }
     }
 }
