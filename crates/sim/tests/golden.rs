@@ -24,6 +24,12 @@
 //! event stream of a cluster cannot move silently either. The crash under
 //! replication is pinned once more behind LRU-K caches, so LRU-K's history
 //! and victim choice are under a digest too.
+//!
+//! The golden matrix pins the rest, one committed row per configuration:
+//! every scheduler × cache policy on one node, prefetching under JAWS₂ and
+//! LifeRaft₂, and every scheduler on the crash-under-replication cluster. A
+//! change to one scheduler or one policy fails only that one's rows, and the
+//! failure prints the whole recomputed table.
 
 #![forbid(unsafe_code)]
 #![allow(
@@ -421,5 +427,178 @@ fn small_cluster_crash_under_replication_jsonl_trace_matches_its_golden_digest()
         fnv1a(jsonl.as_bytes()),
         GOLDEN_JSONL_CLUSTER_CRASH_REPLICATED,
         "JSONL trace moved"
+    );
+}
+
+/// Every scheduler the factory builds, at the parameters the experiments use.
+const MATRIX_SCHEDULERS: [SchedulerKind; 7] = [
+    SchedulerKind::NoShare,
+    SchedulerKind::LifeRaft1,
+    SchedulerKind::LifeRaft2,
+    SchedulerKind::Jaws1 { batch_k: 15 },
+    SchedulerKind::Jaws2 { batch_k: 15 },
+    SchedulerKind::CasJobs {
+        threshold_ms: 2_000,
+    },
+    SchedulerKind::Qos { stretch_x10: 30 },
+];
+
+/// Every cache policy the factory builds.
+const MATRIX_POLICIES: [CachePolicyKind; 4] = [
+    CachePolicyKind::Lru,
+    CachePolicyKind::LruK,
+    CachePolicyKind::Slru,
+    CachePolicyKind::Urc,
+];
+
+/// The golden matrix: one `(row, digest)` pair per configuration, each the
+/// FNV-1a of the masked report plus the completion log. Re-pin a row only
+/// with a reason stated in the change.
+const GOLDEN_MATRIX: &[(&str, &str)] = &[
+    ("1 node NoShare Lru", "b7b0d5ed0ac797fc"),
+    ("1 node NoShare LruK", "97882dc9026af0a7"),
+    ("1 node NoShare Slru", "0a636f7229f1b64d"),
+    ("1 node NoShare Urc", "89820299d46b7e43"),
+    ("1 node LifeRaft_1 Lru", "f023e3d2e31a73e1"),
+    ("1 node LifeRaft_1 LruK", "4ac677b135e2362c"),
+    ("1 node LifeRaft_1 Slru", "449939ec0e68b00c"),
+    ("1 node LifeRaft_1 Urc", "a7bdad2e91d0265c"),
+    ("1 node LifeRaft_2 Lru", "f4536c038e92279e"),
+    ("1 node LifeRaft_2 LruK", "b832bf2b70f3fa13"),
+    ("1 node LifeRaft_2 Slru", "7a3c49544e8f0c1d"),
+    ("1 node LifeRaft_2 Urc", "c3739ea225b52145"),
+    ("1 node JAWS_1 Lru", "27512b1d81dc4b4b"),
+    ("1 node JAWS_1 LruK", "1262a277e0a307e7"),
+    ("1 node JAWS_1 Slru", "1460ee2448f1b095"),
+    ("1 node JAWS_1 Urc", "c37dce56b6b7511d"),
+    ("1 node JAWS_2 Lru", "1bb77b786706973b"),
+    ("1 node JAWS_2 LruK", "8702d21589feec82"),
+    ("1 node JAWS_2 Slru", "1d068f7f92129afc"),
+    ("1 node JAWS_2 Urc", "41bd16d3345881ca"),
+    ("1 node CasJobs Lru", "15f6bcad9922b36e"),
+    ("1 node CasJobs LruK", "e2331a2dd182913d"),
+    ("1 node CasJobs Slru", "18e8e436e43180ee"),
+    ("1 node CasJobs Urc", "40478e392085f529"),
+    ("1 node JAWS-QoS Lru", "7daf8c656d8c02b5"),
+    ("1 node JAWS-QoS LruK", "a92960dfa5644186"),
+    ("1 node JAWS-QoS Slru", "d34fb135aecac545"),
+    ("1 node JAWS-QoS Urc", "09adac695552f298"),
+    ("1 node JAWS_2 Urc prefetch", "e26e72f0276d031d"),
+    ("1 node LifeRaft_2 Urc prefetch", "d7223c10abe897de"),
+    ("4 nodes crash+replication NoShare Urc", "cb0c8171fd3daf7d"),
+    (
+        "4 nodes crash+replication LifeRaft_1 Urc",
+        "8f5c7f0d6ac115a4",
+    ),
+    (
+        "4 nodes crash+replication LifeRaft_2 Urc",
+        "4312ca78dee149c8",
+    ),
+    ("4 nodes crash+replication JAWS_1 Urc", "256858a0c7a59577"),
+    ("4 nodes crash+replication JAWS_2 Urc", "dca32d5e991f0c67"),
+    ("4 nodes crash+replication CasJobs Urc", "af726ea18a8ff96a"),
+    ("4 nodes crash+replication JAWS-QoS Urc", "c09a9106b992e2a0"),
+];
+
+/// FNV-1a of a run's masked report JSON plus its completion log.
+fn report_and_log_digest(report: &impl serde::Serialize, log: &[(QueryId, f64)]) -> String {
+    let masked = mask_wallclock_fields(&serde_json::to_string(report).expect("report serializes"));
+    let log = serde_json::to_string(log).expect("log serializes");
+    fnv1a(format!("{masked}\n{log}").as_bytes())
+}
+
+/// One node on the paper-like trace under `kind` and `policy`.
+fn single_node_row(
+    trace: &Trace,
+    kind: SchedulerKind,
+    policy: CachePolicyKind,
+    prefetch: bool,
+) -> String {
+    let db_cfg = DbConfig::paper_sample();
+    let cost = CostModel::paper_testbed();
+    let db = build_db(db_cfg, cost, DataMode::Virtual, 256, policy);
+    let params = MetricParams {
+        atom_read_ms: cost.atom_read_ms,
+        position_compute_ms: cost.position_compute_ms,
+        atoms_per_timestep: db_cfg.atoms_per_timestep(),
+    };
+    let sched = build_scheduler(kind, params, 50, 180_000.0);
+    let sim = SimConfig {
+        prefetch,
+        ..SimConfig::default()
+    };
+    let mut ex = Executor::new(db, sched, sim);
+    let report = ex.run(trace);
+    assert_eq!(
+        ex.response_log().len(),
+        trace.query_count(),
+        "every query completes"
+    );
+    report_and_log_digest(&report, ex.response_log())
+}
+
+/// Recomputes every row of the golden matrix, in table order.
+fn golden_matrix() -> Vec<(String, String)> {
+    let mut rows = Vec::new();
+    let trace = small_trace();
+    for kind in MATRIX_SCHEDULERS {
+        for policy in MATRIX_POLICIES {
+            let digest = single_node_row(&trace, kind, policy, false);
+            rows.push((format!("1 node {} {policy:?}", kind.name()), digest));
+        }
+    }
+    for kind in [
+        SchedulerKind::Jaws2 { batch_k: 15 },
+        SchedulerKind::LifeRaft2,
+    ] {
+        let digest = single_node_row(&trace, kind, CachePolicyKind::Urc, true);
+        rows.push((format!("1 node {} Urc prefetch", kind.name()), digest));
+    }
+    let ctrace = cluster_trace();
+    for kind in MATRIX_SCHEDULERS {
+        let mut cfg = cluster_cfg(crash_plan(&ctrace), ReplicationConfig::on());
+        cfg.scheduler = kind;
+        let (_, digest) = cluster_digest(cfg);
+        rows.push((
+            format!("4 nodes crash+replication {} Urc", kind.name()),
+            digest,
+        ));
+    }
+    rows
+}
+
+/// Every scheduler × cache policy on one node, prefetching under JAWS₂ and
+/// LifeRaft₂, and every scheduler on the crash-under-replication cluster,
+/// each under its own committed digest.
+#[test]
+fn golden_matrix_matches_its_committed_digests() {
+    let rows = golden_matrix();
+    let table: String = rows
+        .iter()
+        .map(|(name, digest)| format!("    (\"{name}\", \"{digest}\"),\n"))
+        .collect();
+    let mut digests: Vec<&str> = rows.iter().map(|(_, d)| d.as_str()).collect();
+    digests.sort_unstable();
+    digests.dedup();
+    assert_eq!(
+        digests.len(),
+        rows.len(),
+        "two rows share a digest, so the matrix cannot tell them apart:\n{table}"
+    );
+    let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
+    let pinned: Vec<&str> = GOLDEN_MATRIX.iter().map(|&(n, _)| n).collect();
+    assert_eq!(
+        names, pinned,
+        "the matrix's rows changed; recomputed table:\n{table}"
+    );
+    let moved: Vec<&str> = rows
+        .iter()
+        .zip(GOLDEN_MATRIX)
+        .filter(|((_, got), (_, want))| got != want)
+        .map(|((name, _), _)| name.as_str())
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "rows moved: {moved:?}; recomputed table:\n{table}"
     );
 }
