@@ -33,7 +33,7 @@ fn main() {
         if let Some(jobs) = declared {
             ex.declare_jobs(jobs);
         }
-        let r = ex.run(&trace);
+        let r = ex.run(&trace).aggregate;
         println!(
             "{:<22} qps {:>6.3}  rt {:>7.1}s  reads {:>6}  forced {:>4}",
             label,

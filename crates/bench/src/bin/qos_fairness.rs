@@ -37,7 +37,7 @@ fn main() {
         SchedulerKind::Qos { stretch_x10: 30 },
     ] {
         let mut ex = exp::paper_executor(kind);
-        let r = ex.run(&trace);
+        let r = ex.run(&trace).aggregate;
         let mut stretches: Vec<f64> = ex
             .response_log()
             .iter()

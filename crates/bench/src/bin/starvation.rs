@@ -48,7 +48,7 @@ fn main() {
         SchedulerKind::Jaws2 { batch_k: 15 },
     ] {
         let mut ex = exp::paper_executor(kind);
-        let r = ex.run(&trace);
+        let r = ex.run(&trace).aggregate;
         let mut short_rt: Vec<f64> = Vec::new();
         let mut long_rt: Vec<f64> = Vec::new();
         for &(qid, rt) in ex.response_log() {

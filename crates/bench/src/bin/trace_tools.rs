@@ -8,7 +8,7 @@
 //!
 //! Traces are the JSON serialization of `jaws_workload::Trace`; anything this
 //! tool writes can be replayed by the experiment binaries' machinery or the
-//! library's `Executor`.
+//! library's `ClusterExecutor`.
 
 use jaws_bench::exp;
 use jaws_workload::stats::{job_duration_histogram, timestep_histogram, top_timestep_share};
@@ -36,7 +36,7 @@ const SMALL: exp::Flag = exp::Flag {
 
 fn load(path: &str) -> Result<Trace, String> {
     let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    Trace::load_json(f).map_err(|e| format!("parse {path}: {e}"))
+    Trace::load_json(f).map_err(|e| format!("load {path}: {e}"))
 }
 
 fn save(trace: &Trace, path: &str) -> Result<(), String> {
@@ -103,7 +103,6 @@ fn generate(out: &str, small: bool, jobs: Option<usize>, seed: Option<u64>) -> R
 
 fn info(path: &str) -> Result<(), String> {
     let t = load(path)?;
-    t.validate();
     println!("trace {path}");
     println!(
         "  geometry        {} timesteps x {}^3 atoms",

@@ -70,13 +70,13 @@ pub mod alloc_counter {
 pub mod exp {
     use jaws_morton::AtomId;
     use jaws_obs::{JsonlRecorder, ObsSink};
-    use jaws_scheduler::{MetricParams, Residency};
+    use jaws_scheduler::Residency;
     use jaws_sim::sweep::RunSpec;
     use jaws_sim::{
-        build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport,
-        Executor, SchedulerKind, SimConfig,
+        CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport, FailurePlan,
+        ReplicationConfig, SchedulerKind, SimConfig,
     };
-    use jaws_turbdb::{CostModel, DataMode, DbConfig};
+    use jaws_turbdb::{CostModel, DbConfig};
     use jaws_workload::{GenConfig, Trace, TraceGenerator};
     use std::sync::{Arc, Mutex};
 
@@ -131,27 +131,23 @@ pub mod exp {
         }
     }
 
-    /// A single-node executor for `scheduler` at the paper's defaults, for
-    /// bins that need more than a [`RunSpec`]'s report: its response log or
-    /// declared jobs.
-    pub fn paper_executor(scheduler: SchedulerKind) -> Executor {
-        let (db, cost) = (paper_db(), paper_cost());
-        let params = MetricParams {
-            atom_read_ms: cost.atom_read_ms,
-            position_compute_ms: cost.position_compute_ms,
-            atoms_per_timestep: db.atoms_per_timestep(),
-        };
-        Executor::new(
-            build_db(
-                db,
-                cost,
-                DataMode::Virtual,
-                CACHE_ATOMS,
-                CachePolicyKind::LruK,
-            ),
-            build_scheduler(scheduler, params, RUN_LEN, GATE_TIMEOUT_MS),
-            SimConfig::default(),
-        )
+    /// One node running `scheduler` at the paper's defaults, for bins that
+    /// need more than a [`RunSpec`]'s report: its response log or declared
+    /// jobs.
+    pub fn paper_executor(scheduler: SchedulerKind) -> ClusterExecutor {
+        ClusterExecutor::new(ClusterConfig {
+            nodes: 1,
+            db: paper_db(),
+            cost: paper_cost(),
+            scheduler,
+            cache_policy: CachePolicyKind::LruK,
+            cache_atoms_per_node: CACHE_ATOMS,
+            run_len: RUN_LEN,
+            gate_timeout_ms: GATE_TIMEOUT_MS,
+            sim: SimConfig::default(),
+            failures: FailurePlan::none(),
+            replication: ReplicationConfig::disabled(),
+        })
     }
 
     /// Replays `cfg` through a [`JsonlRecorder`]; returns the report and the

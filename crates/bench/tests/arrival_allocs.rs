@@ -1,6 +1,6 @@
 //! Pins the allocation cost of the scheduler's arrival path. The golden
 //! JAWS₂ replay (the 40-job `paper_like` trace on the paper's geometry, as
-//! in `crates/sim/tests/golden.rs`) is run twice through one executor, and
+//! in `crates/sim/tests/golden.rs`) is run twice through one one-node cluster, and
 //! the second, warm replay must stay at the count the arrival path reaches
 //! when nothing on it copies a query or grows a fresh buffer: sub-queries
 //! queue as query ids in the workload manager's id arena, a job's queries
@@ -15,16 +15,20 @@
 use jaws_bench::alloc_counter::{self, CountingAlloc};
 use jaws_bench::exp;
 use jaws_scheduler::{GatingConfig, Jaws, JawsConfig, MetricParams};
-use jaws_sim::{build_db, CachePolicyKind, Executor, SimConfig};
+use jaws_sim::{
+    build_db, CachePolicyKind, ClusterExecutor, FailurePlan, ReplicationConfig, SimConfig,
+};
 use jaws_turbdb::DataMode;
 use jaws_workload::{GenConfig, TraceGenerator};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations per query of the warm replay (58 over its 1,067 queries,
-/// debug and release alike). While each query held at a gate copied its
-/// footprint, it made 0.17 (173); while slot id buffers were spares reused
+/// Allocations per query of the warm replay (56 over its 1,067 queries,
+/// debug and release alike). While the gating graph collected its stale
+/// queries into a fresh list on each forced release, it made 58. While each
+/// query held at a gate copied its footprint, it made 0.17 (173); while
+/// slot id buffers were spares reused
 /// whatever their capacity and every batch was two fresh vectors, 2.71
 /// (2,887); while the arrival path still copied every sub-query list, job
 /// and arriving query, 18.95 (20,224).
@@ -62,11 +66,16 @@ fn warm_jaws2_replay_stays_near_its_allocation_floor() {
         },
         ..JawsConfig::jaws2(params)
     });
-    let mut ex = Executor::new(db, Box::new(jaws2), SimConfig::default());
-    let cold = ex.run(&trace);
+    let mut ex = ClusterExecutor::from_nodes(
+        vec![(db, Box::new(jaws2))],
+        SimConfig::default(),
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    );
+    let cold = ex.run(&trace).aggregate;
     assert!(!cold.truncated);
     let before = alloc_counter::count();
-    let warm = ex.run(&trace);
+    let warm = ex.run(&trace).aggregate;
     let allocs = alloc_counter::count() - before;
     assert!(!warm.truncated);
     assert_eq!(

@@ -5,36 +5,59 @@
 //! queries are first evaluated by the Query Pre-Processor … the positions are
 //! then assigned to the workload queues of the corresponding atoms."
 //!
-//! This module reproduces that deployment as an N-node instantiation of the
-//! shared engine ([`crate::engine`]): the atom grid is split into `n`
-//! contiguous Morton slabs (contiguous in Morton order ⇒ compact in space),
-//! every node owns one slab across all timesteps and runs its own
-//! [`NodePipeline`] — scheduler, buffer pool, simulated disk, and (since the
-//! engine unification) its own trajectory prefetcher. A query fans out into
-//! per-node parts and completes — and, for ordered jobs, unblocks its
-//! successor — only when every part has finished (the paper's "JAWS combines
-//! and buffers the sub-query results before delivering the final result to
-//! the user"). The only cluster-specific code left here is building the
-//! per-node pipelines and the per-node report breakdown; the Morton-slab
-//! fan-out ([`crate::engine::Routing`]), arrivals, pacing, think-time chains,
-//! prefetching, `max_sim_ms` truncation, idle re-checks, failures and
-//! replication are the engine's, and [`crate::Executor`] is the same engine
-//! over one node.
+//! [`ClusterExecutor`] is the one place that wires a replay, for any node
+//! count N ≥ 1 over the shared engine ([`crate::engine`]): the atom grid is
+//! split into N contiguous Morton slabs (contiguous in Morton order ⇒
+//! compact in space), and every node owns one slab across all timesteps and
+//! runs its own [`NodePipeline`] — scheduler, buffer pool, simulated disk and
+//! trajectory prefetcher. A query fans out into per-node parts and completes
+//! — and, for ordered jobs, unblocks its successor — only when every part
+//! has finished (the paper's "JAWS combines and buffers the sub-query
+//! results before delivering the final result to the user").
+//!
+//! [`ClusterExecutor::from_nodes`] takes caller-built nodes, a database and a
+//! scheduler each; [`ClusterExecutor::new`] builds N slab-sized ones from a
+//! [`ClusterConfig`] and hands them to it. A one-node cluster is a plain
+//! server: its aggregate report names the scheduler without a node count and
+//! its observability records carry no node tag. What is left here is
+//! building and validating the nodes and assembling the report; the
+//! Morton-slab fan-out ([`crate::engine::Routing`]), arrivals, job
+//! declarations, pacing, think-time chains, prefetching, `max_sim_ms`
+//! truncation, idle re-checks, failures and replication are the engine's.
 
-use crate::engine::{self, Engine, Routing};
+use crate::engine::{Engine, Routing};
 use crate::failure::FailurePlan;
 use crate::node::NodePipeline;
 use crate::replication::{ReplicationConfig, ReplicationSummary};
 use crate::report::{self, RunReport};
 use crate::setup::{build_db, build_scheduler, CachePolicyKind, SchedulerKind};
-use crate::SimConfig;
 use jaws_cache::CacheStats;
 use jaws_morton::MortonKey;
 use jaws_obs::ObsSink;
-use jaws_scheduler::{finite_or_zero, MetricParams, SchedulerStats};
-use jaws_turbdb::{CostModel, DbConfig, DiskStats};
-use jaws_workload::{QueryId, Trace};
-use serde::Serialize;
+use jaws_scheduler::{finite_or_zero, MetricParams, Scheduler, SchedulerStats};
+use jaws_turbdb::{CostModel, DbConfig, DiskStats, TurbDb};
+use jaws_workload::{Job, QueryId, Trace};
+use serde::{Deserialize, Serialize};
+
+/// Engine knobs shared by every replay.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct SimConfig {
+    /// Simulated-time cap; runs report `truncated = true` when they hit it.
+    pub max_sim_ms: f64,
+    /// Enable trajectory-based prefetching (§VII): when the pipeline would
+    /// otherwise idle, extrapolated next-step atoms of ordered jobs are read
+    /// into the cache ahead of demand.
+    pub prefetch: bool,
+}
+
+impl Default for SimConfig {
+    fn default() -> Self {
+        SimConfig {
+            max_sim_ms: 1e10,
+            prefetch: false,
+        }
+    }
+}
 
 /// Cluster configuration.
 #[derive(Debug, Clone)]
@@ -57,8 +80,8 @@ pub struct ClusterConfig {
     pub run_len: usize,
     /// Gate timeout per node, ms.
     pub gate_timeout_ms: f64,
-    /// Engine knobs shared with the single-node executor: per-node
-    /// trajectory prefetching and the simulated-time cap.
+    /// Engine knobs: per-node trajectory prefetching and the simulated-time
+    /// cap.
     pub sim: SimConfig,
     /// Seeded failure scenario injected into the replay
     /// ([`FailurePlan::none`] for a healthy run). Validated against the node
@@ -175,81 +198,125 @@ fn owned_atoms(per_ts: u64, slab_size: u64, nodes: u32, node: u32) -> u64 {
     owned.max(1)
 }
 
-/// The shared-clock multi-node executor.
+/// The one executor: a shared clock over N ≥ 1 nodes, each a database and
+/// its scheduler. One node is a plain server.
 pub struct ClusterExecutor {
-    cfg: ClusterConfig,
     pipelines: Vec<NodePipeline>,
     routing: Routing,
+    sim: SimConfig,
+    failures: FailurePlan,
+    declared_jobs: Option<Vec<Job>>,
     response_log: Vec<(QueryId, f64)>,
     sink: ObsSink,
 }
 
 impl ClusterExecutor {
-    /// Builds a cluster.
+    /// Builds a cluster of `cfg.nodes` slab-sized nodes, each opening the
+    /// whole geometry on virtual data behind its own cache and scheduler.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero or exceeds the part-id packing budget
-    /// ([`engine::MAX_NODE_INDEX`]).
+    /// Panics on any configuration [`ClusterExecutor::from_nodes`] rejects.
     pub fn new(cfg: ClusterConfig) -> Self {
         cfg.db.validate();
         let per_ts = cfg.db.atoms_per_timestep();
-        let routing = Routing::new(per_ts, cfg.nodes, cfg.replication);
-        assert!(
-            cfg.nodes - 1 <= engine::MAX_NODE_INDEX,
-            "nodes ({}) exceed the part-id packing budget ({} max)",
-            cfg.nodes,
-            engine::MAX_NODE_INDEX + 1
-        );
-        cfg.failures.validate(cfg.nodes);
-        cfg.replication.validate();
+        let slab_size = Routing::new(per_ts, cfg.nodes, cfg.replication).slab_size;
         // Ceil-sized slabs: every node owns ⌈per_ts/nodes⌉ contiguous Morton
         // keys except the last, which owns whatever remains (routing clamps
         // onto it). `atoms_per_timestep` feeds Eq. 2's per-timestep
         // normalization, so each node must be told the key count it
         // *actually* owns — handing everyone the ceil slab size would
         // over-normalize (dampen) the short last slab's aged-utility term.
-        let pipelines = (0..cfg.nodes)
+        let nodes = (0..cfg.nodes)
             .map(|node| {
                 let params = MetricParams {
                     atom_read_ms: cfg.cost.atom_read_ms,
                     position_compute_ms: cfg.cost.position_compute_ms,
-                    atoms_per_timestep: owned_atoms(per_ts, routing.slab_size, cfg.nodes, node),
+                    atoms_per_timestep: owned_atoms(per_ts, slab_size, cfg.nodes, node),
                 };
                 // Every node opens the full geometry but only ever reads its
                 // slab (plus stencil/prefetch spill-over); its cache and disk
                 // stats therefore reflect its own traffic only.
-                NodePipeline::new(
-                    build_db(
-                        cfg.db,
-                        cfg.cost,
-                        jaws_turbdb::DataMode::Virtual,
-                        cfg.cache_atoms_per_node,
-                        cfg.cache_policy,
-                    ),
-                    build_scheduler(cfg.scheduler, params, cfg.run_len, cfg.gate_timeout_ms),
-                    cfg.sim.prefetch,
-                )
+                let db = build_db(
+                    cfg.db,
+                    cfg.cost,
+                    jaws_turbdb::DataMode::Virtual,
+                    cfg.cache_atoms_per_node,
+                    cfg.cache_policy,
+                );
+                let scheduler =
+                    build_scheduler(cfg.scheduler, params, cfg.run_len, cfg.gate_timeout_ms);
+                (db, scheduler)
             })
             .collect();
+        Self::from_nodes(nodes, cfg.sim, cfg.failures, cfg.replication)
+    }
+
+    /// Builds a cluster over caller-opened nodes: node `i` owns the `i`-th
+    /// Morton slab and runs its database under its scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty or exceeds the part-id packing budget
+    /// ([`crate::engine::MAX_NODE_INDEX`]), if the nodes' databases do not share
+    /// one [`DbConfig`], or if `failures` or `replication` is invalid for
+    /// the node count.
+    pub fn from_nodes(
+        nodes: Vec<(TurbDb, Box<dyn Scheduler>)>,
+        sim: SimConfig,
+        failures: FailurePlan,
+        replication: ReplicationConfig,
+    ) -> Self {
+        assert!(!nodes.is_empty(), "need at least one node");
+        let db = *nodes[0].0.config();
+        assert!(
+            nodes.iter().all(|(d, _)| *d.config() == db),
+            "every node must open the same DbConfig"
+        );
+        let count = u32::try_from(nodes.len()).unwrap_or(u32::MAX);
+        let routing = Routing::new(db.atoms_per_timestep(), count, replication);
+        failures.validate(count);
+        replication.validate();
         ClusterExecutor {
-            cfg,
-            pipelines,
+            pipelines: nodes
+                .into_iter()
+                .map(|(db, scheduler)| NodePipeline::new(db, scheduler, sim.prefetch))
+                .collect(),
             routing,
+            sim,
+            failures,
+            declared_jobs: None,
             response_log: Vec::new(),
             sink: ObsSink::null(),
         }
     }
 
-    /// Wires an observability sink through every node's pipeline (tagged with
-    /// its node index) and the shared engine loop. With a
-    /// [`jaws_obs::NullRecorder`] every emission site short-circuits and the
-    /// run is bit-identical to an unwired build.
+    /// Wires an observability sink through every node's pipeline and the
+    /// shared engine loop; a cluster of more than one node tags each node's
+    /// records with its index. With a [`jaws_obs::NullRecorder`] every
+    /// emission site short-circuits and the run is bit-identical to an
+    /// unwired build.
     pub fn set_recorder(&mut self, sink: ObsSink) {
+        let tagged = self.pipelines.len() > 1;
         for (i, p) in self.pipelines.iter_mut().enumerate() {
-            p.set_recorder(sink.with_node(i as u32));
+            p.set_recorder(if tagged {
+                sink.with_node(i as u32)
+            } else {
+                sink.clone()
+            });
         }
         self.sink = sink;
+    }
+
+    /// Overrides the job declarations the schedulers see: instead of each
+    /// trace job at its arrival, these jobs are declared at t = 0, each
+    /// node told its projection. Execution semantics (arrivals, precedence,
+    /// think times) still follow the trace — only the schedulers'
+    /// *knowledge* of job structure changes. Every later
+    /// [`ClusterExecutor::run`] declares them again at its start. Used to
+    /// evaluate heuristic job identification (§IV-A) against ground truth.
+    pub fn declare_jobs(&mut self, jobs: Vec<Job>) {
+        self.declared_jobs = Some(jobs);
     }
 
     /// The node owning a Morton key under the static partition: contiguous
@@ -259,8 +326,19 @@ impl ClusterExecutor {
         self.routing.node_of(m)
     }
 
-    /// Per-query response times of the last run, in completion order, under
-    /// the original trace query ids (parts are folded into their query).
+    /// Node `node`'s database (post-run inspection).
+    pub fn db(&self, node: usize) -> &TurbDb {
+        self.pipelines[node].db()
+    }
+
+    /// Node `node`'s scheduler (post-run inspection).
+    pub fn scheduler(&self, node: usize) -> &dyn Scheduler {
+        self.pipelines[node].scheduler()
+    }
+
+    /// Per-query response times of every run so far, in completion order,
+    /// under the original trace query ids (parts are folded into their
+    /// query).
     pub fn response_log(&self) -> &[(QueryId, f64)] {
         &self.response_log
     }
@@ -275,10 +353,10 @@ impl ClusterExecutor {
         let outcome = Engine::run(
             &mut self.pipelines,
             self.routing,
-            &self.cfg.sim,
+            &self.sim,
             trace,
-            true,
-            &self.cfg.failures,
+            self.declared_jobs.as_deref(),
+            &self.failures,
             &self.sink,
         );
 
@@ -316,7 +394,7 @@ impl ClusterExecutor {
             });
         #[expect(
             clippy::expect_used,
-            reason = "invariant: ClusterExecutor::new asserts nodes >= 1"
+            reason = "invariant: ClusterExecutor::from_nodes asserts nodes >= 1"
         )]
         let first_node = self
             .pipelines
@@ -331,8 +409,13 @@ impl ClusterExecutor {
             .map(|p| p.scheduler().alpha())
             .sum::<f64>()
             / self.pipelines.len() as f64;
+        // A one-node cluster is a plain server and reports as one.
+        let scheduler = match self.pipelines.len() {
+            1 => first_node.scheduler().name().to_string(),
+            n => format!("{n}x{}", first_node.scheduler().name()),
+        };
         let aggregate = report::assemble(
-            format!("{}x{}", self.cfg.nodes, first_node.scheduler().name()),
+            scheduler,
             first_node.db().cache_policy_name().to_string(),
             &outcome.totals,
             total_cache,
@@ -370,8 +453,8 @@ impl ClusterExecutor {
             reason = "exact sentinel, not ranking logic: a slowdown of 1.0 is the \
                       never-degraded default and factors are copied verbatim from the plan"
         )]
-        let degraded = (!self.cfg.failures.is_empty()).then(|| DegradedReport {
-            plan_seed: self.cfg.failures.seed(),
+        let degraded = (!self.failures.is_empty()).then(|| DegradedReport {
+            plan_seed: self.failures.seed(),
             first_failure_ms: outcome.first_failure_ms,
             failed_nodes: outcome
                 .alive
@@ -406,6 +489,7 @@ impl ClusterExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine;
     use jaws_workload::{Footprint, GenConfig, TraceGenerator};
     use proptest::prelude::*;
 
@@ -950,5 +1034,378 @@ mod tests {
             prop_assert_eq!(engine::part_id(query, 0), query);
             prop_assert_eq!(pid == engine::part_id(query, other), node == other);
         }
+    }
+}
+
+/// The engine's behaviour on one node built by the caller: draining,
+/// sharing, truncation, URC's scheduler knowledge and prefetching.
+#[cfg(test)]
+mod one_node_tests {
+    use super::*;
+    use crate::setup::{build_db, build_scheduler, CachePolicyKind, SchedulerKind};
+    use jaws_morton::MortonKey;
+    use jaws_scheduler::MetricParams;
+    use jaws_turbdb::{CostModel, DataMode, DbConfig};
+    use jaws_workload::{Footprint, GenConfig, Job, JobKind, Query, QueryOp, TraceGenerator};
+
+    /// A one-node cluster over a caller-built database and scheduler.
+    fn one_node(db: TurbDb, sched: Box<dyn Scheduler>, sim: SimConfig) -> ClusterExecutor {
+        ClusterExecutor::from_nodes(
+            vec![(db, sched)],
+            sim,
+            FailurePlan::none(),
+            ReplicationConfig::disabled(),
+        )
+    }
+
+    fn small_db_config() -> DbConfig {
+        DbConfig {
+            grid_side: 32,
+            atom_side: 8,
+            ghost: 2,
+            timesteps: 8,
+            dt: 0.002,
+            seed: 5,
+        }
+    }
+
+    fn run_kind(kind: SchedulerKind, seed: u64) -> RunReport {
+        let trace = TraceGenerator::new(GenConfig::small(seed)).generate();
+        let db = build_db(
+            small_db_config(),
+            CostModel::paper_testbed(),
+            DataMode::Virtual,
+            16,
+            CachePolicyKind::LruK,
+        );
+        let sched = build_scheduler(kind, MetricParams::paper_testbed(), 25, 10_000.0);
+        let mut ex = one_node(db, sched, SimConfig::default());
+        ex.run(&trace).aggregate
+    }
+
+    #[test]
+    fn every_scheduler_drains_the_trace() {
+        let trace = TraceGenerator::new(GenConfig::small(5)).generate();
+        let total = trace.query_count() as u64;
+        for kind in SchedulerKind::evaluation_set() {
+            let r = run_kind(kind, 5);
+            assert_eq!(
+                r.queries_completed,
+                total,
+                "{} left queries behind",
+                kind.name()
+            );
+            assert!(!r.truncated, "{} truncated", kind.name());
+            assert_eq!(r.jobs_completed, trace.jobs.len() as u64);
+            assert!(r.throughput_qps > 0.0);
+            assert!(r.mean_response_ms > 0.0);
+        }
+    }
+
+    #[test]
+    fn batch_schedulers_beat_noshare_on_contended_traces() {
+        let noshare = run_kind(SchedulerKind::NoShare, 7);
+        let jaws2 = run_kind(SchedulerKind::Jaws2 { batch_k: 10 }, 7);
+        assert!(
+            jaws2.throughput_qps > noshare.throughput_qps,
+            "JAWS {:.3} q/s vs NoShare {:.3} q/s",
+            jaws2.throughput_qps,
+            noshare.throughput_qps
+        );
+    }
+
+    #[test]
+    fn shared_scans_reduce_disk_reads() {
+        let noshare = run_kind(SchedulerKind::NoShare, 9);
+        let liferaft2 = run_kind(SchedulerKind::LifeRaft2, 9);
+        assert!(
+            liferaft2.disk.reads < noshare.disk.reads,
+            "LifeRaft {} reads vs NoShare {}",
+            liferaft2.disk.reads,
+            noshare.disk.reads
+        );
+    }
+
+    /// Jobs declared through [`ClusterExecutor::declare_jobs`] are declared again
+    /// on every run, so a JAWS₂ node replays its trace a second time.
+    #[test]
+    fn declared_jobs_hold_for_every_run() {
+        let trace = TraceGenerator::new(GenConfig::small(5)).generate();
+        let db = build_db(
+            small_db_config(),
+            CostModel::paper_testbed(),
+            DataMode::Virtual,
+            16,
+            CachePolicyKind::LruK,
+        );
+        let sched = build_scheduler(
+            SchedulerKind::Jaws2 { batch_k: 10 },
+            MetricParams::paper_testbed(),
+            25,
+            10_000.0,
+        );
+        let mut ex = one_node(db, sched, SimConfig::default());
+        ex.declare_jobs(trace.jobs.clone());
+        for _ in 0..2 {
+            let r = ex.run(&trace).aggregate;
+            assert_eq!(r.queries_completed, trace.query_count() as u64);
+            assert!(!r.truncated);
+        }
+    }
+
+    #[test]
+    fn determinism_per_seed() {
+        let a = run_kind(SchedulerKind::Jaws2 { batch_k: 10 }, 3);
+        let b = run_kind(SchedulerKind::Jaws2 { batch_k: 10 }, 3);
+        assert_eq!(a.queries_completed, b.queries_completed);
+        assert_eq!(a.disk.reads, b.disk.reads);
+        assert!((a.makespan_ms - b.makespan_ms).abs() < 1e-6);
+        assert!((a.throughput_qps - b.throughput_qps).abs() < 1e-9);
+    }
+
+    #[test]
+    fn response_times_are_measured_from_submission() {
+        // A single one-query job arriving at t=1000 must have response time
+        // roughly its own service time, not counted from t=0.
+        let q = Query {
+            id: 1,
+            user: 0,
+            op: QueryOp::Velocity,
+            timestep: 0,
+            footprint: Footprint::from_pairs([(MortonKey(0), 100u32)]),
+        };
+        let trace = Trace::new(
+            8,
+            4,
+            vec![Job {
+                id: 1,
+                user: 0,
+                kind: JobKind::Batched,
+                campaign: 1,
+                queries: vec![q].into(),
+                arrival_ms: 1000.0,
+                think_ms: 0.0,
+            }],
+        );
+        let db = build_db(
+            small_db_config(),
+            CostModel {
+                seek_ms: 10.0,
+                atom_read_ms: 100.0,
+                position_compute_ms: 1.0,
+                batch_dispatch_ms: 0.0,
+                stencil_neighbors: 0,
+            },
+            DataMode::Virtual,
+            16,
+            CachePolicyKind::Lru,
+        );
+        let sched = build_scheduler(
+            SchedulerKind::LifeRaft2,
+            MetricParams {
+                atom_read_ms: 100.0,
+                position_compute_ms: 1.0,
+                atoms_per_timestep: 64,
+            },
+            25,
+            10_000.0,
+        );
+        let mut ex = one_node(db, sched, SimConfig::default());
+        let r = ex.run(&trace).aggregate;
+        // Service: seek 10 + read 100 + compute 100 = 210 ms.
+        assert!(
+            (r.mean_response_ms - 210.0).abs() < 1e-6,
+            "{}",
+            r.mean_response_ms
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 48-bit part budget")]
+    fn query_ids_beyond_the_part_budget_are_rejected() {
+        let q = Query {
+            id: 1 << 48,
+            user: 0,
+            op: QueryOp::Velocity,
+            timestep: 0,
+            footprint: Footprint::from_pairs([(MortonKey(0), 10u32)]),
+        };
+        let job = Job {
+            id: 1,
+            user: 0,
+            kind: JobKind::Batched,
+            campaign: 1,
+            queries: vec![q].into(),
+            arrival_ms: 0.0,
+            think_ms: 0.0,
+        };
+        let db = build_db(
+            small_db_config(),
+            CostModel::paper_testbed(),
+            DataMode::Virtual,
+            16,
+            CachePolicyKind::Lru,
+        );
+        let sched = build_scheduler(
+            SchedulerKind::NoShare,
+            MetricParams::paper_testbed(),
+            25,
+            10_000.0,
+        );
+        one_node(db, sched, SimConfig::default()).run(&Trace::new(8, 4, vec![job]));
+    }
+
+    #[test]
+    fn time_cap_truncates_gracefully() {
+        // Truncation retires every scheduler's pending work
+        // (`Scheduler::retire_pending`), queued and gated alike. Bursts
+        // 20× denser than `small` leave every scheduler a backlog at the
+        // cap, so the check is not vacuous.
+        let trace = TraceGenerator::new(GenConfig {
+            mean_burst_gap_ms: 1_000.0,
+            intra_burst_gap_ms: 50.0,
+            ..GenConfig::small(11)
+        })
+        .generate();
+        let kinds = SchedulerKind::evaluation_set().into_iter().chain([
+            SchedulerKind::CasJobs {
+                threshold_ms: 2_000,
+            },
+            SchedulerKind::Qos { stretch_x10: 30 },
+        ]);
+        for kind in kinds {
+            let db = build_db(
+                small_db_config(),
+                CostModel::paper_testbed(),
+                DataMode::Virtual,
+                16,
+                CachePolicyKind::LruK,
+            );
+            let sched = build_scheduler(kind, MetricParams::paper_testbed(), 25, 10_000.0);
+            let mut ex = one_node(
+                db,
+                sched,
+                SimConfig {
+                    max_sim_ms: 10_000.0,
+                    ..SimConfig::default()
+                },
+            );
+            let r = ex.run(&trace).aggregate;
+            let name = kind.name();
+            assert!(r.truncated && !ex.scheduler(0).has_pending(), "{name}");
+            assert!(r.queries_completed < trace.query_count() as u64, "{name}");
+        }
+    }
+
+    #[test]
+    fn urc_cache_gets_scheduler_knowledge() {
+        let trace = TraceGenerator::new(GenConfig::small(13)).generate();
+        let db = build_db(
+            small_db_config(),
+            CostModel::paper_testbed(),
+            DataMode::Virtual,
+            8,
+            CachePolicyKind::Urc,
+        );
+        let sched = build_scheduler(
+            SchedulerKind::Jaws2 { batch_k: 8 },
+            MetricParams::paper_testbed(),
+            25,
+            10_000.0,
+        );
+        let mut ex = one_node(db, sched, SimConfig::default());
+        let r = ex.run(&trace).aggregate;
+        assert_eq!(r.cache_policy, "URC");
+        assert!(r.cache.hits > 0, "URC never hit");
+        assert!(!r.truncated);
+    }
+
+    /// A slow single tracking chain: plenty of idle time for the prefetcher.
+    fn chain_trace() -> Trace {
+        let q = |id: u64, ts: u32, x: u32| Query {
+            id,
+            user: 0,
+            op: QueryOp::ParticleTrack,
+            timestep: ts,
+            footprint: Footprint::from_pairs([(MortonKey::from_coords(x, 1, 1), 200u32)]),
+        };
+        Trace::new(
+            8,
+            4,
+            vec![Job {
+                id: 1,
+                user: 0,
+                kind: JobKind::Ordered,
+                campaign: 1,
+                // Steady +1 drift in x, one timestep per query.
+                queries: (0..6).map(|i| q(i + 1, i as u32, (i as u32) % 4)).collect(),
+                arrival_ms: 0.0,
+                think_ms: 5_000.0,
+            }],
+        )
+    }
+
+    fn run_chain(prefetch: bool) -> (RunReport, u64) {
+        let db = build_db(
+            DbConfig {
+                grid_side: 32,
+                atom_side: 8,
+                ghost: 2,
+                timesteps: 8,
+                dt: 0.002,
+                seed: 9,
+            },
+            CostModel::paper_testbed(),
+            DataMode::Virtual,
+            16,
+            CachePolicyKind::LruK,
+        );
+        let sched = build_scheduler(
+            SchedulerKind::Jaws2 { batch_k: 8 },
+            MetricParams::paper_testbed(),
+            25,
+            10_000.0,
+        );
+        let mut ex = one_node(
+            db,
+            sched,
+            SimConfig {
+                prefetch,
+                ..SimConfig::default()
+            },
+        );
+        let r = ex.run(&chain_trace());
+        let reads = r.prefetch_reads();
+        (r.aggregate, reads)
+    }
+
+    #[test]
+    fn prefetching_issues_speculative_reads_and_cuts_latency() {
+        let (base, base_pf) = run_chain(false);
+        let (pf, pf_reads) = run_chain(true);
+        assert_eq!(base_pf, 0);
+        assert!(pf_reads > 0, "predictor never fired");
+        assert_eq!(pf.queries_completed, base.queries_completed);
+        // Later chain queries hit prefetched atoms: cache hits rise and mean
+        // response time drops.
+        assert!(
+            pf.cache.hits > base.cache.hits,
+            "prefetch hits {} vs {}",
+            pf.cache.hits,
+            base.cache.hits
+        );
+        assert!(
+            pf.mean_response_ms < base.mean_response_ms,
+            "prefetch rt {:.1} vs base {:.1}",
+            pf.mean_response_ms,
+            base.mean_response_ms
+        );
+    }
+
+    #[test]
+    fn prefetching_never_loses_queries() {
+        let (pf, _) = run_chain(true);
+        assert!(!pf.truncated);
+        assert_eq!(pf.jobs_completed, 1);
     }
 }

@@ -1,9 +1,9 @@
-//! The discrete-event core behind [`crate::Executor`] and
-//! [`crate::ClusterExecutor`].
+//! The discrete-event core behind [`crate::ClusterExecutor`], the one route
+//! into a replay.
 //!
-//! One route serves every deployment shape: a single server is a cluster of
-//! one node owning the one Morton slab (§V-C runs one JAWS instance per
-//! slab). This module owns all of the replay:
+//! Every deployment shape is a cluster: a single server is a cluster of one
+//! node owning the one Morton slab (§V-C runs one JAWS instance per slab).
+//! This module owns all of the replay:
 //!
 //! * [`Routing`] splits the atom grid into `nodes ≥ 1` contiguous Morton
 //!   slabs, optionally under the hot-atom replica overlay
@@ -15,7 +15,9 @@
 //!   failures);
 //! * `Engine` (crate-internal) is the one client model, with one method per
 //!   event kind: it replays job arrivals, paces batched queries, drives
-//!   ordered think-time chains, enforces the cross-node completion barrier
+//!   ordered think-time chains, declares each job to the nodes its
+//!   projection touches (at its arrival, or at t = 0 for jobs declared up
+//!   front), enforces the cross-node completion barrier
 //!   (outstanding-part counts), charges batch service times, spends idle
 //!   capacity on trajectory prefetches, injects scripted node failures
 //!   (crash re-dispatch, straggler slowdowns), and truncates at the
@@ -162,9 +164,15 @@ impl Routing {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero.
+    /// Panics if `nodes` is zero or exceeds the part-id packing budget
+    /// ([`MAX_NODE_INDEX`]).
     pub fn new(atoms_per_timestep: u64, nodes: u32, replication: ReplicationConfig) -> Self {
         assert!(nodes >= 1, "need at least one node");
+        assert!(
+            nodes - 1 <= MAX_NODE_INDEX,
+            "nodes ({nodes}) exceed the part-id packing budget ({} max)",
+            MAX_NODE_INDEX + 1
+        );
         Routing {
             slab_size: atoms_per_timestep.div_ceil(nodes as u64),
             nodes,
@@ -691,7 +699,8 @@ pub(crate) struct Engine<'a> {
     /// per-node events are emitted by the pipelines through their own sinks.
     sink: &'a ObsSink,
     /// Whether each trace job is declared to the schedulers at its arrival
-    /// (false after [`crate::Executor::declare_jobs`] declared up front).
+    /// (false when [`crate::ClusterExecutor::declare_jobs`] named the jobs to
+    /// declare at t = 0 instead).
     declare_on_arrival: bool,
     live: LiveRouting,
     /// Per trace query id: where it sits in the trace, when it was
@@ -725,8 +734,10 @@ impl<'a> Engine<'a> {
     /// Replays `trace` against `pipelines` under `routing` until the trace
     /// drains or the simulated-time cap fires.
     ///
-    /// `failures` scripts node crashes and slowdowns (validated against the
-    /// node count by the caller).
+    /// `declared` replaces the per-arrival job declarations with these jobs,
+    /// declared at t = 0 through the same per-node projection. `failures`
+    /// scripts node crashes and slowdowns (validated against the node count
+    /// by the caller).
     ///
     /// # Panics
     ///
@@ -738,7 +749,7 @@ impl<'a> Engine<'a> {
         routing: Routing,
         cfg: &'a SimConfig,
         trace: &'a Trace,
-        declare_on_arrival: bool,
+        declared: Option<&[Job]>,
         failures: &'a FailurePlan,
         sink: &'a ObsSink,
     ) -> EngineOutcome {
@@ -775,7 +786,7 @@ impl<'a> Engine<'a> {
             trace,
             failures,
             sink,
-            declare_on_arrival,
+            declare_on_arrival: declared.is_none(),
             live: LiveRouting::new(routing),
             per_query,
             totals: RunTotals {
@@ -817,6 +828,9 @@ impl<'a> Engine<'a> {
             scratch: EngineScratch::new(nodes),
             pipelines,
         };
+        for job in declared.into_iter().flatten() {
+            e.declare(job);
+        }
         for (ji, job) in trace.jobs.iter().enumerate() {
             e.queue.push(job.arrival_ms, Event::JobArrival(ji));
         }
@@ -862,7 +876,7 @@ impl<'a> Engine<'a> {
     }
 
     /// A trace job arrived: declare its projection to every live node (unless
-    /// declarations were overridden), then start its client loop.
+    /// the jobs were declared up front), then start its client loop.
     fn job_arrival(&mut self, ji: usize) {
         let (trace, now_ms) = (self.trace, self.now_ms);
         let job = &trace.jobs[ji];
@@ -883,23 +897,7 @@ impl<'a> Engine<'a> {
             );
         }
         if self.declare_on_arrival {
-            for (node, p) in self.pipelines.iter_mut().enumerate() {
-                if !self.live.alive[node] {
-                    continue;
-                }
-                let projected = self.live.project_job(
-                    job,
-                    node as u32,
-                    &mut self.scratch.projected,
-                    &mut self.scratch.projected_atoms,
-                );
-                if let Some(pj) = projected {
-                    if let Some(d) = self.declared.get_mut(node) {
-                        d.extend(pj.queries.iter().map(|q| q.id));
-                    }
-                    p.job_declared(pj.as_ref(), now_ms);
-                }
-            }
+            self.declare(job);
         }
         match job.kind {
             JobKind::Batched => {
@@ -915,6 +913,28 @@ impl<'a> Engine<'a> {
             // The chain head is submitted in place (the predictor only
             // observes from the second query on).
             JobKind::Ordered => self.submit(ji, 0, false),
+        }
+    }
+
+    /// Declares `job` to every live node: each is told its projection of
+    /// the job, and a node owning none of it is told nothing.
+    fn declare(&mut self, job: &Job) {
+        for (node, p) in self.pipelines.iter_mut().enumerate() {
+            if !self.live.alive[node] {
+                continue;
+            }
+            let projected = self.live.project_job(
+                job,
+                node as u32,
+                &mut self.scratch.projected,
+                &mut self.scratch.projected_atoms,
+            );
+            if let Some(pj) = projected {
+                if let Some(d) = self.declared.get_mut(node) {
+                    d.extend(pj.queries.iter().map(|q| q.id));
+                }
+                p.job_declared(pj.as_ref(), self.now_ms);
+            }
         }
     }
 

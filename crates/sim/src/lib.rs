@@ -18,12 +18,14 @@
 //!   §V-B.
 //!
 //! One discrete-event core ([`engine`]) drives every deployment over one
-//! route: N ≥ 1 nodes, each owning a contiguous Morton slab (§V-C). A single
-//! server is a cluster of one — [`Executor`] replays as one node over a
-//! caller-built database and scheduler, [`ClusterExecutor`] builds N — with
-//! the same event loop, client model and [`SimConfig`] knobs (prefetching,
-//! `max_sim_ms` truncation). Dispatch within a replay is
-//! serial. Per-node state lives in [`node::NodePipeline`].
+//! route, [`ClusterExecutor`]: N ≥ 1 nodes, each owning a contiguous Morton
+//! slab (§V-C). A single server is a cluster of one.
+//! [`ClusterExecutor::from_nodes`] replays caller-built databases and
+//! schedulers, and [`ClusterExecutor::new`] builds N slab-sized ones first;
+//! both share the event loop, client model and [`SimConfig`] knobs
+//! (prefetching, `max_sim_ms` truncation). Dispatch within a replay is
+//! serial. Per-node state lives in [`node::NodePipeline`]. [`Executor`] is
+//! perfbench's one-node view of a [`ClusterExecutor`].
 //!
 //! [`sweep`] runs many configurations in parallel threads for the saturation
 //! and batch-size sweeps of Figs. 11–12.
@@ -45,9 +47,11 @@ pub mod report;
 pub mod setup;
 pub mod sweep;
 
-pub use cluster::{ClusterConfig, ClusterExecutor, ClusterReport, DegradedReport, NodeReport};
+pub use cluster::{
+    ClusterConfig, ClusterExecutor, ClusterReport, DegradedReport, NodeReport, SimConfig,
+};
 pub use engine::{queue_ops, reset_queue_ops, Routing};
-pub use executor::{Executor, SimConfig};
+pub use executor::Executor;
 pub use failure::{FailureEvent, FailurePlan};
 pub use node::NodePipeline;
 pub use replication::{ReplicaEntry, ReplicationConfig, ReplicationSummary};

@@ -1,10 +1,9 @@
 //! Parallel parameter sweeps for Figs. 11 and 12.
 
-use crate::executor::{Executor, SimConfig};
 use crate::report::RunReport;
-use crate::setup::{build_db, build_scheduler, CachePolicyKind, SchedulerKind};
-use jaws_scheduler::MetricParams;
-use jaws_turbdb::{CostModel, DataMode, DbConfig};
+use crate::setup::{CachePolicyKind, SchedulerKind};
+use crate::{ClusterConfig, ClusterExecutor, FailurePlan, ReplicationConfig, SimConfig};
+use jaws_turbdb::{CostModel, DbConfig};
 use jaws_workload::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -41,21 +40,20 @@ impl RunSpec {
         } else {
             trace
         };
-        let db = build_db(
-            self.db,
-            self.cost,
-            DataMode::Virtual,
-            self.cache_atoms,
-            self.cache_policy,
-        );
-        let params = MetricParams {
-            atom_read_ms: self.cost.atom_read_ms,
-            position_compute_ms: self.cost.position_compute_ms,
-            atoms_per_timestep: self.db.atoms_per_timestep(),
-        };
-        let sched = build_scheduler(self.scheduler, params, self.run_len, self.gate_timeout_ms);
-        let mut ex = Executor::new(db, sched, SimConfig::default());
-        ex.run(trace)
+        let mut ex = ClusterExecutor::new(ClusterConfig {
+            nodes: 1,
+            db: self.db,
+            cost: self.cost,
+            scheduler: self.scheduler,
+            cache_policy: self.cache_policy,
+            cache_atoms_per_node: self.cache_atoms,
+            run_len: self.run_len,
+            gate_timeout_ms: self.gate_timeout_ms,
+            sim: SimConfig::default(),
+            failures: FailurePlan::none(),
+            replication: ReplicationConfig::disabled(),
+        });
+        ex.run(trace).aggregate
     }
 }
 

@@ -13,8 +13,8 @@
 
 use jaws_scheduler::{Batch, MetricParams, Residency, Scheduler, SchedulerStats, UtilitySnapshot};
 use jaws_sim::{
-    build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, Executor,
-    FailurePlan, ReplicationConfig, SchedulerKind, SimConfig,
+    build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, FailurePlan,
+    ReplicationConfig, SchedulerKind, SimConfig,
 };
 use jaws_turbdb::{CostModel, DataMode, DbConfig};
 use jaws_workload::{GenConfig, Job, Query, QueryId, Trace, TraceGenerator};
@@ -235,5 +235,11 @@ fn a_lost_completion_fails_the_replay() {
         2_000.0,
     );
     let sched = Box::new(LosesOneCompletion { inner, lost: false });
-    Executor::new(db, sched, SimConfig::default()).run(&tiny_trace(3));
+    ClusterExecutor::from_nodes(
+        vec![(db, sched)],
+        SimConfig::default(),
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    )
+    .run(&tiny_trace(3));
 }

@@ -1,8 +1,8 @@
 //! Double-run determinism (the hash-order and wall-clock bans end to end):
 //! replaying the same seeded trace twice must produce *byte-identical*
 //! serialized reports — including the per-query response log, which captures
-//! dispatch order — for every scheduling policy, on both the single-node
-//! executor and the Morton-slab cluster. Any hash-order iteration, wall-clock read, or
+//! dispatch order — for every scheduling policy, on one node and on the
+//! Morton-slab cluster. Any hash-order iteration, wall-clock read, or
 //! unseeded RNG on a decision path shows up here as a diff.
 
 #![forbid(unsafe_code)]
@@ -18,8 +18,8 @@ use common::mask_wallclock_fields;
 use jaws_obs::{JsonlRecorder, NullRecorder, ObsSink};
 use jaws_scheduler::MetricParams;
 use jaws_sim::{
-    build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, Executor,
-    FailurePlan, SchedulerKind, SimConfig,
+    build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, FailurePlan,
+    ReplicationConfig, SchedulerKind, SimConfig,
 };
 use jaws_turbdb::{CostModel, DataMode, DbConfig};
 use jaws_workload::{GenConfig, TraceGenerator};
@@ -61,11 +61,16 @@ fn serialized_run_wired(kind: SchedulerKind, seed: u64, sink: Option<ObsSink>) -
         CachePolicyKind::Urc,
     );
     let sched = build_scheduler(kind, MetricParams::paper_testbed(), 25, 10_000.0);
-    let mut ex = Executor::new(db, sched, SimConfig::default());
+    let mut ex = ClusterExecutor::from_nodes(
+        vec![(db, sched)],
+        SimConfig::default(),
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    );
     if let Some(s) = sink {
         ex.set_recorder(s);
     }
-    let report = ex.run(&trace);
+    let report = ex.run(&trace).aggregate;
     let report_json =
         mask_wallclock_fields(&serde_json::to_string(&report).expect("report serializes"));
     let log_json = serde_json::to_string(ex.response_log()).expect("log serializes");
@@ -103,7 +108,7 @@ fn cluster_config(kind: SchedulerKind, nodes: u32) -> ClusterConfig {
         gate_timeout_ms: 10_000.0,
         sim: SimConfig::default(),
         failures: FailurePlan::none(),
-        replication: jaws_sim::ReplicationConfig::disabled(),
+        replication: ReplicationConfig::disabled(),
     }
 }
 
@@ -310,58 +315,6 @@ fn null_recorder_leaves_reports_bit_identical() {
             "{} report changed when a NullRecorder was wired (seed {seed})",
             kind.name()
         );
-    }
-}
-
-/// With one node the cluster and the plain executor take the same route:
-/// same engine, same event sequencing, node 0's part ids are the query ids. Totals — and the completion
-/// log under original query ids — must match the single executor exactly.
-/// The single run derives its `MetricParams` the same way the cluster does
-/// (from the cost model and the whole-grid atom count), so both schedulers
-/// see identical Eq. 1 inputs.
-#[test]
-fn one_node_cluster_matches_single_executor_exactly() {
-    for (kind, seed) in [
-        (SchedulerKind::Jaws2 { batch_k: 15 }, 3u64),
-        (SchedulerKind::LifeRaft2, 11),
-    ] {
-        let trace = TraceGenerator::new(GenConfig::small(seed)).generate();
-        let cfg = cluster_config(kind, 1);
-        let params = MetricParams {
-            atom_read_ms: cfg.cost.atom_read_ms,
-            position_compute_ms: cfg.cost.position_compute_ms,
-            atoms_per_timestep: cfg.db.atoms_per_timestep(),
-        };
-        let db = build_db(
-            cfg.db,
-            cfg.cost,
-            DataMode::Virtual,
-            cfg.cache_atoms_per_node,
-            cfg.cache_policy,
-        );
-        let sched = build_scheduler(kind, params, cfg.run_len, cfg.gate_timeout_ms);
-        let mut single = Executor::new(db, sched, cfg.sim);
-        let s = single.run(&trace);
-
-        let mut cluster = ClusterExecutor::new(cfg);
-        let c = cluster.run(&trace);
-
-        assert_eq!(c.aggregate.queries_completed, s.queries_completed);
-        assert_eq!(c.aggregate.jobs_completed, s.jobs_completed);
-        assert_eq!(c.aggregate.disk.reads, s.disk.reads);
-        assert_eq!(c.aggregate.disk.seeks, s.disk.seeks);
-        assert_eq!(c.aggregate.cache.hits, s.cache.hits);
-        assert_eq!(c.aggregate.cache.misses, s.cache.misses);
-        assert_eq!(c.aggregate.makespan_ms.to_bits(), s.makespan_ms.to_bits());
-        assert_eq!(
-            c.aggregate.mean_response_ms.to_bits(),
-            s.mean_response_ms.to_bits()
-        );
-        assert_eq!(
-            c.aggregate.scheduler_stats.batches,
-            s.scheduler_stats.batches
-        );
-        assert_eq!(cluster.response_log(), single.response_log());
     }
 }
 

@@ -48,7 +48,7 @@ use jaws_scheduler::{
 };
 use jaws_sim::{
     build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport,
-    Executor, FailurePlan, ReplicationConfig, RunReport, SchedulerKind, SimConfig,
+    FailurePlan, ReplicationConfig, RunReport, SchedulerKind, SimConfig,
 };
 use jaws_turbdb::{CostModel, DataMode, DbConfig, TurbDb};
 use jaws_workload::{GenConfig, Job, Query, QueryId, Trace, TraceGenerator};
@@ -203,11 +203,21 @@ fn golden_jaws2(params: MetricParams) -> Jaws {
     })
 }
 
+/// One node: `db` under `sched`.
+fn one_node(db: TurbDb, sched: Box<dyn Scheduler>, sim: SimConfig) -> ClusterExecutor {
+    ClusterExecutor::from_nodes(
+        vec![(db, sched)],
+        sim,
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    )
+}
+
 /// Replays `trace` under `sched`, checks every query completed, and returns
 /// the report with its masked digest.
 fn replay_digest(db: TurbDb, sched: Box<dyn Scheduler>, trace: &Trace) -> (RunReport, String) {
-    let mut ex = Executor::new(db, sched, SimConfig::default());
-    let report = ex.run(trace);
+    let mut ex = one_node(db, sched, SimConfig::default());
+    let report = ex.run(trace).aggregate;
     assert_eq!(
         ex.response_log().len(),
         trace.query_count(),
@@ -272,7 +282,7 @@ fn small_paper_like_jaws2_jsonl_trace_matches_its_golden_digest() {
     let trace = small_trace();
     let (db, params) = small_db();
     let rec = Arc::new(Mutex::new(JsonlRecorder::new()));
-    let mut ex = Executor::new(db, Box::new(golden_jaws2(params)), SimConfig::default());
+    let mut ex = one_node(db, Box::new(golden_jaws2(params)), SimConfig::default());
     ex.set_recorder(ObsSink::new(rec.clone()));
     ex.run(&trace);
     let rec = rec.lock().expect("recorder mutex unpoisoned");
@@ -527,8 +537,8 @@ fn single_node_row(
         prefetch,
         ..SimConfig::default()
     };
-    let mut ex = Executor::new(db, sched, sim);
-    let report = ex.run(trace);
+    let mut ex = one_node(db, sched, sim);
+    let report = ex.run(trace).aggregate;
     assert_eq!(
         ex.response_log().len(),
         trace.query_count(),

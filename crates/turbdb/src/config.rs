@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// `timesteps = 1024` over 2.048 s of simulation time (dt = 0.002 s). The
 /// paper's experiments use a 31-timestep sample ("0.062 seconds of simulation
 /// time"); [`DbConfig::paper_sample`] mirrors that.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DbConfig {
     /// Voxels per side of the full cube (must be a multiple of `atom_side`).
     pub grid_side: u32,

@@ -12,7 +12,6 @@
 //! ```
 
 use jaws::prelude::*;
-use jaws::sim::{ClusterConfig, ClusterExecutor, FailurePlan};
 
 fn config(nodes: u32, prefetch: bool) -> ClusterConfig {
     ClusterConfig {
@@ -38,7 +37,7 @@ fn config(nodes: u32, prefetch: bool) -> ClusterConfig {
             max_sim_ms: 1e10,
         },
         failures: FailurePlan::none(),
-        replication: jaws_sim::ReplicationConfig::disabled(),
+        replication: ReplicationConfig::disabled(),
     }
 }
 

@@ -54,8 +54,13 @@ fn run(kind: SchedulerKind, trace: &Trace) -> RunReport {
         CachePolicyKind::Lru,
     );
     let sched = build_scheduler(kind, MetricParams::paper_testbed(), 50, 30_000.0);
-    let mut ex = Executor::new(db, sched, SimConfig::default());
-    ex.run(trace)
+    let mut ex = ClusterExecutor::from_nodes(
+        vec![(db, sched)],
+        SimConfig::default(),
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    );
+    ex.run(trace).aggregate
 }
 
 fn main() {

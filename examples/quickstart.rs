@@ -46,8 +46,14 @@ fn main() {
         12_000.0, // gate timeout (starvation valve)
     );
 
-    let mut executor = Executor::new(db, scheduler, SimConfig::default());
-    let report = executor.run(&trace);
+    // One node owning the whole atom grid, healthy, with static placement.
+    let mut executor = ClusterExecutor::from_nodes(
+        vec![(db, scheduler)],
+        SimConfig::default(),
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    );
+    let report = executor.run(&trace).aggregate;
 
     println!("\n{}", report.summary());
     println!("\ndetails:");

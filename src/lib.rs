@@ -45,8 +45,14 @@
 //!     50,
 //!     60_000.0,
 //! );
-//! let mut executor = Executor::new(db, scheduler, SimConfig::default());
-//! let report = executor.run(&trace);
+//! // One node owning the whole atom grid: a plain server.
+//! let mut executor = ClusterExecutor::from_nodes(
+//!     vec![(db, scheduler)],
+//!     SimConfig::default(),
+//!     FailurePlan::none(),
+//!     ReplicationConfig::disabled(),
+//! );
+//! let report = executor.run(&trace).aggregate;
 //! assert!(report.queries_completed > 0);
 //! println!("{}", report.summary());
 //! ```
@@ -72,8 +78,9 @@ pub mod prelude {
         MetricParams, NoShare, Residency, Scheduler,
     };
     pub use jaws_sim::{
-        build_db, build_policy, build_scheduler, run_parallel, CachePolicyKind, Executor,
-        RunReport, SchedulerKind, SimConfig,
+        build_db, build_policy, build_scheduler, run_parallel, CachePolicyKind, ClusterConfig,
+        ClusterExecutor, ClusterReport, FailurePlan, ReplicationConfig, RunReport, SchedulerKind,
+        SimConfig,
     };
     pub use jaws_turbdb::{
         kernels, AtomData, CostModel, DataMode, DbConfig, SyntheticField, TurbDb,

@@ -28,8 +28,13 @@ fn run(
     trace: &Trace,
 ) -> RunReport {
     let sched = build_scheduler(kind, MetricParams::paper_testbed(), 25, 10_000.0);
-    let mut ex = Executor::new(small_db(policy, cache_atoms), sched, SimConfig::default());
-    ex.run(trace)
+    let mut ex = ClusterExecutor::from_nodes(
+        vec![(small_db(policy, cache_atoms), sched)],
+        SimConfig::default(),
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    );
+    ex.run(trace).aggregate
 }
 
 #[test]

@@ -3,7 +3,6 @@
 //! and multi-node cluster execution.
 
 use jaws::prelude::*;
-use jaws::sim::{ClusterConfig, ClusterExecutor, FailurePlan};
 
 fn db_cfg() -> DbConfig {
     DbConfig {
@@ -25,8 +24,13 @@ fn run(kind: SchedulerKind, trace: &Trace) -> RunReport {
         CachePolicyKind::LruK,
     );
     let sched = build_scheduler(kind, MetricParams::paper_testbed(), 25, 10_000.0);
-    let mut ex = Executor::new(db, sched, SimConfig::default());
-    ex.run(trace)
+    let mut ex = ClusterExecutor::from_nodes(
+        vec![(db, sched)],
+        SimConfig::default(),
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    );
+    ex.run(trace).aggregate
 }
 
 #[test]
@@ -100,7 +104,7 @@ fn cluster_with_jaws_qos_and_casjobs_nodes() {
             gate_timeout_ms: 10_000.0,
             sim: SimConfig::default(),
             failures: FailurePlan::none(),
-            replication: jaws_sim::ReplicationConfig::disabled(),
+            replication: ReplicationConfig::disabled(),
         });
         let r = ex.run(&trace);
         assert_eq!(
@@ -137,16 +141,18 @@ fn prefetching_helps_an_idle_chain_workload() {
             25,
             10_000.0,
         );
-        let mut ex = Executor::new(
-            db,
-            sched,
+        let mut ex = ClusterExecutor::from_nodes(
+            vec![(db, sched)],
             SimConfig {
                 prefetch,
                 ..SimConfig::default()
             },
+            FailurePlan::none(),
+            ReplicationConfig::disabled(),
         );
         let r = ex.run(&trace);
-        (r, ex.prefetch_reads())
+        let reads = r.prefetch_reads();
+        (r.aggregate, reads)
     };
     let (base, base_reads) = mk(false);
     let (pf, pf_reads) = mk(true);
@@ -159,38 +165,4 @@ fn prefetching_helps_an_idle_chain_workload() {
         pf.mean_response_ms,
         base.mean_response_ms
     );
-}
-
-#[test]
-fn one_node_cluster_is_equivalent_to_the_single_executor() {
-    // The cluster machinery (query splitting, part barriers, per-node
-    // declarations) must collapse to the plain executor when nodes = 1.
-    let trace = TraceGenerator::new(GenConfig::small(81)).generate();
-    let single = run(SchedulerKind::LifeRaft2, &trace);
-    let mut ex = ClusterExecutor::new(ClusterConfig {
-        nodes: 1,
-        db: db_cfg(),
-        cost: CostModel::paper_testbed(),
-        scheduler: SchedulerKind::LifeRaft2,
-        cache_policy: CachePolicyKind::LruK,
-        cache_atoms_per_node: 16,
-        run_len: 25,
-        gate_timeout_ms: 10_000.0,
-        sim: SimConfig::default(),
-        failures: FailurePlan::none(),
-        replication: jaws_sim::ReplicationConfig::disabled(),
-    });
-    let cluster = ex.run(&trace);
-    assert_eq!(
-        cluster.aggregate.queries_completed,
-        single.queries_completed
-    );
-    assert_eq!(cluster.aggregate.disk.reads, single.disk.reads);
-    assert!(
-        (cluster.aggregate.makespan_ms - single.makespan_ms).abs() < 1e-6,
-        "cluster {:.3} vs single {:.3}",
-        cluster.aggregate.makespan_ms,
-        single.makespan_ms
-    );
-    assert!((cluster.aggregate.mean_response_ms - single.mean_response_ms).abs() < 1e-6);
 }

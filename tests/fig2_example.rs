@@ -64,8 +64,13 @@ fn run(kind: SchedulerKind) -> RunReport {
         CachePolicyKind::Lru,
     );
     let sched = build_scheduler(kind, MetricParams::paper_testbed(), 50, 30_000.0);
-    let mut ex = Executor::new(db, sched, SimConfig::default());
-    ex.run(&fig2_trace())
+    let mut ex = ClusterExecutor::from_nodes(
+        vec![(db, sched)],
+        SimConfig::default(),
+        FailurePlan::none(),
+        ReplicationConfig::disabled(),
+    );
+    ex.run(&fig2_trace()).aggregate
 }
 
 #[test]
@@ -141,8 +146,13 @@ fn gating_captures_sharing_missed_without_job_awareness() {
             CachePolicyKind::Lru,
         );
         let sched = build_scheduler(kind, MetricParams::paper_testbed(), 50, 60_000.0);
-        let mut ex = Executor::new(db, sched, SimConfig::default());
-        ex.run(&trace)
+        let mut ex = ClusterExecutor::from_nodes(
+            vec![(db, sched)],
+            SimConfig::default(),
+            FailurePlan::none(),
+            ReplicationConfig::disabled(),
+        );
+        ex.run(&trace).aggregate
     };
     let jaws1 = run_with(SchedulerKind::Jaws1 { batch_k: 4 });
     let jaws2 = run_with(SchedulerKind::Jaws2 { batch_k: 4 });
