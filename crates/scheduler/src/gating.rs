@@ -191,6 +191,9 @@ pub struct GatingGraph {
     merge_jobs: Vec<JobId>,
     dfs_stack: Vec<GroupId>,
     dfs_seen: FastSet<GroupId>,
+    /// Release scratch, reused across [`Self::release_stale`] calls: the
+    /// READY queries past their gate timeout.
+    stale: Vec<QueryId>,
     admitted_edges: u64,
     refused_edges: u64,
     forced_releases: u64,
@@ -213,6 +216,7 @@ impl GatingGraph {
             spare_groups: Vec::new(),
             merge_jobs: Vec::new(),
             dfs_stack: Vec::new(),
+            stale: Vec::new(),
             dfs_seen: FastSet::default(),
             admitted_edges: 0,
             refused_edges: 0,
@@ -689,18 +693,14 @@ impl GatingGraph {
     /// Only READY queries are visited, in ascending `QueryId` order (see the
     /// module docs on determinism) — `self.ready` is a `BTreeMap`.
     pub fn release_stale(&mut self, now_ms: f64, promoted: &mut Vec<Query>) {
-        let stale: Vec<QueryId> = self
-            .ready
-            .keys()
-            .copied()
-            .filter(|q| {
-                let e = &self.entries[q];
-                e.state == QueryState::Ready
-                    && e.group.is_some()
-                    && now_ms - e.ready_since_ms > self.cfg.gate_timeout_ms
-            })
-            .collect();
-        for q in stale {
+        let mut stale = std::mem::take(&mut self.stale);
+        stale.extend(self.ready.keys().copied().filter(|q| {
+            let e = &self.entries[q];
+            e.state == QueryState::Ready
+                && e.group.is_some()
+                && now_ms - e.ready_since_ms > self.cfg.gate_timeout_ms
+        }));
+        for &q in &stale {
             if self.entries[&q].state != QueryState::Ready {
                 continue; // already promoted by an earlier release this round
             }
@@ -735,6 +735,8 @@ impl GatingGraph {
             let uncopied = promote(&mut self.entries, &mut self.ready, q, promoted);
             debug_assert!(uncopied.is_none(), "held query {q} has no copy");
         }
+        stale.clear();
+        self.stale = stale;
     }
 }
 

@@ -202,7 +202,9 @@ impl TraceGenerator {
             t += self.sample_exp(self.cfg.mean_burst_gap_ms);
         }
         let trace = Trace::new(self.cfg.timesteps, self.cfg.atoms_per_side, jobs);
-        trace.validate();
+        if let Err(e) = trace.validate() {
+            panic!("the generator broke its own trace: {e}");
+        }
         trace
     }
 
@@ -519,7 +521,7 @@ mod tests {
     fn trace_validates_and_has_requested_jobs() {
         let t = TraceGenerator::new(GenConfig::small(1)).generate();
         assert_eq!(t.jobs.len(), 60);
-        t.validate();
+        t.validate().unwrap();
     }
 
     #[test]

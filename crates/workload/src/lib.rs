@@ -38,5 +38,5 @@ pub mod types;
 
 pub use gen::{GenConfig, TraceGenerator};
 pub use jobid::{identify_jobs, JobIdConfig, JobIdEvaluation, SubmitRecord};
-pub use trace::Trace;
+pub use trace::{Trace, TraceError};
 pub use types::{AtomBuffer, Footprint, Job, JobId, JobKind, Query, QueryId, QueryOp, UserId};

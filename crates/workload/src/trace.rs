@@ -88,33 +88,90 @@ impl Trace {
         serde_json::to_writer(w, self)
     }
 
-    /// Deserializes from JSON.
-    pub fn load_json<R: Read>(r: R) -> serde_json::Result<Trace> {
-        serde_json::from_reader(r)
+    /// Deserializes from JSON and [validates](Trace::validate) the result,
+    /// so an inconsistent trace never reaches a caller.
+    pub fn load_json<R: Read>(r: R) -> Result<Trace, TraceError> {
+        let trace: Trace = serde_json::from_reader(r).map_err(TraceError::Json)?;
+        trace.validate()?;
+        Ok(trace)
     }
 
-    /// Validates internal consistency: arrivals sorted, query ids unique,
-    /// footprints within the atom grid, timesteps within range.
-    pub fn validate(&self) {
+    /// Checks internal consistency: arrivals sorted, every job non-empty,
+    /// query ids unique, timesteps within range, footprints non-empty, inside
+    /// the atom grid and free of zero counts. The error names the first
+    /// violated rule.
+    pub fn validate(&self) -> Result<(), TraceError> {
+        let invalid = |rule: String| Err(TraceError::Invalid(rule));
         let max_morton = (self.atoms_per_side as u64).pow(3);
         let mut last = f64::NEG_INFINITY;
         let mut ids = std::collections::HashSet::new();
         for j in &self.jobs {
-            assert!(j.arrival_ms >= last, "jobs not sorted by arrival");
+            if j.arrival_ms.is_nan() || j.arrival_ms < last {
+                return invalid(format!(
+                    "jobs not sorted by arrival: job {} arrives at {} ms, after one at {last} ms",
+                    j.id, j.arrival_ms
+                ));
+            }
             last = j.arrival_ms;
-            assert!(!j.queries.is_empty(), "empty job {}", j.id);
+            if j.queries.is_empty() {
+                return invalid(format!("empty job {}", j.id));
+            }
             for q in j.queries.iter() {
-                assert!(ids.insert(q.id), "duplicate query id {}", q.id);
-                assert!(q.timestep < self.timesteps, "timestep out of range");
-                assert!(!q.footprint.atoms().is_empty(), "empty footprint {}", q.id);
+                if !ids.insert(q.id) {
+                    return invalid(format!("duplicate query id {}", q.id));
+                }
+                if q.timestep >= self.timesteps {
+                    return invalid(format!(
+                        "timestep out of range: query {} reads timestep {} of {}",
+                        q.id, q.timestep, self.timesteps
+                    ));
+                }
+                if q.footprint.atoms().is_empty() {
+                    return invalid(format!("empty footprint in query {}", q.id));
+                }
                 for &(m, c) in q.footprint.atoms() {
-                    assert!(m.raw() < max_morton, "atom outside grid");
-                    assert!(c > 0, "zero-count footprint entry");
+                    if m.raw() >= max_morton {
+                        return invalid(format!(
+                            "atom outside grid: query {} reads Morton key {} of a {}³ grid",
+                            q.id,
+                            m.raw(),
+                            self.atoms_per_side
+                        ));
+                    }
+                    if c == 0 {
+                        return invalid(format!(
+                            "zero-count footprint entry: query {}, Morton key {}",
+                            q.id,
+                            m.raw()
+                        ));
+                    }
                 }
             }
         }
+        Ok(())
     }
 }
+
+/// Why a trace could not be loaded.
+#[derive(Debug)]
+pub enum TraceError {
+    /// The input is not a trace's JSON.
+    Json(serde_json::Error),
+    /// The trace breaks a consistency rule of [`Trace::validate`], named in
+    /// the message.
+    Invalid(String),
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceError::Json(e) => write!(f, "{e}"),
+            TraceError::Invalid(rule) => write!(f, "invalid trace: {rule}"),
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
 
 #[cfg(test)]
 mod tests {
@@ -163,7 +220,7 @@ mod tests {
             t.jobs.iter().map(|j| j.id).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-        t.validate();
+        t.validate().unwrap();
     }
 
     #[test]
@@ -194,20 +251,74 @@ mod tests {
         let back = Trace::load_json(buf.as_slice()).unwrap();
         assert_eq!(back.query_count(), t.query_count());
         assert_eq!(back.jobs[1].queries[0].id, t.jobs[1].queries[0].id);
-        back.validate();
+    }
+
+    /// The saved JSON of `trace`.
+    fn json(trace: &Trace) -> String {
+        let mut buf = Vec::new();
+        trace.save_json(&mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    /// The error [`Trace::load_json`] gives for `json`.
+    fn load_error(json: &str) -> String {
+        match Trace::load_json(json.as_bytes()) {
+            Ok(_) => panic!("an invalid trace loaded: {json}"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    /// The saved JSON of a one-query trace on a 2³ grid whose query reads
+    /// `atoms`. A loaded footprint is read as written, so it can hold what
+    /// `Footprint::from_pairs` would have dropped.
+    fn one_query(atoms: &str) -> String {
+        let t = Trace::new(4, 2, vec![job(1, 0.0, vec![q(1, 0)])]);
+        json(&t).replace(r#""atoms":[[1,10]]"#, &format!(r#""atoms":{atoms}"#))
     }
 
     #[test]
-    #[should_panic(expected = "timestep out of range")]
-    fn validate_catches_bad_timestep() {
-        let t = Trace::new(2, 2, vec![job(1, 0.0, vec![q(1, 5)])]);
-        t.validate();
+    fn load_rejects_unsorted_arrivals() {
+        let mut t = sample();
+        t.jobs.swap(0, 1);
+        assert!(load_error(&json(&t)).contains("jobs not sorted by arrival"));
     }
 
     #[test]
-    #[should_panic(expected = "duplicate query id")]
-    fn validate_catches_duplicate_ids() {
+    fn load_rejects_an_empty_job() {
+        let t = Trace::new(4, 2, vec![job(1, 0.0, vec![])]);
+        assert!(load_error(&json(&t)).contains("empty job 1"));
+    }
+
+    #[test]
+    fn load_rejects_duplicate_ids() {
         let t = Trace::new(4, 2, vec![job(1, 0.0, vec![q(1, 0), q(1, 1)])]);
-        t.validate();
+        assert!(load_error(&json(&t)).contains("duplicate query id 1"));
+    }
+
+    #[test]
+    fn load_rejects_a_timestep_out_of_range() {
+        let t = Trace::new(2, 2, vec![job(1, 0.0, vec![q(1, 5)])]);
+        assert!(load_error(&json(&t)).contains("timestep out of range"));
+    }
+
+    #[test]
+    fn load_rejects_an_atom_outside_the_grid() {
+        assert!(load_error(&one_query("[[8,10]]")).contains("atom outside grid"));
+    }
+
+    #[test]
+    fn load_rejects_a_zero_count() {
+        assert!(load_error(&one_query("[[1,0]]")).contains("zero-count footprint entry"));
+    }
+
+    #[test]
+    fn load_rejects_an_empty_footprint() {
+        assert!(load_error(&one_query("[]")).contains("empty footprint"));
+    }
+
+    #[test]
+    fn load_rejects_malformed_json() {
+        let e = Trace::load_json(&br#"{"timesteps": 4"#[..]).unwrap_err();
+        assert!(matches!(e, TraceError::Json(_)), "{e}");
     }
 }
