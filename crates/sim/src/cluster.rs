@@ -5,25 +5,21 @@
 //! queries are first evaluated by the Query Pre-Processor … the positions are
 //! then assigned to the workload queues of the corresponding atoms."
 //!
-//! [`ClusterExecutor`] is the one place that wires a replay, for any node
-//! count N ≥ 1 over the shared engine ([`crate::engine`]): the atom grid is
-//! split into N contiguous Morton slabs (contiguous in Morton order ⇒
-//! compact in space), and every node owns one slab across all timesteps and
-//! runs its own [`NodePipeline`] — scheduler, buffer pool, simulated disk and
-//! trajectory prefetcher. A query fans out into per-node parts and completes
-//! — and, for ordered jobs, unblocks its successor — only when every part
-//! has finished (the paper's "JAWS combines and buffers the sub-query
-//! results before delivering the final result to the user").
+//! [`ClusterExecutor`] is the one place that wires a replay over the shared
+//! engine ([`crate::engine`]): the atom grid is split into N ≥ 1 contiguous
+//! Morton slabs, and every node owns one across all timesteps and runs its
+//! own [`NodePipeline`] — scheduler, buffer pool, simulated disk and
+//! prefetcher. A query completes — and, for ordered jobs, unblocks its
+//! successor — only when every per-node part has (the paper's "JAWS
+//! combines and buffers the sub-query results before delivering the final
+//! result to the user").
 //!
 //! [`ClusterExecutor::from_nodes`] takes caller-built nodes, a database and a
 //! scheduler each; [`ClusterExecutor::new`] builds N slab-sized ones from a
-//! [`ClusterConfig`] and hands them to it. A one-node cluster is a plain
-//! server: its aggregate report names the scheduler without a node count and
-//! its observability records carry no node tag. What is left here is
-//! building and validating the nodes and assembling the report; the
-//! Morton-slab fan-out ([`crate::engine::Routing`]), arrivals, job
-//! declarations, pacing, think-time chains, prefetching, `max_sim_ms`
-//! truncation, idle re-checks, failures and replication are the engine's.
+//! [`ClusterConfig`] first. A one-node cluster is a plain server: its
+//! aggregate report names the scheduler without a node count and its
+//! observability records carry no node tag. Only building the nodes and
+//! assembling the report live here; the rest of the replay is the engine's.
 
 use crate::engine::{Engine, Routing};
 use crate::failure::FailurePlan;
@@ -360,46 +356,29 @@ impl ClusterExecutor {
             &self.sink,
         );
 
-        let total_disk = self
-            .pipelines
-            .iter()
-            .fold(DiskStats::default(), |mut a, p| {
-                let d = p.db().disk_stats();
-                a.reads += d.reads;
-                a.seeks += d.seeks;
-                a.io_ms += d.io_ms;
-                a
-            });
-        let total_cache = self
-            .pipelines
-            .iter()
-            .fold(CacheStats::default(), |mut a, p| {
-                let c = p.db().cache_stats();
-                a.hits += c.hits;
-                a.misses += c.misses;
-                a.evictions += c.evictions;
-                a.policy_overhead_ns += c.policy_overhead_ns;
-                a
-            });
-        let total_sched = self
-            .pipelines
-            .iter()
-            .fold(SchedulerStats::default(), |mut a, p| {
-                let s = p.scheduler().stats();
-                a.batches += s.batches;
-                a.atom_groups += s.atom_groups;
-                a.subqueries += s.subqueries;
-                a.forced_releases += s.forced_releases;
-                a
-            });
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: ClusterExecutor::from_nodes asserts nodes >= 1"
-        )]
-        let first_node = self
-            .pipelines
-            .first()
-            .expect("cluster has at least one node");
+        let mut disk = DiskStats::default();
+        let mut cache = CacheStats::default();
+        let mut sched = SchedulerStats::default();
+        for p in &self.pipelines {
+            let (d, c, s) = (
+                p.db().disk_stats(),
+                p.db().cache_stats(),
+                p.scheduler().stats(),
+            );
+            disk.reads += d.reads;
+            disk.seeks += d.seeks;
+            disk.io_ms += d.io_ms;
+            cache.hits += c.hits;
+            cache.misses += c.misses;
+            cache.evictions += c.evictions;
+            cache.policy_overhead_ns += c.policy_overhead_ns;
+            sched.batches += s.batches;
+            sched.atom_groups += s.atom_groups;
+            sched.subqueries += s.subqueries;
+            sched.forced_releases += s.forced_releases;
+        }
+        // `from_nodes` asserts at least one node.
+        let first_node = &self.pipelines[0];
         // Per-node adaptive controllers diverge (skewed slabs see different
         // workloads), so the aggregate α is the node-count-weighted mean —
         // equal weight per controller — not node 0's final value.
@@ -418,9 +397,9 @@ impl ClusterExecutor {
             scheduler,
             first_node.db().cache_policy_name().to_string(),
             &outcome.totals,
-            total_cache,
-            total_disk,
-            total_sched,
+            cache,
+            disk,
+            sched,
             alpha_mean,
         );
         let makespan_ms = aggregate.makespan_ms;

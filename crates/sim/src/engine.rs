@@ -659,9 +659,9 @@ fn declaration_of(part: &Query, spare: &mut Vec<Arc<[Query]>>) -> Arc<[Query]> {
     Arc::from([part.clone()])
 }
 
-/// Panics unless `trace` fits a node's database geometry: no more timesteps
-/// than the database holds, and the same atom grid. The engine checks every
-/// node once, before any event fires, for both executors.
+/// Panics unless `trace` fits the nodes' shared database geometry: no more
+/// timesteps than the database holds, and the same atom grid. The engine
+/// checks it once, before any event fires.
 fn check_trace(trace: &Trace, db: &jaws_turbdb::DbConfig) {
     assert!(
         trace.timesteps <= db.timesteps,
@@ -755,9 +755,8 @@ impl<'a> Engine<'a> {
     ) -> EngineOutcome {
         let nodes = pipelines.len();
         assert_eq!(nodes, routing.nodes as usize, "one pipeline per node");
-        for p in pipelines.iter() {
-            check_trace(trace, p.db().config());
-        }
+        // `ClusterExecutor::from_nodes` asserts one geometry for every node.
+        check_trace(trace, pipelines[0].db().config());
         let mut per_query = FastMap::with_capacity(trace.query_count());
         for (ji, job) in trace.jobs.iter().enumerate() {
             for (qi, q) in job.queries.iter().enumerate() {

@@ -1,10 +1,7 @@
-//! perfbench's one-node view of [`ClusterExecutor`].
-//!
-//! A single server is a cluster of one node (§V-C runs one JAWS instance
-//! per Morton slab), so every replay is a [`ClusterExecutor`]. [`Executor`]
-//! keeps only the five calls perfbench makes on a one-node replay. It stays
-//! for perfbench's two call sites alone and goes once perfbench builds the
-//! one-node [`ClusterExecutor`] itself (ROADMAP.md, the benchmark change).
+//! perfbench's one-node view of [`ClusterExecutor`]: a single server is a
+//! cluster of one node (§V-C), so [`Executor`] keeps only the five calls
+//! perfbench makes. It stays for perfbench's two call sites alone and goes
+//! once perfbench builds the one-node [`ClusterExecutor`] itself.
 
 use crate::{ClusterExecutor, FailurePlan, ReplicationConfig, RunReport, SimConfig};
 use jaws_obs::ObsSink;
@@ -42,11 +39,6 @@ impl Executor {
     }
 
     /// [`ClusterExecutor::run`], reduced to its aggregate report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace geometry does not match the database (timesteps or
-    /// atom grid).
     pub fn run(&mut self, trace: &Trace) -> RunReport {
         self.0.run(trace).aggregate
     }

@@ -19,13 +19,12 @@
 //!
 //! One discrete-event core ([`engine`]) drives every deployment over one
 //! route, [`ClusterExecutor`]: N ≥ 1 nodes, each owning a contiguous Morton
-//! slab (§V-C). A single server is a cluster of one.
-//! [`ClusterExecutor::from_nodes`] replays caller-built databases and
-//! schedulers, and [`ClusterExecutor::new`] builds N slab-sized ones first;
-//! both share the event loop, client model and [`SimConfig`] knobs
-//! (prefetching, `max_sim_ms` truncation). Dispatch within a replay is
-//! serial. Per-node state lives in [`node::NodePipeline`]. [`Executor`] is
-//! perfbench's one-node view of a [`ClusterExecutor`].
+//! slab (§V-C); a single server is a cluster of one. It replays caller-built
+//! nodes ([`ClusterExecutor::from_nodes`]) or builds N slab-sized ones
+//! ([`ClusterExecutor::new`]) under the [`SimConfig`] knobs (prefetching,
+//! `max_sim_ms` truncation). Dispatch within a replay is serial. Per-node
+//! state lives in [`node::NodePipeline`]. [`Executor`] is perfbench's
+//! one-node view of a [`ClusterExecutor`].
 //!
 //! [`sweep`] runs many configurations in parallel threads for the saturation
 //! and batch-size sweeps of Figs. 11–12.

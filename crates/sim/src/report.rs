@@ -63,10 +63,10 @@ pub(crate) struct RunTotals {
     pub truncated: bool,
 }
 
-/// Assembles a [`RunReport`] from engine totals plus the (possibly
-/// aggregated) database, cache and scheduler statistics — the one place the
-/// derived metrics (makespan, throughput, percentiles, per-query overheads)
-/// are computed, shared by the single-node and cluster executors.
+/// Assembles a [`RunReport`] from engine totals plus the database, cache and
+/// scheduler statistics summed over the nodes — the one place the derived
+/// metrics (makespan, throughput, percentiles, per-query overheads) are
+/// computed, called by [`crate::ClusterExecutor::run`].
 pub(crate) fn assemble(
     scheduler: String,
     cache_policy: String,
