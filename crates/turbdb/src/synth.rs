@@ -35,7 +35,10 @@ struct Mode {
 /// A synthetic, incompressible, time-evolving velocity + pressure field.
 #[derive(Debug, Clone)]
 pub struct SyntheticField {
+    /// The modes in the order [`Self::velocity`] sums them.
     modes: Vec<Mode>,
+    /// The same modes grouped by `|kx|` for the block fill.
+    groups: ModeGroups,
     grid_side: f64,
     /// The constructor's inputs, which determine every mode.
     key: FieldKey,
@@ -144,6 +147,7 @@ impl SyntheticField {
             m.amp *= scale;
         }
         SyntheticField {
+            groups: ModeGroups::new(&modes),
             modes,
             grid_side: grid_side as f64,
             key: (seed, grid_side, n_modes),
@@ -208,6 +212,87 @@ impl SyntheticField {
     }
 }
 
+/// The modes grouped by wavenumber, the index of the block fill.
+///
+/// A mode's cosine is unchanged when its `k`, `ω` and `φ` are all negated,
+/// so a mode with `kx < 0` is read as that mirror, whose `kx` is `|kx|`.
+/// Modes then group by `|kx|`, and one x phasor `e^{i·|kx|·x}` serves every
+/// mode of a group; within a group they subgroup by `ky` as read, and one y
+/// phasor serves a subgroup. Modes snapped to integer multiples of `2π/L`
+/// share few of either: the 48 modes of the 32³ smoke grid fall in 4
+/// groups and 16 subgroups.
+#[derive(Debug, Clone)]
+struct ModeGroups {
+    /// Per group, in ascending `|kx|`: that `|kx|` and the end of the
+    /// group's run in `subs`.
+    groups: Vec<(f64, usize)>,
+    /// Per subgroup, in ascending `ky` within its group: that `ky` (as
+    /// read) and the end of the subgroup's run in `slots`.
+    subs: Vec<(f64, usize)>,
+    /// Every mode once, subgroup by subgroup, in mode order within a
+    /// subgroup.
+    slots: Vec<Slot>,
+}
+
+/// One mode's place in [`ModeGroups`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Index of the mode in `SyntheticField::modes`.
+    mode: usize,
+    /// `−1` when the mode is read as its mirror (`kx < 0`), else `1`.
+    sign: f64,
+    /// `amp·dir`, the mode's weight in its subgroup's coefficients.
+    weight: [f64; 3],
+}
+
+impl ModeGroups {
+    fn new(modes: &[Mode]) -> Self {
+        let mut slots: Vec<Slot> = modes
+            .iter()
+            .enumerate()
+            .map(|(mode, m)| Slot {
+                mode,
+                sign: if m.k[0] < 0.0 { -1.0 } else { 1.0 },
+                weight: m.dir.map(|d| m.amp * d),
+            })
+            .collect();
+        // `|kx|` and `ky` as read; `+ 0.0` turns a `−0.0` into `+0.0`, so
+        // the two share a key.
+        let key = |s: &Slot| {
+            let m = &modes[s.mode];
+            [m.k[0].abs(), s.sign * m.k[1] + 0.0]
+        };
+        // Stable, so modes keep their order within a subgroup.
+        slots.sort_by(|a, b| {
+            let (a, b) = (key(a), key(b));
+            a[0].total_cmp(&b[0]).then(a[1].total_cmp(&b[1]))
+        });
+        let (mut groups, mut subs) = (Vec::new(), Vec::new());
+        let mut end = 0;
+        for group in slots.chunk_by(|a, b| key(a)[0] == key(b)[0]) {
+            for sub in group.chunk_by(|a, b| key(a)[1] == key(b)[1]) {
+                end += sub.len();
+                subs.push((key(&sub[0])[1], end));
+            }
+            groups.push((key(&group[0])[0], subs.len()));
+        }
+        ModeGroups {
+            groups,
+            subs,
+            slots,
+        }
+    }
+
+    /// `(kz, ω, φ)` of `slot` as its subgroup reads it: negated for a
+    /// mirrored mode. Every negation is exact, so each rounded product and
+    /// sum built from these is the exact negation of the mode's own.
+    fn zt(&self, modes: &[Mode], slot: usize) -> [f64; 3] {
+        let Slot { mode, sign, .. } = self.slots[slot];
+        let m = &modes[mode];
+        [m.k[2], m.omega, m.phase].map(|v| sign * v)
+    }
+}
+
 /// `ε = 2⁻⁵³`, the relative rounding error of one `f64` operation.
 const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
 
@@ -234,147 +319,177 @@ fn pressure_bound(u: [f64; 3], p: f64, delta: f64) -> f64 {
     (l1 + 2.0 * delta) * delta + 10.0 * UNIT_ROUNDOFF * p.abs()
 }
 
-/// Per-mode `(cos, sin)` tables of one block's axis coordinates, and the
-/// velocity error bound of the separable sum they feed.
+/// The phasor tables of one block, and the velocity error bound of the
+/// grouped sum they feed.
 ///
-/// **Error bound.** Let `ε = 2⁻⁵³`, `M` the mode count and, per mode,
+/// **Grouped sum.** `cos(kx·x + ky·y + kz·z + ωt + φ)` is the real part of
+/// `e^{i·kx·x} · e^{i·ky·y} · e^{i·kz·z} · e^{i·(ωt + φ)}`. The modes of one
+/// [`ModeGroups`] group share the x factor and those of one subgroup the y
+/// factor (a mirrored mode reads the other factors with `kz, ω, φ`
+/// negated). So the fill sums in three stages, each in order:
+///
+/// 1. per block z coordinate, subgroup `h` and component `i`:
+///    `Hʰᵢ = Σ_{m∈h} (ampₘ·dirₘ[i]) · (e^{i·kz·z} · e^{i·(ωt + φ)})`;
+/// 2. per x-row `(y, z)` and group `g`: `Cᵍᵢ = Σ_{h∈g} e^{i·ky_h·y} · Hʰᵢ`;
+/// 3. per voxel: `uᵢ(x) = Σ_g Re(e^{i·|kx_g|·x} · Cᵍᵢ)`, where a `kx = 0`
+///    group contributes `Re(Cᵍᵢ)` unmultiplied.
+///
+/// **Error bound.** Let `ε = 2⁻⁵³`, `M` the mode count, `G` the group
+/// count and, for mode `m`, `sₘ` the size of its subgroup, `hₘ` the number
+/// of subgroups in its group and
 /// `Aₘ = |kx|·X + |ky|·Y + |kz|·Z + |ωₘt| + |φₘ|`, where `X, Y, Z` are the
 /// largest `|coordinate|` on each axis. Both evaluations form the same
-/// rounded products `k·x`, `k·y`, `k·z`, `ωt`; measure each against the
-/// exact sum `θ` of those products. `cos` and `sin` are taken to be within
-/// one ulp (`≤ 2ε` absolute on `[−1, 1]`), and `cos` is 1-Lipschitz.
+/// rounded products `k·x`, `k·y`, `k·z`, `ωt` (a mirrored mode their exact
+/// negations, whose cosine is the same); measure each against the exact
+/// `Σₘ ampₘ·dirₘ[i]·cos θₘ`, `θₘ` the exact sum of those products. `cos`
+/// and `sin` are taken to be within one ulp (`≤ 2ε` absolute on
+/// `[−1, 1]`), and `cos` is 1-Lipschitz.
 ///
-/// * Direct: four additions round the angle by `≤ 4ε·Aₘ`, then `cos`
-///   adds `2ε`.
-/// * Separable: the z angle `kz·z + ωt + φ` rounds by `≤ 2ε·Aₘ`; each of
-///   the three table entries is within `√2·2ε` of its unit phasor; the
-///   y·z product and the x-row real part each round by `≤ √5·ε` (Brent,
-///   Percival & Zimmermann's bound for complex multiplication without
-///   FMA).
+/// * Direct: four additions round the angle by `≤ 4ε·Aₘ`, `cos` adds `2ε`,
+///   and `amp·cos` and `·dir[i]` (`|dir[i]| ≤ 1`) round by `ε·ampₘ` each:
+///   `ε·ampₘ·(4Aₘ + 4)` per mode term. The `M` additions into the running
+///   sum round by `ε·|partial sum| ≤ ε·Σₘ ampₘ` each.
+/// * Grouped: the time angle `ωt + φ` rounds by `≤ ε·Aₘ`; each of the four
+///   table entries is within `√2·2ε` of its unit phasor; the z·t product,
+///   the y product of stage 2 and the real part of stage 3 each round by
+///   `≤ √5·ε` times their operands' moduli (Brent, Percival & Zimmermann's
+///   bound for complex multiplication without FMA, with
+///   `|Hʰᵢ| ≤ Σ_{m∈h} ampₘ` and `|Cᵍᵢ| ≤ Σ_{m∈g} ampₘ`); `amp·dir[i]` and
+///   its product with the z·t phasor round by `ε·ampₘ` each:
+///   `ε·ampₘ·(Aₘ + 20.02)` per mode term. Stage 1 adds `sₘ` terms and
+///   stage 2 `hₘ` products, each addition rounding by `ε` times the modes'
+///   `Σ ampₘ` it spans, and stage 3's `G` additions by `ε·Σₘ ampₘ` each.
 ///
-/// So the two cosines differ by `≤ ε·(6Aₘ + 14.96)`. Multiplying by `ampₘ`
-/// and by `dir[i]` (`|dir[i]| ≤ 1`) rounds each side by `ε·ampₘ` twice
-/// more: `ε·ampₘ·(6Aₘ + 18.96)` per mode term. The `M` additions into the
-/// running sum round each side by `ε·|partial sum| ≤ ε·Σₘ ampₘ`, and the
-/// ends of `v ± δ` by `ε·Σₘ ampₘ` each. Altogether
+/// The ends of `v ± δ` round by `ε·Σₘ ampₘ` each. Altogether
 ///
-/// `δ = ε · Σₘ ampₘ · (6Aₘ + 2M + 24)`,
+/// `δ = ε · Σₘ ampₘ · (5Aₘ + M + sₘ + hₘ + G + 30)`,
 ///
-/// where rounding `20.96` up to `24` absorbs every second-order term
+/// where rounding `26.02` up to `30` absorbs every second-order term
 /// (each is `O(ε·Aₘ·M)` relative, far below 1 for any grid this field
 /// models). The property test `block_fill_stays_within_its_error_bound`
-/// checks the bound on geometries up to `DbConfig::paper_sample`.
+/// checks it on geometries up to `DbConfig::paper_sample`, with every mode
+/// in one subgroup and with every mode in a group of its own.
 struct BlockTables<'a> {
-    modes: &'a [Mode],
-    /// `cos`/`sin` of `kx·x`, in blocks of [`LANES`] coordinates.
-    x: &'a AxisTable<LANES>,
-    /// `cos`/`sin` of `ky·y` per grid coordinate.
+    groups: &'a ModeGroups,
+    /// `cos`/`sin` of `|kx|·x` per group, in blocks of [`LANES`]
+    /// coordinates.
+    x: &'a AxisTable,
+    /// `cos`/`sin` of `ky·y` per grid coordinate and subgroup.
     y: &'a CoordTable,
     /// The block's y coordinates.
     ys: &'a [u32],
-    /// `cos`/`sin` of `kz·z + ωt + φ`, one coordinate per block.
-    z: &'a AxisTable<1>,
+    /// `Hʰᵢ` per block z coordinate and subgroup.
+    z: &'a [Coef],
     /// The bound `δ` on every velocity component's distance to the direct
     /// evaluation.
     delta: f64,
 }
 
 /// Voxels of one x-row accumulated together: four voxels × three
-/// components stay in registers across the whole mode loop.
+/// components stay in registers across the whole group loop.
 const LANES: usize = 4;
 
-/// `(cos, sin)` of one angle per (mode, coordinate), laid out
-/// `[coordinate block][mode][lane]` so that one block's mode loop reads
+/// One complex number per velocity component: `[re, im]` of a subgroup's
+/// `Hʰᵢ` or a group's `Cᵍᵢ` (see [`BlockTables`]).
+type Coef = [[f64; 2]; 3];
+
+/// `(cos, sin)` of `|kx|·x` per (group, coordinate), laid out
+/// `[coordinate block][group][lane]` so that one block's group loop reads
 /// contiguous memory. The last block is padded with coordinate 0.
 #[derive(Debug, Default)]
-struct AxisTable<const N: usize> {
-    entries: Vec<([f64; N], [f64; N])>,
+struct AxisTable {
+    entries: Vec<([f64; LANES], [f64; LANES])>,
 }
 
-impl<const N: usize> AxisTable<N> {
-    /// Refills the table over `coords`, taking the `(cos, sin)` of
-    /// coordinate `c` and mode `m` from `phasor(c, m)`.
-    fn rebuild(&mut self, modes: usize, coords: &[u32], phasor: impl Fn(u32, usize) -> (f64, f64)) {
+impl AxisTable {
+    /// Refills the table over `coords` from the x coordinate table.
+    fn rebuild(&mut self, x: &CoordTable, groups: usize, coords: &[u32]) {
         self.entries.clear();
-        for block in coords.chunks(N) {
-            for m in 0..modes {
-                let (mut c, mut s) = ([1.0; N], [0.0; N]);
-                for (l, &x) in block.iter().enumerate() {
-                    (c[l], s[l]) = phasor(x, m);
+        for block in coords.chunks(LANES) {
+            for g in 0..groups {
+                let (mut c, mut s) = ([1.0; LANES], [0.0; LANES]);
+                for (l, &coord) in block.iter().enumerate() {
+                    (c[l], s[l]) = x.coord(coord, groups)[g];
                 }
                 self.entries.push((c, s));
             }
         }
     }
 
-    /// The per-mode entries of coordinate block `b`.
-    fn block(&self, b: usize, modes: usize) -> &[([f64; N], [f64; N])] {
-        &self.entries[b * modes..(b + 1) * modes]
+    /// The entries of coordinate block `b`.
+    fn block(&self, b: usize, groups: usize) -> &[([f64; LANES], [f64; LANES])] {
+        &self.entries[b * groups..(b + 1) * groups]
     }
 }
 
-/// `(cos, sin)` of `k[axis]·c` per integer grid coordinate `c` and mode,
-/// laid out `[coordinate][mode]`. A coordinate's entries are computed the
-/// first time a block touches it and kept for every later block: they do
-/// not depend on time.
+/// `(cos, sin)` of `k·c` per integer grid coordinate `c` and wavenumber
+/// `k` of a fixed list, laid out `[coordinate][k]`. A coordinate's entries
+/// are computed the first time a block touches it and kept for every later
+/// block: they do not depend on time.
 #[derive(Debug, Default)]
 struct CoordTable {
-    entries: Vec<([f64; 1], [f64; 1])>,
+    entries: Vec<(f64, f64)>,
     filled: Vec<bool>,
 }
 
 impl CoordTable {
-    /// Forgets every entry and sizes the table for `coords` coordinates.
-    fn reset(&mut self, coords: usize, modes: usize) {
+    /// Forgets every entry and sizes the table for `coords` coordinates of
+    /// `per` wavenumbers.
+    fn reset(&mut self, coords: usize, per: usize) {
         self.filled.clear();
         self.filled.resize(coords, false);
         self.entries.clear();
-        self.entries.resize(coords * modes, ([1.0], [0.0]));
+        self.entries.resize(coords * per, (1.0, 0.0));
     }
 
-    /// Computes coordinate `c`'s entries unless an earlier block did.
-    fn touch(&mut self, modes: &[Mode], axis: usize, c: u32) {
+    /// Computes coordinate `c`'s entries for the wavenumbers `ks` unless an
+    /// earlier block did.
+    fn touch(&mut self, ks: impl ExactSizeIterator<Item = f64>, c: u32) {
         let c = c as usize;
         if !self.filled[c] {
-            let entries = &mut self.entries[c * modes.len()..(c + 1) * modes.len()];
-            for (e, m) in entries.iter_mut().zip(modes) {
-                let (s, co) = (m.k[axis] * c as f64).sin_cos();
-                *e = ([co], [s]);
+            let per = ks.len();
+            for (e, k) in self.entries[c * per..(c + 1) * per].iter_mut().zip(ks) {
+                let (s, co) = (k * c as f64).sin_cos();
+                *e = (co, s);
             }
             self.filled[c] = true;
         }
     }
 
-    /// The per-mode entries of coordinate `c`.
-    fn coord(&self, c: u32, modes: usize) -> &[([f64; 1], [f64; 1])] {
+    /// The entries of coordinate `c`.
+    fn coord(&self, c: u32, per: usize) -> &[(f64, f64)] {
         let c = c as usize;
         debug_assert!(self.filled[c], "coordinate {c} was never touched");
-        &self.entries[c * modes..(c + 1) * modes]
+        &self.entries[c * per..(c + 1) * per]
     }
 }
 
 /// Reusable state for filling blocks of one [`SyntheticField`] at a time:
 /// the phasor tables blocks share, and the fill's scratch.
 ///
-/// * The x and y tables hold `(cos, sin)` of `kx·x` and `ky·y` per integer
-///   grid coordinate and mode. A coordinate is computed when a block first
-///   touches it; nothing is built before the first fill.
-/// * The z table `kz·z + ωt + φ` depends on time, so it is memoized for
-///   one block, keyed by the block's exact z coordinates and `t.to_bits()`.
+/// * The x, y and z tables hold `(cos, sin)` of `|kx|·x` per group, `ky·y`
+///   per subgroup and `kz·z` per slot (the modes in subgroup order), each
+///   per integer grid coordinate. A coordinate is computed when a block
+///   first touches it; nothing is built before the first fill.
+/// * The time phasors `e^{i·(ωt + φ)}` per slot are kept for one time,
+///   keyed by `t.to_bits()`.
+/// * The stage-1 sums `Hʰᵢ` depend on time, so they are memoized for one
+///   block, keyed by the block's exact z coordinates and `t.to_bits()`.
 ///   Consecutive atoms in Morton order come in z-pairs, so a batch hits the
 ///   memo on about half of its fills.
 ///
 /// Every entry is bitwise the value a fresh table holds — the same rounded
-/// angle through the same `sin_cos` — so a fill through a warm workspace
-/// equals a fresh one bit for bit. A workspace used with another field
-/// drops its tables first. Once the tables and scratch have grown to a
-/// block's size, a fill allocates nothing.
+/// angle through the same `sin_cos`, the same sums in the same order — so
+/// a fill through a warm workspace equals a fresh one bit for bit. A
+/// workspace used with another field drops its tables first. Once the
+/// tables and scratch have grown to a block's size, a fill allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub struct FillWorkspace {
     tables: Tables,
-    /// Per-mode y·z phasors of the current x-row.
-    yz: Vec<(f64, f64)>,
-    /// Separable velocity of the current x-row, padded to [`LANES`].
+    /// Per-group coefficients `Cᵍᵢ` of the current x-row.
+    coefs: Vec<Coef>,
+    /// Grouped velocity of the current x-row, padded to [`LANES`].
     row: Vec<[f64; 3]>,
 }
 
@@ -385,36 +500,45 @@ struct Tables {
     field: Option<FieldKey>,
     x: CoordTable,
     y: CoordTable,
+    z: CoordTable,
+    /// `(cos, sin)` of `ωt + φ` per slot at the time with bits `time_t`.
+    time: Vec<(f64, f64)>,
+    /// `None` until `time` holds a time.
+    time_t: Option<u64>,
     /// The current block's integer coordinates per axis.
     axes: [Vec<u32>; 3],
     /// The current block's x phasors, regrouped for the row loop.
-    x_block: AxisTable<LANES>,
-    /// `kz·z + ωt + φ` over `z_coords` at the time with bits `z_t`.
-    z: AxisTable<1>,
+    x_block: AxisTable,
+    /// `Hʰᵢ` over `z_coords` at the time with bits `z_t`, laid out
+    /// `[z coordinate][subgroup]`.
+    z_block: Vec<Coef>,
     z_coords: Vec<u32>,
-    /// `None` until the z table holds a block.
+    /// `None` until `z_block` holds a block.
     z_t: Option<u64>,
-    /// Times the z table was rebuilt (memo misses).
+    /// Times `z_block` was rebuilt (memo misses).
     z_builds: u64,
 }
 
 impl Tables {
     /// Points the tables at the block `axes` of `field` at time `t`:
-    /// records the coordinates, computes the x and y coordinates no earlier
-    /// block touched, regroups the x phasors, and rebuilds the z table
-    /// unless it already holds these z coordinates at `t`.
+    /// records the coordinates, computes the coordinates no earlier block
+    /// touched, regroups the x phasors, takes the time phasors unless they
+    /// are at `t` already, and redoes stage 1 unless `z_block` already
+    /// holds these z coordinates at `t`.
     fn prepare<I: IntoIterator<Item = u32>>(
         &mut self,
         field: &SyntheticField,
         axes: [I; 3],
         t: f64,
     ) {
-        let modes = field.modes.as_slice();
-        let nm = modes.len();
+        let (modes, groups) = (field.modes.as_slice(), &field.groups);
+        let (ng, nh, ns) = (groups.groups.len(), groups.subs.len(), groups.slots.len());
         if self.field != Some(field.key) {
             let side = field.key.1 as usize;
-            self.x.reset(side, nm);
-            self.y.reset(side, nm);
+            self.x.reset(side, ng);
+            self.y.reset(side, nh);
+            self.z.reset(side, ns);
+            self.time_t = None;
             self.z_t = None;
             self.field = Some(field.key);
         }
@@ -424,22 +548,47 @@ impl Tables {
         }
         let [xs, ys, zs] = &self.axes;
         for &x in xs {
-            self.x.touch(modes, 0, x);
+            self.x.touch(groups.groups.iter().map(|g| g.0), x);
         }
         for &y in ys {
-            self.y.touch(modes, 1, y);
+            self.y.touch(groups.subs.iter().map(|h| h.0), y);
         }
-        let x = &self.x;
-        self.x_block.rebuild(nm, xs, |c, m| {
-            let ([cos], [sin]) = x.coord(c, nm)[m];
-            (cos, sin)
-        });
-        if self.z_t != Some(t.to_bits()) || self.z_coords != *zs {
-            self.z.rebuild(nm, zs, |z, m| {
-                let m = &modes[m];
-                let (s, c) = (m.k[2] * z as f64 + m.omega * t + m.phase).sin_cos();
+        for &z in zs {
+            self.z.touch((0..ns).map(|s| groups.zt(modes, s)[0]), z);
+        }
+        self.x_block.rebuild(&self.x, ng, xs);
+        if self.time_t != Some(t.to_bits()) {
+            self.time.clear();
+            self.time.extend((0..ns).map(|s| {
+                let [_, omega, phase] = groups.zt(modes, s);
+                let (s, c) = (omega * t + phase).sin_cos();
                 (c, s)
-            });
+            }));
+            self.time_t = Some(t.to_bits());
+        }
+        if self.z_t != Some(t.to_bits()) || self.z_coords != *zs {
+            self.z_block.clear();
+            for &z in zs {
+                let mut terms = self
+                    .z
+                    .coord(z, ns)
+                    .iter()
+                    .zip(&self.time)
+                    .zip(&groups.slots);
+                let mut start = 0;
+                for &(_, end) in &groups.subs {
+                    let mut h = [[0.0f64; 2]; 3];
+                    for ((&(cz, sz), &(ct, st)), slot) in terms.by_ref().take(end - start) {
+                        let p = [cz * ct - sz * st, sz * ct + cz * st];
+                        for (hi, w) in h.iter_mut().zip(slot.weight) {
+                            hi[0] += w * p[0];
+                            hi[1] += w * p[1];
+                        }
+                    }
+                    self.z_block.push(h);
+                    start = end;
+                }
+            }
             self.z_coords.clone_from(zs);
             self.z_t = Some(t.to_bits());
             self.z_builds += 1;
@@ -448,31 +597,38 @@ impl Tables {
 
     /// The prepared block's tables and its bound `δ`.
     fn view<'a>(&'a self, field: &'a SyntheticField, t: f64) -> BlockTables<'a> {
-        let modes = field.modes.as_slice();
+        let groups = &field.groups;
         let extent = self
             .axes
             .each_ref()
             .map(|a| a.iter().fold(0.0f64, |acc, &c| acc.max(c as f64)));
-        let n = modes.len() as f64;
-        let delta = UNIT_ROUNDOFF
-            * modes
-                .iter()
-                .map(|m| {
+        let n = field.modes.len() as f64;
+        let g = groups.groups.len() as f64;
+        let (mut sum, mut sub_start, mut slot_start) = (0.0, 0, 0);
+        for &(_, sub_end) in &groups.groups {
+            let h = (sub_end - sub_start) as f64;
+            for &(_, slot_end) in &groups.subs[sub_start..sub_end] {
+                let s = (slot_end - slot_start) as f64;
+                for slot in &groups.slots[slot_start..slot_end] {
+                    let m = &field.modes[slot.mode];
                     let a = m.k[0].abs() * extent[0]
                         + m.k[1].abs() * extent[1]
                         + m.k[2].abs() * extent[2]
                         + (m.omega * t).abs()
                         + m.phase.abs();
-                    m.amp * (6.0 * a + 2.0 * n + 24.0)
-                })
-                .sum::<f64>();
+                    sum += m.amp * (5.0 * a + n + s + h + g + 30.0);
+                }
+                slot_start = slot_end;
+            }
+            sub_start = sub_end;
+        }
         BlockTables {
-            modes,
+            groups,
             x: &self.x_block,
             y: &self.y,
             ys: &self.axes[1],
-            z: &self.z,
-            delta,
+            z: &self.z_block,
+            delta: UNIT_ROUNDOFF * sum,
         }
     }
 }
@@ -491,15 +647,17 @@ impl FillWorkspace {
     ///
     /// Every stored value is bitwise the `f32` rounding of
     /// [`SyntheticField::velocity_pressure`] at that voxel, but the mode
-    /// sum is evaluated separably. `cos(kx·x + ky·y + kz·z + ωt + φ)` is the
-    /// real part of `e^{i·kx·x} · e^{i·ky·y} · e^{i·(kz·z + ωt + φ)}`, so
-    /// the fill takes `cos`/`sin` once per mode and axis coordinate (shared
-    /// across blocks, see [`FillWorkspace`]), forms the y·z product once per
-    /// mode and x-row, and leaves only multiply-adds per voxel — in
-    /// `velocity`'s mode order with its operations (`amp · cos`, then
-    /// `u[i] += c · dir[i]`).
+    /// sum is evaluated separably and grouped (see `BlockTables`): the
+    /// fill takes `cos`/`sin` once per axis coordinate and group, subgroup
+    /// or mode (shared across blocks, see [`FillWorkspace`]); folds the
+    /// modes' z and time phasors, weighted by `amp·dir`, into one complex
+    /// coefficient per subgroup and component once per z coordinate, and
+    /// those into one per group once per x-row; and leaves one complex
+    /// multiply-add per group and component per voxel. Modes snapped to the
+    /// grid share few `|kx|`, so a voxel sums a handful of groups where the
+    /// direct evaluation sums every mode.
     ///
-    /// The separable value differs from the direct angle sum in its last
+    /// The grouped value differs from the direct angle sum in its last
     /// bits, so each voxel is guarded: its four `f64` outputs carry a bound
     /// `δ` on their distance to the direct evaluation (derived on
     /// `BlockTables`), and a voxel whose interval `v ± δ` does not round to
@@ -529,13 +687,13 @@ impl FillWorkspace {
         let (vy, rest) = rest.split_at_mut(vol);
         let (vz, p) = rest.split_at_mut(vol);
         let mut planes = [vx, vy, vz, p];
-        self.yz.resize(field.modes.len(), (0.0, 0.0));
+        self.coefs.resize(field.groups.groups.len(), [[0.0; 2]; 3]);
         self.row.resize(xs.len().next_multiple_of(LANES), [0.0; 3]);
         let mut fallbacks = 0;
         let mut i = 0;
         for (iz, &z) in zs.iter().enumerate() {
             for (iy, &y) in ys.iter().enumerate() {
-                tables.row(iy, iz, &mut self.yz, &mut self.row);
+                tables.row(iy, iz, &mut self.coefs, &mut self.row);
                 for (&u, &x) in self.row.iter().zip(xs) {
                     let p = kinetic_pressure(u);
                     let bounds = [delta, delta, delta, pressure_bound(u, p, delta)];
@@ -557,28 +715,46 @@ impl FillWorkspace {
 }
 
 impl BlockTables<'_> {
-    /// Separable velocity of the x-row `(iy, iz)` into `u`, one `[ux, uy, uz]`
-    /// per voxel, padded to a multiple of [`LANES`]. `yz` is scratch for the
-    /// row's per-mode y·z phasors. Each voxel accumulates its modes in order.
-    fn row(&self, iy: usize, iz: usize, yz: &mut [(f64, f64)], u: &mut [[f64; 3]]) {
-        let nm = self.modes.len();
-        let yz_tables = self
+    /// Grouped velocity of the x-row `(iy, iz)` into `u`, one
+    /// `[ux, uy, uz]` per voxel, padded to a multiple of [`LANES`]: stages
+    /// 2 and 3 of the sum. `coefs` is scratch for the row's per-group
+    /// `Cᵍᵢ`.
+    fn row(&self, iy: usize, iz: usize, coefs: &mut [Coef], u: &mut [[f64; 3]]) {
+        let nh = self.groups.subs.len();
+        let mut terms = self
             .y
-            .coord(self.ys[iy], nm)
+            .coord(self.ys[iy], nh)
             .iter()
-            .zip(self.z.block(iz, nm));
-        for (p, (([cy], [sy]), ([cz], [sz]))) in yz.iter_mut().zip(yz_tables) {
-            *p = (cy * cz - sy * sz, sy * cz + cy * sz);
+            .zip(&self.z[iz * nh..(iz + 1) * nh]);
+        let mut start = 0;
+        for (coef, &(_, end)) in coefs.iter_mut().zip(&self.groups.groups) {
+            let mut c = [[0.0f64; 2]; 3];
+            for (&(cy, sy), h) in terms.by_ref().take(end - start) {
+                for (ci, &[hr, hi]) in c.iter_mut().zip(h) {
+                    ci[0] += cy * hr - sy * hi;
+                    ci[1] += sy * hr + cy * hi;
+                }
+            }
+            *coef = c;
+            start = end;
         }
+        // A `kx = 0` group, first by ascending `|kx|`, has the phasor
+        // `(1, 0)` at every x: its term is its real part exactly, so it
+        // seeds every voxel's sum instead of being multiplied in.
+        let ng = coefs.len();
+        let seeded = usize::from(self.groups.groups[0].0 == 0.0);
+        let seed: [[f64; LANES]; 3] = match coefs[..seeded] {
+            [c] => c.map(|[re, _]| [re; LANES]),
+            _ => [[0.0; LANES]; 3],
+        };
         for (b, out) in u.chunks_exact_mut(LANES).enumerate() {
-            let x = self.x.block(b, nm);
-            let mut acc = [[0.0f64; LANES]; 3];
-            for ((m, &(cyz, syz)), (cx, sx)) in self.modes.iter().zip(&*yz).zip(x) {
+            let x = &self.x.block(b, ng)[seeded..];
+            let mut acc = seed;
+            for (c, (cx, sx)) in coefs[seeded..].iter().zip(x) {
                 for l in 0..LANES {
-                    let c = m.amp * (cx[l] * cyz - sx[l] * syz);
-                    acc[0][l] += c * m.dir[0];
-                    acc[1][l] += c * m.dir[1];
-                    acc[2][l] += c * m.dir[2];
+                    for i in 0..3 {
+                        acc[i][l] += cx[l] * c[i][0] - sx[l] * c[i][1];
+                    }
                 }
             }
             for (l, v) in out.iter_mut().enumerate() {
@@ -729,8 +905,8 @@ mod tests {
     fn fallback_voxels_are_bitwise_the_direct_evaluation() {
         // Atom (t = 1, x = 1, y = 2, z = 1) of `DbConfig::small_synthetic`
         // takes the fallback, and at its local voxel (3, 20, 2) the
-        // unguarded separable value rounds to a different f32 than the
-        // direct evaluation: the guard is what keeps this payload exact.
+        // unguarded grouped row rounds to a different f32 than the direct
+        // evaluation: the guard is what keeps this payload exact.
         let cfg = DbConfig::small_synthetic();
         let field = SyntheticField::new(cfg.seed, cfg.grid_side);
         let id = AtomId::from_coords(1, 1, 2, 1);
@@ -746,9 +922,9 @@ mod tests {
         let mut ws = FillWorkspace::new();
         ws.tables.prepare(&field, axes.clone(), t);
         let tables = ws.tables.view(&field, t);
-        let mut yz = vec![(0.0, 0.0); field.mode_count()];
+        let mut coefs = vec![[[0.0; 2]; 3]; field.groups.groups.len()];
         let mut row = vec![[0.0; 3]; axes[0].len().next_multiple_of(LANES)];
-        tables.row(iy, iz, &mut yz, &mut row);
+        tables.row(iy, iz, &mut coefs, &mut row);
         let u = row[ix];
         let at = [axes[0][ix], axes[1][iy], axes[2][iz]].map(f64::from);
         let (u_direct, p_direct) = field.velocity_pressure(at, t);
@@ -776,6 +952,54 @@ mod tests {
             }
         }
         assert!(fallbacks > 0);
+    }
+
+    #[test]
+    fn mode_groups_partition_the_modes_by_kx_magnitude_then_ky() {
+        for (seed, side, groups, subs) in [
+            (2009_0720, 32, 4, 16),
+            (0x7ab5_ce1e, 128, 10, 36),
+            (1, 1024, 22, 41),
+        ] {
+            let f = SyntheticField::new(seed, side);
+            let g = &f.groups;
+            assert_eq!(
+                (g.groups.len(), g.subs.len()),
+                (groups, subs),
+                "{side}³ grid"
+            );
+            let mut seen = vec![0; f.mode_count()];
+            let (mut sub_start, mut slot_start) = (0, 0);
+            let mut prev_kx = None;
+            for &(kx, sub_end) in &g.groups {
+                assert!(prev_kx < Some(kx), "groups ascend by |kx|, one per value");
+                prev_kx = Some(kx);
+                let mut prev_ky = None;
+                assert!(sub_end > sub_start, "empty group for |kx| = {kx}");
+                for &(ky, slot_end) in &g.subs[sub_start..sub_end] {
+                    assert!(prev_ky < Some(ky), "subgroups ascend by ky, one per value");
+                    prev_ky = Some(ky);
+                    let run = &g.slots[slot_start..slot_end];
+                    assert!(!run.is_empty(), "empty subgroup for ky = {ky}");
+                    assert!(run.windows(2).all(|w| w[0].mode < w[1].mode));
+                    for slot in run {
+                        let m = &f.modes[slot.mode];
+                        assert_eq!(m.k[0].abs().to_bits(), kx.to_bits());
+                        assert_eq!(slot.sign, if m.k[0] < 0.0 { -1.0 } else { 1.0 });
+                        assert_eq!(slot.sign * m.k[1], ky);
+                        assert_eq!(slot.weight, m.dir.map(|d| m.amp * d));
+                        seen[slot.mode] += 1;
+                    }
+                    slot_start = slot_end;
+                }
+                sub_start = sub_end;
+            }
+            assert_eq!((sub_start, slot_start), (g.subs.len(), g.slots.len()));
+            assert!(
+                seen.iter().all(|&n| n == 1),
+                "every mode in exactly one group"
+            );
+        }
     }
 
     #[test]
@@ -844,11 +1068,15 @@ mod tests {
             prop_assert_eq!(ws.tables.z_builds, misses);
         }
 
-        /// Every `f64` output of the separable sum — velocity components and
+        /// Every `f64` output of the grouped sum — velocity components and
         /// the pressure derived from them — lies within its stated bound of
         /// the direct evaluation, on grids up to `DbConfig::paper_sample`'s
         /// 1024³ (large `|k·x|`), with the default 48 modes and timesteps up
-        /// to the production archive's 1024 (large `|ωt|`).
+        /// to the production archive's 1024 (large `|ωt|`). Besides the
+        /// drawn wavevectors (`layout` 0), the modes' `kx` and `ky` are
+        /// rewritten so that all 48 modes fall in one subgroup (1), in one
+        /// group with a subgroup each (2), or in a group each (3), with
+        /// alternating signs so that mirrored modes share a group.
         #[test]
         fn block_fill_stays_within_its_error_bound(
             seed in 0u64..1_000_000,
@@ -856,9 +1084,27 @@ mod tests {
             timestep in 0u32..1024,
             origin in (0u32..1024, 0u32..1024, 0u32..1024),
             ext in 1usize..6,
+            layout in 0u32..4,
         ) {
             let side = 1u32 << log_side;
-            let field = SyntheticField::new(seed, side);
+            let mut field = SyntheticField::new(seed, side);
+            if layout > 0 {
+                let step = 2.0 * std::f64::consts::PI / side as f64;
+                for (i, m) in field.modes.iter_mut().enumerate() {
+                    let (nx, ny) = match layout {
+                        1 => (3.0, 2.0),
+                        2 => (3.0, i as f64),
+                        _ => ((i + 1) as f64, m.k[1] / step),
+                    };
+                    let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
+                    m.k[0] = sign * nx * step;
+                    m.k[1] = sign * ny * step;
+                }
+                field.groups = ModeGroups::new(&field.modes);
+                let n = field.mode_count();
+                let shape = [(1, 1), (1, n), (n, n)][layout as usize - 1];
+                prop_assert_eq!((field.groups.groups.len(), field.groups.subs.len()), shape);
+            }
             let t = timestep as f64 * 0.002;
             // Scattered coordinates reach every part of the box.
             let axes = [origin.0, origin.1, origin.2].map(|o| {
@@ -870,11 +1116,11 @@ mod tests {
             ws.tables.prepare(&field, axes.clone(), t);
             let tables = ws.tables.view(&field, t);
             prop_assert!(tables.delta < 1e-9, "vacuous bound {}", tables.delta);
-            let mut yz = vec![(0.0, 0.0); field.mode_count()];
+            let mut coefs = vec![[[0.0; 2]; 3]; field.groups.groups.len()];
             let mut row = vec![[0.0; 3]; ext.next_multiple_of(LANES)];
             for (iz, &z) in axes[2].iter().enumerate() {
                 for (iy, &y) in axes[1].iter().enumerate() {
-                    tables.row(iy, iz, &mut yz, &mut row);
+                    tables.row(iy, iz, &mut coefs, &mut row);
                     for (&u, &x) in row.iter().zip(&axes[0]) {
                         let at = [x, y, z].map(f64::from);
                         let (u_direct, p_direct) = field.velocity_pressure(at, t);

@@ -97,9 +97,10 @@ impl Trace {
     }
 
     /// Checks internal consistency: arrivals sorted, every job non-empty,
-    /// query ids unique, timesteps within range, footprints non-empty, inside
-    /// the atom grid and free of zero counts. The error names the first
-    /// violated rule.
+    /// query ids unique, timesteps within range, footprints non-empty,
+    /// canonical (atoms strictly ascending by Morton key, so none repeats),
+    /// inside the atom grid and free of zero counts. The error names the
+    /// first violated rule.
     pub fn validate(&self) -> Result<(), TraceError> {
         let invalid = |rule: String| Err(TraceError::Invalid(rule));
         let max_morton = (self.atoms_per_side as u64).pow(3);
@@ -128,6 +129,17 @@ impl Trace {
                 }
                 if q.footprint.atoms().is_empty() {
                     return invalid(format!("empty footprint in query {}", q.id));
+                }
+                if let Some(w) = q.footprint.atoms().windows(2).find(|w| w[0].0 >= w[1].0) {
+                    let (a, b) = (w[0].0.raw(), w[1].0.raw());
+                    return invalid(if a == b {
+                        format!("repeated atom in footprint: query {}, Morton key {a}", q.id)
+                    } else {
+                        format!(
+                            "footprint not ascending by Morton key: query {}, key {b} after {a}",
+                            q.id
+                        )
+                    });
                 }
                 for &(m, c) in q.footprint.atoms() {
                     if m.raw() >= max_morton {
@@ -309,6 +321,16 @@ mod tests {
     #[test]
     fn load_rejects_a_zero_count() {
         assert!(load_error(&one_query("[[1,0]]")).contains("zero-count footprint entry"));
+    }
+
+    #[test]
+    fn load_rejects_an_unsorted_footprint() {
+        assert!(load_error(&one_query("[[3,10],[1,10]]")).contains("footprint not ascending"));
+    }
+
+    #[test]
+    fn load_rejects_a_repeated_atom() {
+        assert!(load_error(&one_query("[[1,10],[1,5]]")).contains("repeated atom in footprint"));
     }
 
     #[test]

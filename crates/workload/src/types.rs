@@ -177,8 +177,11 @@ impl Serialize for Footprint {
 }
 
 impl Deserialize for Footprint {
-    /// Reads the atoms as saved; a loaded footprint is not checked to be
-    /// canonical.
+    /// Reads the atoms as saved. Whether they are canonical (strictly
+    /// ascending by Morton key, none repeated) is checked by
+    /// [`Trace::validate`](crate::Trace::validate), which
+    /// [`Trace::load_json`](crate::Trace::load_json) runs on every loaded
+    /// trace.
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let obj = v.as_object().ok_or_else(|| {
             serde::DeError::new(format!("expected object for Footprint, found {}", v.kind()))
