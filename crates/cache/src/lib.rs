@@ -42,16 +42,5 @@ pub use pool::{AccessOutcome, BufferPool, CacheStats};
 pub use slru::Slru;
 pub use urc::Urc;
 
-use jaws_morton::AtomId;
-
-/// Convenience constructor: a pool of `capacity` atoms with the given policy
-/// keyed by [`AtomId`], the addressing unit used throughout JAWS.
-pub fn atom_pool(
-    capacity: usize,
-    policy: Box<dyn ReplacementPolicy<AtomId>>,
-) -> BufferPool<AtomId, ()> {
-    BufferPool::new(capacity, policy)
-}
-
 #[cfg(test)]
 mod proptests;

@@ -190,16 +190,6 @@ impl<K: Eq + Hash + Ord + Copy + Debug, V> BufferPool<K, V> {
         AccessOutcome::Miss { evicted }
     }
 
-    /// Explicitly drops `key` from the pool (invalidation). Returns the value
-    /// if it was resident.
-    pub fn invalidate(&mut self, key: &K) -> Option<V> {
-        let v = self.resident.remove(key);
-        if v.is_some() {
-            self.policy.on_remove(key);
-        }
-        v
-    }
-
     /// Signals the end of a workload run to the policy (SLRU promotion point).
     pub fn end_run(&mut self) {
         #[expect(
@@ -250,19 +240,6 @@ mod tests {
         }
         assert!(!p.contains(&1));
         assert!(p.contains(&2));
-    }
-
-    #[test]
-    fn invalidate_frees_a_slot() {
-        let mut p = pool(1);
-        p.access(1, || 1);
-        assert_eq!(p.invalidate(&1), Some(1));
-        assert!(p.is_empty());
-        // Next access must not evict anything.
-        match p.access(2, || 2) {
-            AccessOutcome::Miss { evicted: None } => {}
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -73,6 +73,12 @@
 //! keeps a copy, and a later promotion moves that copy out through the
 //! caller's buffer: the scheduler keeps no second record of the gate.
 //!
+//! A query whose id no declared job holds is a *one-off query*: it has no
+//! job-mates, so no gating edge can reach it. `query_available` promotes
+//! it at once, at index `promoted.len()`, and the graph records nothing;
+//! its completion is a no-op. (A cluster engine hands a scheduler such
+//! queries when it routes a part to a node outside its job's projection.)
+//!
 //! A job's declared queries are shared, not copied: [`Job::queries`] is an
 //! `Arc<[Query]>`, and the graph's job entry holds another reference to it.
 //! Alignment fills one flat dynamic-program table and two flat candidate
@@ -561,7 +567,8 @@ impl GatingGraph {
     /// when `query` was promoted too: it belongs at index `i` of `promoted`,
     /// in promotion order, and the caller enqueues it from its borrow.
     /// Returns `None` when it is held at a gate; the graph then keeps a copy
-    /// until a later call promotes it.
+    /// until a later call promotes it. A one-off query, whose id no declared
+    /// job holds, is promoted at once, at index `promoted.len()`.
     pub fn query_available(
         &mut self,
         query: &Query,
@@ -569,14 +576,10 @@ impl GatingGraph {
         promoted: &mut Vec<Query>,
     ) -> Option<usize> {
         let q = query.id;
-        #[expect(
-            clippy::expect_used,
-            reason = "invariant: callers only pass ids registered via add_job"
-        )]
-        let e = self
-            .entries
-            .get_mut(&q)
-            .expect("available query is tracked");
+        let Some(e) = self.entries.get_mut(&q) else {
+            // A one-off query: no job-mate to wait for.
+            return Some(promoted.len());
+        };
         debug_assert_eq!(e.state, QueryState::Wait, "double availability for {q}");
         e.state = QueryState::Ready;
         e.ready_since_ms = now_ms;
@@ -849,6 +852,26 @@ mod tests {
         assert_eq!(fired, vec![100]);
         assert_eq!(g.state(100), QueryState::Queue);
         assert_eq!(g.state(101), QueryState::Wait);
+    }
+
+    #[test]
+    fn a_one_off_query_is_promoted_at_once_and_leaves_no_trace() {
+        let mut g = graph();
+        g.add_job(&job(1, &[(0, 1), (1, 3)]));
+        g.add_job(&job(2, &[(0, 1), (1, 3)]));
+        assert!(avail(&mut g, 100, 0.0).is_empty(), "held for job 2");
+        // Shares region 1 with the held query, yet nothing gates it.
+        let mut promoted = vec![q(5, 0, 2)];
+        assert_eq!(g.query_available(&q(7, 0, 1), 1.0, &mut promoted), Some(1));
+        assert_eq!(
+            ids(promoted),
+            vec![5],
+            "the caller enqueues it from its borrow"
+        );
+        assert_eq!(g.state(100), QueryState::Ready, "the gate still holds");
+        assert!(complete(&mut g, 7).is_empty());
+        assert_eq!(g.tracked_queries(), 4, "nothing recorded for the one-off");
+        assert_eq!(avail(&mut g, 200, 2.0).len(), 2, "the gate fires as before");
     }
 
     #[test]

@@ -69,7 +69,9 @@ pub trait Scheduler: Send {
     fn name(&self) -> &'static str;
 
     /// Announces a job before any of its queries run. Job-aware schedulers
-    /// build gating structure here; others ignore it.
+    /// build gating structure here; others ignore it. A query whose id no
+    /// declared job holds is a one-off query: it has no job-mates to gate
+    /// on, so it is schedulable as soon as it is available.
     fn job_declared(&mut self, job: &Job, now_ms: f64);
 
     /// Submits one query for scheduling (its precedence/think constraints are

@@ -170,6 +170,11 @@ impl Prefetcher {
         self.jobs.remove(&job);
     }
 
+    /// Jobs whose trajectory is kept.
+    pub fn tracked_jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
     /// Predictions handed to the engine so far.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -269,6 +274,7 @@ mod tests {
         let mut p = Prefetcher::new(16, 31);
         p.observe(1, &q(1, 0, &[(4, 4, 4)]));
         p.job_done(1);
+        assert_eq!(p.tracked_jobs(), 0);
         p.observe(1, &q(2, 1, &[(5, 4, 4)]));
         assert_eq!(p.pending(), 0, "trajectory restarted from scratch");
     }

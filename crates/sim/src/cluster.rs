@@ -179,21 +179,6 @@ impl ClusterReport {
     }
 }
 
-/// Morton keys node `node` actually owns under ceil-sized slabs with the
-/// short remainder clamped onto the last node: full interior slabs own
-/// `slab_size`, the last node owns whatever remains past its slab start, and
-/// trailing nodes beyond the key range own nothing. Clamped below at 1 so a
-/// workless node's Eq. 2 normalizer stays well-defined.
-fn owned_atoms(per_ts: u64, slab_size: u64, nodes: u32, node: u32) -> u64 {
-    let start = node as u64 * slab_size;
-    let owned = if node == nodes - 1 {
-        per_ts.saturating_sub(start)
-    } else {
-        slab_size.min(per_ts.saturating_sub(start))
-    };
-    owned.max(1)
-}
-
 /// The one executor: a shared clock over N ≥ 1 nodes, each a database and
 /// its scheduler. One node is a plain server.
 pub struct ClusterExecutor {
@@ -215,20 +200,18 @@ impl ClusterExecutor {
     /// Panics on any configuration [`ClusterExecutor::from_nodes`] rejects.
     pub fn new(cfg: ClusterConfig) -> Self {
         cfg.db.validate();
-        let per_ts = cfg.db.atoms_per_timestep();
-        let slab_size = Routing::new(per_ts, cfg.nodes, cfg.replication).slab_size;
-        // Ceil-sized slabs: every node owns ⌈per_ts/nodes⌉ contiguous Morton
-        // keys except the last, which owns whatever remains (routing clamps
-        // onto it). `atoms_per_timestep` feeds Eq. 2's per-timestep
-        // normalization, so each node must be told the key count it
-        // *actually* owns — handing everyone the ceil slab size would
-        // over-normalize (dampen) the short last slab's aged-utility term.
+        let routing = Routing::new(cfg.db.atoms_per_timestep(), cfg.nodes, cfg.replication);
+        // `atoms_per_timestep` feeds Eq. 2's per-timestep normalization, so
+        // each node must be told the key count it *actually* owns — handing
+        // everyone the ceil slab size would over-normalize (dampen) the
+        // short last slab's aged-utility term. Clamped below at 1 so a
+        // workless node's normalizer stays well-defined.
         let nodes = (0..cfg.nodes)
             .map(|node| {
                 let params = MetricParams {
                     atom_read_ms: cfg.cost.atom_read_ms,
                     position_compute_ms: cfg.cost.position_compute_ms,
-                    atoms_per_timestep: owned_atoms(per_ts, slab_size, cfg.nodes, node),
+                    atoms_per_timestep: routing.owned_atoms(node).max(1),
                 };
                 // Every node opens the full geometry but only ever reads its
                 // slab (plus stencil/prefetch spill-over); its cache and disk
@@ -407,26 +390,23 @@ impl ClusterExecutor {
             .pipelines
             .iter()
             .enumerate()
-            .map(|(i, p)| {
-                let status = outcome.node_status[i];
-                NodeReport {
-                    node: i as u32,
-                    parts_completed: p.parts_completed(),
-                    prefetch_reads: p.prefetch_reads(),
-                    disk: p.db().disk_stats(),
-                    cache: p.db().cache_stats(),
-                    scheduler: p.scheduler().stats(),
-                    // A zero-completion run has a zero makespan; the guard
-                    // keeps the ratio (and imbalance()) NaN-free.
-                    utilization: finite_or_zero(p.busy_ms() / makespan_ms),
-                    busy_ms: p.busy_ms(),
-                    alpha_final: p.scheduler().alpha(),
-                    failed: !outcome.alive[i],
-                    redispatched_parts: status.redispatched_parts,
-                    slowdown: status.slowdown,
-                }
+            .map(|(i, p)| NodeReport {
+                node: i as u32,
+                parts_completed: p.parts_completed(),
+                prefetch_reads: p.prefetch_reads(),
+                disk: p.db().disk_stats(),
+                cache: p.db().cache_stats(),
+                scheduler: p.scheduler().stats(),
+                // A zero-completion run has a zero makespan; the guard
+                // keeps the ratio (and imbalance()) NaN-free.
+                utilization: finite_or_zero(p.busy_ms() / makespan_ms),
+                busy_ms: p.busy_ms(),
+                alpha_final: p.scheduler().alpha(),
+                failed: !outcome.alive[i],
+                redispatched_parts: p.redispatched_parts(),
+                slowdown: p.service_multiplier(),
             })
-            .collect();
+            .collect::<Vec<_>>();
         #[expect(
             clippy::float_cmp,
             reason = "exact sentinel, not ranking logic: a slowdown of 1.0 is the \
@@ -442,17 +422,11 @@ impl ClusterExecutor {
                 .filter(|(_, &a)| !a)
                 .map(|(i, _)| i as u32)
                 .collect(),
-            redispatched_parts: outcome
-                .node_status
+            redispatched_parts: nodes.iter().map(|n| n.redispatched_parts).sum(),
+            slowed_nodes: nodes
                 .iter()
-                .map(|s| s.redispatched_parts)
-                .sum(),
-            slowed_nodes: outcome
-                .node_status
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.slowdown != 1.0)
-                .map(|(i, s)| (i as u32, s.slowdown))
+                .filter(|n| n.slowdown != 1.0)
+                .map(|n| (n.node, n.slowdown))
                 .collect(),
         });
         self.response_log.extend(outcome.totals.response_log);
@@ -629,6 +603,132 @@ mod tests {
     }
 
     #[test]
+    fn prefetchers_drop_the_trajectories_of_finished_jobs() {
+        let trace = TraceGenerator::new(GenConfig::small(53))
+            .generate()
+            .speedup(20.0);
+        let mut cfg = cluster_cfg(4, SchedulerKind::Jaws2 { batch_k: 8 });
+        cfg.sim.prefetch = true;
+        let mut ex = ClusterExecutor::new(cfg);
+        let r = ex.run(&trace);
+        assert_eq!(r.aggregate.jobs_completed, trace.jobs.len() as u64);
+        assert!(r.prefetch_reads() > 0, "no node's predictor fired");
+        for (node, p) in ex.pipelines.iter().enumerate() {
+            let kept = p.prefetcher().map_or(0, |pf| pf.tracked_jobs());
+            assert_eq!(kept, 0, "node {node} kept finished jobs' trajectories");
+        }
+    }
+
+    /// A scheduler that panics when handed a part it was never declared,
+    /// wrapped around a real one.
+    struct DeclaredOnly {
+        inner: Box<dyn Scheduler>,
+        declared: std::collections::BTreeSet<QueryId>,
+    }
+
+    impl Scheduler for DeclaredOnly {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn job_declared(&mut self, job: &Job, now_ms: f64) {
+            self.declared.extend(job.queries.iter().map(|q| q.id));
+            self.inner.job_declared(job, now_ms);
+        }
+        fn query_available(&mut self, query: &jaws_workload::Query, now_ms: f64) {
+            assert!(
+                self.declared.contains(&query.id),
+                "part {:#x} was never declared",
+                query.id
+            );
+            self.inner.query_available(query, now_ms);
+        }
+        fn next_batch(
+            &mut self,
+            now_ms: f64,
+            residency: &dyn jaws_scheduler::Residency,
+        ) -> Option<jaws_scheduler::Batch> {
+            self.inner.next_batch(now_ms, residency)
+        }
+        fn on_query_complete(&mut self, query: QueryId, response_ms: f64, now_ms: f64) {
+            self.inner.on_query_complete(query, response_ms, now_ms);
+        }
+        fn recycle_batch(&mut self, batch: jaws_scheduler::Batch) {
+            self.inner.recycle_batch(batch);
+        }
+        fn query_withdrawn(&mut self, query: QueryId, now_ms: f64) {
+            self.inner.query_withdrawn(query, now_ms);
+        }
+        fn has_pending(&self) -> bool {
+            self.inner.has_pending()
+        }
+        fn take_run_boundary(&mut self) -> bool {
+            self.inner.take_run_boundary()
+        }
+        fn alpha(&self) -> f64 {
+            self.inner.alpha()
+        }
+        fn utility_snapshot(
+            &mut self,
+            residency: &dyn jaws_scheduler::Residency,
+        ) -> jaws_scheduler::UtilitySnapshot {
+            self.inner.utility_snapshot(residency)
+        }
+        fn stats(&self) -> SchedulerStats {
+            self.inner.stats()
+        }
+    }
+
+    /// Jobs declared up front are never projected again at their arrival,
+    /// so a crash must declare the survivor's share of every one of them,
+    /// arrived or not: without replication, every part a node is handed
+    /// was declared to it.
+    #[test]
+    fn a_crash_redeclares_jobs_declared_up_front() {
+        let trace = TraceGenerator::new(GenConfig::small(2009_0720))
+            .generate()
+            .speedup(20.0);
+        let last_arrival = trace
+            .jobs
+            .iter()
+            .map(|j| j.arrival_ms)
+            .fold(0.0f64, f64::max);
+        let cfg = cluster_cfg(4, SchedulerKind::Jaws2 { batch_k: 15 });
+        let nodes = (0..4)
+            .map(|_| {
+                let db = build_db(
+                    cfg.db,
+                    cfg.cost,
+                    jaws_turbdb::DataMode::Virtual,
+                    16,
+                    cfg.cache_policy,
+                );
+                let inner = build_scheduler(
+                    cfg.scheduler,
+                    MetricParams::paper_testbed(),
+                    cfg.run_len,
+                    cfg.gate_timeout_ms,
+                );
+                let sched: Box<dyn Scheduler> = Box::new(DeclaredOnly {
+                    inner,
+                    declared: Default::default(),
+                });
+                (db, sched)
+            })
+            .collect();
+        let mut ex = ClusterExecutor::from_nodes(
+            nodes,
+            SimConfig::default(),
+            FailurePlan::new(17).crash_at(0.5 * last_arrival, 1),
+            ReplicationConfig::disabled(),
+        );
+        ex.declare_jobs(trace.jobs.clone());
+        let r = ex.run(&trace);
+        assert_eq!(r.aggregate.queries_completed, trace.query_count() as u64);
+        let d = r.degraded.as_ref().expect("node 1 crashed");
+        assert!(d.redispatched_parts > 0, "the crash moved no work");
+    }
+
+    #[test]
     fn ordered_chains_respect_cross_node_barriers() {
         use jaws_morton::MortonKey as MK;
         use jaws_workload::{Job, JobKind, Query, QueryOp, Trace};
@@ -668,16 +768,19 @@ mod tests {
     fn owned_atoms_reflect_the_clamped_partition() {
         // 3 nodes over 64 atoms/ts: ceil slabs of 22 → the last node owns the
         // short remainder of 20 keys, and Eq. 2 normalization must use it.
-        assert_eq!(owned_atoms(64, 22, 3, 0), 22);
-        assert_eq!(owned_atoms(64, 22, 3, 1), 22);
-        assert_eq!(owned_atoms(64, 22, 3, 2), 20);
+        let r = Routing::new(64, 3, ReplicationConfig::disabled());
+        assert_eq!(r.owned_atoms(0), 22);
+        assert_eq!(r.owned_atoms(1), 22);
+        assert_eq!(r.owned_atoms(2), 20);
         // 9 nodes over 64: slabs of 8 fill nodes 0..=7; node 8 owns nothing
-        // and is clamped to 1 so its normalizer stays well-defined.
-        assert_eq!(owned_atoms(64, 8, 9, 7), 8);
-        assert_eq!(owned_atoms(64, 8, 9, 8), 1);
+        // (`ClusterExecutor::new` clamps its normalizer to 1).
+        let r = Routing::new(64, 9, ReplicationConfig::disabled());
+        assert_eq!(r.owned_atoms(7), 8);
+        assert_eq!(r.owned_atoms(8), 0);
         // Even splits are unchanged.
+        let r = Routing::new(64, 4, ReplicationConfig::disabled());
         for n in 0..4 {
-            assert_eq!(owned_atoms(64, 16, 4, n), 16);
+            assert_eq!(r.owned_atoms(n), 16);
         }
     }
 
@@ -1103,6 +1206,71 @@ mod one_node_tests {
             liferaft2.disk.reads,
             noshare.disk.reads
         );
+    }
+
+    /// A JAWS₂ node over the small trace with `jobs` declared up front.
+    fn run_declared(trace: &jaws_workload::Trace, jobs: Vec<Job>) {
+        let db = build_db(
+            small_db_config(),
+            CostModel::paper_testbed(),
+            DataMode::Virtual,
+            16,
+            CachePolicyKind::LruK,
+        );
+        let sched = build_scheduler(
+            SchedulerKind::Jaws2 { batch_k: 10 },
+            MetricParams::paper_testbed(),
+            25,
+            10_000.0,
+        );
+        let mut ex = one_node(db, sched, SimConfig::default());
+        ex.declare_jobs(jobs);
+        ex.run(trace);
+    }
+
+    #[test]
+    #[should_panic(expected = "is in no declared job")]
+    fn declared_jobs_must_hold_every_trace_query() {
+        let trace = TraceGenerator::new(GenConfig::small(5)).generate();
+        let mut jobs = trace.jobs.clone();
+        let last = jobs.pop().expect("a job");
+        let mut kept = last.queries.to_vec();
+        kept.pop();
+        jobs.push(Job {
+            queries: kept.into(),
+            ..last
+        });
+        run_declared(&trace, jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in the trace")]
+    fn declared_jobs_must_hold_only_trace_queries() {
+        let trace = TraceGenerator::new(GenConfig::small(5)).generate();
+        let mut jobs = trace.jobs.clone();
+        let mut extra = jobs[0].clone();
+        let foreign = trace
+            .jobs
+            .iter()
+            .flat_map(|j| j.queries.iter())
+            .map(|q| q.id)
+            .max();
+        extra.queries = vec![Query {
+            id: foreign.expect("a query") + 1,
+            ..extra.queries[0].clone()
+        }]
+        .into();
+        jobs.push(extra);
+        run_declared(&trace, jobs);
+    }
+
+    #[test]
+    #[should_panic(expected = "is declared twice")]
+    fn declared_jobs_must_hold_each_query_once() {
+        let trace = TraceGenerator::new(GenConfig::small(5)).generate();
+        let mut jobs = trace.jobs.clone();
+        jobs.push(jobs[0].clone());
+        run_declared(&trace, jobs);
     }
 
     /// Jobs declared through [`ClusterExecutor::declare_jobs`] are declared again

@@ -36,12 +36,12 @@
 //! ## Outstanding-part ledger
 //!
 //! Under a failure plan or the replica overlay, each node keeps one ledger:
-//! every part delivered to it and not yet completed, by part id, with its
-//! definition (footprint included). It is the one record of what a node
-//! holds. Replica routing reads a node's load as the length of its ledger,
-//! and a crash re-dispatches the dead node's ledger to the survivor, in
-//! ascending part-id order, and moves the entries with it. A plain replay
-//! keeps no ledger.
+//! every part delivered to it and not yet completed, by part id (footprint
+//! included). It is the one record of what a node holds. Replica routing
+//! reads a node's load as the length of its ledger, and a crash
+//! re-dispatches the dead node's ledger to the survivor, in ascending
+//! part-id order, and moves the parts with it. A plain replay keeps no
+//! ledger.
 //!
 //! ## Buffer reuse
 //!
@@ -49,11 +49,11 @@
 //! holds at once, not to the queries it replays. A footprint is a view of
 //! a shared buffer (`jaws_workload::Footprint`), so copies of a query share
 //! its atoms: a part holding all of its query's atoms shares the query's
-//! buffer, and a just-in-time declaration shares its part's. The other
-//! parts' footprints come from one pool of buffers, binned by length, and
-//! return to it when the part completes and nothing else holds them. A
-//! job's projection onto a node lays its queries' atoms out in one buffer.
-//! A completed batch goes back to its node's scheduler, which builds the
+//! buffer. The other parts' footprints come from one pool of buffers,
+//! binned by length, and return to it once nothing else holds them: right
+//! after delivery in a plain replay, when the part completes under a
+//! ledger. A job's projection onto a node lays its queries' atoms out in
+//! one buffer. A completed batch goes back to its node's scheduler, which builds the
 //! next batch in its buffers.
 //!
 //! ## Failure semantics
@@ -69,6 +69,14 @@
 //! as a remnant job projection so job-aware gating knows the incoming ids;
 //! the work then competes in the survivor's utility ranking like any other
 //! arrival — recovery never jumps the queue.
+//!
+//! ## Declarations
+//!
+//! Declarations describe jobs only: each job's projection at its arrival
+//! (or at t = 0 for jobs declared up front) and crash remnants. A part the
+//! replica overlay diverts to a node outside its job's projection reaches
+//! that node undeclared, as a one-off query: no job-mate there can gate it,
+//! so the node's scheduler schedules it at once (`Scheduler::job_declared`).
 
 use crate::failure::{FailureEvent, FailurePlan};
 use crate::node::NodePipeline;
@@ -126,13 +134,6 @@ pub fn part_node(part: QueryId) -> u32 {
 /// each time and never collides with trace job ids.
 const REMNANT_JOB_BITS: u32 = 48;
 
-/// Just-in-time replica declarations (a diverted part arriving at a node the
-/// job was never projected onto) use synthetic single-query job ids in their
-/// own namespace: the top bit set over a run-monotone ordinal. Remnant ids
-/// tag crash ordinals into bits 48.. and crash counts are bounded by the node
-/// count (far below 2¹⁵), so the namespaces never collide.
-const REPLICA_DECL_BIT: u64 = 1 << 63;
-
 /// Re-poll interval of a node that is idle but holds gated work, so the
 /// starvation valve can fire even when no other event is due.
 const IDLE_RECHECK_MS: f64 = 500.0;
@@ -145,6 +146,8 @@ const IDLE_RECHECK_MS: f64 = 500.0;
 /// `nodes ≥ 1` and the slab size consistent with it.
 #[derive(Debug, Clone, Copy)]
 pub struct Routing {
+    /// Morton keys per timestep: the key range the slabs partition.
+    atoms_per_timestep: u64,
     /// Atoms per node slab (`ceil(atoms-per-timestep / nodes)`). When the
     /// node count does not divide the atoms per timestep, every node but
     /// the last owns a full slab and the last owns the short remainder.
@@ -174,6 +177,7 @@ impl Routing {
             MAX_NODE_INDEX + 1
         );
         Routing {
+            atoms_per_timestep,
             slab_size: atoms_per_timestep.div_ceil(nodes as u64),
             nodes,
             replication,
@@ -185,6 +189,16 @@ impl Routing {
     /// own failure-aware view).
     pub fn node_of(&self, m: MortonKey) -> u32 {
         ((m.raw() / self.slab_size) as u32).min(self.nodes - 1)
+    }
+
+    /// Morton keys per timestep that [`Self::node_of`] routes to `node`: a
+    /// full slab, the short remainder on the last node, or none for a node
+    /// whose slab starts past the key range.
+    pub(crate) fn owned_atoms(&self, node: u32) -> u64 {
+        // Ceil-sized slabs reach past the key range, so the last node's
+        // slab ends at the range's end too.
+        let start = (node as u64 * self.slab_size).min(self.atoms_per_timestep);
+        (start + self.slab_size).min(self.atoms_per_timestep) - start
     }
 }
 
@@ -442,48 +456,17 @@ impl EventQueue {
     }
 }
 
-/// Per-node failure outcome of one run, consumed by the cluster report.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeStatus {
-    /// Parts re-dispatched *off* this node when it crashed (in-flight plus
-    /// queued at crash time).
-    pub redispatched_parts: u64,
-    /// Service-time multiplier in force at the end of the run (1.0 = never
-    /// degraded).
-    pub slowdown: f64,
-}
-
-impl Default for NodeStatus {
-    fn default() -> Self {
-        NodeStatus {
-            redispatched_parts: 0,
-            slowdown: 1.0,
-        }
-    }
-}
-
 /// Everything a run produced that the report layer needs.
 pub(crate) struct EngineOutcome {
     /// Totals feeding [`crate::report`] assembly, the completion log
     /// included.
     pub totals: RunTotals,
-    /// Per-node failure outcomes (all-default when the plan was empty).
-    pub node_status: Vec<NodeStatus>,
     /// Per node: false once a scripted crash killed it.
     pub alive: Vec<bool>,
     /// Time of the first scripted failure that actually fired, if any.
     pub first_failure_ms: Option<f64>,
     /// Replica-overlay summary; `None` unless replication was enabled.
     pub replication: Option<ReplicationSummary>,
-}
-
-/// Bookkeeping that exists only under an enabled replica overlay;
-/// static-slab replays allocate none of it.
-struct ReplicationState {
-    /// Histogram, replica table and transition counters.
-    dir: ReplicaDirectory,
-    /// Monotone ordinal for just-in-time declaration job ids.
-    decls: u64,
 }
 
 /// Part footprint buffers the replay has finished with, binned by length.
@@ -549,51 +532,43 @@ impl FootprintPool {
     }
 }
 
-/// One part in a node's outstanding-part ledger: its definition and, when
-/// the node heard of it through a just-in-time declaration, that
-/// declaration's queries, kept for reuse once the part completes.
-struct LedgerEntry {
-    part: Query,
-    decl: Option<Arc<[Query]>>,
-}
-
-/// One node's outstanding-part ledger (module docs): the entries in a
-/// `Vec` and each one's position in a lookup-only map, so a delivery or a
+/// One node's outstanding-part ledger (module docs): the parts in a `Vec`
+/// and each one's position in a lookup-only map, so a delivery or a
 /// completion allocates nothing once both have grown to the most parts the
 /// node ever held at once. A crash drains it in ascending part-id order.
 #[derive(Default)]
 struct Ledger {
-    entries: Vec<LedgerEntry>,
+    parts: Vec<Query>,
     at: FastMap<QueryId, usize>,
 }
 
 impl Ledger {
     /// Parts outstanding: the node's load under replica routing.
     fn len(&self) -> usize {
-        self.entries.len()
+        self.parts.len()
     }
 
-    fn insert(&mut self, entry: LedgerEntry) {
-        let prev = self.at.insert(entry.part.id, self.entries.len());
-        debug_assert!(prev.is_none(), "part {} ledgered twice", entry.part.id);
-        self.entries.push(entry);
+    fn insert(&mut self, part: Query) {
+        let prev = self.at.insert(part.id, self.parts.len());
+        debug_assert!(prev.is_none(), "part {} ledgered twice", part.id);
+        self.parts.push(part);
     }
 
-    fn remove(&mut self, part: QueryId) -> Option<LedgerEntry> {
+    fn remove(&mut self, part: QueryId) -> Option<Query> {
         let i = self.at.remove(&part)?;
-        let entry = self.entries.swap_remove(i);
-        if let Some(moved) = self.entries.get(i) {
-            self.at.insert(moved.part.id, i);
+        let removed = self.parts.swap_remove(i);
+        if let Some(moved) = self.parts.get(i) {
+            self.at.insert(moved.id, i);
         }
-        Some(entry)
+        Some(removed)
     }
 
-    /// Takes every entry, in ascending part-id order.
-    fn drain_sorted(&mut self) -> Vec<LedgerEntry> {
+    /// Takes every part, in ascending part-id order.
+    fn drain_sorted(&mut self) -> Vec<Query> {
         self.at.clear();
-        let mut entries = std::mem::take(&mut self.entries);
-        entries.sort_unstable_by_key(|e| e.part.id);
-        entries
+        let mut parts = std::mem::take(&mut self.parts);
+        parts.sort_unstable_by_key(|p| p.id);
+        parts
     }
 }
 
@@ -615,20 +590,12 @@ struct EngineScratch {
     /// Replica overlay: promote/demote/route transitions of the current
     /// query. Cleared per submit.
     actions: Vec<ReplicaAction>,
-    /// Built parts awaiting delivery, each with its just-in-time
-    /// declaration if it needed one — the trace event order requires every
-    /// declaration to precede the first delivery, so parts are staged here
-    /// between the two passes.
-    parts: Vec<(u32, LedgerEntry)>,
     /// Footprint buffers of parts.
     pool: FootprintPool,
     /// A job projection's queries, staged before they move into its `Arc`.
     projected: Vec<Query>,
     /// A projection's atoms, gathered before they move into its buffer.
     projected_atoms: Vec<(MortonKey, u32)>,
-    /// Single-query declarations whose part completed, with no other owner
-    /// left, for the next just-in-time declaration to overwrite.
-    spare_decls: Vec<Arc<[Query]>>,
 }
 
 impl EngineScratch {
@@ -637,26 +604,11 @@ impl EngineScratch {
             lanes: Lanes::new(nodes),
             owner_flag: vec![false; nodes],
             actions: Vec::new(),
-            parts: Vec::new(),
             pool: FootprintPool::default(),
             projected: Vec::new(),
             projected_atoms: Vec::new(),
-            spare_decls: Vec::new(),
         }
     }
-}
-
-/// The queries of a just-in-time declaration of `part`: a clone of it,
-/// which shares its footprint, written over a spare declaration when one
-/// is left.
-fn declaration_of(part: &Query, spare: &mut Vec<Arc<[Query]>>) -> Arc<[Query]> {
-    if let Some(mut queries) = spare.pop() {
-        if let Some([slot]) = Arc::get_mut(&mut queries) {
-            *slot = part.clone();
-            return queries;
-        }
-    }
-    Arc::from([part.clone()])
 }
 
 /// Panics unless `trace` fits the nodes' shared database geometry: no more
@@ -674,6 +626,22 @@ fn check_trace(trace: &Trace, db: &jaws_turbdb::DbConfig) {
         db.atoms_per_side(),
         "trace atom grid does not match the database"
     );
+}
+
+/// Panics unless the jobs declared up front name every trace query exactly
+/// once and nothing else, naming the first foreign, repeated or missing id:
+/// a part no declared job holds would run as a one-off query, never gated.
+fn check_declared(jobs: &[Job], trace: &Trace, per_query: &FastMap<QueryId, QueryState>) {
+    let mut seen = FastSet::default();
+    for q in jobs.iter().flat_map(|j| j.queries.iter()) {
+        let known = per_query.contains_key(&q.id);
+        assert!(known, "declared query {} is not in the trace", q.id);
+        assert!(seen.insert(q.id), "query {} is declared twice", q.id);
+    }
+    for q in trace.jobs.iter().flat_map(|j| j.queries.iter()) {
+        let held = seen.contains(&q.id);
+        assert!(held, "trace query {} is in no declared job", q.id);
+    }
 }
 
 /// The run state of one trace query.
@@ -710,23 +678,23 @@ pub(crate) struct Engine<'a> {
     remaining_per_job: Vec<usize>,
     now_ms: f64,
     queue: EventQueue,
-    node_status: Vec<NodeStatus>,
     first_failure_ms: Option<f64>,
-    /// Per node: part ids its scheduler has been told about — arrival
-    /// projections, crash remnants and just-in-time replica declarations,
-    /// minus withdrawn and completed ids (a completed part's id is never
-    /// asked about again). Empty unless a failure plan or the replica
-    /// overlay needs the membership answers. Only looked up.
+    /// Per node: part ids its scheduler has been told about — job
+    /// projections and crash remnants, minus withdrawn and completed ids (a
+    /// completed part's id is never asked about again). Empty unless a
+    /// failure plan or the replica overlay needs the membership answers.
+    /// Only looked up.
     declared: Vec<FastSet<QueryId>>,
     /// Per node: the outstanding-part ledger (module docs) — every part
     /// delivered to it and not yet completed, in-flight batch parts
-    /// included, by part id with its definition. Empty under the same
-    /// condition as `declared`.
+    /// included, by part id. Empty under the same condition as `declared`.
     ledger: Vec<Ledger>,
     /// Per trace job: whether its arrival event has fired. Empty unless a
     /// failure plan is in force.
     arrived: Vec<bool>,
-    rstate: Option<ReplicationState>,
+    /// The replica overlay's histogram, replica table and transition
+    /// counters; `None` unless replication is enabled.
+    replicas: Option<ReplicaDirectory>,
     scratch: EngineScratch,
 }
 
@@ -742,8 +710,9 @@ impl<'a> Engine<'a> {
     /// # Panics
     ///
     /// Panics if the trace does not fit the database geometry, if a query id
-    /// exceeds the [`PART_QUERY_BITS`] budget, or if the pipeline count
-    /// differs from `routing.nodes`.
+    /// exceeds the [`PART_QUERY_BITS`] budget, if the pipeline count differs
+    /// from `routing.nodes`, or if `declared` does not name every trace
+    /// query exactly once and nothing else.
     pub(crate) fn run(
         pipelines: &'a mut [NodePipeline],
         routing: Routing,
@@ -778,6 +747,9 @@ impl<'a> Engine<'a> {
                 );
             }
         }
+        if let Some(jobs) = declared {
+            check_declared(jobs, trace, &per_query);
+        }
         let first_arrival = trace.jobs.first().map_or(0.0, |j| j.arrival_ms);
         let replication = routing.replication;
         let ledgered = !failures.is_empty() || replication.enabled;
@@ -798,7 +770,6 @@ impl<'a> Engine<'a> {
             remaining_per_job: trace.jobs.iter().map(|j| j.queries.len()).collect(),
             now_ms: 0.0,
             queue: EventQueue::default(),
-            node_status: vec![NodeStatus::default(); nodes],
             first_failure_ms: None,
             // Failure and replication bookkeeping is allocated only when in
             // force, so a plain replay pays nothing (event ids included: an
@@ -818,10 +789,9 @@ impl<'a> Engine<'a> {
             } else {
                 vec![false; trace.jobs.len()]
             },
-            rstate: replication.enabled.then(|| ReplicationState {
-                dir: ReplicaDirectory::new(replication),
-                decls: 0,
-            }),
+            replicas: replication
+                .enabled
+                .then(|| ReplicaDirectory::new(replication)),
             // Reusable fan-out scratch: allocated once per run, cleared per
             // event — the per-event hot path allocates nothing after warm-up.
             scratch: EngineScratch::new(nodes),
@@ -969,70 +939,27 @@ impl<'a> Engine<'a> {
         state.outstanding = parts;
     }
 
-    /// Hands one part query to its owning pipeline: emits the routing record,
-    /// feeds the trajectory predictor (for ordered follow-ups), makes the
-    /// part available to the node's scheduler and then moves it, with its
-    /// just-in-time declaration if any, into the node's ledger. Without a
-    /// ledger, the part's footprint buffer goes straight back to the pool
-    /// (if nothing else holds it); with one, [`Self::batch_done`] returns it
-    /// when the part completes.
-    fn deliver_part(
-        &mut self,
-        node: u32,
-        entry: LedgerEntry,
-        query: QueryId,
-        observe: bool,
-        job: u64,
-    ) {
-        let part = &entry.part;
-        if self.sink.enabled() {
-            self.sink.emit(
-                self.now_ms,
-                jaws_obs::Event::PartRouted {
-                    query,
-                    part: part.id,
-                    node,
-                    atoms: part.footprint.atom_count() as u32,
-                },
-            );
-        }
-        let p = &mut self.pipelines[node as usize];
-        if observe {
-            p.observe(job, part);
-        }
-        p.query_available(part, self.now_ms);
-        match self.ledger.get_mut(node as usize) {
-            Some(ledger) => ledger.insert(entry),
-            None => self.scratch.pool.give(entry.part.footprint),
-        }
-    }
-
     /// Splits `q` into per-node parts and delivers them in ascending node
     /// order; returns the number of parts delivered. Each footprint atom goes
     /// to the live owner of its slab. Under the replica overlay the atom is
     /// first recorded in the access histogram, the promotion/demotion
     /// transitions the refreshed window triggers are applied, and the atom
     /// goes to the least-loaded live candidate (slab owner or replica)
-    /// instead. Two declaration-consistency duties ride along under the
-    /// overlay, in deterministic order:
+    /// instead. Under the overlay, a statically-owning node whose every atom
+    /// diverted away holds a declared part id that will never arrive;
+    /// job-aware gating would stall its partners until the gate timeout, so
+    /// the id is withdrawn (`Scheduler::query_withdrawn` via the pipeline)
+    /// before any part is delivered. A part diverted to a node outside its
+    /// job's projection arrives there as a one-off query (module docs).
     ///
-    /// * **withdrawals** — a statically-owning node whose every atom diverted
-    ///   away holds a declared part id that will never arrive; job-aware
-    ///   gating would stall its partners until the gate timeout, so the id is
-    ///   withdrawn (`Scheduler::query_withdrawn` via the pipeline);
-    /// * **just-in-time declarations** — a replica host outside the job's
-    ///   static projection has never heard of the incoming part id (JAWS₂
-    ///   gating requires every available query to be declared), so a
-    ///   synthetic single-query job (id namespace [`REPLICA_DECL_BIT`])
-    ///   declares it first. Single-query jobs never form gating alignments,
-    ///   so the declaration cannot distort schedule quality.
-    ///
-    /// The scatter reuses the scratch lanes. A part that holds every atom of
-    /// `q` shares `q`'s footprint; any other part's footprint is a pooled
-    /// buffer that goes back to the pool after delivery, or at completion
-    /// when the node's ledger keeps the part. A just-in-time declaration
-    /// shares its part's footprint and overwrites one whose part completed,
-    /// when there is one.
+    /// Delivering a part emits its routing record, feeds it to the node's
+    /// trajectory predictor (for ordered follow-ups), makes it available to
+    /// the node's scheduler and then moves it into the node's ledger, if the
+    /// node keeps one. The scatter reuses the scratch lanes. A part that
+    /// holds every atom of `q` shares `q`'s footprint; any other part's
+    /// footprint is a pooled buffer that goes back to the pool right after
+    /// delivery, or at completion when the node's ledger keeps the part
+    /// ([`Self::batch_done`]).
     fn fan_out(&mut self, q: &Query, job: &Job, observe: bool) -> u32 {
         let now_ms = self.now_ms;
         self.scratch.actions.clear();
@@ -1040,11 +967,11 @@ impl<'a> Engine<'a> {
         for &(m, c) in q.footprint.atoms() {
             let owner = self.live.node_of(m);
             self.scratch.owner_flag[owner as usize] = true;
-            let target = match &mut self.rstate {
+            let target = match &mut self.replicas {
                 None => owner,
-                Some(rs) => {
+                Some(dir) => {
                     let ledger = &self.ledger;
-                    rs.dir.route_atom(
+                    dir.route_atom(
                         m,
                         owner,
                         now_ms,
@@ -1089,7 +1016,7 @@ impl<'a> Engine<'a> {
                 self.sink.emit(now_ms, ev);
             }
         }
-        if self.rstate.is_some() {
+        if self.replicas.is_some() {
             // Withdrawals before deliveries, so gating state is settled when
             // the diverted parts arrive.
             for (node, pipeline) in self.pipelines.iter_mut().enumerate() {
@@ -1102,11 +1029,9 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        // Build the parts and run every just-in-time declaration first
-        // (ascending node order) — the trace byte-stream pins declarations
-        // ahead of the first delivery.
-        debug_assert!(self.scratch.parts.is_empty(), "parts scratch left dirty");
-        for (node, pipeline) in self.pipelines.iter_mut().enumerate() {
+        // Build and deliver the parts in ascending node order.
+        let mut delivered = 0;
+        for node in 0..self.pipelines.len() {
             if self.scratch.lanes.lane_len(node) == 0 {
                 continue;
             }
@@ -1127,35 +1052,28 @@ impl<'a> Engine<'a> {
                 timestep: q.timestep,
                 footprint,
             };
-            let mut decl = None;
-            if let Some(rs) = &mut self.rstate {
-                if self.declared[node].insert(part.id) {
-                    rs.decls += 1;
-                    let queries = declaration_of(&part, &mut scratch.spare_decls);
-                    let d = Job {
-                        id: REPLICA_DECL_BIT | rs.decls,
-                        user: job.user,
-                        kind: job.kind,
-                        campaign: job.campaign,
-                        queries,
-                        arrival_ms: job.arrival_ms,
-                        think_ms: job.think_ms,
-                    };
-                    pipeline.job_declared(&d, now_ms);
-                    decl = Some(d.queries);
-                }
+            if self.sink.enabled() {
+                self.sink.emit(
+                    now_ms,
+                    jaws_obs::Event::PartRouted {
+                        query: q.id,
+                        part: part.id,
+                        node: node as u32,
+                        atoms: part.footprint.atom_count() as u32,
+                    },
+                );
             }
-            scratch
-                .parts
-                .push((node as u32, LedgerEntry { part, decl }));
+            let p = &mut self.pipelines[node];
+            if observe {
+                p.observe(job.id, &part);
+            }
+            p.query_available(&part, now_ms);
+            match self.ledger.get_mut(node) {
+                Some(ledger) => ledger.insert(part),
+                None => self.scratch.pool.give(part.footprint),
+            }
+            delivered += 1;
         }
-        let delivered = self.scratch.parts.len() as u32;
-        // Deliveries in ascending node order.
-        let mut parts = std::mem::take(&mut self.scratch.parts);
-        for (node, entry) in parts.drain(..) {
-            self.deliver_part(node, entry, q.id, observe, job.id);
-        }
-        self.scratch.parts = parts;
         delivered
     }
 
@@ -1203,17 +1121,8 @@ impl<'a> Engine<'a> {
             let (ji, qi) = (state.job, state.index);
             let rt = now_ms - submitted;
             self.pipelines[n].complete_part(pid, rt, now_ms);
-            if let Some(entry) = self.ledger.get_mut(n).and_then(|l| l.remove(pid)) {
-                // A declaration nobody else holds lets go of the part's
-                // buffer, so the buffer can go back to the pool, and waits
-                // for the next declaration to overwrite it.
-                if let Some(mut decl) = entry.decl {
-                    if let Some([copy]) = Arc::get_mut(&mut decl) {
-                        copy.footprint = Footprint::default();
-                        self.scratch.spare_decls.push(decl);
-                    }
-                }
-                self.scratch.pool.give(entry.part.footprint);
+            if let Some(part) = self.ledger.get_mut(n).and_then(|l| l.remove(pid)) {
+                self.scratch.pool.give(part.footprint);
             }
             if let Some(d) = self.declared.get_mut(n) {
                 d.remove(&pid);
@@ -1244,6 +1153,12 @@ impl<'a> Engine<'a> {
             self.remaining_per_job[ji] -= 1;
             if self.remaining_per_job[ji] == 0 {
                 self.totals.jobs_completed += 1;
+                // A finished job is never observed again.
+                for (node, p) in self.pipelines.iter_mut().enumerate() {
+                    if self.live.alive[node] {
+                        p.job_done(job.id);
+                    }
+                }
             }
             if job.kind == JobKind::Ordered && qi + 1 < job.queries.len() {
                 self.queue
@@ -1261,7 +1176,6 @@ impl<'a> Engine<'a> {
             FailureEvent::Slowdown { node, factor, .. } => {
                 if self.live.alive[node as usize] {
                     self.pipelines[node as usize].set_service_multiplier(factor);
-                    self.node_status[node as usize].slowdown = factor;
                     if self.sink.enabled() {
                         self.sink
                             .emit(now_ms, jaws_obs::Event::NodeSlowdown { node, factor });
@@ -1281,7 +1195,8 @@ impl<'a> Engine<'a> {
     /// then re-dispatches everything it held through the survivor — first
     /// declaring *remnant job* projections so the survivor's job-aware gating
     /// knows the incoming ids, then re-enqueueing the dead node's ledger in
-    /// ascending part-id order. Future queries of already-arrived jobs whose
+    /// ascending part-id order. Future queries of already-declared jobs
+    /// (arrived ones, or all of them when jobs were declared up front) whose
     /// atoms now route to the survivor under a part id it was never told
     /// about are declared too, so their later submission finds a known id.
     fn crash_node(&mut self, node: u32, designated: Option<u32>) {
@@ -1291,7 +1206,7 @@ impl<'a> Engine<'a> {
         // ordinal that tags remnant job ids.
         let crashes = self.live.alive.iter().filter(|&&a| !a).count() as u64;
         let moved = self.ledger[node as usize].drain_sorted();
-        self.node_status[node as usize].redispatched_parts = moved.len() as u64;
+        self.pipelines[node as usize].record_redispatch(moved.len() as u64);
         if sink.enabled() {
             sink.emit(
                 now_ms,
@@ -1302,11 +1217,11 @@ impl<'a> Engine<'a> {
                 },
             );
         }
-        if let Some(rs) = &mut self.rstate {
+        if let Some(dir) = &mut self.replicas {
             // The dead node's replicas leave the routing table; its slab
             // itself re-chains through `LiveRouting` exactly as without
             // replication.
-            for m in rs.dir.drop_node(node) {
+            for m in dir.drop_node(node) {
                 if sink.enabled() {
                     sink.emit(
                         now_ms,
@@ -1324,23 +1239,21 @@ impl<'a> Engine<'a> {
         // within a job, queries stay in sequence order (ties on the same
         // query — several re-dispatched parts of one query — break by part
         // id).
-        let mut remnants: BTreeMap<usize, Vec<(usize, QueryId, Query)>> = BTreeMap::new();
-        for entry in &moved {
-            let pid = entry.part.id;
+        let mut remnants: BTreeMap<usize, Vec<(usize, Query)>> = BTreeMap::new();
+        for part in &moved {
             let QueryState {
                 job: ji, index: qi, ..
-            } = self.per_query[&orig_id(pid)];
-            remnants
-                .entry(ji)
-                .or_default()
-                .push((qi, pid, entry.part.clone()));
+            } = self.per_query[&orig_id(part.id)];
+            remnants.entry(ji).or_default().push((qi, part.clone()));
         }
         let declared = &mut self.declared[surv as usize];
         let per_query = &self.per_query;
         for (ji, job) in trace.jobs.iter().enumerate() {
-            if !self.arrived[ji] {
+            if self.declare_on_arrival && !self.arrived[ji] {
                 // Unarrived jobs project through the post-crash routing at
-                // their arrival; nothing to declare early.
+                // their arrival; nothing to declare early. Jobs declared up
+                // front are never projected again, so every one of them
+                // needs its remnant now.
                 continue;
             }
             // Future queries only (a submitted one is queued or complete),
@@ -1353,12 +1266,12 @@ impl<'a> Engine<'a> {
                 future,
                 surv,
                 &mut self.scratch.projected_atoms,
-                |qi, part| remnants.entry(ji).or_default().push((qi, part.id, part)),
+                |qi, part| remnants.entry(ji).or_default().push((qi, part)),
             );
         }
         let survivor = &mut self.pipelines[surv as usize];
         for (ji, mut parts) in remnants {
-            parts.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            parts.sort_by_key(|(qi, part)| (*qi, part.id));
             let job = &trace.jobs[ji];
             debug_assert!(
                 job.id < (1 << REMNANT_JOB_BITS),
@@ -1371,7 +1284,7 @@ impl<'a> Engine<'a> {
                 user: job.user,
                 kind: job.kind,
                 campaign: job.campaign,
-                queries: parts.into_iter().map(|(_, _, q)| q).collect(),
+                queries: parts.into_iter().map(|(_, q)| q).collect(),
                 arrival_ms: job.arrival_ms,
                 think_ms: job.think_ms,
             };
@@ -1381,21 +1294,21 @@ impl<'a> Engine<'a> {
 
         // Re-enqueue the dead node's ledger through the survivor's scheduler:
         // recovered work re-enters the utility ranking, it does not jump the
-        // queue. The entries move to the survivor's ledger with the work.
+        // queue. The parts move to the survivor's ledger with the work.
         let ledger = &mut self.ledger[surv as usize];
-        for entry in moved {
+        for part in moved {
             if sink.enabled() {
                 sink.emit(
                     now_ms,
                     jaws_obs::Event::PartRedispatched {
-                        part: entry.part.id,
+                        part: part.id,
                         from: node,
                         to: surv,
                     },
                 );
             }
-            survivor.query_available(&entry.part, now_ms);
-            ledger.insert(entry);
+            survivor.query_available(&part, now_ms);
+            ledger.insert(part);
         }
     }
 
@@ -1495,10 +1408,9 @@ impl<'a> Engine<'a> {
         }
         EngineOutcome {
             totals: self.totals,
-            node_status: self.node_status,
             alive: self.live.alive,
             first_failure_ms: self.first_failure_ms,
-            replication: self.rstate.map(|rs| rs.dir.summary()),
+            replication: self.replicas.map(|dir| dir.summary()),
         }
     }
 }
@@ -1778,32 +1690,6 @@ mod tests {
     }
 
     #[test]
-    fn a_declaration_shares_its_parts_footprint() {
-        let mut spare = Vec::new();
-        let part = query(part_id(9, 1), &[(40, 2), (41, 1)]);
-        let mut decl = declaration_of(&part, &mut spare);
-        assert_eq!(decl[0].id, part.id);
-        assert!(Arc::ptr_eq(
-            decl[0].footprint.buffer(),
-            part.footprint.buffer()
-        ));
-        // A spare declaration is overwritten, and shares the new part's.
-        let [copy] = Arc::get_mut(&mut decl).expect("unshared") else {
-            panic!("a declaration holds one query");
-        };
-        copy.footprint = Footprint::default();
-        let decl_ptr = Arc::as_ptr(&decl);
-        spare.push(decl);
-        let next = query(part_id(10, 1), &[(50, 1)]);
-        let again = declaration_of(&next, &mut spare);
-        assert!(std::ptr::eq(Arc::as_ptr(&again), decl_ptr), "spare reused");
-        assert!(Arc::ptr_eq(
-            again[0].footprint.buffer(),
-            next.footprint.buffer()
-        ));
-    }
-
-    #[test]
     fn footprint_pool_hands_out_only_buffers_that_fit() {
         let run = |n: u64| -> Vec<(MortonKey, u32)> { (0..n).map(|m| (MortonKey(m), 1)).collect() };
         let mut pool = FootprintPool::default();
@@ -1875,6 +1761,29 @@ mod tests {
         // More nodes than slabs ever fill: everything clamps in range.
         let r = Routing::new(2, 2, ReplicationConfig::disabled());
         assert_eq!(r.node_of(MortonKey(500)), 1);
+    }
+
+    #[test]
+    fn owned_atoms_count_the_keys_node_of_routes() {
+        // Node counts that do not divide the key range, down to slabs that
+        // run out before the last node.
+        for (per_ts, nodes) in [
+            (64, 3),
+            (64, 9),
+            (64, 15),
+            (27, 4),
+            (100, 7),
+            (8, 16),
+            (1, 2),
+        ] {
+            let r = Routing::new(per_ts, nodes, ReplicationConfig::disabled());
+            let mut counts = vec![0u64; nodes as usize];
+            for m in 0..per_ts {
+                counts[r.node_of(MortonKey(m)) as usize] += 1;
+            }
+            let owned: Vec<u64> = (0..nodes).map(|n| r.owned_atoms(n)).collect();
+            assert_eq!(owned, counts, "{per_ts} keys over {nodes} nodes");
+        }
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub struct NodePipeline {
     service_multiplier: f64,
     busy_ms: f64,
     parts_completed: u64,
+    /// Parts re-dispatched off this node when a scripted crash killed it.
+    redispatched_parts: u64,
     prefetch_reads: u64,
     sink: ObsSink,
 }
@@ -72,6 +74,7 @@ impl NodePipeline {
             service_multiplier: 1.0,
             busy_ms: 0.0,
             parts_completed: 0,
+            redispatched_parts: 0,
             prefetch_reads: 0,
             sink: ObsSink::null(),
         }
@@ -104,6 +107,17 @@ impl NodePipeline {
     /// Sub-query parts completed on this pipeline so far.
     pub fn parts_completed(&self) -> u64 {
         self.parts_completed
+    }
+
+    /// Parts re-dispatched off this node when it crashed (in flight plus
+    /// queued at crash time).
+    pub(crate) fn redispatched_parts(&self) -> u64 {
+        self.redispatched_parts
+    }
+
+    /// Counts the parts a crash of this node re-dispatched to its survivor.
+    pub(crate) fn record_redispatch(&mut self, parts: u64) {
+        self.redispatched_parts += parts;
     }
 
     /// Total simulated time this pipeline spent servicing batches.
@@ -160,6 +174,20 @@ impl NodePipeline {
         if let Some(p) = &mut self.prefetcher {
             p.observe(job, q);
         }
+    }
+
+    /// Drops a finished job's trajectory from the predictor, if prefetching
+    /// is enabled.
+    pub(crate) fn job_done(&mut self, job: JobId) {
+        if let Some(p) = &mut self.prefetcher {
+            p.job_done(job);
+        }
+    }
+
+    /// The trajectory predictor; `None` unless prefetching is enabled.
+    #[cfg(test)]
+    pub(crate) fn prefetcher(&self) -> Option<&Prefetcher> {
+        self.prefetcher.as_ref()
     }
 
     /// Asks the scheduler for the next batch under current residency.

@@ -38,8 +38,7 @@ pub type AtomBuffer = Arc<[(MortonKey, u32)]>;
 /// A footprint is a view: a run of a shared, immutable atom buffer. Cloning
 /// one (and so cloning a [`Query`]) bumps a reference count and copies no
 /// atoms, so a copy of a query — a scheduler's copy of a query it holds at
-/// a gate, a just-in-time replica declaration of a part — shares its
-/// original's buffer. A trace query owns a buffer of its own, and a part
+/// a gate — shares its original's buffer. A trace query owns a buffer of its own, and a part
 /// that keeps all of its query's atoms shares it. A job's projection onto a
 /// cluster node lays every projected query's atoms out in one buffer and
 /// each projected query views its run: a scheduler keeps a declared job

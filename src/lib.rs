@@ -59,7 +59,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use jaws_arena as arena;
 pub use jaws_cache as cache;
 pub use jaws_morton as morton;
 pub use jaws_obs as obs;
