@@ -3,23 +3,31 @@
 //! offered load sits at or just above JAWS's capacity. Prints throughput,
 //! response time, reads and gating diagnostics per (burst-gap, scheduler).
 //!
-//! Usage: `calibrate [GAP_MS...]` — mean burst gaps to sweep, in ms
-//! (default 2000 1200 800). `CALIB_ALL=1` sweeps every scheduler instead of
-//! the JAWS gate-timeout ladder.
+//! Usage: `calibrate [--all] [GAP_MS...]` — mean burst gaps to sweep, in ms,
+//! each finite and positive (default 2000 1200 800). `--all` sweeps every
+//! scheduler instead of the JAWS gate-timeout ladder.
 
 use jaws_bench::exp;
 use jaws_sim::sweep::RunSpec;
 use jaws_sim::{run_parallel, CachePolicyKind, SchedulerKind};
 use jaws_workload::{GenConfig, TraceGenerator};
 
+const ALL: exp::Flag = exp::Flag {
+    name: "--all",
+    value: None,
+    help: "sweep every scheduler instead of the JAWS gate-timeout ladder",
+};
+
 fn main() {
-    let args = exp::parse_args("[GAP_MS...]", &[]);
+    let args = exp::parse_args("[GAP_MS...]", &[ALL]);
     let gaps: Vec<f64> = args
         .operands()
         .iter()
-        .map(|a| {
-            a.parse()
-                .unwrap_or_else(|_| args.fail(&format!("bad burst gap `{a}`")))
+        .map(|a| match a.parse::<f64>() {
+            Ok(gap) if gap.is_finite() && gap > 0.0 => gap,
+            _ => args.fail(&format!(
+                "bad burst gap `{a}`: expected a finite, positive number of ms"
+            )),
         })
         .collect();
     let gaps = if gaps.is_empty() {
@@ -43,7 +51,7 @@ fn main() {
             (SchedulerKind::Jaws2 { batch_k: 15 }, Some(360_000.0)),
             (SchedulerKind::Jaws2 { batch_k: 15 }, Some(720_000.0)),
         ];
-        if std::env::var("CALIB_ALL").is_ok() {
+        if args.has(ALL.name) {
             kinds = vec![
                 (SchedulerKind::NoShare, None),
                 (SchedulerKind::LifeRaft1, None),

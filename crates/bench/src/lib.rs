@@ -68,9 +68,7 @@ pub mod alloc_counter {
 }
 
 pub mod exp {
-    use jaws_morton::AtomId;
     use jaws_obs::{JsonlRecorder, ObsSink};
-    use jaws_scheduler::Residency;
     use jaws_sim::sweep::RunSpec;
     use jaws_sim::{
         CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport, FailurePlan,
@@ -161,28 +159,6 @@ pub mod exp {
         // panicked the emitting thread.
         let jsonl = rc.lock().expect("recorder lock").take();
         (report, jsonl)
-    }
-
-    /// A [`Residency`] under which no atom is ever cached: every batch pays
-    /// the full metric evaluation.
-    pub struct NoneResident;
-
-    impl Residency for NoneResident {
-        fn is_resident(&self, _atom: &AtomId) -> bool {
-            false
-        }
-
-        fn residency_epoch(&self) -> Option<u64> {
-            Some(0) // nothing ever becomes resident
-        }
-
-        fn residency_changes_since(
-            &self,
-            _since: u64,
-            _visit: &mut dyn FnMut(AtomId, bool),
-        ) -> bool {
-            true
-        }
     }
 
     /// A tiny database geometry for tests and smoke runs (64 atoms per

@@ -14,7 +14,7 @@
 
 use jaws_bench::alloc_counter::{self, CountingAlloc};
 use jaws_bench::exp;
-use jaws_scheduler::{GatingConfig, Jaws, JawsConfig, MetricParams};
+use jaws_scheduler::{Jaws, JawsConfig, MetricParams};
 use jaws_sim::{
     build_db, CachePolicyKind, ClusterExecutor, FailurePlan, ReplicationConfig, SimConfig,
 };
@@ -60,10 +60,7 @@ fn warm_jaws2_replay_stays_near_its_allocation_floor() {
     };
     let jaws2 = Jaws::new(JawsConfig {
         run_len: exp::RUN_LEN,
-        gating: GatingConfig {
-            gate_timeout_ms: exp::GATE_TIMEOUT_MS,
-            ..GatingConfig::default()
-        },
+        gate_timeout_ms: exp::GATE_TIMEOUT_MS,
         ..JawsConfig::jaws2(params)
     });
     let mut ex = ClusterExecutor::from_nodes(

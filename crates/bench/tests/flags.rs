@@ -84,3 +84,31 @@ fn help_prints_the_usage_and_exits_0() {
         );
     }
 }
+
+#[test]
+fn calibrate_rejects_a_burst_gap_that_is_not_finite_and_positive() {
+    let bin = env!("CARGO_BIN_EXE_calibrate");
+    for gap in ["0", "nan", "inf", "-5", "soon"] {
+        let (code, out, err) = run(bin, &[gap]);
+        assert_eq!(code, Some(2), "gap {gap}: {err}");
+        assert!(out.is_empty(), "gap {gap} printed results:\n{out}");
+        assert!(err.contains("usage:"), "gap {gap}: {err}");
+    }
+}
+
+#[test]
+fn calibrate_takes_all_as_a_switch() {
+    let bin = env!("CARGO_BIN_EXE_calibrate");
+    let (code, out, err) = run(bin, &["--help"]);
+    assert_eq!(code, Some(0), "{err}");
+    assert!(out.contains("--all"), "{out}");
+    // `--all` is accepted: the run stops at the bad gap, not at the flag.
+    let (code, out, err) = run(bin, &["--all", "0"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(out.is_empty(), "{out}");
+    assert!(err.contains("bad burst gap `0`"), "{err}");
+    // A switch takes no value.
+    let (code, _, err) = run(bin, &["--all=0"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("--all takes no value"), "{err}");
+}

@@ -10,13 +10,18 @@
 //!    (`clippy.toml` bans them here as in every crate). Two runs with
 //!    the same seed therefore produce byte-identical JSONL traces — asserted
 //!    by `crates/sim/tests/determinism.rs`.
-//! 2. **Zero paid-when-disabled overhead.** The default sink is null: its
-//!    [`ObsSink::enabled`] check is an `Option` test, and every emission site
-//!    in the stack guards event *construction* behind it, so a run with no
-//!    recorder wired does no allocation and produces bit-identical reports.
+//! 2. **Zero paid-when-disabled overhead.** A null sink — the default — is
+//!    the one way to record nothing: its [`ObsSink::enabled`] check is an
+//!    `Option` test, and every emission site in the stack guards event
+//!    *construction* behind it, so a run with no recorder wired does no
+//!    allocation. Wiring a recorder never changes what is simulated: a run
+//!    traced through a [`JsonlRecorder`] produces a report and completion
+//!    log byte-identical to an unwired one (asserted by
+//!    `crates/sim/tests/determinism.rs`).
 //! 3. **One emitting thread per replay.** Recorders are `Arc<Mutex<_>>`-shared
 //!    (`Recorder: Send`) so a sink can be built once and handed to every
-//!    component, or to replays running on other threads (`sweep`). Within a
+//!    component, or to replays running on other threads (`sweep`). A wired
+//!    sink takes the lock only to record, never to ask whether to. Within a
 //!    replay the engine dispatches serially, so every record is emitted in
 //!    the engine's event order on one thread — byte-identical JSONL at any
 //!    `jaws-par` worker count. No `jaws-par` closure is handed a sink, and
@@ -31,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -280,73 +284,11 @@ pub struct Record {
 /// Consumes [`Record`]s. Implementations must not read wall clocks or any
 /// other nondeterministic source — a recorder is part of the simulation's
 /// deterministic closure. `Send` is required so sinks can be carried across
-/// threads (invariant 3 of the module docs).
+/// threads (invariant 3 of the module docs). To record nothing, wire no
+/// recorder: [`ObsSink::null`].
 pub trait Recorder: Send {
-    /// Whether this recorder wants events at all. Emission sites skip event
-    /// construction entirely when this is false, so a disabled recorder costs
-    /// one branch per site.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Accepts one record. Called only when [`Recorder::enabled`] is true.
+    /// Accepts one record.
     fn record(&mut self, rec: &Record);
-}
-
-/// A recorder that drops everything and reports itself disabled, so emission
-/// sites skip event construction. Wiring it must leave reports bit-identical
-/// to not wiring anything (asserted in `crates/sim/tests/determinism.rs`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _rec: &Record) {}
-}
-
-/// Keeps the last `capacity` records in memory — a flight recorder for tests
-/// and interactive debugging.
-#[derive(Debug)]
-pub struct RingRecorder {
-    capacity: usize,
-    buf: VecDeque<Record>,
-}
-
-impl RingRecorder {
-    /// Creates a ring holding at most `capacity` records (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-        }
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &Record> {
-        self.buf.iter()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been recorded (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl Recorder for RingRecorder {
-    fn record(&mut self, rec: &Record) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(rec.clone());
-    }
 }
 
 /// Serializes every record as one JSON line into an in-memory buffer. The
@@ -431,22 +373,14 @@ impl ObsSink {
         }
     }
 
-    /// Whether events will actually be kept. Emission sites use this to skip
-    /// constructing events (cloning part lists, ranking snapshots) entirely.
+    /// Whether a recorder is wired, i.e. whether events will be kept.
+    /// Emission sites use this to skip constructing events (cloning part
+    /// lists, ranking snapshots) entirely. Takes no lock.
     pub fn enabled(&self) -> bool {
-        match &self.inner {
-            #[expect(
-                clippy::expect_used,
-                reason = "invariant: a panicked recorder poisons the lock; no \
-                          recovery keeps the trace complete, so propagate the panic"
-            )]
-            Some(r) => r.lock().expect("recorder lock poisoned").enabled(),
-            None => false,
-        }
+        self.inner.is_some()
     }
 
-    /// Records `event` at simulated time `t_ms` if a recorder is wired and
-    /// enabled.
+    /// Records `event` at simulated time `t_ms` if a recorder is wired.
     pub fn emit(&self, t_ms: f64, event: Event) {
         if let Some(r) = &self.inner {
             #[expect(
@@ -455,13 +389,11 @@ impl ObsSink {
                           recovery keeps the trace complete, so propagate the panic"
             )]
             let mut r = r.lock().expect("recorder lock poisoned");
-            if r.enabled() {
-                r.record(&Record {
-                    t_ms,
-                    node: self.node,
-                    event,
-                });
-            }
+            r.record(&Record {
+                t_ms,
+                node: self.node,
+                event,
+            });
         }
     }
 }
@@ -484,27 +416,6 @@ mod tests {
         let sink = ObsSink::null();
         assert!(!sink.enabled());
         sink.emit(1.0, sample(1.0)); // must not panic
-    }
-
-    #[test]
-    fn null_recorder_reports_disabled_through_sink() {
-        let sink = ObsSink::new(Arc::new(Mutex::new(NullRecorder)));
-        assert!(!sink.enabled());
-        sink.emit(1.0, sample(1.0));
-    }
-
-    #[test]
-    fn ring_recorder_keeps_last_capacity_records() {
-        let ring = Arc::new(Mutex::new(RingRecorder::new(2)));
-        let sink = ObsSink::new(ring.clone());
-        assert!(sink.enabled());
-        for t in 0..5 {
-            sink.emit(t as f64, sample(t as f64));
-        }
-        let ring = ring.lock().expect("ring recorder lock");
-        assert_eq!(ring.len(), 2);
-        let kept: Vec<f64> = ring.records().map(|r| r.t_ms).collect();
-        assert_eq!(kept, vec![3.0, 4.0]);
     }
 
     #[test]
@@ -547,14 +458,17 @@ mod tests {
 
     #[test]
     fn with_node_does_not_tag_the_original() {
-        let rec = Arc::new(Mutex::new(RingRecorder::new(8)));
+        let rec = Arc::new(Mutex::new(JsonlRecorder::new()));
         let base = ObsSink::new(rec.clone());
         let tagged = base.with_node(3);
+        assert!(base.enabled() && tagged.enabled());
         base.emit(0.0, sample(0.0));
         tagged.emit(1.0, sample(1.0));
-        let rec = rec.lock().expect("ring recorder lock");
-        let nodes: Vec<Option<u32>> = rec.records().map(|r| r.node).collect();
-        assert_eq!(nodes, vec![None, Some(3)]);
+        let out = rec.lock().expect("jsonl recorder lock").take();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(lines[0].contains("\"node\":null"), "{out}");
+        assert!(lines[1].contains("\"node\":3"), "{out}");
     }
 
     #[test]
@@ -562,7 +476,5 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<ObsSink>();
         assert_send::<JsonlRecorder>();
-        assert_send::<RingRecorder>();
-        assert_send::<NullRecorder>();
     }
 }

@@ -38,11 +38,12 @@
 //!
 //! A group only fires when every member is READY, and a member's job may be
 //! arbitrarily slow (long think times). Following the spirit of §V-A's
-//! starvation resistance, a READY query gated for longer than
-//! [`GatingConfig::gate_timeout_ms`] is force-released: it leaves its group
-//! and becomes schedulable alone, trading the missed sharing for bounded
-//! delay. (The paper relies on alignment feasibility alone; the timeout is an
-//! engineering addition documented in DESIGN.md.)
+//! starvation resistance, a READY query gated for longer than the graph's
+//! gate timeout (`gate_timeout_ms` of [`GatingGraph::new`]) is
+//! force-released: it leaves its group and becomes schedulable alone,
+//! trading the missed sharing for bounded delay. (The paper relies on
+//! alignment feasibility alone; the timeout is an engineering addition
+//! documented in DESIGN.md.)
 //!
 //! ## Total order (determinism)
 //!
@@ -91,10 +92,10 @@
 //!
 //! Once a job's last query is DONE, its `JobEntry` and every query entry
 //! go: the graph's size follows the live jobs, not the trace. `job_order`
-//! keeps only the last [`GatingConfig::max_align_jobs`] ordered ids, the
-//! only ones alignment reads; a retired id among them is skipped exactly
-//! like a finished job was (nothing pending to align against), so the
-//! window's meaning is unchanged.
+//! keeps only the last `MAX_ALIGN_JOBS` (64) ordered ids, the only ones
+//! alignment reads; a retired id among them is skipped exactly like a
+//! finished job was (nothing pending to align against), so the window's
+//! meaning is unchanged.
 //!
 //! Every iterated map or set is a `BTreeMap`/`BTreeSet` keyed by `QueryId`/
 //! group id, so every iteration is ordered by construction. The jobs, the
@@ -108,25 +109,9 @@ use serde::Serialize;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Gating behaviour knobs.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct GatingConfig {
-    /// Maximum time a READY query may wait on gating partners before being
-    /// force-released, ms.
-    pub gate_timeout_ms: f64,
-    /// Maximum number of existing jobs a new job is aligned against (most
-    /// recently arrived first) — bounds the O(n²m²) dynamic-program phase.
-    pub max_align_jobs: usize,
-}
-
-impl Default for GatingConfig {
-    fn default() -> Self {
-        GatingConfig {
-            gate_timeout_ms: 180_000.0,
-            max_align_jobs: 64,
-        }
-    }
-}
+/// Maximum number of existing jobs a new job is aligned against (most
+/// recently arrived first) — bounds the O(n²m²) dynamic-program phase.
+const MAX_ALIGN_JOBS: usize = 64;
 
 /// The WAIT/READY/QUEUE/DONE lifecycle of §IV-B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -162,17 +147,19 @@ struct JobEntry {
     first_pending: usize,
 }
 
-/// Initial room in the job table, the default alignment window: a table
-/// grown from empty would re-allocate once per doubling in every replay.
-const JOBS_CAPACITY: usize = 64;
+/// Initial room in the job table, the alignment window: a table grown from
+/// empty would re-allocate once per doubling in every replay.
+const JOBS_CAPACITY: usize = MAX_ALIGN_JOBS;
 
 /// The job-aware precedence/gating graph.
 #[derive(Debug)]
 pub struct GatingGraph {
-    cfg: GatingConfig,
+    /// Maximum time a READY query may wait on gating partners before being
+    /// force-released, ms.
+    gate_timeout_ms: f64,
     /// The live jobs, with room for [`JOBS_CAPACITY`] up front.
     jobs: FastMap<JobId, JobEntry>,
-    /// Arrival order of the last `max_align_jobs` ordered jobs, retired ones
+    /// Arrival order of the last [`MAX_ALIGN_JOBS`] ordered jobs, retired ones
     /// included, for alignment candidate selection.
     job_order: VecDeque<JobId>,
     /// Per registered query: its job, position, lifecycle state and group.
@@ -206,10 +193,11 @@ pub struct GatingGraph {
 }
 
 impl GatingGraph {
-    /// Creates an empty graph.
-    pub fn new(cfg: GatingConfig) -> Self {
+    /// Creates an empty graph whose READY queries are force-released after
+    /// `gate_timeout_ms` of waiting on gating partners.
+    pub fn new(gate_timeout_ms: f64) -> Self {
         GatingGraph {
-            cfg,
+            gate_timeout_ms,
             jobs: FastMap::with_capacity(JOBS_CAPACITY),
             job_order: VecDeque::new(),
             entries: FastMap::default(),
@@ -332,7 +320,7 @@ impl GatingGraph {
             }
         }
         self.job_order.push_back(job.id);
-        if self.job_order.len() > self.cfg.max_align_jobs {
+        if self.job_order.len() > MAX_ALIGN_JOBS {
             self.job_order.pop_front();
         }
         // Merge phase: job pairs in decreasing alignment size, then
@@ -701,7 +689,7 @@ impl GatingGraph {
             let e = &self.entries[q];
             e.state == QueryState::Ready
                 && e.group.is_some()
-                && now_ms - e.ready_since_ms > self.cfg.gate_timeout_ms
+                && now_ms - e.ready_since_ms > self.gate_timeout_ms
         }));
         for &q in &stale {
             if self.entries[&q].state != QueryState::Ready {
@@ -807,7 +795,7 @@ mod tests {
     }
 
     fn graph() -> GatingGraph {
-        GatingGraph::new(GatingConfig::default())
+        GatingGraph::new(180_000.0)
     }
 
     /// The ids of promoted queries, in promotion order.
@@ -884,6 +872,24 @@ mod tests {
         // Queries sharing R1 are co-grouped.
         let members = g.group_members(100).expect("gated");
         assert!(members.contains(&100) && members.contains(&200));
+    }
+
+    /// A new job aligns only against the last `MAX_ALIGN_JOBS` ordered jobs:
+    /// the window bounds the O(n²m²) alignment phase, so a partner pushed
+    /// out of it by unrelated ordered jobs gets no gating edge.
+    #[test]
+    fn alignment_window_holds_the_last_64_ordered_jobs() {
+        for (fillers, edges) in [(MAX_ALIGN_JOBS - 1, 2), (MAX_ALIGN_JOBS, 0)] {
+            let mut g = graph();
+            g.add_job(&job(1, &[(0, 1), (0, 2)]));
+            // Ordered jobs on their own timestep: nothing to align with.
+            for id in 2..2 + fillers as u64 {
+                g.add_job(&job(id, &[(1, 1_000 + id), (1, 2_000 + id)]));
+            }
+            assert_eq!(g.admitted_edges(), 0);
+            let admitted = g.add_job(&job(1_000, &[(0, 1), (0, 2)]));
+            assert_eq!(admitted, edges, "{fillers} jobs arrived in between");
+        }
     }
 
     #[test]
@@ -1024,10 +1030,7 @@ mod tests {
 
     #[test]
     fn stale_gates_are_released() {
-        let mut g = GatingGraph::new(GatingConfig {
-            gate_timeout_ms: 1_000.0,
-            max_align_jobs: 64,
-        });
+        let mut g = GatingGraph::new(1_000.0);
         g.add_job(&job(1, &[(0, 1), (1, 3)]));
         g.add_job(&job(2, &[(0, 1), (1, 3)]));
         avail(&mut g, 100, 0.0);
@@ -1085,10 +1088,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
         for round in 0..20 {
-            let mut g = GatingGraph::new(GatingConfig {
-                gate_timeout_ms: 10.0,
-                max_align_jobs: 64,
-            });
+            let mut g = GatingGraph::new(10.0);
             let mut jobs = Vec::new();
             for jid in 1..=6u64 {
                 let len = rng.gen_range(1..6);
@@ -1206,7 +1206,7 @@ mod tests {
                 .sorted()
                 .into_iter()
                 .all(|(_, e)| g.jobs.contains_key(&e.job)));
-            assert!(g.job_order.len() <= g.cfg.max_align_jobs);
+            assert!(g.job_order.len() <= MAX_ALIGN_JOBS);
         }
 
         /// The copy a test hands in for `q`: its declared query with a
@@ -1239,10 +1239,7 @@ mod tests {
                 ),
                 ops in proptest::collection::vec((0u8..13, 0usize..1000), 1..120),
             ) {
-                let mut g = GatingGraph::new(GatingConfig {
-                    gate_timeout_ms: 100.0,
-                    max_align_jobs: 64,
-                });
+                let mut g = GatingGraph::new(100.0);
                 let mut declared: Vec<Job> = Vec::new();
                 let mut now = 0.0;
                 let mut handed: BTreeMap<QueryId, Query> = BTreeMap::new();

@@ -17,7 +17,7 @@
 
 use crate::adaptive::AlphaController;
 use crate::batch::{preprocess, Batch};
-use crate::gating::{GatingConfig, GatingGraph};
+use crate::gating::GatingGraph;
 use crate::policy::{Residency, Scheduler, SchedulerStats};
 use crate::queues::{MetricParams, QueueStats, UtilitySnapshot, WorkloadManager};
 use jaws_cache::UtilityOracle;
@@ -86,8 +86,9 @@ pub struct JawsConfig {
     /// If true, ordered jobs are aligned and gated (JAWS₂); if false the
     /// scheduler is the paper's JAWS₁.
     pub job_aware: bool,
-    /// Gating knobs (timeout valve, alignment fan-in).
-    pub gating: GatingConfig,
+    /// Gate timeout: the longest a READY query waits on gating partners
+    /// before it is force-released, ms.
+    pub gate_timeout_ms: f64,
 }
 
 /// The initial age bias α; the paper initializes it to 0.5 (§V-A).
@@ -101,7 +102,7 @@ impl JawsConfig {
             batch_k: 15,
             run_len: 50,
             job_aware: true,
-            gating: GatingConfig::default(),
+            gate_timeout_ms: 180_000.0,
         }
     }
 
@@ -143,7 +144,7 @@ impl Jaws {
         assert!(cfg.batch_k >= 1, "batch size k must be at least 1");
         Jaws {
             wm: WorkloadManager::new(cfg.params),
-            gating: GatingGraph::new(cfg.gating),
+            gating: GatingGraph::new(cfg.gate_timeout_ms),
             alpha_ctl: AlphaController::new(ALPHA0, cfg.run_len),
             run_boundary: false,
             stats: SchedulerStats::default(),
@@ -584,10 +585,7 @@ mod tests {
     fn jaws2_gate_timeout_releases_held_queries() {
         let mut s = Jaws::new(JawsConfig {
             batch_k: 4,
-            gating: GatingConfig {
-                gate_timeout_ms: 1_000.0,
-                max_align_jobs: 64,
-            },
+            gate_timeout_ms: 1_000.0,
             ..JawsConfig::jaws2(params())
         });
         let none = FixedResidency::none();

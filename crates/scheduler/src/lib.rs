@@ -16,9 +16,10 @@
 //! The shared substrate is one type, [`WorkloadManager`] ([`queues`]): it
 //! owns every atom's workload queue together with the views derived from
 //! them (Eq. 1 per atom, per-timestep aggregates, the URC snapshot) and keeps
-//! those views up to date per change, bit-identical to the full-scan oracle
-//! in [`queues::reference`]. Gating state ([`GatingGraph`]) lives only as
-//! long as its job: a job's entries are dropped once its last query is done.
+//! those views up to date per change, bit-identical to a full-scan oracle
+//! that only the crate's tests compile. Gating state ([`GatingGraph`])
+//! lives only as long as its job: a job's entries are dropped once its last
+//! query is done.
 //!
 //! The crate is execution-agnostic: a scheduler consumes query arrivals and
 //! produces [`Batch`]es; the `jaws-sim` crate owns the clock, the database and
@@ -52,7 +53,7 @@ pub use adaptive::{AlphaController, RunFeedback};
 pub use align::align_jobs;
 pub use batch::{AtomBatch, Batch, SubQuery};
 pub use casjobs::CasJobs;
-pub use gating::{GatingConfig, GatingGraph, QueryState};
+pub use gating::{GatingGraph, QueryState};
 pub use jaws::{Jaws, JawsConfig};
 pub use liferaft::LifeRaft;
 pub use noshare::NoShare;

@@ -11,29 +11,21 @@ use serde::Serialize;
 ///
 /// The workload manager caches per-atom metric values between scheduling
 /// decisions and only recomputes atoms whose inputs changed. Residency is one
-/// of those inputs, so the trait optionally exposes *change tracking*: an
-/// epoch counter plus a change log. Both have conservative defaults (`None` =
-/// "assume anything may have changed"), so plain `is_resident`-only
-/// implementations stay correct — they just forgo the fast path.
+/// of those inputs, so every source reports *change tracking*: an epoch
+/// counter plus a change log. A source whose residency never changes reports
+/// a constant epoch.
 pub trait Residency {
     /// True if the atom is currently cached in memory.
     fn is_resident(&self, atom: &AtomId) -> bool;
 
     /// Monotone counter that advances whenever any atom's residency flips.
-    /// `None` means residency is untracked/volatile: consumers must treat
-    /// every atom as potentially changed on every call.
-    fn residency_epoch(&self) -> Option<u64> {
-        None
-    }
+    fn residency_epoch(&self) -> u64;
 
     /// Calls `visit(atom, now_resident)` for each flip since epoch `since`,
     /// oldest first, and returns true. Returns false without visiting
-    /// anything when the log cannot answer (untracked, or truncated past
-    /// `since`) — the consumer must then re-check every atom it cares about.
-    fn residency_changes_since(&self, since: u64, visit: &mut dyn FnMut(AtomId, bool)) -> bool {
-        let _ = (since, visit);
-        false
-    }
+    /// anything when the log cannot answer (truncated past `since`) — the
+    /// consumer must then re-check every atom it cares about.
+    fn residency_changes_since(&self, since: u64, visit: &mut dyn FnMut(AtomId, bool)) -> bool;
 }
 
 /// Aggregate scheduler statistics for experiment reports.
@@ -170,8 +162,8 @@ pub mod test_support {
             self.resident.contains(atom)
         }
 
-        fn residency_epoch(&self) -> Option<u64> {
-            Some(0) // the set never changes
+        fn residency_epoch(&self) -> u64 {
+            0 // the set never changes
         }
 
         fn residency_changes_since(

@@ -57,8 +57,8 @@
 //!
 //! Floating-point sums are *refolded* per dirty timestep in slab (ascending
 //! Morton) order — never drifted with `+=`/`-=` across dispatches — so every
-//! read is bit-for-bit identical to the full-scan [`mod@reference`] oracle,
-//! which only tests, proptests and the `scheduler_step` bench may call.
+//! read is bit-for-bit identical to the full-scan `reference` oracle, a
+//! test-only module (`#[cfg(test)]`) that no production code can reach.
 //! The interleaving proptest below asserts the equivalence after every step
 //! of random enqueue/take/residency-flip/clock-advance sequences; because the
 //! oracle reads the same slots it checks, it also keeps an independent
@@ -84,7 +84,8 @@
 //! clamped to zero (`finite_or_zero`) so a poisoned cost model cannot make
 //! the normalization folds — and with them every comparison — NaN.
 
-pub mod reference;
+#[cfg(test)]
+mod reference;
 
 use crate::batch::{AtomBatch, SubQuery};
 use crate::policy::Residency;
@@ -183,8 +184,8 @@ pub struct QueueStats {
     pub eq1_recomputes: u64,
     /// Per-timestep aggregate refolds performed by integration.
     pub ts_refolds: u64,
-    /// Residency probes issued for untracked/volatile sources (the
-    /// conservative fallback of the change-tracking protocol).
+    /// Residency probes issued by full re-probes (the first sync, and the
+    /// fallback when a source's change log was truncated).
     pub residency_probes: u64,
     /// Coarse-level O(#timesteps) scans that actually ran (memo misses).
     pub coarse_scans: u64,
@@ -453,7 +454,7 @@ pub struct WorkloadManager {
     /// Reusable scratch of `(upper bound, timestep)` pairs for
     /// [`Self::best_atom`], so a LifeRaft dispatch allocates nothing.
     best_atom_scratch: Vec<(f64, u32)>,
-    /// Residency epoch the slots are synced to (`None` = never/volatile).
+    /// Residency epoch the slots are synced to (`None` = never synced).
     synced_epoch: Option<u64>,
     /// Refold generation counter feeding [`TsAgg::epoch`].
     refold_epoch: u64,
@@ -609,9 +610,10 @@ impl WorkloadManager {
 
     /// Pending atoms in sorted `(timestep, morton)` order — the canonical
     /// iteration order of every floating-point fold, which is the slabs'
-    /// own order. Accessor for the [`mod@reference`] oracle; production
+    /// own order. Accessor for the `reference` oracle; production
     /// schedulers never need the full list.
-    pub fn pending_atom_ids(&self) -> Vec<AtomId> {
+    #[cfg(test)]
+    fn pending_atom_ids(&self) -> Vec<AtomId> {
         self.slabs
             .iter()
             .flat_map(|(&ts, slab)| slab.iter().map(move |s| AtomId::new(ts, s.morton)))
@@ -705,25 +707,23 @@ impl WorkloadManager {
         }
     }
 
-    /// Residency sync: turns the [`Residency`] change-tracking protocol (or
-    /// the conservative full probe, for untracked sources) into residency
-    /// flips.
+    /// Residency sync: turns the [`Residency`] change-tracking protocol into
+    /// residency flips, falling back to a full probe on the first sync and
+    /// when the source's log was truncated.
     fn sync_residency(&mut self, residency: &dyn Residency) {
         let epoch = residency.residency_epoch();
-        let in_sync = matches!((epoch, self.synced_epoch), (Some(e), Some(s)) if e == s);
-        if in_sync {
+        if self.synced_epoch == Some(epoch) {
             return;
         }
         let answered = match self.synced_epoch {
-            Some(since) if epoch.is_some() => residency
-                .residency_changes_since(since, &mut |atom, resident| {
-                    self.flip_residency(atom, resident)
-                }),
-            _ => false,
+            Some(since) => residency.residency_changes_since(since, &mut |atom, resident| {
+                self.flip_residency(atom, resident)
+            }),
+            None => false,
         };
         if !answered {
-            // Untracked source or truncated log: re-probe every pending
-            // atom (cheap boolean probe; only actual flips dirty).
+            // First sync or truncated log: re-probe every pending atom
+            // (cheap boolean probe; only actual flips dirty).
             let mut flips = Vec::new();
             for (&ts, slab) in &self.slabs {
                 for s in slab {
@@ -739,7 +739,7 @@ impl WorkloadManager {
                 self.flip_residency(atom, resident);
             }
         }
-        self.synced_epoch = epoch;
+        self.synced_epoch = Some(epoch);
     }
 
     /// Integration: brings every derived view up to date with the updates
@@ -838,9 +838,9 @@ impl WorkloadManager {
     /// Eq. 2 over every pending atom: `(atom, U_e)` with both terms
     /// max-normalized before blending, in sorted `(timestep, morton)` order.
     /// `alpha = 0` is pure contention order, `alpha = 1` pure arrival (age)
-    /// order. Integration plus an O(n) output; bitwise identical to
-    /// [`reference::aged_utilities`]. Schedulers that only need an argmax use
-    /// [`Self::best_atom`] instead.
+    /// order. Integration plus an O(n) output; bitwise identical to the
+    /// test-only full-scan oracle `reference::aged_utilities`. Schedulers
+    /// that only need an argmax use [`Self::best_atom`] instead.
     pub fn aged_utilities(
         &mut self,
         now_ms: f64,
@@ -868,12 +868,11 @@ impl WorkloadManager {
     /// two-level scheduling (§V) and the cross-timestep eviction order of
     /// URC. Because every timestep has the same atom count, this ranks
     /// timesteps by total pending utility, which "tends to yield higher
-    /// workload density". Bitwise identical to [`reference::timestep_means`].
+    /// workload density". Bitwise identical to `reference::timestep_means`.
     /// Schedulers read the same means through [`Self::utility_snapshot`];
-    /// this map view is compiled for tests, and for rustdoc because the
-    /// reference oracle's docs name it.
-    #[cfg(any(test, doc))]
-    pub fn timestep_means(&mut self, residency: &dyn Residency) -> BTreeMap<u32, f64> {
+    /// this map view is compiled for tests only.
+    #[cfg(test)]
+    fn timestep_means(&mut self, residency: &dyn Residency) -> BTreeMap<u32, f64> {
         self.integrate(residency);
         self.urc_view
             .means
@@ -887,7 +886,7 @@ impl WorkloadManager {
     /// timestep's mean. Atoms without pending work rank
     /// [`UtilityRank::ZERO`] and are evicted first. Integration plus an O(1)
     /// `Arc` clone of the view integration patched in place; bitwise
-    /// identical to [`reference::utility_snapshot`].
+    /// identical to `reference::utility_snapshot`.
     pub fn utility_snapshot(&mut self, residency: &dyn Residency) -> UtilitySnapshot {
         self.integrate(residency);
         self.urc_view.clone()
@@ -1200,10 +1199,11 @@ impl UtilitySnapshot {
         }
     }
 
-    /// Builds a snapshot from already-computed maps — the [`mod@reference`]
+    /// Builds a snapshot from already-computed maps — the `reference`
     /// oracle's constructor. Production code receives snapshots from
     /// [`WorkloadManager::utility_snapshot`] instead.
-    pub(crate) fn from_parts(atoms: FastMap<AtomId, f64>, means: FastMap<u32, f64>) -> Self {
+    #[cfg(test)]
+    fn from_parts(atoms: FastMap<AtomId, f64>, means: FastMap<u32, f64>) -> Self {
         UtilitySnapshot {
             atoms: Arc::new(atoms),
             means: Arc::new(means),
@@ -1792,20 +1792,21 @@ mod proptests {
     }
 
     /// A mutable residency source with full change tracking, standing in for
-    /// the buffer pool. `tracked = false` degrades it to the conservative
-    /// protocol (no epoch, no log) so both integration paths get exercised.
+    /// the buffer pool. `keeps_log = false` answers every change query as a
+    /// truncated log, so each epoch move takes the full re-probe path and
+    /// both integration paths get exercised.
     struct FlipResidency {
         resident: HashSet<AtomId>,
         log: Vec<(AtomId, bool)>,
-        tracked: bool,
+        keeps_log: bool,
     }
 
     impl FlipResidency {
-        fn new(tracked: bool) -> Self {
+        fn new(keeps_log: bool) -> Self {
             FlipResidency {
                 resident: HashSet::new(),
                 log: Vec::new(),
-                tracked,
+                keeps_log,
             }
         }
 
@@ -1825,12 +1826,12 @@ mod proptests {
             self.resident.contains(atom)
         }
 
-        fn residency_epoch(&self) -> Option<u64> {
-            self.tracked.then_some(self.log.len() as u64)
+        fn residency_epoch(&self) -> u64 {
+            self.log.len() as u64
         }
 
         fn residency_changes_since(&self, since: u64, visit: &mut dyn FnMut(AtomId, bool)) -> bool {
-            if !self.tracked {
+            if !self.keeps_log {
                 return false;
             }
             for &(atom, resident) in &self.log[since as usize..] {
@@ -1880,13 +1881,13 @@ mod proptests {
     /// left its queue — and every view still matches the oracle.
     #[test]
     fn take_reenqueue_flip_in_one_window_keeps_counters() {
-        for tracked in [true, false] {
+        for keeps_log in [true, false] {
             let mut wm = WorkloadManager::new(MetricParams {
                 atom_read_ms: 100.0,
                 position_compute_ms: 1.0,
                 atoms_per_timestep: 16,
             });
-            let mut res = FlipResidency::new(tracked);
+            let mut res = FlipResidency::new(keeps_log);
             let a = AtomId::new(0, MortonKey(1));
             let b = AtomId::new(0, MortonKey(2));
             let sub = |query, atom, positions, at| SubQuery {
@@ -1918,18 +1919,18 @@ mod proptests {
                 residency_probes: s1.residency_probes - s0.residency_probes,
                 coarse_scans: s1.coarse_scans - s0.coarse_scans,
             };
-            // Tracked: both logged flips apply, only the first dirties (and
-            // bumps the generation). The conservative probe sees the carried
-            // residency unchanged, so it flips nothing.
+            // Logged: both flips apply, only the first dirties (and bumps the
+            // generation). The re-probe sees the carried residency unchanged,
+            // so it flips nothing.
             let expect = QueueStats {
                 eq1_recomputes: 1,
                 ts_refolds: 1,
-                residency_probes: if tracked { 0 } else { 2 },
+                residency_probes: if keeps_log { 0 } else { 2 },
                 coarse_scans: 0,
             };
-            assert_eq!(d, expect, "tracked={tracked}");
-            let bumps = if tracked { 3 } else { 2 };
-            assert_eq!(g1 - g0, bumps, "generation, tracked={tracked}");
+            assert_eq!(d, expect, "keeps_log={keeps_log}");
+            let bumps = if keeps_log { 3 } else { 2 };
+            assert_eq!(g1 - g0, bumps, "generation, keeps_log={keeps_log}");
             assert_equiv(&mut wm, &res, 200.0, 0.4, &[a, b]);
         }
     }
@@ -1979,8 +1980,8 @@ mod proptests {
         /// Interleaved enqueue / take_atom / residency-flip / clock-advance
         /// sequences: the manager's utilities, timestep
         /// means and URC snapshot match the full-scan [`reference`] oracle
-        /// bit for bit after every step — under both the tracked
-        /// (epoch + change log) and the conservative residency protocols.
+        /// bit for bit after every step — whether residency changes arrive
+        /// through the change log or through the full re-probe.
         /// The oracle reads the same slots it checks, so the queues
         /// themselves are checked against an independent shadow model: the
         /// pending atoms, every atom's ΣW and age, and for each take the
@@ -1988,7 +1989,7 @@ mod proptests {
         /// queries it completes.
         #[test]
         fn queues_match_reference_under_interleaving(
-            tracked in 0u32..2,
+            keeps_log in 0u32..2,
             alpha in 0.0f64..=1.0,
             ops in proptest::collection::vec(
                 // (kind, ts, morton, positions): kind 0-4 enqueue (biased),
@@ -2001,7 +2002,7 @@ mod proptests {
                 position_compute_ms: 1.0,
                 atoms_per_timestep: 16,
             });
-            let mut res = FlipResidency::new(tracked == 1);
+            let mut res = FlipResidency::new(keeps_log == 1);
             let probes = [AtomId::new(90, MortonKey(0)), AtomId::new(0, MortonKey(999))];
             let mut shadow: BTreeMap<AtomId, Vec<SubQuery>> = BTreeMap::new();
             let mut next_query: QueryId = 1;

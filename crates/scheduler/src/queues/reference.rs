@@ -2,18 +2,12 @@
 //! views.
 //!
 //! Every function here recomputes a derived view from the queue state
-//! alone — O(pending atoms) per call, no aggregates, no caches. They exist
-//! for exactly two callers:
-//!
-//! * the equivalence property tests, which assert after every step of a
-//!   random op sequence that [`WorkloadManager`]'s incremental views match
-//!   these recomputes **bit for bit**;
-//! * the `scheduler/metric_maintenance` Criterion group in
-//!   `crates/bench/benches/scheduler_step.rs`, which measures the O(n) cost
-//!   the incremental path replaced.
-//!
-//! No production scheduler code may call into this module — dispatch cost
-//! must stay proportional to what changed, not to queue size. The fold
+//! alone — O(pending atoms) per call, no aggregates, no caches. Their one
+//! caller is the equivalence tests, which assert after every step of a
+//! random op sequence that [`WorkloadManager`]'s incremental views match
+//! these recomputes **bit for bit**. The module is compiled for tests only,
+//! so no production scheduler code can call into it — dispatch cost must
+//! stay proportional to what changed, not to queue size. The fold
 //! orders here (sorted `(timestep, morton)` atom order, max-normalizers
 //! folded over `finite_or_zero`) are the *definition* the incremental path
 //! reproduces; change them only together.

@@ -272,9 +272,8 @@ impl ClusterExecutor {
 
     /// Wires an observability sink through every node's pipeline and the
     /// shared engine loop; a cluster of more than one node tags each node's
-    /// records with its index. With a [`jaws_obs::NullRecorder`] every
-    /// emission site short-circuits and the run is bit-identical to an
-    /// unwired build.
+    /// records with its index. Tracing never changes what is simulated: the
+    /// report and completion log are byte-identical to an unwired run's.
     pub fn set_recorder(&mut self, sink: ObsSink) {
         let tagged = self.pipelines.len() > 1;
         for (i, p) in self.pipelines.iter_mut().enumerate() {

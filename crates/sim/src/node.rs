@@ -21,8 +21,8 @@ impl Residency for DbResidency<'_> {
         self.0.is_resident(atom)
     }
 
-    fn residency_epoch(&self) -> Option<u64> {
-        Some(self.0.residency_epoch())
+    fn residency_epoch(&self) -> u64 {
+        self.0.residency_epoch()
     }
 
     fn residency_changes_since(&self, since: u64, visit: &mut dyn FnMut(AtomId, bool)) -> bool {

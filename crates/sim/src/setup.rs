@@ -3,8 +3,7 @@
 use jaws_cache::{Lru, LruK, ReplacementPolicy, Slru, Urc};
 use jaws_morton::AtomId;
 use jaws_scheduler::{
-    CasJobs, GatingConfig, Jaws, JawsConfig, LifeRaft, MetricParams, NoShare, QosScheduler,
-    Scheduler,
+    CasJobs, Jaws, JawsConfig, LifeRaft, MetricParams, NoShare, QosScheduler, Scheduler,
 };
 use jaws_turbdb::{CostModel, DataMode, DbConfig, TurbDb};
 use serde::{Deserialize, Serialize};
@@ -128,10 +127,7 @@ pub fn build_scheduler(
         SchedulerKind::Jaws2 { batch_k } => Box::new(Jaws::new(JawsConfig {
             batch_k,
             run_len,
-            gating: GatingConfig {
-                gate_timeout_ms,
-                ..GatingConfig::default()
-            },
+            gate_timeout_ms,
             ..JawsConfig::jaws2(params)
         })),
         SchedulerKind::CasJobs { threshold_ms } => {

@@ -15,7 +15,7 @@
 mod common;
 
 use common::mask_wallclock_fields;
-use jaws_obs::{JsonlRecorder, NullRecorder, ObsSink};
+use jaws_obs::{JsonlRecorder, ObsSink};
 use jaws_scheduler::MetricParams;
 use jaws_sim::{
     build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, FailurePlan,
@@ -293,26 +293,26 @@ fn cluster_jsonl_traces_are_byte_identical_and_node_tagged() {
     );
 }
 
-/// Wiring a [`NullRecorder`] must leave the simulation bit-identical to an
-/// unwired run: every emission site short-circuits on `ObsSink::enabled`, so
-/// a disabled sink costs one branch and perturbs nothing (the "zero
-/// paid-when-disabled overhead" invariant of `jaws-obs`).
+/// Tracing never perturbs the simulation: a replay traced through a
+/// [`JsonlRecorder`] produces a report and completion log byte-identical to
+/// an unwired run. With a recorder wired every emission site builds its
+/// event, so this covers every site's side effects, not only the null-sink
+/// branch they skip when nothing is wired.
 #[test]
-fn null_recorder_leaves_reports_bit_identical() {
+fn traced_run_leaves_reports_bit_identical() {
     for (kind, seed) in [
         (SchedulerKind::Jaws2 { batch_k: 15 }, 3u64),
         (SchedulerKind::LifeRaft2, 11),
     ] {
         let unwired = serialized_run(kind, seed);
-        let nulled = serialized_run_wired(
-            kind,
-            seed,
-            Some(ObsSink::new(Arc::new(Mutex::new(NullRecorder)))),
-        );
+        let rec = Arc::new(Mutex::new(JsonlRecorder::new()));
+        let traced = serialized_run_wired(kind, seed, Some(ObsSink::new(rec.clone())));
+        let jsonl = rec.lock().expect("recorder mutex unpoisoned").take();
+        assert!(!jsonl.is_empty(), "{} emitted no trace", kind.name());
         assert_eq!(
             unwired,
-            nulled,
-            "{} report changed when a NullRecorder was wired (seed {seed})",
+            traced,
+            "{} report changed when a JsonlRecorder was wired (seed {seed})",
             kind.name()
         );
     }

@@ -43,8 +43,7 @@ mod common;
 use common::mask_wallclock_fields;
 use jaws_obs::{JsonlRecorder, ObsSink};
 use jaws_scheduler::{
-    Batch, GatingConfig, Jaws, JawsConfig, MetricParams, Residency, Scheduler, SchedulerStats,
-    UtilitySnapshot,
+    Batch, Jaws, JawsConfig, MetricParams, Residency, Scheduler, SchedulerStats, UtilitySnapshot,
 };
 use jaws_sim::{
     build_db, build_scheduler, CachePolicyKind, ClusterConfig, ClusterExecutor, ClusterReport,
@@ -195,10 +194,7 @@ fn small_db() -> (TurbDb, MetricParams) {
 fn golden_jaws2(params: MetricParams) -> Jaws {
     Jaws::new(JawsConfig {
         run_len: 50,
-        gating: GatingConfig {
-            gate_timeout_ms: 180_000.0,
-            ..GatingConfig::default()
-        },
+        gate_timeout_ms: 180_000.0,
         ..JawsConfig::jaws2(params)
     })
 }

@@ -71,10 +71,10 @@ pub use jaws_workload as workload;
 pub mod prelude {
     pub use jaws_cache::{BufferPool, CacheStats, Lru, LruK, Slru, Urc};
     pub use jaws_morton::{AtomId, MortonKey};
-    pub use jaws_obs::{Event, JsonlRecorder, NullRecorder, ObsSink, Record, Recorder};
+    pub use jaws_obs::{Event, JsonlRecorder, ObsSink, Record, Recorder};
     pub use jaws_scheduler::{
-        AlphaController, Batch, GatingConfig, GatingGraph, Jaws, JawsConfig, LifeRaft,
-        MetricParams, NoShare, Residency, Scheduler,
+        AlphaController, Batch, GatingGraph, Jaws, JawsConfig, LifeRaft, MetricParams, NoShare,
+        Residency, Scheduler,
     };
     pub use jaws_sim::{
         build_db, build_policy, build_scheduler, run_parallel, CachePolicyKind, ClusterConfig,
